@@ -26,8 +26,8 @@ scene = synthesize_submap(layout.wall_model, gt, radius_m=12.0,
 # model side: corners come straight from wall intersections
 corners = model_corners(layout.wall_model.walls)
 db = build_db(corners, l_max=cfg.l_max)
-print("model: %d corners, %d triplets in %d hash buckets" % (
-    len(corners), db.n_triplets, len(db.buckets)))
+print("model: %d corners, %d stored triplet orders under %d keys" % (
+    len(corners), db.n_triplets, db.n_keys))
 
 # submap side: the full feature stack from demo 02 and 03 in one call
 feats = extract_submap_features(scene.submap, cfg)
@@ -36,7 +36,7 @@ print("submap: %d corners, %d triplets" % (len(feats.corners), len(feats.triplet
 # identical quantized descriptors pair up; most pairs are wrong, and
 # that is fine, the vote grid absorbs them
 corr = query_correspondences(db, feats.triplets)
-print("%d correspondences retrieved" % len(corr))
+print("%d correspondences retrieved" % corr[0].shape[0])
 
 grid = cast_votes(corr, r_xy=cfg.r_xy, r_yaw_deg=cfg.r_yaw_deg,
                   residual_max_m=cfg.residual_max_m)

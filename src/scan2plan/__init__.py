@@ -5,9 +5,10 @@ from .descriptors import (
     CornerTriplet,
     DescriptorDB,
     TriangleDescriptor,
-    TripletCorrespondence,
+    Triplets,
     build_db,
     build_triplets,
+    canonical_triplets,
     deserialize_db,
     make_descriptor,
     query_correspondences,
@@ -19,6 +20,7 @@ from .errors import (
     EmptyModel,
     EmptyScene,
     EmptySubmap,
+    InvalidSubmap,
     NoCandidates,
     ParseError,
     ResolutionMismatch,

@@ -142,7 +142,7 @@ def cmd_build_db(args) -> int:
     serialize_db(db, args.out)
     print(
         "floor %s: %d corners, %d triplets, %d stored orders, %d keys -> %s"
-        % (model.floor_id, len(corners), len(triplets), db.n_triplets, len(db.buckets), args.out)
+        % (model.floor_id, len(corners), len(triplets), db.n_triplets, db.n_keys, args.out)
     )
     return 0
 

@@ -1,16 +1,26 @@
-"""Triangle descriptors over corner triplets and the hash-table database.
+"""Triangle descriptors over corner triplets and the sorted-key database.
 
 A triplet of corners is canonicalized so its side lengths satisfy
 |AB| <= |BC| <= |AC|, described by the three sides plus the acute angles
 between each side and the wall directions at its vertices, and quantized
-into an integer key. Congruent triangles collide in the table; the pose
-voting stage sorts out which correspondences are real.
+into six integer bins: the sorted-side triangle hash of STD (Yuan et al.,
+ICRA 2023). Congruent triangles collide; the pose voting stage sorts out
+which correspondences are real.
+
+Triplets stay arrays from enumeration to voting. The database holds one
+row per stored vertex order, sorted by its bins packed into one int64
+(mixed radix, each field sized by the largest bin stored); the sort is
+stable, so rows sharing a key keep insertion order. Lookups are binary
+searches, and a query bin outside the stored range matches nothing. The
+v1 file groups rows by key: magic, version, r_s r_a, key count, then per
+key six i32 bins, a u32 row count and 18 f64 per row.
 """
 
+import math
 import struct
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import permutations
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -26,8 +36,9 @@ __all__ = [
     "DescriptorKey",
     "TriangleDescriptor",
     "CornerTriplet",
-    "TripletCorrespondence",
+    "Triplets",
     "DescriptorDB",
+    "canonical_triplets",
     "make_descriptor",
     "build_triplets",
     "build_db",
@@ -35,6 +46,11 @@ __all__ = [
     "serialize_db",
     "deserialize_db",
 ]
+
+# The six vertex orders, lexicographic. Edge e joins the vertex pair with
+# index sum e + 1 (01, 02, 12), so each order's sides AB, BC, AC are edges:
+_PERMS = np.array(list(permutations(range(3))))
+_PERM_EDGES = _PERMS[:, [0, 1, 0]] + _PERMS[:, [1, 2, 2]] - 1
 
 
 @dataclass(frozen=True)
@@ -48,7 +64,7 @@ class TriangleDescriptor:
 
 @dataclass
 class CornerTriplet:
-    """Canonically ordered corner triplet with its descriptor."""
+    """One canonically ordered corner triplet with its descriptor."""
 
     vertices: np.ndarray  # (3, 2) A, B, C
     wall_dirs: np.ndarray  # (3, 2, 2) two unit wall directions per vertex
@@ -56,106 +72,119 @@ class CornerTriplet:
 
 
 @dataclass
-class TripletCorrespondence:
-    src_vertices: np.ndarray  # (3, 2) query frame
-    dst_vertices: np.ndarray  # (3, 2) model frame
+class Triplets:
+    """Ordered corner triplets, one row each."""
+
+    verts: np.ndarray  # (M, 3, 2) A, B, C
+    dirs: np.ndarray  # (M, 3, 2, 2) two unit wall directions per vertex
+    sides: np.ndarray  # (M, 3) |AB|, |BC|, |AC|
+    angles: np.ndarray  # (M, 3) degrees: AB at A, BC at B, AC at C
+    bins: np.ndarray  # (M, 6) int64: sides // r_s, then angles // r_a
+    r_s: float
+    r_a: float
+
+    def __len__(self) -> int:
+        return self.verts.shape[0]
 
 
 @dataclass
 class DescriptorDB:
-    buckets: Dict[DescriptorKey, List[CornerTriplet]]
+    """Stored triplet orders, sorted by packed key."""
+
+    keys: np.ndarray  # (N,) int64, ascending; one key's rows in insertion order
+    verts: np.ndarray  # (N, 3, 2)
+    dirs: np.ndarray  # (N, 3, 2, 2)
+    dims: Tuple[int, ...]  # radix of each of the six bins in a key
     r_s: float
     r_a: float
 
+    @classmethod
+    def from_entries(cls, bins, verts, dirs, r_s: float, r_a: float) -> "DescriptorDB":
+        """Pack (N, 6) bins and stable-sort the rows; ValueError if keys overflow int64."""
+        bins = np.asarray(bins, dtype=np.int64).reshape(-1, 6)
+        dims = tuple(int(b) + 1 for b in bins.max(axis=0)) if bins.shape[0] else (1,) * 6
+        if math.prod(dims) > np.iinfo(np.int64).max:
+            raise ValueError("descriptor bins up to %s do not pack into an int64; raise r_s or r_a" % (dims,))
+        keys = np.ravel_multi_index(tuple(bins.T), dims)
+        order = np.argsort(keys, kind="stable")
+        return cls(keys[order], verts[order], dirs[order], dims, r_s, r_a)
+
     @property
     def n_triplets(self) -> int:
-        return sum(len(v) for v in self.buckets.values())
+        """Stored rows (a triplet with tied side bins counts once per order)."""
+        return self.keys.shape[0]
+
+    @property
+    def n_keys(self) -> int:
+        return self.key_starts().shape[0]
+
+    def key_starts(self) -> np.ndarray:
+        """First row of each distinct key."""
+        return np.flatnonzero(np.diff(self.keys, prepend=-1))
+
+    def bins(self, rows=slice(None)) -> np.ndarray:
+        """(n, 6) bins of the keys of the given rows."""
+        return np.stack(np.unravel_index(self.keys[rows], self.dims), axis=1)
+
+    def find(self, bins) -> Tuple[np.ndarray, np.ndarray]:
+        """Row ranges [lo, hi) whose key equals each (n, 6) bin row."""
+        bins = np.asarray(bins, dtype=np.int64).reshape(-1, 6)
+        inside = np.all((bins >= 0) & (bins < self.dims), axis=1)
+        packed = np.full(bins.shape[0], -1, dtype=np.int64)  # below every key
+        packed[inside] = np.ravel_multi_index(tuple(bins[inside].T), self.dims)
+        return np.searchsorted(self.keys, packed), np.searchsorted(self.keys, packed, "right")
 
 
-def _acute_angle_deg(side_dir: np.ndarray, wall_dirs: np.ndarray) -> float:
-    """Smallest acute angle between a side and either wall direction."""
-    dots = np.abs(wall_dirs @ side_dir)
-    return float(np.degrees(np.arccos(np.clip(dots.max(), 0.0, 1.0))))
-
-
-def _interior_angles_deg(p: np.ndarray) -> np.ndarray:
-    out = np.empty(3)
-    for i in range(3):
-        u = p[(i + 1) % 3] - p[i]
-        v = p[(i + 2) % 3] - p[i]
-        c = float(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
-        out[i] = np.degrees(np.arccos(np.clip(c, -1.0, 1.0)))
-    return out
-
-
-def _describe_order(p: np.ndarray, dirs: np.ndarray, r_s: float, r_a: float):
-    """Descriptor of vertices already in (A, B, C) order."""
-    ab = float(np.linalg.norm(p[1] - p[0]))
-    bc = float(np.linalg.norm(p[2] - p[1]))
-    ac = float(np.linalg.norm(p[2] - p[0]))
-    alpha = _acute_angle_deg((p[1] - p[0]) / ab, dirs[0])
-    beta = _acute_angle_deg((p[2] - p[1]) / bc, dirs[1])
-    gamma = _acute_angle_deg((p[2] - p[0]) / ac, dirs[2])
-    key = (
-        int(np.floor(ab / r_s)),
-        int(np.floor(bc / r_s)),
-        int(np.floor(ac / r_s)),
-        int(np.floor(alpha / r_a)),
-        int(np.floor(beta / r_a)),
-        int(np.floor(gamma / r_a)),
-    )
-    return TriangleDescriptor((ab, bc, ac), (alpha, beta, gamma), key, r_s, r_a)
-
-
-def _describe_block(
-    verts: np.ndarray, dirs: np.ndarray, r_s: float, r_a: float
-) -> List[TriangleDescriptor]:
-    """Batched _describe_order over (N, 3, 2) vertices, same results."""
+def _describe(verts: np.ndarray, dirs: np.ndarray, r_s: float, r_a: float):
+    """Sides, wall angles and bins of vertices already in (A, B, C) order."""
     a, b, c = verts[:, 0], verts[:, 1], verts[:, 2]
-    sides = np.stack(
-        [np.linalg.norm(b - a, axis=1), np.linalg.norm(c - b, axis=1), np.linalg.norm(c - a, axis=1)],
-        axis=1,
-    )
-    side_dirs = np.stack([b - a, c - b, c - a], axis=1) / sides[:, :, None]
-    dots = np.abs(np.einsum("nvwj,nvj->nvw", dirs, side_dirs))
+    edges = np.stack([b - a, c - b, c - a], axis=1)
+    # vecdot and stacked matmul run the same BLAS dot as scalar code, so
+    # the results do not depend on how many triplets share a call
+    sides = np.sqrt(np.vecdot(edges, edges))
+    dots = np.abs(np.matmul(dirs, (edges / sides[..., None])[..., None])[..., 0])
     angles = np.degrees(np.arccos(np.clip(dots.max(axis=2), 0.0, 1.0)))
-    side_bins = np.floor(sides / r_s).astype(np.int64)
-    ang_bins = np.floor(angles / r_a).astype(np.int64)
-    return [
-        TriangleDescriptor(
-            tuple(sides[i]),
-            tuple(angles[i]),
-            tuple(int(x) for x in np.concatenate([side_bins[i], ang_bins[i]])),
-            r_s,
-            r_a,
-        )
-        for i in range(verts.shape[0])
-    ]
+    bins = np.floor(np.concatenate([sides / r_s, angles / r_a], axis=1)).astype(np.int64)
+    return sides, angles, bins
 
 
-def _check_triplet(p: np.ndarray, min_angle_deg: float) -> None:
-    d01 = np.linalg.norm(p[1] - p[0])
-    d12 = np.linalg.norm(p[2] - p[1])
-    d02 = np.linalg.norm(p[2] - p[0])
-    if min(d01, d12, d02) < 1e-9:
-        raise DegenerateTriplet("coincident corners")
-    if _interior_angles_deg(p).min() < min_angle_deg:
-        raise DegenerateTriplet("triangle below minimum interior angle")
+def canonical_triplets(
+    verts, dirs, r_s: float = 0.5, r_a: float = 3.0, min_angle_deg: float = 10.0, tied_orders: bool = False
+) -> Triplets:
+    """Drop degenerate triplets, order and describe the rest.
 
-
-def _canonical_order(p: np.ndarray) -> List[int]:
-    """Vertex order (A, B, C) with |AB| <= |BC| <= |AC|; ties broken by index."""
-    best = None
-    for perm in permutations(range(3)):
-        q = p[list(perm)]
-        ab = np.linalg.norm(q[1] - q[0])
-        bc = np.linalg.norm(q[2] - q[1])
-        ac = np.linalg.norm(q[2] - q[0])
-        if ab <= bc + 1e-12 and bc <= ac + 1e-12:
-            cand = (round(ab, 12), round(bc, 12), perm)
-            if best is None or cand < best:
-                best = cand
-    return list(best[2])
+    A triplet is degenerate when two corners lie within 1e-9 m or an
+    interior angle is under min_angle_deg. By default each keeps one
+    order: |AB| <= |BC| <= |AC| up to 1e-12, the smallest (|AB|, |BC|)
+    rounded to 12 decimals, then the first order. With tied_orders each
+    keeps every order whose side bins are non-decreasing, so a query
+    canonicalized either way across a tied bin still finds an aligned
+    row. Rows come out in input order, then lexicographic vertex order.
+    """
+    p = np.asarray(verts, dtype=np.float64).reshape(-1, 3, 2)
+    d = np.asarray(dirs, dtype=np.float64).reshape(-1, 3, 2, 2)
+    u = p[:, [1, 2, 0]] - p
+    v = p[:, [2, 0, 1]] - p
+    nu = np.sqrt(np.vecdot(u, u))
+    nv = np.sqrt(np.vecdot(v, v))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = np.vecdot(u, v) / (nu * nv)
+    interior = np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
+    edge = np.stack([nu[:, 0], nv[:, 0], nu[:, 1]], axis=1)  # |01|, |02|, |12|
+    keep = (edge.min(axis=1) >= 1e-9) & (interior.min(axis=1) >= min_angle_deg)
+    s = edge[:, _PERM_EDGES]  # (T, 6, 3): AB, BC, AC of every order
+    if tied_orders:
+        sb = np.floor(s / r_s)
+        fit = keep[:, None] & (sb[..., 0] <= sb[..., 1]) & (sb[..., 1] <= sb[..., 2])
+        src, perm = np.nonzero(fit)
+    else:
+        fit = (s[..., 0] <= s[..., 1] + 1e-12) & (s[..., 1] <= s[..., 2] + 1e-12)
+        rounded = np.where(fit[..., None], np.round(s[..., :2], 12), np.inf)
+        src = np.flatnonzero(keep)
+        perm = np.lexsort((rounded[src, :, 1], rounded[src, :, 0]), axis=-1)[:, 0]
+    order = _PERMS[perm]
+    q, qd = p[src[:, None], order], d[src[:, None], order]
+    return Triplets(q, qd, *_describe(q, qd, r_s, r_a), r_s, r_a)
 
 
 def make_descriptor(
@@ -170,27 +199,24 @@ def make_descriptor(
     Raises DegenerateTriplet for coincident corners or a minimum interior
     angle under min_angle_deg.
     """
-    p = np.asarray(positions, dtype=np.float64).reshape(3, 2)
-    d = np.asarray(wall_dirs, dtype=np.float64).reshape(3, 2, 2)
-    _check_triplet(p, min_angle_deg)
-    order = _canonical_order(p)
-    p, d = p[order], d[order]
-    return CornerTriplet(p, d, _describe_order(p, d, r_s, r_a))
+    t = canonical_triplets(positions, wall_dirs, r_s, r_a, min_angle_deg)
+    if len(t) == 0:
+        raise DegenerateTriplet("coincident corners or an interior angle under %g deg" % min_angle_deg)
+    desc = TriangleDescriptor(
+        tuple(t.sides[0].tolist()), tuple(t.angles[0].tolist()), tuple(t.bins[0].tolist()), r_s, r_a
+    )
+    return CornerTriplet(t.verts[0], t.dirs[0], desc)
 
 
-def _consistent_orders(p: np.ndarray, r_s: float) -> List[Tuple[int, int, int]]:
-    """All vertex orders whose quantized side bins are non-decreasing."""
-    orders = []
-    for perm in permutations(range(3)):
-        q = p[list(perm)]
-        b = (
-            int(np.floor(np.linalg.norm(q[1] - q[0]) / r_s)),
-            int(np.floor(np.linalg.norm(q[2] - q[1]) / r_s)),
-            int(np.floor(np.linalg.norm(q[2] - q[0]) / r_s)),
-        )
-        if b[0] <= b[1] <= b[2]:
-            orders.append(perm)
-    return orders
+def _clique_triplets(corners: Sequence[Corner], l_max: float):
+    """Vertices and wall directions of the l_max graph's 3-cliques, (i < j < k) ascending."""
+    pos = np.array([c.position for c in corners], dtype=np.float64).reshape(-1, 2)
+    dirs = np.array([c.dirs for c in corners], dtype=np.float64).reshape(-1, 2, 2)
+    upper = np.triu(np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2) <= l_max, 1)
+    i, j = np.nonzero(upper)
+    edge, k = np.nonzero(upper[i] & upper[j])  # k > j adjacent to both i and j
+    ijk = np.stack([i[edge], j[edge], k], axis=1)
+    return pos[ijk], dirs[ijk]
 
 
 def build_triplets(
@@ -199,31 +225,10 @@ def build_triplets(
     r_s: float = 0.5,
     r_a: float = 3.0,
     min_angle_deg: float = 10.0,
-) -> List[CornerTriplet]:
+) -> Triplets:
     """Canonical triplets over 3-cliques of the l_max neighborhood graph."""
-    n = len(corners)
-    if n < 3:
-        return []
-    pos = np.array([c.position for c in corners])
-    dmat = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
-    near = dmat <= l_max
-    out: List[CornerTriplet] = []
-    for i, j, k in combinations(range(n), 3):
-        if not (near[i, j] and near[j, k] and near[i, k]):
-            continue
-        try:
-            out.append(
-                make_descriptor(
-                    pos[[i, j, k]],
-                    np.array([corners[i].dirs, corners[j].dirs, corners[k].dirs]),
-                    r_s,
-                    r_a,
-                    min_angle_deg,
-                )
-            )
-        except DegenerateTriplet:
-            continue
-    return out
+    verts, dirs = _clique_triplets(corners, l_max)
+    return canonical_triplets(verts, dirs, r_s, r_a, min_angle_deg)
 
 
 def build_db(
@@ -233,69 +238,49 @@ def build_db(
     r_a: float = 3.0,
     min_angle_deg: float = 10.0,
 ) -> DescriptorDB:
-    """Hash table of model triplets.
+    """Database of model triplets.
 
     Triplets whose side bins tie are stored once per consistent vertex
     order, so a query canonicalized either way still finds a
     geometrically aligned entry.
     """
-    n = len(corners)
-    buckets: Dict[DescriptorKey, List[CornerTriplet]] = {}
-    if n >= 3:
-        pos = np.array([c.position for c in corners])
-        dmat = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
-        near = dmat <= l_max
-        for i, j, k in combinations(range(n), 3):
-            if not (near[i, j] and near[j, k] and near[i, k]):
-                continue
-            p = pos[[i, j, k]]
-            try:
-                _check_triplet(p, min_angle_deg)
-            except DegenerateTriplet:
-                continue
-            d = np.array([corners[i].dirs, corners[j].dirs, corners[k].dirs])
-            for perm in _consistent_orders(p, r_s):
-                q, qd = p[list(perm)], d[list(perm)]
-                desc = _describe_order(q, qd, r_s, r_a)
-                buckets.setdefault(desc.key, []).append(CornerTriplet(q, qd, desc))
-    return DescriptorDB(buckets, r_s, r_a)
+    verts, dirs = _clique_triplets(corners, l_max)
+    t = canonical_triplets(verts, dirs, r_s, r_a, min_angle_deg, tied_orders=True)
+    return DescriptorDB.from_entries(t.bins, t.verts, t.dirs, r_s, r_a)
 
 
-def query_correspondences(
-    db: DescriptorDB, triplets: Sequence[CornerTriplet]
-) -> List[TripletCorrespondence]:
-    """Hash lookups of query triplets; cross product within each bucket."""
-    out: List[TripletCorrespondence] = []
-    for t in triplets:
-        if t.descriptor.r_s != db.r_s or t.descriptor.r_a != db.r_a:
-            raise ResolutionMismatch(
-                "query triplet quantization does not match the database"
-            )
-        for entry in db.buckets.get(t.descriptor.key, ()):
-            out.append(TripletCorrespondence(t.vertices, entry.vertices))
-    return out
+def query_correspondences(db: DescriptorDB, triplets: Triplets) -> Tuple[np.ndarray, np.ndarray]:
+    """(src, dst) vertex arrays, (M, 3, 2) each, for `solve_se2_batch`.
+
+    Each query triplet pairs with every row under its key: query order
+    first, then row order.
+    """
+    if triplets.r_s != db.r_s or triplets.r_a != db.r_a:
+        raise ResolutionMismatch("query triplet quantization does not match the database")
+    lo, hi = db.find(triplets.bins)
+    n = hi - lo
+    rows = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
+    return np.repeat(triplets.verts, n, axis=0), db.verts[rows]
 
 
 # --- serialization ---
 
 
 def serialize_db(db: DescriptorDB, path) -> None:
+    starts = db.key_starts()
+    counts = np.diff(np.append(starts, db.n_triplets))
+    rows = np.concatenate([db.verts.reshape(-1, 6), db.dirs.reshape(-1, 12)], axis=1).astype("<f8")
     parts = [DB_MAGIC, struct.pack("<I", DB_VERSION), struct.pack("<dd", db.r_s, db.r_a)]
-    parts.append(struct.pack("<I", len(db.buckets)))
-    for key in sorted(db.buckets):
-        entries = db.buckets[key]
-        parts.append(struct.pack("<6i", *key))
-        parts.append(struct.pack("<I", len(entries)))
-        block = np.empty((len(entries), 18), dtype="<f8")
-        for r, t in enumerate(entries):
-            block[r, :6] = t.vertices.ravel()
-            block[r, 6:] = t.wall_dirs.ravel()
-        parts.append(block.tobytes())
+    parts.append(struct.pack("<I", starts.shape[0]))
+    for key, start, count in zip(db.bins(starts).tolist(), starts.tolist(), counts.tolist()):
+        parts.append(struct.pack("<6iI", *key, count))
+        parts.append(rows[start : start + count].tobytes())
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
 
 def deserialize_db(path) -> DescriptorDB:
+    """Read a v1 file; every row must hash to the key it is stored under."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != DB_MAGIC:
@@ -307,22 +292,29 @@ def deserialize_db(path) -> DescriptorDB:
         r_s, r_a = struct.unpack_from("<dd", raw, 8)
         (n_keys,) = struct.unpack_from("<I", raw, 24)
         off = 28
-        buckets: Dict[DescriptorKey, List[CornerTriplet]] = {}
+        heads, blocks = [(0,) * 7], [np.zeros(0)]
         for _ in range(n_keys):
-            key = struct.unpack_from("<6i", raw, off)
-            (count,) = struct.unpack_from("<I", raw, off + 24)
-            off += 28
-            block = np.frombuffer(raw, dtype="<f8", count=count * 18, offset=off)
-            off += count * 18 * 8
-            block = block.reshape(count, 18).astype(np.float64)
-            verts = block[:, :6].reshape(count, 3, 2)
-            dirs = block[:, 6:].reshape(count, 3, 2, 2)
-            descs = _describe_block(verts, dirs, r_s, r_a)
-            buckets[key] = [
-                CornerTriplet(verts[r], dirs[r], descs[r]) for r in range(count)
-            ]
+            heads.append(struct.unpack_from("<6iI", raw, off))  # bins, row count
+            blocks.append(np.frombuffer(raw, dtype="<f8", count=heads[-1][6] * 18, offset=off + 28))
+            off += 28 + heads[-1][6] * 18 * 8
     except (struct.error, ValueError) as exc:
         raise ParseError("truncated descriptor database: %s" % exc) from exc
     if off != len(raw):
         raise ParseError("descriptor database has trailing or missing bytes")
-    return DescriptorDB(buckets, r_s, r_a)
+    rows = np.concatenate(blocks).reshape(-1, 18).astype(np.float64)
+    verts, dirs = rows[:, :6].reshape(-1, 3, 2), rows[:, 6:].reshape(-1, 3, 2, 2)
+    with np.errstate(all="ignore"):
+        bins = _describe(verts, dirs, r_s, r_a)[2]
+    heads = np.array(heads, dtype=np.int64)
+    stored = np.repeat(heads[:, :6], heads[:, 6], axis=0)
+    bad = np.flatnonzero(np.any(bins != stored, axis=1))
+    if bad.shape[0]:
+        r = bad[0]
+        raise ParseError(
+            "descriptor database row %d is stored under key %s but hashes to %s"
+            % (r, tuple(stored[r].tolist()), tuple(bins[r].tolist()))
+        )
+    try:
+        return DescriptorDB.from_entries(bins, verts, dirs, r_s, r_a)
+    except ValueError as exc:
+        raise ParseError("descriptor database keys out of range: %s" % exc) from exc

@@ -33,6 +33,10 @@ class EmptySubmap(Scan2PlanError):
     """Submap has no usable points for the requested operation."""
 
 
+class InvalidSubmap(Scan2PlanError):
+    """Submap has a non-finite point or a zero or non-finite gravity vector."""
+
+
 class EmptyGrid(Scan2PlanError):
     """Vote grid holds no votes."""
 

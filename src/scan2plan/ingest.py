@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import EmptyModel, InsufficientTravel, ParseError, VersionMismatch
+from .errors import EmptyModel, InsufficientTravel, InvalidSubmap, ParseError, VersionMismatch
 from .geometry import LineSegment2, Se2Pose
 
 SUBMAP_MAGIC = b"L2B1"
@@ -67,8 +67,13 @@ class Submap:
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
+        if not np.all(np.isfinite(self.points)):
+            raise InvalidSubmap("submap has non-finite points")
         g = np.asarray(self.gravity, dtype=float)
-        self.gravity = g / np.linalg.norm(g)
+        norm = np.linalg.norm(g)
+        if not (np.isfinite(norm) and norm > 0.0):
+            raise InvalidSubmap("submap gravity must be finite and non-zero, got %s" % (g,))
+        self.gravity = g / norm
 
 
 @dataclass
@@ -233,7 +238,10 @@ def load_submap(path) -> Submap:
     if len(data) != header + 12 * count:
         raise ParseError(f"{path}: expected {count} points, file size mismatch")
     pts = np.frombuffer(data, dtype="<f4", count=3 * count, offset=header)
-    return Submap(pts.reshape(-1, 3).astype(float), gravity)
+    try:
+        return Submap(pts.reshape(-1, 3).astype(float), gravity)
+    except InvalidSubmap as exc:
+        raise InvalidSubmap(f"{path}: {exc}") from None
 
 
 def save_pose(pose: Se2Pose, path) -> None:

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .config import PipelineConfig
-from .descriptors import CornerTriplet, DescriptorDB, build_db, build_triplets, query_correspondences
+from .descriptors import DescriptorDB, Triplets, build_db, build_triplets, query_correspondences
 from .errors import EmptyGrid, EmptyModel, EmptyScene, EmptySubmap, NoCandidates
 from .geometry import Se2Pose, pose_errors, registration_success
 from .ingest import Submap, WallModel, load_pose, load_submap
@@ -43,7 +43,7 @@ class SubmapFeatures:
     """Everything extracted from one submap, reusable across floors."""
 
     corners: List[Corner]
-    triplets: List[CornerTriplet]
+    triplets: Triplets
     q_ng_xy: np.ndarray
     q_g_xy: np.ndarray
     timings_ms: Dict[str, float]
@@ -189,7 +189,7 @@ def register_features(feats: SubmapFeatures, floor: FloorIndex, cfg: PipelineCon
         pose=candidates[best_idx].pose,
         confidence=best.confidence,
         votes=candidates[best_idx].votes,
-        n_correspondences=len(corr),
+        n_correspondences=corr[0].shape[0],
         n_candidates=len(candidates),
         accepted=best.confidence >= cfg.min_confidence,
         timings_ms=timings,

@@ -9,17 +9,14 @@ pose averaging. All ties break lexicographically on the cell index.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .descriptors import TripletCorrespondence
 from .errors import EmptyGrid
 from .geometry import Se2Pose, normalize_angle, solve_se2_batch
-
-_OFF = 1 << 20  # xy cell offset so packed indices stay non-negative
 
 __all__ = [
     "VoteGrid",
@@ -33,10 +30,18 @@ __all__ = [
 
 @dataclass
 class VoteGrid:
-    """Occupied vote cells only, sorted by packed (ix, iy, iyaw) index."""
+    """Occupied vote cells only, sorted by packed (ix, iy, iyaw) index.
+
+    A packed index is the row-major index of (ix - x0, iy - y0, iyaw) in a
+    box of shape `dims`, sized from the votes with one spare cell on each
+    side in x and y, so every cell and its neighbours pack without
+    overflow and packed order is (ix, iy, iyaw) order.
+    """
 
     r_xy: float
     r_yaw_deg: float
+    origin: Tuple[int, int]  # (x0, y0)
+    dims: Tuple[int, int, int]  # (nx, ny, n_yaw_bins)
     packed: np.ndarray  # (N,) int64, sorted ascending
     counts: np.ndarray  # (N,) int64
     sum_x: np.ndarray  # (N,) running sums of member poses
@@ -47,20 +52,18 @@ class VoteGrid:
 
     @property
     def n_yaw_bins(self) -> int:
-        return int(np.ceil(360.0 / self.r_yaw_deg - 1e-9))
+        return self.dims[2]
 
     @property
     def total_votes(self) -> int:
         return int(self.counts.sum())
 
     def unpack(self, packed: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        iyaw = packed & 0x1FF
-        iy = ((packed >> 9) & 0x1FFFFF) - _OFF
-        ix = (packed >> 30) - _OFF
-        return ix, iy, iyaw
+        ix, iy, iyaw = np.unravel_index(packed, self.dims)
+        return ix + self.origin[0], iy + self.origin[1], iyaw
 
     def pack(self, ix: np.ndarray, iy: np.ndarray, iyaw: np.ndarray) -> np.ndarray:
-        return ((ix + _OFF) << 30) | ((iy + _OFF) << 9) | iyaw
+        return np.ravel_multi_index((ix - self.origin[0], iy - self.origin[1], iyaw), self.dims)
 
 
 @dataclass
@@ -73,10 +76,9 @@ class Candidate:
     n_cells: int
 
 
-def _cell_indices(grid_r_xy: float, r_yaw_deg: float, x, y, yaw):
+def _cell_indices(grid_r_xy: float, r_yaw_deg: float, n_yaw: int, x, y, yaw):
     ix = np.floor(x / grid_r_xy).astype(np.int64)
     iy = np.floor(y / grid_r_xy).astype(np.int64)
-    n_yaw = int(np.ceil(360.0 / r_yaw_deg - 1e-9))
     r_yaw = np.radians(r_yaw_deg)
     iyaw = np.floor((normalize_angle(yaw) + np.pi) / r_yaw).astype(np.int64)
     iyaw = np.minimum(iyaw, n_yaw - 1)
@@ -84,30 +86,38 @@ def _cell_indices(grid_r_xy: float, r_yaw_deg: float, x, y, yaw):
 
 
 def cast_votes(
-    correspondences: Sequence[TripletCorrespondence],
+    correspondences: Tuple[np.ndarray, np.ndarray],
     r_xy: float = 0.15,
     r_yaw_deg: float = 1.0,
     residual_max_m: float = 0.3,
 ) -> VoteGrid:
-    """Solve every correspondence and bin the accepted poses."""
-    m = len(correspondences)
-    if m == 0:
-        return VoteGrid(r_xy, r_yaw_deg, *[np.zeros(0, dtype=np.int64)] * 2,
-                        *[np.zeros(0)] * 4, n_rejected=0)
-    src = np.stack([c.src_vertices for c in correspondences])
-    dst = np.stack([c.dst_vertices for c in correspondences])
-    x, y, yaw, rms = solve_se2_batch(src, dst)
-    ok = rms <= residual_max_m
-    n_rejected = int(m - np.sum(ok))
-    x, y, yaw = x[ok], y[ok], yaw[ok]
+    """Solve every (src, dst) vertex-array pair and bin the accepted poses.
 
-    ix, iy, iyaw = _cell_indices(r_xy, r_yaw_deg, x, y, yaw)
-    packed = ((ix + _OFF) << 30) | ((iy + _OFF) << 9) | iyaw
+    Raises ValueError when the votes span more cells than an int64 indexes.
+    """
+    src, dst = correspondences
+    x = y = yaw = np.zeros(0)
+    if len(src):
+        x, y, yaw, rms = solve_se2_batch(src, dst)
+        ok = rms <= residual_max_m
+        x, y, yaw = x[ok], y[ok], yaw[ok]
+    n_rejected = len(src) - x.shape[0]
+
+    n_yaw = int(np.ceil(360.0 / r_yaw_deg - 1e-9))
+    ix, iy, iyaw = _cell_indices(r_xy, r_yaw_deg, n_yaw, x, y, yaw)
+    if x.shape[0]:
+        origin = (int(ix.min()) - 1, int(iy.min()) - 1)
+        dims = (int(ix.max()) - origin[0] + 2, int(iy.max()) - origin[1] + 2, n_yaw)
+    else:
+        origin, dims = (0, 0), (1, 1, n_yaw)
+    packed = np.ravel_multi_index((ix - origin[0], iy - origin[1], iyaw), dims)
     uniq, inv, counts = np.unique(packed, return_inverse=True, return_counts=True)
     n = uniq.shape[0]
     return VoteGrid(
         r_xy,
         r_yaw_deg,
+        origin,
+        dims,
         uniq,
         counts.astype(np.int64),
         np.bincount(inv, weights=x, minlength=n),

@@ -1,0 +1,148 @@
+"""Reference oracle: the original per-triplet scalar descriptor code.
+
+This is the descriptor layer as first written, one Python loop step and
+one `np.linalg.norm` per side per vertex order. The package's batched
+layer must reproduce it bit for bit; `test_descriptor_oracle.py` checks
+that. Triplets come back as (vertices, wall_dirs, key) tuples, the DB as
+a dict of key -> [(vertices, wall_dirs)] in insertion order, and
+correspondences as (src, dst) vertex pairs in query-then-bucket order.
+"""
+
+from itertools import combinations, permutations
+
+import numpy as np
+
+
+class Degenerate(Exception):
+    pass
+
+
+def _acute_angle_deg(side_dir, wall_dirs):
+    dots = np.abs(wall_dirs @ side_dir)
+    return float(np.degrees(np.arccos(np.clip(dots.max(), 0.0, 1.0))))
+
+
+def _interior_angles_deg(p):
+    out = np.empty(3)
+    for i in range(3):
+        u = p[(i + 1) % 3] - p[i]
+        v = p[(i + 2) % 3] - p[i]
+        c = float(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
+        out[i] = np.degrees(np.arccos(np.clip(c, -1.0, 1.0)))
+    return out
+
+
+def describe_order(p, dirs, r_s, r_a):
+    """(sides, angles, key) of vertices already in (A, B, C) order."""
+    ab = float(np.linalg.norm(p[1] - p[0]))
+    bc = float(np.linalg.norm(p[2] - p[1]))
+    ac = float(np.linalg.norm(p[2] - p[0]))
+    alpha = _acute_angle_deg((p[1] - p[0]) / ab, dirs[0])
+    beta = _acute_angle_deg((p[2] - p[1]) / bc, dirs[1])
+    gamma = _acute_angle_deg((p[2] - p[0]) / ac, dirs[2])
+    key = (
+        int(np.floor(ab / r_s)),
+        int(np.floor(bc / r_s)),
+        int(np.floor(ac / r_s)),
+        int(np.floor(alpha / r_a)),
+        int(np.floor(beta / r_a)),
+        int(np.floor(gamma / r_a)),
+    )
+    return (ab, bc, ac), (alpha, beta, gamma), key
+
+
+def check_triplet(p, min_angle_deg):
+    d01 = np.linalg.norm(p[1] - p[0])
+    d12 = np.linalg.norm(p[2] - p[1])
+    d02 = np.linalg.norm(p[2] - p[0])
+    if min(d01, d12, d02) < 1e-9:
+        raise Degenerate("coincident corners")
+    if _interior_angles_deg(p).min() < min_angle_deg:
+        raise Degenerate("triangle below minimum interior angle")
+
+
+def canonical_order(p):
+    best = None
+    for perm in permutations(range(3)):
+        q = p[list(perm)]
+        ab = np.linalg.norm(q[1] - q[0])
+        bc = np.linalg.norm(q[2] - q[1])
+        ac = np.linalg.norm(q[2] - q[0])
+        if ab <= bc + 1e-12 and bc <= ac + 1e-12:
+            cand = (round(ab, 12), round(bc, 12), perm)
+            if best is None or cand < best:
+                best = cand
+    return list(best[2])
+
+
+def consistent_orders(p, r_s):
+    orders = []
+    for perm in permutations(range(3)):
+        q = p[list(perm)]
+        b = (
+            int(np.floor(np.linalg.norm(q[1] - q[0]) / r_s)),
+            int(np.floor(np.linalg.norm(q[2] - q[1]) / r_s)),
+            int(np.floor(np.linalg.norm(q[2] - q[0]) / r_s)),
+        )
+        if b[0] <= b[1] <= b[2]:
+            orders.append(perm)
+    return orders
+
+
+def make_descriptor(positions, wall_dirs, r_s=0.5, r_a=3.0, min_angle_deg=10.0):
+    """(vertices, wall_dirs, (sides, angles, key)); raises Degenerate."""
+    p = np.asarray(positions, dtype=np.float64).reshape(3, 2)
+    d = np.asarray(wall_dirs, dtype=np.float64).reshape(3, 2, 2)
+    check_triplet(p, min_angle_deg)
+    order = canonical_order(p)
+    p, d = p[order], d[order]
+    return p, d, describe_order(p, d, r_s, r_a)
+
+
+def _cliques(corners, l_max):
+    pos = np.array([c.position for c in corners])
+    dmat = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
+    near = dmat <= l_max
+    for i, j, k in combinations(range(len(corners)), 3):
+        if near[i, j] and near[j, k] and near[i, k]:
+            yield pos[[i, j, k]], np.array([corners[i].dirs, corners[j].dirs, corners[k].dirs])
+
+
+def build_triplets(corners, l_max=30.0, r_s=0.5, r_a=3.0, min_angle_deg=10.0):
+    """[(vertices, wall_dirs, key)] in (i < j < k) order."""
+    if len(corners) < 3:
+        return []
+    out = []
+    for p, d in _cliques(corners, l_max):
+        try:
+            q, qd, (_, _, key) = make_descriptor(p, d, r_s, r_a, min_angle_deg)
+        except Degenerate:
+            continue
+        out.append((q, qd, key))
+    return out
+
+
+def build_db(corners, l_max=30.0, r_s=0.5, r_a=3.0, min_angle_deg=10.0):
+    """{key: [(vertices, wall_dirs)]} with every tied-bin order stored."""
+    buckets = {}
+    if len(corners) < 3:
+        return buckets
+    for p, d in _cliques(corners, l_max):
+        try:
+            check_triplet(p, min_angle_deg)
+        except Degenerate:
+            continue
+        for perm in consistent_orders(p, r_s):
+            q, qd = p[list(perm)], d[list(perm)]
+            _, _, key = describe_order(q, qd, r_s, r_a)
+            buckets.setdefault(key, []).append((q, qd))
+    return buckets
+
+
+def query_correspondences(buckets, triplets):
+    """[(src, dst)]: each query triplet, then its bucket in insertion order."""
+    out = []
+    for verts, _, key in triplets:
+        for entry, _ in buckets.get(key, ()):
+            out.append((verts, entry))
+    return out

@@ -8,10 +8,8 @@ import numpy as np
 
 from scan2plan.config import PipelineConfig
 from scan2plan.descriptors import (
-    CornerTriplet,
     DescriptorDB,
-    TripletCorrespondence,
-    build_db,
+    canonical_triplets,
     make_descriptor,
     query_correspondences,
 )
@@ -48,6 +46,11 @@ def _random_triangle(rng, span=15.0, min_area=0.5, min_side=0.8):
 
 def _random_pose(rng, span=30.0):
     return Se2Pose(rng.uniform(-span, span), rng.uniform(-span, span), rng.uniform(-np.pi, np.pi))
+
+
+def _stack(pairs):
+    """(src, dst) vertex arrays of a list of (src, dst) triangle pairs."""
+    return np.array([s for s, _ in pairs]), np.array([d for _, d in pairs])
 
 
 # --- A1: closed-form alignment recovers exact poses ---
@@ -138,11 +141,11 @@ def test_a3_voting_outlier_robustness():
         for _ in range(6):
             src = _random_triangle(rng)
             dst = truth.apply(src) + rng.uniform(-0.035, 0.035, size=(3, 2))
-            corrs.append(TripletCorrespondence(src, dst))
+            corrs.append((src, dst))
         for _ in range(114):
             src = _random_triangle(rng)
-            corrs.append(TripletCorrespondence(src, _random_pose(rng, span=20.0).apply(src)))
-        grid = cast_votes(corrs, cfg.r_xy, cfg.r_yaw_deg, cfg.residual_max_m)
+            corrs.append((src, _random_pose(rng, span=20.0).apply(src)))
+        grid = cast_votes(_stack(corrs), cfg.r_xy, cfg.r_yaw_deg, cfg.residual_max_m)
         cands = hierarchical_vote(grid, cfg.l_cells, cfg.k_cells, cfg.j_candidates)
         in_top = any(
             np.hypot(c.pose.x - truth.x, c.pose.y - truth.y) <= cfg.r_xy
@@ -447,8 +450,8 @@ def test_a9_oracle_equivalence():
             poses.append(
                 (rng.uniform(-40, 40), rng.uniform(-40, 40), rng.uniform(-np.pi, np.pi))
             )
-        corrs = [TripletCorrespondence(tri, Se2Pose(*p).apply(tri)) for p in poses]
-        grid = cast_votes(corrs, residual_max_m=1e9)
+        corrs = [(tri, Se2Pose(*p).apply(tri)) for p in poses]
+        grid = cast_votes(_stack(corrs), residual_max_m=1e9)
         n_cells = grid.packed.shape[0]
         assert n_cells <= 10_000
         n_cells_max = max(n_cells_max, n_cells)
@@ -475,30 +478,42 @@ def test_a9_oracle_equivalence():
 # --- A10: retrieval latency is flat in table size ---
 
 
-def _padded_db(real, n_keys, filler):
-    buckets = dict(real)
-    i = 0
-    while len(buckets) < n_keys:
-        # side bins of 100+ mean 50 m sides, out of reach of any real query
-        buckets[(100 + i % 50, 100 + (i // 50) % 50, 100 + (i // 2500) % 50, 3, 7, 11)] = [filler]
-        i += 1
-    return DescriptorDB(buckets, 0.5, 3.0)
+def _padded_db(queries, n_keys):
+    """The queries' own rows plus one-row filler keys up to n_keys keys."""
+    i = np.arange(n_keys - np.unique(queries.bins, axis=0).shape[0])
+    # side bins of 100+ mean 50 m sides, out of reach of any real query
+    filler = np.stack(
+        [100 + i % 50, 100 + (i // 50) % 50, 100 + (i // 2500) % 50]
+        + [np.full_like(i, b) for b in (3, 7, 11)],
+        axis=1,
+    )
+    first = np.zeros(i.shape[0], dtype=int)
+    return DescriptorDB.from_entries(
+        np.concatenate([queries.bins, filler]),
+        np.concatenate([queries.verts, queries.verts[first]]),
+        np.concatenate([queries.dirs, queries.dirs[first]]),
+        0.5,
+        3.0,
+    )
 
 
 def test_a10_hash_scalability():
     rng = np.random.default_rng(23)
-    queries, real = [], {}
-    while len(queries) < 400:
+    tris, tri_dirs = [], []
+    while len(tris) < 400:
         ang = rng.uniform(0.0, np.pi, size=(3, 2))
         dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+        p = _random_triangle(rng)
         try:
-            t = make_descriptor(_random_triangle(rng), dirs)
+            make_descriptor(p, dirs)
         except DegenerateTriplet:
             continue
-        queries.append(t)
-        real.setdefault(t.descriptor.key, []).append(t)
-    small = _padded_db(real, 1_000, queries[0])
-    large = _padded_db(real, 100_000, queries[0])
+        tris.append(p)
+        tri_dirs.append(dirs)
+    queries = canonical_triplets(np.array(tris), np.array(tri_dirs))
+    assert len(queries) == 400
+    small = _padded_db(queries, 1_000)
+    large = _padded_db(queries, 100_000)
 
     def best_of(db, reps=7):
         best = float("inf")
@@ -506,7 +521,7 @@ def test_a10_hash_scalability():
             t0 = time.perf_counter()
             out = query_correspondences(db, queries)
             best = min(best, time.perf_counter() - t0)
-        return best, len(out)
+        return best, out[0].shape[0]
 
     t_small, n_small = best_of(small)
     t_large, n_large = best_of(large)

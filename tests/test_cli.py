@@ -247,3 +247,45 @@ def test_config_file_flag(tmp_path, capsys):
     cfgf.write_text("l_max = 20.0\n")
     assert main(["build-db", "--model", str(plan), "--out", str(tmp_path / "x.db"),
                  "--config", str(cfgf)]) == 0
+
+
+def _write_submap(path, gravity, points):
+    pts = np.asarray(points, dtype="<f4")
+    path.write_bytes(
+        b"L2B1" + np.asarray(gravity, dtype="<f4").tobytes()
+        + len(pts).to_bytes(4, "little") + pts.tobytes()
+    )
+
+
+def test_register_non_finite_point_exit_code(tmp_path, capsys):
+    plan, scenes, db = _gen(tmp_path, capsys)
+    raw = (scenes / "scene_0000.submap").read_bytes()
+    pts = np.frombuffer(raw, dtype="<f4", offset=20).reshape(-1, 3).copy()
+    pts[len(pts) // 2, 0] = np.nan
+    bad = tmp_path / "nan.submap"
+    _write_submap(bad, np.frombuffer(raw, dtype="<f4", count=3, offset=4), pts)
+    code = main(["register", "--submap", str(bad), "--model", str(plan), "--db", str(db)])
+    assert code == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_register_zero_gravity_exit_code(tmp_path, capsys):
+    plan, scenes, db = _gen(tmp_path, capsys)
+    raw = (scenes / "scene_0000.submap").read_bytes()
+    bad = tmp_path / "zero_g.submap"
+    bad.write_bytes(raw[:4] + bytes(12) + raw[16:])
+    code = main(["register", "--submap", str(bad), "--model", str(plan), "--db", str(db)])
+    assert code == 2
+    assert "gravity" in capsys.readouterr().err
+
+
+def test_register_db_with_altered_key(tmp_path, capsys):
+    plan, scenes, db = _gen(tmp_path, capsys)
+    raw = bytearray(db.read_bytes())
+    raw[28:32] = (int.from_bytes(raw[28:32], "little", signed=True) + 1).to_bytes(4, "little", signed=True)
+    bad = tmp_path / "altered.db"
+    bad.write_bytes(bytes(raw))
+    code = main(["register", "--submap", str(scenes / "scene_0000.submap"),
+                 "--model", str(plan), "--db", str(bad)])
+    assert code == 2
+    assert "stored under key" in capsys.readouterr().err

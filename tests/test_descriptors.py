@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scan2plan.descriptors import (
+    DescriptorDB,
     build_db,
     build_triplets,
     deserialize_db,
@@ -130,16 +131,15 @@ def test_congruent_triangles_share_bucket():
         _corner(100.0, 3.0),
     ]
     db = build_db(corners, l_max=30.0)
-    assert len(db.buckets) == 1
-    (entries,) = db.buckets.values()
-    assert len(entries) == 2
+    assert db.n_keys == 1
+    assert db.n_triplets == 2
 
 
 def test_tied_side_bins_store_both_orders():
     # square: four congruent right-isoceles triangles, two orders each
     corners = [_corner(0.0, 0.0), _corner(4.0, 0.0), _corner(4.0, 4.0), _corner(0.0, 4.0)]
     db = build_db(corners, l_max=30.0)
-    assert len(db.buckets) == 1
+    assert db.n_keys == 1
     assert db.n_triplets == 8
 
 
@@ -153,14 +153,14 @@ def test_query_finds_transformed_triplets():
     moved = [Corner(inv.apply(c.position), c.dirs @ r.T, c.support) for c in corners]
     qts = build_triplets(moved, l_max=30.0)
     assert len(qts) >= 8
-    matches = query_correspondences(db, qts)
+    src, dst = query_correspondences(db, qts)
     # every query triplet finds at least one geometrically exact partner;
     # tie buckets may add extras that the vote residual gate would drop
-    for t in qts:
-        partners = [m for m in matches if m.src_vertices is t.vertices]
+    for t in qts.verts:
+        partners = np.all(src == t, axis=(1, 2))
         assert any(
-            np.allclose(pose.apply(m.src_vertices), m.dst_vertices, atol=1e-6)
-            for m in partners
+            np.allclose(pose.apply(s), d, atol=1e-6)
+            for s, d in zip(src[partners], dst[partners])
         )
 
 
@@ -183,13 +183,11 @@ def test_db_round_trip(tmp_path):
     serialize_db(db, path)
     back = deserialize_db(path)
     assert back.r_s == db.r_s and back.r_a == db.r_a
-    assert set(back.buckets) == set(db.buckets)
+    assert back.n_keys == db.n_keys
     assert back.n_triplets == db.n_triplets
-    for key in db.buckets:
-        for a, b in zip(db.buckets[key], back.buckets[key]):
-            assert np.array_equal(a.vertices, b.vertices)
-            assert np.array_equal(a.wall_dirs, b.wall_dirs)
-            assert a.descriptor.key == b.descriptor.key
+    assert np.array_equal(back.bins(), db.bins())
+    assert np.array_equal(back.verts, db.verts)
+    assert np.array_equal(back.dirs, db.dirs)
 
 
 def test_db_round_trip_large(tmp_path):
@@ -201,7 +199,7 @@ def test_db_round_trip_large(tmp_path):
     serialize_db(db, path)
     back = deserialize_db(path)
     assert back.n_triplets == db.n_triplets
-    assert set(back.buckets) == set(db.buckets)
+    assert np.array_equal(back.bins(back.key_starts()), db.bins(db.key_starts()))
 
 
 def test_bad_magic_raises(tmp_path):
@@ -230,3 +228,33 @@ def test_truncated_db_raises(tmp_path):
     path.write_bytes(raw[: len(raw) - 16])
     with pytest.raises(ParseError):
         deserialize_db(path)
+
+
+def test_altered_key_raises(tmp_path):
+    rng = np.random.default_rng(6)
+    path = tmp_path / "model.db"
+    serialize_db(build_db(_random_corners(rng, 8, spread=12.0)), path)
+    raw = bytearray(path.read_bytes())
+    # the first key's |AC| bin, one too high: its rows no longer hash there
+    raw[36:40] = (int.from_bytes(raw[36:40], "little") + 1).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ParseError, match="stored under key"):
+        deserialize_db(path)
+
+
+# --- key packing ---
+
+
+def test_query_bins_outside_stored_range_match_nothing():
+    verts, dirs = np.zeros((2, 3, 2)), np.zeros((2, 3, 2, 2))
+    db = DescriptorDB.from_entries([[0, 1, 2, 0, 1, 0], [0, 1, 2, 0, 0, 5]], verts, dirs, 0.5, 3.0)
+    assert db.dims == (1, 2, 3, 1, 2, 6)
+    lo, hi = db.find([[0, 1, 2, 0, 1, 0], [0, 1, 2, 0, 0, 6], [0, 1, 3, 0, 0, 0], [0, 0, 0, 0, 0, 0]])
+    # (0, 1, 2, 0, 0, 6) would pack onto (0, 1, 2, 0, 1, 0) if it wrapped
+    assert (hi - lo).tolist() == [1, 0, 0, 0]
+
+
+def test_key_space_overflow_raises():
+    corners = [_corner(0.0, 0.0), _corner(4.0, 0.0), _corner(0.0, 3.0)]
+    with pytest.raises(ValueError, match="int64"):
+        build_db(corners, r_s=1e-6)

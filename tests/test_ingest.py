@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from scan2plan.errors import EmptyModel, InsufficientTravel, ParseError, VersionMismatch
+from scan2plan.errors import EmptyModel, InsufficientTravel, InvalidSubmap, ParseError, VersionMismatch
 from scan2plan.geometry import LineSegment2, Se2Pose
 from scan2plan.ingest import (
     ScanSequence,
@@ -202,3 +202,35 @@ def test_pose_malformed(tmp_path):
     f.write_text("1.0 2.0 north\n")
     with pytest.raises(ParseError):
         load_pose(f)
+
+
+def _raw_submap(path, gravity, points):
+    pts = np.asarray(points, dtype="<f4")
+    path.write_bytes(
+        b"L2B1" + np.asarray(gravity, dtype="<f4").tobytes()
+        + len(pts).to_bytes(4, "little") + pts.tobytes()
+    )
+
+
+def test_submap_rejects_non_finite_points(tmp_path):
+    pts = np.zeros((4, 3))
+    pts[2, 1] = np.nan
+    with pytest.raises(InvalidSubmap):
+        Submap(pts, DOWN)
+    pts[2, 1] = np.inf
+    with pytest.raises(InvalidSubmap):
+        Submap(pts, DOWN)
+    f = tmp_path / "nan.submap"
+    _raw_submap(f, DOWN, pts)
+    with pytest.raises(InvalidSubmap, match="nan.submap"):
+        load_submap(f)
+
+
+def test_submap_rejects_bad_gravity(tmp_path):
+    for g in ([0.0, 0.0, 0.0], [0.0, np.nan, -1.0], [np.inf, 0.0, -1.0]):
+        with pytest.raises(InvalidSubmap):
+            Submap(np.zeros((4, 3)), np.array(g))
+    f = tmp_path / "zero_g.submap"
+    _raw_submap(f, [0.0, 0.0, 0.0], np.zeros((4, 3)))
+    with pytest.raises(InvalidSubmap):
+        load_submap(f)

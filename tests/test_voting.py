@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from scan2plan.descriptors import TripletCorrespondence
 from scan2plan.errors import EmptyGrid
 from scan2plan.geometry import Se2Pose, normalize_angle
 from scan2plan.voting import (
@@ -24,7 +23,14 @@ def _corr(pose, src=TRIANGLE, jitter=None, rng=None):
     dst = pose.apply(src)
     if jitter is not None:
         dst = dst + rng.uniform(-jitter, jitter, size=dst.shape)
-    return TripletCorrespondence(src.copy(), dst)
+    return src.copy(), dst
+
+
+def _stack(pairs):
+    """(src, dst) vertex arrays of a list of (src, dst) triangle pairs."""
+    src = np.array([s for s, _ in pairs]).reshape(-1, 3, 2)
+    dst = np.array([d for _, d in pairs]).reshape(-1, 3, 2)
+    return src, dst
 
 
 def _corrs_at(pose, n, jitter=0.0, rng=None):
@@ -36,7 +42,7 @@ def _corrs_at(pose, n, jitter=0.0, rng=None):
 
 def test_single_vote_recovers_pose():
     pose = Se2Pose(3.2, -1.1, 0.6)
-    grid = cast_votes([_corr(pose)])
+    grid = cast_votes(_stack([_corr(pose)]))
     assert grid.total_votes == 1 and grid.n_rejected == 0
     got, votes = vanilla_vote(grid)
     assert votes == 1
@@ -47,7 +53,7 @@ def test_single_vote_recovers_pose():
 
 def test_mirrored_correspondence_is_rejected():
     mirrored = TRIANGLE * np.array([1.0, -1.0])
-    grid = cast_votes([TripletCorrespondence(TRIANGLE, mirrored)])
+    grid = cast_votes(_stack([(TRIANGLE, mirrored)]))
     assert grid.total_votes == 0 and grid.n_rejected == 1
     with pytest.raises(EmptyGrid):
         vanilla_vote(grid)
@@ -58,15 +64,15 @@ def test_vote_conservation():
     pose = Se2Pose(1.0, 2.0, -0.4)
     good = _corrs_at(pose, 40, jitter=0.01, rng=rng)
     mirrored = TRIANGLE * np.array([-1.0, 1.0])
-    bad = [TripletCorrespondence(TRIANGLE, mirrored) for _ in range(7)]
-    grid = cast_votes(good + bad)
+    bad = [(TRIANGLE, mirrored) for _ in range(7)]
+    grid = cast_votes(_stack(good + bad))
     assert grid.total_votes == 40
     assert grid.n_rejected == 7
     assert grid.counts.sum() == 40
 
 
 def test_empty_correspondences():
-    grid = cast_votes([])
+    grid = cast_votes(_stack([]))
     assert grid.total_votes == 0
     with pytest.raises(EmptyGrid):
         hierarchical_vote(grid)
@@ -82,7 +88,7 @@ def test_inlier_cluster_beats_outliers():
     for _ in range(80):
         p = Se2Pose(rng.uniform(-40, 40), rng.uniform(-40, 40), rng.uniform(-np.pi, np.pi))
         corrs.append(_corr(p))
-    grid = cast_votes(corrs)
+    grid = cast_votes(_stack(corrs))
     cands = hierarchical_vote(grid)
     best = cands[0]
     assert best.votes >= 20
@@ -95,7 +101,7 @@ def test_two_peaks_ordered_by_merged_score():
     big = Se2Pose(0.0, 0.0, 0.0)
     small = Se2Pose(20.0, 20.0, 2.0)
     corrs = _corrs_at(big, 30, jitter=0.01, rng=rng) + _corrs_at(small, 18, jitter=0.01, rng=rng)
-    cands = hierarchical_vote(cast_votes(corrs))
+    cands = hierarchical_vote(cast_votes(_stack(corrs)))
     assert len(cands) == 2
     assert cands[0].votes == 30 and cands[1].votes == 18
     assert np.hypot(cands[0].pose.x - big.x, cands[0].pose.y - big.y) < 0.15
@@ -107,7 +113,7 @@ def test_candidate_pose_is_vote_weighted_mean():
     a = Se2Pose(0.030, 0.0, 0.0)
     b = Se2Pose(0.180, 0.0, 0.0)  # adjacent 0.15 m cell
     corrs = [_corr(a)] * 3 + [_corr(b)]
-    cands = hierarchical_vote(cast_votes(corrs))
+    cands = hierarchical_vote(cast_votes(_stack(corrs)))
     assert len(cands) == 1
     expect_x = (3 * a.x + 1 * b.x) / 4
     assert cands[0].pose.x == pytest.approx(expect_x, abs=1e-9)
@@ -118,7 +124,7 @@ def test_yaw_wraps_across_pi():
     # votes straddling the +/-pi seam must land in one cluster
     a = Se2Pose(0.0, 0.0, np.pi - 0.002)
     b = Se2Pose(0.0, 0.0, -np.pi + 0.002)
-    cands = hierarchical_vote(cast_votes([_corr(a), _corr(b)]))
+    cands = hierarchical_vote(cast_votes(_stack([_corr(a), _corr(b)])))
     assert len(cands) == 1
     assert cands[0].votes == 2
     assert abs(abs(normalize_angle(cands[0].pose.yaw)) - np.pi) < 0.01
@@ -210,7 +216,7 @@ def test_unlimited_extraction_matches_oracle():
     corrs = []
     for x, y, yaw in poses:
         corrs.append(_corr(Se2Pose(x, y, yaw)))
-    grid = cast_votes(corrs, residual_max_m=1e9)
+    grid = cast_votes(_stack(corrs), residual_max_m=1e9)
     got = hierarchical_vote(grid, l_cells=None, k_cells=None, j_candidates=None)
     want = _oracle(poses)
     assert len(got) == len(want)
@@ -231,7 +237,7 @@ def test_limits_trim_but_keep_strongest():
     for _ in range(200):
         p = Se2Pose(rng.uniform(-50, 50), rng.uniform(-50, 50), rng.uniform(-np.pi, np.pi))
         corrs.append(_corr(p))
-    grid = cast_votes(corrs)
+    grid = cast_votes(_stack(corrs))
     cands = hierarchical_vote(grid, l_cells=50, k_cells=25, j_candidates=5)
     assert len(cands) <= 5
     assert cands[0].votes >= 25
@@ -244,7 +250,7 @@ def test_limits_trim_but_keep_strongest():
 def test_grid_csv_dump(tmp_path):
     rng = np.random.default_rng(5)
     corrs = _corrs_at(Se2Pose(1.0, 1.0, 0.2), 9, jitter=0.02, rng=rng)
-    grid = cast_votes(corrs)
+    grid = cast_votes(_stack(corrs))
     path = tmp_path / "grid.csv"
     dump_grid_csv(grid, path)
     lines = path.read_text().strip().splitlines()
@@ -252,3 +258,27 @@ def test_grid_csv_dump(tmp_path):
     assert len(lines) - 1 == grid.packed.shape[0]
     total = sum(int(l.split(",")[3]) for l in lines[1:])
     assert total == 9
+
+
+# --- cell packing ---
+
+
+def test_fine_yaw_bins_unpack_exactly():
+    # 0.5 deg bins give 720 yaw cells; yaw 3.0 rad lands in cell 703
+    grid = cast_votes(_stack([_corr(Se2Pose(1.0, 2.0, 3.0))]), r_yaw_deg=0.5)
+    ix, iy, iyaw = grid.unpack(grid.packed)
+    assert grid.n_yaw_bins == 720
+    assert (int(ix[0]), int(iy[0]), int(iyaw[0])) == (6, 13, 703)
+
+
+def test_far_translation_unpacks_exactly():
+    # 200 km out is 1.33e6 cells of 0.15 m, past any fixed 21-bit field
+    pose = Se2Pose(-149999.93, 200e3, 0.3)
+    grid = cast_votes(_stack([_corr(pose), _corr(Se2Pose(pose.x, pose.y + 0.15, pose.yaw))]))
+    ix, iy, _ = grid.unpack(grid.packed)
+    assert ix.tolist() == [-1_000_000] * 2
+    assert iy.tolist() == [1_333_333, 1_333_334]
+    assert np.array_equal(grid.pack(*grid.unpack(grid.packed)), grid.packed)
+    # neighbouring cells still merge into one candidate
+    (cand,) = hierarchical_vote(grid)
+    assert cand.votes == 2 and cand.n_cells == 2
