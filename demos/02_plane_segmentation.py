@@ -25,7 +25,7 @@ print("%d raw patches from %d points (%d left unassigned)" % (
     len(result.patches), result.n_points, result.n_unassigned))
 
 # one physical wall often arrives as several voxel-sized pieces
-patches = merge_patches(result.patches, normal_tol_deg=10.0, dist_tol_m=0.1)
+patches = merge_patches(result.patches, sub.points, normal_tol_deg=10.0, dist_tol_m=0.1)
 print("%d patches after coplanar merge" % len(patches))
 
 walls, ground, other = classify_patches(patches, sub.gravity, angle_tol_deg=15.0)
@@ -36,4 +36,4 @@ for label, group in (("wall", walls[:3]), ("ground", ground[:1])):
     for p in group:
         tilt = np.degrees(np.arccos(abs(float(np.dot(p.normal, sub.gravity)))))
         print("  %s patch: %5d points, normal-to-gravity angle %5.1f deg" % (
-            label, p.points.shape[0], tilt))
+            label, p.idx.shape[0], tilt))

@@ -20,9 +20,9 @@ scene = synthesize_submap(layout.wall_model, pose, radius_m=12.0,
 sub = scene.submap
 
 result = segment_planes(sub.points)
-patches = merge_patches(result.patches)
+patches = merge_patches(result.patches, sub.points)
 walls, _, _ = classify_patches(patches, sub.gravity)
-wall_xy = np.vstack([p.points[:, :2] for p in walls])
+wall_xy = sub.points[np.concatenate([p.idx for p in walls]), :2]
 print("%d wall points from %d patches" % (wall_xy.shape[0], len(walls)))
 
 # 60 px per meter keeps a 1 cm noise floor below one pixel

@@ -34,13 +34,22 @@ __all__ = [
 ]
 
 
+def _unit_gravity(gravity) -> np.ndarray:
+    """Normalized gravity; InvalidSubmap when it is zero or not finite."""
+    g = np.asarray(gravity, dtype=float)
+    norm = np.linalg.norm(g)
+    if not (np.isfinite(norm) and norm > 0.0):
+        raise InvalidSubmap("gravity must be finite and non-zero, got %s" % (g,))
+    return g / norm
+
+
 @dataclass
 class ScanSequence:
     """Consecutive sensor-frame scans with world-frame poses.
 
     scans: list of (timestamp, (N, 3) point array); poses: matching list
     of 4x4 world-from-body transforms; gravity: world-frame down vector,
-    normalized on construction.
+    normalized on construction (InvalidSubmap if zero or not finite).
     """
 
     scans: List[Tuple[float, np.ndarray]]
@@ -53,8 +62,7 @@ class ScanSequence:
         stamps = [t for t, _ in self.scans]
         if any(b <= a for a, b in zip(stamps, stamps[1:])):
             raise ValueError("timestamps must be strictly increasing")
-        g = np.asarray(self.gravity, dtype=float)
-        self.gravity = g / np.linalg.norm(g)
+        self.gravity = _unit_gravity(self.gravity)
 
 
 @dataclass
@@ -69,11 +77,7 @@ class Submap:
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
         if not np.all(np.isfinite(self.points)):
             raise InvalidSubmap("submap has non-finite points")
-        g = np.asarray(self.gravity, dtype=float)
-        norm = np.linalg.norm(g)
-        if not (np.isfinite(norm) and norm > 0.0):
-            raise InvalidSubmap("submap gravity must be finite and non-zero, got %s" % (g,))
-        self.gravity = g / norm
+        self.gravity = _unit_gravity(self.gravity)
 
 
 @dataclass

@@ -1,19 +1,25 @@
 """BEV rasterization, Hough segment detection and corner extraction.
 
 Wall points are projected to a binary bird's-eye raster. Segments come
-from a vote-threshold Hough transform with greedy pixel claiming, gap
-splitting and total-least-squares refits. Corners are intersections of
+from a vote-threshold Hough transform with greedy pixel claiming (after
+the progressive probabilistic Hough of Matas, Galambos & Kittler), gap
+splitting and total-least-squares refits. The accumulator is filled one
+theta row at a time, peaks are visited strongest first, and each claimed
+run's votes are taken back out, so a peak its claims exhaust is skipped
+without a band test. Near-collinear segments with close endpoints are
+chained by connected components and refit. Corners are intersections of
 extended non-parallel segments, deduplicated by non-maximum suppression
 on combined support length.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import EmptyGrid
 from .geometry import LineSegment2
+from .graph import connected_groups
 
 __all__ = [
     "BevRaster",
@@ -134,63 +140,88 @@ def detect_segments(
     """Hough peaks -> greedy pixel claiming -> gap-split runs -> TLS refit.
 
     Returns segments in meters. Peaks need l_min_px votes in a 1 px rho
-    bin; runs shorter than l_min_px are dropped.
+    bin and are visited by votes, then theta, then rho. A peak claims the
+    unclaimed pixels within band_px of its line, split into runs at gaps
+    over gap_px along it; runs shorter than l_min_px are dropped. A
+    claimed run's votes leave the accumulator, so a peak it drops below
+    l_min_px is skipped.
     """
-    if not np.any(raster.grid):
+    occupied = np.flatnonzero(raster.grid)
+    if occupied.shape[0] == 0:
         raise EmptyGrid("empty raster")
-    px = np.argwhere(raster.grid).astype(np.float64) + 0.5  # pixel centers
+    px = np.empty((occupied.shape[0], 2))
+    px[:, 0], px[:, 1] = divmod(occupied, raster.grid.shape[1])
+    px += 0.5  # pixel centers
+    x, y = px[:, 0].copy(), px[:, 1].copy()
 
     thetas = np.arange(theta_bins) * np.pi / theta_bins
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)
     diag = int(np.ceil(np.hypot(*raster.grid.shape))) + 2
+    n_rho = 2 * diag
 
-    rho_all = px[:, 0][:, None] * cos_t[None, :] + px[:, 1][:, None] * sin_t[None, :]
-    acc = np.empty((theta_bins, 2 * diag), dtype=np.int64)
-    rho_idx = np.round(rho_all).astype(np.int64) + diag
+    # accumulator rows of rint(x cos + y sin) + diag, theta-major, filled
+    # one theta at a time through reused buffers
+    acc = np.empty(theta_bins * n_rho, dtype=np.int64)
+    rows = acc.reshape(theta_bins, n_rho)
+    rho, tmp = np.empty_like(x), np.empty_like(x)
+    bins = np.empty(x.shape[0], dtype=np.intp)
     for t in range(theta_bins):
-        acc[t] = np.bincount(rho_idx[:, t], minlength=2 * diag)
+        np.multiply(x, cos_t[t], out=rho)
+        np.multiply(y, sin_t[t], out=tmp)
+        np.add(rho, tmp, out=rho)
+        np.rint(rho, out=rho)
+        rho += diag
+        bins[:] = rho
+        rows[t] = np.bincount(bins, minlength=n_rho)
+    cell_base = (np.arange(theta_bins) * n_rho + diag)[:, None]
 
-    t_bin, r_bin = np.nonzero(acc >= l_min_px)
-    votes = acc[t_bin, r_bin]
-    order = np.lexsort((r_bin, t_bin, -votes))
+    def cells(run):
+        """Flat accumulator cells of the run's pixels, (theta_bins, len(run))."""
+        c = cos_t[:, None] * x[run]
+        c += sin_t[:, None] * y[run]
+        np.rint(c, out=c)
+        c += cell_base
+        return c.astype(np.intp)
 
-    # claims decrement the accumulator so exhausted peaks drop out in O(1)
-    acc_flat = acc.reshape(-1)
-    theta_base = np.arange(theta_bins) * (2 * diag)
+    # strongest first; flat-ascending peaks break vote ties by (theta, rho)
+    peaks = np.flatnonzero(acc >= l_min_px)
+    peaks = peaks[np.argsort(-acc[peaks], kind="stable")]
 
-    claimed = np.zeros(px.shape[0], dtype=bool)
-    n_unclaimed = px.shape[0]
+    claimed = np.zeros(x.shape[0], dtype=bool)
+    n_unclaimed = x.shape[0]
     segments: List[LineSegment2] = []
-    for k in order:
-        if n_unclaimed < l_min_px:
-            break
-        t, r = t_bin[k], r_bin[k]
-        if acc[t, r] < l_min_px:
+    live = np.arange(peaks.shape[0])  # positions in peaks still >= l_min_px
+    k = 0
+    while k < live.shape[0] and n_unclaimed >= l_min_px:
+        pos = live[k]
+        k += 1
+        t, r = divmod(int(peaks[pos]), n_rho)
+        band = np.abs(x * cos_t[t] + y * sin_t[t] - (r - diag)) <= band_px
+        idx = np.flatnonzero(band & ~claimed)
+        if idx.shape[0] < l_min_px:
             continue
-        dist = np.abs(rho_all[:, t] - (r - diag))
-        band = (dist <= band_px) & ~claimed
-        if int(np.sum(band)) < l_min_px:
-            continue
-        idx = np.nonzero(band)[0]
         # split claimed pixels into runs along the line direction
-        along = -px[idx, 0] * sin_t[t] + px[idx, 1] * cos_t[t]
+        along = -x[idx] * sin_t[t] + y[idx] * cos_t[t]
         srt = np.argsort(along)
         idx, along = idx[srt], along[srt]
         run_starts = np.concatenate([[0], np.nonzero(np.diff(along) > gap_px)[0] + 1])
         run_ends = np.concatenate([run_starts[1:], [along.shape[0]]])
+        n_before = n_unclaimed
         for a, b in zip(run_starts, run_ends):
             run = idx[a:b]
             if along[b - 1] - along[a] < l_min_px:
                 continue
             claimed[run] = True
             n_unclaimed -= run.shape[0]
-            lin = (theta_base[None, :] + rho_idx[run]).reshape(-1)
-            acc_flat -= np.bincount(lin, minlength=acc_flat.shape[0])
+            np.subtract.at(acc, cells(run).reshape(-1), 1)
             seg = _tls_segment(px[run])
             if seg is not None:
                 segments.append(
                     LineSegment2(raster.m_of(seg[0]), raster.m_of(seg[1]))
                 )
+        if n_unclaimed < n_before:
+            live = pos + 1 + np.flatnonzero(acc[peaks[pos + 1 :]] >= l_min_px)
+            k = 0
     return segments
 
 
@@ -215,45 +246,31 @@ def merge_refit(
 ) -> List[LineSegment2]:
     """Chain near-collinear segments with close endpoints, refit each chain.
 
-    Singleton chains pass through unchanged.
+    A chain is a connected component of the segment pairs within the
+    angle whose nearest endpoints lie within endpoint_tol_m. Singleton
+    chains pass through unchanged.
     """
     n = len(segments)
     if n == 0:
         return []
     cos_tol = np.cos(np.radians(angle_tol_deg))
-    parent = list(range(n))
+    dirs = np.array([s.direction for s in segments])
+    ends = np.array([[s.p0, s.p1] for s in segments])  # (n, 2, 2)
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = segments[i], segments[j]
-            if abs(float(a.direction @ b.direction)) < cos_tol:
-                continue
-            gaps = [
-                np.linalg.norm(pa - pb)
-                for pa in (a.p0, a.p1)
-                for pb in (b.p0, b.p1)
-            ]
-            if min(gaps) <= endpoint_tol_m and find(i) != find(j):
-                parent[find(j)] = find(i)
-
-    chains = {}
-    for i in range(n):
-        chains.setdefault(find(i), []).append(i)
+    i, j = np.triu_indices(n, 1)
+    # every endpoint of i against every endpoint of j: (pairs, 2, 2, 2)
+    diff = ends[i][:, :, None, :] - ends[j][:, None, :, :]
+    gaps = np.sqrt(np.vecdot(diff, diff)).reshape(-1, 4)
+    linked = (np.abs(np.vecdot(dirs[i], dirs[j])) >= cos_tol) & np.any(gaps <= endpoint_tol_m, axis=1)
 
     out: List[LineSegment2] = []
-    for members in chains.values():
-        if len(members) == 1:
+    for members in connected_groups(n, i[linked], j[linked]):
+        if members.shape[0] == 1:
             out.append(segments[members[0]])
             continue
         samples = []
-        for i in members:
-            s = segments[i]
+        for m in members:
+            s = segments[m]
             k = max(2, int(np.ceil(s.length / 0.05)) + 1)
             t = np.linspace(0.0, 1.0, k)
             samples.append(s.p0 + t[:, None] * (s.p1 - s.p0))

@@ -100,14 +100,12 @@ def build_floor_index(model: WallModel, cfg: PipelineConfig, db: Optional[Descri
     return FloorIndex(model, corners, db, field)
 
 
-def _ground_mask(points: np.ndarray, ground_patches) -> np.ndarray:
-    keys = set()
+def _ground_mask(n_points: int, ground_patches) -> np.ndarray:
+    """True for the rows that some ground patch holds."""
+    mask = np.zeros(n_points, dtype=bool)
     for p in ground_patches:
-        for row in p.points:
-            keys.add(row.tobytes())
-    if not keys:
-        return np.zeros(points.shape[0], dtype=bool)
-    return np.fromiter((row.tobytes() in keys for row in points), bool, points.shape[0])
+        mask[p.idx] = True
+    return mask
 
 
 def extract_submap_features(submap: Submap, cfg: PipelineConfig) -> SubmapFeatures:
@@ -118,18 +116,19 @@ def extract_submap_features(submap: Submap, cfg: PipelineConfig) -> SubmapFeatur
     timings: Dict[str, float] = {}
 
     t0 = time.perf_counter()
-    seg = segment_planes(submap.points, cfg.s_v, cfg.sigma_lambda)
-    patches = merge_patches(seg.patches, cfg.normal_tol_deg, cfg.dist_tol_m)
+    points = submap.points
+    seg = segment_planes(points, cfg.s_v, cfg.sigma_lambda)
+    patches = merge_patches(seg.patches, points, cfg.normal_tol_deg, cfg.dist_tol_m)
     walls, ground, _ = classify_patches(patches, submap.gravity, cfg.gravity_tol_deg)
-    g_mask = _ground_mask(submap.points, ground)
-    q_g_xy = submap.points[g_mask][:, :2]
-    q_ng_xy = submap.points[~g_mask][:, :2]
+    g_mask = _ground_mask(points.shape[0], ground)
+    q_g_xy = points[g_mask][:, :2]
+    q_ng_xy = points[~g_mask][:, :2]
     timings["planes"] = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()
     if not walls:
         raise EmptyGrid("no wall patches in submap")
-    wall_xy = np.concatenate([p.points[:, :2] for p in walls], axis=0)
+    wall_xy = points[np.concatenate([p.idx for p in walls]), :2]
     raster = rasterize_points(wall_xy, cfg.s_i)
     segments = detect_segments(raster, cfg.l_min_px, cfg.gap_px, cfg.band_px, cfg.theta_bins)
     segments = merge_refit(segments, cfg.endpoint_tol_m, cfg.angle_tol_deg)

@@ -3,14 +3,19 @@
 Points are binned into voxels of size s_v. A voxel whose covariance
 eigenvalues (l1 >= l2 >= l3, l3 floored at 1e-12) satisfy l2/l3 >
 sigma_lambda is kept as a planar patch; otherwise it splits into eight
-children. Cells with fewer than four points are discarded. Adjacent
-coplanar patches are merged afterwards with a union-find pass.
+children. Cells with fewer than four points are discarded. A patch
+holds the row indices of its points, not a copy of them. Adjacent
+coplanar patches are merged afterwards as connected components of the
+compatible pairs and refit from the pooled rows.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
+
+from .graph import connected_groups
 
 EIGENVALUE_FLOOR = 1e-12
 MIN_CELL_POINTS = 4
@@ -31,7 +36,7 @@ __all__ = [
 class PlanarPatch:
     """A planar cluster of points with its fitted plane and cell bounds."""
 
-    points: np.ndarray  # (N, 3)
+    idx: np.ndarray  # (N,) int64 rows of the segmented point array
     centroid: np.ndarray  # (3,)
     normal: np.ndarray  # (3,), unit
     eigenvalues: np.ndarray  # (3,), descending
@@ -47,9 +52,10 @@ class SegmentationResult:
     n_unassigned: int
 
 
-def _canonical_sign(normal: np.ndarray) -> np.ndarray:
-    i = int(np.argmax(np.abs(normal)))
-    return -normal if normal[i] < 0 else normal
+def _canonical_sign(normals: np.ndarray) -> np.ndarray:
+    """Flip each normal (last axis) so its largest-magnitude component is positive."""
+    i = np.argmax(np.abs(normals), axis=-1)[..., None]
+    return np.where(np.take_along_axis(normals, i, axis=-1) < 0, -normals, normals)
 
 
 def _fit_plane(points: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -62,9 +68,22 @@ def _fit_plane(points: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return centroid, normal, w[::-1].copy()
 
 
+def _cell_keys(keys: np.ndarray) -> np.ndarray:
+    """Pack (N, 3) non-negative cell indices into int64, lexicographically.
+
+    Fields are sized by the observed extents; ValueError when they do not
+    fit an int64.
+    """
+    dims = tuple(int(k) + 1 for k in keys.max(axis=0))
+    if math.prod(dims) > np.iinfo(np.int64).max:
+        raise ValueError("octree cells up to %s do not pack into an int64; raise s_v" % (dims,))
+    return np.ravel_multi_index(keys.T, dims)
+
+
 def segment_planes(
     points: np.ndarray, s_v: float = 2.0, sigma_lambda: float = 10.0
 ) -> SegmentationResult:
+    """Octree split of `points` into planar patches labelled by row index."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n_total = pts.shape[0]
     if n_total == 0:
@@ -74,6 +93,7 @@ def segment_planes(
 
     origin = pts.min(axis=0)
     patches: List[PlanarPatch] = []
+    active_idx = np.arange(n_total)
     active = pts
     n_assigned = 0
     size = float(s_v)
@@ -82,9 +102,15 @@ def segment_planes(
         if active.shape[0] == 0:
             break
         keys = np.floor((active - origin) / size).astype(np.int64)
-        packed = (keys[:, 0] << 40) | (keys[:, 1] << 20) | keys[:, 2]
-        uniq, inv, counts = np.unique(packed, return_inverse=True, return_counts=True)
-        n_groups = uniq.shape[0]
+        packed = _cell_keys(keys)
+        # one stable sort gives the cells ascending and each cell's rows in
+        # input order
+        order = np.argsort(packed, kind="stable")
+        starts = np.concatenate([[0], np.flatnonzero(np.diff(packed[order])) + 1])
+        counts = np.diff(np.append(starts, order.shape[0]))
+        n_groups = starts.shape[0]
+        inv = np.empty_like(order)
+        inv[order] = np.repeat(np.arange(n_groups), counts)
 
         sums = np.empty((n_groups, 3))
         prods = np.empty((n_groups, 3, 3))
@@ -106,89 +132,82 @@ def segment_planes(
         l3 = np.maximum(w[:, 0], EIGENVALUE_FLOOR)
         planar = big & (w[:, 1] / l3 > sigma_lambda)
 
-        first = np.unique(inv, return_index=True)[1]
-        cell_keys = keys[first]
-        order = np.argsort(inv, kind="stable")
-        bounds = np.concatenate([[0], np.cumsum(counts)])
+        cell_keys = keys[order[starts]]
+        normals = _canonical_sign(v[:, :, 0])
 
         for g in np.nonzero(planar)[0]:
-            grp = active[order[bounds[g] : bounds[g + 1]]]
-            normal = _canonical_sign(v[g][:, 0])
+            idx = active_idx[order[starts[g] : starts[g] + counts[g]]]
             lo = origin + cell_keys[g] * size
             patches.append(
                 PlanarPatch(
-                    points=grp,
+                    idx=idx,
                     centroid=means[g],
-                    normal=normal,
+                    normal=normals[g],
                     eigenvalues=w[g][::-1].copy(),
                     cell_lo=lo,
                     cell_hi=lo + size,
                 )
             )
-            n_assigned += grp.shape[0]
+            n_assigned += idx.shape[0]
 
         keep = big[inv] & ~planar[inv]
+        active_idx = active_idx[keep]
         active = active[keep]
         size *= 0.5
 
     return SegmentationResult(patches, n_total, n_total - n_assigned)
 
 
-def _compatible(a: PlanarPatch, b: PlanarPatch, cos_tol: float, dist_tol: float) -> bool:
-    if abs(float(a.normal @ b.normal)) < cos_tol:
-        return False
-    gap = b.centroid - a.centroid
-    return abs(float(a.normal @ gap)) <= dist_tol and abs(float(b.normal @ gap)) <= dist_tol
-
-
 def merge_patches(
     patches: List[PlanarPatch],
+    points: np.ndarray,
     normal_tol_deg: float = 10.0,
     dist_tol_m: float = 0.1,
 ) -> List[PlanarPatch]:
-    """Union-find over cell-adjacent coplanar patches, refitting each group."""
+    """Join cell-adjacent coplanar patches and refit each group from `points`.
+
+    A group is a connected component of the pairs that touch (cell boxes
+    within 1e-9 m) and are coplanar (normals within the angle, each
+    centroid within dist_tol_m of the other's plane). Its `idx` is the
+    members' `idx` in member order; singletons pass through unchanged.
+    """
     n = len(patches)
     if n == 0:
         return []
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     cos_tol = float(np.cos(np.radians(normal_tol_deg)))
     lo = np.array([p.cell_lo for p in patches])
     hi = np.array([p.cell_hi for p in patches])
-
-    parent = np.arange(n)
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    normals = np.array([p.normal for p in patches])
+    centroids = np.array([p.centroid for p in patches])
 
     eps = 1e-9
-    for i in range(n):
-        touch = np.all((lo[i + 1 :] <= hi[i] + eps) & (lo[i] <= hi[i + 1 :] + eps), axis=1)
-        for j in np.nonzero(touch)[0] + i + 1:
-            if find(i) != find(j) and _compatible(patches[i], patches[j], cos_tol, dist_tol_m):
-                parent[find(j)] = find(i)
-
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+    touch = np.ones((n, n), dtype=bool)
+    for a in range(3):
+        touch &= (lo[None, :, a] <= hi[:, None, a] + eps) & (lo[:, None, a] <= hi[None, :, a] + eps)
+    i, j = np.nonzero(np.triu(touch, 1))
+    gap = centroids[j] - centroids[i]
+    coplanar = (
+        (np.abs(np.vecdot(normals[i], normals[j])) >= cos_tol)
+        & (np.abs(np.vecdot(normals[i], gap)) <= dist_tol_m)
+        & (np.abs(np.vecdot(normals[j], gap)) <= dist_tol_m)
+    )
 
     merged: List[PlanarPatch] = []
-    for members in groups.values():
-        if len(members) == 1:
+    for members in connected_groups(n, i[coplanar], j[coplanar]):
+        if members.shape[0] == 1:
             merged.append(patches[members[0]])
             continue
-        pooled = np.vstack([patches[i].points for i in members])
-        centroid, normal, eig = _fit_plane(pooled)
+        idx = np.concatenate([patches[m].idx for m in members])
+        centroid, normal, eig = _fit_plane(pts[idx])
         merged.append(
             PlanarPatch(
-                points=pooled,
+                idx=idx,
                 centroid=centroid,
                 normal=normal,
                 eigenvalues=eig,
-                cell_lo=np.min([patches[i].cell_lo for i in members], axis=0),
-                cell_hi=np.max([patches[i].cell_hi for i in members], axis=0),
-                kind="",
+                cell_lo=lo[members].min(axis=0),
+                cell_hi=hi[members].max(axis=0),
             )
         )
     merged.sort(key=lambda p: tuple(np.round(p.centroid, 9)))

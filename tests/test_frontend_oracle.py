@@ -1,0 +1,241 @@
+"""Property tests: the index-based front end against the scalar oracle.
+
+`scalar_frontend` keeps the original front end: patches that copy their
+points, union-find merging and chaining, a Hough detector with the full
+rho table, and the byte-hash ground mask. Every comparison here is
+bitwise: patch rows, planes and cell boxes; merged groups; segment
+endpoints; corners; the ground mask. Rasters mix random pixels with
+lines, vote ties (mirror-symmetric shapes), runs exactly l_min_px long
+and pixel centers exactly band_px from a peak's rho.
+"""
+
+import numpy as np
+import scalar_frontend as ref
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scan2plan.config import PipelineConfig
+from scan2plan.geometry import LineSegment2, Se2Pose
+from scan2plan.graph import connected_groups
+from scan2plan.lines import BevRaster, detect_segments, extract_corners, merge_refit, rasterize_points
+from scan2plan.pipeline import _ground_mask, extract_submap_features
+from scan2plan.planes import classify_patches, merge_patches, segment_planes
+from scan2plan.synthetic import generate_layout, synthesize_submap
+
+SETTINGS = settings(max_examples=60, deadline=None, database=None, derandomize=True)
+GRAVITY = np.array([0.0, 0.0, -1.0])
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
+
+
+def _segment_bits(segments):
+    return [(_bits(s.p0), _bits(s.p1)) for s in segments]
+
+
+# --- rasters ---
+
+
+@st.composite
+def rasters(draw):
+    nx, ny = draw(st.integers(8, 90)), draw(st.integers(8, 90))
+    grid = np.zeros((nx, ny), dtype=bool)
+    l_min = draw(st.sampled_from([4, 6, 10, 30]))
+    kind = draw(st.sampled_from(["lines", "exact_run", "ties", "single_line", "noise"]))
+    if kind == "exact_run":
+        # runs of exactly l_min and l_min - 1 px along x and y
+        i0, j0 = draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1))
+        grid[i0 : i0 + l_min + 1, j0] = True
+        grid[i0, j0 : j0 + l_min] = True
+    elif kind == "ties":
+        # a mirror-symmetric square outline: its sides tie in votes
+        c = draw(st.integers(3, min(nx, ny) // 2))
+        grid[c : nx - c, c] = grid[c : nx - c, ny - c - 1] = True
+        grid[c, c : ny - c] = grid[nx - c - 1, c : ny - c] = True
+    elif kind == "single_line":
+        # one straight run that claims every pixel
+        i0 = draw(st.integers(0, nx - 1))
+        grid[i0, :] = True
+    n_lines = draw(st.integers(0, 4)) if kind in ("lines", "noise") else draw(st.integers(0, 1))
+    for _ in range(n_lines):
+        a = np.array([draw(st.floats(0, nx - 1)), draw(st.floats(0, ny - 1))])
+        b = np.array([draw(st.floats(0, nx - 1)), draw(st.floats(0, ny - 1))])
+        t = np.linspace(0.0, 1.0, 4 * (nx + ny))
+        ij = np.floor(a + t[:, None] * (b - a)).astype(int)
+        grid[ij[:, 0], ij[:, 1]] = True
+    if kind == "noise":
+        seed = draw(st.integers(0, 2**16))
+        grid |= np.random.default_rng(seed).random((nx, ny)) < draw(st.sampled_from([0.02, 0.1, 0.3]))
+    if not grid.any():
+        grid[0, 0] = True
+    origin = np.array([draw(st.sampled_from([0.0, -1.5, 2.25])), draw(st.sampled_from([0.0, 3.75]))])
+    raster = BevRaster(grid, origin, draw(st.sampled_from([60.0, 20.0])))
+    params = dict(
+        l_min_px=l_min,
+        gap_px=draw(st.sampled_from([5.0, 2.0, 1.0])),
+        # a pixel center sits k + 0.5 px from an integer rho at theta 0
+        band_px=draw(st.sampled_from([5.0, 4.5, 2.5, 1.5, 0.5])),
+        theta_bins=draw(st.sampled_from([180, 90, 36, 7])),
+    )
+    return raster, params
+
+
+@SETTINGS
+@given(rasters())
+def test_detect_segments_matches_oracle(case):
+    raster, params = case
+    got = detect_segments(raster, **params)
+    want = ref.detect_segments(raster, **params)
+    assert _segment_bits(got) == _segment_bits(want)
+
+
+def test_all_claimed_raster_matches_oracle():
+    grid = np.zeros((40, 40), dtype=bool)
+    grid[5:35, 7] = True
+    raster = BevRaster(grid, np.zeros(2), 60.0)
+    got = detect_segments(raster, l_min_px=10)
+    assert len(got) == 1
+    assert _segment_bits(got) == _segment_bits(ref.detect_segments(raster, l_min_px=10))
+
+
+# --- segment chaining ---
+
+coord = st.one_of(st.floats(-10.0, 10.0), st.integers(-40, 40).map(lambda i: i * 0.25))
+
+
+@st.composite
+def segment_sets(draw):
+    segs = []
+    for _ in range(draw(st.integers(0, 12))):
+        a = np.array([draw(coord), draw(coord)])
+        if segs and draw(st.booleans()):
+            # continue a previous segment's line; axis-aligned ones on quarter
+            # coordinates put the endpoint gap exactly at the tolerance
+            prev = segs[draw(st.integers(0, len(segs) - 1))]
+            d = prev.direction
+            a = prev.p1 + draw(st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.5])) * d
+        elif draw(st.booleans()):
+            d = np.array(draw(st.sampled_from([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)])))
+        else:
+            ang = draw(st.floats(0.0, np.pi))
+            d = np.array([np.cos(ang), np.sin(ang)])
+        length = draw(st.one_of(st.integers(1, 16).map(lambda i: i * 0.25), st.floats(0.1, 5.0)))
+        segs.append(LineSegment2(a, a + length * d))
+    return segs
+
+
+@SETTINGS
+@given(segment_sets(), st.sampled_from([0.3, 0.25, 1.0]), st.sampled_from([5.0, 1.0, 30.0]))
+def test_merge_refit_matches_oracle(segs, tol, angle):
+    got = merge_refit(segs, tol, angle)
+    assert _segment_bits(got) == _segment_bits(ref.merge_refit(segs, tol, angle))
+
+
+@SETTINGS
+@given(st.integers(1, 30), st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=40))
+def test_connected_groups_match_union_find(n, edges):
+    edges = [(a, b) for a, b in edges if a < n and b < n]
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for a, b in edges:
+        parent[find(b)] = find(a)
+    want = {}
+    for i in range(n):
+        want.setdefault(find(i), []).append(i)
+    i = np.array([a for a, _ in edges], dtype=np.int64)
+    j = np.array([b for _, b in edges], dtype=np.int64)
+    assert [g.tolist() for g in connected_groups(n, i, j)] == list(want.values())
+
+
+# --- planes and the ground mask ---
+
+
+@st.composite
+def point_sets(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    blocks = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(4, 400))
+        uv = rng.uniform(0.0, draw(st.sampled_from([1.0, 3.0, 6.0])), size=(n, 2))
+        if draw(st.booleans()):
+            uv = np.round(uv * 4.0) / 4.0  # on cell boundaries
+        kind = draw(st.sampled_from(["floor", "wall_x", "wall_y", "tilted", "blob"]))
+        off = np.array([draw(st.integers(-4, 4)), draw(st.integers(-4, 4)), draw(st.integers(-1, 2))], float)
+        if kind == "floor":
+            p = np.column_stack([uv, np.zeros(n)])
+        elif kind == "wall_x":
+            p = np.column_stack([uv[:, 0], np.zeros(n), uv[:, 1]])
+        elif kind == "wall_y":
+            p = np.column_stack([np.zeros(n), uv[:, 0], uv[:, 1]])
+        elif kind == "tilted":
+            p = np.column_stack([uv, 0.6 * uv[:, 0]])
+        else:
+            p = rng.normal(scale=0.5, size=(n, 3))
+        p = p + off + rng.normal(scale=draw(st.sampled_from([0.0, 0.005, 0.03])), size=p.shape)
+        blocks.append(p)
+    pts = np.vstack(blocks)
+    if draw(st.booleans()):  # bit-identical duplicates of some rows
+        pts = np.vstack([pts, pts[rng.integers(0, pts.shape[0], 20)]])
+    return pts[rng.permutation(pts.shape[0])]
+
+
+def _assert_patches_match(got, want, pts):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert _bits(pts[g.idx]) == _bits(w.points)
+        for name in ("centroid", "normal", "eigenvalues", "cell_lo", "cell_hi"):
+            assert _bits(getattr(g, name)) == _bits(getattr(w, name)), name
+        assert g.kind == w.kind
+
+
+@SETTINGS
+@given(point_sets(), st.sampled_from([2.0, 1.0, 0.5]), st.sampled_from([10.0, 3.0]))
+def test_planes_and_ground_mask_match_oracle(pts, s_v, sigma):
+    seg = segment_planes(pts, s_v, sigma)
+    want = ref.segment_planes(pts, s_v, sigma)
+    assert (seg.n_points, seg.n_unassigned) == (want.n_points, want.n_unassigned)
+    _assert_patches_match(seg.patches, want.patches, pts)
+
+    merged = merge_patches(seg.patches, pts, 10.0, 0.1)
+    want_merged = ref.merge_patches(want.patches, 10.0, 0.1)
+    ground = classify_patches(merged, GRAVITY)[1]
+    want_ground = classify_patches(want_merged, GRAVITY)[1]
+    _assert_patches_match(merged, want_merged, pts)
+    mask = _ground_mask(pts.shape[0], ground)
+    assert np.array_equal(mask, ref._ground_mask(pts, want_ground))
+
+
+# --- whole front end on a synthetic scan ---
+
+
+def test_front_end_matches_oracle_on_scene():
+    cfg = PipelineConfig()
+    layout = generate_layout(seed=2, n_rooms=4, corridor=True, extent_m=24.0)
+    scene = synthesize_submap(
+        layout.wall_model, Se2Pose(6.0, 5.0, 0.3), radius_m=10.0, seed=11,
+        drop_wall_frac=0.2, clutter_frac=0.1,
+    )
+    pts = scene.submap.points
+    feats = extract_submap_features(scene.submap, cfg)
+
+    seg = ref.segment_planes(pts, cfg.s_v, cfg.sigma_lambda)
+    patches = ref.merge_patches(seg.patches, cfg.normal_tol_deg, cfg.dist_tol_m)
+    walls, ground, _ = classify_patches(patches, scene.submap.gravity, cfg.gravity_tol_deg)
+    mask = ref._ground_mask(pts, ground)
+    raster = rasterize_points(np.concatenate([p.points[:, :2] for p in walls]), cfg.s_i)
+    segments = ref.detect_segments(raster, cfg.l_min_px, cfg.gap_px, cfg.band_px, cfg.theta_bins)
+    segments = ref.merge_refit(segments, cfg.endpoint_tol_m, cfg.angle_tol_deg)
+    corners = extract_corners(segments, cfg.extend_m, cfg.nms_radius_m, cfg.min_angle_deg)
+
+    assert len(corners) >= 4
+    assert [_bits(c.position) + _bits(c.dirs) for c in feats.corners] == [
+        _bits(c.position) + _bits(c.dirs) for c in corners
+    ]
+    assert _bits(feats.q_g_xy) == _bits(pts[mask][:, :2])
+    assert _bits(feats.q_ng_xy) == _bits(pts[~mask][:, :2])

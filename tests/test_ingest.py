@@ -234,3 +234,10 @@ def test_submap_rejects_bad_gravity(tmp_path):
     _raw_submap(f, [0.0, 0.0, 0.0], np.zeros((4, 3)))
     with pytest.raises(InvalidSubmap):
         load_submap(f)
+
+
+def test_scan_sequence_rejects_bad_gravity():
+    pts = np.zeros((4, 3))
+    for g in ([0.0, 0.0, 0.0], [0.0, np.nan, -1.0], [np.inf, 0.0, -1.0]):
+        with pytest.raises(InvalidSubmap):
+            ScanSequence([(0.0, pts)], [np.eye(4)], np.array(g))

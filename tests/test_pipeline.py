@@ -7,9 +7,11 @@ from scan2plan.config import PipelineConfig
 from scan2plan.errors import EmptyModel, EmptyScene
 from scan2plan.geometry import registration_success
 from scan2plan.ingest import Submap, save_pose, save_submap
+from scan2plan.planes import PlanarPatch
 from scan2plan.pipeline import (
     FAILURE_CONFIDENCE,
     STAGES,
+    _ground_mask,
     build_floor_index,
     evaluate_scenes,
     pr_from_directories,
@@ -167,6 +169,16 @@ def _write_scene_dir(path, layout, seeds, with_pose=True, **devs):
         save_submap(scene.submap, path / ("scene_%04d.submap" % s))
         if with_pose:
             save_pose(scene.gt_pose, path / ("scene_%04d.pose" % s))
+
+
+def test_ground_mask_labels_rows_not_coordinates():
+    # row 3 repeats row 0 bit for bit but belongs to no ground patch
+    points = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 0.0, 0.0]])
+    z = np.zeros(3)
+    ground = PlanarPatch(np.array([0, 1]), z, np.array([0.0, 0.0, 1.0]), z, z, z, "ground")
+    mask = _ground_mask(points.shape[0], [ground])
+    assert mask.tolist() == [True, True, False, False]
+    assert not _ground_mask(points.shape[0], []).any()
 
 
 def test_evaluate_scene_directory(tmp_path):

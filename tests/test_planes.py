@@ -24,12 +24,12 @@ def test_horizontal_plane_single_patch():
     pts = _grid_plane(0.0, 6.0, 0.0, 6.0, 0.0)
     res = segment_planes(pts)
     assert res.n_unassigned == 0
-    merged = merge_patches(res.patches)
+    merged = merge_patches(res.patches, pts)
     assert len(merged) == 1
     n = merged[0].normal
     assert np.allclose(np.abs(n), [0.0, 0.0, 1.0], atol=1e-9)
     assert abs(merged[0].centroid[2]) < 1e-12
-    assert merged[0].points.shape[0] == pts.shape[0]
+    assert merged[0].idx.shape[0] == pts.shape[0]
 
 
 def test_isotropic_blob_yields_no_patch():
@@ -39,7 +39,7 @@ def test_isotropic_blob_yields_no_patch():
     w = np.linalg.eigvalsh(np.cov(pts.T))
     assert w[1] / w[0] < 10.0
     res = segment_planes(pts, s_v=4.0)
-    assert len([p for p in res.patches if p.points.shape[0] > 50]) == 0
+    assert len([p for p in res.patches if p.idx.shape[0] > 50]) == 0
 
 
 def test_split_wall_merges_to_one():
@@ -50,7 +50,7 @@ def test_split_wall_merges_to_one():
     pts = np.column_stack([gx.ravel(), np.full(gx.size, 1.0), gz.ravel()])
     res = segment_planes(pts)
     assert len(res.patches) >= 2
-    merged = merge_patches(res.patches)
+    merged = merge_patches(res.patches, pts)
     assert len(merged) == 1
     assert np.allclose(np.abs(merged[0].normal), [0.0, 1.0, 0.0], atol=1e-9)
 
@@ -58,7 +58,8 @@ def test_split_wall_merges_to_one():
 def test_parallel_walls_stay_separate():
     a = _grid_plane(0.0, 3.0, 0.0, 2.4, 0.0)[:, [0, 2, 1]]  # y=0 wall
     b = a + np.array([0.0, 3.0, 0.0])  # y=3 wall
-    merged = merge_patches(segment_planes(np.vstack([a, b])).patches)
+    pts = np.vstack([a, b])
+    merged = merge_patches(segment_planes(pts).patches, pts)
     assert len(merged) == 2
 
 
@@ -68,12 +69,12 @@ def test_noisy_wall_recovered():
     zs = rng.uniform(0.0, 2.5, 4000)
     pts = np.column_stack([xs, np.zeros(4000), zs])
     pts = pts + rng.normal(scale=0.03, size=pts.shape)
-    merged = merge_patches(segment_planes(pts).patches)
+    merged = merge_patches(segment_planes(pts).patches, pts)
     # grid-edge slivers can survive as tiny patches; the wall itself
     # must come out as a single dominant one
-    big = [p for p in merged if p.points.shape[0] >= 100]
+    big = [p for p in merged if p.idx.shape[0] >= 100]
     assert len(big) == 1
-    assert big[0].points.shape[0] > 0.95 * pts.shape[0]
+    assert big[0].idx.shape[0] > 0.95 * pts.shape[0]
     n = big[0].normal
     angle = np.degrees(np.arccos(min(1.0, abs(n[1]))))
     assert angle < 2.0
@@ -96,11 +97,11 @@ def test_points_assigned_at_most_once():
     scene = synthesize_submap(layout.wall_model, Se2Pose(4.0, 3.0, 0.0), radius_m=6.0, seed=3)
     pts = scene.submap.points
     res = segment_planes(pts)
-    n_assigned = sum(p.points.shape[0] for p in res.patches)
+    n_assigned = sum(p.idx.shape[0] for p in res.patches)
     assert n_assigned + res.n_unassigned == pts.shape[0]
     seen = set()
     for p in res.patches:
-        for row in np.round(p.points, 9):
+        for row in np.round(pts[p.idx], 9):
             key = row.tobytes()
             assert key not in seen
             seen.add(key)
@@ -114,12 +115,30 @@ def test_segmentation_is_permutation_invariant():
     shuffled = pts[rng.permutation(pts.shape[0])]
 
     def signature(points):
-        merged = merge_patches(segment_planes(points).patches)
+        merged = merge_patches(segment_planes(points).patches, points)
         return sorted(
-            (p.points.shape[0], tuple(np.round(p.centroid, 6))) for p in merged
+            (p.idx.shape[0], tuple(np.round(p.centroid, 6))) for p in merged
         )
 
     assert signature(pts) == signature(shuffled)
+
+
+def test_far_apart_cells_stay_apart():
+    # with 2 m cells, A sits in cell (1, 0, 0) and B in (0, 2**20, 0); a
+    # 20-bit field per axis packed both into the same key
+    a = _grid_plane(2.25, 4.0, 0.25, 2.0, 0.0, step=0.25)
+    b = _grid_plane(0.25, 2.0, 2.0**21 + 0.25, 2.0**21 + 2.0, 0.0, step=0.25)
+    pts = np.vstack([a, b])
+    res = segment_planes(pts)
+    assert len(res.patches) == 2
+    got = sorted(sorted(p.idx.tolist()) for p in res.patches)
+    assert got == [list(range(a.shape[0])), list(range(a.shape[0], pts.shape[0]))]
+
+
+def test_cell_key_overflow_raises():
+    pts = np.vstack([_grid_plane(0.0, 1.0, 0.0, 1.0, 0.0, step=0.25), [[1e6, 1e6, 1e6]]])
+    with pytest.raises(ValueError):
+        segment_planes(pts, s_v=1e-3)
 
 
 def test_empty_input():
@@ -136,7 +155,8 @@ def test_classify_wall_ground_other():
     # 45 degree ramp: neither wall nor ground at 15 degree tolerance
     t = _grid_plane(0.0, 3.0, 0.0, 3.0, 0.0)
     ramp = np.column_stack([t[:, 0] + 12.0, t[:, 1], t[:, 1]])
-    merged = merge_patches(segment_planes(np.vstack([ground, wall, ramp])).patches)
+    pts = np.vstack([ground, wall, ramp])
+    merged = merge_patches(segment_planes(pts).patches, pts)
     walls, grounds, other = classify_patches(merged, GRAVITY)
     assert len(walls) == 1 and walls[0].kind == "wall"
     assert len(grounds) == 1 and grounds[0].kind == "ground"
@@ -148,7 +168,7 @@ def test_classify_wall_ground_other():
 def test_classify_tracks_gravity_direction():
     # tilt gravity 20 degrees: a z-normal plane is no longer ground
     wallish = _grid_plane(0.0, 3.0, 0.0, 3.0, 0.0)
-    merged = merge_patches(segment_planes(wallish).patches)
+    merged = merge_patches(segment_planes(wallish).patches, wallish)
     g = np.array([np.sin(np.radians(20.0)), 0.0, -np.cos(np.radians(20.0))])
     walls, grounds, other = classify_patches(merged, g)
     assert len(grounds) == 0 and len(other) == 1
