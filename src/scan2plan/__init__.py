@@ -32,7 +32,6 @@ from .geometry import (
     normalize_angle,
     pose_errors,
     registration_success,
-    se2_apply,
     solve_se2,
     solve_se2_batch,
 )

@@ -15,7 +15,6 @@ __all__ = [
     "Se2Pose",
     "LineSegment2",
     "normalize_angle",
-    "se2_apply",
     "solve_se2",
     "solve_se2_batch",
     "pose_errors",
@@ -112,11 +111,6 @@ class LineSegment2:
         d = self.p1 - self.p0
         t = np.clip(np.dot(np.asarray(p) - self.p0, d) / np.dot(d, d), 0.0, 1.0)
         return float(np.linalg.norm(self.p0 + t * d - np.asarray(p)))
-
-
-def se2_apply(pose: Se2Pose, points: np.ndarray) -> np.ndarray:
-    """R(yaw) @ p + t for one point or a batch."""
-    return pose.apply(points)
 
 
 def solve_se2(src: Sequence, dst: Sequence) -> Tuple[Se2Pose, float]:

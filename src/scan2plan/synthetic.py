@@ -24,6 +24,9 @@ DOOR_WIDTH_M = 1.0
 # wall bands during verification even diagonally across corners, where
 # the Chebyshev dilation reach exceeds the Euclidean one by sqrt(2)
 GROUND_CLEARANCE_M = 1.75
+# slack on the far-wall cut of the ground clearance test, far above
+# any rounding in the distances
+CLEARANCE_CUT_MARGIN_M = 0.5
 
 __all__ = [
     "FloorLayout",
@@ -224,6 +227,15 @@ def _segment_distances(points_xy: np.ndarray, walls: List[LineSegment2]) -> np.n
     return best
 
 
+def _walls_within(walls: List[LineSegment2], center: np.ndarray, reach: float) -> List[LineSegment2]:
+    """The walls (in order) whose closest point lies within `reach` of center."""
+    p0 = np.array([w.p0 for w in walls])
+    d = np.array([w.p1 for w in walls]) - p0
+    t = np.clip(np.einsum("ij,ij->i", center - p0, d) / np.einsum("ij,ij->i", d, d), 0.0, 1.0)
+    dist = np.linalg.norm(center - (p0 + t[:, None] * d), axis=1)
+    return [w for w, near in zip(walls, dist <= reach) if near]
+
+
 def synthesize_submap(
     model: WallModel,
     pose: Se2Pose,
@@ -291,7 +303,10 @@ def synthesize_submap(
     rr = radius_m * np.sqrt(rng.uniform(0.0, 1.0, size=n_ground))
     th = rng.uniform(0.0, 2 * np.pi, size=n_ground)
     gxy = sensor + np.column_stack([rr * np.cos(th), rr * np.sin(th)])
-    keep = _segment_distances(gxy, model.walls) >= GROUND_CLEARANCE_M
+    # every ground sample lies within radius_m of the sensor, so a wall
+    # beyond radius + clearance cannot bring one under the clearance
+    reach = radius_m + GROUND_CLEARANCE_M + CLEARANCE_CUT_MARGIN_M
+    keep = _segment_distances(gxy, _walls_within(model.walls, sensor, reach)) >= GROUND_CLEARANCE_M
     for seg in clutter_segs:
         keep &= _segment_distances(gxy, [seg]) >= GROUND_CLEARANCE_M
     ground = np.column_stack([gxy[keep], np.zeros(int(np.sum(keep)))])

@@ -7,6 +7,17 @@ mass; ground points landing there collect a penalty, since real ground
 is free space. Confidence is the normalized difference, so a pose that
 drapes scanned walls over modeled walls while keeping scanned floor off
 them scores near 1.
+
+Scoring path: `ScoreField` keeps, next to `values`, one flattened copy
+bordered by a zero cell on every side, built once per field. A pose is
+scored by rotating the points with the same `q @ R.T` matmul as
+`Se2Pose.apply`, then taking each coordinate column through add
+translation, subtract origin, divide by s_r and floor, clipping the
+cell index to [-1, n] and reading the bordered copy with one flat
+gather, so a point off the grid reads 0.0. Per element these are the
+operations of the plain broadcasts, so every sum is bit-identical to a
+masked 2-D lookup. `select_best` thins the points once and runs every
+candidate through the same two scratch buffers.
 """
 
 from dataclasses import dataclass
@@ -34,26 +45,64 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScoreField:
-    """Dilated wall-occupancy values on a regular grid."""
+    """Dilated wall-occupancy values on a regular grid.
+
+    Construction also stores `values` once more, flattened with one zero
+    cell on every side. A lookup clips each cell index to [-1, n] and
+    shifts it by one, so any point off the grid reads 0.0 without a mask.
+    """
 
     values: np.ndarray  # (nx, ny) float64 in [0, 1]
     origin: np.ndarray  # (2,) meters
     s_r: float  # meters per cell
 
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=np.float64)
+        object.__setattr__(self, "_bordered", np.pad(values, 1).ravel())
+
     def value_at(self, points_m: np.ndarray) -> np.ndarray:
         pts = np.asarray(points_m, dtype=np.float64).reshape(-1, 2)
-        ij = np.floor((pts - self.origin) / self.s_r).astype(np.int64)
-        inside = (
-            (ij[:, 0] >= 0)
-            & (ij[:, 1] >= 0)
-            & (ij[:, 0] < self.values.shape[0])
-            & (ij[:, 1] < self.values.shape[1])
-        )
-        out = np.zeros(pts.shape[0])
-        out[inside] = self.values[ij[inside, 0], ij[inside, 1]]
-        return out
+        # a zero shift changes at most the sign of a zero, never a cell
+        return self._lookup(pts, (0.0, 0.0), *_scratch(pts.shape[0]))
+
+    def _lookup(self, xy: np.ndarray, shift, buf: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Field values at xy + shift, one per row, as a view of `buf`.
+
+        `buf` and `idx` come from `_scratch` with at least len(xy) rows;
+        xy may be `buf` itself. Each column gets the element-wise
+        arithmetic of `floor((xy + shift - origin) / s_r)`, so every
+        cell matches the plain broadcast.
+        """
+        n = xy.shape[0]
+        nx, ny = self.values.shape
+        for k, hi in ((0, nx), (1, ny)):
+            c = buf[:n, k]
+            np.add(xy[:, k], shift[k], out=c)
+            np.subtract(c, self.origin[k], out=c)
+            np.divide(c, self.s_r, out=c)
+            np.floor(c, out=c)
+            # clip before the int cast; fmax/fmin send NaN to the border too
+            np.fmax(c, -1.0, out=c)
+            np.fmin(c, hi, out=c)
+        row, col, cells = buf[:n, 0], buf[:n, 1], idx[:n]
+        np.multiply(row, ny + 2, out=row)
+        np.add(row, col, out=row)
+        np.copyto(cells, row, casting="unsafe")
+        np.add(cells, ny + 3, out=cells)
+        return np.take(self._bordered, cells, out=row)
+
+
+def _scratch(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Scratch for `ScoreField._lookup`: float (n, 2) and int (n,).
+
+    The float buffer is column-major, so each coordinate column is
+    contiguous for the element-wise passes. A matmul into it runs as the
+    transposed BLAS product, which rounds each element as `q @ R.T` does
+    (`tests/test_backend_oracle.py` checks this bit for bit).
+    """
+    return np.empty((n, 2), order="F"), np.empty(n, dtype=np.intp)
 
 
 @dataclass
@@ -93,6 +142,47 @@ def _confidence(s_a, s_p, s_free, s_miss, n_ng, n_g, lam, variant):
     raise ValueError("unknown scoring variant %r" % (variant,))
 
 
+def _mass(field: ScoreField, q: np.ndarray, rot_t, shift, buf, idx) -> Tuple[float, float]:
+    """(sum of v, sum of 1 - v) for the field values v under the posed q."""
+    n = q.shape[0]
+    if n == 0:
+        return 0.0, 0.0
+    # the matmul of Se2Pose.apply: OpenBLAS rounds it with FMA, which a
+    # column-wise x*c - y*s would not reproduce
+    xy = np.matmul(q, rot_t, out=buf[:n])
+    v = field._lookup(xy, shift, buf, idx)
+    s = float(v.sum())
+    np.subtract(1.0, v, out=v)
+    return s, float(v.sum())
+
+
+def _prepare(q_ng_xy, q_g_xy, cap: Optional[int]):
+    """(q_ng, q_g, buf, idx): (N, 2) float64 point sets, each thinned to
+    `cap` rows by an even stride, and scratch sized to the larger."""
+    sets = []
+    for q_xy in (q_ng_xy, q_g_xy):
+        q = np.asarray(q_xy, dtype=np.float64).reshape(-1, 2)
+        if cap is not None and q.shape[0] > cap:
+            q = q[np.linspace(0, q.shape[0] - 1, cap).astype(np.int64)]
+        sets.append(q)
+    q_ng, q_g = sets
+    if q_ng.shape[0] == 0:
+        raise EmptySubmap("no non-ground points to score")
+    return (q_ng, q_g) + _scratch(max(q_ng.shape[0], q_g.shape[0]))
+
+
+def _score(field: ScoreField, pose: Se2Pose, prepared, lam: float, variant: str) -> ScoreResult:
+    """Score one pose over `_prepare`d points."""
+    q_ng, q_g, buf, idx = prepared
+    rot_t = pose.rotation().T
+    shift = (pose.x, pose.y)
+    s_a, s_miss = _mass(field, q_ng, rot_t, shift, buf, idx)
+    s_p, s_free = _mass(field, q_g, rot_t, shift, buf, idx)
+    n_ng, n_g = q_ng.shape[0], q_g.shape[0]
+    conf = _confidence(s_a, s_p, s_free, s_miss, n_ng, n_g, lam, variant)
+    return ScoreResult(s_a, s_p, n_ng, n_g, float(conf), variant)
+
+
 def score_candidate(
     field: ScoreField,
     pose: Se2Pose,
@@ -102,25 +192,7 @@ def score_candidate(
     variant: str = "osc",
 ) -> ScoreResult:
     """Score one pose hypothesis; points are submap-frame xy."""
-    q_ng = np.asarray(q_ng_xy, dtype=np.float64).reshape(-1, 2)
-    q_g = np.asarray(q_g_xy, dtype=np.float64).reshape(-1, 2)
-    if q_ng.shape[0] == 0:
-        raise EmptySubmap("no non-ground points to score")
-    v_ng = field.value_at(pose.apply(q_ng))
-    v_g = field.value_at(pose.apply(q_g)) if q_g.shape[0] else np.zeros(0)
-    s_a = float(v_ng.sum())
-    s_p = float(v_g.sum())
-    s_free = float((1.0 - v_g).sum()) if q_g.shape[0] else 0.0
-    s_miss = float((1.0 - v_ng).sum())
-    conf = _confidence(s_a, s_p, s_free, s_miss, q_ng.shape[0], q_g.shape[0], lam, variant)
-    return ScoreResult(s_a, s_p, q_ng.shape[0], q_g.shape[0], float(conf), variant)
-
-
-def _subsample(points: np.ndarray, cap: Optional[int]) -> np.ndarray:
-    if cap is None or points.shape[0] <= cap:
-        return points
-    idx = np.linspace(0, points.shape[0] - 1, cap).astype(np.int64)
-    return points[idx]
+    return _score(field, pose, _prepare(q_ng_xy, q_g_xy, None), lam, variant)
 
 
 def select_best(
@@ -137,16 +209,13 @@ def select_best(
     Ties on confidence fall back to vote count, then to the
     lexicographically smallest pose. max_points caps the scored points
     with a deterministic even stride; confidence is a normalized mean,
-    so the cap trades a little variance for time.
+    so the cap trades a little variance for time. The points are thinned
+    once and every candidate reuses the same two scratch buffers.
     """
     if not candidates:
         raise NoCandidates("no pose candidates to score")
-    q_ng = _subsample(np.asarray(q_ng_xy, dtype=np.float64).reshape(-1, 2), max_points)
-    q_g = _subsample(np.asarray(q_g_xy, dtype=np.float64).reshape(-1, 2), max_points)
-    results = [
-        score_candidate(field, c.pose, q_ng, q_g, lam=lam, variant=variant)
-        for c in candidates
-    ]
+    prepared = _prepare(q_ng_xy, q_g_xy, max_points)
+    results = [_score(field, c.pose, prepared, lam, variant) for c in candidates]
     best = min(
         range(len(candidates)),
         key=lambda i: (

@@ -128,13 +128,20 @@ def cast_votes(
     )
 
 
-def _cell_pose(grid: VoteGrid, idx: np.ndarray) -> Se2Pose:
-    c = float(np.sum(grid.counts[idx]))
-    return Se2Pose(
-        float(np.sum(grid.sum_x[idx])) / c,
-        float(np.sum(grid.sum_y[idx])) / c,
-        float(np.arctan2(np.sum(grid.sum_sin[idx]), np.sum(grid.sum_cos[idx]))),
+def _cell_arrays(grid: VoteGrid, idx) -> Tuple[np.ndarray, ...]:
+    """counts, sum_x, sum_y, sum_sin, sum_cos of the cells at idx."""
+    return tuple(a[idx] for a in (grid.counts, grid.sum_x, grid.sum_y, grid.sum_sin, grid.sum_cos))
+
+
+def _group_pose(counts, sum_x, sum_y, sum_sin, sum_cos) -> Tuple[Se2Pose, int]:
+    """Vote-weighted mean pose and vote total of one group of cells."""
+    c = counts.sum()
+    pose = Se2Pose(
+        float(sum_x.sum()) / float(c),
+        float(sum_y.sum()) / float(c),
+        float(np.arctan2(sum_sin.sum(), sum_cos.sum())),
     )
+    return pose, int(c)
 
 
 def vanilla_vote(grid: VoteGrid) -> Tuple[Se2Pose, int]:
@@ -142,7 +149,7 @@ def vanilla_vote(grid: VoteGrid) -> Tuple[Se2Pose, int]:
     if grid.packed.shape[0] == 0:
         raise EmptyGrid("no votes were cast")
     best = int(np.lexsort((grid.packed, -grid.counts))[0])
-    return _cell_pose(grid, np.array([best])), int(grid.counts[best])
+    return _group_pose(*_cell_arrays(grid, slice(best, best + 1)))
 
 
 def _neighbor_table(grid: VoteGrid) -> np.ndarray:
@@ -203,23 +210,20 @@ def hierarchical_vote(
     )
     n_comp, labels = connected_components(graph, directed=False)
 
+    # members of each component, grouped by label and ascending within it;
+    # a group's first member is its anchor
+    members = sel2_sorted[np.argsort(labels, kind="stable")]
+    sizes = np.bincount(labels, minlength=n_comp)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    grouped = _cell_arrays(grid, members)
+    merged = merged_all[members]
     cands: List[Candidate] = []
-    for comp in range(n_comp):
-        member_local = np.nonzero(labels == comp)[0]
-        members = sel2_sorted[member_local]
-        rank_score = int(merged_all[members].max())
-        cands.append(
-            Candidate(
-                pose=_cell_pose(grid, members),
-                votes=int(grid.counts[members].sum()),
-                merged_score=rank_score,
-                n_cells=int(members.shape[0]),
-            )
-        )
-    anchor = [int(sel2_sorted[labels == comp].min()) for comp in range(n_comp)]
-    rank = sorted(
-        range(n_comp), key=lambda i: (-cands[i].merged_score, grid.packed[anchor[i]])
-    )
+    for s, e in zip(starts.tolist(), ends.tolist()):
+        pose, votes = _group_pose(*(a[s:e] for a in grouped))
+        cands.append(Candidate(pose, votes, merged_score=int(merged[s:e].max()), n_cells=e - s))
+    anchor = grid.packed[members[starts]]
+    rank = sorted(range(n_comp), key=lambda i: (-cands[i].merged_score, anchor[i]))
     keep = rank[: j_candidates if j_candidates is not None else n_comp]
     return [cands[i] for i in keep]
 

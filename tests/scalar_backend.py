@@ -1,0 +1,151 @@
+"""Reference oracle: candidate scoring and vote clustering as first written.
+
+The score field looked up through a bounds mask and a masked 2-D fancy
+index, one `pose.apply` + `value_at` pair per scored point set, and the
+region-growing step that scans `labels == comp` for every component and
+sums member cells through `np.sum`. The package's bordered-field scoring
+and grouped clustering must reproduce these bit for bit;
+`test_backend_oracle.py` checks that.
+"""
+
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+
+from scan2plan.errors import EmptyGrid, EmptySubmap, NoCandidates
+from scan2plan.geometry import Se2Pose
+from scan2plan.verify import ScoreResult, _confidence
+from scan2plan.voting import Candidate, VoteGrid, _neighbor_table
+
+
+def value_at(field, points_m: np.ndarray) -> np.ndarray:
+    pts = np.asarray(points_m, dtype=np.float64).reshape(-1, 2)
+    ij = np.floor((pts - field.origin) / field.s_r).astype(np.int64)
+    inside = (
+        (ij[:, 0] >= 0)
+        & (ij[:, 1] >= 0)
+        & (ij[:, 0] < field.values.shape[0])
+        & (ij[:, 1] < field.values.shape[1])
+    )
+    out = np.zeros(pts.shape[0])
+    out[inside] = field.values[ij[inside, 0], ij[inside, 1]]
+    return out
+
+
+def score_candidate(field, pose: Se2Pose, q_ng_xy, q_g_xy, lam=0.5, variant="osc") -> ScoreResult:
+    q_ng = np.asarray(q_ng_xy, dtype=np.float64).reshape(-1, 2)
+    q_g = np.asarray(q_g_xy, dtype=np.float64).reshape(-1, 2)
+    if q_ng.shape[0] == 0:
+        raise EmptySubmap("no non-ground points to score")
+    v_ng = value_at(field, pose.apply(q_ng))
+    v_g = value_at(field, pose.apply(q_g)) if q_g.shape[0] else np.zeros(0)
+    s_a = float(v_ng.sum())
+    s_p = float(v_g.sum())
+    s_free = float((1.0 - v_g).sum()) if q_g.shape[0] else 0.0
+    s_miss = float((1.0 - v_ng).sum())
+    conf = _confidence(s_a, s_p, s_free, s_miss, q_ng.shape[0], q_g.shape[0], lam, variant)
+    return ScoreResult(s_a, s_p, q_ng.shape[0], q_g.shape[0], float(conf), variant)
+
+
+def _subsample(points: np.ndarray, cap: Optional[int]) -> np.ndarray:
+    if cap is None or points.shape[0] <= cap:
+        return points
+    idx = np.linspace(0, points.shape[0] - 1, cap).astype(np.int64)
+    return points[idx]
+
+
+def select_best(
+    field,
+    candidates: Sequence[Candidate],
+    q_ng_xy,
+    q_g_xy,
+    lam: float = 0.5,
+    variant: str = "osc",
+    max_points: Optional[int] = None,
+) -> Tuple[int, List[ScoreResult]]:
+    if not candidates:
+        raise NoCandidates("no pose candidates to score")
+    q_ng = _subsample(np.asarray(q_ng_xy, dtype=np.float64).reshape(-1, 2), max_points)
+    q_g = _subsample(np.asarray(q_g_xy, dtype=np.float64).reshape(-1, 2), max_points)
+    results = [
+        score_candidate(field, c.pose, q_ng, q_g, lam=lam, variant=variant)
+        for c in candidates
+    ]
+    best = min(
+        range(len(candidates)),
+        key=lambda i: (
+            -results[i].confidence,
+            -candidates[i].votes,
+            candidates[i].pose.x,
+            candidates[i].pose.y,
+            candidates[i].pose.yaw,
+        ),
+    )
+    return best, results
+
+
+def _cell_pose(grid: VoteGrid, idx: np.ndarray) -> Se2Pose:
+    c = float(np.sum(grid.counts[idx]))
+    return Se2Pose(
+        float(np.sum(grid.sum_x[idx])) / c,
+        float(np.sum(grid.sum_y[idx])) / c,
+        float(np.arctan2(np.sum(grid.sum_sin[idx]), np.sum(grid.sum_cos[idx]))),
+    )
+
+
+def hierarchical_vote(
+    grid: VoteGrid,
+    l_cells: Optional[int] = 10000,
+    k_cells: Optional[int] = 5000,
+    j_candidates: Optional[int] = 1500,
+) -> List[Candidate]:
+    n = grid.packed.shape[0]
+    if n == 0:
+        raise EmptyGrid("no votes were cast")
+
+    table = _neighbor_table(grid)
+
+    order1 = np.lexsort((grid.packed, -grid.counts))
+    sel1 = order1[: l_cells if l_cells is not None else n]
+
+    padded = np.concatenate([grid.counts, [0]])
+    merged_all = padded[table].sum(axis=1)
+    order2 = np.lexsort((grid.packed[sel1], -merged_all[sel1]))
+    sel2 = sel1[order2[: k_cells if k_cells is not None else sel1.shape[0]]]
+    sel2_sorted = np.sort(sel2)
+
+    in_k = np.zeros(n + 1, dtype=bool)
+    in_k[sel2_sorted] = True
+    nb = table[sel2_sorted]
+    nb_in = np.where((nb >= 0) & in_k[np.where(nb >= 0, nb, n)], nb, -1)
+    local = np.searchsorted(sel2_sorted, np.where(nb_in >= 0, nb_in, 0))
+    rows = np.repeat(np.arange(sel2_sorted.shape[0]), 27)
+    cols = local.ravel()
+    mask = (nb_in.ravel() >= 0)
+    graph = coo_matrix(
+        (np.ones(int(mask.sum()), dtype=np.int8), (rows[mask], cols[mask])),
+        shape=(sel2_sorted.shape[0], sel2_sorted.shape[0]),
+    )
+    n_comp, labels = connected_components(graph, directed=False)
+
+    cands: List[Candidate] = []
+    for comp in range(n_comp):
+        member_local = np.nonzero(labels == comp)[0]
+        members = sel2_sorted[member_local]
+        rank_score = int(merged_all[members].max())
+        cands.append(
+            Candidate(
+                pose=_cell_pose(grid, members),
+                votes=int(grid.counts[members].sum()),
+                merged_score=rank_score,
+                n_cells=int(members.shape[0]),
+            )
+        )
+    anchor = [int(sel2_sorted[labels == comp].min()) for comp in range(n_comp)]
+    rank = sorted(
+        range(n_comp), key=lambda i: (-cands[i].merged_score, grid.packed[anchor[i]])
+    )
+    keep = rank[: j_candidates if j_candidates is not None else n_comp]
+    return [cands[i] for i in keep]

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scan2plan.errors import DegenerateInput
 from scan2plan.geometry import (
     Se2Pose,
     normalize_angle,
     registration_success,
-    se2_apply,
     solve_se2,
     solve_se2_batch,
 )
@@ -19,17 +20,17 @@ def random_pose(rng) -> Se2Pose:
 
 
 # ---------------------------------------------------------------------------
-# se2_apply
+# Se2Pose.apply
 # ---------------------------------------------------------------------------
 
 def test_apply_identity():
-    p = se2_apply(Se2Pose.identity(), np.array([3.0, 4.0]))
+    p = Se2Pose.identity().apply(np.array([3.0, 4.0]))
     assert np.allclose(p, [3.0, 4.0])
 
 
 def test_apply_quarter_turn():
     pose = Se2Pose(1.0, 0.0, np.pi / 2)
-    p = se2_apply(pose, np.array([1.0, 0.0]))
+    p = pose.apply(np.array([1.0, 0.0]))
     assert np.allclose(p, [1.0, 1.0])
 
 
@@ -39,7 +40,7 @@ def test_apply_matches_homogeneous_matrix_oracle():
         pose = random_pose(rng)
         p = rng.uniform(-20, 20, size=2)
         expected = (pose.matrix() @ np.array([p[0], p[1], 1.0]))[:2]
-        assert np.allclose(se2_apply(pose, p), expected, atol=1e-12)
+        assert np.allclose(pose.apply(p), expected, atol=1e-12)
 
 
 def test_compose_apply_consistency():
@@ -47,8 +48,8 @@ def test_compose_apply_consistency():
     for _ in range(300):
         a, b = random_pose(rng), random_pose(rng)
         p = rng.uniform(-30, 30, size=2)
-        lhs = se2_apply(a.compose(b), p)
-        rhs = se2_apply(a, se2_apply(b, p))
+        lhs = a.compose(b).apply(p)
+        rhs = a.apply(b.apply(p))
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -171,3 +172,55 @@ def test_success_left_composition_invariance():
         before = registration_success(est, gt, 5.0, 3.0)
         after = registration_success(t.compose(est), t.compose(gt), 5.0, 3.0)
         assert before == after
+
+
+# ---------------------------------------------------------------------------
+# SE(2) group laws (property tests)
+# ---------------------------------------------------------------------------
+
+GROUP_SETTINGS = settings(max_examples=200, deadline=None, database=None, derandomize=True)
+coords = st.floats(-1e3, 1e3, allow_nan=False)
+yaws = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, np.pi, -np.pi, np.pi / 2, -np.pi / 2]))
+poses = st.builds(Se2Pose, coords, coords, yaws)
+point_sets = st.lists(st.tuples(coords, coords), min_size=1, max_size=8).map(np.array)
+TOL = 1e-9
+
+
+def _close(a: Se2Pose, b: Se2Pose) -> bool:
+    return (
+        abs(a.x - b.x) <= TOL
+        and abs(a.y - b.y) <= TOL
+        and abs(normalize_angle(a.yaw - b.yaw)) <= 1e-12
+    )
+
+
+@GROUP_SETTINGS
+@given(poses, point_sets)
+def test_group_identity(a, pts):
+    e = Se2Pose.identity()
+    assert _close(e.compose(a), a)
+    assert _close(a.compose(e), a)
+    assert np.array_equal(e.apply(pts), pts)
+
+
+@GROUP_SETTINGS
+@given(poses, point_sets)
+def test_group_inverse(a, pts):
+    e = Se2Pose.identity()
+    assert _close(a.compose(a.inverse()), e)
+    assert _close(a.inverse().compose(a), e)
+    assert np.allclose(a.inverse().apply(a.apply(pts)), pts, rtol=0.0, atol=TOL)
+
+
+@GROUP_SETTINGS
+@given(poses, poses, poses)
+def test_group_compose_is_associative(a, b, c):
+    assert _close(a.compose(b).compose(c), a.compose(b.compose(c)))
+
+
+@GROUP_SETTINGS
+@given(poses, poses, point_sets)
+def test_apply_is_a_group_action(a, b, pts):
+    lhs = a.compose(b).apply(pts)
+    rhs = a.apply(b.apply(pts))
+    assert np.allclose(lhs, rhs, rtol=0.0, atol=TOL)

@@ -7,6 +7,7 @@ import pytest
 
 from scan2plan.errors import EmptyScene
 from scan2plan.geometry import Se2Pose
+from scan2plan import synthetic
 from scan2plan.ingest import save_submap
 from scan2plan.synthetic import (
     GROUND_CLEARANCE_M,
@@ -207,6 +208,30 @@ def test_ground_keeps_clearance_from_walls():
         t = np.clip((ground - w.p0) @ d / (d @ d), 0.0, 1.0)
         best = np.minimum(best, np.linalg.norm(ground - (w.p0 + t[:, None] * d), axis=1))
     assert best.min() >= GROUND_CLEARANCE_M - 1e-9
+
+
+@pytest.mark.parametrize(
+    "layout_seed,n_rooms,corridor,radius",
+    [(21, 12, True, 15.0), (5, 24, True, 8.0), (7, 6, False, 12.0), (33, 48, True, 10.0)],
+)
+def test_far_wall_cut_keeps_points_byte_identical(monkeypatch, layout_seed, n_rooms, corridor, radius):
+    # the ground clearance test skips walls beyond radius + clearance;
+    # testing every wall must give the same bytes
+    layout = generate_layout(seed=layout_seed, n_rooms=n_rooms, corridor=corridor, extent_m=48.0)
+    walls = layout.wall_model.walls
+    rng = np.random.default_rng(layout_seed)
+    skipped = 0
+    for seed in range(3):
+        pose = random_interior_pose(layout, rng)
+        args = dict(radius_m=radius, noise_sigma_m=0.03, drop_wall_frac=0.2, clutter_frac=0.1, seed=seed)
+        cut = synthesize_submap(layout.wall_model, pose, **args).submap.points
+        reach = radius + GROUND_CLEARANCE_M + synthetic.CLEARANCE_CUT_MARGIN_M
+        skipped += len(walls) - len(synthetic._walls_within(walls, pose.translation, reach))
+        with monkeypatch.context() as m:
+            m.setattr(synthetic, "_walls_within", lambda walls, center, reach: walls)
+            full = synthesize_submap(layout.wall_model, pose, **args).submap.points
+        assert cut.tobytes() == full.tobytes()
+    assert skipped > 0
 
 
 def test_sensor_far_from_model_raises():
