@@ -11,7 +11,7 @@ import numpy as np
 
 from scan2plan.config import PipelineConfig
 from scan2plan.descriptors import build_db, build_triplets, query_correspondences
-from scan2plan.lines import model_corners
+from scan2plan.lines import extract_corners
 from scan2plan.pipeline import extract_submap_features
 from scan2plan.synthetic import generate_layout, random_interior_pose, synthesize_submap
 from scan2plan.voting import cast_votes, hierarchical_vote
@@ -24,7 +24,7 @@ scene = synthesize_submap(layout.wall_model, gt, radius_m=12.0,
                           noise_sigma_m=0.03, seed=1)
 
 # model side: corners come straight from wall intersections
-corners = model_corners(layout.wall_model.walls)
+corners = extract_corners(layout.wall_model.walls)
 db = build_db(corners, l_max=cfg.l_max)
 print("model: %d corners, %d stored triplet orders under %d keys" % (
     len(corners), db.n_triplets, db.n_keys))

@@ -36,19 +36,15 @@ from .geometry import (
     solve_se2_batch,
 )
 from .ingest import (
-    ScanSequence,
     Submap,
     WallModel,
-    accumulate_submap,
     load_pose,
     load_submap,
     load_wall_model,
     load_wall_models,
     save_pose,
     save_submap,
-    save_wall_model,
     save_wall_models,
-    voxel_downsample,
 )
 from .lines import (
     BevRaster,
@@ -56,7 +52,6 @@ from .lines import (
     detect_segments,
     extract_corners,
     merge_refit,
-    model_corners,
     rasterize_points,
     rasterize_segments,
 )
@@ -81,7 +76,6 @@ from .planes import PlanarPatch, classify_patches, merge_patches, segment_planes
 from .synthetic import (
     FloorLayout,
     SyntheticScene,
-    generate_floorplan,
     generate_layout,
     random_interior_pose,
     synthesize_submap,

@@ -15,8 +15,8 @@ import numpy as np
 from .config import PipelineConfig, echo_config, make_config
 from .descriptors import build_db, build_triplets, deserialize_db, serialize_db
 from .errors import EmptyScene, ParseError, ResolutionMismatch, Scan2PlanError
-from .ingest import load_submap, load_wall_models, save_pose, save_submap, save_wall_models
-from .lines import model_corners
+from .ingest import load_submap, load_wall_model, load_wall_models, save_pose, save_submap, save_wall_models
+from .lines import extract_corners
 from .pipeline import (
     build_floor_index,
     evaluate_scenes,
@@ -121,22 +121,8 @@ def cmd_gen_scene(args) -> int:
 
 def cmd_build_db(args) -> int:
     cfg = _config_of(args)
-    models = load_wall_models(args.model)
-    if args.floor is not None:
-        models = [m for m in models if m.floor_id == args.floor]
-        if not models:
-            raise ParseError("no floor %r in %s" % (args.floor, args.model))
-    if len(models) != 1:
-        raise ParseError(
-            "%s has %d floors; pick one with --floor" % (args.model, len(models))
-        )
-    model = models[0]
-    corners = model_corners(
-        model.walls,
-        extend_m=cfg.extend_m,
-        nms_radius_m=cfg.nms_radius_m,
-        min_angle_deg=cfg.min_angle_deg,
-    )
+    model = load_wall_model(args.model, args.floor)
+    corners = extract_corners(model.walls, cfg.extend_m, cfg.nms_radius_m, cfg.min_angle_deg)
     triplets = build_triplets(corners, cfg.l_max, cfg.r_s, cfg.r_a, cfg.min_angle_deg)
     db = build_db(corners, cfg.l_max, cfg.r_s, cfg.r_a, cfg.min_angle_deg)
     serialize_db(db, args.out)

@@ -15,9 +15,6 @@ _UNSIGNED = ("scoring_max_points", "min_confidence")
 class PipelineConfig:
     """Every tunable of the registration pipeline, with defaults."""
 
-    # submap accumulation
-    r_v: float = 0.8
-    d_s: float = 15.0
     # plane segmentation
     s_v: float = 2.0
     sigma_lambda: float = 10.0

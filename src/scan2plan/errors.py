@@ -13,10 +13,6 @@ class DegenerateTriplet(Scan2PlanError):
     """Corner triplet is collinear or otherwise unusable."""
 
 
-class InsufficientTravel(Scan2PlanError):
-    """Odometry path is shorter than the requested submap span."""
-
-
 class ParseError(Scan2PlanError):
     """A file could not be parsed; message names the offending location."""
 
@@ -34,7 +30,8 @@ class EmptySubmap(Scan2PlanError):
 
 
 class InvalidSubmap(Scan2PlanError):
-    """Submap has a non-finite point or a zero or non-finite gravity vector."""
+    """Submap has a non-finite point, a zero or non-finite gravity vector,
+    or points too far apart for the octree's int64 cell keys."""
 
 
 class EmptyGrid(Scan2PlanError):

@@ -106,12 +106,6 @@ class LineSegment2:
     def transformed(self, pose: Se2Pose) -> "LineSegment2":
         return LineSegment2(pose.apply(self.p0), pose.apply(self.p1))
 
-    def point_distance(self, p: np.ndarray) -> float:
-        """Distance from `p` to the segment (not the infinite line)."""
-        d = self.p1 - self.p0
-        t = np.clip(np.dot(np.asarray(p) - self.p0, d) / np.dot(d, d), 0.0, 1.0)
-        return float(np.linalg.norm(self.p0 + t * d - np.asarray(p)))
-
 
 def solve_se2(src: Sequence, dst: Sequence) -> Tuple[Se2Pose, float]:
     """Least-squares proper-rotation alignment of two matched 2D point sets.

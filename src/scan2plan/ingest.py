@@ -1,4 +1,4 @@
-"""Scan accumulation into submaps, plus wall-model and submap file I/O.
+"""Submaps and wall models, with their file I/O.
 
 Wall models are plain text: one wall per line as `x1 y1 x2 y2` (meters),
 `#` starts a comment, and an optional `floor <id>` header opens a new
@@ -7,25 +7,21 @@ as 3 f32, a u32 point count, then f32 x,y,z triples.
 """
 
 import struct
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyModel, InsufficientTravel, InvalidSubmap, ParseError, VersionMismatch
+from .errors import EmptyModel, InvalidSubmap, ParseError, VersionMismatch
 from .geometry import LineSegment2, Se2Pose
 
 SUBMAP_MAGIC = b"L2B1"
 
 __all__ = [
-    "ScanSequence",
     "Submap",
     "WallModel",
-    "voxel_downsample",
-    "accumulate_submap",
     "load_wall_model",
     "load_wall_models",
-    "save_wall_model",
     "save_wall_models",
     "load_submap",
     "save_submap",
@@ -34,117 +30,40 @@ __all__ = [
 ]
 
 
-def _unit_gravity(gravity) -> np.ndarray:
-    """Normalized gravity; InvalidSubmap when it is zero or not finite."""
-    g = np.asarray(gravity, dtype=float)
-    norm = np.linalg.norm(g)
-    if not (np.isfinite(norm) and norm > 0.0):
-        raise InvalidSubmap("gravity must be finite and non-zero, got %s" % (g,))
-    return g / norm
-
-
-@dataclass
-class ScanSequence:
-    """Consecutive sensor-frame scans with world-frame poses.
-
-    scans: list of (timestamp, (N, 3) point array); poses: matching list
-    of 4x4 world-from-body transforms; gravity: world-frame down vector,
-    normalized on construction (InvalidSubmap if zero or not finite).
-    """
-
-    scans: List[Tuple[float, np.ndarray]]
-    poses: List[np.ndarray]
-    gravity: np.ndarray
-
-    def __post_init__(self):
-        if len(self.scans) != len(self.poses):
-            raise ValueError("scans and poses must have the same length")
-        stamps = [t for t, _ in self.scans]
-        if any(b <= a for a, b in zip(stamps, stamps[1:])):
-            raise ValueError("timestamps must be strictly increasing")
-        self.gravity = _unit_gravity(self.gravity)
-
-
 @dataclass
 class Submap:
-    """World-frame, voxel-downsampled point cloud with its gravity vector."""
+    """World-frame point cloud with its gravity vector, normalized.
+
+    InvalidSubmap when a point is not finite or gravity is zero or not
+    finite.
+    """
 
     points: np.ndarray
     gravity: np.ndarray
-    source_span_m: float = 0.0
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
         if not np.all(np.isfinite(self.points)):
             raise InvalidSubmap("submap has non-finite points")
-        self.gravity = _unit_gravity(self.gravity)
+        g = np.asarray(self.gravity, dtype=float)
+        norm = np.linalg.norm(g)
+        if not (np.isfinite(norm) and norm > 0.0):
+            raise InvalidSubmap("gravity must be finite and non-zero, got %s" % (g,))
+        self.gravity = g / norm
 
 
 @dataclass
 class WallModel:
-    """Per-floor set of 2D wall segments; corners are filled downstream."""
+    """Per-floor set of 2D wall segments."""
 
     floor_id: str
     walls: List[LineSegment2]
-    corners: list = field(default_factory=list)
 
     def as_array(self) -> np.ndarray:
         """Walls as an (W, 4) array of x1 y1 x2 y2 rows."""
         if not self.walls:
             return np.zeros((0, 4))
         return np.array([[w.p0[0], w.p0[1], w.p1[0], w.p1[1]] for w in self.walls])
-
-
-def voxel_downsample(points: np.ndarray, r_v: float) -> np.ndarray:
-    """One representative point (the centroid) per occupied r_v voxel.
-
-    Output rows are ordered by voxel index, so the result is independent
-    of the input point order up to summation rounding.
-    """
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    if pts.shape[0] == 0:
-        return pts
-    keys = np.floor(pts / r_v).astype(np.int64)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    counts = np.bincount(inverse, minlength=uniq.shape[0]).astype(float)
-    out = np.empty((uniq.shape[0], 3))
-    for c in range(3):
-        out[:, c] = np.bincount(inverse, weights=pts[:, c], minlength=uniq.shape[0])
-    return out / counts[:, None]
-
-
-def _path_lengths(poses: Sequence[np.ndarray]) -> np.ndarray:
-    t = np.array([p[:3, 3] for p in poses])
-    steps = np.linalg.norm(np.diff(t, axis=0), axis=1)
-    return np.concatenate([[0.0], np.cumsum(steps)])
-
-
-def accumulate_submap(seq: ScanSequence, r_v: float, d_s: float) -> Submap:
-    """Union the minimum scan prefix spanning d_s meters, then downsample.
-
-    Each scan is mapped into the world frame through its pose before the
-    union; the voxel filter keeps one centroid per r_v cell. d_s <= 0
-    accumulates the whole sequence. Raises InsufficientTravel when the
-    full odometry path is shorter than d_s.
-    """
-    if r_v <= 0.0:
-        raise ValueError("r_v must be positive")
-    if not seq.scans:
-        raise ValueError("empty scan sequence")
-    path = _path_lengths(seq.poses)
-    if d_s > 0.0:
-        if path[-1] < d_s:
-            raise InsufficientTravel(f"path length {path[-1]:.3f} m < d_s {d_s:.3f} m")
-        n = int(np.argmax(path >= d_s)) + 1
-    else:
-        n = len(seq.scans)
-
-    clouds = []
-    for (_, pts), pose in zip(seq.scans[:n], seq.poses[:n]):
-        p = np.asarray(pts, dtype=float).reshape(-1, 3)
-        clouds.append(p @ pose[:3, :3].T + pose[:3, 3])
-    merged = np.vstack(clouds)
-    return Submap(voxel_downsample(merged, r_v), seq.gravity, float(path[n - 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +117,7 @@ def load_wall_model(path, floor_id: Optional[str] = None) -> WallModel:
                 return m
         raise ParseError(f"{path}: no floor {floor_id!r}")
     if len(models) != 1:
-        raise ParseError(f"{path}: file holds {len(models)} floors; pass floor_id")
+        raise ParseError(f"{path}: file holds {len(models)} floors; pick one by floor id")
     return models[0]
 
 
@@ -210,10 +129,6 @@ def save_wall_models(models: Sequence[WallModel], path) -> None:
             lines.append(" ".join(_format_float(v) for v in (w.p0[0], w.p0[1], w.p1[0], w.p1[1])))
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
-
-
-def save_wall_model(model: WallModel, path) -> None:
-    save_wall_models([model], path)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,6 @@ __all__ = [
     "detect_segments",
     "merge_refit",
     "extract_corners",
-    "model_corners",
-    "save_raster_pgm",
 ]
 
 
@@ -313,16 +311,3 @@ def extract_corners(
         if all(np.linalg.norm(c.position - k.position) > nms_radius_m for k in kept):
             kept.append(c)
     return kept
-
-
-def model_corners(walls: Sequence[LineSegment2], **kwargs) -> List[Corner]:
-    """Corner extraction straight from model wall segments."""
-    return extract_corners(walls, **kwargs)
-
-
-def save_raster_pgm(raster: BevRaster, path) -> None:
-    """Debug dump; occupied pixels black, y up."""
-    img = np.where(raster.grid.T[::-1], 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(b"P5\n%d %d\n255\n" % (img.shape[1], img.shape[0]))
-        fh.write(img.tobytes())

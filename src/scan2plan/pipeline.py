@@ -15,10 +15,10 @@ import numpy as np
 
 from .config import PipelineConfig
 from .descriptors import DescriptorDB, Triplets, build_db, build_triplets, query_correspondences
-from .errors import EmptyGrid, EmptyModel, EmptyScene, EmptySubmap, NoCandidates
+from .errors import EmptyGrid, EmptyModel, EmptyScene, EmptySubmap, InvalidSubmap, NoCandidates
 from .geometry import Se2Pose, pose_errors, registration_success
 from .ingest import Submap, WallModel, load_pose, load_submap
-from .lines import Corner, detect_segments, extract_corners, merge_refit, model_corners, rasterize_points
+from .lines import Corner, detect_segments, extract_corners, merge_refit, rasterize_points
 from .planes import classify_patches, merge_patches, segment_planes
 from .verify import ScoreField, build_score_field, reliability_curve, select_best
 from .voting import cast_votes, hierarchical_vote
@@ -88,12 +88,7 @@ class EvalSummary:
 
 def build_floor_index(model: WallModel, cfg: PipelineConfig, db: Optional[DescriptorDB] = None) -> FloorIndex:
     """Prepare one floor; pass a deserialized db to skip rebuilding it."""
-    corners = model_corners(
-        model.walls,
-        extend_m=cfg.extend_m,
-        nms_radius_m=cfg.nms_radius_m,
-        min_angle_deg=cfg.min_angle_deg,
-    )
+    corners = extract_corners(model.walls, cfg.extend_m, cfg.nms_radius_m, cfg.min_angle_deg)
     if db is None:
         db = build_db(corners, cfg.l_max, cfg.r_s, cfg.r_a, cfg.min_angle_deg)
     field = build_score_field(model.walls, cfg.s_r, cfg.k_d)
@@ -111,13 +106,17 @@ def _ground_mask(n_points: int, ground_patches) -> np.ndarray:
 def extract_submap_features(submap: Submap, cfg: PipelineConfig) -> SubmapFeatures:
     """Submap -> wall corners, descriptor DB, and scoring point sets.
 
-    Raises EmptyGrid when no wall surface survives segmentation.
+    Raises EmptyGrid when no wall surface survives segmentation and
+    InvalidSubmap when the points span too many octree cells for int64.
     """
     timings: Dict[str, float] = {}
 
     t0 = time.perf_counter()
     points = submap.points
-    seg = segment_planes(points, cfg.s_v, cfg.sigma_lambda)
+    try:
+        seg = segment_planes(points, cfg.s_v, cfg.sigma_lambda)
+    except ValueError as exc:  # s_v > 0 is validated, so only the extent is left
+        raise InvalidSubmap("submap too large for its octree: %s" % (exc,)) from None
     patches = merge_patches(seg.patches, points, cfg.normal_tol_deg, cfg.dist_tol_m)
     walls, ground, _ = classify_patches(patches, submap.gravity, cfg.gravity_tol_deg)
     g_mask = _ground_mask(points.shape[0], ground)

@@ -101,6 +101,10 @@ def segment_planes(
     for _ in range(MAX_OCTREE_DEPTH + 1):
         if active.shape[0] == 0:
             break
+        # checked as floats: a cast past int64 gives garbage keys, not an error
+        top = np.floor((active.max(axis=0) - origin) / size)
+        if np.any(top >= 2.0**63):
+            raise ValueError("octree cells up to %s exceed int64; raise s_v" % (top,))
         keys = np.floor((active - origin) / size).astype(np.int64)
         packed = _cell_keys(keys)
         # one stable sort gives the cells ascending and each cell's rows in

@@ -32,7 +32,6 @@ __all__ = [
     "FloorLayout",
     "SyntheticScene",
     "generate_layout",
-    "generate_floorplan",
     "synthesize_submap",
     "random_interior_pose",
 ]
@@ -182,10 +181,6 @@ def generate_layout(seed: int, n_rooms: int, corridor: bool, extent_m: float) ->
     walls = _split_at_junctions(raw)
     model = WallModel(str(seed), walls)
     return FloorLayout(model, rooms, corridor_rect)
-
-
-def generate_floorplan(seed: int, n_rooms: int, corridor: bool, extent_m: float) -> WallModel:
-    return generate_layout(seed, n_rooms, corridor, extent_m).wall_model
 
 
 def _clip_to_disc(seg: LineSegment2, center: np.ndarray, radius: float):

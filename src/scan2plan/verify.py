@@ -41,7 +41,6 @@ __all__ = [
     "score_candidate",
     "select_best",
     "reliability_curve",
-    "format_report",
 ]
 
 
@@ -253,27 +252,3 @@ def reliability_curve(labels, scores):
     recall = tp / n_pos
     auc = float(np.sum(np.diff(np.concatenate([[0.0], recall])) * precision))
     return precision, recall, s[idx], auc
-
-
-def format_report(
-    candidates: Sequence[Candidate], results: Sequence[ScoreResult], best_idx: int
-) -> str:
-    """Plain-text table, one candidate per row, best row starred."""
-    lines = ["candidate_idx x y yaw_deg votes s_a s_p confidence"]
-    for i, (c, r) in enumerate(zip(candidates, results)):
-        mark = " *" if i == best_idx else ""
-        lines.append(
-            "%d %.6f %.6f %.6f %d %.3f %.3f %.6f%s"
-            % (
-                i,
-                c.pose.x,
-                c.pose.y,
-                np.degrees(c.pose.yaw),
-                c.votes,
-                r.s_a,
-                r.s_p,
-                r.confidence,
-                mark,
-            )
-        )
-    return "\n".join(lines) + "\n"

@@ -24,7 +24,6 @@ __all__ = [
     "cast_votes",
     "vanilla_vote",
     "hierarchical_vote",
-    "dump_grid_csv",
 ]
 
 
@@ -226,17 +225,3 @@ def hierarchical_vote(
     rank = sorted(range(n_comp), key=lambda i: (-cands[i].merged_score, anchor[i]))
     keep = rank[: j_candidates if j_candidates is not None else n_comp]
     return [cands[i] for i in keep]
-
-
-def dump_grid_csv(grid: VoteGrid, path) -> None:
-    """One row per occupied cell: indices, count and the mean member pose."""
-    ix, iy, iyaw = grid.unpack(grid.packed)
-    with open(path, "w") as fh:
-        fh.write("ix,iy,iyaw,count,mean_x,mean_y,mean_yaw_deg\n")
-        for i in range(grid.packed.shape[0]):
-            c = grid.counts[i]
-            yaw = np.degrees(np.arctan2(grid.sum_sin[i], grid.sum_cos[i]))
-            fh.write(
-                "%d,%d,%d,%d,%.9f,%.9f,%.9f\n"
-                % (ix[i], iy[i], iyaw[i], c, grid.sum_x[i] / c, grid.sum_y[i] / c, yaw)
-            )

@@ -1,7 +1,11 @@
 """CLI subcommands, exit codes, and artifact round trips."""
 
+import struct
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scan2plan.cli import main
 from scan2plan.geometry import Se2Pose, registration_success
@@ -289,3 +293,72 @@ def test_register_db_with_altered_key(tmp_path, capsys):
                  "--model", str(plan), "--db", str(bad)])
     assert code == 2
     assert "stored under key" in capsys.readouterr().err
+
+
+def test_register_far_point_exit_code(tmp_path, capsys):
+    # one finite point at 1e20 m puts octree cells past int64
+    plan, scenes, db = _gen(tmp_path, capsys)
+    raw = (scenes / "scene_0000.submap").read_bytes()
+    pts = np.frombuffer(raw, dtype="<f4", offset=20).reshape(-1, 3)
+    far = np.vstack([pts, [[1e20, 0.0, 0.0]]])
+    bad = tmp_path / "far.submap"
+    _write_submap(bad, np.frombuffer(raw, dtype="<f4", count=3, offset=4), far)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["register", "--submap", str(bad), "--model", str(plan), "--db", str(db)])
+    assert code == 2
+    assert "int64" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+# ---------------------------------------------------------------------------
+# fuzzed input files
+# ---------------------------------------------------------------------------
+
+FUZZ_SETTINGS = settings(max_examples=40, deadline=None, database=None, derandomize=True)
+
+# (offset, replacement bytes); offsets wrap modulo the file size. Both
+# formats keep every field 4-byte aligned, so a multiple-of-4 offset puts
+# an f32 on a submap coordinate, gravity component or count.
+_EDITS = st.one_of(
+    st.tuples(st.integers(0, 2**20), st.binary(min_size=1, max_size=8)),
+    st.tuples(
+        st.integers(0, 2**18).map(lambda i: 4 * i),
+        st.floats(width=32, allow_nan=False, allow_infinity=False).map(lambda v: struct.pack("<f", v)),
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """A small registrable floor: its plan, one scene and its DB."""
+    d = tmp_path_factory.mktemp("fuzz")
+    plan, scenes, db = d / "plan.txt", d / "scenes", d / "f.db"
+    floor = ["--n-rooms", "4", "--extent", "20"]
+    assert main(["gen-floorplan", "--seed", "7", *floor, "--out", str(plan)]) == 0
+    assert main(["gen-scene", "--layout-seed", "7", *floor, "--seed", "3", "--count", "1",
+                 "--radius", "10", "--noise-sigma", "0.02", "--out", str(scenes)]) == 0
+    assert main(["build-db", "--model", str(plan), "--out", str(db)]) == 0
+    return d, plan, {"submap": (scenes / "scene_0000.submap").read_bytes(), "db": db.read_bytes()}
+
+
+@FUZZ_SETTINGS
+@given(
+    target=st.sampled_from(["submap", "db"]),
+    edits=st.lists(_EDITS, max_size=4),
+    cut=st.none() | st.integers(0, 2**20),
+)
+def test_register_fuzzed_files_exit_codes(fuzz_base, target, edits, cut):
+    d, plan, base = fuzz_base
+    data = bytearray(base[target])
+    for off, new in edits:
+        off %= len(data)
+        data[off : off + len(new)] = new[: len(data) - off]
+    if cut is not None:
+        data = data[: cut % len(data)]
+    files = {name: d / ("fuzzed." + name) for name in base}
+    for name, path in files.items():
+        path.write_bytes(bytes(data) if name == target else base[name])
+    code = main(["register", "--submap", str(files["submap"]), "--model", str(plan),
+                 "--db", str(files["db"])])
+    assert code in (0, 2, 3)

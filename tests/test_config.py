@@ -1,9 +1,12 @@
 """Config defaults, file parsing, override precedence, validation."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
+import scan2plan
 from scan2plan.config import PipelineConfig, echo_config, make_config
 from scan2plan.errors import ParseError
 
@@ -13,7 +16,6 @@ from scan2plan.errors import ParseError
 
 def test_default_parameter_values():
     cfg = PipelineConfig()
-    assert cfg.r_v == 0.8
     assert cfg.sigma_lambda == 10.0
     assert cfg.s_i == 60.0
     assert cfg.l_min_px == 30
@@ -92,7 +94,7 @@ def test_positive_required():
     with pytest.raises(ValueError):
         make_config(overrides={"s_r": "-0.2"})
     with pytest.raises(ValueError):
-        make_config(overrides={"r_v": "0"})
+        make_config(overrides={"s_v": "0"})
     with pytest.raises(ValueError):
         make_config(overrides={"threads": "0"})
 
@@ -124,3 +126,19 @@ def test_echo_covers_every_field_in_order():
     lines = echo_config(PipelineConfig()).splitlines()
     names = [f.name for f in dataclasses.fields(PipelineConfig)]
     assert [ln.split("=")[0].strip() for ln in lines] == names
+
+
+# --- reachability -----------------------------------------------------------
+
+
+def test_every_field_is_read_by_the_package():
+    # a knob no stage reads is dead weight in every config file and echo
+    read = set()
+    for path in Path(scan2plan.__file__).parent.glob("*.py"):
+        if path.name == "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "cfg":
+                read.add(node.attr)
+    unread = [f.name for f in dataclasses.fields(PipelineConfig) if f.name not in read]
+    assert unread == []

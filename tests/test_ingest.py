@@ -1,96 +1,22 @@
-"""Tests for submap accumulation and file round trips."""
+"""Submap validation and file round trips."""
 
 import numpy as np
 import pytest
 
-from scan2plan.errors import EmptyModel, InsufficientTravel, InvalidSubmap, ParseError, VersionMismatch
+from scan2plan.errors import EmptyModel, InvalidSubmap, ParseError, VersionMismatch
 from scan2plan.geometry import LineSegment2, Se2Pose
 from scan2plan.ingest import (
-    ScanSequence,
     Submap,
     WallModel,
-    accumulate_submap,
     load_pose,
     load_submap,
     load_wall_model,
     save_pose,
     save_submap,
-    save_wall_model,
-    voxel_downsample,
+    save_wall_models,
 )
 
 DOWN = np.array([0.0, 0.0, -1.0])
-
-
-def pose4(t):
-    m = np.eye(4)
-    m[:3, 3] = t
-    return m
-
-
-def test_single_scan_one_voxel_centroid():
-    rng = np.random.default_rng(0)
-    pts = 0.1 + rng.uniform(0.0, 0.6, size=(8, 3))  # all inside voxel [0, 0.8)^3
-    seq = ScanSequence([(0.0, pts)], [np.eye(4)], DOWN)
-    sub = accumulate_submap(seq, r_v=0.8, d_s=0.0)
-    assert sub.points.shape == (1, 3)
-    assert np.allclose(sub.points[0], pts.mean(axis=0))
-
-
-def test_duplicate_scans_are_idempotent():
-    rng = np.random.default_rng(1)
-    pts = rng.uniform(-5, 5, size=(200, 3))
-    one = accumulate_submap(ScanSequence([(0.0, pts)], [np.eye(4)], DOWN), 0.8, 0.0)
-    two = accumulate_submap(
-        ScanSequence([(0.0, pts), (1.0, pts)], [np.eye(4), np.eye(4)], DOWN), 0.8, 0.0
-    )
-    assert np.allclose(np.sort(one.points, axis=0), np.sort(two.points, axis=0))
-
-
-def test_sparse_grid_survives_downsampling():
-    xs, ys = np.meshgrid(np.arange(10.0), np.arange(10.0))
-    pts = np.column_stack([xs.ravel(), ys.ravel(), np.zeros(100)])
-    seq = ScanSequence([(0.0, pts)], [np.eye(4)], DOWN)
-    sub = accumulate_submap(seq, r_v=0.8, d_s=0.0)
-    assert sub.points.shape[0] == 100
-
-
-def test_prefix_selection_and_span():
-    pts = np.zeros((1, 3))
-    scans = [(float(k), pts) for k in range(5)]
-    poses = [pose4([2.0 * k, 0.0, 0.0]) for k in range(5)]
-    sub = accumulate_submap(ScanSequence(scans, poses, DOWN), 0.5, d_s=3.0)
-    # steps of 2 m: prefix of 3 scans spans 4 m >= 3 m
-    assert sub.source_span_m == pytest.approx(4.0)
-    assert sub.points.shape[0] == 3
-
-
-def test_insufficient_travel():
-    seq = ScanSequence([(0.0, np.zeros((4, 3)))], [np.eye(4)], DOWN)
-    with pytest.raises(InsufficientTravel):
-        accumulate_submap(seq, 0.8, d_s=15.0)
-
-
-def test_downsample_point_budget_and_locality():
-    rng = np.random.default_rng(2)
-    pts = rng.uniform(-10, 10, size=(5000, 3))
-    out = voxel_downsample(pts, 0.8)
-    assert out.shape[0] <= pts.shape[0]
-    # every representative stays within half a voxel diagonal of an input point
-    from scipy.spatial import cKDTree
-
-    d, _ = cKDTree(pts).query(out)
-    assert np.max(d) <= 0.8 * np.sqrt(3) / 2 + 1e-12
-
-
-def test_poses_transform_scans_to_world():
-    pts = np.array([[1.0, 0.0, 0.0]])
-    yaw = np.pi / 2
-    m = np.eye(4)
-    m[:2, :2] = [[np.cos(yaw), -np.sin(yaw)], [np.sin(yaw), np.cos(yaw)]]
-    m[:3, 3] = [5.0, 0.0, 0.0]
-    sub = accumulate_submap(ScanSequence([(0.0, pts)], [m], DOWN), 0.1, 0.0)
-    assert np.allclose(sub.points[0], [5.0, 1.0, 0.0], atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +58,8 @@ def test_wall_model_roundtrip_500_walls(tmp_path):
     model = WallModel("f2", walls)
     f1 = tmp_path / "a.walls"
     f2 = tmp_path / "b.walls"
-    save_wall_model(model, f1)
-    save_wall_model(load_wall_model(f1), f2)
+    save_wall_models([model], f1)
+    save_wall_models([load_wall_model(f1)], f2)
     assert f1.read_bytes() == f2.read_bytes()
     loaded = load_wall_model(f1)
     assert loaded.floor_id == "f2"
@@ -234,10 +160,3 @@ def test_submap_rejects_bad_gravity(tmp_path):
     _raw_submap(f, [0.0, 0.0, 0.0], np.zeros((4, 3)))
     with pytest.raises(InvalidSubmap):
         load_submap(f)
-
-
-def test_scan_sequence_rejects_bad_gravity():
-    pts = np.zeros((4, 3))
-    for g in ([0.0, 0.0, 0.0], [0.0, np.nan, -1.0], [np.inf, 0.0, -1.0]):
-        with pytest.raises(InvalidSubmap):
-            ScanSequence([(0.0, pts)], [np.eye(4)], np.array(g))

@@ -9,10 +9,8 @@ from scan2plan.lines import (
     detect_segments,
     extract_corners,
     merge_refit,
-    model_corners,
     rasterize_points,
     rasterize_segments,
-    save_raster_pgm,
 )
 
 S_I = 60.0
@@ -206,28 +204,13 @@ def test_nms_keeps_spacing():
             assert np.linalg.norm(corners[i].position - corners[j].position) > 0.5
 
 
-def test_model_corners_of_unit_box():
+def test_corners_of_unit_box():
     segs = [
         _seg(0.0, 0.0, 4.0, 0.0),
         _seg(4.0, 0.0, 4.0, 4.0),
         _seg(4.0, 4.0, 0.0, 4.0),
         _seg(0.0, 4.0, 0.0, 0.0),
     ]
-    corners = model_corners(segs)
+    corners = extract_corners(segs)
     got = sorted(tuple(np.round(c.position, 9)) for c in corners)
     assert got == [(0.0, 0.0), (0.0, 4.0), (4.0, 0.0), (4.0, 4.0)]
-
-
-# --- dump ---
-
-
-def test_pgm_dump(tmp_path):
-    r = rasterize_segments([_seg(0.0, 0.0, 1.0, 0.5)], scale=20.0)
-    path = tmp_path / "bev.pgm"
-    save_raster_pgm(r, path)
-    data = path.read_bytes()
-    assert data.startswith(b"P5\n")
-    header, rest = data.split(b"\n255\n", 1)
-    w, h = map(int, header.split(b"\n")[1].split())
-    assert (h, w) == r.grid.T.shape[::-1] == r.grid.shape[::-1] or (w, h) == r.grid.shape
-    assert len(rest) == w * h

@@ -11,8 +11,6 @@ from scan2plan import synthetic
 from scan2plan.ingest import save_submap
 from scan2plan.synthetic import (
     GROUND_CLEARANCE_M,
-    FloorLayout,
-    generate_floorplan,
     generate_layout,
     random_interior_pose,
     synthesize_submap,
@@ -22,7 +20,7 @@ from scan2plan.synthetic import (
 
 
 def test_single_room_is_a_rectangle():
-    model = generate_floorplan(seed=7, n_rooms=1, corridor=False, extent_m=12.0)
+    model = generate_layout(seed=7, n_rooms=1, corridor=False, extent_m=12.0).wall_model
     assert len(model.walls) == 4
     arr = model.as_array()
     xs = np.unique(np.round(np.concatenate([arr[:, 0], arr[:, 2]]), 9))
@@ -42,10 +40,10 @@ def test_room_sides_within_bounds():
 
 
 def test_generator_is_deterministic():
-    a = generate_floorplan(seed=123, n_rooms=8, corridor=True, extent_m=40.0)
-    b = generate_floorplan(seed=123, n_rooms=8, corridor=True, extent_m=40.0)
+    a = generate_layout(seed=123, n_rooms=8, corridor=True, extent_m=40.0).wall_model
+    b = generate_layout(seed=123, n_rooms=8, corridor=True, extent_m=40.0).wall_model
     assert np.array_equal(a.as_array(), b.as_array())
-    c = generate_floorplan(seed=124, n_rooms=8, corridor=True, extent_m=40.0)
+    c = generate_layout(seed=124, n_rooms=8, corridor=True, extent_m=40.0).wall_model
     assert not np.array_equal(a.as_array(), c.as_array())
 
 
@@ -63,7 +61,7 @@ def _proper_crossing(a0, a1, b0, b1):
 
 def test_walls_only_meet_at_shared_endpoints():
     for seed in (0, 5, 11):
-        model = generate_floorplan(seed=seed, n_rooms=12, corridor=True, extent_m=60.0)
+        model = generate_layout(seed=seed, n_rooms=12, corridor=True, extent_m=60.0).wall_model
         segs = [(w.p0, w.p1) for w in model.walls]
         for i in range(len(segs)):
             for j in range(i + 1, len(segs)):

@@ -8,7 +8,6 @@ from scan2plan.geometry import LineSegment2, Se2Pose
 from scan2plan.synthetic import generate_layout, synthesize_submap
 from scan2plan.verify import (
     build_score_field,
-    format_report,
     reliability_curve,
     score_candidate,
     select_best,
@@ -239,22 +238,3 @@ def test_tied_infinite_scores_collapse():
     assert thresholds.shape == (2,)
     assert precision[0] == 1.0
     assert auc == pytest.approx(1.0)
-
-
-# --- report ---
-
-
-def test_report_format():
-    field = build_score_field([_seg(0.0, 0.0, 4.0, 0.0)])
-    pts = np.array([[1.0, 0.05], [2.0, 0.05]])
-    cands = [
-        Candidate(Se2Pose(0.0, 0.0, 0.0), votes=5, merged_score=5, n_cells=1),
-        Candidate(Se2Pose(9.0, 9.0, 1.0), votes=2, merged_score=2, n_cells=1),
-    ]
-    best, results = select_best(field, cands, pts, np.zeros((0, 2)))
-    text = format_report(cands, results, best)
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("candidate_idx")
-    assert len(lines) == 3
-    assert lines[1].endswith("*")
-    assert not lines[2].endswith("*")

@@ -8,13 +8,7 @@ import pytest
 
 from scan2plan.errors import EmptyGrid
 from scan2plan.geometry import Se2Pose, normalize_angle
-from scan2plan.voting import (
-    Candidate,
-    cast_votes,
-    dump_grid_csv,
-    hierarchical_vote,
-    vanilla_vote,
-)
+from scan2plan.voting import cast_votes, hierarchical_vote, vanilla_vote
 
 TRIANGLE = np.array([[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]])
 
@@ -242,22 +236,6 @@ def test_limits_trim_but_keep_strongest():
     assert len(cands) <= 5
     assert cands[0].votes >= 25
     assert np.hypot(cands[0].pose.x - truth.x, cands[0].pose.y - truth.y) < 0.15
-
-
-# --- dump ---
-
-
-def test_grid_csv_dump(tmp_path):
-    rng = np.random.default_rng(5)
-    corrs = _corrs_at(Se2Pose(1.0, 1.0, 0.2), 9, jitter=0.02, rng=rng)
-    grid = cast_votes(_stack(corrs))
-    path = tmp_path / "grid.csv"
-    dump_grid_csv(grid, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "ix,iy,iyaw,count,mean_x,mean_y,mean_yaw_deg"
-    assert len(lines) - 1 == grid.packed.shape[0]
-    total = sum(int(l.split(",")[3]) for l in lines[1:])
-    assert total == 9
 
 
 # --- cell packing ---
