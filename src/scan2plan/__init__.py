@@ -2,9 +2,7 @@
 
 from .config import PipelineConfig, make_config, parse_config_file
 from .descriptors import (
-    CornerTriplet,
     DescriptorDB,
-    TriangleDescriptor,
     Triplets,
     build_db,
     build_triplets,

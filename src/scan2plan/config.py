@@ -1,6 +1,7 @@
 """Pipeline configuration: defaults, config-file parsing, overrides."""
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -53,9 +54,11 @@ class PipelineConfig:
     threads: int = 1
 
     def validate(self) -> None:
-        """Raise ValueError on any out-of-range parameter."""
+        """Raise ValueError on any out-of-range or non-finite parameter."""
         for f in dataclasses.fields(self):
             v = getattr(self, f.name)
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError("%s must be finite, got %r" % (f.name, v))
             if f.name in _UNSIGNED or not isinstance(v, (int, float)):
                 continue
             if v <= 0:

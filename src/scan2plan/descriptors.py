@@ -30,12 +30,7 @@ from .lines import Corner
 DB_MAGIC = b"L2BD"
 DB_VERSION = 1
 
-DescriptorKey = Tuple[int, int, int, int, int, int]
-
 __all__ = [
-    "DescriptorKey",
-    "TriangleDescriptor",
-    "CornerTriplet",
     "Triplets",
     "DescriptorDB",
     "canonical_triplets",
@@ -51,24 +46,6 @@ __all__ = [
 # index sum e + 1 (01, 02, 12), so each order's sides AB, BC, AC are edges:
 _PERMS = np.array(list(permutations(range(3))))
 _PERM_EDGES = _PERMS[:, [0, 1, 0]] + _PERMS[:, [1, 2, 2]] - 1
-
-
-@dataclass(frozen=True)
-class TriangleDescriptor:
-    sides_m: Tuple[float, float, float]  # |AB|, |BC|, |AC|
-    angles_deg: Tuple[float, float, float]  # AB at A, BC at B, AC at C
-    key: DescriptorKey
-    r_s: float
-    r_a: float
-
-
-@dataclass
-class CornerTriplet:
-    """One canonically ordered corner triplet with its descriptor."""
-
-    vertices: np.ndarray  # (3, 2) A, B, C
-    wall_dirs: np.ndarray  # (3, 2, 2) two unit wall directions per vertex
-    descriptor: TriangleDescriptor
 
 
 @dataclass
@@ -193,8 +170,8 @@ def make_descriptor(
     r_s: float = 0.5,
     r_a: float = 3.0,
     min_angle_deg: float = 10.0,
-) -> CornerTriplet:
-    """Canonical descriptor for one corner triplet.
+) -> Triplets:
+    """Canonical descriptor for one corner triplet: the one-row `canonical_triplets`.
 
     Raises DegenerateTriplet for coincident corners or a minimum interior
     angle under min_angle_deg.
@@ -202,10 +179,7 @@ def make_descriptor(
     t = canonical_triplets(positions, wall_dirs, r_s, r_a, min_angle_deg)
     if len(t) == 0:
         raise DegenerateTriplet("coincident corners or an interior angle under %g deg" % min_angle_deg)
-    desc = TriangleDescriptor(
-        tuple(t.sides[0].tolist()), tuple(t.angles[0].tolist()), tuple(t.bins[0].tolist()), r_s, r_a
-    )
-    return CornerTriplet(t.verts[0], t.dirs[0], desc)
+    return t
 
 
 def _clique_triplets(corners: Sequence[Corner], l_max: float):

@@ -110,11 +110,10 @@ class LineSegment2:
 def solve_se2(src: Sequence, dst: Sequence) -> Tuple[Se2Pose, float]:
     """Least-squares proper-rotation alignment of two matched 2D point sets.
 
-    Demeans both sets, forms the 2x2 cross-covariance, takes its SVD and
-    corrects the sign so det(R) = +1, then recovers the translation from
-    the centroids. Returns the pose mapping src onto dst and the RMS of
-    the remaining point errors. Reflected matches are NOT flipped into
-    rotations; they simply come back with a large residual.
+    The one-row call of `solve_se2_batch`. Returns the pose mapping src
+    onto dst and the RMS of the remaining point errors. Reflected matches
+    are NOT flipped into rotations; they come back as the best proper
+    rotation with a large residual.
 
     Raises DegenerateInput when fewer than 2 points are given or all
     source points coincide within 1e-9 m.
@@ -123,53 +122,41 @@ def solve_se2(src: Sequence, dst: Sequence) -> Tuple[Se2Pose, float]:
     d = np.asarray(dst, dtype=float).reshape(-1, 2)
     if s.shape[0] < 2 or s.shape != d.shape:
         raise DegenerateInput("need >= 2 matched point pairs")
-    s_mean = s.mean(axis=0)
-    d_mean = d.mean(axis=0)
-    s_c = s - s_mean
-    d_c = d - d_mean
-    if np.max(np.linalg.norm(s_c, axis=1)) < 1e-9:
+    if np.max(np.linalg.norm(s - s.mean(axis=0), axis=1)) < 1e-9:
         raise DegenerateInput("all source points coincide")
-
-    h = s_c.T @ d_c
-    u, _, vt = np.linalg.svd(h)
-    sign = np.sign(np.linalg.det(vt.T @ u.T))
-    if sign == 0.0:
-        sign = 1.0
-    r = vt.T @ np.diag([1.0, sign]) @ u.T
-    t = d_mean - r @ s_mean
-    yaw = float(np.arctan2(r[1, 0], r[0, 0]))
-    pose = Se2Pose(t[0], t[1], yaw)
-    rms = float(np.sqrt(np.mean(np.sum((s @ r.T + t - d) ** 2, axis=1))))
-    return pose, rms
+    x, y, yaw, rms = solve_se2_batch(s[None], d[None])
+    return Se2Pose(x[0], y[0], yaw[0]), float(rms[0])
 
 
 def solve_se2_batch(src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized solve_se2 over M correspondences of shape (M, K, 2).
+    """Closed-form rigid alignment of M correspondences of shape (M, K, 2).
 
-    Returns arrays (x, y, yaw, rms) of length M. Degenerate rows (all
-    source points coincident) are not rejected here; they produce some
-    finite pose and their residual does the gating downstream.
+    Umeyama's least-squares solution (TPAMI 1991) restricted to proper
+    rotations in 2D: over the demeaned points, the best yaw is
+    atan2(sum(sx*dy - sy*dx), sum(sx*dx + sy*dy)), and the translation
+    maps the source centroid onto the destination centroid. Returns
+    arrays (x, y, yaw, rms) of length M, rms over the K point residuals.
+
+    Degenerate rows are not rejected here: when all source points
+    coincide both sums are zero, so yaw is 0, the centroids still fix the
+    translation and the residual (the spread of dst) does the gating
+    downstream. A mirrored row gets its best proper rotation and a large
+    residual.
     """
     s = np.asarray(src, dtype=float)
     d = np.asarray(dst, dtype=float)
-    s_mean = s.mean(axis=1, keepdims=True)
-    d_mean = d.mean(axis=1, keepdims=True)
-    s_c = s - s_mean
-    d_c = d - d_mean
-
-    h = np.einsum("mki,mkj->mij", s_c, d_c)
-    u, _, vt = np.linalg.svd(h)
-    v = np.swapaxes(vt, 1, 2)
-    det = np.linalg.det(v @ np.swapaxes(u, 1, 2))
-    corr = np.repeat(np.eye(2)[None, :, :], s.shape[0], axis=0)
-    corr[:, 1, 1] = np.where(det < 0.0, -1.0, 1.0)
-    r = v @ corr @ np.swapaxes(u, 1, 2)
-
-    t = d_mean[:, 0, :] - np.einsum("mij,mj->mi", r, s_mean[:, 0, :])
-    yaw = np.arctan2(r[:, 1, 0], r[:, 0, 0])
-    res = np.einsum("mij,mkj->mki", r, s) + t[:, None, :] - d
-    rms = np.sqrt(np.mean(np.sum(res**2, axis=2), axis=1))
-    return t[:, 0], t[:, 1], yaw, rms
+    s_mean = s.mean(axis=1)
+    d_mean = d.mean(axis=1)
+    sx, sy = (s - s_mean[:, None]).transpose(2, 0, 1)
+    dx, dy = (d - d_mean[:, None]).transpose(2, 0, 1)
+    yaw = np.arctan2(np.sum(sx * dy - sy * dx, axis=1), np.sum(sx * dx + sy * dy, axis=1))
+    c, sn = np.cos(yaw), np.sin(yaw)
+    tx = d_mean[:, 0] - (c * s_mean[:, 0] - sn * s_mean[:, 1])
+    ty = d_mean[:, 1] - (sn * s_mean[:, 0] + c * s_mean[:, 1])
+    rx = c[:, None] * s[..., 0] - sn[:, None] * s[..., 1] + tx[:, None] - d[..., 0]
+    ry = sn[:, None] * s[..., 0] + c[:, None] * s[..., 1] + ty[:, None] - d[..., 1]
+    rms = np.sqrt(np.mean(rx**2 + ry**2, axis=1))
+    return tx, ty, yaw, rms
 
 
 def _lift_to_3d(pose: Se2Pose) -> Tuple[np.ndarray, np.ndarray]:

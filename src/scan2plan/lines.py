@@ -13,7 +13,7 @@ on combined support length.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -104,17 +104,12 @@ def rasterize_segments(
     segments: Sequence[LineSegment2],
     scale: float,
     pad_px: int = 2,
-    lo_m: Optional[np.ndarray] = None,
-    hi_m: Optional[np.ndarray] = None,
 ) -> BevRaster:
     """Raster marking every cell touched by any segment."""
     if not segments:
         raise EmptyGrid("no segments to rasterize")
     ends = np.array([[*s.p0, *s.p1] for s in segments])
-    pts = np.vstack([ends[:, :2], ends[:, 2:]])
-    if lo_m is not None:
-        pts = np.vstack([pts, np.asarray(lo_m)[None, :], np.asarray(hi_m)[None, :]])
-    lo, hi = _bounds(pts, pad_px, scale)
+    lo, hi = _bounds(np.vstack([ends[:, :2], ends[:, 2:]]), pad_px, scale)
     grid = np.zeros((int(hi[0] - lo[0]), int(hi[1] - lo[1])), dtype=bool)
     # cells are closed squares: a segment running exactly along a cell
     # boundary touches both sides, so traverse a hairline off each side

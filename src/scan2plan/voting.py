@@ -12,11 +12,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import EmptyGrid
 from .geometry import Se2Pose, normalize_angle, solve_se2_batch
+from .graph import connected_groups
 
 __all__ = [
     "VoteGrid",
@@ -185,43 +184,29 @@ def hierarchical_vote(
 
     # step 1: top L cells by own count
     order1 = np.lexsort((grid.packed, -grid.counts))
-    sel1 = order1[: l_cells if l_cells is not None else n]
+    sel1 = order1[:l_cells]
 
     # step 2: re-rank those by 3x3x3 neighborhood sums over the full grid
     padded = np.concatenate([grid.counts, [0]])
     merged_all = padded[table].sum(axis=1)
     order2 = np.lexsort((grid.packed[sel1], -merged_all[sel1]))
-    sel2 = sel1[order2[: k_cells if k_cells is not None else sel1.shape[0]]]
-    sel2_sorted = np.sort(sel2)
+    kept = np.sort(sel1[order2[:k_cells]])
 
-    # step 3: region growing over kept cells (26-connected, yaw wraps)
-    in_k = np.zeros(n + 1, dtype=bool)
-    in_k[sel2_sorted] = True
-    nb = table[sel2_sorted]
-    nb_in = np.where((nb >= 0) & in_k[np.where(nb >= 0, nb, n)], nb, -1)
-    local = np.searchsorted(sel2_sorted, np.where(nb_in >= 0, nb_in, 0))
-    rows = np.repeat(np.arange(sel2_sorted.shape[0]), 27)
-    cols = local.ravel()
-    mask = (nb_in.ravel() >= 0)
-    graph = coo_matrix(
-        (np.ones(int(mask.sum()), dtype=np.int8), (rows[mask], cols[mask])),
-        shape=(sel2_sorted.shape[0], sel2_sorted.shape[0]),
-    )
-    n_comp, labels = connected_components(graph, directed=False)
-
-    # members of each component, grouped by label and ascending within it;
-    # a group's first member is its anchor
-    members = sel2_sorted[np.argsort(labels, kind="stable")]
-    sizes = np.bincount(labels, minlength=n_comp)
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    grouped = _cell_arrays(grid, members)
-    merged = merged_all[members]
+    # step 3: region growing over kept cells (26-connected, yaw wraps);
+    # local maps a cell to its kept row, and absent neighbours (-1) read
+    # the spare last slot, so both drop out of the edges
+    local = np.full(n + 1, -1, dtype=np.int64)
+    local[kept] = np.arange(kept.shape[0])
+    nb = local[table[kept]]
+    rows, cols = np.nonzero(nb >= 0)
+    grouped = _cell_arrays(grid, kept)
+    merged = merged_all[kept]
     cands: List[Candidate] = []
-    for s, e in zip(starts.tolist(), ends.tolist()):
-        pose, votes = _group_pose(*(a[s:e] for a in grouped))
-        cands.append(Candidate(pose, votes, merged_score=int(merged[s:e].max()), n_cells=e - s))
-    anchor = grid.packed[members[starts]]
-    rank = sorted(range(n_comp), key=lambda i: (-cands[i].merged_score, anchor[i]))
-    keep = rank[: j_candidates if j_candidates is not None else n_comp]
-    return [cands[i] for i in keep]
+    anchor: List[int] = []
+    for g in connected_groups(kept.shape[0], rows, nb[rows, cols]):
+        pose, votes = _group_pose(*(a[g] for a in grouped))
+        cands.append(Candidate(pose, votes, merged_score=int(merged[g].max()), n_cells=g.shape[0]))
+        anchor.append(int(grid.packed[kept[g[0]]]))
+    # (-merged_score, anchor) is unique, so the order of the groups does not matter
+    rank = sorted(range(len(cands)), key=lambda i: (-cands[i].merged_score, anchor[i]))
+    return [cands[i] for i in rank[:j_candidates]]

@@ -1,4 +1,4 @@
-"""Reference oracle: candidate scoring and vote clustering as first written.
+"""Reference oracle: the back end as first written.
 
 The score field looked up through a bounds mask and a masked 2-D fancy
 index, one `pose.apply` + `value_at` pair per scored point set, and the
@@ -6,6 +6,10 @@ region-growing step that scans `labels == comp` for every component and
 sums member cells through `np.sum`. The package's bordered-field scoring
 and grouped clustering must reproduce these bit for bit;
 `test_backend_oracle.py` checks that.
+
+The SE(2) solvers took the SVD of the 2x2 cross-covariance and fixed the
+sign so det(R) = +1. The package's closed form is not bit-exact with
+them; `test_geometry.py` bounds the difference.
 """
 
 from typing import List, Optional, Sequence, Tuple
@@ -14,10 +18,58 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from scan2plan.errors import EmptyGrid, EmptySubmap, NoCandidates
+from scan2plan.errors import DegenerateInput, EmptyGrid, EmptySubmap, NoCandidates
 from scan2plan.geometry import Se2Pose
 from scan2plan.verify import ScoreResult, _confidence
 from scan2plan.voting import Candidate, VoteGrid, _neighbor_table
+
+
+def solve_se2(src: Sequence, dst: Sequence) -> Tuple[Se2Pose, float]:
+    s = np.asarray(src, dtype=float).reshape(-1, 2)
+    d = np.asarray(dst, dtype=float).reshape(-1, 2)
+    if s.shape[0] < 2 or s.shape != d.shape:
+        raise DegenerateInput("need >= 2 matched point pairs")
+    s_mean = s.mean(axis=0)
+    d_mean = d.mean(axis=0)
+    s_c = s - s_mean
+    d_c = d - d_mean
+    if np.max(np.linalg.norm(s_c, axis=1)) < 1e-9:
+        raise DegenerateInput("all source points coincide")
+
+    h = s_c.T @ d_c
+    u, _, vt = np.linalg.svd(h)
+    sign = np.sign(np.linalg.det(vt.T @ u.T))
+    if sign == 0.0:
+        sign = 1.0
+    r = vt.T @ np.diag([1.0, sign]) @ u.T
+    t = d_mean - r @ s_mean
+    yaw = float(np.arctan2(r[1, 0], r[0, 0]))
+    pose = Se2Pose(t[0], t[1], yaw)
+    rms = float(np.sqrt(np.mean(np.sum((s @ r.T + t - d) ** 2, axis=1))))
+    return pose, rms
+
+
+def solve_se2_batch(src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    s = np.asarray(src, dtype=float)
+    d = np.asarray(dst, dtype=float)
+    s_mean = s.mean(axis=1, keepdims=True)
+    d_mean = d.mean(axis=1, keepdims=True)
+    s_c = s - s_mean
+    d_c = d - d_mean
+
+    h = np.einsum("mki,mkj->mij", s_c, d_c)
+    u, _, vt = np.linalg.svd(h)
+    v = np.swapaxes(vt, 1, 2)
+    det = np.linalg.det(v @ np.swapaxes(u, 1, 2))
+    corr = np.repeat(np.eye(2)[None, :, :], s.shape[0], axis=0)
+    corr[:, 1, 1] = np.where(det < 0.0, -1.0, 1.0)
+    r = v @ corr @ np.swapaxes(u, 1, 2)
+
+    t = d_mean[:, 0, :] - np.einsum("mij,mj->mi", r, s_mean[:, 0, :])
+    yaw = np.arctan2(r[:, 1, 0], r[:, 0, 0])
+    res = np.einsum("mij,mkj->mki", r, s) + t[:, None, :] - d
+    rms = np.sqrt(np.mean(np.sum(res**2, axis=2), axis=1))
+    return t[:, 0], t[:, 1], yaw, rms
 
 
 def value_at(field, points_m: np.ndarray) -> np.ndarray:

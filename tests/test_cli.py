@@ -244,6 +244,14 @@ def test_bad_parameter_value(tmp_path, capsys):
     assert code == 2  # the same mistake inside a config file is bad data
 
 
+def test_non_finite_parameter_exit_code(tmp_path, capsys):
+    plan, scenes, _ = _gen(tmp_path, capsys)
+    scene = sorted(scenes.glob("*.submap"))[0]
+    code = main(["register", "--submap", str(scene), "--model", str(plan), "--s_v", "nan"])
+    assert code == 1
+    assert "s_v" in capsys.readouterr().err
+
+
 def test_config_file_flag(tmp_path, capsys):
     plan = tmp_path / "sq.txt"
     plan.write_text(UNIT_SQUARE)

@@ -99,6 +99,20 @@ def test_positive_required():
         make_config(overrides={"threads": "0"})
 
 
+@pytest.mark.parametrize(
+    "key, text",
+    [("s_v", "nan"), ("lam", "nan"), ("min_confidence", "nan"), ("min_confidence", "-inf"),
+     ("s_i", "inf"), ("s_r", "nan"), ("residual_max_m", "inf")],
+)
+def test_non_finite_rejected(tmp_path, key, text):
+    with pytest.raises(ValueError, match=key):
+        make_config(overrides={key: text})
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text("%s = %s\n" % (key, text))
+    with pytest.raises(ValueError, match=key):
+        make_config(cfgf)
+
+
 def test_unknown_variant_rejected():
     with pytest.raises(ValueError):
         make_config(overrides={"variant": "magic"})

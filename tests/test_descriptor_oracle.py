@@ -127,10 +127,10 @@ def test_make_descriptor_matches_oracle(corners, min_angle_deg):
         assert want is None
         return
     v, dd, (sides, angles, key) = want
-    assert _bits(got.vertices) == _bits(v) and _bits(got.wall_dirs) == _bits(dd)
-    assert _bits(got.descriptor.sides_m) == _bits(sides)
-    assert _bits(got.descriptor.angles_deg) == _bits(angles)
-    assert got.descriptor.key == key
+    assert _bits(got.verts[0]) == _bits(v) and _bits(got.dirs[0]) == _bits(dd)
+    assert _bits(got.sides[0]) == _bits(sides)
+    assert _bits(got.angles[0]) == _bits(angles)
+    assert tuple(got.bins[0].tolist()) == key
 
 
 @SETTINGS

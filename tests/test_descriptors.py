@@ -44,16 +44,16 @@ def test_right_isoceles_descriptor():
     pos = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
     dirs = np.array([XY_DIRS, XY_DIRS, XY_DIRS])
     t = make_descriptor(pos, dirs)
-    s = t.descriptor.sides_m
+    s = t.sides[0]
     assert s[0] == pytest.approx(3.0, abs=1e-12)
     assert s[1] == pytest.approx(3.0, abs=1e-12)
     assert s[2] == pytest.approx(3.0 * np.sqrt(2.0), abs=1e-12)
-    a = t.descriptor.angles_deg
+    a = t.angles[0]
     # axis-aligned legs run along the walls; the hypotenuse sits at 45 deg
     assert a[0] == pytest.approx(0.0, abs=1e-9)
     assert a[1] == pytest.approx(0.0, abs=1e-9)
     assert a[2] == pytest.approx(45.0, abs=1e-9)
-    assert t.descriptor.key == (6, 6, 8, 0, 0, 15)
+    assert tuple(t.bins[0].tolist()) == (6, 6, 8, 0, 0, 15)
 
 
 def test_side_order_is_canonical():
@@ -66,11 +66,11 @@ def test_side_order_is_canonical():
             t = make_descriptor(pos, dirs)
         except DegenerateTriplet:
             continue
-        ab, bc, ac = t.descriptor.sides_m
+        ab, bc, ac = t.sides[0]
         assert ab <= bc + 1e-9 <= ac + 2e-9
-        assert np.linalg.norm(t.vertices[1] - t.vertices[0]) == pytest.approx(ab)
-        assert np.linalg.norm(t.vertices[2] - t.vertices[1]) == pytest.approx(bc)
-        assert np.linalg.norm(t.vertices[2] - t.vertices[0]) == pytest.approx(ac)
+        assert np.linalg.norm(t.verts[0][1] - t.verts[0][0]) == pytest.approx(ab)
+        assert np.linalg.norm(t.verts[0][2] - t.verts[0][1]) == pytest.approx(bc)
+        assert np.linalg.norm(t.verts[0][2] - t.verts[0][0]) == pytest.approx(ac)
 
 
 def test_descriptor_rigid_invariance():
@@ -86,9 +86,9 @@ def test_descriptor_rigid_invariance():
         except DegenerateTriplet:
             continue
         t1 = make_descriptor(pose.apply(pos), dirs @ r.T)
-        assert np.allclose(t0.descriptor.sides_m, t1.descriptor.sides_m, atol=1e-9)
-        assert np.allclose(t0.descriptor.angles_deg, t1.descriptor.angles_deg, atol=1e-7)
-        assert t0.descriptor.key == t1.descriptor.key
+        assert np.allclose(t0.sides[0], t1.sides[0], atol=1e-9)
+        assert np.allclose(t0.angles[0], t1.angles[0], atol=1e-7)
+        assert tuple(t0.bins[0].tolist()) == tuple(t1.bins[0].tolist())
 
 
 def test_degenerate_triplets_raise():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scalar_backend as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -137,11 +138,52 @@ def test_solve_batch_matches_scalar():
     dst = rng.uniform(-10, 10, size=(250, 3, 2))
     xs, ys, yaws, rmss = solve_se2_batch(src, dst)
     for i in range(src.shape[0]):
-        pose, rms = solve_se2(src[i], dst[i])
+        pose, rms = ref.solve_se2(src[i], dst[i])
         assert abs(xs[i] - pose.x) < 1e-9
         assert abs(ys[i] - pose.y) < 1e-9
         assert abs(normalize_angle(yaws[i] - pose.yaw)) < 1e-9
         assert abs(rmss[i] - rms) < 1e-9
+
+
+GATE_M = 0.3  # the default residual_max_m
+
+
+@st.composite
+def matched_sets(draw):
+    """(M, K, 2) source rows and their noisy rigid or mirrored images."""
+    k = draw(st.integers(2, 6))
+    m = draw(st.integers(1, 40))
+    offset = draw(st.sampled_from([0.0, 1.0, 30.0, 1e3]))
+    sigma = draw(st.sampled_from([0.0, 1e-6, 0.05, 0.2, 0.3, 1.0]))
+    flip = np.array([-1.0, 1.0]) if draw(st.booleans()) else np.ones(2)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    src = rng.uniform(-10.0, 10.0, (m, k, 2)) + rng.uniform(-offset, offset, (m, 1, 2))
+    yaw = rng.uniform(-np.pi, np.pi, m)
+    c, s = np.cos(yaw)[:, None], np.sin(yaw)[:, None]
+    mx, my = (src * flip).transpose(2, 0, 1)
+    dst = np.stack([c * mx - s * my, s * mx + c * my], axis=2)
+    dst += rng.uniform(-offset, offset, (m, 1, 2)) + rng.normal(0.0, sigma, (m, k, 2))
+    return src, dst
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(matched_sets())
+def test_solve_batch_matches_svd_oracle_on_rigid_and_mirrored_sets(sets):
+    src, dst = sets
+    got = solve_se2_batch(src, dst)
+    want = ref.solve_se2_batch(src, dst)
+    scale = 1.0 + np.maximum(np.abs(src).max(axis=(1, 2)), np.abs(dst).max(axis=(1, 2)))
+    # yaw is fixed only up to rounding / |sum(conj(s) d)|; that sum vanishes
+    # when a mirrored set's cross-covariance has equal singular values
+    sc = (src - src.mean(axis=1, keepdims=True)) @ [1.0, 1j]
+    dc = (dst - dst.mean(axis=1, keepdims=True)) @ [1.0, 1j]
+    posed = np.abs(np.sum(sc.conj() * dc, axis=1)) >= 1e-2 * np.sum(np.abs(sc) * np.abs(dc), axis=1)
+    assert np.all(np.abs(got[0] - want[0])[posed] <= 1e-12 * scale[posed])
+    assert np.all(np.abs(got[1] - want[1])[posed] <= 1e-12 * scale[posed])
+    assert np.all(np.abs(normalize_angle(got[2] - want[2]))[posed] <= 1e-12)
+    assert np.all(np.abs(got[3] - want[3]) <= 1e-12 * scale)
+    clear = np.abs(want[3] - GATE_M) > 1e-9
+    assert np.array_equal((got[3] <= GATE_M)[clear], (want[3] <= GATE_M)[clear])
 
 
 # ---------------------------------------------------------------------------

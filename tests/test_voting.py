@@ -1,11 +1,14 @@
 """Pose voting tests."""
 
+import ast
 import collections
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scan2plan
 from scan2plan.errors import EmptyGrid
 from scan2plan.geometry import Se2Pose, normalize_angle
 from scan2plan.voting import cast_votes, hierarchical_vote, vanilla_vote
@@ -260,3 +263,19 @@ def test_far_translation_unpacks_exactly():
     # neighbouring cells still merge into one candidate
     (cand,) = hierarchical_vote(grid)
     assert cand.votes == 2 and cand.n_cells == 2
+
+
+def test_only_graph_imports_csgraph():
+    # one connected-components helper: grouping goes through graph.connected_groups
+    importers = set()
+    for path in Path(scan2plan.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + ["%s.%s" % (node.module, a.name) for a in node.names]
+            else:
+                continue
+            if any(n.startswith("scipy.sparse.csgraph") for n in names):
+                importers.add(path.name)
+    assert importers == {"graph.py"}
