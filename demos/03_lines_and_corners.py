@@ -40,7 +40,8 @@ for s in segments[:5]:
 # corners are intersections of nearby non-parallel segments
 corners = extract_corners(segments, extend_m=1.0, nms_radius_m=0.5)
 print("%d corners" % len(corners))
-for c in corners[:5]:
-    ang = np.degrees(np.arctan2(c.dirs[:, 1], c.dirs[:, 0]))
+# one row per corner, strongest (largest wall support) first
+for p, d in zip(corners.pos[:5], corners.dirs[:5]):
+    ang = np.degrees(np.arctan2(d[:, 1], d[:, 0]))
     print("  (%6.2f, %6.2f) between walls at %6.1f and %6.1f deg" % (
-        c.position[0], c.position[1], ang[0], ang[1]))
+        p[0], p[1], ang[0], ang[1]))

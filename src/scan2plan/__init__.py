@@ -18,6 +18,7 @@ from .errors import (
     EmptyModel,
     EmptyScene,
     EmptySubmap,
+    InvalidModel,
     InvalidSubmap,
     NoCandidates,
     ParseError,
@@ -46,7 +47,7 @@ from .ingest import (
 )
 from .lines import (
     BevRaster,
-    Corner,
+    Corners,
     detect_segments,
     extract_corners,
     merge_refit,

@@ -20,12 +20,12 @@ import math
 import struct
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import DegenerateTriplet, ParseError, ResolutionMismatch, VersionMismatch
-from .lines import Corner
+from .lines import Corners
 
 DB_MAGIC = b"L2BD"
 DB_VERSION = 1
@@ -182,19 +182,17 @@ def make_descriptor(
     return t
 
 
-def _clique_triplets(corners: Sequence[Corner], l_max: float):
+def _clique_triplets(corners: Corners, l_max: float):
     """Vertices and wall directions of the l_max graph's 3-cliques, (i < j < k) ascending."""
-    pos = np.array([c.position for c in corners], dtype=np.float64).reshape(-1, 2)
-    dirs = np.array([c.dirs for c in corners], dtype=np.float64).reshape(-1, 2, 2)
-    upper = np.triu(np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2) <= l_max, 1)
+    upper = np.triu(np.linalg.norm(corners.pos[:, None, :] - corners.pos[None, :, :], axis=2) <= l_max, 1)
     i, j = np.nonzero(upper)
     edge, k = np.nonzero(upper[i] & upper[j])  # k > j adjacent to both i and j
     ijk = np.stack([i[edge], j[edge], k], axis=1)
-    return pos[ijk], dirs[ijk]
+    return corners.pos[ijk], corners.dirs[ijk]
 
 
 def build_triplets(
-    corners: Sequence[Corner],
+    corners: Corners,
     l_max: float = 30.0,
     r_s: float = 0.5,
     r_a: float = 3.0,
@@ -206,7 +204,7 @@ def build_triplets(
 
 
 def build_db(
-    corners: Sequence[Corner],
+    corners: Corners,
     l_max: float = 30.0,
     r_s: float = 0.5,
     r_a: float = 3.0,

@@ -10,7 +10,7 @@ class DegenerateInput(Scan2PlanError):
 
 
 class DegenerateTriplet(Scan2PlanError):
-    """Corner triplet is collinear or otherwise unusable."""
+    """A corner triplet is collinear or otherwise unusable."""
 
 
 class ParseError(Scan2PlanError):
@@ -19,6 +19,10 @@ class ParseError(Scan2PlanError):
 
 class EmptyModel(Scan2PlanError):
     """Wall model contains no walls."""
+
+
+class InvalidModel(Scan2PlanError):
+    """Wall model spans too large a score-field raster."""
 
 
 class EmptyScene(Scan2PlanError):

@@ -8,8 +8,9 @@ theta row at a time, peaks are visited strongest first, and each claimed
 run's votes are taken back out, so a peak its claims exhaust is skipped
 without a band test. Near-collinear segments with close endpoints are
 chained by connected components and refit. Corners are intersections of
-extended non-parallel segments, deduplicated by non-maximum suppression
-on combined support length.
+extended non-parallel segments, all pairs tested at once as arrays, then
+deduplicated by greedy non-maximum suppression on combined support
+length; they match the per-pair loop of `tests/scalar_frontend.py` bit for bit.
 """
 
 from dataclasses import dataclass
@@ -21,9 +22,12 @@ from .errors import EmptyGrid
 from .geometry import LineSegment2
 from .graph import connected_groups
 
+# largest segment raster; the biggest generated floor needs 131,835 cells
+MAX_RASTER_CELLS = 2**26
+
 __all__ = [
     "BevRaster",
-    "Corner",
+    "Corners",
     "rasterize_points",
     "rasterize_segments",
     "detect_segments",
@@ -48,12 +52,15 @@ class BevRaster:
 
 
 @dataclass
-class Corner:
-    """A wall-intersection landmark with the two incident wall directions."""
+class Corners:
+    """Wall-intersection landmarks, one row each, strongest first."""
 
-    position: np.ndarray  # (2,)
-    dirs: np.ndarray  # (2, 2) unit directions of the incident walls
-    support: float  # combined incident wall length, meters
+    pos: np.ndarray  # (N, 2)
+    dirs: np.ndarray  # (N, 2, 2) unit directions of the two incident walls
+    support: np.ndarray  # (N,) combined incident wall length, meters
+
+    def __len__(self) -> int:
+        return self.pos.shape[0]
 
 
 def _bounds(points_m: np.ndarray, pad_px: int, scale: float):
@@ -105,11 +112,22 @@ def rasterize_segments(
     scale: float,
     pad_px: int = 2,
 ) -> BevRaster:
-    """Raster marking every cell touched by any segment."""
+    """Raster marking every cell touched by any segment.
+
+    Raises ValueError when the raster would exceed MAX_RASTER_CELLS.
+    """
     if not segments:
         raise EmptyGrid("no segments to rasterize")
-    ends = np.array([[*s.p0, *s.p1] for s in segments])
-    lo, hi = _bounds(np.vstack([ends[:, :2], ends[:, 2:]]), pad_px, scale)
+    pts = np.array([p for s in segments for p in (s.p0, s.p1)])
+    # checked in floats, before the int cast and the allocation
+    with np.errstate(over="ignore", invalid="ignore"):
+        shape = np.floor(pts.max(axis=0) * scale) - np.floor(pts.min(axis=0) * scale) + 2 * pad_px + 1
+        fits = np.prod(shape) <= MAX_RASTER_CELLS
+    if not fits:
+        raise ValueError(
+            "a %g x %g raster at %g px/m exceeds %d cells" % (shape[0], shape[1], scale, MAX_RASTER_CELLS)
+        )
+    lo, hi = _bounds(pts, pad_px, scale)
     grid = np.zeros((int(hi[0] - lo[0]), int(hi[1] - lo[1])), dtype=bool)
     # cells are closed squares: a segment running exactly along a cell
     # boundary touches both sides, so traverse a hairline off each side
@@ -278,31 +296,29 @@ def extract_corners(
     extend_m: float = 1.0,
     nms_radius_m: float = 0.5,
     min_angle_deg: float = 10.0,
-) -> List[Corner]:
-    """Intersect extended non-parallel segment pairs, then NMS by support."""
-    candidates: List[Corner] = []
-    sin_min = np.sin(np.radians(min_angle_deg))
-    for i in range(len(segments)):
-        a = segments[i]
-        da = a.direction
-        for j in range(i + 1, len(segments)):
-            b = segments[j]
-            db = b.direction
-            cross = da[0] * db[1] - da[1] * db[0]
-            if abs(cross) < sin_min:
-                continue
-            rhs = b.p0 - a.p0
-            t = (rhs[0] * db[1] - rhs[1] * db[0]) / cross
-            u = (rhs[0] * da[1] - rhs[1] * da[0]) / cross
-            if -extend_m <= t <= a.length + extend_m and -extend_m <= u <= b.length + extend_m:
-                candidates.append(
-                    Corner(a.p0 + t * da, np.array([da, db]), a.length + b.length)
-                )
-    candidates.sort(
-        key=lambda c: (-c.support, tuple(np.round(c.position, 9)))
-    )
-    kept: List[Corner] = []
-    for c in candidates:
-        if all(np.linalg.norm(c.position - k.position) > nms_radius_m for k in kept):
+) -> Corners:
+    """Intersect extended non-parallel segment pairs, then NMS by support, position, pair order."""
+    ends = np.array([[s.p0, s.p1] for s in segments], dtype=np.float64).reshape(-1, 2, 2)
+    p0, d = ends[:, 0], ends[:, 1] - ends[:, 0]
+    length = np.sqrt(np.vecdot(d, d))  # the BLAS dot of np.linalg.norm, as in LineSegment2
+    dirs = d / length[:, None]
+    i, j = np.triu_indices(ends.shape[0], 1)
+    cross = dirs[i, 0] * dirs[j, 1] - dirs[i, 1] * dirs[j, 0]
+    steep = np.abs(cross) >= np.sin(np.radians(min_angle_deg))
+    i, j, cross = i[steep], j[steep], cross[steep]
+    rhs = p0[j] - p0[i]
+    t = (rhs[:, 0] * dirs[j, 1] - rhs[:, 1] * dirs[j, 0]) / cross
+    u = (rhs[:, 0] * dirs[i, 1] - rhs[:, 1] * dirs[i, 0]) / cross
+    hit = (-extend_m <= t) & (t <= length[i] + extend_m) & (-extend_m <= u) & (u <= length[j] + extend_m)
+    i, j, t = i[hit], j[hit], t[hit]
+    pos = p0[i] + t[:, None] * dirs[i]
+    support = length[i] + length[j]
+    r = np.round(pos, 9)
+    order = np.lexsort((r[:, 1], r[:, 0], -support))
+    kept, kept_pos = [], np.empty_like(pos)
+    for c in order:
+        g = pos[c] - kept_pos[: len(kept)]
+        if np.all(np.sqrt(np.vecdot(g, g)) > nms_radius_m):
+            kept_pos[len(kept)] = pos[c]
             kept.append(c)
-    return kept
+    return Corners(pos[kept], np.stack([dirs[i[kept]], dirs[j[kept]]], axis=1), support[kept])

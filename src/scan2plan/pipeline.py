@@ -15,10 +15,10 @@ import numpy as np
 
 from .config import PipelineConfig
 from .descriptors import DescriptorDB, Triplets, build_db, build_triplets, query_correspondences
-from .errors import EmptyGrid, EmptyModel, EmptyScene, EmptySubmap, InvalidSubmap, NoCandidates
+from .errors import EmptyGrid, EmptyModel, EmptyScene, EmptySubmap, InvalidModel, InvalidSubmap, NoCandidates
 from .geometry import Se2Pose, pose_errors, registration_success
 from .ingest import Submap, WallModel, load_pose, load_submap
-from .lines import Corner, detect_segments, extract_corners, merge_refit, rasterize_points
+from .lines import Corners, detect_segments, extract_corners, merge_refit, rasterize_points
 from .planes import classify_patches, merge_patches, segment_planes
 from .verify import ScoreField, build_score_field, reliability_curve, select_best
 from .voting import cast_votes, hierarchical_vote
@@ -33,7 +33,7 @@ class FloorIndex:
     """Per-floor assets prepared offline: corners, DB, score field."""
 
     model: WallModel
-    corners: List[Corner]
+    corners: Corners
     db: DescriptorDB
     field: ScoreField
 
@@ -42,7 +42,7 @@ class FloorIndex:
 class SubmapFeatures:
     """Everything extracted from one submap, reusable across floors."""
 
-    corners: List[Corner]
+    corners: Corners
     triplets: Triplets
     q_ng_xy: np.ndarray
     q_g_xy: np.ndarray
@@ -87,11 +87,17 @@ class EvalSummary:
 
 
 def build_floor_index(model: WallModel, cfg: PipelineConfig, db: Optional[DescriptorDB] = None) -> FloorIndex:
-    """Prepare one floor; pass a deserialized db to skip rebuilding it."""
+    """Prepare one floor; pass a deserialized db to skip rebuilding it.
+
+    Raises InvalidModel when the walls span too large a score field.
+    """
     corners = extract_corners(model.walls, cfg.extend_m, cfg.nms_radius_m, cfg.min_angle_deg)
     if db is None:
         db = build_db(corners, cfg.l_max, cfg.r_s, cfg.r_a, cfg.min_angle_deg)
-    field = build_score_field(model.walls, cfg.s_r, cfg.k_d)
+    try:
+        field = build_score_field(model.walls, cfg.s_r, cfg.k_d)
+    except ValueError as exc:  # k_d >= 1 is validated, so only the extent is left
+        raise InvalidModel("floor %s: %s" % (model.floor_id, exc)) from None
     return FloorIndex(model, corners, db, field)
 
 

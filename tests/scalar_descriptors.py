@@ -6,11 +6,14 @@ layer must reproduce it bit for bit; `test_descriptor_oracle.py` checks
 that. Triplets come back as (vertices, wall_dirs, key) tuples, the DB as
 a dict of key -> [(vertices, wall_dirs)] in insertion order, and
 correspondences as (src, dst) vertex pairs in query-then-bucket order.
+Corner sets arrive as the package's `Corners` arrays and are walked as
+the per-corner objects of `scalar_frontend`.
 """
 
 from itertools import combinations, permutations
 
 import numpy as np
+from scalar_frontend import Corner
 
 
 class Degenerate(Exception):
@@ -99,6 +102,11 @@ def make_descriptor(positions, wall_dirs, r_s=0.5, r_a=3.0, min_angle_deg=10.0):
     return p, d, describe_order(p, d, r_s, r_a)
 
 
+def corner_objects(corners):
+    """One `Corner` per row of a `Corners`."""
+    return [Corner(p, d, s) for p, d, s in zip(corners.pos, corners.dirs, corners.support)]
+
+
 def _cliques(corners, l_max):
     pos = np.array([c.position for c in corners])
     dmat = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
@@ -110,6 +118,7 @@ def _cliques(corners, l_max):
 
 def build_triplets(corners, l_max=30.0, r_s=0.5, r_a=3.0, min_angle_deg=10.0):
     """[(vertices, wall_dirs, key)] in (i < j < k) order."""
+    corners = corner_objects(corners)
     if len(corners) < 3:
         return []
     out = []
@@ -125,6 +134,7 @@ def build_triplets(corners, l_max=30.0, r_s=0.5, r_a=3.0, min_angle_deg=10.0):
 def build_db(corners, l_max=30.0, r_s=0.5, r_a=3.0, min_angle_deg=10.0):
     """{key: [(vertices, wall_dirs)]} with every tied-bin order stored."""
     buckets = {}
+    corners = corner_objects(corners)
     if len(corners) < 3:
         return buckets
     for p, d in _cliques(corners, l_max):

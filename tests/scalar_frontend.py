@@ -3,7 +3,9 @@
 The octree segmentation that copies point blocks into each patch, the
 union-find patch merge and segment chaining, the Hough detector with a
 full `(P, theta_bins)` rho table and one accumulator-sized `bincount`
-per claimed run, and the ground mask that hashes every point's bytes.
+per claimed run, the corner loop over segment pairs that builds one
+`Corner` per intersection, and the ground mask that hashes every point's
+bytes.
 The package's index-based front end must reproduce these bit for bit;
 `test_frontend_oracle.py` checks that. Patches here carry `points`, the
 package's carry `idx` into the segmented array.
@@ -330,6 +332,50 @@ def merge_refit(
         out.append(LineSegment2(fit[0], fit[1]))
     out.sort(key=lambda s: (tuple(np.round(s.p0, 9)), tuple(np.round(s.p1, 9))))
     return out
+
+
+@dataclass
+class Corner:
+    """A wall-intersection landmark with the two incident wall directions."""
+
+    position: np.ndarray  # (2,)
+    dirs: np.ndarray  # (2, 2) unit directions of the incident walls
+    support: float  # combined incident wall length, meters
+
+
+def extract_corners(
+    segments: Sequence[LineSegment2],
+    extend_m: float = 1.0,
+    nms_radius_m: float = 0.5,
+    min_angle_deg: float = 10.0,
+) -> List[Corner]:
+    """Intersect extended non-parallel segment pairs, then NMS by support."""
+    candidates: List[Corner] = []
+    sin_min = np.sin(np.radians(min_angle_deg))
+    for i in range(len(segments)):
+        a = segments[i]
+        da = a.direction
+        for j in range(i + 1, len(segments)):
+            b = segments[j]
+            db = b.direction
+            cross = da[0] * db[1] - da[1] * db[0]
+            if abs(cross) < sin_min:
+                continue
+            rhs = b.p0 - a.p0
+            t = (rhs[0] * db[1] - rhs[1] * db[0]) / cross
+            u = (rhs[0] * da[1] - rhs[1] * da[0]) / cross
+            if -extend_m <= t <= a.length + extend_m and -extend_m <= u <= b.length + extend_m:
+                candidates.append(
+                    Corner(a.p0 + t * da, np.array([da, db]), a.length + b.length)
+                )
+    candidates.sort(
+        key=lambda c: (-c.support, tuple(np.round(c.position, 9)))
+    )
+    kept: List[Corner] = []
+    for c in candidates:
+        if all(np.linalg.norm(c.position - k.position) > nms_radius_m for k in kept):
+            kept.append(c)
+    return kept
 
 
 def _ground_mask(points: np.ndarray, ground_patches) -> np.ndarray:

@@ -319,6 +319,29 @@ def test_register_far_point_exit_code(tmp_path, capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize(
+    "walls",
+    [
+        # a box with one corner at 1e20 m: raster bounds past int64
+        "0 0 10 0\n10 0 1e20 1e20\n1e20 1e20 0 10\n0 10 0 0\n",
+        # a 1e7 m square: finite bounds, but 2.5e15 score-field cells
+        "0 0 1e7 0\n1e7 0 1e7 1e7\n1e7 1e7 0 1e7\n0 1e7 0 0\n",
+    ],
+    ids=["corner_1e20", "square_1e7"],
+)
+def test_register_far_model_exit_code(tmp_path, capsys, walls):
+    _, scenes, _ = _gen(tmp_path, capsys)
+    far = tmp_path / "far.txt"
+    far.write_text("floor far\n" + walls)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["register", "--submap", str(scenes / "scene_0000.submap"), "--model", str(far)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "floor far" in err and "raster" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 # ---------------------------------------------------------------------------
 # fuzzed input files
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from scan2plan.descriptors import (
     serialize_db,
 )
 from scan2plan.errors import DegenerateTriplet
-from scan2plan.lines import Corner
+from scan2plan.lines import Corners
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 
@@ -63,7 +63,8 @@ def corner_sets(draw, max_extra=6):
         pts.extend(shape.tolist())
     for _ in range(draw(st.integers(0 if pts else 3, max_extra))):
         pts.append([draw(coords), draw(coords)])
-    return [Corner(np.array(p), _dirs(draw(wall_angles), draw(wall_angles)), 1.0) for p in pts]
+    dirs = [_dirs(draw(wall_angles), draw(wall_angles)) for _ in pts]
+    return Corners(np.array(pts).reshape(-1, 2), np.array(dirs).reshape(-1, 2, 2), np.ones(len(pts)))
 
 
 def _bits(a):
@@ -115,8 +116,8 @@ def test_correspondences_match_oracle(model, query, r_s):
 @SETTINGS
 @given(corner_sets(max_extra=3), st.sampled_from([10.0, 1.0, 30.0]))
 def test_make_descriptor_matches_oracle(corners, min_angle_deg):
-    p = np.array([c.position for c in corners[:3]])
-    d = np.array([c.dirs for c in corners[:3]])
+    p = corners.pos[:3]
+    d = corners.dirs[:3]
     try:
         want = ref.make_descriptor(p, d, min_angle_deg=min_angle_deg)
     except ref.Degenerate:

@@ -19,22 +19,24 @@ from scan2plan.errors import (
     VersionMismatch,
 )
 from scan2plan.geometry import Se2Pose
-from scan2plan.lines import Corner
+from scan2plan.lines import Corners
 
 XY_DIRS = np.array([[1.0, 0.0], [0.0, 1.0]])
 
 
-def _corner(x, y, dirs=XY_DIRS):
-    return Corner(np.array([x, y], float), np.asarray(dirs, float), 1.0)
+def _corners(*xy):
+    """Corners at the given (x, y), each between an x and a y wall."""
+    pos = np.array(xy, float).reshape(-1, 2)
+    return Corners(pos, np.tile(XY_DIRS, (pos.shape[0], 1, 1)), np.ones(pos.shape[0]))
 
 
 def _random_corners(rng, n, spread=20.0):
-    out = []
-    for _ in range(n):
+    pos, dirs = np.empty((n, 2)), np.empty((n, 2, 2))
+    for k in range(n):
         ang = rng.uniform(0.0, np.pi, size=2)
-        dirs = np.column_stack([np.cos(ang), np.sin(ang)])
-        out.append(Corner(rng.uniform(0.0, spread, size=2), dirs, 1.0))
-    return out
+        dirs[k] = np.column_stack([np.cos(ang), np.sin(ang)])
+        pos[k] = rng.uniform(0.0, spread, size=2)
+    return Corners(pos, dirs, np.ones(n))
 
 
 # --- descriptor values ---
@@ -113,7 +115,7 @@ def test_three_clique_count():
 
 
 def test_l_max_prunes_far_corners():
-    corners = [_corner(0.0, 0.0), _corner(4.0, 0.0), _corner(0.0, 3.0), _corner(50.0, 0.0)]
+    corners = _corners((0.0, 0.0), (4.0, 0.0), (0.0, 3.0), (50.0, 0.0))
     triplets = build_triplets(corners, l_max=30.0)
     assert len(triplets) == 1
 
@@ -122,14 +124,7 @@ def test_l_max_prunes_far_corners():
 
 
 def test_congruent_triangles_share_bucket():
-    corners = [
-        _corner(0.0, 0.0),
-        _corner(4.0, 0.0),
-        _corner(0.0, 3.0),
-        _corner(100.0, 0.0),
-        _corner(104.0, 0.0),
-        _corner(100.0, 3.0),
-    ]
+    corners = _corners((0.0, 0.0), (4.0, 0.0), (0.0, 3.0), (100.0, 0.0), (104.0, 0.0), (100.0, 3.0))
     db = build_db(corners, l_max=30.0)
     assert db.n_keys == 1
     assert db.n_triplets == 2
@@ -137,7 +132,7 @@ def test_congruent_triangles_share_bucket():
 
 def test_tied_side_bins_store_both_orders():
     # square: four congruent right-isoceles triangles, two orders each
-    corners = [_corner(0.0, 0.0), _corner(4.0, 0.0), _corner(4.0, 4.0), _corner(0.0, 4.0)]
+    corners = _corners((0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0))
     db = build_db(corners, l_max=30.0)
     assert db.n_keys == 1
     assert db.n_triplets == 8
@@ -145,12 +140,12 @@ def test_tied_side_bins_store_both_orders():
 
 def test_query_finds_transformed_triplets():
     # side lengths chosen off the 0.5 m bin boundaries
-    corners = [_corner(0.0, 0.0), _corner(6.3, 0.0), _corner(6.3, 4.1), _corner(0.0, 4.1), _corner(3.1, 2.45)]
+    corners = _corners((0.0, 0.0), (6.3, 0.0), (6.3, 4.1), (0.0, 4.1), (3.1, 2.45))
     db = build_db(corners, l_max=30.0)
     pose = Se2Pose(12.0, -3.0, 0.9)
     inv = pose.inverse()
     r = inv.rotation()
-    moved = [Corner(inv.apply(c.position), c.dirs @ r.T, c.support) for c in corners]
+    moved = Corners(inv.apply(corners.pos), corners.dirs @ r.T, corners.support)
     qts = build_triplets(moved, l_max=30.0)
     assert len(qts) >= 8
     src, dst = query_correspondences(db, qts)
@@ -165,7 +160,7 @@ def test_query_finds_transformed_triplets():
 
 
 def test_resolution_mismatch_raises():
-    corners = [_corner(0.0, 0.0), _corner(4.0, 0.0), _corner(0.0, 3.0)]
+    corners = _corners((0.0, 0.0), (4.0, 0.0), (0.0, 3.0))
     db = build_db(corners, r_s=0.5)
     qts = build_triplets(corners, r_s=0.25)
     with pytest.raises(ResolutionMismatch):
@@ -210,7 +205,7 @@ def test_bad_magic_raises(tmp_path):
 
 
 def test_bad_version_raises(tmp_path):
-    corners = [_corner(0.0, 0.0), _corner(4.0, 0.0), _corner(0.0, 3.0)]
+    corners = _corners((0.0, 0.0), (4.0, 0.0), (0.0, 3.0))
     path = tmp_path / "v9.db"
     serialize_db(build_db(corners), path)
     raw = bytearray(path.read_bytes())
@@ -221,7 +216,7 @@ def test_bad_version_raises(tmp_path):
 
 
 def test_truncated_db_raises(tmp_path):
-    corners = [_corner(0.0, 0.0), _corner(4.0, 0.0), _corner(0.0, 3.0)]
+    corners = _corners((0.0, 0.0), (4.0, 0.0), (0.0, 3.0))
     path = tmp_path / "cut.db"
     serialize_db(build_db(corners), path)
     raw = path.read_bytes()
@@ -255,6 +250,6 @@ def test_query_bins_outside_stored_range_match_nothing():
 
 
 def test_key_space_overflow_raises():
-    corners = [_corner(0.0, 0.0), _corner(4.0, 0.0), _corner(0.0, 3.0)]
+    corners = _corners((0.0, 0.0), (4.0, 0.0), (0.0, 3.0))
     with pytest.raises(ValueError, match="int64"):
         build_db(corners, r_s=1e-6)

@@ -2,16 +2,19 @@
 
 `scalar_frontend` keeps the original front end: patches that copy their
 points, union-find merging and chaining, a Hough detector with the full
-rho table, and the byte-hash ground mask. Every comparison here is
-bitwise: patch rows, planes and cell boxes; merged groups; segment
-endpoints; corners; the ground mask. Rasters mix random pixels with
+rho table, the per-pair corner loop, and the byte-hash ground mask.
+Every comparison here is bitwise: patch rows, planes and cell boxes;
+merged groups; segment endpoints; corner positions, wall directions,
+support and order; the ground mask. Rasters mix random pixels with
 lines, vote ties (mirror-symmetric shapes), runs exactly l_min_px long
-and pixel centers exactly band_px from a peak's rho.
+and pixel centers exactly band_px from a peak's rho. Corner inputs put
+candidates exactly nms_radius_m apart, crossings exactly at the
+min_angle_deg sine, and intersections exactly extend_m past a wall end.
 """
 
 import numpy as np
 import scalar_frontend as ref
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scan2plan.config import PipelineConfig
@@ -153,6 +156,82 @@ def test_connected_groups_match_union_find(n, edges):
     assert [g.tolist() for g in connected_groups(n, i, j)] == list(want.values())
 
 
+# --- corners ---
+
+
+def _corner_bits(corners):
+    """(pos, dirs, support) bytes of a `Corners` or of the oracle's list, in order."""
+    if isinstance(corners, list):
+        rows = [(c.position, c.dirs, c.support) for c in corners]
+        return tuple(_bits([r[k] for r in rows]) for k in range(3))
+    return _bits(corners.pos), _bits(corners.dirs), _bits(corners.support)
+
+
+def _hseg(y, a, b):
+    """Wall along x at height y, from x = a to x = b."""
+    return LineSegment2(np.array([a, y]), np.array([b, y]))
+
+
+def _vseg(x, a, b):
+    """Wall along y at x, from y = a to y = b."""
+    return LineSegment2(np.array([x, a]), np.array([x, b]))
+
+
+@st.composite
+def corner_cases(draw):
+    """(segments, extend_m, nms_radius_m, min_angle_deg)."""
+    extend = draw(st.sampled_from([1.0, 0.5, 0.25, 0.0]))
+    radius = draw(st.sampled_from([0.5, 0.25, 1.0]))
+    min_angle = draw(st.sampled_from([10.0, 90.0, 45.0, 1.0]))
+    kind = draw(st.sampled_from(["lattice", "bounds", "chains"]))
+    if kind == "lattice":
+        # axis-aligned walls on a 0.5 m lattice: candidates exactly 0.5 m
+        # apart, exactly perpendicular, and many equal supports
+        segs = []
+        for _ in range(draw(st.integers(0, 8))):
+            a, b = draw(st.lists(st.integers(-6, 6), min_size=2, max_size=2, unique=True))
+            wall = _hseg if draw(st.booleans()) else _vseg
+            segs.append(wall(draw(st.integers(-4, 4)) * 0.5, a * 0.5, b * 0.5))
+    elif kind == "bounds":
+        # walls across a wall along x from 0 to length, meeting its line at
+        # t = x and their own at u = -y0: both exactly at or just past the
+        # -extend_m and length + extend_m bounds
+        length = draw(st.integers(1, 8)) * 0.5
+        segs = [LineSegment2(np.array([0.0, 0.0]), np.array([length, 0.0]))]
+        for _ in range(draw(st.integers(1, 4))):
+            other = draw(st.integers(1, 8)) * 0.5
+            x = draw(st.sampled_from([-extend, length + extend, -extend - 0.25, length + extend + 0.25, length / 2]))
+            y0 = draw(st.sampled_from([extend, -other - extend, extend + 0.25, -other - extend - 0.25, -other / 2]))
+            segs.append(_vseg(x, y0, y0 + other))
+    else:
+        segs = draw(segment_sets())
+    if segs and draw(st.booleans()):
+        # a duplicate, a reversed copy, or a parallel copy of a drawn wall
+        s = segs[draw(st.integers(0, len(segs) - 1))]
+        shift = draw(st.sampled_from([0.0, 0.25, 0.5]))
+        p0, p1 = (s.p1, s.p0) if draw(st.booleans()) else (s.p0, s.p1)
+        segs.append(LineSegment2(p0 + shift, p1 + shift))
+    if segs and draw(st.booleans()):
+        segs = [segs[k] for k in draw(st.permutations(range(len(segs))))]
+    return segs, extend, radius, min_angle
+
+
+@settings(SETTINGS, max_examples=300)
+@given(corner_cases())
+@example(([], 1.0, 0.5, 10.0))
+@example(([_hseg(0.0, 0.0, 2.0)], 1.0, 0.5, 10.0))
+@example(([_hseg(0.0, 0.0, 2.0), _vseg(1.0, -1.0, 1.0)], 1.0, 0.5, 90.0))  # |cross| == sin_min
+@example(([_hseg(0.0, 0.0, 2.0), _vseg(-1.0, 1.0, 3.0)], 1.0, 0.5, 10.0))  # t == u == -extend_m
+@example(([_hseg(0.0, 0.0, 2.0), _vseg(3.0, -4.0, -1.0)], 1.0, 0.5, 10.0))  # t, u == length + extend_m
+@example(([_hseg(0.0, -1.0, 1.0), _hseg(0.5, -1.0, 1.0), _vseg(0.0, -1.0, 1.0)], 1.0, 0.5, 10.0))  # 0.5 m apart
+def test_extract_corners_matches_oracle(case):
+    segs, extend, radius, min_angle = case
+    got = extract_corners(segs, extend, radius, min_angle)
+    want = ref.extract_corners(segs, extend, radius, min_angle)
+    assert len(got) == len(want)
+    assert _corner_bits(got) == _corner_bits(want)
+
+
 # --- planes and the ground mask ---
 
 
@@ -231,11 +310,9 @@ def test_front_end_matches_oracle_on_scene():
     raster = rasterize_points(np.concatenate([p.points[:, :2] for p in walls]), cfg.s_i)
     segments = ref.detect_segments(raster, cfg.l_min_px, cfg.gap_px, cfg.band_px, cfg.theta_bins)
     segments = ref.merge_refit(segments, cfg.endpoint_tol_m, cfg.angle_tol_deg)
-    corners = extract_corners(segments, cfg.extend_m, cfg.nms_radius_m, cfg.min_angle_deg)
+    corners = ref.extract_corners(segments, cfg.extend_m, cfg.nms_radius_m, cfg.min_angle_deg)
 
     assert len(corners) >= 4
-    assert [_bits(c.position) + _bits(c.dirs) for c in feats.corners] == [
-        _bits(c.position) + _bits(c.dirs) for c in corners
-    ]
+    assert _corner_bits(feats.corners) == _corner_bits(corners)
     assert _bits(feats.q_g_xy) == _bits(pts[mask][:, :2])
     assert _bits(feats.q_ng_xy) == _bits(pts[~mask][:, :2])

@@ -150,28 +150,28 @@ def test_perpendicular_corner_location():
     segs = [_seg(0.0, 3.0, 5.0, 3.0), _seg(2.0, 0.0, 2.0, 2.8)]  # closes 0.2 m short
     corners = extract_corners(segs, extend_m=1.0)
     assert len(corners) == 1
-    assert np.allclose(corners[0].position, [2.0, 3.0], atol=1e-9)
-    assert corners[0].support == pytest.approx(5.0 + 2.8)
-    for d in corners[0].dirs:
+    assert np.allclose(corners.pos[0], [2.0, 3.0], atol=1e-9)
+    assert corners.support[0] == pytest.approx(5.0 + 2.8)
+    for d in corners.dirs[0]:
         assert min(abs(d @ np.array([1.0, 0.0])), abs(d @ np.array([0.0, 1.0]))) < 1e-9
 
 
 def test_parallel_walls_make_no_corner():
     segs = [_seg(0.0, 0.0, 6.0, 0.0), _seg(0.0, 3.0, 6.0, 3.0)]
-    assert extract_corners(segs) == []
+    assert len(extract_corners(segs)) == 0
 
 
 def test_crossing_segments_single_corner():
     segs = [_seg(0.0, 0.0, 4.0, 4.0), _seg(0.0, 4.0, 4.0, 0.0)]
     corners = extract_corners(segs)
     assert len(corners) == 1
-    assert np.allclose(corners[0].position, [2.0, 2.0], atol=1e-12)
+    assert np.allclose(corners.pos[0], [2.0, 2.0], atol=1e-12)
 
 
 def test_far_apart_segments_make_no_corner():
     segs = [_seg(0.0, 0.0, 2.0, 0.0), _seg(10.0, 1.0, 10.0, 4.0)]
     # intersection of supporting lines is ~8 m past the first wall's end
-    assert extract_corners(segs, extend_m=1.0) == []
+    assert len(extract_corners(segs, extend_m=1.0)) == 0
 
 
 def test_corner_extraction_is_rigid_equivariant():
@@ -186,8 +186,8 @@ def test_corner_extraction_is_rigid_equivariant():
     a = extract_corners(segs)
     b = extract_corners(moved)
     assert len(a) == len(b) == 4
-    pa = sorted(tuple(np.round(pose.apply(c.position), 9)) for c in a)
-    pb = sorted(tuple(np.round(c.position, 9)) for c in b)
+    pa = sorted(tuple(np.round(pose.apply(p), 9)) for p in a.pos)
+    pb = sorted(tuple(np.round(p, 9)) for p in b.pos)
     assert np.allclose(np.array(pa), np.array(pb), atol=1e-9)
 
 
@@ -201,7 +201,7 @@ def test_nms_keeps_spacing():
     corners = extract_corners(segs, nms_radius_m=0.5)
     for i in range(len(corners)):
         for j in range(i + 1, len(corners)):
-            assert np.linalg.norm(corners[i].position - corners[j].position) > 0.5
+            assert np.linalg.norm(corners.pos[i] - corners.pos[j]) > 0.5
 
 
 def test_corners_of_unit_box():
@@ -212,5 +212,5 @@ def test_corners_of_unit_box():
         _seg(0.0, 4.0, 0.0, 0.0),
     ]
     corners = extract_corners(segs)
-    got = sorted(tuple(np.round(c.position, 9)) for c in corners)
+    got = sorted(tuple(np.round(p, 9)) for p in corners.pos)
     assert got == [(0.0, 0.0), (0.0, 4.0), (4.0, 0.0), (4.0, 4.0)]
