@@ -159,12 +159,12 @@ def test_connected_groups_match_union_find(n, edges):
 # --- corners ---
 
 
-def _corner_bits(corners):
-    """(pos, dirs, support) bytes of a `Corners` or of the oracle's list, in order."""
-    if isinstance(corners, list):
-        rows = [(c.position, c.dirs, c.support) for c in corners]
-        return tuple(_bits([r[k] for r in rows]) for k in range(3))
-    return _bits(corners.pos), _bits(corners.dirs), _bits(corners.support)
+def _assert_corners_match(got, want):
+    """`Corners` rows equal the oracle's `Corner` list bitwise, in order."""
+    assert len(got) == len(want)
+    assert _bits(got.pos) == _bits([c.position for c in want])
+    assert _bits(got.dirs) == _bits([c.dirs for c in want])
+    assert _bits(got.support) == _bits([c.support for c in want])
 
 
 def _hseg(y, a, b):
@@ -226,10 +226,8 @@ def corner_cases(draw):
 @example(([_hseg(0.0, -1.0, 1.0), _hseg(0.5, -1.0, 1.0), _vseg(0.0, -1.0, 1.0)], 1.0, 0.5, 10.0))  # 0.5 m apart
 def test_extract_corners_matches_oracle(case):
     segs, extend, radius, min_angle = case
-    got = extract_corners(segs, extend, radius, min_angle)
-    want = ref.extract_corners(segs, extend, radius, min_angle)
-    assert len(got) == len(want)
-    assert _corner_bits(got) == _corner_bits(want)
+    args = (segs, extend, radius, min_angle)
+    _assert_corners_match(extract_corners(*args), ref.extract_corners(*args))
 
 
 # --- planes and the ground mask ---
@@ -313,6 +311,6 @@ def test_front_end_matches_oracle_on_scene():
     corners = ref.extract_corners(segments, cfg.extend_m, cfg.nms_radius_m, cfg.min_angle_deg)
 
     assert len(corners) >= 4
-    assert _corner_bits(feats.corners) == _corner_bits(corners)
+    _assert_corners_match(feats.corners, corners)
     assert _bits(feats.q_g_xy) == _bits(pts[mask][:, :2])
     assert _bits(feats.q_ng_xy) == _bits(pts[~mask][:, :2])
