@@ -31,9 +31,11 @@ print("%d patches after coplanar merge" % len(patches))
 walls, ground, other = classify_patches(patches, sub.gravity, angle_tol_deg=15.0)
 print("%d wall patches, %d ground patches, %d other" % (len(walls), len(ground), len(other)))
 
+# patches are array rows and every point carries its patch's label;
 # walls stand perpendicular to gravity, ground lies along it
-for label, group in (("wall", walls[:3]), ("ground", ground[:1])):
-    for p in group:
-        tilt = np.degrees(np.arccos(abs(float(np.dot(p.normal, sub.gravity)))))
+sizes = np.bincount(patches.label[patches.label >= 0], minlength=len(patches))
+for kind, group in (("wall", walls[:3]), ("ground", ground[:1])):
+    for k in group:
+        tilt = np.degrees(np.arccos(abs(float(np.dot(patches.normal[k], sub.gravity)))))
         print("  %s patch: %5d points, normal-to-gravity angle %5.1f deg" % (
-            label, p.idx.shape[0], tilt))
+            kind, sizes[k], tilt))

@@ -22,7 +22,7 @@ sub = scene.submap
 result = segment_planes(sub.points)
 patches = merge_patches(result.patches, sub.points)
 walls, _, _ = classify_patches(patches, sub.gravity)
-wall_xy = sub.points[np.concatenate([p.idx for p in walls]), :2]
+wall_xy = sub.points[patches.mask(walls), :2]
 print("%d wall points from %d patches" % (wall_xy.shape[0], len(walls)))
 
 # 60 px per meter keeps a 1 cm noise floor below one pixel
@@ -32,10 +32,11 @@ print("raster %dx%d px, %d occupied" % (
 
 segments = detect_segments(raster, l_min_px=30, gap_px=5.0, band_px=5.0)
 segments = merge_refit(segments, endpoint_tol_m=0.3, angle_tol_deg=5.0)
+# one [p0, p1] endpoint row per segment
 print("%d line segments after merge" % len(segments))
-for s in segments[:5]:
+for p0, p1 in segments[:5]:
     print("  (%6.2f, %6.2f) -> (%6.2f, %6.2f)  %5.2f m" % (
-        s.p0[0], s.p0[1], s.p1[0], s.p1[1], np.linalg.norm(s.p1 - s.p0)))
+        p0[0], p0[1], p1[0], p1[1], np.linalg.norm(p1 - p0)))
 
 # corners are intersections of nearby non-parallel segments
 corners = extract_corners(segments, extend_m=1.0, nms_radius_m=0.5)

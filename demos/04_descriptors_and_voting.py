@@ -24,7 +24,7 @@ scene = synthesize_submap(layout.wall_model, gt, radius_m=12.0,
                           noise_sigma_m=0.03, seed=1)
 
 # model side: corners come straight from wall intersections
-corners = extract_corners(layout.wall_model.walls)
+corners = extract_corners(layout.wall_model.endpoints())
 db = build_db(corners, l_max=cfg.l_max)
 print("model: %d corners, %d stored triplet orders under %d keys" % (
     len(corners), db.n_triplets, db.n_keys))

@@ -71,7 +71,7 @@ from .pipeline import (
     write_eval_csv,
     write_pr_csv,
 )
-from .planes import PlanarPatch, classify_patches, merge_patches, segment_planes
+from .planes import Patches, classify_patches, merge_patches, segment_planes
 from .synthetic import (
     FloorLayout,
     SyntheticScene,

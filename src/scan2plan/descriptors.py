@@ -34,6 +34,7 @@ __all__ = [
     "Triplets",
     "DescriptorDB",
     "canonical_triplets",
+    "clique_triplets",
     "make_descriptor",
     "build_triplets",
     "build_db",
@@ -59,6 +60,7 @@ class Triplets:
     bins: np.ndarray  # (M, 6) int64: sides // r_s, then angles // r_a
     r_s: float
     r_a: float
+    src: np.ndarray  # (M,) int64 input triplet each row orders, ascending
 
     def __len__(self) -> int:
         return self.verts.shape[0]
@@ -136,7 +138,8 @@ def canonical_triplets(
     rounded to 12 decimals, then the first order. With tied_orders each
     keeps every order whose side bins are non-decreasing, so a query
     canonicalized either way across a tied bin still finds an aligned
-    row. Rows come out in input order, then lexicographic vertex order.
+    row. Rows come out in input order, then lexicographic vertex order;
+    `src` names each row's input triplet.
     """
     p = np.asarray(verts, dtype=np.float64).reshape(-1, 3, 2)
     d = np.asarray(dirs, dtype=np.float64).reshape(-1, 3, 2, 2)
@@ -161,7 +164,7 @@ def canonical_triplets(
         perm = np.lexsort((rounded[src, :, 1], rounded[src, :, 0]), axis=-1)[:, 0]
     order = _PERMS[perm]
     q, qd = p[src[:, None], order], d[src[:, None], order]
-    return Triplets(q, qd, *_describe(q, qd, r_s, r_a), r_s, r_a)
+    return Triplets(q, qd, *_describe(q, qd, r_s, r_a), r_s, r_a, src)
 
 
 def make_descriptor(
@@ -182,7 +185,7 @@ def make_descriptor(
     return t
 
 
-def _clique_triplets(corners: Corners, l_max: float):
+def clique_triplets(corners: Corners, l_max: float):
     """Vertices and wall directions of the l_max graph's 3-cliques, (i < j < k) ascending."""
     upper = np.triu(np.linalg.norm(corners.pos[:, None, :] - corners.pos[None, :, :], axis=2) <= l_max, 1)
     i, j = np.nonzero(upper)
@@ -199,7 +202,7 @@ def build_triplets(
     min_angle_deg: float = 10.0,
 ) -> Triplets:
     """Canonical triplets over 3-cliques of the l_max neighborhood graph."""
-    verts, dirs = _clique_triplets(corners, l_max)
+    verts, dirs = clique_triplets(corners, l_max)
     return canonical_triplets(verts, dirs, r_s, r_a, min_angle_deg)
 
 
@@ -216,7 +219,7 @@ def build_db(
     order, so a query canonicalized either way still finds a
     geometrically aligned entry.
     """
-    verts, dirs = _clique_triplets(corners, l_max)
+    verts, dirs = clique_triplets(corners, l_max)
     t = canonical_triplets(verts, dirs, r_s, r_a, min_angle_deg, tied_orders=True)
     return DescriptorDB.from_entries(t.bins, t.verts, t.dirs, r_s, r_a)
 

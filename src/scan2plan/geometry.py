@@ -103,9 +103,6 @@ class LineSegment2:
         d = self.p1 - self.p0
         return d / np.linalg.norm(d)
 
-    def transformed(self, pose: Se2Pose) -> "LineSegment2":
-        return LineSegment2(pose.apply(self.p0), pose.apply(self.p1))
-
 
 def solve_se2(src: Sequence, dst: Sequence) -> Tuple[Se2Pose, float]:
     """Least-squares proper-rotation alignment of two matched 2D point sets.

@@ -59,11 +59,9 @@ class WallModel:
     floor_id: str
     walls: List[LineSegment2]
 
-    def as_array(self) -> np.ndarray:
-        """Walls as an (W, 4) array of x1 y1 x2 y2 rows."""
-        if not self.walls:
-            return np.zeros((0, 4))
-        return np.array([[w.p0[0], w.p0[1], w.p1[0], w.p1[1]] for w in self.walls])
+    def endpoints(self) -> np.ndarray:
+        """Walls as a (W, 2, 2) array of [p0, p1] rows, the segment array of `lines`."""
+        return np.array([(w.p0, w.p1) for w in self.walls]).reshape(-1, 2, 2)
 
 
 # ---------------------------------------------------------------------------

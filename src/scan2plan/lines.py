@@ -11,19 +11,24 @@ chained by connected components and refit. Corners are intersections of
 extended non-parallel segments, all pairs tested at once as arrays, then
 deduplicated by greedy non-maximum suppression on combined support
 length; they match the per-pair loop of `tests/scalar_frontend.py` bit for bit.
+
+Segments are (S, 2, 2) arrays of [p0, p1] rows in meters throughout;
+`sqrt(vecdot(d, d))` rounds lengths and directions as `LineSegment2`
+does. Both rasterizers check their cell count in floats before allocating.
 """
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .errors import EmptyGrid
-from .geometry import LineSegment2
 from .graph import connected_groups
 
 # largest segment raster; the biggest generated floor needs 131,835 cells
 MAX_RASTER_CELLS = 2**26
+# largest point raster; admits a 200 m x 200 m submap at 60 px/m
+MAX_POINT_RASTER_CELLS = 2**28
 
 __all__ = [
     "BevRaster",
@@ -63,17 +68,27 @@ class Corners:
         return self.pos.shape[0]
 
 
-def _bounds(points_m: np.ndarray, pad_px: int, scale: float):
-    lo = np.floor(points_m.min(axis=0) * scale).astype(np.int64) - pad_px
-    hi = np.floor(points_m.max(axis=0) * scale).astype(np.int64) + pad_px + 1
-    return lo, hi
+def _bounds(points_m: np.ndarray, pad_px: int, scale: float, max_cells: int):
+    """Cell range [lo, hi) covering the points; ValueError past max_cells cells."""
+    # checked in floats, before the int cast and the allocation
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo = np.floor(points_m.min(axis=0) * scale)
+        hi = np.floor(points_m.max(axis=0) * scale)
+        shape = hi - lo + 2 * pad_px + 1
+        fits = np.prod(shape) <= max_cells
+    if not fits:
+        raise ValueError(
+            "a %g x %g raster at %g px/m exceeds %d cells" % (shape[0], shape[1], scale, max_cells)
+        )
+    return lo.astype(np.int64) - pad_px, hi.astype(np.int64) + pad_px + 1
 
 
 def rasterize_points(points_xy: np.ndarray, scale: float, pad_px: int = 2) -> BevRaster:
+    """Raster marking every cell that holds a point; ValueError past MAX_POINT_RASTER_CELLS."""
     pts = np.asarray(points_xy, dtype=np.float64).reshape(-1, 2)
     if pts.shape[0] == 0:
         raise EmptyGrid("no points to rasterize")
-    lo, hi = _bounds(pts, pad_px, scale)
+    lo, hi = _bounds(pts, pad_px, scale, MAX_POINT_RASTER_CELLS)
     grid = np.zeros((int(hi[0] - lo[0]), int(hi[1] - lo[1])), dtype=bool)
     ij = np.floor(pts * scale).astype(np.int64) - lo
     grid[ij[:, 0], ij[:, 1]] = True
@@ -107,36 +122,25 @@ def _traverse_cells(p0: np.ndarray, p1: np.ndarray) -> List[Tuple[int, int]]:
     return cells
 
 
-def rasterize_segments(
-    segments: Sequence[LineSegment2],
-    scale: float,
-    pad_px: int = 2,
-) -> BevRaster:
-    """Raster marking every cell touched by any segment.
+def rasterize_segments(segments: np.ndarray, scale: float, pad_px: int = 2) -> BevRaster:
+    """Raster marking every cell touched by any (S, 2, 2) segment.
 
     Raises ValueError when the raster would exceed MAX_RASTER_CELLS.
     """
-    if not segments:
+    ends = np.asarray(segments, dtype=np.float64).reshape(-1, 2, 2)
+    if ends.shape[0] == 0:
         raise EmptyGrid("no segments to rasterize")
-    pts = np.array([p for s in segments for p in (s.p0, s.p1)])
-    # checked in floats, before the int cast and the allocation
-    with np.errstate(over="ignore", invalid="ignore"):
-        shape = np.floor(pts.max(axis=0) * scale) - np.floor(pts.min(axis=0) * scale) + 2 * pad_px + 1
-        fits = np.prod(shape) <= MAX_RASTER_CELLS
-    if not fits:
-        raise ValueError(
-            "a %g x %g raster at %g px/m exceeds %d cells" % (shape[0], shape[1], scale, MAX_RASTER_CELLS)
-        )
-    lo, hi = _bounds(pts, pad_px, scale)
+    lo, hi = _bounds(ends.reshape(-1, 2), pad_px, scale, MAX_RASTER_CELLS)
     grid = np.zeros((int(hi[0] - lo[0]), int(hi[1] - lo[1])), dtype=bool)
+    d = ends[:, 1] - ends[:, 0]
+    dirs = d / np.sqrt(np.vecdot(d, d))[:, None]
     # cells are closed squares: a segment running exactly along a cell
     # boundary touches both sides, so traverse a hairline off each side
     eps = 1e-7
-    for s in segments:
-        d = s.direction
-        n = np.array([-d[1], d[0]]) * eps
+    for (p0, p1), u in zip(ends, dirs):
+        n = np.array([-u[1], u[0]]) * eps
         for off in (n, -n):
-            for cx, cy in _traverse_cells(s.p0 * scale + off, s.p1 * scale + off):
+            for cx, cy in _traverse_cells(p0 * scale + off, p1 * scale + off):
                 grid[cx - lo[0], cy - lo[1]] = True
     return BevRaster(grid, lo / scale, scale)
 
@@ -147,15 +151,15 @@ def detect_segments(
     gap_px: float = 5.0,
     band_px: float = 5.0,
     theta_bins: int = 180,
-) -> List[LineSegment2]:
+) -> np.ndarray:
     """Hough peaks -> greedy pixel claiming -> gap-split runs -> TLS refit.
 
-    Returns segments in meters. Peaks need l_min_px votes in a 1 px rho
-    bin and are visited by votes, then theta, then rho. A peak claims the
-    unclaimed pixels within band_px of its line, split into runs at gaps
-    over gap_px along it; runs shorter than l_min_px are dropped. A
-    claimed run's votes leave the accumulator, so a peak it drops below
-    l_min_px is skipped.
+    Returns (S, 2, 2) endpoints in meters. Peaks need l_min_px votes in a
+    1 px rho bin and are visited by votes, then theta, then rho. A peak
+    claims the unclaimed pixels within band_px of its line, split into
+    runs at gaps over gap_px along it; runs shorter than l_min_px are
+    dropped. A claimed run's votes leave the accumulator, so a peak it
+    drops below l_min_px is skipped.
     """
     occupied = np.flatnonzero(raster.grid)
     if occupied.shape[0] == 0:
@@ -200,7 +204,7 @@ def detect_segments(
 
     claimed = np.zeros(x.shape[0], dtype=bool)
     n_unclaimed = x.shape[0]
-    segments: List[LineSegment2] = []
+    ends_px = []
     live = np.arange(peaks.shape[0])  # positions in peaks still >= l_min_px
     k = 0
     while k < live.shape[0] and n_unclaimed >= l_min_px:
@@ -227,13 +231,11 @@ def detect_segments(
             np.subtract.at(acc, cells(run).reshape(-1), 1)
             seg = _tls_segment(px[run])
             if seg is not None:
-                segments.append(
-                    LineSegment2(raster.m_of(seg[0]), raster.m_of(seg[1]))
-                )
+                ends_px.append(seg)
         if n_unclaimed < n_before:
             live = pos + 1 + np.flatnonzero(acc[peaks[pos + 1 :]] >= l_min_px)
             k = 0
-    return segments
+    return raster.m_of(np.reshape(ends_px, (-1, 2, 2)))
 
 
 def _tls_segment(points: np.ndarray):
@@ -251,22 +253,25 @@ def _tls_segment(points: np.ndarray):
 
 
 def merge_refit(
-    segments: Sequence[LineSegment2],
+    segments: np.ndarray,
     endpoint_tol_m: float = 0.3,
     angle_tol_deg: float = 5.0,
-) -> List[LineSegment2]:
-    """Chain near-collinear segments with close endpoints, refit each chain.
+) -> np.ndarray:
+    """Chain near-collinear (S, 2, 2) segments with close endpoints, refit each chain.
 
     A chain is a connected component of the segment pairs within the
     angle whose nearest endpoints lie within endpoint_tol_m. Singleton
-    chains pass through unchanged.
+    chains pass through unchanged. Chains come out ordered by their
+    endpoints rounded to 1e-9 m.
     """
-    n = len(segments)
+    ends = np.asarray(segments, dtype=np.float64).reshape(-1, 2, 2)
+    n = ends.shape[0]
     if n == 0:
-        return []
+        return ends
     cos_tol = np.cos(np.radians(angle_tol_deg))
-    dirs = np.array([s.direction for s in segments])
-    ends = np.array([[s.p0, s.p1] for s in segments])  # (n, 2, 2)
+    d = ends[:, 1] - ends[:, 0]
+    length = np.sqrt(np.vecdot(d, d))
+    dirs = d / length[:, None]
 
     i, j = np.triu_indices(n, 1)
     # every endpoint of i against every endpoint of j: (pairs, 2, 2, 2)
@@ -274,33 +279,32 @@ def merge_refit(
     gaps = np.sqrt(np.vecdot(diff, diff)).reshape(-1, 4)
     linked = (np.abs(np.vecdot(dirs[i], dirs[j])) >= cos_tol) & np.any(gaps <= endpoint_tol_m, axis=1)
 
-    out: List[LineSegment2] = []
+    out = []
     for members in connected_groups(n, i[linked], j[linked]):
         if members.shape[0] == 1:
-            out.append(segments[members[0]])
+            out.append(ends[members[0]])
             continue
         samples = []
         for m in members:
-            s = segments[m]
-            k = max(2, int(np.ceil(s.length / 0.05)) + 1)
+            k = max(2, int(np.ceil(length[m] / 0.05)) + 1)
             t = np.linspace(0.0, 1.0, k)
-            samples.append(s.p0 + t[:, None] * (s.p1 - s.p0))
-        fit = _tls_segment(np.vstack(samples))
-        out.append(LineSegment2(fit[0], fit[1]))
-    out.sort(key=lambda s: (tuple(np.round(s.p0, 9)), tuple(np.round(s.p1, 9))))
-    return out
+            samples.append(ends[m, 0] + t[:, None] * d[m])
+        out.append(_tls_segment(np.vstack(samples)))
+    out = np.array(out)
+    r = np.round(out, 9)
+    return out[np.lexsort((r[:, 1, 1], r[:, 1, 0], r[:, 0, 1], r[:, 0, 0]))]
 
 
 def extract_corners(
-    segments: Sequence[LineSegment2],
+    segments: np.ndarray,
     extend_m: float = 1.0,
     nms_radius_m: float = 0.5,
     min_angle_deg: float = 10.0,
 ) -> Corners:
-    """Intersect extended non-parallel segment pairs, then NMS by support, position, pair order."""
-    ends = np.array([[s.p0, s.p1] for s in segments], dtype=np.float64).reshape(-1, 2, 2)
+    """Intersect extended non-parallel pairs of (S, 2, 2) segments, then NMS by support, position, pair order."""
+    ends = np.asarray(segments, dtype=np.float64).reshape(-1, 2, 2)
     p0, d = ends[:, 0], ends[:, 1] - ends[:, 0]
-    length = np.sqrt(np.vecdot(d, d))  # the BLAS dot of np.linalg.norm, as in LineSegment2
+    length = np.sqrt(np.vecdot(d, d))
     dirs = d / length[:, None]
     i, j = np.triu_indices(ends.shape[0], 1)
     cross = dirs[i, 0] * dirs[j, 1] - dirs[i, 1] * dirs[j, 0]

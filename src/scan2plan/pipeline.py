@@ -91,29 +91,23 @@ def build_floor_index(model: WallModel, cfg: PipelineConfig, db: Optional[Descri
 
     Raises InvalidModel when the walls span too large a score field.
     """
-    corners = extract_corners(model.walls, cfg.extend_m, cfg.nms_radius_m, cfg.min_angle_deg)
+    walls = model.endpoints()
+    corners = extract_corners(walls, cfg.extend_m, cfg.nms_radius_m, cfg.min_angle_deg)
     if db is None:
         db = build_db(corners, cfg.l_max, cfg.r_s, cfg.r_a, cfg.min_angle_deg)
     try:
-        field = build_score_field(model.walls, cfg.s_r, cfg.k_d)
+        field = build_score_field(walls, cfg.s_r, cfg.k_d)
     except ValueError as exc:  # k_d >= 1 is validated, so only the extent is left
         raise InvalidModel("floor %s: %s" % (model.floor_id, exc)) from None
     return FloorIndex(model, corners, db, field)
-
-
-def _ground_mask(n_points: int, ground_patches) -> np.ndarray:
-    """True for the rows that some ground patch holds."""
-    mask = np.zeros(n_points, dtype=bool)
-    for p in ground_patches:
-        mask[p.idx] = True
-    return mask
 
 
 def extract_submap_features(submap: Submap, cfg: PipelineConfig) -> SubmapFeatures:
     """Submap -> wall corners, descriptor DB, and scoring point sets.
 
     Raises EmptyGrid when no wall surface survives segmentation and
-    InvalidSubmap when the points span too many octree cells for int64.
+    InvalidSubmap when the points span too many octree cells for int64
+    or too large a wall raster.
     """
     timings: Dict[str, float] = {}
 
@@ -125,16 +119,18 @@ def extract_submap_features(submap: Submap, cfg: PipelineConfig) -> SubmapFeatur
         raise InvalidSubmap("submap too large for its octree: %s" % (exc,)) from None
     patches = merge_patches(seg.patches, points, cfg.normal_tol_deg, cfg.dist_tol_m)
     walls, ground, _ = classify_patches(patches, submap.gravity, cfg.gravity_tol_deg)
-    g_mask = _ground_mask(points.shape[0], ground)
+    g_mask = patches.mask(ground)
     q_g_xy = points[g_mask][:, :2]
     q_ng_xy = points[~g_mask][:, :2]
     timings["planes"] = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()
-    if not walls:
+    if walls.shape[0] == 0:
         raise EmptyGrid("no wall patches in submap")
-    wall_xy = points[np.concatenate([p.idx for p in walls]), :2]
-    raster = rasterize_points(wall_xy, cfg.s_i)
+    try:
+        raster = rasterize_points(points[patches.mask(walls), :2], cfg.s_i)
+    except ValueError as exc:  # s_i > 0 is validated, so only the extent is left
+        raise InvalidSubmap("submap too large for its wall raster: %s" % (exc,)) from None
     segments = detect_segments(raster, cfg.l_min_px, cfg.gap_px, cfg.band_px, cfg.theta_bins)
     segments = merge_refit(segments, cfg.endpoint_tol_m, cfg.angle_tol_deg)
     corners = extract_corners(segments, cfg.extend_m, cfg.nms_radius_m, cfg.min_angle_deg)

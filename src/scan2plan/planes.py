@@ -3,15 +3,16 @@
 Points are binned into voxels of size s_v. A voxel whose covariance
 eigenvalues (l1 >= l2 >= l3, l3 floored at 1e-12) satisfy l2/l3 >
 sigma_lambda is kept as a planar patch; otherwise it splits into eight
-children. Cells with fewer than four points are discarded. A patch
-holds the row indices of its points, not a copy of them. Adjacent
-coplanar patches are merged afterwards as connected components of the
-compatible pairs and refit from the pooled rows.
+children. Cells with fewer than four points are discarded. `Patches`
+holds a patch label per point row (-1 for none) and one row of plane and
+cell-box arrays per patch. Adjacent coplanar patches are merged as
+connected components of the compatible pairs, relabelled, and refit
+from their pooled rows. Classification returns patch index arrays.
 """
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -24,7 +25,7 @@ MIN_CELL_POINTS = 4
 MAX_OCTREE_DEPTH = 6
 
 __all__ = [
-    "PlanarPatch",
+    "Patches",
     "SegmentationResult",
     "segment_planes",
     "merge_patches",
@@ -33,21 +34,27 @@ __all__ = [
 
 
 @dataclass
-class PlanarPatch:
-    """A planar cluster of points with its fitted plane and cell bounds."""
+class Patches:
+    """Planar patches of a point array, one row each, plus a label per point."""
 
-    idx: np.ndarray  # (N,) int64 rows of the segmented point array
-    centroid: np.ndarray  # (3,)
-    normal: np.ndarray  # (3,), unit
-    eigenvalues: np.ndarray  # (3,), descending
-    cell_lo: np.ndarray  # (3,) octree cell AABB
+    label: np.ndarray  # (N,) int64 patch of each point row, -1 for none
+    centroid: np.ndarray  # (P, 3)
+    normal: np.ndarray  # (P, 3), unit
+    eigenvalues: np.ndarray  # (P, 3), descending
+    cell_lo: np.ndarray  # (P, 3) octree cell AABB
     cell_hi: np.ndarray
-    kind: str = ""
+
+    def __len__(self) -> int:
+        return self.centroid.shape[0]
+
+    def mask(self, patch_idx) -> np.ndarray:
+        """True for the point rows that one of the given patches holds."""
+        return np.isin(self.label, patch_idx)
 
 
 @dataclass
 class SegmentationResult:
-    patches: List[PlanarPatch]
+    patches: Patches
     n_points: int
     n_unassigned: int
 
@@ -83,20 +90,22 @@ def _cell_keys(keys: np.ndarray) -> np.ndarray:
 def segment_planes(
     points: np.ndarray, s_v: float = 2.0, sigma_lambda: float = 10.0
 ) -> SegmentationResult:
-    """Octree split of `points` into planar patches labelled by row index."""
+    """Octree split of `points` into planar patches numbered by level, then cell."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n_total = pts.shape[0]
     if n_total == 0:
-        return SegmentationResult([], 0, 0)
+        none = np.zeros((0, 3))
+        return SegmentationResult(Patches(np.zeros(0, dtype=np.int64), none, none, none, none, none), 0, 0)
     if s_v <= 0.0:
         raise ValueError("s_v must be positive")
 
     origin = pts.min(axis=0)
-    patches: List[PlanarPatch] = []
+    label = np.full(n_total, -1, dtype=np.int64)
+    levels = []  # (centroid, normal, eigenvalues, cell_lo, cell_hi) per level
     active_idx = np.arange(n_total)
     active = pts
-    n_assigned = 0
     size = float(s_v)
+    n_patches = 0
 
     for _ in range(MAX_OCTREE_DEPTH + 1):
         if active.shape[0] == 0:
@@ -136,54 +145,44 @@ def segment_planes(
         l3 = np.maximum(w[:, 0], EIGENVALUE_FLOOR)
         planar = big & (w[:, 1] / l3 > sigma_lambda)
 
-        cell_keys = keys[order[starts]]
-        normals = _canonical_sign(v[:, :, 0])
-
-        for g in np.nonzero(planar)[0]:
-            idx = active_idx[order[starts[g] : starts[g] + counts[g]]]
-            lo = origin + cell_keys[g] * size
-            patches.append(
-                PlanarPatch(
-                    idx=idx,
-                    centroid=means[g],
-                    normal=normals[g],
-                    eigenvalues=w[g][::-1].copy(),
-                    cell_lo=lo,
-                    cell_hi=lo + size,
-                )
-            )
-            n_assigned += idx.shape[0]
+        patch_of = np.full(n_groups, -1, dtype=np.int64)
+        patch_of[planar] = n_patches + np.arange(np.count_nonzero(planar))
+        n_patches += np.count_nonzero(planar)
+        label[active_idx] = patch_of[inv]  # active rows are all still unassigned
+        lo = origin + keys[order[starts[planar]]] * size
+        levels.append((means[planar], _canonical_sign(v[planar, :, 0]), w[planar, ::-1], lo, lo + size))
 
         keep = big[inv] & ~planar[inv]
         active_idx = active_idx[keep]
         active = active[keep]
         size *= 0.5
 
-    return SegmentationResult(patches, n_total, n_total - n_assigned)
+    patches = Patches(label, *(np.concatenate(f) for f in zip(*levels)))
+    return SegmentationResult(patches, n_total, int(np.count_nonzero(label < 0)))
 
 
 def merge_patches(
-    patches: List[PlanarPatch],
+    patches: Patches,
     points: np.ndarray,
     normal_tol_deg: float = 10.0,
     dist_tol_m: float = 0.1,
-) -> List[PlanarPatch]:
+) -> Patches:
     """Join cell-adjacent coplanar patches and refit each group from `points`.
 
     A group is a connected component of the pairs that touch (cell boxes
     within 1e-9 m) and are coplanar (normals within the angle, each
-    centroid within dist_tol_m of the other's plane). Its `idx` is the
-    members' `idx` in member order; singletons pass through unchanged.
+    centroid within dist_tol_m of the other's plane). A group of several
+    patches is refit from its rows in member order (each member's rows
+    ascending); a singleton keeps its plane. Groups are relabelled in
+    order of their rounded centroids.
     """
     n = len(patches)
     if n == 0:
-        return []
+        return patches
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     cos_tol = float(np.cos(np.radians(normal_tol_deg)))
-    lo = np.array([p.cell_lo for p in patches])
-    hi = np.array([p.cell_hi for p in patches])
-    normals = np.array([p.normal for p in patches])
-    centroids = np.array([p.centroid for p in patches])
+    lo, hi = patches.cell_lo, patches.cell_hi
+    normals, centroids = patches.normal, patches.centroid
 
     eps = 1e-9
     touch = np.ones((n, n), dtype=bool)
@@ -197,49 +196,43 @@ def merge_patches(
         & (np.abs(np.vecdot(normals[j], gap)) <= dist_tol_m)
     )
 
-    merged: List[PlanarPatch] = []
-    for members in connected_groups(n, i[coplanar], j[coplanar]):
-        if members.shape[0] == 1:
-            merged.append(patches[members[0]])
-            continue
-        idx = np.concatenate([patches[m].idx for m in members])
-        centroid, normal, eig = _fit_plane(pts[idx])
-        merged.append(
-            PlanarPatch(
-                idx=idx,
-                centroid=centroid,
-                normal=normal,
-                eigenvalues=eig,
-                cell_lo=lo[members].min(axis=0),
-                cell_hi=hi[members].max(axis=0),
-            )
-        )
-    merged.sort(key=lambda p: tuple(np.round(p.centroid, 9)))
-    return merged
+    groups = connected_groups(n, i[coplanar], j[coplanar])
+    group_of = np.empty(n, dtype=np.int64)
+    group_of[np.concatenate(groups)] = np.repeat(np.arange(len(groups)), [g.shape[0] for g in groups])
+    # members ascend, so rows ordered by group, then patch, then row list
+    # each group's rows in member order
+    held = np.flatnonzero(patches.label >= 0)
+    key = group_of[patches.label[held]]
+    rows = held[np.lexsort((patches.label[held], key))]
+    bounds = np.searchsorted(np.sort(key), np.arange(len(groups) + 1))
+
+    first = [g[0] for g in groups]
+    centroid, normal, eig = centroids[first], normals[first], patches.eigenvalues[first]
+    boxes = np.array([(lo[m].min(axis=0), hi[m].max(axis=0)) for m in groups])
+    for g, members in enumerate(groups):
+        if members.shape[0] > 1:
+            centroid[g], normal[g], eig[g] = _fit_plane(pts[rows[bounds[g] : bounds[g + 1]]])
+
+    r = np.round(centroid, 9)
+    order = np.lexsort((r[:, 2], r[:, 1], r[:, 0]))
+    label = np.where(patches.label >= 0, np.argsort(order)[group_of[patches.label]], -1)
+    return Patches(label, centroid[order], normal[order], eig[order], boxes[order, 0], boxes[order, 1])
 
 
 def classify_patches(
-    patches: List[PlanarPatch], gravity: np.ndarray, angle_tol_deg: float = 15.0
-) -> Tuple[List[PlanarPatch], List[PlanarPatch], List[PlanarPatch]]:
-    """Split patches into (walls, ground, other) by angle to gravity.
+    patches: Patches, gravity: np.ndarray, angle_tol_deg: float = 15.0
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split patch indices into (walls, ground, other) by angle to gravity.
 
     Ground normals are parallel to gravity within the tolerance, wall
-    normals perpendicular to it. Sets each patch's `kind` in place.
+    normals perpendicular to it.
     """
     g = np.asarray(gravity, dtype=np.float64)
     g = g / np.linalg.norm(g)
     cos_par = float(np.cos(np.radians(angle_tol_deg)))
     sin_perp = float(np.sin(np.radians(angle_tol_deg)))
-    walls, ground, other = [], [], []
-    for p in patches:
-        c = abs(float(p.normal @ g))
-        if c >= cos_par:
-            p.kind = "ground"
-            ground.append(p)
-        elif c <= sin_perp:
-            p.kind = "wall"
-            walls.append(p)
-        else:
-            p.kind = "other"
-            other.append(p)
-    return walls, ground, other
+    # vecdot, not `normal @ g`: it rounds each row as the one-patch dot does
+    c = np.abs(np.vecdot(patches.normal, g))
+    ground = c >= cos_par
+    wall = ~ground & (c <= sin_perp)
+    return np.flatnonzero(wall), np.flatnonzero(ground), np.flatnonzero(~ground & ~wall)

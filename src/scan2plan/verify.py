@@ -27,7 +27,7 @@ import numpy as np
 from scipy.ndimage import distance_transform_cdt
 
 from .errors import EmptyModel, EmptySubmap, NoCandidates
-from .geometry import LineSegment2, Se2Pose
+from .geometry import Se2Pose
 from .lines import rasterize_segments
 from .voting import Candidate
 
@@ -114,11 +114,10 @@ class ScoreResult:
     variant: str
 
 
-def build_score_field(
-    walls: Sequence[LineSegment2], s_r: float = 0.2, k_d: int = 5
-) -> ScoreField:
-    """Rasterize walls at s_r and dilate with the linear k_d falloff."""
-    if not walls:
+def build_score_field(walls: np.ndarray, s_r: float = 0.2, k_d: int = 5) -> ScoreField:
+    """Rasterize (W, 2, 2) wall endpoints at s_r and dilate with the linear k_d falloff."""
+    walls = np.asarray(walls, dtype=np.float64).reshape(-1, 2, 2)
+    if walls.shape[0] == 0:
         raise EmptyModel("no walls to build a score field from")
     if k_d < 1:
         raise ValueError("k_d must be >= 1")

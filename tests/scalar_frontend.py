@@ -1,14 +1,15 @@
 """Reference oracle: the front end as first written.
 
-The octree segmentation that copies point blocks into each patch, the
-union-find patch merge and segment chaining, the Hough detector with a
-full `(P, theta_bins)` rho table and one accumulator-sized `bincount`
-per claimed run, the corner loop over segment pairs that builds one
-`Corner` per intersection, and the ground mask that hashes every point's
-bytes.
-The package's index-based front end must reproduce these bit for bit;
+The octree segmentation that copies point blocks into each patch object,
+the union-find patch merge and segment chaining, the per-patch gravity
+classification, the Hough detector with a full `(P, theta_bins)` rho
+table and one accumulator-sized `bincount` per claimed run, the corner
+loop over segment pairs that builds one `Corner` per intersection, and
+the ground mask that hashes every point's bytes. Segments here are
+`LineSegment2` lists.
+The package's array front end must reproduce these bit for bit;
 `test_frontend_oracle.py` checks that. Patches here carry `points`, the
-package's carry `idx` into the segmented array.
+package's `Patches` label each row of the segmented array.
 """
 
 from dataclasses import dataclass
@@ -193,6 +194,33 @@ def merge_patches(
         )
     merged.sort(key=lambda p: tuple(np.round(p.centroid, 9)))
     return merged
+
+
+def classify_patches(
+    patches: List[PlanarPatch], gravity: np.ndarray, angle_tol_deg: float = 15.0
+) -> Tuple[List[PlanarPatch], List[PlanarPatch], List[PlanarPatch]]:
+    """Split patches into (walls, ground, other) by angle to gravity.
+
+    Ground normals are parallel to gravity within the tolerance, wall
+    normals perpendicular to it. Sets each patch's `kind` in place.
+    """
+    g = np.asarray(gravity, dtype=np.float64)
+    g = g / np.linalg.norm(g)
+    cos_par = float(np.cos(np.radians(angle_tol_deg)))
+    sin_perp = float(np.sin(np.radians(angle_tol_deg)))
+    walls, ground, other = [], [], []
+    for p in patches:
+        c = abs(float(p.normal @ g))
+        if c >= cos_par:
+            p.kind = "ground"
+            ground.append(p)
+        elif c <= sin_perp:
+            p.kind = "wall"
+            walls.append(p)
+        else:
+            p.kind = "other"
+            other.append(p)
+    return walls, ground, other
 
 
 def detect_segments(

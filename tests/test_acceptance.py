@@ -203,7 +203,7 @@ def test_a5_confidence_extremes():
     n_wall = scene.deviation_log["n_wall_points"]
     q_ng = scene.submap.points[:n_wall, :2]
     q_g = scene.submap.points[n_wall:, :2]
-    field = build_score_field(layout.wall_model.walls)
+    field = build_score_field(layout.wall_model.endpoints())
     at_gt = score_candidate(field, gt, q_ng, q_g).confidence
     # offset larger than the building, so scanned walls land on open floor
     misplaced = Se2Pose(gt.x + 8.0, gt.y, gt.yaw + 0.2)

@@ -17,7 +17,7 @@ import scalar_backend as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scan2plan.geometry import LineSegment2, Se2Pose
+from scan2plan.geometry import Se2Pose
 from scan2plan.verify import VARIANTS, ScoreField, build_score_field, score_candidate, select_best
 from scan2plan.voting import Candidate, VoteGrid, hierarchical_vote, vanilla_vote
 
@@ -43,7 +43,7 @@ def fields(draw):
             p0 = np.array([draw(st.floats(-6, 6)), draw(st.floats(-6, 6))])
             ang = draw(st.floats(0.0, math.pi))
             p1 = p0 + draw(st.floats(0.3, 6.0)) * np.array([math.cos(ang), math.sin(ang)])
-            walls.append(LineSegment2(p0, p1))
+            walls.append((p0, p1))
         return build_score_field(walls, s_r=s_r, k_d=draw(st.integers(1, 5)))
     nx, ny = draw(st.integers(1, 9)), draw(st.integers(1, 9))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
@@ -176,7 +176,7 @@ def test_scoring_matches_oracle_on_a_scene():
     scene = synthesize_submap(layout.wall_model, gt, radius_m=15.0, noise_sigma_m=0.03, seed=4)
     n_wall = scene.deviation_log["n_wall_points"]
     q_ng, q_g = scene.submap.points[:n_wall, :2], scene.submap.points[n_wall:, :2]
-    field = build_score_field(layout.wall_model.walls)
+    field = build_score_field(layout.wall_model.endpoints())
     rng = np.random.default_rng(0)
     cands = [Candidate(gt, 5, 5, 1)] + [
         Candidate(Se2Pose(gt.x + rng.normal(0, 2), gt.y + rng.normal(0, 2), rng.uniform(-3, 3)), 3, 3, 1)

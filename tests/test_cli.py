@@ -8,8 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scan2plan.cli import main
+from scan2plan.config import PipelineConfig
+from scan2plan.descriptors import build_triplets
 from scan2plan.geometry import Se2Pose, registration_success
 from scan2plan.ingest import load_pose, load_wall_models
+from scan2plan.lines import extract_corners
 
 UNIT_SQUARE = "0 0 1 0\n1 0 1 1\n1 1 0 1\n0 1 0 0\n"
 
@@ -40,6 +43,23 @@ def test_build_db_unit_square_counts(tmp_path, capsys):
     assert main(["build-db", "--model", str(plan), "--out", str(tmp_path / "sq.db")]) == 0
     out = capsys.readouterr().out
     assert "4 corners, 4 triplets" in out
+
+
+def test_build_db_triplet_count_with_tied_bins(tmp_path, capsys):
+    # the count comes from the tied-order rows; it must equal the number
+    # of canonical triplets, which build-db no longer enumerates
+    plan = tmp_path / "plan.txt"
+    assert main(["gen-floorplan", "--seed", "7", "--n-rooms", "6", "--extent", "30", "--out", str(plan)]) == 0
+    capsys.readouterr()
+    assert main(["build-db", "--model", str(plan), "--out", str(tmp_path / "f.db")]) == 0
+    words = capsys.readouterr().out.split()
+    n_triplets, n_orders = int(words[4]), int(words[6])
+    assert (words[5], words[7]) == ("triplets,", "stored")
+    cfg = PipelineConfig()
+    model = load_wall_models(plan)[0]
+    corners = extract_corners(model.endpoints(), cfg.extend_m, cfg.nms_radius_m, cfg.min_angle_deg)
+    assert n_orders > n_triplets  # premise: some triplets' side bins tie
+    assert n_triplets == len(build_triplets(corners, cfg.l_max, cfg.r_s, cfg.r_a, cfg.min_angle_deg))
 
 
 def test_build_db_empty_model_fails(tmp_path, capsys):
@@ -317,6 +337,20 @@ def test_register_far_point_exit_code(tmp_path, capsys):
     assert code == 2
     assert "int64" in capsys.readouterr().err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_register_far_copy_exit_code(tmp_path, capsys):
+    # a copy of the scan shifted by (1e5, 1e5) m: the octree fits, but the
+    # wall raster would be ~7e13 cells
+    plan, scenes, db = _gen(tmp_path, capsys)
+    raw = (scenes / "scene_0000.submap").read_bytes()
+    pts = np.frombuffer(raw, dtype="<f4", offset=20).reshape(-1, 3)
+    far = np.vstack([pts, pts + np.array([1e5, 1e5, 0.0], dtype="<f4")])
+    bad = tmp_path / "far_copy.submap"
+    _write_submap(bad, np.frombuffer(raw, dtype="<f4", count=3, offset=4), far)
+    code = main(["register", "--submap", str(bad), "--model", str(plan), "--db", str(db)])
+    assert code == 2
+    assert "raster" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

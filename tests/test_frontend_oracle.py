@@ -1,11 +1,13 @@
-"""Property tests: the index-based front end against the scalar oracle.
+"""Property tests: the array front end against the scalar oracle.
 
 `scalar_frontend` keeps the original front end: patches that copy their
-points, union-find merging and chaining, a Hough detector with the full
-rho table, the per-pair corner loop, and the byte-hash ground mask.
-Every comparison here is bitwise: patch rows, planes and cell boxes;
-merged groups; segment endpoints; corner positions, wall directions,
-support and order; the ground mask. Rasters mix random pixels with
+points, union-find merging and chaining, the per-patch gravity test, a
+Hough detector with the full rho table, the per-pair corner loop, and
+the byte-hash ground mask. Every comparison here is bitwise: patch rows,
+planes and cell boxes; merged groups; patch classes; segment endpoints;
+corner positions, wall directions, support and order; the ground mask.
+Patch normals sit within a few ulp of the classification thresholds.
+Rasters mix random pixels with
 lines, vote ties (mirror-symmetric shapes), runs exactly l_min_px long
 and pixel centers exactly band_px from a peak's rho. Corner inputs put
 candidates exactly nms_radius_m apart, crossings exactly at the
@@ -21,8 +23,8 @@ from scan2plan.config import PipelineConfig
 from scan2plan.geometry import LineSegment2, Se2Pose
 from scan2plan.graph import connected_groups
 from scan2plan.lines import BevRaster, detect_segments, extract_corners, merge_refit, rasterize_points
-from scan2plan.pipeline import _ground_mask, extract_submap_features
-from scan2plan.planes import classify_patches, merge_patches, segment_planes
+from scan2plan.pipeline import extract_submap_features
+from scan2plan.planes import Patches, classify_patches, merge_patches, segment_planes
 from scan2plan.synthetic import generate_layout, synthesize_submap
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -33,8 +35,15 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).tobytes()
 
 
-def _segment_bits(segments):
-    return [(_bits(s.p0), _bits(s.p1)) for s in segments]
+def _ends(segments):
+    """(S, 2, 2) endpoint array of a LineSegment2 list."""
+    return np.array([(s.p0, s.p1) for s in segments]).reshape(-1, 2, 2)
+
+
+def _assert_segments_match(got, want):
+    """A package (S, 2, 2) array equals the oracle's LineSegment2 list bitwise."""
+    assert got.shape == (len(want), 2, 2)
+    assert _bits(got) == _bits(_ends(want))
 
 
 # --- rasters ---
@@ -88,9 +97,7 @@ def rasters(draw):
 @given(rasters())
 def test_detect_segments_matches_oracle(case):
     raster, params = case
-    got = detect_segments(raster, **params)
-    want = ref.detect_segments(raster, **params)
-    assert _segment_bits(got) == _segment_bits(want)
+    _assert_segments_match(detect_segments(raster, **params), ref.detect_segments(raster, **params))
 
 
 def test_all_claimed_raster_matches_oracle():
@@ -99,7 +106,7 @@ def test_all_claimed_raster_matches_oracle():
     raster = BevRaster(grid, np.zeros(2), 60.0)
     got = detect_segments(raster, l_min_px=10)
     assert len(got) == 1
-    assert _segment_bits(got) == _segment_bits(ref.detect_segments(raster, l_min_px=10))
+    _assert_segments_match(got, ref.detect_segments(raster, l_min_px=10))
 
 
 # --- segment chaining ---
@@ -131,8 +138,7 @@ def segment_sets(draw):
 @SETTINGS
 @given(segment_sets(), st.sampled_from([0.3, 0.25, 1.0]), st.sampled_from([5.0, 1.0, 30.0]))
 def test_merge_refit_matches_oracle(segs, tol, angle):
-    got = merge_refit(segs, tol, angle)
-    assert _segment_bits(got) == _segment_bits(ref.merge_refit(segs, tol, angle))
+    _assert_segments_match(merge_refit(_ends(segs), tol, angle), ref.merge_refit(segs, tol, angle))
 
 
 @SETTINGS
@@ -226,8 +232,8 @@ def corner_cases(draw):
 @example(([_hseg(0.0, -1.0, 1.0), _hseg(0.5, -1.0, 1.0), _vseg(0.0, -1.0, 1.0)], 1.0, 0.5, 10.0))  # 0.5 m apart
 def test_extract_corners_matches_oracle(case):
     segs, extend, radius, min_angle = case
-    args = (segs, extend, radius, min_angle)
-    _assert_corners_match(extract_corners(*args), ref.extract_corners(*args))
+    got = extract_corners(_ends(segs), extend, radius, min_angle)
+    _assert_corners_match(got, ref.extract_corners(segs, extend, radius, min_angle))
 
 
 # --- planes and the ground mask ---
@@ -262,13 +268,30 @@ def point_sets(draw):
     return pts[rng.permutation(pts.shape[0])]
 
 
+def _rows(block):
+    """A point block as a sorted list of row bytes: its rows as a multiset."""
+    return sorted(bytes(r) for r in np.ascontiguousarray(block, dtype=np.float64))
+
+
 def _assert_patches_match(got, want, pts):
+    """`Patches` rows equal the oracle's patch list bitwise, in order.
+
+    The oracle pools a merged patch's points in member order, the
+    package labels rows, so each patch's rows compare as a multiset; the
+    refit planes, which do depend on that order, compare bitwise.
+    """
     assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert _bits(pts[g.idx]) == _bits(w.points)
+    assert got.label.shape == (pts.shape[0],)
+    for k, w in enumerate(want):
+        assert _rows(pts[got.label == k]) == _rows(w.points)
         for name in ("centroid", "normal", "eigenvalues", "cell_lo", "cell_hi"):
-            assert _bits(getattr(g, name)) == _bits(getattr(w, name)), name
-        assert g.kind == w.kind
+            assert _bits(getattr(got, name)[k]) == _bits(getattr(w, name)), name
+
+
+def _positions(groups, patches):
+    """Each oracle group as a list of positions in `patches`."""
+    at = {id(p): k for k, p in enumerate(patches)}
+    return [[at[id(p)] for p in group] for group in groups]
 
 
 @SETTINGS
@@ -281,11 +304,47 @@ def test_planes_and_ground_mask_match_oracle(pts, s_v, sigma):
 
     merged = merge_patches(seg.patches, pts, 10.0, 0.1)
     want_merged = ref.merge_patches(want.patches, 10.0, 0.1)
-    ground = classify_patches(merged, GRAVITY)[1]
-    want_ground = classify_patches(want_merged, GRAVITY)[1]
     _assert_patches_match(merged, want_merged, pts)
-    mask = _ground_mask(pts.shape[0], ground)
-    assert np.array_equal(mask, ref._ground_mask(pts, want_ground))
+    kinds = classify_patches(merged, GRAVITY)
+    want_kinds = ref.classify_patches(want_merged, GRAVITY)
+    assert [k.tolist() for k in kinds] == _positions(want_kinds, want_merged)
+    mask = merged.mask(kinds[1])
+    assert np.array_equal(mask, ref._ground_mask(pts, want_kinds[1]))
+
+
+@st.composite
+def classify_cases(draw):
+    """(normals, gravity, tol): unit normals, many within 3 ulp of a threshold.
+
+    A normal's dot with gravity is put at cos(tol) or sin(tol) plus k
+    ulp, k in [-3, 3], or drawn uniformly. Gravity is either straight
+    down, so the dot is exact, or a random direction, where the rows'
+    rounding decides the class.
+    """
+    tol = draw(st.sampled_from([15.0, 5.0, 30.0, 45.0, 60.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    g = GRAVITY if draw(st.booleans()) else rng.normal(size=3)
+    g = g / np.linalg.norm(g)
+    n = draw(st.integers(1, 300))
+    perp = np.cross(g, rng.normal(size=(n, 3)))
+    perp /= np.linalg.norm(perp, axis=1)[:, None]
+    z = rng.choice([np.cos(np.radians(tol)), np.sin(np.radians(tol))], n)
+    z += rng.integers(-3, 4, n) * np.spacing(z)
+    z = np.where(rng.random(n) < draw(st.sampled_from([1.0, 0.5, 0.0])), z, rng.uniform(0.0, 1.0, n))
+    z *= rng.choice([-1.0, 1.0], n)
+    normals = z[:, None] * g + np.sqrt(1.0 - z * z)[:, None] * perp
+    return normals, g * draw(st.sampled_from([1.0, 9.81])), tol
+
+
+@settings(SETTINGS, max_examples=200)
+@given(classify_cases())
+def test_classify_patches_matches_oracle(case):
+    normals, gravity, tol = case
+    none = np.zeros_like(normals)
+    got = classify_patches(Patches(np.zeros(0, dtype=np.int64), none, normals, none, none, none), gravity, tol)
+    patches = [ref.PlanarPatch(None, None, nrm, None, None, None) for nrm in normals]
+    want = ref.classify_patches(patches, gravity, tol)
+    assert [k.tolist() for k in got] == _positions(want, patches)
 
 
 # --- whole front end on a synthetic scan ---
@@ -303,7 +362,7 @@ def test_front_end_matches_oracle_on_scene():
 
     seg = ref.segment_planes(pts, cfg.s_v, cfg.sigma_lambda)
     patches = ref.merge_patches(seg.patches, cfg.normal_tol_deg, cfg.dist_tol_m)
-    walls, ground, _ = classify_patches(patches, scene.submap.gravity, cfg.gravity_tol_deg)
+    walls, ground, _ = ref.classify_patches(patches, scene.submap.gravity, cfg.gravity_tol_deg)
     mask = ref._ground_mask(pts, ground)
     raster = rasterize_points(np.concatenate([p.points[:, :2] for p in walls]), cfg.s_i)
     segments = ref.detect_segments(raster, cfg.l_min_px, cfg.gap_px, cfg.band_px, cfg.theta_bins)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from scan2plan.errors import EmptyGrid
-from scan2plan.geometry import LineSegment2, Se2Pose
+from scan2plan.geometry import Se2Pose
 from scan2plan.lines import (
+    MAX_POINT_RASTER_CELLS,
+    _bounds,
     detect_segments,
     extract_corners,
     merge_refit,
@@ -17,12 +19,21 @@ S_I = 60.0
 
 
 def _seg(ax, ay, bx, by):
-    return LineSegment2(np.array([ax, ay], float), np.array([bx, by], float))
+    """One [p0, p1] endpoint row."""
+    return np.array([[ax, ay], [bx, by]], float)
+
+
+def _length(seg):
+    return float(np.linalg.norm(seg[1] - seg[0]))
+
+
+def _direction(seg):
+    return (seg[1] - seg[0]) / _length(seg)
 
 
 def _nearest_line_dist(p, seg):
-    d = seg.direction
-    return abs(float((p - seg.p0) @ np.array([-d[1], d[0]])))
+    d = _direction(seg)
+    return abs(float((p - seg[0]) @ np.array([-d[1], d[0]])))
 
 
 # --- raster ---
@@ -47,9 +58,18 @@ def test_segment_raster_is_connected():
     assert n_px >= expect
     # every sampled point of the segment lands on a marked cell
     t = np.linspace(0.0, 1.0, 5000)
-    pts = seg.p0 + t[:, None] * (seg.p1 - seg.p0)
+    pts = seg[0] + t[:, None] * (seg[1] - seg[0])
     ij = np.floor(r.px_of(pts)).astype(int)
     assert np.all(r.grid[ij[:, 0], ij[:, 1]])
+
+
+def test_point_raster_cap_admits_200_m_submap():
+    # checked through the bounds alone: the raster would be 1.44e8 cells
+    pts = np.array([[0.0, 0.0], [200.0, 200.0]])
+    lo, hi = _bounds(pts, 2, S_I, MAX_POINT_RASTER_CELLS)
+    assert np.prod(hi - lo) == 12005**2
+    with pytest.raises(ValueError, match="raster"):
+        rasterize_points(pts * 10.0, scale=S_I)
 
 
 def test_empty_raster_raises():
@@ -64,10 +84,9 @@ def test_detects_single_wall_endpoints():
     seg = _seg(1.0, 2.0, 7.0, 5.0)
     r = rasterize_segments([seg], scale=S_I)
     found = detect_segments(r)
-    assert len(found) == 1
-    f = found[0]
-    ends = sorted([f.p0, f.p1], key=lambda p: p[0])
-    true = sorted([seg.p0, seg.p1], key=lambda p: p[0])
+    assert found.shape == (1, 2, 2)
+    ends = sorted(found[0], key=lambda p: p[0])
+    true = sorted(seg, key=lambda p: p[0])
     for got, want in zip(ends, true):
         assert np.linalg.norm(got - want) < 3.0 / S_I
 
@@ -77,7 +96,7 @@ def test_perpendicular_walls_give_two_segments():
     r = rasterize_segments(segs, scale=S_I)
     found = detect_segments(r)
     assert len(found) == 2
-    angles = sorted(abs(float(f.direction @ np.array([1.0, 0.0]))) for f in found)
+    angles = sorted(abs(float(_direction(f) @ np.array([1.0, 0.0]))) for f in found)
     assert angles[0] < 0.05 and angles[1] > 0.95
 
 
@@ -86,7 +105,7 @@ def test_short_wall_dropped():
     r = rasterize_segments(segs, scale=S_I)
     found = detect_segments(r)
     assert len(found) == 1
-    assert found[0].length > 4.5
+    assert _length(found[0]) > 4.5
 
 
 def test_parallel_walls_stay_apart():
@@ -94,7 +113,7 @@ def test_parallel_walls_stay_apart():
     r = rasterize_segments(segs, scale=S_I)
     found = detect_segments(r)
     assert len(found) == 2
-    ys = sorted(0.5 * (f.p0[1] + f.p1[1]) for f in found)
+    ys = sorted(0.5 * (f[0, 1] + f[1, 1]) for f in found)
     assert abs(ys[0] - 0.0) < 0.05 and abs(ys[1] - 3.0) < 0.05
 
 
@@ -103,15 +122,15 @@ def test_detection_from_noisy_points():
     walls = [_seg(0.0, 0.0, 8.0, 0.0), _seg(8.0, 0.0, 8.0, 6.0), _seg(8.0, 6.0, 0.0, 6.0)]
     pts = []
     for w in walls:
-        t = rng.uniform(0.0, 1.0, int(w.length * 250))
-        pts.append(w.p0 + t[:, None] * (w.p1 - w.p0))
+        t = rng.uniform(0.0, 1.0, int(_length(w) * 250))
+        pts.append(w[0] + t[:, None] * (w[1] - w[0]))
     pts = np.vstack(pts) + rng.normal(scale=0.03, size=(sum(p.shape[0] for p in pts), 2))
     r = rasterize_points(pts, scale=S_I)
     found = merge_refit(detect_segments(r))
     assert len(found) == 3
     for f in found:
         d = min(
-            max(_nearest_line_dist(f.p0, w), _nearest_line_dist(f.p1, w)) for w in walls
+            max(_nearest_line_dist(f[0], w), _nearest_line_dist(f[1], w)) for w in walls
         )
         assert d < 0.08
 
@@ -124,8 +143,8 @@ def test_merge_collinear_pieces():
     merged = merge_refit(pieces)
     assert len(merged) == 1
     m = merged[0]
-    assert abs(m.length - 6.0) < 1e-6
-    assert abs(m.p0[1]) < 1e-9 and abs(m.p1[1]) < 1e-9
+    assert abs(_length(m) - 6.0) < 1e-6
+    assert abs(m[0, 1]) < 1e-9 and abs(m[1, 1]) < 1e-9
 
 
 def test_merge_preserves_door_gaps():
@@ -139,8 +158,7 @@ def test_merge_is_idempotent_on_disjoint_input():
     merged = merge_refit(pieces)
     two = merge_refit(merged)
     assert len(merged) == len(two) == 2
-    for a, b in zip(merged, two):
-        assert np.allclose(a.p0, b.p0) and np.allclose(a.p1, b.p1)
+    assert np.allclose(merged, two)
 
 
 # --- corners ---
@@ -182,7 +200,7 @@ def test_corner_extraction_is_rigid_equivariant():
         _seg(0.0, 4.0, 0.0, 0.0),
     ]
     pose = Se2Pose(3.3, -1.2, 0.77)
-    moved = [s.transformed(pose) for s in segs]
+    moved = pose.apply(np.array(segs).reshape(-1, 2)).reshape(-1, 2, 2)
     a = extract_corners(segs)
     b = extract_corners(moved)
     assert len(a) == len(b) == 4

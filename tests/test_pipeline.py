@@ -7,11 +7,10 @@ from scan2plan.config import PipelineConfig
 from scan2plan.errors import EmptyModel, EmptyScene
 from scan2plan.geometry import registration_success
 from scan2plan.ingest import Submap, save_pose, save_submap
-from scan2plan.planes import PlanarPatch
+from scan2plan.planes import Patches, classify_patches
 from scan2plan.pipeline import (
     FAILURE_CONFIDENCE,
     STAGES,
-    _ground_mask,
     build_floor_index,
     evaluate_scenes,
     pr_from_directories,
@@ -174,11 +173,15 @@ def _write_scene_dir(path, layout, seeds, with_pose=True, **devs):
 def test_ground_mask_labels_rows_not_coordinates():
     # row 3 repeats row 0 bit for bit but belongs to no ground patch
     points = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 0.0, 0.0]])
-    z = np.zeros(3)
-    ground = PlanarPatch(np.array([0, 1]), z, np.array([0.0, 0.0, 1.0]), z, z, z, "ground")
-    mask = _ground_mask(points.shape[0], [ground])
+    z = np.zeros((2, 3))
+    # patch 0 (rows 0, 1) lies flat, patch 1 (row 2) stands upright
+    patches = Patches(np.array([0, 0, 1, -1]), z, np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]), z, z, z)
+    walls, ground, _ = classify_patches(patches, DOWN)
+    mask = patches.mask(ground)
     assert mask.tolist() == [True, True, False, False]
-    assert not _ground_mask(points.shape[0], []).any()
+    assert points[mask].tolist() == points[:2].tolist()
+    assert patches.mask(walls).tolist() == [False, False, True, False]
+    assert not patches.mask(np.array([], dtype=np.int64)).any()
 
 
 def test_evaluate_scene_directory(tmp_path):

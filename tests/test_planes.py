@@ -26,10 +26,10 @@ def test_horizontal_plane_single_patch():
     assert res.n_unassigned == 0
     merged = merge_patches(res.patches, pts)
     assert len(merged) == 1
-    n = merged[0].normal
+    n = merged.normal[0]
     assert np.allclose(np.abs(n), [0.0, 0.0, 1.0], atol=1e-9)
-    assert abs(merged[0].centroid[2]) < 1e-12
-    assert merged[0].idx.shape[0] == pts.shape[0]
+    assert abs(merged.centroid[0, 2]) < 1e-12
+    assert np.all(merged.label == 0)
 
 
 def test_isotropic_blob_yields_no_patch():
@@ -39,7 +39,7 @@ def test_isotropic_blob_yields_no_patch():
     w = np.linalg.eigvalsh(np.cov(pts.T))
     assert w[1] / w[0] < 10.0
     res = segment_planes(pts, s_v=4.0)
-    assert len([p for p in res.patches if p.idx.shape[0] > 50]) == 0
+    assert not np.any(np.bincount(res.patches.label[res.patches.label >= 0]) > 50)
 
 
 def test_split_wall_merges_to_one():
@@ -52,7 +52,7 @@ def test_split_wall_merges_to_one():
     assert len(res.patches) >= 2
     merged = merge_patches(res.patches, pts)
     assert len(merged) == 1
-    assert np.allclose(np.abs(merged[0].normal), [0.0, 1.0, 0.0], atol=1e-9)
+    assert np.allclose(np.abs(merged.normal[0]), [0.0, 1.0, 0.0], atol=1e-9)
 
 
 def test_parallel_walls_stay_separate():
@@ -72,10 +72,11 @@ def test_noisy_wall_recovered():
     merged = merge_patches(segment_planes(pts).patches, pts)
     # grid-edge slivers can survive as tiny patches; the wall itself
     # must come out as a single dominant one
-    big = [p for p in merged if p.idx.shape[0] >= 100]
+    sizes = np.bincount(merged.label[merged.label >= 0], minlength=len(merged))
+    big = np.flatnonzero(sizes >= 100)
     assert len(big) == 1
-    assert big[0].idx.shape[0] > 0.95 * pts.shape[0]
-    n = big[0].normal
+    assert sizes[big[0]] > 0.95 * pts.shape[0]
+    n = merged.normal[big[0]]
     angle = np.degrees(np.arccos(min(1.0, abs(n[1]))))
     assert angle < 2.0
 
@@ -85,11 +86,10 @@ def test_patch_eigenvalues_sorted_and_ratio_holds():
     scene = synthesize_submap(layout.wall_model, Se2Pose(6.0, 6.0, 0.4), radius_m=8.0, seed=1)
     res = segment_planes(scene.submap.points)
     assert len(res.patches) > 0
-    for p in res.patches:
-        w = p.eigenvalues
+    for w, n in zip(res.patches.eigenvalues, res.patches.normal):
         assert w[0] >= w[1] >= w[2]
         assert w[1] / max(w[2], 1e-12) > 10.0
-        assert abs(np.linalg.norm(p.normal) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(n) - 1.0) < 1e-12
 
 
 def test_points_assigned_at_most_once():
@@ -97,14 +97,14 @@ def test_points_assigned_at_most_once():
     scene = synthesize_submap(layout.wall_model, Se2Pose(4.0, 3.0, 0.0), radius_m=6.0, seed=3)
     pts = scene.submap.points
     res = segment_planes(pts)
-    n_assigned = sum(p.idx.shape[0] for p in res.patches)
-    assert n_assigned + res.n_unassigned == pts.shape[0]
-    seen = set()
-    for p in res.patches:
-        for row in np.round(pts[p.idx], 9):
-            key = row.tobytes()
-            assert key not in seen
-            seen.add(key)
+    label = res.patches.label
+    assert label.shape == (pts.shape[0],)
+    assert np.all((label >= -1) & (label < len(res.patches)))
+    assert np.count_nonzero(label >= 0) + res.n_unassigned == pts.shape[0]
+    # every patch holds rows, and no two rows of different patches coincide
+    assert np.all(np.bincount(label[label >= 0], minlength=len(res.patches)) > 0)
+    rows = np.round(pts[label >= 0], 9)
+    assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
 
 
 def test_segmentation_is_permutation_invariant():
@@ -116,8 +116,9 @@ def test_segmentation_is_permutation_invariant():
 
     def signature(points):
         merged = merge_patches(segment_planes(points).patches, points)
+        sizes = np.bincount(merged.label[merged.label >= 0], minlength=len(merged))
         return sorted(
-            (p.idx.shape[0], tuple(np.round(p.centroid, 6))) for p in merged
+            (int(n), tuple(np.round(c, 6))) for n, c in zip(sizes, merged.centroid)
         )
 
     assert signature(pts) == signature(shuffled)
@@ -131,7 +132,7 @@ def test_far_apart_cells_stay_apart():
     pts = np.vstack([a, b])
     res = segment_planes(pts)
     assert len(res.patches) == 2
-    got = sorted(sorted(p.idx.tolist()) for p in res.patches)
+    got = sorted(np.flatnonzero(res.patches.label == k).tolist() for k in range(2))
     assert got == [list(range(a.shape[0])), list(range(a.shape[0], pts.shape[0]))]
 
 
@@ -143,7 +144,8 @@ def test_cell_key_overflow_raises():
 
 def test_empty_input():
     res = segment_planes(np.zeros((0, 3)))
-    assert res.patches == [] and res.n_points == 0
+    assert len(res.patches) == 0 and res.n_points == 0
+    assert len(merge_patches(res.patches, np.zeros((0, 3)))) == 0
 
 
 # --- classification ---
@@ -158,11 +160,10 @@ def test_classify_wall_ground_other():
     pts = np.vstack([ground, wall, ramp])
     merged = merge_patches(segment_planes(pts).patches, pts)
     walls, grounds, other = classify_patches(merged, GRAVITY)
-    assert len(walls) == 1 and walls[0].kind == "wall"
-    assert len(grounds) == 1 and grounds[0].kind == "ground"
-    assert len(other) == 1 and other[0].kind == "other"
-    assert abs(grounds[0].centroid[2]) < 1e-9
-    assert abs(walls[0].centroid[1] - 6.0) < 1e-9
+    assert len(walls) == len(grounds) == len(other) == 1
+    assert sorted(np.concatenate([walls, grounds, other]).tolist()) == [0, 1, 2]
+    assert abs(merged.centroid[grounds[0], 2]) < 1e-9
+    assert abs(merged.centroid[walls[0], 1] - 6.0) < 1e-9
 
 
 def test_classify_tracks_gravity_direction():

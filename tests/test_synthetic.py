@@ -22,7 +22,7 @@ from scan2plan.synthetic import (
 def test_single_room_is_a_rectangle():
     model = generate_layout(seed=7, n_rooms=1, corridor=False, extent_m=12.0).wall_model
     assert len(model.walls) == 4
-    arr = model.as_array()
+    arr = model.endpoints().reshape(-1, 4)
     xs = np.unique(np.round(np.concatenate([arr[:, 0], arr[:, 2]]), 9))
     ys = np.unique(np.round(np.concatenate([arr[:, 1], arr[:, 3]]), 9))
     assert len(xs) == 2 and len(ys) == 2
@@ -42,9 +42,9 @@ def test_room_sides_within_bounds():
 def test_generator_is_deterministic():
     a = generate_layout(seed=123, n_rooms=8, corridor=True, extent_m=40.0).wall_model
     b = generate_layout(seed=123, n_rooms=8, corridor=True, extent_m=40.0).wall_model
-    assert np.array_equal(a.as_array(), b.as_array())
+    assert np.array_equal(a.endpoints().reshape(-1, 4), b.endpoints().reshape(-1, 4))
     c = generate_layout(seed=124, n_rooms=8, corridor=True, extent_m=40.0).wall_model
-    assert not np.array_equal(a.as_array(), c.as_array())
+    assert not np.array_equal(a.endpoints().reshape(-1, 4), c.endpoints().reshape(-1, 4))
 
 
 def _proper_crossing(a0, a1, b0, b1):
@@ -82,7 +82,7 @@ def test_rooms_are_connected():
     # flood fill over a 0.1 m occupancy raster must reach every room center
     for seed in (1, 2, 3):
         layout = generate_layout(seed=seed, n_rooms=10, corridor=True, extent_m=50.0)
-        arr = layout.wall_model.as_array()
+        arr = layout.wall_model.endpoints().reshape(-1, 4)
         res = 0.1
         lo = arr[:, :2].min(axis=0) - 0.5
         hi = arr[:, 2:].max(axis=0) + 0.5

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scan2plan.errors import EmptyModel, EmptySubmap, NoCandidates
-from scan2plan.geometry import LineSegment2, Se2Pose
+from scan2plan.geometry import Se2Pose
 from scan2plan.synthetic import generate_layout, synthesize_submap
 from scan2plan.verify import (
     build_score_field,
@@ -16,7 +16,8 @@ from scan2plan.voting import Candidate
 
 
 def _seg(ax, ay, bx, by):
-    return LineSegment2(np.array([ax, ay], float), np.array([bx, by], float))
+    """One [p0, p1] wall row."""
+    return np.array([[ax, ay], [bx, by]], float)
 
 
 def _scene(seed=3, pose=None, **kw):
@@ -79,7 +80,7 @@ def test_chebyshev_metric_on_diagonal():
 
 def test_true_pose_scores_exactly_one():
     layout, scene, q_ng, q_g = _scene()
-    field = build_score_field(layout.wall_model.walls)
+    field = build_score_field(layout.wall_model.endpoints())
     r = score_candidate(field, scene.gt_pose, q_ng, q_g)
     assert r.s_a == float(q_ng.shape[0])
     assert r.s_p == 0.0
@@ -88,7 +89,7 @@ def test_true_pose_scores_exactly_one():
 
 def test_misplaced_pose_scores_at_most_zero():
     layout, scene, q_ng, q_g = _scene()
-    field = build_score_field(layout.wall_model.walls)
+    field = build_score_field(layout.wall_model.endpoints())
     # offset larger than the building, so scanned walls land on open floor
     # and scanned floor drapes over the modeled walls
     wrong = Se2Pose(scene.gt_pose.x + 8.0, scene.gt_pose.y, scene.gt_pose.yaw + 0.2)
@@ -101,7 +102,7 @@ def test_misplaced_pose_scores_at_most_zero():
 
 def test_duplicated_points_leave_confidence_unchanged():
     layout, scene, q_ng, q_g = _scene()
-    field = build_score_field(layout.wall_model.walls)
+    field = build_score_field(layout.wall_model.endpoints())
     a = score_candidate(field, scene.gt_pose, q_ng, q_g)
     b = score_candidate(
         field, scene.gt_pose, np.vstack([q_ng, q_ng]), np.vstack([q_g, q_g])
@@ -111,7 +112,7 @@ def test_duplicated_points_leave_confidence_unchanged():
 
 def test_extra_free_space_ground_is_free():
     layout, scene, q_ng, q_g = _scene()
-    field = build_score_field(layout.wall_model.walls)
+    field = build_score_field(layout.wall_model.endpoints())
     base = score_candidate(field, scene.gt_pose, q_ng, q_g)
     # ground points far outside the building, still free space
     inv = scene.gt_pose.inverse()
@@ -122,7 +123,7 @@ def test_extra_free_space_ground_is_free():
 
 def test_ground_on_walls_is_penalized():
     layout, scene, q_ng, q_g = _scene()
-    field = build_score_field(layout.wall_model.walls)
+    field = build_score_field(layout.wall_model.endpoints())
     inv = scene.gt_pose.inverse()
     wall = layout.wall_model.walls[0]
     mid = 0.5 * (wall.p0 + wall.p1)
@@ -136,7 +137,7 @@ def test_ground_on_walls_is_penalized():
 
 def test_variants_all_computable():
     layout, scene, q_ng, q_g = _scene()
-    field = build_score_field(layout.wall_model.walls)
+    field = build_score_field(layout.wall_model.endpoints())
     for variant in ("osc", "osc1", "osc2", "osc3"):
         r = score_candidate(field, scene.gt_pose, q_ng, q_g, variant=variant)
         assert np.isfinite(r.confidence)
@@ -156,7 +157,7 @@ def test_empty_submap_raises():
 
 def test_select_best_prefers_true_pose():
     layout, scene, q_ng, q_g = _scene()
-    field = build_score_field(layout.wall_model.walls)
+    field = build_score_field(layout.wall_model.endpoints())
     good = Candidate(scene.gt_pose, votes=10, merged_score=10, n_cells=1)
     bad = Candidate(
         Se2Pose(scene.gt_pose.x + 2.5, scene.gt_pose.y - 3.0, scene.gt_pose.yaw + 1.0),
@@ -181,7 +182,7 @@ def test_select_best_tie_breaks_on_votes():
 
 def test_select_best_subsample_keeps_exact_score():
     layout, scene, q_ng, q_g = _scene()
-    field = build_score_field(layout.wall_model.walls)
+    field = build_score_field(layout.wall_model.endpoints())
     cand = Candidate(scene.gt_pose, votes=1, merged_score=1, n_cells=1)
     best, results = select_best(field, [cand], q_ng, q_g, max_points=500)
     assert results[0].n_ng == 500
