@@ -199,24 +199,24 @@ def merge_patches(
     groups = connected_groups(n, i[coplanar], j[coplanar])
     group_of = np.empty(n, dtype=np.int64)
     group_of[np.concatenate(groups)] = np.repeat(np.arange(len(groups)), [g.shape[0] for g in groups])
-    # members ascend, so rows ordered by group, then patch, then row list
-    # each group's rows in member order
-    held = np.flatnonzero(patches.label >= 0)
-    key = group_of[patches.label[held]]
-    rows = held[np.lexsort((patches.label[held], key))]
-    bounds = np.searchsorted(np.sort(key), np.arange(len(groups) + 1))
+    # each patch's rows ascend: a stable sort by patch, read member by
+    # member, gives a group's rows in member order
+    by_patch = np.argsort(patches.label, kind="stable")
+    starts = np.searchsorted(patches.label[by_patch], np.arange(n + 1))
 
     first = [g[0] for g in groups]
     centroid, normal, eig = centroids[first], normals[first], patches.eigenvalues[first]
-    boxes = np.array([(lo[m].min(axis=0), hi[m].max(axis=0)) for m in groups])
+    cell_lo, cell_hi = lo[first], hi[first]
     for g, members in enumerate(groups):
         if members.shape[0] > 1:
-            centroid[g], normal[g], eig[g] = _fit_plane(pts[rows[bounds[g] : bounds[g + 1]]])
+            rows = np.concatenate([by_patch[starts[m] : starts[m + 1]] for m in members])
+            centroid[g], normal[g], eig[g] = _fit_plane(pts[rows])
+            cell_lo[g], cell_hi[g] = lo[members].min(axis=0), hi[members].max(axis=0)
 
     r = np.round(centroid, 9)
     order = np.lexsort((r[:, 2], r[:, 1], r[:, 0]))
     label = np.where(patches.label >= 0, np.argsort(order)[group_of[patches.label]], -1)
-    return Patches(label, centroid[order], normal[order], eig[order], boxes[order, 0], boxes[order, 1])
+    return Patches(label, centroid[order], normal[order], eig[order], cell_lo[order], cell_hi[order])
 
 
 def classify_patches(
