@@ -114,10 +114,11 @@ def extract_submap_features(submap: Submap, cfg: PipelineConfig) -> SubmapFeatur
     t0 = time.perf_counter()
     points = submap.points
     try:
-        seg = segment_planes(points, cfg.s_v, cfg.sigma_lambda)
+        patches = segment_planes(points, cfg.s_v, cfg.sigma_lambda).patches
     except ValueError as exc:  # s_v > 0 is validated, so only the extent is left
         raise InvalidSubmap("submap too large for its octree: %s" % (exc,)) from None
-    patches = merge_patches(seg.patches, points, cfg.normal_tol_deg, cfg.dist_tol_m)
+    # rebinding frees the unmerged set before the line stage
+    patches = merge_patches(patches, points, cfg.normal_tol_deg, cfg.dist_tol_m)
     walls, ground, _ = classify_patches(patches, submap.gravity, cfg.gravity_tol_deg)
     g_mask = patches.mask(ground)
     q_g_xy = points[g_mask][:, :2]
@@ -168,7 +169,7 @@ def register_features(feats: SubmapFeatures, floor: FloorIndex, cfg: PipelineCon
 
     t0 = time.perf_counter()
     try:
-        best_idx, results = select_best(
+        best_idx, best = select_best(
             floor.field,
             candidates,
             feats.q_ng_xy,
@@ -183,7 +184,6 @@ def register_features(feats: SubmapFeatures, floor: FloorIndex, cfg: PipelineCon
     timings["verify"] = (time.perf_counter() - t0) * 1e3
     timings["total"] = sum(timings[k] for k in STAGES)
 
-    best = results[best_idx]
     return RegistrationReport(
         floor_id=floor.model.floor_id,
         pose=candidates[best_idx].pose,

@@ -4,10 +4,11 @@ Points are binned into voxels of size s_v. A voxel whose covariance
 eigenvalues (l1 >= l2 >= l3, l3 floored at 1e-12) satisfy l2/l3 >
 sigma_lambda is kept as a planar patch; otherwise it splits into eight
 children. Cells with fewer than four points are discarded. `Patches`
-holds a patch label per point row (-1 for none) and one row of plane and
-cell-box arrays per patch. Adjacent coplanar patches are merged as
-connected components of the compatible pairs, relabelled, and refit
-from their pooled rows. Classification returns patch index arrays.
+holds a patch label per point row (-1 for none), the labelled rows
+grouped by patch, and one row of plane and cell-box arrays per patch.
+Adjacent coplanar patches are merged as connected components of the
+compatible pairs, relabelled, and refit from their pooled rows.
+Classification returns patch index arrays.
 """
 
 import math
@@ -38,6 +39,7 @@ class Patches:
     """Planar patches of a point array, one row each, plus a label per point."""
 
     label: np.ndarray  # (N,) int64 patch of each point row, -1 for none
+    rows: np.ndarray  # (M,) the labelled rows, patch 0's first, then patch 1's, ...
     centroid: np.ndarray  # (P, 3)
     normal: np.ndarray  # (P, 3), unit
     eigenvalues: np.ndarray  # (P, 3), descending
@@ -50,6 +52,10 @@ class Patches:
     def mask(self, patch_idx) -> np.ndarray:
         """True for the point rows that one of the given patches holds."""
         return np.isin(self.label, patch_idx)
+
+    def starts(self) -> np.ndarray:
+        """(P + 1,) offsets: patch k holds rows[starts[k]:starts[k + 1]]."""
+        return np.searchsorted(self.label[self.rows], np.arange(len(self) + 1))
 
 
 @dataclass
@@ -94,14 +100,14 @@ def segment_planes(
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n_total = pts.shape[0]
     if n_total == 0:
-        none = np.zeros((0, 3))
-        return SegmentationResult(Patches(np.zeros(0, dtype=np.int64), none, none, none, none, none), 0, 0)
+        none, rows = np.zeros((0, 3)), np.zeros(0, dtype=np.int64)
+        return SegmentationResult(Patches(rows, rows, none, none, none, none, none), 0, 0)
     if s_v <= 0.0:
         raise ValueError("s_v must be positive")
 
     origin = pts.min(axis=0)
     label = np.full(n_total, -1, dtype=np.int64)
-    levels = []  # (centroid, normal, eigenvalues, cell_lo, cell_hi) per level
+    levels = []  # (rows, centroid, normal, eigenvalues, cell_lo, cell_hi) per level
     active_idx = np.arange(n_total)
     active = pts
     size = float(s_v)
@@ -150,7 +156,9 @@ def segment_planes(
         n_patches += np.count_nonzero(planar)
         label[active_idx] = patch_of[inv]  # active rows are all still unassigned
         lo = origin + keys[order[starts[planar]]] * size
-        levels.append((means[planar], _canonical_sign(v[planar, :, 0]), w[planar, ::-1], lo, lo + size))
+        # the cells ascend, so this level's patches do, each rows ascending
+        rows = active_idx[order[np.repeat(planar, counts)]]
+        levels.append((rows, means[planar], _canonical_sign(v[planar, :, 0]), w[planar, ::-1], lo, lo + size))
 
         keep = big[inv] & ~planar[inv]
         active_idx = active_idx[keep]
@@ -172,9 +180,11 @@ def merge_patches(
     A group is a connected component of the pairs that touch (cell boxes
     within 1e-9 m) and are coplanar (normals within the angle, each
     centroid within dist_tol_m of the other's plane). A group of several
-    patches is refit from its rows in member order (each member's rows
-    ascending); a singleton keeps its plane. Groups are relabelled in
-    order of their rounded centroids.
+    patches is refit from its rows in member order, each member's rows
+    as `patches.rows` lists them (ascending from `segment_planes`); a
+    singleton keeps its plane. Groups are relabelled in order of their
+    rounded centroids, and the output lists each group's rows in the
+    same member order.
     """
     n = len(patches)
     if n == 0:
@@ -199,24 +209,25 @@ def merge_patches(
     groups = connected_groups(n, i[coplanar], j[coplanar])
     group_of = np.empty(n, dtype=np.int64)
     group_of[np.concatenate(groups)] = np.repeat(np.arange(len(groups)), [g.shape[0] for g in groups])
-    # each patch's rows ascend: a stable sort by patch, read member by
-    # member, gives a group's rows in member order
-    by_patch = np.argsort(patches.label, kind="stable")
-    starts = np.searchsorted(patches.label[by_patch], np.arange(n + 1))
+    starts = patches.starts()
 
     first = [g[0] for g in groups]
     centroid, normal, eig = centroids[first], normals[first], patches.eigenvalues[first]
     cell_lo, cell_hi = lo[first], hi[first]
     for g, members in enumerate(groups):
         if members.shape[0] > 1:
-            rows = np.concatenate([by_patch[starts[m] : starts[m + 1]] for m in members])
+            rows = np.concatenate([patches.rows[starts[m] : starts[m + 1]] for m in members])
             centroid[g], normal[g], eig[g] = _fit_plane(pts[rows])
             cell_lo[g], cell_hi[g] = lo[members].min(axis=0), hi[members].max(axis=0)
 
     r = np.round(centroid, 9)
     order = np.lexsort((r[:, 2], r[:, 1], r[:, 0]))
-    label = np.where(patches.label >= 0, np.argsort(order)[group_of[patches.label]], -1)
-    return Patches(label, centroid[order], normal[order], eig[order], cell_lo[order], cell_hi[order])
+    new_of = np.argsort(order)[group_of]
+    label = np.where(patches.label >= 0, new_of[patches.label], -1)
+    # the input patches by new label, members ascending, each block as listed
+    seq = np.argsort(new_of, kind="stable")
+    rows = np.concatenate([patches.rows[starts[k] : starts[k + 1]] for k in seq])
+    return Patches(label, rows, centroid[order], normal[order], eig[order], cell_lo[order], cell_hi[order])
 
 
 def classify_patches(

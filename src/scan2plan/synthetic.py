@@ -24,8 +24,8 @@ DOOR_WIDTH_M = 1.0
 # wall bands during verification even diagonally across corners, where
 # the Chebyshev dilation reach exceeds the Euclidean one by sqrt(2)
 GROUND_CLEARANCE_M = 1.75
-# slack on the far-wall cut of the ground clearance test, far above
-# any rounding in the distances
+# slack on the far-wall and per-wall box cuts of the ground clearance
+# test, far above any rounding in the distances
 CLEARANCE_CUT_MARGIN_M = 0.5
 
 __all__ = [
@@ -222,6 +222,30 @@ def _segment_distances(points_xy: np.ndarray, walls: List[LineSegment2]) -> np.n
     return best
 
 
+def _clear_of(points_xy: np.ndarray, walls: List[LineSegment2], clearance: float) -> np.ndarray:
+    """True for each 2D point at least `clearance` from every wall.
+
+    A wall tests only the points inside its box grown by the clearance
+    and a margin, so no point outside can come under it. The projection
+    `(points - p0) @ d` still runs over all points, since BLAS may round
+    a row differently in a subset; every distance keeps the bits of
+    `_segment_distances`, and so does every decision.
+    """
+    keep = np.ones(points_xy.shape[0], dtype=bool)
+    px, py = np.ascontiguousarray(points_xy.T)
+    grow = clearance + CLEARANCE_CUT_MARGIN_M
+    for w in walls:
+        lo, hi = np.minimum(w.p0, w.p1) - grow, np.maximum(w.p0, w.p1) + grow
+        near = np.flatnonzero(keep & (px >= lo[0]) & (px <= hi[0]) & (py >= lo[1]) & (py <= hi[1]))
+        if near.shape[0] == 0:
+            continue
+        d = w.p1 - w.p0
+        t = np.clip(((points_xy - w.p0) @ d)[near] / float(d @ d), 0.0, 1.0)
+        proj = w.p0 + t[:, None] * d
+        keep[near] = np.linalg.norm(points_xy[near] - proj, axis=1) >= clearance
+    return keep
+
+
 def _walls_within(walls: List[LineSegment2], center: np.ndarray, reach: float) -> List[LineSegment2]:
     """The walls (in order) whose closest point lies within `reach` of center."""
     p0 = np.array([w.p0 for w in walls])
@@ -301,9 +325,7 @@ def synthesize_submap(
     # every ground sample lies within radius_m of the sensor, so a wall
     # beyond radius + clearance cannot bring one under the clearance
     reach = radius_m + GROUND_CLEARANCE_M + CLEARANCE_CUT_MARGIN_M
-    keep = _segment_distances(gxy, _walls_within(model.walls, sensor, reach)) >= GROUND_CLEARANCE_M
-    for seg in clutter_segs:
-        keep &= _segment_distances(gxy, [seg]) >= GROUND_CLEARANCE_M
+    keep = _clear_of(gxy, _walls_within(model.walls, sensor, reach) + clutter_segs, GROUND_CLEARANCE_M)
     ground = np.column_stack([gxy[keep], np.zeros(int(np.sum(keep)))])
 
     points_model = np.vstack([wall_like, ground])

@@ -18,10 +18,23 @@ gather, so a point off the grid reads 0.0. Per element these are the
 operations of the plain broadcasts, so every sum is bit-identical to a
 masked 2-D lookup. `select_best` thins the points once and runs every
 candidate through the same two scratch buffers.
+
+Selection is exact branch and bound. Phase 1 scores only the non-ground
+half of every candidate (s_a and s_miss: one lookup, two sums) and
+bounds its confidence by the best ground half, s_p = 0 and s_free = n_g.
+With field values in [0, 1] and lam >= 0, s_p >= 0 and s_free <= n_g
+hold for the rounded sums too, and IEEE rounding is monotone, so for
+every variant the bound is never below the exact confidence. Phase 2
+scores the ground half in descending bound order, reusing the phase-1
+bits, and stops at the first bound strictly below the best confidence
+so far; ties with it are still scored. The winner is the tie-break
+minimum over the scored candidates taken in input order, which is the
+exhaustive pass's winner. `select_best` returns it with its exact
+`ScoreResult`; pruned candidates have no exact score.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.ndimage import distance_transform_cdt
@@ -59,6 +72,8 @@ class ScoreField:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
+        if not np.all((values >= 0.0) & (values <= 1.0)):  # also rejects NaN
+            raise ValueError("score field values must lie in [0, 1]")
         object.__setattr__(self, "_bordered", np.pad(values, 1).ravel())
 
     def value_at(self, points_m: np.ndarray) -> np.ndarray:
@@ -169,16 +184,18 @@ def _prepare(q_ng_xy, q_g_xy, cap: Optional[int]):
     return (q_ng, q_g) + _scratch(max(q_ng.shape[0], q_g.shape[0]))
 
 
-def _score(field: ScoreField, pose: Se2Pose, prepared, lam: float, variant: str) -> ScoreResult:
-    """Score one pose over `_prepare`d points."""
+def _upper_bounds(field: ScoreField, poses: Sequence[Se2Pose], prepared, lam: float, variant: str):
+    """Phase 1: the non-ground half of every pose and a bound on its confidence.
+
+    Returns (ng, bound): each pose's (s_a, s_miss) as floats, and its
+    confidence with the ground half at its best (s_p = 0, s_free = n_g)
+    as a float64 array.
+    """
     q_ng, q_g, buf, idx = prepared
-    rot_t = pose.rotation().T
-    shift = (pose.x, pose.y)
-    s_a, s_miss = _mass(field, q_ng, rot_t, shift, buf, idx)
-    s_p, s_free = _mass(field, q_g, rot_t, shift, buf, idx)
+    ng = [_mass(field, q_ng, p.rotation().T, (p.x, p.y), buf, idx) for p in poses]
+    s_a, s_miss = np.array(ng).reshape(-1, 2).T
     n_ng, n_g = q_ng.shape[0], q_g.shape[0]
-    conf = _confidence(s_a, s_p, s_free, s_miss, n_ng, n_g, lam, variant)
-    return ScoreResult(s_a, s_p, n_ng, n_g, float(conf), variant)
+    return ng, _confidence(s_a, 0.0, n_g, s_miss, n_ng, n_g, lam, variant)
 
 
 def score_candidate(
@@ -190,7 +207,7 @@ def score_candidate(
     variant: str = "osc",
 ) -> ScoreResult:
     """Score one pose hypothesis; points are submap-frame xy."""
-    return _score(field, pose, _prepare(q_ng_xy, q_g_xy, None), lam, variant)
+    return select_best(field, [Candidate(pose, 0, 0, 1)], q_ng_xy, q_g_xy, lam, variant)[1]
 
 
 def select_best(
@@ -201,21 +218,44 @@ def select_best(
     lam: float = 0.5,
     variant: str = "osc",
     max_points: Optional[int] = None,
-) -> Tuple[int, List[ScoreResult]]:
-    """Score every candidate, return (best index, all results).
+) -> Tuple[int, ScoreResult]:
+    """Return (best index, its exact ScoreResult) over the candidates.
 
     Ties on confidence fall back to vote count, then to the
     lexicographically smallest pose. max_points caps the scored points
     with a deterministic even stride; confidence is a normalized mean,
     so the cap trades a little variance for time. The points are thinned
     once and every candidate reuses the same two scratch buffers.
+
+    Branch and bound, exact: every candidate gets its non-ground half
+    and an upper bound on its confidence (`_upper_bounds`); the ground
+    half is then scored in descending bound order until a bound falls
+    strictly below the best confidence so far. The winner is the
+    tie-break minimum over the scored candidates in input order, so it
+    is the candidate an exhaustive pass picks, even for NaN poses.
     """
     if not candidates:
         raise NoCandidates("no pose candidates to score")
+    # the bound rests on lam * s_p >= 0
+    if not (lam >= 0.0 and np.isfinite(lam)):
+        raise ValueError("lam must be finite and >= 0, got %r" % (lam,))
     prepared = _prepare(q_ng_xy, q_g_xy, max_points)
-    results = [_score(field, c.pose, prepared, lam, variant) for c in candidates]
+    q_ng, q_g, buf, idx = prepared
+    n_ng, n_g = q_ng.shape[0], q_g.shape[0]
+    ng, bound = _upper_bounds(field, [c.pose for c in candidates], prepared, lam, variant)
+
+    results = {}
+    best_conf = -np.inf
+    for i in np.argsort(-bound, kind="stable").tolist():
+        if bound[i] < best_conf:
+            break
+        (s_a, s_miss), p = ng[i], candidates[i].pose
+        s_p, s_free = _mass(field, q_g, p.rotation().T, (p.x, p.y), buf, idx)
+        conf = float(_confidence(s_a, s_p, s_free, s_miss, n_ng, n_g, lam, variant))
+        results[i] = ScoreResult(s_a, s_p, n_ng, n_g, conf, variant)
+        best_conf = max(best_conf, conf)
     best = min(
-        range(len(candidates)),
+        sorted(results),
         key=lambda i: (
             -results[i].confidence,
             -candidates[i].votes,
@@ -224,7 +264,7 @@ def select_best(
             candidates[i].pose.yaw,
         ),
     )
-    return best, results
+    return best, results[best]
 
 
 def reliability_curve(labels, scores):

@@ -315,11 +315,11 @@ def _confidence_pair(floor, scene, cfg):
         cands = hierarchical_vote(grid, cfg.l_cells, cfg.k_cells, cfg.j_candidates)
         out = []
         for variant in ("osc", "osc1"):
-            best, results = select_best(
+            _, best = select_best(
                 floor.field, cands, feats.q_ng_xy, feats.q_g_xy,
                 cfg.lam, variant, max_points=cfg.scoring_max_points,
             )
-            out.append(results[best].confidence)
+            out.append(best.confidence)
         return out
     except (EmptyGrid, EmptySubmap, NoCandidates):
         return [float("-inf"), float("-inf")]

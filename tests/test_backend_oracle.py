@@ -1,11 +1,14 @@
 """Property tests: bordered-field scoring and grouped clustering against the oracle.
 
-`scalar_backend` keeps the original masked lookup, per-candidate scoring
-and per-component clustering. Every comparison here is bitwise: field
-values, award and penalty sums, confidences, the chosen index, and every
-candidate's pose, votes, merged score and cell count. Point sets put
-coordinates exactly on cell edges, one ulp either side of the grid's
-bounds, far outside it and beyond the int64 range of cell indices.
+`scalar_backend` keeps the original masked lookup, exhaustive
+per-candidate scoring and per-component clustering. Every comparison
+here is bitwise: field values, award and penalty sums, confidences, the
+chosen index and the winner's result (the package's pruned selection
+against the exhaustive oracle, with every phase-1 bound at or above its
+candidate's exact confidence), and every candidate's pose, votes, merged
+score and cell count. Point sets put coordinates exactly on cell edges,
+one ulp either side of the grid's bounds, far outside it, NaN, and
+beyond the int64 range of cell indices.
 Vote grids grow components of more than 8 cells (where pairwise
 summation departs from a running sum) across the yaw wrap.
 """
@@ -18,7 +21,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scan2plan.geometry import Se2Pose
-from scan2plan.verify import VARIANTS, ScoreField, build_score_field, score_candidate, select_best
+from scan2plan.verify import (
+    VARIANTS,
+    ScoreField,
+    _prepare,
+    _upper_bounds,
+    build_score_field,
+    score_candidate,
+    select_best,
+)
 from scan2plan.voting import Candidate, VoteGrid, hierarchical_vote, vanilla_vote
 
 SETTINGS = settings(max_examples=80, deadline=None, database=None, derandomize=True)
@@ -61,7 +72,7 @@ def probes(draw, field, max_size=40):
     lo, hi = o, o + np.array([nx, ny]) * s
     pts = []
     for _ in range(draw(st.integers(1, max_size))):
-        kind = draw(st.sampled_from(["edge", "bound", "far", "random"]))
+        kind = draw(st.sampled_from(["edge", "bound", "far", "nan", "random"]))
         xy = []
         for a in range(2):
             n = (nx, ny)[a]
@@ -71,6 +82,8 @@ def probes(draw, field, max_size=40):
                 v = np.nextafter(draw(st.sampled_from([lo[a], hi[a]])), draw(st.sampled_from([-math.inf, math.inf])))
             elif kind == "far":
                 v = draw(st.sampled_from(FAR)) * draw(st.sampled_from([-1.0, 1.0]))
+            elif kind == "nan":
+                v = math.nan
             else:
                 v = draw(st.floats(lo[a] - 2 * s, hi[a] + 2 * s))
             xy.append(float(v))
@@ -113,6 +126,19 @@ def test_value_at_matches_oracle(data):
     assert _bits(field.value_at(pts)) == _bits(want)
 
 
+def _assert_selection_matches_oracle(field, cands, q_ng, q_g, lam, variant, cap) -> int:
+    """The pruned selection picks the exhaustive oracle's index with the
+    same result bits, and no phase-1 bound is below its exact confidence."""
+    want_best, want = ref.select_best(field, cands, q_ng, q_g, lam=lam, variant=variant, max_points=cap)
+    got_best, got = select_best(field, cands, q_ng, q_g, lam=lam, variant=variant, max_points=cap)
+    assert got_best == want_best
+    assert _result_key(got) == _result_key(want[want_best])
+    prepared = _prepare(q_ng, q_g, cap)
+    bound = _upper_bounds(field, [c.pose for c in cands], prepared, lam, variant)[1]
+    assert all(b >= r.confidence for b, r in zip(bound.tolist(), want))
+    return got_best
+
+
 @SETTINGS
 @given(st.data())
 def test_scoring_matches_oracle(data):
@@ -131,7 +157,8 @@ def test_scoring_matches_oracle(data):
 
     cands = []
     for _ in range(data.draw(st.integers(1, 5))):
-        pose = data.draw(st.one_of(st.just(frame), poses))
+        # a NaN pose reads only border cells; its tie-break key is unordered
+        pose = data.draw(st.one_of(st.just(frame), poses, st.just(Se2Pose(math.nan, 0.0, 0.0))))
         votes = data.draw(st.integers(1, 4))
         cands.append(Candidate(pose, votes, votes, 1))
         if data.draw(st.booleans()):  # same pose, so tied confidence
@@ -141,14 +168,24 @@ def test_scoring_matches_oracle(data):
     cap = data.draw(st.sampled_from([None, None, 1, 3, 7]))
 
     with np.errstate(invalid="ignore", over="ignore"):
-        want = ref.select_best(field, cands, q_ng, q_g, lam=lam, variant=variant, max_points=cap)
-        got = select_best(field, cands, q_ng, q_g, lam=lam, variant=variant, max_points=cap)
-        assert got[0] == want[0]
-        assert [_result_key(r) for r in got[1]] == [_result_key(r) for r in want[1]]
+        _assert_selection_matches_oracle(field, cands, q_ng, q_g, lam, variant, cap)
         for c in cands[:2]:
             a = score_candidate(field, c.pose, q_ng, q_g, lam=lam, variant=variant)
             b = ref.score_candidate(field, c.pose, q_ng, q_g, lam=lam, variant=variant)
             assert _result_key(a) == _result_key(b)
+
+
+def test_nan_pose_tie_keeps_input_order():
+    # both candidates score exactly 0 with equal votes; the NaN pose's key
+    # is unordered, so the exhaustive min keeps the first in input order,
+    # although the other candidate's larger bound has it scored first
+    field = ScoreField(np.ones((4, 4)), np.zeros(2), 0.5)
+    q_ng, q_g = np.array([[0.25, 0.25]]), np.array([[0.75, 0.75], [1.25, 1.25]])
+    cands = [Candidate(Se2Pose(math.nan, 0.0, 0.0), 1, 1, 1), Candidate(Se2Pose.identity(), 1, 1, 1)]
+    bound = _upper_bounds(field, [c.pose for c in cands], _prepare(q_ng, q_g, None), 0.5, "osc")[1]
+    assert bound.tolist() == [0.0, 1.0]
+    with np.errstate(invalid="ignore"):  # the oracle casts NaN cells to int64
+        assert _assert_selection_matches_oracle(field, cands, q_ng, q_g, 0.5, "osc", None) == 0
 
 
 def test_cell_edges_under_rotation_match_oracle():
@@ -183,10 +220,9 @@ def test_scoring_matches_oracle_on_a_scene():
         for _ in range(20)
     ]
     for cap in (None, 5000, 333):
-        want = ref.select_best(field, cands, q_ng, q_g, max_points=cap)
-        got = select_best(field, cands, q_ng, q_g, max_points=cap)
-        assert got[0] == want[0] == 0
-        assert [_result_key(r) for r in got[1]] == [_result_key(r) for r in want[1]]
+        for variant in VARIANTS:
+            for lam in (0.0, 0.5, 1.0, 2.5):
+                assert _assert_selection_matches_oracle(field, cands, q_ng, q_g, lam, variant, cap) == 0
 
 
 # --- vote clustering ---

@@ -276,14 +276,19 @@ def _rows(block):
 def _assert_patches_match(got, want, pts):
     """`Patches` rows equal the oracle's patch list bitwise, in order.
 
-    The oracle pools a merged patch's points in member order, the
-    package labels rows, so each patch's rows compare as a multiset; the
-    refit planes, which do depend on that order, compare bitwise.
+    Each patch's labelled rows compare as a multiset; its block of
+    `Patches.rows` lists them in the oracle's order (member order for a
+    merged patch), bitwise, as do the refit planes.
     """
     assert len(got) == len(want)
     assert got.label.shape == (pts.shape[0],)
+    starts = got.starts()
+    assert starts[-1] == got.rows.shape[0] == np.count_nonzero(got.label >= 0)
     for k, w in enumerate(want):
+        block = got.rows[starts[k] : starts[k + 1]]
+        assert np.all(got.label[block] == k)
         assert _rows(pts[got.label == k]) == _rows(w.points)
+        assert _bits(pts[block]) == _bits(w.points)
         for name in ("centroid", "normal", "eigenvalues", "cell_lo", "cell_hi"):
             assert _bits(getattr(got, name)[k]) == _bits(getattr(w, name)), name
 
@@ -341,7 +346,8 @@ def classify_cases(draw):
 def test_classify_patches_matches_oracle(case):
     normals, gravity, tol = case
     none = np.zeros_like(normals)
-    got = classify_patches(Patches(np.zeros(0, dtype=np.int64), none, normals, none, none, none), gravity, tol)
+    rows = np.zeros(0, dtype=np.int64)
+    got = classify_patches(Patches(rows, rows, none, normals, none, none, none), gravity, tol)
     patches = [ref.PlanarPatch(None, None, nrm, None, None, None) for nrm in normals]
     want = ref.classify_patches(patches, gravity, tol)
     assert [k.tolist() for k in got] == _positions(want, patches)

@@ -232,6 +232,33 @@ def test_far_wall_cut_keeps_points_byte_identical(monkeypatch, layout_seed, n_ro
     assert skipped > 0
 
 
+@pytest.mark.parametrize("layout_seed", [21, 5, 33])
+def test_box_cull_matches_full_distances(layout_seed):
+    # each wall tests only the points in its grown box; the decisions must
+    # equal the all-points distances, also for points on the clearance
+    # contour and on the edges of the boxes
+    layout = generate_layout(seed=layout_seed, n_rooms=12, corridor=True, extent_m=48.0)
+    walls = layout.wall_model.walls
+    rng = np.random.default_rng(layout_seed)
+    ends = layout.wall_model.endpoints().reshape(-1, 2)
+    lo, hi = ends.min(axis=0), ends.max(axis=0)
+    pts = [rng.uniform(lo - 3.0, hi + 3.0, size=(4000, 2))]
+    c = GROUND_CLEARANCE_M
+    grow = c + synthetic.CLEARANCE_CUT_MARGIN_M
+    for w in walls[:: max(1, len(walls) // 20)]:
+        d = w.p1 - w.p0
+        n = np.array([-d[1], d[0]]) / np.linalg.norm(d)
+        s = rng.uniform(-0.2, 1.2, size=(50, 1))
+        on = w.p0 + s * d + rng.choice([-1.0, 1.0], size=(50, 1)) * c * n
+        pts.append(np.nextafter(on, on + rng.choice([-1.0, 0.0, 1.0], size=on.shape)))
+        pts.append(np.array([np.minimum(w.p0, w.p1) - grow, np.maximum(w.p0, w.p1) + grow]))
+    pts = np.vstack(pts)
+    want = synthetic._segment_distances(pts, walls) >= c
+    got = synthetic._clear_of(pts, walls, c)
+    assert np.array_equal(got, want)
+    assert want.any() and not want.all()
+
+
 def test_sensor_far_from_model_raises():
     layout = _box_layout()
     with pytest.raises(EmptyScene):

@@ -1,5 +1,7 @@
 """Score field and confidence tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from scan2plan.errors import EmptyModel, EmptySubmap, NoCandidates
 from scan2plan.geometry import Se2Pose
 from scan2plan.synthetic import generate_layout, synthesize_submap
 from scan2plan.verify import (
+    ScoreField,
     build_score_field,
     reliability_curve,
     score_candidate,
@@ -165,9 +168,10 @@ def test_select_best_prefers_true_pose():
         merged_score=50,
         n_cells=1,
     )
-    best, results = select_best(field, [bad, good], q_ng, q_g)
+    best, result = select_best(field, [bad, good], q_ng, q_g)
     assert best == 1
-    assert results[1].confidence > results[0].confidence
+    assert result == score_candidate(field, good.pose, q_ng, q_g)
+    assert result.confidence > score_candidate(field, bad.pose, q_ng, q_g).confidence
 
 
 def test_select_best_tie_breaks_on_votes():
@@ -184,9 +188,30 @@ def test_select_best_subsample_keeps_exact_score():
     layout, scene, q_ng, q_g = _scene()
     field = build_score_field(layout.wall_model.endpoints())
     cand = Candidate(scene.gt_pose, votes=1, merged_score=1, n_cells=1)
-    best, results = select_best(field, [cand], q_ng, q_g, max_points=500)
-    assert results[0].n_ng == 500
-    assert results[0].confidence == 1.0
+    best, result = select_best(field, [cand], q_ng, q_g, max_points=500)
+    assert best == 0
+    assert result.n_ng == 500
+    assert result.confidence == 1.0
+
+
+@pytest.mark.parametrize("lam", [-0.5, -1e-300, math.nan, math.inf, -math.inf])
+def test_bad_lam_raises(lam):
+    # select_best's confidence bound needs lam * s_p >= 0
+    field = build_score_field([_seg(0.0, 0.0, 2.0, 0.0)])
+    pts = np.array([[1.0, 0.0]])
+    cand = Candidate(Se2Pose.identity(), votes=1, merged_score=1, n_cells=1)
+    with pytest.raises(ValueError, match="lam"):
+        select_best(field, [cand], pts, pts, lam=lam)
+    with pytest.raises(ValueError, match="lam"):
+        score_candidate(field, Se2Pose.identity(), pts, pts, lam=lam)
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.25, math.nan])
+def test_score_field_rejects_values_outside_unit_interval(bad):
+    values = np.full((3, 3), 0.5)
+    values[1, 2] = bad
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        ScoreField(values, np.zeros(2), 0.2)
 
 
 def test_no_candidates_raises():
