@@ -85,6 +85,8 @@ def _load_floors(model_path, db_paths, cfg):
 # ---------------------------------------------------------------------------
 
 def cmd_gen_floorplan(args) -> int:
+    if args.floors < 1:
+        raise ValueError("--floors must be >= 1, got %d" % (args.floors,))
     models = [
         generate_layout(args.seed + i, args.n_rooms, args.corridor, args.extent).wall_model
         for i in range(args.floors)

@@ -51,7 +51,6 @@ class PipelineConfig:
     variant: str = "osc"
     scoring_max_points: int = 5000  # 0 disables subsampling
     min_confidence: float = 0.8
-    threads: int = 1
 
     def validate(self) -> None:
         """Raise ValueError on any out-of-range or non-finite parameter."""

@@ -205,12 +205,9 @@ def detect_segments(
     claimed = np.zeros(x.shape[0], dtype=bool)
     n_unclaimed = x.shape[0]
     ends_px = []
-    live = np.arange(peaks.shape[0])  # positions in peaks still >= l_min_px
-    k = 0
-    while k < live.shape[0] and n_unclaimed >= l_min_px:
-        pos = live[k]
-        k += 1
-        t, r = divmod(int(peaks[pos]), n_rho)
+    while peaks.shape[0] and n_unclaimed >= l_min_px:
+        t, r = divmod(int(peaks[0]), n_rho)
+        peaks = peaks[1:]
         band = np.abs(x * cos_t[t] + y * sin_t[t] - (r - diag)) <= band_px
         idx = np.flatnonzero(band & ~claimed)
         if idx.shape[0] < l_min_px:
@@ -221,7 +218,6 @@ def detect_segments(
         idx, along = idx[srt], along[srt]
         run_starts = np.concatenate([[0], np.nonzero(np.diff(along) > gap_px)[0] + 1])
         run_ends = np.concatenate([run_starts[1:], [along.shape[0]]])
-        n_before = n_unclaimed
         for a, b in zip(run_starts, run_ends):
             run = idx[a:b]
             if along[b - 1] - along[a] < l_min_px:
@@ -232,9 +228,8 @@ def detect_segments(
             seg = _tls_segment(px[run])
             if seg is not None:
                 ends_px.append(seg)
-        if n_unclaimed < n_before:
-            live = pos + 1 + np.flatnonzero(acc[peaks[pos + 1 :]] >= l_min_px)
-            k = 0
+        # drop the pending peaks that claimed runs took below l_min_px
+        peaks = peaks[acc[peaks] >= l_min_px]
     return raster.m_of(np.reshape(ends_px, (-1, 2, 2)))
 
 

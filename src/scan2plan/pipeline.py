@@ -242,11 +242,6 @@ def register_directory(scene_dir, floors: Sequence[FloorIndex], cfg: PipelineCon
     paths = sorted(Path(scene_dir).glob("*.submap"))
     if not paths:
         raise EmptyScene("no *.submap files in %s" % (scene_dir,))
-    if cfg.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            return list(pool.map(lambda p: _run_scene(p, floors, cfg), paths))
     return [_run_scene(p, floors, cfg) for p in paths]
 
 

@@ -24,8 +24,8 @@ DOOR_WIDTH_M = 1.0
 # wall bands during verification even diagonally across corners, where
 # the Chebyshev dilation reach exceeds the Euclidean one by sqrt(2)
 GROUND_CLEARANCE_M = 1.75
-# slack on the far-wall and per-wall box cuts of the ground clearance
-# test, far above any rounding in the distances
+# slack on the per-wall box cut of the clearance test, far above any
+# rounding in the distances
 CLEARANCE_CUT_MARGIN_M = 0.5
 
 __all__ = [
@@ -113,6 +113,8 @@ def generate_layout(seed: int, n_rooms: int, corridor: bool, extent_m: float) ->
     """Deterministic floorplan; same seed and arguments give the same model."""
     if n_rooms < 1:
         raise ValueError("n_rooms must be >= 1")
+    if not 0.0 < extent_m < np.inf:
+        raise ValueError("extent_m must be finite and positive, got %r" % (extent_m,))
     rng = np.random.default_rng(seed)
     raw: List[Tuple[np.ndarray, np.ndarray]] = []
     rooms: List[Tuple[float, float, float, float]] = []
@@ -210,26 +212,14 @@ def _sample_wall(rng, seg: LineSegment2, t0: float, t1: float) -> np.ndarray:
     return np.column_stack([xy, z])
 
 
-def _segment_distances(points_xy: np.ndarray, walls: List[LineSegment2]) -> np.ndarray:
-    """Min distance from each 2D point to any wall segment."""
-    best = np.full(points_xy.shape[0], np.inf)
-    for w in walls:
-        d = w.p1 - w.p0
-        ll = float(d @ d)
-        t = np.clip((points_xy - w.p0) @ d / ll, 0.0, 1.0)
-        proj = w.p0 + t[:, None] * d
-        best = np.minimum(best, np.linalg.norm(points_xy - proj, axis=1))
-    return best
-
-
 def _clear_of(points_xy: np.ndarray, walls: List[LineSegment2], clearance: float) -> np.ndarray:
     """True for each 2D point at least `clearance` from every wall.
 
     A wall tests only the points inside its box grown by the clearance
     and a margin, so no point outside can come under it. The projection
     `(points - p0) @ d` still runs over all points, since BLAS may round
-    a row differently in a subset; every distance keeps the bits of
-    `_segment_distances`, and so does every decision.
+    a row differently in a subset; every distance keeps the bits of the
+    all-points product, and so does every decision.
     """
     keep = np.ones(points_xy.shape[0], dtype=bool)
     px, py = np.ascontiguousarray(points_xy.T)
@@ -246,15 +236,6 @@ def _clear_of(points_xy: np.ndarray, walls: List[LineSegment2], clearance: float
     return keep
 
 
-def _walls_within(walls: List[LineSegment2], center: np.ndarray, reach: float) -> List[LineSegment2]:
-    """The walls (in order) whose closest point lies within `reach` of center."""
-    p0 = np.array([w.p0 for w in walls])
-    d = np.array([w.p1 for w in walls]) - p0
-    t = np.clip(np.einsum("ij,ij->i", center - p0, d) / np.einsum("ij,ij->i", d, d), 0.0, 1.0)
-    dist = np.linalg.norm(center - (p0 + t[:, None] * d), axis=1)
-    return [w for w, near in zip(walls, dist <= reach) if near]
-
-
 def synthesize_submap(
     model: WallModel,
     pose: Se2Pose,
@@ -269,10 +250,15 @@ def synthesize_submap(
     The sensor sits at the submap-frame origin; `pose` maps submap
     coordinates onto the model, so the sensor's model-frame position is
     pose(0, 0). Visibility is radius-only. Raises EmptyScene when no wall
-    lies within the radius.
+    lies within the radius, and ValueError naming any parameter out of range.
     """
-    if radius_m <= 0.0:
-        raise ValueError("radius_m must be positive")
+    if not 0.0 < radius_m < np.inf:
+        raise ValueError("radius_m must be finite and positive, got %r" % (radius_m,))
+    if not 0.0 <= noise_sigma_m < np.inf:
+        raise ValueError("noise_sigma_m must be finite and >= 0, got %r" % (noise_sigma_m,))
+    for name, frac in (("drop_wall_frac", drop_wall_frac), ("clutter_frac", clutter_frac)):
+        if not 0.0 <= frac <= 1.0:
+            raise ValueError("%s must be in [0, 1], got %r" % (name, frac))
     rng = np.random.default_rng(seed)
     sensor = pose.apply(np.zeros(2))
 
@@ -322,10 +308,7 @@ def synthesize_submap(
     rr = radius_m * np.sqrt(rng.uniform(0.0, 1.0, size=n_ground))
     th = rng.uniform(0.0, 2 * np.pi, size=n_ground)
     gxy = sensor + np.column_stack([rr * np.cos(th), rr * np.sin(th)])
-    # every ground sample lies within radius_m of the sensor, so a wall
-    # beyond radius + clearance cannot bring one under the clearance
-    reach = radius_m + GROUND_CLEARANCE_M + CLEARANCE_CUT_MARGIN_M
-    keep = _clear_of(gxy, _walls_within(model.walls, sensor, reach) + clutter_segs, GROUND_CLEARANCE_M)
+    keep = _clear_of(gxy, model.walls + clutter_segs, GROUND_CLEARANCE_M)
     ground = np.column_stack([gxy[keep], np.zeros(int(np.sum(keep)))])
 
     points_model = np.vstack([wall_like, ground])
@@ -358,7 +341,7 @@ def random_interior_pose(layout: FloorLayout, rng, clearance: float = 0.8) -> Se
     for _ in range(1000):
         x0, y0, x1, y1 = rects[int(rng.integers(len(rects)))]
         p = np.array([rng.uniform(x0, x1), rng.uniform(y0, y1)])
-        if _segment_distances(p[None, :], walls)[0] >= clearance:
+        if _clear_of(p[None, :], walls, clearance)[0]:
             yaw = rng.uniform(-np.pi, np.pi)
             return Se2Pose(p[0], p[1], yaw)
     raise EmptyScene("could not place a sensor in free space")

@@ -36,8 +36,6 @@ class VoteGrid:
     overflow and packed order is (ix, iy, iyaw) order.
     """
 
-    r_xy: float
-    r_yaw_deg: float
     origin: Tuple[int, int]  # (x0, y0)
     dims: Tuple[int, int, int]  # (nx, ny, n_yaw_bins)
     packed: np.ndarray  # (N,) int64, sorted ascending
@@ -112,8 +110,6 @@ def cast_votes(
     uniq, inv, counts = np.unique(packed, return_inverse=True, return_counts=True)
     n = uniq.shape[0]
     return VoteGrid(
-        r_xy,
-        r_yaw_deg,
         origin,
         dims,
         uniq,

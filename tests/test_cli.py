@@ -130,6 +130,28 @@ def test_gen_scene_deterministic(tmp_path, capsys):
            (tmp_path / "y" / "scene_0000.submap").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [("--noise-sigma", "-1", "noise_sigma_m"), ("--noise-sigma", "nan", "noise_sigma_m"),
+     ("--clutter-frac", "-1", "clutter_frac"), ("--drop-frac", "1.5", "drop_wall_frac"),
+     ("--drop-frac", "-0.5", "drop_wall_frac"), ("--radius", "nan", "radius_m"),
+     ("--extent", "nan", "extent_m")],
+)
+def test_gen_scene_bad_parameter_exit_code(tmp_path, capsys, flag, value, name):
+    args = ["gen-scene", "--layout-seed", "7", "--n-rooms", "6", "--seed", "3", "--radius", "10"]
+    assert main(args + [flag, value, "--out", str(tmp_path / "x")]) == 1
+    assert name in capsys.readouterr().err
+    assert list(tmp_path.glob("x/*.submap")) == []
+
+
+@pytest.mark.parametrize("args, name", [(["--floors", "0"], "floors"), (["--extent", "nan"], "extent_m")])
+def test_gen_floorplan_bad_parameter_exit_code(tmp_path, capsys, args, name):
+    out = tmp_path / "plan.txt"
+    assert main(["gen-floorplan", "--n-rooms", "6"] + args + ["--out", str(out)]) == 1
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # register
 # ---------------------------------------------------------------------------
@@ -279,6 +301,18 @@ def test_config_file_flag(tmp_path, capsys):
     cfgf.write_text("l_max = 20.0\n")
     assert main(["build-db", "--model", str(plan), "--out", str(tmp_path / "x.db"),
                  "--config", str(cfgf)]) == 0
+
+
+def test_config_file_with_removed_key_exit_code(tmp_path, capsys):
+    # the config is read before any input file, so the key alone decides
+    plan = tmp_path / "sq.txt"
+    plan.write_text(UNIT_SQUARE)
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text("threads = 1\n")
+    code = main(["register", "--submap", str(tmp_path / "none.submap"), "--model", str(plan),
+                 "--config", str(cfgf)])
+    assert code == 2
+    assert "unknown config key 'threads'" in capsys.readouterr().err
 
 
 def _write_submap(path, gravity, points):

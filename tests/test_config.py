@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import inspect
 from pathlib import Path
 
 import pytest
@@ -56,10 +57,14 @@ def test_flag_overrides_beat_file(tmp_path):
 
 
 def test_unknown_key_rejected(tmp_path):
+    # removed knobs are unknown too, not silently ignored
     p = tmp_path / "run.cfg"
-    p.write_text("r_xz = 0.3\n")
-    with pytest.raises(ParseError):
-        make_config(file_path=p)
+    for key in ("r_xz", "threads", "r_v", "d_s"):
+        p.write_text("%s = 1\n" % (key,))
+        with pytest.raises(ParseError, match="unknown config key"):
+            make_config(file_path=p)
+        with pytest.raises(ValueError, match="unknown config key"):
+            make_config(overrides={key: "1"})
 
 
 def test_malformed_line_rejected(tmp_path):
@@ -95,8 +100,8 @@ def test_positive_required():
         make_config(overrides={"s_r": "-0.2"})
     with pytest.raises(ValueError):
         make_config(overrides={"s_v": "0"})
-    with pytest.raises(ValueError):
-        make_config(overrides={"threads": "0"})
+    with pytest.raises(ValueError, match="k_d"):
+        make_config(overrides={"k_d": "0"})
 
 
 @pytest.mark.parametrize(
@@ -156,3 +161,28 @@ def test_every_field_is_read_by_the_package():
                 read.add(node.attr)
     unread = [f.name for f in dataclasses.fields(PipelineConfig) if f.name not in read]
     assert unread == []
+
+
+# a stage parameter named unlike the field it takes
+_ALIASES = {("classify_patches", "angle_tol_deg"): "gravity_tol_deg"}
+
+
+def test_stage_defaults_equal_config_defaults():
+    # a direct call of a stage function must run at the config's defaults
+    from scan2plan import descriptors, lines, planes, verify, voting
+
+    defaults = {f.name: f.default for f in dataclasses.fields(PipelineConfig)}
+    checked, wrong = [], []
+    for mod in (planes, lines, descriptors, voting, verify):
+        for name, fn in inspect.getmembers(mod, inspect.isfunction):
+            if fn.__module__ != mod.__name__:
+                continue
+            for p in inspect.signature(fn).parameters.values():
+                field = _ALIASES.get((name, p.name), p.name)
+                if p.default is inspect.Parameter.empty or field not in defaults:
+                    continue
+                checked.append((name, p.name))
+                if p.default != defaults[field]:
+                    wrong.append((mod.__name__, name, p.name, p.default, defaults[field]))
+    assert wrong == []
+    assert set(_ALIASES) <= set(checked)

@@ -213,19 +213,6 @@ def test_empty_directory_rejected(tmp_path):
         register_directory(tmp_path, [floor], PipelineConfig())
 
 
-def test_threaded_evaluation_matches_single_thread(tmp_path):
-    layout, floor = _home()
-    d = tmp_path / "scenes"
-    _write_scene_dir(d, layout, [25, 26, 27])
-    seq = register_directory(d, [floor], PipelineConfig(threads=1))
-    par = register_directory(d, [floor], PipelineConfig(threads=2))
-    for a, b in zip(seq, par):
-        assert a.scene == b.scene
-        assert a.confidence == b.confidence
-        assert a.rot_err_deg == b.rot_err_deg
-        assert a.trans_err_m == b.trans_err_m
-
-
 def test_pr_harness_separates_floors(tmp_path):
     layout, home_floor = _home()
     away_layout, _ = _away()

@@ -186,11 +186,12 @@ def test_clutter_budget_and_log():
     x0, y0, x1, y1 = layout.rooms[0]
     pose = Se2Pose((x0 + x1) / 2, (y0 + y1) / 2, 0.0)
     plain = synthesize_submap(layout.wall_model, pose, radius_m=30.0, seed=4)
-    scene = synthesize_submap(layout.wall_model, pose, radius_m=30.0, clutter_frac=0.1, seed=4)
     n_plain = plain.deviation_log["n_wall_points"]
-    extra = scene.deviation_log["n_wall_points"] - n_plain
-    assert extra == int(round(0.1 * n_plain))
-    assert len(scene.deviation_log["clutter_segments"]) >= 1
+    for frac in (0.1, 1.0):
+        scene = synthesize_submap(layout.wall_model, pose, radius_m=30.0, clutter_frac=frac, seed=4)
+        extra = scene.deviation_log["n_wall_points"] - n_plain
+        assert extra == int(round(frac * n_plain))
+        assert len(scene.deviation_log["clutter_segments"]) >= 1
 
 
 def test_ground_keeps_clearance_from_walls():
@@ -208,28 +209,14 @@ def test_ground_keeps_clearance_from_walls():
     assert best.min() >= GROUND_CLEARANCE_M - 1e-9
 
 
-@pytest.mark.parametrize(
-    "layout_seed,n_rooms,corridor,radius",
-    [(21, 12, True, 15.0), (5, 24, True, 8.0), (7, 6, False, 12.0), (33, 48, True, 10.0)],
-)
-def test_far_wall_cut_keeps_points_byte_identical(monkeypatch, layout_seed, n_rooms, corridor, radius):
-    # the ground clearance test skips walls beyond radius + clearance;
-    # testing every wall must give the same bytes
-    layout = generate_layout(seed=layout_seed, n_rooms=n_rooms, corridor=corridor, extent_m=48.0)
-    walls = layout.wall_model.walls
-    rng = np.random.default_rng(layout_seed)
-    skipped = 0
-    for seed in range(3):
-        pose = random_interior_pose(layout, rng)
-        args = dict(radius_m=radius, noise_sigma_m=0.03, drop_wall_frac=0.2, clutter_frac=0.1, seed=seed)
-        cut = synthesize_submap(layout.wall_model, pose, **args).submap.points
-        reach = radius + GROUND_CLEARANCE_M + synthetic.CLEARANCE_CUT_MARGIN_M
-        skipped += len(walls) - len(synthetic._walls_within(walls, pose.translation, reach))
-        with monkeypatch.context() as m:
-            m.setattr(synthetic, "_walls_within", lambda walls, center, reach: walls)
-            full = synthesize_submap(layout.wall_model, pose, **args).submap.points
-        assert cut.tobytes() == full.tobytes()
-    assert skipped > 0
+def _segment_distances(points_xy, walls):
+    """Min distance from each 2D point to any wall segment, over all points."""
+    best = np.full(points_xy.shape[0], np.inf)
+    for w in walls:
+        d = w.p1 - w.p0
+        t = np.clip((points_xy - w.p0) @ d / float(d @ d), 0.0, 1.0)
+        best = np.minimum(best, np.linalg.norm(points_xy - (w.p0 + t[:, None] * d), axis=1))
+    return best
 
 
 @pytest.mark.parametrize("layout_seed", [21, 5, 33])
@@ -253,7 +240,7 @@ def test_box_cull_matches_full_distances(layout_seed):
         pts.append(np.nextafter(on, on + rng.choice([-1.0, 0.0, 1.0], size=on.shape)))
         pts.append(np.array([np.minimum(w.p0, w.p1) - grow, np.maximum(w.p0, w.p1) + grow]))
     pts = np.vstack(pts)
-    want = synthetic._segment_distances(pts, walls) >= c
+    want = _segment_distances(pts, walls) >= c
     got = synthetic._clear_of(pts, walls, c)
     assert np.array_equal(got, want)
     assert want.any() and not want.all()
@@ -277,3 +264,31 @@ def test_interior_pose_clearance():
             t = np.clip((p - w.p0) @ d / (d @ d), 0.0, 1.0)
             best = min(best, float(np.linalg.norm(p - (w.p0 + t[:, None] * d), axis=1)[0]))
         assert best >= 0.8
+
+
+# --- parameter validation ---
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("radius_m", 0.0), ("radius_m", NAN), ("radius_m", INF),
+     ("noise_sigma_m", -1.0), ("noise_sigma_m", NAN), ("noise_sigma_m", INF),
+     ("drop_wall_frac", 1.5), ("drop_wall_frac", -0.5), ("drop_wall_frac", NAN),
+     ("clutter_frac", -1.0), ("clutter_frac", 1.5), ("clutter_frac", NAN)],
+)
+def test_bad_scene_parameter_rejected(name, value):
+    layout = _box_layout()
+    x0, y0, x1, y1 = layout.rooms[0]
+    kw = dict(radius_m=30.0, noise_sigma_m=0.0, drop_wall_frac=0.0, clutter_frac=0.0)
+    kw[name] = value
+    with pytest.raises(ValueError, match=name):
+        synthesize_submap(layout.wall_model, Se2Pose((x0 + x1) / 2, (y0 + y1) / 2, 0.0), **kw)
+
+
+@pytest.mark.parametrize("extent", [0.0, -5.0, NAN, INF])
+def test_bad_extent_rejected(extent):
+    with pytest.raises(ValueError, match="extent_m"):
+        generate_layout(seed=3, n_rooms=4, corridor=True, extent_m=extent)
