@@ -97,27 +97,39 @@ def cmd_gen_floorplan(args) -> int:
     return 0
 
 
-def cmd_gen_scene(args) -> int:
-    layout = generate_layout(args.layout_seed, args.n_rooms, args.corridor, args.extent)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_wall_models([layout.wall_model], out / "floorplan.txt")
-    master = np.random.default_rng(args.seed)
-    written = 0
-    while written < args.count:
+# sensor draws that see no wall before gen-scene gives up on a scene,
+# as random_interior_pose gives up after 1000 placements
+MAX_EMPTY_DRAWS = 1000
+
+
+def _draw_scene(layout, master, args):
+    for _ in range(MAX_EMPTY_DRAWS):
         pose = random_interior_pose(layout, master)
         synth_seed = int(master.integers(2**31))
         try:
-            scene = synthesize_submap(
+            return synthesize_submap(
                 layout.wall_model, pose, args.radius, args.noise_sigma,
                 args.drop_frac, args.clutter_frac, seed=synth_seed,
             )
         except EmptyScene:
             continue
-        save_submap(scene.submap, out / ("scene_%04d.submap" % written))
-        save_pose(scene.gt_pose, out / ("scene_%04d.pose" % written))
-        written += 1
-    print("wrote %d scene(s) and floorplan.txt to %s" % (written, out))
+    raise EmptyScene("no wall within --radius %g of %d sensor draws" % (args.radius, MAX_EMPTY_DRAWS))
+
+
+def cmd_gen_scene(args) -> int:
+    if args.count < 1:
+        raise ValueError("--count must be >= 1, got %d" % (args.count,))
+    layout = generate_layout(args.layout_seed, args.n_rooms, args.corridor, args.extent)
+    out = Path(args.out)
+    master = np.random.default_rng(args.seed)
+    for k in range(args.count):
+        scene = _draw_scene(layout, master, args)
+        if k == 0:  # nothing is written before a scene could be drawn
+            out.mkdir(parents=True, exist_ok=True)
+            save_wall_models([layout.wall_model], out / "floorplan.txt")
+        save_submap(scene.submap, out / ("scene_%04d.submap" % k))
+        save_pose(scene.gt_pose, out / ("scene_%04d.pose" % k))
+    print("wrote %d scene(s) and floorplan.txt to %s" % (args.count, out))
     return 0
 
 

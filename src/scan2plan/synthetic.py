@@ -122,12 +122,12 @@ def generate_layout(seed: int, n_rooms: int, corridor: bool, extent_m: float) ->
 
     if corridor and n_rooms >= 2:
         n_top = (n_rooms + 1) // 2
-        n_bot = n_rooms - n_top
+        n_bot = n_rooms - n_top  # >= 1, so both strips hold a room
         depth_bot = rng.uniform(4.0, 8.0)
         depth_top = rng.uniform(4.0, 8.0)
         hall = rng.uniform(2.2, 3.0)
         width = rng.uniform(4.5, 7.5) * n_top
-        width = min(width, 9.8 * n_bot if n_bot else width, max(extent_m, 3.2 * n_top))
+        width = min(width, 9.8 * n_bot, max(extent_m, 3.2 * n_top))
         width = max(width, 3.2 * n_top)
 
         y_c0 = depth_bot
@@ -143,12 +143,7 @@ def generate_layout(seed: int, n_rooms: int, corridor: bool, extent_m: float) ->
             (np.array([0.0, height]), np.array([0.0, 0.0])),
         ]
 
-        for strip, (count, y0, y1, door_y) in enumerate(
-            [(n_bot, 0.0, y_c0, y_c0), (n_top, y_c1, height, y_c1)]
-        ):
-            if count == 0:
-                raw += [(np.array([0.0, door_y]), np.array([width, door_y]))]
-                continue
+        for count, y0, y1, door_y in [(n_bot, 0.0, y_c0, y_c0), (n_top, y_c1, height, y_c1)]:
             widths = _room_widths(rng, count, width)
             cuts = np.concatenate([[0.0], np.cumsum(widths)])
             doors = []
@@ -185,54 +180,46 @@ def generate_layout(seed: int, n_rooms: int, corridor: bool, extent_m: float) ->
     return FloorLayout(model, rooms, corridor_rect)
 
 
-def _clip_to_disc(seg: LineSegment2, center: np.ndarray, radius: float):
-    """Sub-interval [t0, t1] of the segment inside the disc, or None."""
-    d = seg.p1 - seg.p0
-    f = seg.p0 - center
-    a = float(d @ d)
-    b = 2.0 * float(f @ d)
-    c = float(f @ f) - radius * radius
-    disc = b * b - 4 * a * c
-    if disc <= 0:
-        return None
-    sq = np.sqrt(disc)
-    t0 = max(0.0, (-b - sq) / (2 * a))
-    t1 = min(1.0, (-b + sq) / (2 * a))
-    if t1 - t0 <= 1e-9:
-        return None
-    return t0, t1
-
-
-def _sample_wall(rng, seg: LineSegment2, t0: float, t1: float) -> np.ndarray:
-    length = seg.length * (t1 - t0)
+def _sample_wall(rng, wall: np.ndarray, t0: float, t1: float) -> np.ndarray:
+    """Points on the [p0, p1] row `wall` between fractions t0 and t1, up to the wall height."""
+    d = wall[1] - wall[0]
+    length = float(np.linalg.norm(d)) * (t1 - t0)
     n = max(1, int(round(length * WALL_HEIGHT_M * SURFACE_DENSITY_PT_M2)))
     t = rng.uniform(t0, t1, size=n)
     z = rng.uniform(0.0, WALL_HEIGHT_M, size=n)
-    xy = seg.p0 + t[:, None] * (seg.p1 - seg.p0)
-    return np.column_stack([xy, z])
+    return np.column_stack([wall[0] + t[:, None] * d, z])
 
 
-def _clear_of(points_xy: np.ndarray, walls: List[LineSegment2], clearance: float) -> np.ndarray:
-    """True for each 2D point at least `clearance` from every wall.
+def _project_rows(points_xy: np.ndarray, rows: np.ndarray, p0: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """`((points_xy - p0) @ d)[rows]`, bit for bit, from the given rows alone.
 
-    A wall tests only the points inside its box grown by the clearance
-    and a margin, so no point outside can come under it. The projection
-    `(points - p0) @ d` still runs over all points, since BLAS may round
-    a row differently in a subset; every distance keeps the bits of the
-    all-points product, and so does every decision.
+    BLAS's gemv rounds a row the same in any subset of two or more rows,
+    but a one-row product goes to a dot routine that rounds otherwise, so
+    a lone row of a longer array is projected as a pair.
+    """
+    q = points_xy[rows] - p0
+    if rows.shape[0] == 1 < points_xy.shape[0]:
+        return (q[[0, 0]] @ d)[:1]
+    return q @ d
+
+
+def _clear_of(points_xy: np.ndarray, walls: np.ndarray, clearance: float) -> np.ndarray:
+    """True for each 2D point at least `clearance` from every (W, 2, 2) wall row.
+
+    A wall tests, and projects, only the points inside its box grown by
+    the clearance and a margin, so no point outside can come under it.
     """
     keep = np.ones(points_xy.shape[0], dtype=bool)
     px, py = np.ascontiguousarray(points_xy.T)
     grow = clearance + CLEARANCE_CUT_MARGIN_M
-    for w in walls:
-        lo, hi = np.minimum(w.p0, w.p1) - grow, np.maximum(w.p0, w.p1) + grow
-        near = np.flatnonzero(keep & (px >= lo[0]) & (px <= hi[0]) & (py >= lo[1]) & (py <= hi[1]))
+    lo, hi = walls.min(axis=1) - grow, walls.max(axis=1) + grow
+    for (p0, p1), (x0, y0), (x1, y1) in zip(walls, lo, hi):
+        near = np.flatnonzero(keep & (px >= x0) & (px <= x1) & (py >= y0) & (py <= y1))
         if near.shape[0] == 0:
             continue
-        d = w.p1 - w.p0
-        t = np.clip(((points_xy - w.p0) @ d)[near] / float(d @ d), 0.0, 1.0)
-        proj = w.p0 + t[:, None] * d
-        keep[near] = np.linalg.norm(points_xy[near] - proj, axis=1) >= clearance
+        d = p1 - p0
+        t = np.clip(_project_rows(points_xy, near, p0, d) / float(d @ d), 0.0, 1.0)
+        keep[near] = np.linalg.norm(points_xy[near] - (p0 + t[:, None] * d), axis=1) >= clearance
     return keep
 
 
@@ -262,28 +249,30 @@ def synthesize_submap(
     rng = np.random.default_rng(seed)
     sensor = pose.apply(np.zeros(2))
 
-    visible = []
-    for i, w in enumerate(model.walls):
-        clip = _clip_to_disc(w, sensor, radius_m)
-        if clip is not None:
-            visible.append((i, w, clip))
-    if not visible:
+    # each wall's sub-interval [t0, t1] inside the disc: the roots of
+    # |p0 + t d - sensor| = radius, clipped to the wall
+    walls = model.endpoints()
+    d, f = walls[:, 1] - walls[:, 0], walls[:, 0] - sensor
+    a = np.vecdot(d, d)
+    b = 2.0 * np.vecdot(f, d)
+    disc = b * b - 4 * a * (np.vecdot(f, f) - radius_m * radius_m)
+    with np.errstate(invalid="ignore"):  # disc < 0: the line misses the disc
+        sq = np.sqrt(disc)
+    t0 = np.maximum(0.0, (-b - sq) / (2 * a))
+    t1 = np.minimum(1.0, (-b + sq) / (2 * a))
+    visible = np.flatnonzero((disc > 0) & (t1 - t0 > 1e-9))
+    if visible.shape[0] == 0:
         raise EmptyScene("no wall within radius of the sensor")
 
-    n_drop = int(round(drop_wall_frac * len(visible)))
-    drop_idx = set(rng.choice(len(visible), size=n_drop, replace=False).tolist()) if n_drop else set()
-
-    wall_pts = []
-    dropped = []
-    for j, (i, w, (t0, t1)) in enumerate(visible):
-        if j in drop_idx:
-            dropped.append(i)
-            continue
-        wall_pts.append(_sample_wall(rng, w, t0, t1))
+    n_drop = int(round(drop_wall_frac * visible.shape[0]))
+    dropped = np.zeros(visible.shape[0], dtype=bool)
+    if n_drop:
+        dropped[rng.choice(visible.shape[0], size=n_drop, replace=False)] = True
+    wall_pts = [_sample_wall(rng, walls[i], t0[i], t1[i]) for i in visible[~dropped]]
     wall_points = np.vstack(wall_pts) if wall_pts else np.zeros((0, 3))
 
     # clutter: small vertical panels absent from the model
-    clutter_segs = []
+    panels = []
     clutter_pts = []
     target = int(round(clutter_frac * wall_points.shape[0]))
     while target > 0 and sum(p.shape[0] for p in clutter_pts) < target:
@@ -293,14 +282,9 @@ def synthesize_submap(
         theta = rng.uniform(0.0, 2 * np.pi)
         mid = sensor + r * np.array([np.cos(theta), np.sin(theta)])
         half = 0.5 * span * np.array([np.cos(ang), np.sin(ang)])
-        seg = LineSegment2(mid - half, mid + half)
-        clutter_segs.append(seg)
-        clutter_pts.append(_sample_wall(rng, seg, 0.0, 1.0))
-    if clutter_pts:
-        extra = np.vstack(clutter_pts)[:target]
-        wall_like = np.vstack([wall_points, extra])
-    else:
-        wall_like = wall_points
+        panels.append(np.array([mid - half, mid + half]))
+        clutter_pts.append(_sample_wall(rng, panels[-1], 0.0, 1.0))
+    wall_like = np.vstack([wall_points, *clutter_pts])[: wall_points.shape[0] + target]
 
     # ground disc, kept clear of wall bases
     area = np.pi * radius_m**2
@@ -308,7 +292,7 @@ def synthesize_submap(
     rr = radius_m * np.sqrt(rng.uniform(0.0, 1.0, size=n_ground))
     th = rng.uniform(0.0, 2 * np.pi, size=n_ground)
     gxy = sensor + np.column_stack([rr * np.cos(th), rr * np.sin(th)])
-    keep = _clear_of(gxy, model.walls + clutter_segs, GROUND_CLEARANCE_M)
+    keep = _clear_of(gxy, np.concatenate([walls, np.reshape(panels, (-1, 2, 2))]), GROUND_CLEARANCE_M)
     ground = np.column_stack([gxy[keep], np.zeros(int(np.sum(keep)))])
 
     points_model = np.vstack([wall_like, ground])
@@ -322,8 +306,8 @@ def synthesize_submap(
     log = {
         "radius_m": radius_m,
         "noise_sigma_m": noise_sigma_m,
-        "dropped_walls": dropped,
-        "clutter_segments": [(s.p0.tolist(), s.p1.tolist()) for s in clutter_segs],
+        "dropped_walls": visible[dropped].tolist(),
+        "clutter_segments": [(p0.tolist(), p1.tolist()) for p0, p1 in panels],
         "n_wall_points": int(wall_like.shape[0]),
         "n_ground_points": int(ground.shape[0]),
         "wall_free": wall_points.shape[0] == 0,
@@ -337,7 +321,7 @@ def random_interior_pose(layout: FloorLayout, rng, clearance: float = 0.8) -> Se
     rects = list(layout.rooms)
     if layout.corridor is not None:
         rects.append(layout.corridor)
-    walls = layout.wall_model.walls
+    walls = layout.wall_model.endpoints()
     for _ in range(1000):
         x0, y0, x1, y1 = rects[int(rng.integers(len(rects)))]
         p = np.array([rng.uniform(x0, x1), rng.uniform(y0, y1)])

@@ -141,7 +141,23 @@ def test_gen_scene_bad_parameter_exit_code(tmp_path, capsys, flag, value, name):
     args = ["gen-scene", "--layout-seed", "7", "--n-rooms", "6", "--seed", "3", "--radius", "10"]
     assert main(args + [flag, value, "--out", str(tmp_path / "x")]) == 1
     assert name in capsys.readouterr().err
-    assert list(tmp_path.glob("x/*.submap")) == []
+    assert list(tmp_path.glob("x/*")) == []
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_gen_scene_count_below_one_rejected(tmp_path, capsys, count):
+    args = ["gen-scene", "--layout-seed", "7", "--n-rooms", "6", "--seed", "3", "--radius", "10"]
+    assert main(args + ["--count", count, "--out", str(tmp_path / "x")]) == 1
+    assert "--count" in capsys.readouterr().err
+    assert list(tmp_path.glob("x/*")) == []
+
+
+def test_gen_scene_gives_up_when_no_draw_sees_a_wall(tmp_path, capsys):
+    # every sensor keeps 0.8 m from the walls, so a 0.5 m radius sees none
+    args = ["gen-scene", "--layout-seed", "7", "--n-rooms", "6", "--seed", "3", "--radius", "0.5"]
+    assert main(args + ["--count", "1", "--out", str(tmp_path / "x")]) == 2
+    assert "--radius" in capsys.readouterr().err
+    assert list(tmp_path.glob("x/*")) == []
 
 
 @pytest.mark.parametrize("args, name", [(["--floors", "0"], "floors"), (["--extent", "nan"], "extent_m")])

@@ -4,6 +4,8 @@ import collections
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scan2plan.errors import EmptyScene
 from scan2plan.geometry import Se2Pose
@@ -241,9 +243,37 @@ def test_box_cull_matches_full_distances(layout_seed):
         pts.append(np.array([np.minimum(w.p0, w.p1) - grow, np.maximum(w.p0, w.p1) + grow]))
     pts = np.vstack(pts)
     want = _segment_distances(pts, walls) >= c
-    got = synthetic._clear_of(pts, walls, c)
+    got = synthetic._clear_of(pts, layout.wall_model.endpoints(), c)
     assert np.array_equal(got, want)
     assert want.any() and not want.all()
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(
+    st.integers(1, 64) | st.sampled_from([1000, 5000, 70686]),
+    st.floats(-3.0, 6.0),
+    st.sampled_from(["mask", "block", "stride", "one"]),
+    st.integers(0, 2**16),
+)
+def test_row_subset_projection_rounds_like_full(n, log_scale, kind, seed):
+    # _clear_of projects only the rows in a wall's box; each must round as
+    # the same row of the product over all points, bit for bit
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    pts = rng.uniform(-1.0, 1.0, size=(n, 2)) * scale + rng.normal(size=2) * scale
+    p0 = rng.normal(size=2) * scale
+    d = rng.normal(size=2) * 10.0 ** rng.uniform(-1.0, 2.0)
+    if kind == "mask":
+        rows = np.flatnonzero(rng.uniform(size=n) < rng.uniform())
+    elif kind == "block":
+        lo = int(rng.integers(n))
+        rows = np.arange(lo, int(rng.integers(lo, n + 1)))
+    elif kind == "stride":
+        rows = np.arange(int(rng.integers(n)), n, int(rng.integers(1, 9)))
+    else:
+        rows = rng.integers(n, size=1)
+    got = synthetic._project_rows(pts, rows, p0, d)
+    assert got.tobytes() == ((pts - p0) @ d)[rows].tobytes()
 
 
 def test_sensor_far_from_model_raises():
