@@ -176,4 +176,6 @@ def load_pose(path) -> Se2Pose:
         x, y, yaw = (float(p) for p in parts)
     except ValueError:
         raise ParseError(f"{path}: bad pose value")
+    if not np.all(np.isfinite((x, y, yaw))):
+        raise ParseError(f"{path}: non-finite pose value")
     return Se2Pose(x, y, yaw)

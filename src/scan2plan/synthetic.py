@@ -208,13 +208,20 @@ def _clear_of(points_xy: np.ndarray, walls: np.ndarray, clearance: float) -> np.
 
     A wall tests, and projects, only the points inside its box grown by
     the clearance and a margin, so no point outside can come under it.
+    The points are sorted by x once; each wall's x range is a slice of
+    that order, and only the slice meets the y and `keep` tests.
     """
     keep = np.ones(points_xy.shape[0], dtype=bool)
-    px, py = np.ascontiguousarray(points_xy.T)
+    order = np.argsort(points_xy[:, 0])
+    sx, sy = points_xy[order, 0], points_xy[order, 1]
     grow = clearance + CLEARANCE_CUT_MARGIN_M
     lo, hi = walls.min(axis=1) - grow, walls.max(axis=1) + grow
-    for (p0, p1), (x0, y0), (x1, y1) in zip(walls, lo, hi):
-        near = np.flatnonzero(keep & (px >= x0) & (px <= x1) & (py >= y0) & (py <= y1))
+    first = np.searchsorted(sx, lo[:, 0], side="left")
+    last = np.searchsorted(sx, hi[:, 0], side="right")
+    for (p0, p1), (_, y0), (_, y1), a, b in zip(walls, lo, hi, first, last):
+        rows, y = order[a:b], sy[a:b]
+        # ascending rows, as a mask over all points would give them
+        near = np.sort(rows[keep[rows] & (y >= y0) & (y <= y1)])
         if near.shape[0] == 0:
             continue
         d = p1 - p0

@@ -19,25 +19,50 @@ operations of the plain broadcasts, so every sum is bit-identical to a
 masked 2-D lookup. `select_best` thins the points once and runs every
 candidate through the same two scratch buffers.
 
-Selection is exact branch and bound. Phase 1 scores only the non-ground
-half of every candidate (s_a and s_miss: one lookup, two sums) and
-bounds its confidence by the best ground half, s_p = 0 and s_free = n_g.
-With field values in [0, 1] and lam >= 0, s_p >= 0 and s_free <= n_g
-hold for the rounded sums too, and IEEE rounding is monotone, so for
-every variant the bound is never below the exact confidence. Phase 2
-scores the ground half in descending bound order, reusing the phase-1
-bits, and stops at the first bound strictly below the best confidence
-so far; ties with it are still scored. The winner is the tie-break
-minimum over the scored candidates taken in input order, which is the
-exhaustive pass's winner. `select_best` returns it with its exact
-`ScoreResult`; pruned candidates have no exact score.
+Selection is exact branch and bound in three phases.
+
+Coarse, every candidate: the thinned non-ground points are collapsed
+into occupied s_r cells in the submap frame, with point counts as
+weights. A point lies within s_r * sqrt(2) / 2 of its cell centre, so
+under any rigid pose its field cell is at most one cell from the posed
+centre's in each axis, and clipping to [-1, n] keeps that. The field
+also keeps the 3x3 max filter of its bordered copy (the precomputed max
+grid of Cartographer's branch-and-bound scan matcher, Hess et al., ICRA
+2016), so the weighted sum of max-grid values at the posed centres
+bounds s_a from above, and n_ng minus it bounds s_miss from below. The
+argument needs every magnitude below `COARSE_LIMIT` cells: there a
+coordinate rounds by less than 2^-20 cell, far inside the 1 - sqrt(2)/2
+slack. A point row beyond it (or non-finite) adds the trivial 1 to the
+award bound, and a pose beyond it (or non-finite, or every pose when
+the field's origin is beyond it) gets the trivial s_a <= n_ng. A
+relative margin of (n_ng + 8) * 2^-48, more than ten times what is
+needed, covers the rounding of the weighted sums against the exact ones.
+The pass runs in chunks of rows // cells candidates through the scratch
+buffers, about five candidates per lookup at the default cap.
+
+Phase 1, lazily: the exact non-ground half (s_a and s_miss: one lookup,
+two sums) and the confidence with the ground half at its best, s_p = 0
+and s_free = n_g. Phase 2: the ground half. Candidates are visited in
+descending coarse order; the visit stops at the first coarse bound
+strictly below the best confidence so far, and a candidate whose
+phase-1 bound is below it skips phase 2. Ties with it are still scored.
+
+Every step is monotone: field values lie in [0, 1], lam >= 0, and IEEE
+rounding is monotone, so for every variant coarse bound >= phase-1
+bound >= exact confidence. Every candidate with the top confidence is
+therefore scored, and the winner is the tie-break minimum over the
+scored candidates taken in input order, which is the exhaustive pass's
+winner even for NaN poses. On the `building` benchmark every candidate
+gets the coarse bound, about 16% get phase 1 and about 5% phase 2.
+`select_best` returns the winner with its exact `ScoreResult`; pruned
+candidates have no exact score.
 """
 
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.ndimage import distance_transform_cdt
+from scipy.ndimage import distance_transform_cdt, maximum_filter
 
 from .errors import EmptyModel, EmptySubmap, NoCandidates
 from .geometry import Se2Pose
@@ -45,6 +70,11 @@ from .lines import rasterize_segments
 from .voting import Candidate
 
 VARIANTS = ("osc", "osc1", "osc2", "osc3")
+
+# coordinates (in cells) up to which the coarse bound's cell argument is
+# shown to hold; it also keeps a packed cell key below 2^53
+COARSE_LIMIT = 2.0**25
+_KEY_BASE = 2.0**26 + 1
 
 __all__ = [
     "VARIANTS",
@@ -64,6 +94,8 @@ class ScoreField:
     Construction also stores `values` once more, flattened with one zero
     cell on every side. A lookup clips each cell index to [-1, n] and
     shifts it by one, so any point off the grid reads 0.0 without a mask.
+    `_max_bordered` is the 3x3 max filter of that copy, for the coarse
+    bound of `select_best`.
     """
 
     values: np.ndarray  # (nx, ny) float64 in [0, 1]
@@ -71,10 +103,18 @@ class ScoreField:
     s_r: float  # meters per cell
 
     def __post_init__(self):
+        _check_cell_size(self.s_r)
+        origin = np.asarray(self.origin, dtype=np.float64)
+        if not np.all(np.isfinite(origin)):
+            raise ValueError("score field origin must be finite, got %r" % (self.origin,))
         values = np.asarray(self.values, dtype=np.float64)
         if not np.all((values >= 0.0) & (values <= 1.0)):  # also rejects NaN
             raise ValueError("score field values must lie in [0, 1]")
-        object.__setattr__(self, "_bordered", np.pad(values, 1).ravel())
+        bordered = np.pad(values, 1)
+        object.__setattr__(self, "_bordered", bordered.ravel())
+        # values are >= 0, so padding past the edge with 0 changes no max
+        peaks = maximum_filter(bordered, size=3, mode="constant", cval=0.0)
+        object.__setattr__(self, "_max_bordered", peaks.ravel())
 
     def value_at(self, points_m: np.ndarray) -> np.ndarray:
         pts = np.asarray(points_m, dtype=np.float64).reshape(-1, 2)
@@ -90,12 +130,18 @@ class ScoreField:
         cell matches the plain broadcast.
         """
         n = xy.shape[0]
-        nx, ny = self.values.shape
-        for k, hi in ((0, nx), (1, ny)):
+        for k in (0, 1):
             c = buf[:n, k]
             np.add(xy[:, k], shift[k], out=c)
             np.subtract(c, self.origin[k], out=c)
             np.divide(c, self.s_r, out=c)
+        return self._gather(self._bordered, n, buf, idx)
+
+    def _gather(self, table: np.ndarray, n: int, buf: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """`table` (a bordered copy) at the cells floor(buf[:n]), as a view of `buf`."""
+        nx, ny = self.values.shape
+        for k, hi in ((0, nx), (1, ny)):
+            c = buf[:n, k]
             np.floor(c, out=c)
             # clip before the int cast; fmax/fmin send NaN to the border too
             np.fmax(c, -1.0, out=c)
@@ -105,7 +151,7 @@ class ScoreField:
         np.add(row, col, out=row)
         np.copyto(cells, row, casting="unsafe")
         np.add(cells, ny + 3, out=cells)
-        return np.take(self._bordered, cells, out=row)
+        return np.take(table, cells, out=row)
 
 
 def _scratch(n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -129,11 +175,17 @@ class ScoreResult:
     variant: str
 
 
+def _check_cell_size(s_r: float) -> None:
+    if not 0.0 < s_r < np.inf:  # also rejects NaN
+        raise ValueError("score field s_r must be finite and positive, got %r" % (s_r,))
+
+
 def build_score_field(walls: np.ndarray, s_r: float = 0.2, k_d: int = 5) -> ScoreField:
     """Rasterize (W, 2, 2) wall endpoints at s_r and dilate with the linear k_d falloff."""
     walls = np.asarray(walls, dtype=np.float64).reshape(-1, 2, 2)
     if walls.shape[0] == 0:
         raise EmptyModel("no walls to build a score field from")
+    _check_cell_size(s_r)
     if k_d < 1:
         raise ValueError("k_d must be >= 1")
     raster = rasterize_segments(walls, scale=1.0 / s_r, pad_px=k_d + 2)
@@ -184,18 +236,73 @@ def _prepare(q_ng_xy, q_g_xy, cap: Optional[int]):
     return (q_ng, q_g) + _scratch(max(q_ng.shape[0], q_g.shape[0]))
 
 
-def _upper_bounds(field: ScoreField, poses: Sequence[Se2Pose], prepared, lam: float, variant: str):
-    """Phase 1: the non-ground half of every pose and a bound on its confidence.
+def _collapse(q: np.ndarray, s_r: float, buf: np.ndarray):
+    """(centres, weights, n_loose): q's occupied s_r cells, in cell units.
 
-    Returns (ng, bound): each pose's (s_a, s_miss) as floats, and its
-    confidence with the ground half at its best (s_p = 0, s_free = n_g)
-    as a float64 array.
+    Rows beyond `COARSE_LIMIT` cells or non-finite are not collapsed;
+    `n_loose` counts them. The cell keys are packed, exactly, into the
+    float scratch `buf` and sorted there.
+    """
+    n = q.shape[0]
+    for k in (0, 1):
+        c = buf[:n, k]
+        np.divide(q[:, k], s_r, out=c)
+        np.floor(c, out=c)
+    ix, iy = buf[:n, 0], buf[:n, 1]
+    # NaN fails the comparison, so it is loose too
+    loose = ~((np.abs(ix) <= COARSE_LIMIT) & (np.abs(iy) <= COARSE_LIMIT))
+    ix[loose] = iy[loose] = 0.0
+    np.add(ix, COARSE_LIMIT, out=ix)
+    np.multiply(ix, _KEY_BASE, out=ix)
+    np.add(ix, iy, out=ix)
+    np.add(ix, COARSE_LIMIT, out=ix)  # in [0, 2^53)
+    ix[loose] = -1.0
+    ix.sort()
+    n_loose = int(np.searchsorted(ix, 0.0))
+    keys = ix[n_loose:]
+    first = np.ones(keys.shape[0], dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    weights = np.diff(np.append(starts, keys.shape[0])).astype(np.float64)
+    kx, ky = np.divmod(keys[starts].astype(np.int64), int(_KEY_BASE))
+    centres = np.column_stack([kx, ky]) - COARSE_LIMIT + 0.5
+    return centres, weights, n_loose
+
+
+def _coarse_bounds(field: ScoreField, poses: Sequence[Se2Pose], prepared, lam: float, variant: str) -> np.ndarray:
+    """An upper bound on every pose's confidence from the collapsed cells.
+
+    See the module docstring for why it is never below the exact phase-1
+    bound. Poses go through the scratch buffers in chunks of rows // cells,
+    so no array grows with the candidate count times the points.
     """
     q_ng, q_g, buf, idx = prepared
-    ng = [_mass(field, q_ng, p.rotation().T, (p.x, p.y), buf, idx) for p in poses]
-    s_a, s_miss = np.array(ng).reshape(-1, 2).T
     n_ng, n_g = q_ng.shape[0], q_g.shape[0]
-    return ng, _confidence(s_a, 0.0, n_g, s_miss, n_ng, n_g, lam, variant)
+    centres, weights, n_loose = _collapse(q_ng, field.s_r, buf)
+    m = centres.shape[0]
+    xyt = np.array([(p.x, p.y, p.yaw) for p in poses], dtype=np.float64).reshape(-1, 3)
+    lim = COARSE_LIMIT * field.s_r
+    ok = np.isfinite(xyt[:, 2]) & np.all(np.abs(xyt[:, :2]) <= lim, axis=1)
+    ok &= bool(np.all(np.abs(field.origin) <= lim))
+    xyt[~ok] = 0.0  # bounded trivially below, so a harmless stand-in pose
+    # [cx, cy, 1] @ [R.T; (t - origin) / s_r]: posed centres in field cells
+    c, s = np.cos(xyt[:, 2]), np.sin(xyt[:, 2])
+    offset = (xyt[:, :2] - field.origin) / field.s_r
+    affine = np.stack([np.column_stack([c, s]), np.column_stack([-s, c]), offset], axis=1)
+    centres = np.column_stack([centres, np.ones(m)])
+    award = np.zeros(xyt.shape[0])
+    step = buf.shape[0] // max(m, 1)
+    for a in range(0, xyt.shape[0], step):
+        b = min(a + step, xyt.shape[0])
+        # a view of buf: rows split into (candidate, cell), columns kept
+        np.matmul(centres, affine[a:b], out=buf[: (b - a) * m].reshape(b - a, m, 2))
+        peaks = field._gather(field._max_bordered, (b - a) * m, buf, idx)
+        award[a:b] = peaks.reshape(b - a, m) @ weights
+    margin = (n_ng + 8) * 2.0**-48
+    s_a = (award + n_loose) * (1.0 + margin)
+    s_a[~ok] = n_ng
+    s_miss = np.maximum(0.0, (n_ng - s_a) * (1.0 - margin))
+    return _confidence(s_a, 0.0, n_g, s_miss, n_ng, n_g, lam, variant)
 
 
 def score_candidate(
@@ -227,30 +334,36 @@ def select_best(
     so the cap trades a little variance for time. The points are thinned
     once and every candidate reuses the same two scratch buffers.
 
-    Branch and bound, exact: every candidate gets its non-ground half
-    and an upper bound on its confidence (`_upper_bounds`); the ground
-    half is then scored in descending bound order until a bound falls
-    strictly below the best confidence so far. The winner is the
-    tie-break minimum over the scored candidates in input order, so it
-    is the candidate an exhaustive pass picks, even for NaN poses.
+    Branch and bound, exact: every candidate gets a coarse upper bound
+    on its confidence (`_coarse_bounds`), and candidates are visited in
+    descending coarse order until one falls strictly below the best
+    confidence so far. A visited candidate gets its exact non-ground
+    half and the bound it gives, and its ground half only while that
+    bound reaches the best. The winner is the tie-break minimum over the
+    scored candidates in input order, so it is the candidate an
+    exhaustive pass picks, even for NaN poses.
     """
     if not candidates:
         raise NoCandidates("no pose candidates to score")
-    # the bound rests on lam * s_p >= 0
+    # the bounds rest on lam * s_p >= 0
     if not (lam >= 0.0 and np.isfinite(lam)):
         raise ValueError("lam must be finite and >= 0, got %r" % (lam,))
     prepared = _prepare(q_ng_xy, q_g_xy, max_points)
     q_ng, q_g, buf, idx = prepared
     n_ng, n_g = q_ng.shape[0], q_g.shape[0]
-    ng, bound = _upper_bounds(field, [c.pose for c in candidates], prepared, lam, variant)
+    coarse = _coarse_bounds(field, [c.pose for c in candidates], prepared, lam, variant)
 
     results = {}
     best_conf = -np.inf
-    for i in np.argsort(-bound, kind="stable").tolist():
-        if bound[i] < best_conf:
+    for i in np.argsort(-coarse, kind="stable").tolist():
+        if coarse[i] < best_conf:
             break
-        (s_a, s_miss), p = ng[i], candidates[i].pose
-        s_p, s_free = _mass(field, q_g, p.rotation().T, (p.x, p.y), buf, idx)
+        p = candidates[i].pose
+        rot_t, shift = p.rotation().T, (p.x, p.y)
+        s_a, s_miss = _mass(field, q_ng, rot_t, shift, buf, idx)
+        if _confidence(s_a, 0.0, n_g, s_miss, n_ng, n_g, lam, variant) < best_conf:
+            continue
+        s_p, s_free = _mass(field, q_g, rot_t, shift, buf, idx)
         conf = float(_confidence(s_a, s_p, s_free, s_miss, n_ng, n_g, lam, variant))
         results[i] = ScoreResult(s_a, s_p, n_ng, n_g, conf, variant)
         best_conf = max(best_conf, conf)

@@ -101,6 +101,14 @@ def score_candidate(field, pose: Se2Pose, q_ng_xy, q_g_xy, lam=0.5, variant="osc
     return ScoreResult(s_a, s_p, q_ng.shape[0], q_g.shape[0], float(conf), variant)
 
 
+def phase1_bound(field, pose: Se2Pose, q_ng: np.ndarray, n_g: int, lam=0.5, variant="osc") -> float:
+    """The confidence with the exact non-ground half and the ground half
+    at its best (s_p = 0, s_free = n_g)."""
+    v = value_at(field, pose.apply(q_ng))
+    s_a, s_miss = float(v.sum()), float((1.0 - v).sum())
+    return float(_confidence(s_a, 0.0, n_g, s_miss, q_ng.shape[0], n_g, lam, variant))
+
+
 def _subsample(points: np.ndarray, cap: Optional[int]) -> np.ndarray:
     if cap is None or points.shape[0] <= cap:
         return points

@@ -4,9 +4,10 @@
 per-candidate scoring and per-component clustering. Every comparison
 here is bitwise: field values, award and penalty sums, confidences, the
 chosen index and the winner's result (the package's pruned selection
-against the exhaustive oracle, with every phase-1 bound at or above its
-candidate's exact confidence), and every candidate's pose, votes, merged
-score and cell count. Point sets put coordinates exactly on cell edges,
+against the exhaustive oracle, with every candidate's coarse bound at or
+above its exact phase-1 bound, and that at or above its exact
+confidence), and every candidate's pose, votes, merged score and cell
+count. Point sets put coordinates exactly on cell edges,
 one ulp either side of the grid's bounds, far outside it, NaN, and
 beyond the int64 range of cell indices.
 Vote grids grow components of more than 8 cells (where pairwise
@@ -16,16 +17,19 @@ summation departs from a running sum) across the yaw wrap.
 import math
 
 import numpy as np
+import pytest
 import scalar_backend as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scan2plan.geometry import Se2Pose
 from scan2plan.verify import (
+    COARSE_LIMIT,
     VARIANTS,
     ScoreField,
+    _coarse_bounds,
+    _collapse,
     _prepare,
-    _upper_bounds,
     build_score_field,
     score_candidate,
     select_best,
@@ -126,16 +130,24 @@ def test_value_at_matches_oracle(data):
     assert _bits(field.value_at(pts)) == _bits(want)
 
 
+def _bounds(field, cands, q_ng, q_g, lam, variant, cap):
+    """(coarse, exact phase-1) bounds of every candidate."""
+    prepared = _prepare(q_ng, q_g, cap)
+    coarse = _coarse_bounds(field, [c.pose for c in cands], prepared, lam, variant)
+    q_ng, n_g = prepared[0], prepared[1].shape[0]
+    return coarse.tolist(), [ref.phase1_bound(field, c.pose, q_ng, n_g, lam, variant) for c in cands]
+
+
 def _assert_selection_matches_oracle(field, cands, q_ng, q_g, lam, variant, cap) -> int:
     """The pruned selection picks the exhaustive oracle's index with the
-    same result bits, and no phase-1 bound is below its exact confidence."""
+    same result bits, and for every candidate coarse bound >= phase-1
+    bound >= exact confidence."""
     want_best, want = ref.select_best(field, cands, q_ng, q_g, lam=lam, variant=variant, max_points=cap)
     got_best, got = select_best(field, cands, q_ng, q_g, lam=lam, variant=variant, max_points=cap)
     assert got_best == want_best
     assert _result_key(got) == _result_key(want[want_best])
-    prepared = _prepare(q_ng, q_g, cap)
-    bound = _upper_bounds(field, [c.pose for c in cands], prepared, lam, variant)[1]
-    assert all(b >= r.confidence for b, r in zip(bound.tolist(), want))
+    coarse, exact = _bounds(field, cands, q_ng, q_g, lam, variant, cap)
+    assert all(c >= b >= r.confidence for c, b, r in zip(coarse, exact, want))
     return got_best
 
 
@@ -175,16 +187,92 @@ def test_scoring_matches_oracle(data):
             assert _result_key(a) == _result_key(b)
 
 
+@SETTINGS
+@given(st.data())
+def test_coarse_bound_is_never_below_exact(data):
+    field = data.draw(fields())
+    s = field.s_r
+    frame = data.draw(poses)
+    # submap-frame points on the collapse's own cell edges and one ulp
+    # either side, rows at and just past the coarse limit, and probes
+    # taken back from the model frame (edges, far, inf, 1e300, NaN)
+    k = np.array(data.draw(st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), min_size=1, max_size=30)))
+    edges = k * s
+    limit = COARSE_LIMIT * s
+    sets = [edges, np.nextafter(edges, -math.inf), np.nextafter(edges, math.inf)]
+    if data.draw(st.booleans()):
+        sets.append(np.array([[limit, -limit], [np.nextafter(limit, math.inf), 0.0]]))
+    with np.errstate(invalid="ignore", over="ignore"):
+        sets.append(frame.inverse().apply(data.draw(probes(field))))
+        q_ng = np.vstack([sets[i] for i in data.draw(st.sets(st.integers(0, len(sets) - 1), min_size=1))])
+        # the ground rows set the scratch size, so the chunk size varies
+        q_g = frame.inverse().apply(data.draw(probes(field, max_size=200))) if data.draw(st.booleans()) else np.zeros((0, 2))
+
+    far = st.sampled_from([limit, np.nextafter(limit, math.inf), 1e300, -math.inf])
+    cands = [
+        Candidate(pose, 1, 1, 1)
+        for pose in data.draw(
+            st.lists(
+                st.one_of(
+                    st.just(frame),
+                    poses,
+                    st.just(Se2Pose(math.nan, 0.0, 0.0)),
+                    st.just(Se2Pose(0.0, 0.0, math.nan)),
+                    st.builds(Se2Pose, far, st.floats(-3, 3), st.floats(-math.pi, math.pi)),
+                ),
+                min_size=1,
+                max_size=12,
+            )
+        )
+    ]
+    variant = data.draw(st.sampled_from(VARIANTS))
+    lam = data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.5]))
+    cap = data.draw(st.sampled_from([None, None, 1, 3, 7, 50]))
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = ref.select_best(field, cands, q_ng, q_g, lam=lam, variant=variant, max_points=cap)[1]
+        coarse, exact = _bounds(field, cands, q_ng, q_g, lam, variant, cap)
+    for c, b, r in zip(coarse, exact, want):
+        assert c >= b >= r.confidence
+
+
+def _hot(shape, cell, s_r, origin=(0.0, 0.0)):
+    values = np.zeros(shape)
+    values[cell] = 1.0
+    return ScoreField(values, np.array(origin), s_r)
+
+
+COARSE_CASES = {
+    # a point at the far corner of its cell, turned 45 deg, lands 1.41
+    # cells from its cell's corner but 0.71 from the centre
+    "far_cell_corner": (_hot((9, 9), (4, 6), 0.2), Se2Pose(0.9, 0.98, math.pi / 4), [[0.1998, 0.1998]]),
+    # past the limit the rounding of a lookup is no longer small: a pose
+    # onto a field 1e15 m out gets the trivial bound
+    "far_origin": (_hot((5, 5), (2, 2), 0.2, (1e15, 1e15)), Se2Pose(1e15 + 0.5, 1e15 + 0.5, 0.0), [[0.0, 0.0]]),
+    # a row past the limit that a pose within it brings onto the grid
+    "loose_row_on_grid": (_hot((46100, 3), (46010, 1), 1e-3), Se2Pose(-33554.0, 0.0, 0.0), [[33600.0105, 0.0015]]),
+    # six values of 0.7 sum to 4.2, but 6 * 0.7 rounds to 4.199999999999999
+    "sum_rounding": (ScoreField(np.full((3, 3), 0.7), np.zeros(2), 1.0), Se2Pose.identity(), [[1.5, 1.5]] * 6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COARSE_CASES))
+def test_coarse_bound_where_each_safeguard_counts(case):
+    field, pose, q = COARSE_CASES[case]
+    coarse, exact = _bounds(field, [Candidate(pose, 1, 1, 1)], np.array(q), np.zeros((0, 2)), 0.0, "osc", None)
+    want = ref.score_candidate(field, pose, np.array(q), np.zeros((0, 2)), lam=0.0).confidence
+    assert want > 0.0
+    assert coarse[0] >= exact[0] >= want
+
+
 def test_nan_pose_tie_keeps_input_order():
     # both candidates score exactly 0 with equal votes; the NaN pose's key
     # is unordered, so the exhaustive min keeps the first in input order,
-    # although the other candidate's larger bound has it scored first
+    # although the other candidate's phase-1 bound is the larger
     field = ScoreField(np.ones((4, 4)), np.zeros(2), 0.5)
     q_ng, q_g = np.array([[0.25, 0.25]]), np.array([[0.75, 0.75], [1.25, 1.25]])
     cands = [Candidate(Se2Pose(math.nan, 0.0, 0.0), 1, 1, 1), Candidate(Se2Pose.identity(), 1, 1, 1)]
-    bound = _upper_bounds(field, [c.pose for c in cands], _prepare(q_ng, q_g, None), 0.5, "osc")[1]
-    assert bound.tolist() == [0.0, 1.0]
     with np.errstate(invalid="ignore"):  # the oracle casts NaN cells to int64
+        assert _bounds(field, cands, q_ng, q_g, 0.5, "osc", None)[1] == [0.0, 1.0]
         assert _assert_selection_matches_oracle(field, cands, q_ng, q_g, 0.5, "osc", None) == 0
 
 
@@ -223,6 +311,33 @@ def test_scoring_matches_oracle_on_a_scene():
         for variant in VARIANTS:
             for lam in (0.0, 0.5, 1.0, 2.5):
                 assert _assert_selection_matches_oracle(field, cands, q_ng, q_g, lam, variant, cap) == 0
+
+
+def test_coarse_chunk_edges_match_oracle_on_a_scene():
+    # the coarse pass runs rows // cells candidates at a time: check a
+    # last chunk that is partial, chunks of one, and the uncapped rows
+    from scan2plan.synthetic import generate_layout, synthesize_submap
+
+    layout = generate_layout(seed=21, n_rooms=12, corridor=True, extent_m=48.0)
+    x0, y0, x1, y1 = layout.rooms[3]
+    gt = Se2Pose((x0 + x1) / 2, (y0 + y1) / 2, 0.4)
+    scene = synthesize_submap(layout.wall_model, gt, radius_m=15.0, noise_sigma_m=0.03, seed=4)
+    n_wall = scene.deviation_log["n_wall_points"]
+    q_ng, q_g = scene.submap.points[:n_wall, :2], scene.submap.points[n_wall:, :2]
+    assert q_ng.shape[0] > 30000
+    field = build_score_field(layout.wall_model.endpoints())
+    rng = np.random.default_rng(5)
+    cands = [Candidate(gt, 5, 5, 1)] + [
+        Candidate(Se2Pose(gt.x + rng.normal(0, 1), gt.y + rng.normal(0, 1), gt.yaw + rng.normal(0, 0.2)), 3, 3, 1)
+        for _ in range(29)
+    ]
+    chunks = []
+    for cap, variant, lam in ((None, "osc", 0.5), (5000, "osc3", 2.5), (333, "osc2", 0.0)):
+        _, _, buf, _ = prepared = _prepare(q_ng, q_g, cap)
+        chunks.append(buf.shape[0] // _collapse(prepared[0], field.s_r, buf)[0].shape[0])
+        assert _assert_selection_matches_oracle(field, cands, q_ng, q_g, lam, variant, cap) == 0
+    assert chunks[2] == 1
+    assert all(1 < c < len(cands) and len(cands) % c for c in chunks[:2])
 
 
 # --- vote clustering ---

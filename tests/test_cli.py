@@ -250,6 +250,14 @@ def test_evaluate_directory(tmp_path, capsys):
     assert len(csv.read_text().strip().splitlines()) == 3
 
 
+def test_evaluate_non_finite_pose_exit_code(tmp_path, capsys):
+    plan, scenes, db = _gen(tmp_path, capsys)
+    (scenes / "scene_0001.pose").write_text("nan 1 inf\n")
+    code = main(["evaluate", "--scenes", str(scenes), "--model", str(plan), "--db", str(db)])
+    assert code == 2
+    assert "scene_0001.pose" in capsys.readouterr().err
+
+
 def test_evaluate_empty_dir(tmp_path, capsys):
     plan, _, db = _gen(tmp_path, capsys)
     empty = tmp_path / "none"

@@ -130,6 +130,15 @@ def test_pose_malformed(tmp_path):
         load_pose(f)
 
 
+@pytest.mark.parametrize("text", ["nan 1 inf", "0 0 nan", "1 -inf 0", "1e400 0 0"])
+def test_pose_non_finite_rejected(tmp_path, text):
+    # a non-finite ground truth would count the scene as a silent miss
+    f = tmp_path / "gt.pose"
+    f.write_text(text + "\n")
+    with pytest.raises(ParseError, match="gt.pose"):
+        load_pose(f)
+
+
 def _raw_submap(path, gravity, points):
     pts = np.asarray(points, dtype="<f4")
     path.write_bytes(

@@ -214,6 +214,26 @@ def test_score_field_rejects_values_outside_unit_interval(bad):
         ScoreField(values, np.zeros(2), 0.2)
 
 
+@pytest.mark.parametrize("s_r", [0.0, -0.2, math.nan, math.inf, -math.inf])
+def test_score_field_rejects_bad_cell_size(s_r):
+    with pytest.raises(ValueError, match="s_r"):
+        ScoreField(np.ones((3, 3)), np.zeros(2), s_r)
+    with pytest.raises(ValueError, match="s_r"):
+        build_score_field([_seg(0.0, 0.0, 2.0, 0.0)], s_r=s_r)
+
+
+@pytest.mark.parametrize("origin", [[math.nan, 0.0], [0.0, math.inf], [-math.inf, 1.0]])
+def test_score_field_rejects_non_finite_origin(origin):
+    with pytest.raises(ValueError, match="origin"):
+        ScoreField(np.ones((3, 3)), np.array(origin), 0.2)
+
+
+def test_negative_cell_size_cannot_mirror_the_grid():
+    # with s_r = -0.5 the point (-0.6, -0.6) used to land in cell (1, 1)
+    with pytest.raises(ValueError, match="s_r"):
+        ScoreField(np.ones((3, 3)), np.zeros(2), -0.5).value_at([[-0.6, -0.6]])
+
+
 def test_no_candidates_raises():
     field = build_score_field([_seg(0.0, 0.0, 2.0, 0.0)])
     with pytest.raises(NoCandidates):
