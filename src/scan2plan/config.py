@@ -6,10 +6,10 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .errors import ParseError
-from .verify import VARIANTS
 
-# fields allowed to be zero or negative
-_UNSIGNED = ("scoring_max_points", "min_confidence")
+# fields exempt from the positive check: lam and scoring_max_points may
+# be 0, min_confidence any finite value
+_UNSIGNED = ("lam", "scoring_max_points", "min_confidence")
 
 
 @dataclass
@@ -48,7 +48,6 @@ class PipelineConfig:
     s_r: float = 0.2
     k_d: int = 5
     lam: float = 0.5
-    variant: str = "osc"
     scoring_max_points: int = 5000  # 0 disables subsampling
     min_confidence: float = 0.8
 
@@ -58,19 +57,18 @@ class PipelineConfig:
             v = getattr(self, f.name)
             if isinstance(v, float) and not math.isfinite(v):
                 raise ValueError("%s must be finite, got %r" % (f.name, v))
-            if f.name in _UNSIGNED or not isinstance(v, (int, float)):
+            if f.name in _UNSIGNED:
                 continue
             if v <= 0:
                 raise ValueError("%s must be positive, got %r" % (f.name, v))
-        if self.scoring_max_points < 0:
-            raise ValueError("scoring_max_points must be >= 0")
+        for name in ("lam", "scoring_max_points"):
+            if getattr(self, name) < 0:
+                raise ValueError("%s must be >= 0, got %r" % (name, getattr(self, name)))
         if not self.l_cells >= self.k_cells >= self.j_candidates:
             raise ValueError(
                 "need l_cells >= k_cells >= j_candidates, got %d/%d/%d"
                 % (self.l_cells, self.k_cells, self.j_candidates)
             )
-        if self.variant not in VARIANTS:
-            raise ValueError("unknown variant %r" % (self.variant,))
 
 
 def parse_config_file(path) -> Dict[str, str]:

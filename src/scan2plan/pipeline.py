@@ -6,6 +6,7 @@ non-ground scoring sets, then matched against every prepared floor. The
 report with the highest verification confidence wins.
 """
 
+import csv
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -175,7 +176,6 @@ def register_features(feats: SubmapFeatures, floor: FloorIndex, cfg: PipelineCon
             feats.q_ng_xy,
             feats.q_g_xy,
             lam=cfg.lam,
-            variant=cfg.variant,
             max_points=cfg.scoring_max_points or None,
         )
     except (EmptySubmap, NoCandidates):
@@ -262,14 +262,17 @@ def evaluate_scenes(scene_dir, floors: Sequence[FloorIndex], cfg: PipelineConfig
 
 
 def write_eval_csv(outcomes: Sequence[SceneOutcome], path) -> None:
-    """One row per scene; `success` is blank when no gt was available."""
-    with open(path, "w") as f:
-        f.write("scene,success,rot_err_deg,trans_err_m,confidence,votes,floor,total_ms\n")
+    """One row per scene; `success` is blank when no gt was available.
+
+    Names are quoted where they hold a comma, a quote or a line break."""
+    with open(path, "w", newline="") as f:
+        out = csv.writer(f, lineterminator="\n")
+        out.writerow("scene,success,rot_err_deg,trans_err_m,confidence,votes,floor,total_ms".split(","))
         for o in outcomes:
             flag = "" if o.success is None else str(int(o.success))
-            f.write(
-                "%s,%s,%.6f,%.6f,%.6f,%d,%s,%.3f\n"
-                % (o.scene, flag, o.rot_err_deg, o.trans_err_m, o.confidence, o.votes, o.floor_id, o.total_ms)
+            out.writerow(
+                [o.scene, flag, "%.6f" % o.rot_err_deg, "%.6f" % o.trans_err_m, "%.6f" % o.confidence,
+                 "%d" % o.votes, o.floor_id, "%.3f" % o.total_ms]
             )
 
 

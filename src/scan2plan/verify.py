@@ -2,11 +2,12 @@
 
 The wall model is rasterized at s_r and dilated with a linear falloff:
 value 1 on occupied cells down to 1/k_d at Chebyshev distance k_d, zero
-beyond. Non-ground submap points collect award where they land on wall
-mass; ground points landing there collect a penalty, since real ground
-is free space. Confidence is the normalized difference, so a pose that
-drapes scanned walls over modeled walls while keeping scanned floor off
-them scores near 1.
+beyond. Non-ground submap points collect award s_a where they land on
+wall mass; ground points landing there collect a penalty s_p, since real
+ground is free space. Confidence is the one rule
+(s_a - lam * s_p) / n_ng, so a pose that drapes scanned walls over
+modeled walls while keeping scanned floor off them scores near 1;
+lam = 0 is award-only scoring.
 
 Scoring path: `ScoreField` keeps, next to `values`, one flattened copy
 bordered by a zero cell on every side, built once per field. A pose is
@@ -29,7 +30,7 @@ centre's in each axis, and clipping to [-1, n] keeps that. The field
 also keeps the 3x3 max filter of its bordered copy (the precomputed max
 grid of Cartographer's branch-and-bound scan matcher, Hess et al., ICRA
 2016), so the weighted sum of max-grid values at the posed centres
-bounds s_a from above, and n_ng minus it bounds s_miss from below. The
+bounds s_a from above, and that sum over n_ng bounds the confidence. The
 argument needs every magnitude below `COARSE_LIMIT` cells: there a
 coordinate rounds by less than 2^-20 cell, far inside the 1 - sqrt(2)/2
 slack. A point row beyond it (or non-finite) adds the trivial 1 to the
@@ -40,19 +41,19 @@ needed, covers the rounding of the weighted sums against the exact ones.
 The pass runs in chunks of rows // cells candidates through the scratch
 buffers, about five candidates per lookup at the default cap.
 
-Phase 1, lazily: the exact non-ground half (s_a and s_miss: one lookup,
-two sums) and the confidence with the ground half at its best, s_p = 0
-and s_free = n_g. Phase 2: the ground half. Candidates are visited in
-descending coarse order; the visit stops at the first coarse bound
-strictly below the best confidence so far, and a candidate whose
-phase-1 bound is below it skips phase 2. Ties with it are still scored.
+Phase 1, lazily: the exact award s_a (one lookup, one sum) and the
+confidence with no ground penalty, s_a / n_ng. Phase 2: the penalty
+s_p. Candidates are visited in descending coarse order; the visit stops
+at the first coarse bound strictly below the best confidence so far,
+and a candidate whose phase-1 bound is below it skips phase 2. Ties
+with it are still scored.
 
 Every step is monotone: field values lie in [0, 1], lam >= 0, and IEEE
-rounding is monotone, so for every variant coarse bound >= phase-1
-bound >= exact confidence. Every candidate with the top confidence is
-therefore scored, and the winner is the tie-break minimum over the
-scored candidates taken in input order, which is the exhaustive pass's
-winner even for NaN poses. On the `building` benchmark every candidate
+rounding is monotone, so coarse bound >= phase-1 bound >= exact
+confidence. Every candidate with the top confidence is therefore
+scored, and the winner is the tie-break minimum over the scored
+candidates taken in input order, which is the exhaustive pass's winner
+even for NaN poses. On the `building` benchmark every candidate
 gets the coarse bound, about 16% get phase 1 and about 5% phase 2.
 `select_best` returns the winner with its exact `ScoreResult`; pruned
 candidates have no exact score.
@@ -69,15 +70,12 @@ from .geometry import Se2Pose
 from .lines import rasterize_segments
 from .voting import Candidate
 
-VARIANTS = ("osc", "osc1", "osc2", "osc3")
-
 # coordinates (in cells) up to which the coarse bound's cell argument is
 # shown to hold; it also keeps a packed cell key below 2^53
 COARSE_LIMIT = 2.0**25
 _KEY_BASE = 2.0**26 + 1
 
 __all__ = [
-    "VARIANTS",
     "ScoreField",
     "ScoreResult",
     "build_score_field",
@@ -172,7 +170,6 @@ class ScoreResult:
     n_ng: int
     n_g: int
     confidence: float
-    variant: str
 
 
 def _check_cell_size(s_r: float) -> None:
@@ -194,31 +191,15 @@ def build_score_field(walls: np.ndarray, s_r: float = 0.2, k_d: int = 5) -> Scor
     return ScoreField(values, raster.origin, s_r)
 
 
-def _confidence(s_a, s_p, s_free, s_miss, n_ng, n_g, lam, variant):
-    if variant == "osc":
-        return (s_a - lam * s_p) / n_ng
-    if variant == "osc1":
-        return s_a / n_ng
-    if variant == "osc2":
-        return (s_a + s_free) / (n_ng + n_g) if n_g else s_a / n_ng
-    if variant == "osc3":
-        denom = n_ng + n_g
-        return (s_a + s_free - lam * s_p - lam * s_miss) / (denom if n_g else n_ng)
-    raise ValueError("unknown scoring variant %r" % (variant,))
-
-
-def _mass(field: ScoreField, q: np.ndarray, rot_t, shift, buf, idx) -> Tuple[float, float]:
-    """(sum of v, sum of 1 - v) for the field values v under the posed q."""
+def _mass(field: ScoreField, q: np.ndarray, rot_t, shift, buf, idx) -> float:
+    """Sum of the field values under the posed q."""
     n = q.shape[0]
     if n == 0:
-        return 0.0, 0.0
+        return 0.0
     # the matmul of Se2Pose.apply: OpenBLAS rounds it with FMA, which a
     # column-wise x*c - y*s would not reproduce
     xy = np.matmul(q, rot_t, out=buf[:n])
-    v = field._lookup(xy, shift, buf, idx)
-    s = float(v.sum())
-    np.subtract(1.0, v, out=v)
-    return s, float(v.sum())
+    return float(field._lookup(xy, shift, buf, idx).sum())
 
 
 def _prepare(q_ng_xy, q_g_xy, cap: Optional[int]):
@@ -269,15 +250,14 @@ def _collapse(q: np.ndarray, s_r: float, buf: np.ndarray):
     return centres, weights, n_loose
 
 
-def _coarse_bounds(field: ScoreField, poses: Sequence[Se2Pose], prepared, lam: float, variant: str) -> np.ndarray:
+def _coarse_bounds(field: ScoreField, poses: Sequence[Se2Pose], q_ng: np.ndarray, buf, idx) -> np.ndarray:
     """An upper bound on every pose's confidence from the collapsed cells.
 
     See the module docstring for why it is never below the exact phase-1
     bound. Poses go through the scratch buffers in chunks of rows // cells,
     so no array grows with the candidate count times the points.
     """
-    q_ng, q_g, buf, idx = prepared
-    n_ng, n_g = q_ng.shape[0], q_g.shape[0]
+    n_ng = q_ng.shape[0]
     centres, weights, n_loose = _collapse(q_ng, field.s_r, buf)
     m = centres.shape[0]
     xyt = np.array([(p.x, p.y, p.yaw) for p in poses], dtype=np.float64).reshape(-1, 3)
@@ -301,8 +281,7 @@ def _coarse_bounds(field: ScoreField, poses: Sequence[Se2Pose], prepared, lam: f
     margin = (n_ng + 8) * 2.0**-48
     s_a = (award + n_loose) * (1.0 + margin)
     s_a[~ok] = n_ng
-    s_miss = np.maximum(0.0, (n_ng - s_a) * (1.0 - margin))
-    return _confidence(s_a, 0.0, n_g, s_miss, n_ng, n_g, lam, variant)
+    return s_a / n_ng
 
 
 def score_candidate(
@@ -311,10 +290,9 @@ def score_candidate(
     q_ng_xy: np.ndarray,
     q_g_xy: np.ndarray,
     lam: float = 0.5,
-    variant: str = "osc",
 ) -> ScoreResult:
     """Score one pose hypothesis; points are submap-frame xy."""
-    return select_best(field, [Candidate(pose, 0, 0, 1)], q_ng_xy, q_g_xy, lam, variant)[1]
+    return select_best(field, [Candidate(pose, 0, 0, 1)], q_ng_xy, q_g_xy, lam)[1]
 
 
 def select_best(
@@ -323,7 +301,6 @@ def select_best(
     q_ng_xy: np.ndarray,
     q_g_xy: np.ndarray,
     lam: float = 0.5,
-    variant: str = "osc",
     max_points: Optional[int] = None,
 ) -> Tuple[int, ScoreResult]:
     """Return (best index, its exact ScoreResult) over the candidates.
@@ -337,9 +314,9 @@ def select_best(
     Branch and bound, exact: every candidate gets a coarse upper bound
     on its confidence (`_coarse_bounds`), and candidates are visited in
     descending coarse order until one falls strictly below the best
-    confidence so far. A visited candidate gets its exact non-ground
-    half and the bound it gives, and its ground half only while that
-    bound reaches the best. The winner is the tie-break minimum over the
+    confidence so far. A visited candidate gets its exact award and the
+    bound s_a / n_ng, and its ground penalty only while that bound
+    reaches the best. The winner is the tie-break minimum over the
     scored candidates in input order, so it is the candidate an
     exhaustive pass picks, even for NaN poses.
     """
@@ -348,10 +325,9 @@ def select_best(
     # the bounds rest on lam * s_p >= 0
     if not (lam >= 0.0 and np.isfinite(lam)):
         raise ValueError("lam must be finite and >= 0, got %r" % (lam,))
-    prepared = _prepare(q_ng_xy, q_g_xy, max_points)
-    q_ng, q_g, buf, idx = prepared
+    q_ng, q_g, buf, idx = _prepare(q_ng_xy, q_g_xy, max_points)
     n_ng, n_g = q_ng.shape[0], q_g.shape[0]
-    coarse = _coarse_bounds(field, [c.pose for c in candidates], prepared, lam, variant)
+    coarse = _coarse_bounds(field, [c.pose for c in candidates], q_ng, buf, idx)
 
     results = {}
     best_conf = -np.inf
@@ -360,12 +336,12 @@ def select_best(
             break
         p = candidates[i].pose
         rot_t, shift = p.rotation().T, (p.x, p.y)
-        s_a, s_miss = _mass(field, q_ng, rot_t, shift, buf, idx)
-        if _confidence(s_a, 0.0, n_g, s_miss, n_ng, n_g, lam, variant) < best_conf:
+        s_a = _mass(field, q_ng, rot_t, shift, buf, idx)
+        if s_a / n_ng < best_conf:
             continue
-        s_p, s_free = _mass(field, q_g, rot_t, shift, buf, idx)
-        conf = float(_confidence(s_a, s_p, s_free, s_miss, n_ng, n_g, lam, variant))
-        results[i] = ScoreResult(s_a, s_p, n_ng, n_g, conf, variant)
+        s_p = _mass(field, q_g, rot_t, shift, buf, idx)
+        conf = float((s_a - lam * s_p) / n_ng)
+        results[i] = ScoreResult(s_a, s_p, n_ng, n_g, conf)
         best_conf = max(best_conf, conf)
     best = min(
         sorted(results),

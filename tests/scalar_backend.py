@@ -5,7 +5,9 @@ index, one `pose.apply` + `value_at` pair per scored point set, and the
 region-growing step that scans `labels == comp` for every component and
 sums member cells through `np.sum`. The package's bordered-field scoring
 and grouped clustering must reproduce these bit for bit;
-`test_backend_oracle.py` checks that.
+`test_backend_oracle.py` checks that. Scoring is the one rule
+(s_a - lam * s_p) / n_ng; `select_award_only` ranks on s_a / n_ng with
+no ground points at all, which `select_best` at lam = 0 must match.
 
 The SE(2) solvers took the SVD of the 2x2 cross-covariance and fixed the
 sign so det(R) = +1. The package's closed form is not bit-exact with
@@ -20,7 +22,7 @@ from scipy.sparse.csgraph import connected_components
 
 from scan2plan.errors import DegenerateInput, EmptyGrid, EmptySubmap, NoCandidates
 from scan2plan.geometry import Se2Pose
-from scan2plan.verify import ScoreResult, _confidence
+from scan2plan.verify import ScoreResult
 from scan2plan.voting import Candidate, VoteGrid, _neighbor_table
 
 
@@ -86,7 +88,7 @@ def value_at(field, points_m: np.ndarray) -> np.ndarray:
     return out
 
 
-def score_candidate(field, pose: Se2Pose, q_ng_xy, q_g_xy, lam=0.5, variant="osc") -> ScoreResult:
+def score_candidate(field, pose: Se2Pose, q_ng_xy, q_g_xy, lam=0.5) -> ScoreResult:
     q_ng = np.asarray(q_ng_xy, dtype=np.float64).reshape(-1, 2)
     q_g = np.asarray(q_g_xy, dtype=np.float64).reshape(-1, 2)
     if q_ng.shape[0] == 0:
@@ -95,18 +97,14 @@ def score_candidate(field, pose: Se2Pose, q_ng_xy, q_g_xy, lam=0.5, variant="osc
     v_g = value_at(field, pose.apply(q_g)) if q_g.shape[0] else np.zeros(0)
     s_a = float(v_ng.sum())
     s_p = float(v_g.sum())
-    s_free = float((1.0 - v_g).sum()) if q_g.shape[0] else 0.0
-    s_miss = float((1.0 - v_ng).sum())
-    conf = _confidence(s_a, s_p, s_free, s_miss, q_ng.shape[0], q_g.shape[0], lam, variant)
-    return ScoreResult(s_a, s_p, q_ng.shape[0], q_g.shape[0], float(conf), variant)
+    conf = (s_a - lam * s_p) / q_ng.shape[0]
+    return ScoreResult(s_a, s_p, q_ng.shape[0], q_g.shape[0], conf)
 
 
-def phase1_bound(field, pose: Se2Pose, q_ng: np.ndarray, n_g: int, lam=0.5, variant="osc") -> float:
-    """The confidence with the exact non-ground half and the ground half
-    at its best (s_p = 0, s_free = n_g)."""
-    v = value_at(field, pose.apply(q_ng))
-    s_a, s_miss = float(v.sum()), float((1.0 - v).sum())
-    return float(_confidence(s_a, 0.0, n_g, s_miss, q_ng.shape[0], n_g, lam, variant))
+def award_only(field, pose: Se2Pose, q_ng: np.ndarray) -> float:
+    """Award-only confidence s_a / n_ng, with no ground term; it is also
+    the phase-1 bound of the pruned selection."""
+    return float(value_at(field, pose.apply(q_ng)).sum()) / q_ng.shape[0]
 
 
 def _subsample(points: np.ndarray, cap: Optional[int]) -> np.ndarray:
@@ -116,34 +114,43 @@ def _subsample(points: np.ndarray, cap: Optional[int]) -> np.ndarray:
     return points[idx]
 
 
-def select_best(
-    field,
-    candidates: Sequence[Candidate],
-    q_ng_xy,
-    q_g_xy,
-    lam: float = 0.5,
-    variant: str = "osc",
-    max_points: Optional[int] = None,
-) -> Tuple[int, List[ScoreResult]]:
-    if not candidates:
-        raise NoCandidates("no pose candidates to score")
-    q_ng = _subsample(np.asarray(q_ng_xy, dtype=np.float64).reshape(-1, 2), max_points)
-    q_g = _subsample(np.asarray(q_g_xy, dtype=np.float64).reshape(-1, 2), max_points)
-    results = [
-        score_candidate(field, c.pose, q_ng, q_g, lam=lam, variant=variant)
-        for c in candidates
-    ]
-    best = min(
+def _pick(candidates: Sequence[Candidate], confidences: Sequence[float]) -> int:
+    """Highest confidence, then most votes, then the smallest pose."""
+    return min(
         range(len(candidates)),
         key=lambda i: (
-            -results[i].confidence,
+            -confidences[i],
             -candidates[i].votes,
             candidates[i].pose.x,
             candidates[i].pose.y,
             candidates[i].pose.yaw,
         ),
     )
-    return best, results
+
+
+def select_best(
+    field,
+    candidates: Sequence[Candidate],
+    q_ng_xy,
+    q_g_xy,
+    lam: float = 0.5,
+    max_points: Optional[int] = None,
+) -> Tuple[int, List[ScoreResult]]:
+    if not candidates:
+        raise NoCandidates("no pose candidates to score")
+    q_ng = _subsample(np.asarray(q_ng_xy, dtype=np.float64).reshape(-1, 2), max_points)
+    q_g = _subsample(np.asarray(q_g_xy, dtype=np.float64).reshape(-1, 2), max_points)
+    results = [score_candidate(field, c.pose, q_ng, q_g, lam=lam) for c in candidates]
+    return _pick(candidates, [r.confidence for r in results]), results
+
+
+def select_award_only(
+    field, candidates: Sequence[Candidate], q_ng_xy, max_points: Optional[int] = None
+) -> Tuple[int, List[float]]:
+    """The exhaustive selection on `award_only`, which reads no ground point."""
+    q_ng = _subsample(np.asarray(q_ng_xy, dtype=np.float64).reshape(-1, 2), max_points)
+    confidences = [award_only(field, c.pose, q_ng) for c in candidates]
+    return _pick(candidates, confidences), confidences
 
 
 def _cell_pose(grid: VoteGrid, idx: np.ndarray) -> Se2Pose:

@@ -5,6 +5,7 @@ import math
 import time
 
 import numpy as np
+import scalar_backend as ref
 
 from scan2plan.config import PipelineConfig
 from scan2plan.descriptors import (
@@ -268,7 +269,7 @@ def _corridor_suite(n_seeds=100):
         alias_votes, ai = max(alias, default=(0, -1))
         best, _ = select_best(
             floor.field, cands, feats.q_ng_xy, feats.q_g_xy,
-            cfg.lam, cfg.variant, max_points=cfg.scoring_max_points,
+            cfg.lam, max_points=cfg.scoring_max_points,
         )
         # hand the alias strictly more votes than truth; selection must
         # still pick the true pose on confidence alone
@@ -277,7 +278,7 @@ def _corridor_suite(n_seeds=100):
         boosted[ai] = Candidate(a.pose, truth_votes + 10, a.merged_score, a.n_cells)
         best_b, _ = select_best(
             floor.field, boosted, feats.q_ng_xy, feats.q_g_xy,
-            cfg.lam, cfg.variant, max_points=cfg.scoring_max_points,
+            cfg.lam, max_points=cfg.scoring_max_points,
         )
         rows.append(
             dict(
@@ -307,20 +308,20 @@ def test_a6_aliasing_resolved_by_confidence():
 
 
 def _confidence_pair(floor, scene, cfg):
-    """Best-candidate confidence under both scoring variants, -inf when stuck."""
+    """Best-candidate confidence with the ground penalty and award-only
+    (lam = 0), -inf when stuck."""
     try:
         feats = extract_submap_features(scene.submap, cfg)
         corr = query_correspondences(floor.db, feats.triplets)
         grid = cast_votes(corr, cfg.r_xy, cfg.r_yaw_deg, cfg.residual_max_m)
         cands = hierarchical_vote(grid, cfg.l_cells, cfg.k_cells, cfg.j_candidates)
-        out = []
-        for variant in ("osc", "osc1"):
-            _, best = select_best(
-                floor.field, cands, feats.q_ng_xy, feats.q_g_xy,
-                cfg.lam, variant, max_points=cfg.scoring_max_points,
-            )
-            out.append(best.confidence)
-        return out
+        pts = (floor.field, cands, feats.q_ng_xy, feats.q_g_xy)
+        _, osc = select_best(*pts, cfg.lam, max_points=cfg.scoring_max_points)
+        i, award = select_best(*pts, 0.0, max_points=cfg.scoring_max_points)
+        # award-only is lam = 0: the exhaustive s_a / n_ng ranking agrees
+        want, want_conf = ref.select_award_only(floor.field, cands, feats.q_ng_xy, cfg.scoring_max_points)
+        assert (i, np.float64(award.confidence).tobytes()) == (want, np.float64(want_conf[want]).tobytes())
+        return [osc.confidence, award.confidence]
     except (EmptyGrid, EmptySubmap, NoCandidates):
         return [float("-inf"), float("-inf")]
 
@@ -330,7 +331,7 @@ def test_a7_reliability_auc():
     home = generate_layout(seed=7, n_rooms=8, corridor=True, extent_m=40.0)
     away = generate_layout(seed=31, n_rooms=8, corridor=True, extent_m=40.0)
     floor = build_floor_index(home.wall_model, cfg)
-    labels, scores_osc, scores_osc1 = [], [], []
+    labels, scores_osc, scores_award = [], [], []
     for k in range(100):
         rng = np.random.default_rng(7000 + k)
         layout, label = (home, 1) if k < 50 else (away, 0)
@@ -339,17 +340,17 @@ def test_a7_reliability_auc():
             layout.wall_model, gt, radius_m=12.0, noise_sigma_m=0.03,
             drop_wall_frac=0.1, clutter_frac=0.05, seed=7000 + k,
         )
-        conf_osc, conf_osc1 = _confidence_pair(floor, scene, cfg)
+        conf_osc, conf_award = _confidence_pair(floor, scene, cfg)
         labels.append(label)
         scores_osc.append(conf_osc)
-        scores_osc1.append(conf_osc1)
+        scores_award.append(conf_award)
     auc_osc = reliability_curve(labels, scores_osc)[3]
-    auc_osc1 = reliability_curve(labels, scores_osc1)[3]
-    ok = auc_osc >= 0.9 and auc_osc >= auc_osc1
+    auc_award = reliability_curve(labels, scores_award)[3]
+    ok = auc_osc >= 0.9 and auc_osc >= auc_award
     assert _verdict(
         "A7 reliability separation",
         ok,
-        "auc %.4f with ground penalty vs %.4f award-only" % (auc_osc, auc_osc1),
+        "auc %.4f with ground penalty vs %.4f award-only" % (auc_osc, auc_award),
     )
 
 

@@ -6,10 +6,10 @@ here is bitwise: field values, award and penalty sums, confidences, the
 chosen index and the winner's result (the package's pruned selection
 against the exhaustive oracle, with every candidate's coarse bound at or
 above its exact phase-1 bound, and that at or above its exact
-confidence), and every candidate's pose, votes, merged score and cell
-count. Point sets put coordinates exactly on cell edges,
-one ulp either side of the grid's bounds, far outside it, NaN, and
-beyond the int64 range of cell indices.
+confidence; at lam = 0 also against the award-only oracle), and every
+candidate's pose, votes, merged score and cell count. Point sets put
+coordinates exactly on cell edges, one ulp either side of the grid's
+bounds, far outside it, NaN, and beyond the int64 range of cell indices.
 Vote grids grow components of more than 8 cells (where pairwise
 summation departs from a running sum) across the yaw wrap.
 """
@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 from scan2plan.geometry import Se2Pose
 from scan2plan.verify import (
     COARSE_LIMIT,
-    VARIANTS,
     ScoreField,
     _coarse_bounds,
     _collapse,
@@ -45,7 +44,7 @@ def _bits(x) -> bytes:
 
 
 def _result_key(r):
-    return (_bits([r.s_a, r.s_p, r.confidence]), r.n_ng, r.n_g, r.variant)
+    return (_bits([r.s_a, r.s_p, r.confidence]), r.n_ng, r.n_g)
 
 
 @st.composite
@@ -130,61 +129,79 @@ def test_value_at_matches_oracle(data):
     assert _bits(field.value_at(pts)) == _bits(want)
 
 
-def _bounds(field, cands, q_ng, q_g, lam, variant, cap):
+def _bounds(field, cands, q_ng, q_g, cap):
     """(coarse, exact phase-1) bounds of every candidate."""
-    prepared = _prepare(q_ng, q_g, cap)
-    coarse = _coarse_bounds(field, [c.pose for c in cands], prepared, lam, variant)
-    q_ng, n_g = prepared[0], prepared[1].shape[0]
-    return coarse.tolist(), [ref.phase1_bound(field, c.pose, q_ng, n_g, lam, variant) for c in cands]
+    q_ng, _, buf, idx = _prepare(q_ng, q_g, cap)
+    coarse = _coarse_bounds(field, [c.pose for c in cands], q_ng, buf, idx)
+    return coarse.tolist(), [ref.award_only(field, c.pose, q_ng) for c in cands]
 
 
-def _assert_selection_matches_oracle(field, cands, q_ng, q_g, lam, variant, cap) -> int:
+def _assert_selection_matches_oracle(field, cands, q_ng, q_g, lam, cap) -> int:
     """The pruned selection picks the exhaustive oracle's index with the
     same result bits, and for every candidate coarse bound >= phase-1
     bound >= exact confidence."""
-    want_best, want = ref.select_best(field, cands, q_ng, q_g, lam=lam, variant=variant, max_points=cap)
-    got_best, got = select_best(field, cands, q_ng, q_g, lam=lam, variant=variant, max_points=cap)
+    want_best, want = ref.select_best(field, cands, q_ng, q_g, lam=lam, max_points=cap)
+    got_best, got = select_best(field, cands, q_ng, q_g, lam=lam, max_points=cap)
     assert got_best == want_best
     assert _result_key(got) == _result_key(want[want_best])
-    coarse, exact = _bounds(field, cands, q_ng, q_g, lam, variant, cap)
+    coarse, exact = _bounds(field, cands, q_ng, q_g, cap)
     assert all(c >= b >= r.confidence for c, b, r in zip(coarse, exact, want))
     return got_best
 
 
-@SETTINGS
-@given(st.data())
-def test_scoring_matches_oracle(data):
-    field = data.draw(fields())
-    # scan points are drawn in the model frame and taken back through a
-    # pose, so many land on (or one rounding off) cell edges again
-    q_ng = data.draw(probes(field))
-    q_g = data.draw(probes(field)) if data.draw(st.booleans()) else np.zeros((0, 2))
-    frame = data.draw(poses)
+@st.composite
+def selections(draw):
+    """(field, q_ng, q_g, candidates): scan points drawn in the model
+    frame and taken back through a pose, so many land on (or one rounding
+    off) cell edges again, and candidates with tied and NaN poses."""
+    field = draw(fields())
+    q_ng = draw(probes(field))
+    q_g = draw(probes(field)) if draw(st.booleans()) else np.zeros((0, 2))
+    frame = draw(poses)
     inv = frame.inverse()
-    with np.errstate(invalid="ignore"):
-        q_ng = inv.apply(q_ng) if data.draw(st.booleans()) else q_ng
+    with np.errstate(invalid="ignore", over="ignore"):
+        q_ng = inv.apply(q_ng) if draw(st.booleans()) else q_ng
         q_g = inv.apply(q_g) if q_g.shape[0] else q_g
-    if data.draw(st.booleans()):  # a strided view, as a submap's xy columns are
+    if draw(st.booleans()):  # a strided view, as a submap's xy columns are
         q_ng = np.column_stack([q_ng, np.zeros(len(q_ng))])[:, :2]
 
     cands = []
-    for _ in range(data.draw(st.integers(1, 5))):
+    for _ in range(draw(st.integers(1, 5))):
         # a NaN pose reads only border cells; its tie-break key is unordered
-        pose = data.draw(st.one_of(st.just(frame), poses, st.just(Se2Pose(math.nan, 0.0, 0.0))))
-        votes = data.draw(st.integers(1, 4))
+        pose = draw(st.one_of(st.just(frame), poses, st.just(Se2Pose(math.nan, 0.0, 0.0))))
+        votes = draw(st.integers(1, 4))
         cands.append(Candidate(pose, votes, votes, 1))
-        if data.draw(st.booleans()):  # same pose, so tied confidence
-            cands.append(Candidate(pose, data.draw(st.integers(1, 4)), 1, 1))
-    variant = data.draw(st.sampled_from(VARIANTS))
-    lam = data.draw(st.sampled_from([0.5, 1.0, 0.0, 2.5]))
-    cap = data.draw(st.sampled_from([None, None, 1, 3, 7]))
+        if draw(st.booleans()):  # same pose, so tied confidence
+            cands.append(Candidate(pose, draw(st.integers(1, 4)), 1, 1))
+    return field, q_ng, q_g, cands
 
+
+caps = st.sampled_from([None, None, 1, 3, 7])
+
+
+@SETTINGS
+@given(selections(), st.sampled_from([0.5, 1.0, 0.0, 2.5]), caps)
+def test_scoring_matches_oracle(selection, lam, cap):
+    field, q_ng, q_g, cands = selection
     with np.errstate(invalid="ignore", over="ignore"):
-        _assert_selection_matches_oracle(field, cands, q_ng, q_g, lam, variant, cap)
+        _assert_selection_matches_oracle(field, cands, q_ng, q_g, lam, cap)
         for c in cands[:2]:
-            a = score_candidate(field, c.pose, q_ng, q_g, lam=lam, variant=variant)
-            b = ref.score_candidate(field, c.pose, q_ng, q_g, lam=lam, variant=variant)
+            a = score_candidate(field, c.pose, q_ng, q_g, lam=lam)
+            b = ref.score_candidate(field, c.pose, q_ng, q_g, lam=lam)
             assert _result_key(a) == _result_key(b)
+
+
+@SETTINGS
+@given(selections(), caps)
+def test_lam_zero_is_award_only(selection, cap):
+    # award-only scoring is lam = 0: the same pick and confidence bits as
+    # ranking on s_a / n_ng with the ground points left out entirely
+    field, q_ng, q_g, cands = selection
+    with np.errstate(invalid="ignore", over="ignore"):
+        want_best, want = ref.select_award_only(field, cands, q_ng, cap)
+        got_best, got = select_best(field, cands, q_ng, q_g, lam=0.0, max_points=cap)
+    assert got_best == want_best
+    assert _bits(got.confidence) == _bits(want[want_best])
 
 
 @SETTINGS
@@ -225,12 +242,11 @@ def test_coarse_bound_is_never_below_exact(data):
             )
         )
     ]
-    variant = data.draw(st.sampled_from(VARIANTS))
     lam = data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.5]))
     cap = data.draw(st.sampled_from([None, None, 1, 3, 7, 50]))
     with np.errstate(invalid="ignore", over="ignore"):
-        want = ref.select_best(field, cands, q_ng, q_g, lam=lam, variant=variant, max_points=cap)[1]
-        coarse, exact = _bounds(field, cands, q_ng, q_g, lam, variant, cap)
+        want = ref.select_best(field, cands, q_ng, q_g, lam=lam, max_points=cap)[1]
+        coarse, exact = _bounds(field, cands, q_ng, q_g, cap)
     for c, b, r in zip(coarse, exact, want):
         assert c >= b >= r.confidence
 
@@ -258,7 +274,7 @@ COARSE_CASES = {
 @pytest.mark.parametrize("case", sorted(COARSE_CASES))
 def test_coarse_bound_where_each_safeguard_counts(case):
     field, pose, q = COARSE_CASES[case]
-    coarse, exact = _bounds(field, [Candidate(pose, 1, 1, 1)], np.array(q), np.zeros((0, 2)), 0.0, "osc", None)
+    coarse, exact = _bounds(field, [Candidate(pose, 1, 1, 1)], np.array(q), np.zeros((0, 2)), None)
     want = ref.score_candidate(field, pose, np.array(q), np.zeros((0, 2)), lam=0.0).confidence
     assert want > 0.0
     assert coarse[0] >= exact[0] >= want
@@ -272,8 +288,8 @@ def test_nan_pose_tie_keeps_input_order():
     q_ng, q_g = np.array([[0.25, 0.25]]), np.array([[0.75, 0.75], [1.25, 1.25]])
     cands = [Candidate(Se2Pose(math.nan, 0.0, 0.0), 1, 1, 1), Candidate(Se2Pose.identity(), 1, 1, 1)]
     with np.errstate(invalid="ignore"):  # the oracle casts NaN cells to int64
-        assert _bounds(field, cands, q_ng, q_g, 0.5, "osc", None)[1] == [0.0, 1.0]
-        assert _assert_selection_matches_oracle(field, cands, q_ng, q_g, 0.5, "osc", None) == 0
+        assert _bounds(field, cands, q_ng, q_g, None)[1] == [0.0, 1.0]
+        assert _assert_selection_matches_oracle(field, cands, q_ng, q_g, 0.5, None) == 0
 
 
 def test_cell_edges_under_rotation_match_oracle():
@@ -308,9 +324,8 @@ def test_scoring_matches_oracle_on_a_scene():
         for _ in range(20)
     ]
     for cap in (None, 5000, 333):
-        for variant in VARIANTS:
-            for lam in (0.0, 0.5, 1.0, 2.5):
-                assert _assert_selection_matches_oracle(field, cands, q_ng, q_g, lam, variant, cap) == 0
+        for lam in (0.0, 0.5, 1.0, 2.5):
+            assert _assert_selection_matches_oracle(field, cands, q_ng, q_g, lam, cap) == 0
 
 
 def test_coarse_chunk_edges_match_oracle_on_a_scene():
@@ -332,10 +347,10 @@ def test_coarse_chunk_edges_match_oracle_on_a_scene():
         for _ in range(29)
     ]
     chunks = []
-    for cap, variant, lam in ((None, "osc", 0.5), (5000, "osc3", 2.5), (333, "osc2", 0.0)):
+    for cap, lam in ((None, 0.5), (5000, 2.5), (333, 0.0)):
         _, _, buf, _ = prepared = _prepare(q_ng, q_g, cap)
         chunks.append(buf.shape[0] // _collapse(prepared[0], field.s_r, buf)[0].shape[0])
-        assert _assert_selection_matches_oracle(field, cands, q_ng, q_g, lam, variant, cap) == 0
+        assert _assert_selection_matches_oracle(field, cands, q_ng, q_g, lam, cap) == 0
     assert chunks[2] == 1
     assert all(1 < c < len(cands) and len(cands) % c for c in chunks[:2])
 

@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and artifact round trips."""
 
+import csv
 import struct
 import warnings
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scan2plan.cli import main
-from scan2plan.config import PipelineConfig
+from scan2plan.config import PipelineConfig, make_config
 from scan2plan.descriptors import build_triplets
 from scan2plan.geometry import Se2Pose, registration_success
 from scan2plan.ingest import load_pose, load_wall_models
@@ -250,6 +251,21 @@ def test_evaluate_directory(tmp_path, capsys):
     assert len(csv.read_text().strip().splitlines()) == 3
 
 
+def test_evaluate_csv_quotes_names_with_commas(tmp_path, capsys):
+    # a floor id and a scene name with a comma each stay one CSV field
+    plan, scenes, _ = _gen(tmp_path, capsys)
+    plan.write_text(plan.read_text().replace("floor 7\n", "floor a,b\n", 1))
+    for ext in (".submap", ".pose"):
+        (scenes / ("scene_0000" + ext)).rename(scenes / ("x,y" + ext))
+    out = tmp_path / "eval.csv"
+    assert main(["evaluate", "--scenes", str(scenes), "--model", str(plan), "--csv", str(out)]) == 0
+    with open(out, newline="") as f:
+        rows = list(csv.reader(f))
+    assert [len(r) for r in rows] == [8, 8, 8]
+    assert [(r[0], r[6]) for r in rows[1:]] == [("scene_0001", "a,b"), ("x,y", "a,b")]
+    assert out.read_text().splitlines()[2].startswith('"x,y",1,')
+
+
 def test_evaluate_non_finite_pose_exit_code(tmp_path, capsys):
     plan, scenes, db = _gen(tmp_path, capsys)
     (scenes / "scene_0001.pose").write_text("nan 1 inf\n")
@@ -332,11 +348,27 @@ def test_config_file_with_removed_key_exit_code(tmp_path, capsys):
     plan = tmp_path / "sq.txt"
     plan.write_text(UNIT_SQUARE)
     cfgf = tmp_path / "run.cfg"
-    cfgf.write_text("threads = 1\n")
-    code = main(["register", "--submap", str(tmp_path / "none.submap"), "--model", str(plan),
-                 "--config", str(cfgf)])
-    assert code == 2
-    assert "unknown config key 'threads'" in capsys.readouterr().err
+    for line in ("threads = 1", "variant = osc"):
+        cfgf.write_text(line + "\n")
+        code = main(["register", "--submap", str(tmp_path / "none.submap"), "--model", str(plan),
+                     "--config", str(cfgf)])
+        assert code == 2
+        assert "unknown config key '%s'" % line.split()[0] in capsys.readouterr().err
+
+
+def test_lam_zero_is_accepted_and_echoed(tmp_path, capsys):
+    # award-only scoring is --lam 0; its echo is a config file that reads back
+    plan, scenes, db = _gen(tmp_path, capsys)
+    args = ["register", "--submap", str(scenes / "scene_0000.submap"), "--model", str(plan), "--db", str(db)]
+    assert main(args + ["--lam", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "# lam = 0.0\n" in out
+    cfgf = tmp_path / "echo.cfg"
+    cfgf.write_text("".join(ln[2:] + "\n" for ln in out.splitlines() if ln.startswith("# ")))
+    assert make_config(file_path=cfgf) == make_config(overrides={"lam": "0"})
+    for bad in ("-0.1", "nan"):
+        assert main(args + ["--lam", bad]) == 1
+        assert "lam" in capsys.readouterr().err
 
 
 def _write_submap(path, gravity, points):

@@ -39,12 +39,10 @@ def test_config_file_sets_values(tmp_path):
         "\n"
         "# full comment line\n"
         "l_cells = 20000  # inline comment\n"
-        "variant = osc2\n"
     )
     cfg = make_config(file_path=p)
     assert cfg.r_xy == 0.3
     assert cfg.l_cells == 20000
-    assert cfg.variant == "osc2"
     assert cfg.r_s == 0.5  # untouched default
 
 
@@ -59,7 +57,7 @@ def test_flag_overrides_beat_file(tmp_path):
 def test_unknown_key_rejected(tmp_path):
     # removed knobs are unknown too, not silently ignored
     p = tmp_path / "run.cfg"
-    for key in ("r_xz", "threads", "r_v", "d_s"):
+    for key in ("r_xz", "threads", "r_v", "d_s", "variant"):
         p.write_text("%s = 1\n" % (key,))
         with pytest.raises(ParseError, match="unknown config key"):
             make_config(file_path=p)
@@ -102,6 +100,8 @@ def test_positive_required():
         make_config(overrides={"s_v": "0"})
     with pytest.raises(ValueError, match="k_d"):
         make_config(overrides={"k_d": "0"})
+    with pytest.raises(ValueError, match="lam"):
+        make_config(overrides={"lam": "-0.1"})
 
 
 @pytest.mark.parametrize(
@@ -118,15 +118,12 @@ def test_non_finite_rejected(tmp_path, key, text):
         make_config(cfgf)
 
 
-def test_unknown_variant_rejected():
-    with pytest.raises(ValueError):
-        make_config(overrides={"variant": "magic"})
-
-
 def test_zero_scoring_cap_and_negative_threshold_allowed():
+    # lam = 0 is award-only scoring, which select_best takes as well
     cfg = make_config(
-        overrides={"scoring_max_points": "0", "min_confidence": "-1.0"}
+        overrides={"scoring_max_points": "0", "min_confidence": "-1.0", "lam": "0"}
     )
+    assert cfg.lam == 0.0
     assert cfg.scoring_max_points == 0
     assert cfg.min_confidence == -1.0
 
@@ -135,7 +132,7 @@ def test_zero_scoring_cap_and_negative_threshold_allowed():
 
 
 def test_echo_round_trip(tmp_path):
-    cfg = make_config(overrides={"r_xy": "0.45", "variant": "osc3", "l_max": "40.0"})
+    cfg = make_config(overrides={"r_xy": "0.45", "lam": "0", "l_max": "40.0"})
     p = tmp_path / "echo.cfg"
     p.write_text(echo_config(cfg) + "\n")
     assert make_config(file_path=p) == cfg

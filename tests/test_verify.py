@@ -101,6 +101,10 @@ def test_misplaced_pose_scores_at_most_zero():
     assert r.confidence <= 0.0
     far = Se2Pose(500.0, 500.0, 0.0)
     assert score_candidate(field, far, q_ng, q_g).confidence == 0.0
+    for lam in (0.0, 0.5):
+        for pose in (scene.gt_pose, wrong, far):
+            conf = score_candidate(field, pose, q_ng, q_g, lam=lam).confidence
+            assert np.isfinite(conf) and conf <= 1.0
 
 
 def test_duplicated_points_leave_confidence_unchanged():
@@ -134,19 +138,9 @@ def test_ground_on_walls_is_penalized():
     r = score_candidate(field, scene.gt_pose, q_ng, bad_ground)
     assert r.s_p == pytest.approx(q_ng.shape[0])
     assert r.confidence == pytest.approx(1.0 - 0.5, abs=1e-9)
-    r1 = score_candidate(field, scene.gt_pose, q_ng, bad_ground, variant="osc1")
+    # award-only scoring is lam = 0
+    r1 = score_candidate(field, scene.gt_pose, q_ng, bad_ground, lam=0.0)
     assert r1.confidence == 1.0
-
-
-def test_variants_all_computable():
-    layout, scene, q_ng, q_g = _scene()
-    field = build_score_field(layout.wall_model.endpoints())
-    for variant in ("osc", "osc1", "osc2", "osc3"):
-        r = score_candidate(field, scene.gt_pose, q_ng, q_g, variant=variant)
-        assert np.isfinite(r.confidence)
-        assert r.confidence <= 1.0 + 1e-9
-    with pytest.raises(ValueError):
-        score_candidate(field, scene.gt_pose, q_ng, q_g, variant="bogus")
 
 
 def test_empty_submap_raises():
