@@ -8,12 +8,10 @@ from .descriptors import (
     build_triplets,
     canonical_triplets,
     deserialize_db,
-    make_descriptor,
     query_correspondences,
     serialize_db,
 )
 from .errors import (
-    DegenerateTriplet,
     EmptyGrid,
     EmptyModel,
     EmptyScene,
@@ -31,7 +29,6 @@ from .geometry import (
     normalize_angle,
     pose_errors,
     registration_success,
-    solve_se2,
     solve_se2_batch,
 )
 from .ingest import (

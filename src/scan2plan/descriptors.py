@@ -24,7 +24,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DegenerateTriplet, ParseError, ResolutionMismatch, VersionMismatch
+from .errors import ParseError, ResolutionMismatch, VersionMismatch
 from .lines import Corners
 
 DB_MAGIC = b"L2BD"
@@ -35,7 +35,6 @@ __all__ = [
     "DescriptorDB",
     "canonical_triplets",
     "clique_triplets",
-    "make_descriptor",
     "build_triplets",
     "build_db",
     "query_correspondences",
@@ -167,24 +166,6 @@ def canonical_triplets(
     return Triplets(q, qd, *_describe(q, qd, r_s, r_a), r_s, r_a, src)
 
 
-def make_descriptor(
-    positions: np.ndarray,
-    wall_dirs: np.ndarray,
-    r_s: float = 0.5,
-    r_a: float = 3.0,
-    min_angle_deg: float = 10.0,
-) -> Triplets:
-    """Canonical descriptor for one corner triplet: the one-row `canonical_triplets`.
-
-    Raises DegenerateTriplet for coincident corners or a minimum interior
-    angle under min_angle_deg.
-    """
-    t = canonical_triplets(positions, wall_dirs, r_s, r_a, min_angle_deg)
-    if len(t) == 0:
-        raise DegenerateTriplet("coincident corners or an interior angle under %g deg" % min_angle_deg)
-    return t
-
-
 def clique_triplets(corners: Corners, l_max: float):
     """Vertices and wall directions of the l_max graph's 3-cliques, (i < j < k) ascending."""
     upper = np.triu(np.linalg.norm(corners.pos[:, None, :] - corners.pos[None, :, :], axis=2) <= l_max, 1)
@@ -259,10 +240,10 @@ def deserialize_db(path) -> DescriptorDB:
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != DB_MAGIC:
-        raise VersionMismatch("not a descriptor database file")
+        raise VersionMismatch("%s: not a descriptor database file" % (path,))
     (version,) = struct.unpack_from("<I", raw, 4)
     if version != DB_VERSION:
-        raise VersionMismatch("unsupported database version %d" % version)
+        raise VersionMismatch("%s: unsupported database version %d" % (path, version))
     try:
         r_s, r_a = struct.unpack_from("<dd", raw, 8)
         (n_keys,) = struct.unpack_from("<I", raw, 24)
@@ -273,9 +254,9 @@ def deserialize_db(path) -> DescriptorDB:
             blocks.append(np.frombuffer(raw, dtype="<f8", count=heads[-1][6] * 18, offset=off + 28))
             off += 28 + heads[-1][6] * 18 * 8
     except (struct.error, ValueError) as exc:
-        raise ParseError("truncated descriptor database: %s" % exc) from exc
+        raise ParseError("%s: truncated descriptor database: %s" % (path, exc)) from exc
     if off != len(raw):
-        raise ParseError("descriptor database has trailing or missing bytes")
+        raise ParseError("%s: descriptor database has trailing or missing bytes" % (path,))
     rows = np.concatenate(blocks).reshape(-1, 18).astype(np.float64)
     verts, dirs = rows[:, :6].reshape(-1, 3, 2), rows[:, 6:].reshape(-1, 3, 2, 2)
     with np.errstate(all="ignore"):
@@ -286,10 +267,10 @@ def deserialize_db(path) -> DescriptorDB:
     if bad.shape[0]:
         r = bad[0]
         raise ParseError(
-            "descriptor database row %d is stored under key %s but hashes to %s"
-            % (r, tuple(stored[r].tolist()), tuple(bins[r].tolist()))
+            "%s: descriptor database row %d is stored under key %s but hashes to %s"
+            % (path, r, tuple(stored[r].tolist()), tuple(bins[r].tolist()))
         )
     try:
         return DescriptorDB.from_entries(bins, verts, dirs, r_s, r_a)
     except ValueError as exc:
-        raise ParseError("descriptor database keys out of range: %s" % exc) from exc
+        raise ParseError("%s: descriptor database keys out of range: %s" % (path, exc)) from exc

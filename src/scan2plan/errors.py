@@ -9,10 +9,6 @@ class DegenerateInput(Scan2PlanError):
     """Input geometry is degenerate (e.g. all points coincide)."""
 
 
-class DegenerateTriplet(Scan2PlanError):
-    """A corner triplet is collinear or otherwise unusable."""
-
-
 class ParseError(Scan2PlanError):
     """A file could not be parsed; message names the offending location."""
 
@@ -35,7 +31,8 @@ class EmptySubmap(Scan2PlanError):
 
 class InvalidSubmap(Scan2PlanError):
     """Submap has a non-finite point, a zero or non-finite gravity vector,
-    or points too far apart for the octree's int64 cell keys."""
+    points too far apart for the octree's int64 cell keys, or too large a
+    wall raster or Hough accumulator."""
 
 
 class EmptyGrid(Scan2PlanError):

@@ -4,8 +4,9 @@ Points are plain float64 ndarrays: shape (2,) / (N, 2) in 2D and (3,) /
 (N, 3) in 3D. Yaw angles are radians, always normalized to [-pi, pi).
 """
 
+import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -15,7 +16,6 @@ __all__ = [
     "Se2Pose",
     "LineSegment2",
     "normalize_angle",
-    "solve_se2",
     "solve_se2_batch",
     "pose_errors",
     "registration_success",
@@ -32,7 +32,8 @@ class Se2Pose:
     """Rigid transform of the plane: rotation by `yaw` then translation.
 
     Immutable; composition and inverse satisfy the group axioms up to
-    floating point. Yaw is re-wrapped to [-pi, pi) on construction.
+    floating point. Yaw is re-wrapped to [-pi, pi) on construction; a
+    non-finite x, y or yaw raises ValueError.
     """
 
     x: float
@@ -40,13 +41,12 @@ class Se2Pose:
     yaw: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "yaw", float(normalize_angle(self.yaw)))
-
-    @staticmethod
-    def identity() -> "Se2Pose":
-        return Se2Pose(0.0, 0.0, 0.0)
+        x, y, yaw = float(self.x), float(self.y), float(self.yaw)
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(yaw)):
+            raise ValueError("pose must be finite, got Se2Pose(x=%r, y=%r, yaw=%r)" % (x, y, yaw))
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "yaw", float(normalize_angle(yaw)))
 
     @property
     def translation(self) -> np.ndarray:
@@ -56,13 +56,6 @@ class Se2Pose:
         """The 2x2 rotation matrix."""
         c, s = np.cos(self.yaw), np.sin(self.yaw)
         return np.array([[c, -s], [s, c]])
-
-    def matrix(self) -> np.ndarray:
-        """The 3x3 homogeneous matrix."""
-        m = np.eye(3)
-        m[:2, :2] = self.rotation()
-        m[:2, 2] = (self.x, self.y)
-        return m
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform one point (2,) or a batch (N, 2)."""
@@ -81,7 +74,7 @@ class Se2Pose:
 
 @dataclass(frozen=True)
 class LineSegment2:
-    """2D segment with positive length; direction is the p0->p1 unit vector."""
+    """2D segment with finite endpoints and positive length."""
 
     p0: np.ndarray
     p1: np.ndarray
@@ -97,32 +90,6 @@ class LineSegment2:
     @property
     def length(self) -> float:
         return float(np.linalg.norm(self.p1 - self.p0))
-
-    @property
-    def direction(self) -> np.ndarray:
-        d = self.p1 - self.p0
-        return d / np.linalg.norm(d)
-
-
-def solve_se2(src: Sequence, dst: Sequence) -> Tuple[Se2Pose, float]:
-    """Least-squares proper-rotation alignment of two matched 2D point sets.
-
-    The one-row call of `solve_se2_batch`. Returns the pose mapping src
-    onto dst and the RMS of the remaining point errors. Reflected matches
-    are NOT flipped into rotations; they come back as the best proper
-    rotation with a large residual.
-
-    Raises DegenerateInput when fewer than 2 points are given or all
-    source points coincide within 1e-9 m.
-    """
-    s = np.asarray(src, dtype=float).reshape(-1, 2)
-    d = np.asarray(dst, dtype=float).reshape(-1, 2)
-    if s.shape[0] < 2 or s.shape != d.shape:
-        raise DegenerateInput("need >= 2 matched point pairs")
-    if np.max(np.linalg.norm(s - s.mean(axis=0), axis=1)) < 1e-9:
-        raise DegenerateInput("all source points coincide")
-    x, y, yaw, rms = solve_se2_batch(s[None], d[None])
-    return Se2Pose(x[0], y[0], yaw[0]), float(rms[0])
 
 
 def solve_se2_batch(src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -13,8 +13,9 @@ deduplicated by greedy non-maximum suppression on combined support
 length; they match the per-pair loop of `tests/scalar_frontend.py` bit for bit.
 
 Segments are (S, 2, 2) arrays of [p0, p1] rows in meters throughout;
-`sqrt(vecdot(d, d))` rounds lengths and directions as `LineSegment2`
-does. Both rasterizers check their cell count in floats before allocating.
+`sqrt(vecdot(d, d))` rounds lengths and directions as `np.linalg.norm`
+does. Both rasterizers check their cell count in floats before
+allocating, and the Hough transform its accumulator's in ints.
 """
 
 from dataclasses import dataclass
@@ -29,6 +30,9 @@ from .graph import connected_groups
 MAX_RASTER_CELLS = 2**26
 # largest point raster; admits a 200 m x 200 m submap at 60 px/m
 MAX_POINT_RASTER_CELLS = 2**28
+# largest Hough accumulator (int64, 512 MiB); admits the default 180
+# theta bins on any raster up to about 3 km across at 60 px/m
+MAX_HOUGH_CELLS = 2**26
 
 __all__ = [
     "BevRaster",
@@ -48,9 +52,6 @@ class BevRaster:
     grid: np.ndarray  # (nx, ny) bool
     origin: np.ndarray  # (2,) meters, lower corner of cell (0, 0)
     scale: float  # px per meter
-
-    def px_of(self, points_m: np.ndarray) -> np.ndarray:
-        return (np.asarray(points_m, dtype=np.float64) - self.origin) * self.scale
 
     def m_of(self, points_px: np.ndarray) -> np.ndarray:
         return np.asarray(points_px, dtype=np.float64) / self.scale + self.origin
@@ -160,7 +161,17 @@ def detect_segments(
     runs at gaps over gap_px along it; runs shorter than l_min_px are
     dropped. A claimed run's votes leave the accumulator, so a peak it
     drops below l_min_px is skipped.
+
+    Raises ValueError when the accumulator would exceed MAX_HOUGH_CELLS.
     """
+    diag = int(np.ceil(np.hypot(*raster.grid.shape))) + 2
+    n_rho = 2 * diag
+    # checked in Python ints, before np.arange(theta_bins) and the allocation
+    if int(theta_bins) * n_rho > MAX_HOUGH_CELLS:
+        raise ValueError(
+            "theta_bins = %d over a %d x %d raster exceeds %d accumulator cells"
+            % (theta_bins, raster.grid.shape[0], raster.grid.shape[1], MAX_HOUGH_CELLS)
+        )
     occupied = np.flatnonzero(raster.grid)
     if occupied.shape[0] == 0:
         raise EmptyGrid("empty raster")
@@ -171,8 +182,6 @@ def detect_segments(
 
     thetas = np.arange(theta_bins) * np.pi / theta_bins
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)
-    diag = int(np.ceil(np.hypot(*raster.grid.shape))) + 2
-    n_rho = 2 * diag
 
     # accumulator rows of rint(x cos + y sin) + diag, theta-major, filled
     # one theta at a time through reused buffers

@@ -107,8 +107,8 @@ def extract_submap_features(submap: Submap, cfg: PipelineConfig) -> SubmapFeatur
     """Submap -> wall corners, descriptor DB, and scoring point sets.
 
     Raises EmptyGrid when no wall surface survives segmentation and
-    InvalidSubmap when the points span too many octree cells for int64
-    or too large a wall raster.
+    InvalidSubmap when the points span too many octree cells for int64,
+    too large a wall raster or too large a Hough accumulator.
     """
     timings: Dict[str, float] = {}
 
@@ -133,7 +133,10 @@ def extract_submap_features(submap: Submap, cfg: PipelineConfig) -> SubmapFeatur
         raster = rasterize_points(points[patches.mask(walls), :2], cfg.s_i)
     except ValueError as exc:  # s_i > 0 is validated, so only the extent is left
         raise InvalidSubmap("submap too large for its wall raster: %s" % (exc,)) from None
-    segments = detect_segments(raster, cfg.l_min_px, cfg.gap_px, cfg.band_px, cfg.theta_bins)
+    try:
+        segments = detect_segments(raster, cfg.l_min_px, cfg.gap_px, cfg.band_px, cfg.theta_bins)
+    except ValueError as exc:  # theta_bins > 0 is validated, so only the size is left
+        raise InvalidSubmap("Hough accumulator too large: %s" % (exc,)) from None
     segments = merge_refit(segments, cfg.endpoint_tol_m, cfg.angle_tol_deg)
     corners = extract_corners(segments, cfg.extend_m, cfg.nms_radius_m, cfg.min_angle_deg)
     timings["lines"] = (time.perf_counter() - t0) * 1e3

@@ -52,11 +52,11 @@ Every step is monotone: field values lie in [0, 1], lam >= 0, and IEEE
 rounding is monotone, so coarse bound >= phase-1 bound >= exact
 confidence. Every candidate with the top confidence is therefore
 scored, and the winner is the tie-break minimum over the scored
-candidates taken in input order, which is the exhaustive pass's winner
-even for NaN poses. On the `building` benchmark every candidate
-gets the coarse bound, about 16% get phase 1 and about 5% phase 2.
-`select_best` returns the winner with its exact `ScoreResult`; pruned
-candidates have no exact score.
+candidates taken in input order, which is the exhaustive pass's winner.
+On the `building` benchmark every candidate gets the coarse bound,
+about 16% get phase 1 and about 5% phase 2. `select_best` returns the
+winner with its exact `ScoreResult`; pruned candidates have no exact
+score.
 """
 
 from dataclasses import dataclass
@@ -318,7 +318,7 @@ def select_best(
     bound s_a / n_ng, and its ground penalty only while that bound
     reaches the best. The winner is the tie-break minimum over the
     scored candidates in input order, so it is the candidate an
-    exhaustive pass picks, even for NaN poses.
+    exhaustive pass picks.
     """
     if not candidates:
         raise NoCandidates("no pose candidates to score")

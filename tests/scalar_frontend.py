@@ -307,6 +307,12 @@ def _tls_segment(points: np.ndarray):
     return mean + t0 * direction, mean + t1 * direction
 
 
+def unit_direction(seg: LineSegment2) -> np.ndarray:
+    """The segment's p0 -> p1 unit vector."""
+    d = seg.p1 - seg.p0
+    return d / np.linalg.norm(d)
+
+
 def merge_refit(
     segments: Sequence[LineSegment2],
     endpoint_tol_m: float = 0.3,
@@ -331,7 +337,7 @@ def merge_refit(
     for i in range(n):
         for j in range(i + 1, n):
             a, b = segments[i], segments[j]
-            if abs(float(a.direction @ b.direction)) < cos_tol:
+            if abs(float(unit_direction(a) @ unit_direction(b))) < cos_tol:
                 continue
             gaps = [
                 np.linalg.norm(pa - pb)
@@ -382,10 +388,10 @@ def extract_corners(
     sin_min = np.sin(np.radians(min_angle_deg))
     for i in range(len(segments)):
         a = segments[i]
-        da = a.direction
+        da = unit_direction(a)
         for j in range(i + 1, len(segments)):
             b = segments[j]
-            db = b.direction
+            db = unit_direction(b)
             cross = da[0] * db[1] - da[1] * db[0]
             if abs(cross) < sin_min:
                 continue

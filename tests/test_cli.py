@@ -466,6 +466,77 @@ def test_register_far_model_exit_code(tmp_path, capsys, walls):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_register_huge_theta_bins_exit_code(tmp_path, capsys):
+    # the Hough accumulator is counted before numpy sees 2**62 bins
+    plan, scenes, db = _gen(tmp_path, capsys)
+    code = main(["register", "--submap", str(scenes / "scene_0000.submap"), "--model", str(plan),
+                 "--db", str(db), "--theta_bins", "4611686018427387904"])
+    assert code == 2
+    assert "theta_bins = 4611686018427387904" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# rejected input files: exit 2, and stderr names the file and line
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "line",
+    ["floor", "floor a b", "0 0 1", "0 0 1 0 1", "1 1 1 1", "0 0 nan 1", "0 0 1 inf"],
+    ids=["floor_no_id", "floor_two_ids", "three_tokens", "five_tokens", "zero_length", "nan", "inf"],
+)
+def test_wall_model_bad_line_exit_code(tmp_path, capsys, line):
+    plan = tmp_path / "bad.txt"
+    plan.write_text("floor a\n0 0 1 0\n%s\n0 1 0 0\n" % line)
+    out = tmp_path / "x.db"
+    assert main(["build-db", "--model", str(plan), "--out", str(out)]) == 2
+    assert "%s:3:" % plan in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_build_db_unknown_floor_exit_code(tmp_path, capsys):
+    plan = tmp_path / "two.txt"
+    plan.write_text("floor a\n" + UNIT_SQUARE + "floor b\n" + UNIT_SQUARE)
+    assert main(["build-db", "--model", str(plan), "--floor", "zz", "--out", str(tmp_path / "x.db")]) == 2
+    assert "%s: no floor 'zz'" % plan in capsys.readouterr().err
+
+
+def test_missing_model_file_exit_code(tmp_path, capsys):
+    missing = tmp_path / "none.txt"
+    assert main(["build-db", "--model", str(missing), "--out", str(tmp_path / "x.db")]) == 2
+    assert str(missing) in capsys.readouterr().err
+
+
+def test_register_truncated_submap_header_exit_code(tmp_path, capsys):
+    plan = tmp_path / "sq.txt"
+    plan.write_text(UNIT_SQUARE)
+    short = tmp_path / "short.submap"
+    short.write_bytes(b"L2B1" + bytes(15))  # one byte short of the 20-byte header
+    assert main(["register", "--submap", str(short), "--model", str(plan)]) == 2
+    assert "%s: truncated header" % short in capsys.readouterr().err
+
+
+def test_register_db_with_trailing_byte_exit_code(tmp_path, capsys):
+    plan = tmp_path / "sq.txt"
+    plan.write_text(UNIT_SQUARE)
+    db = tmp_path / "sq.db"
+    assert main(["build-db", "--model", str(plan), "--out", str(db)]) == 0
+    db.write_bytes(db.read_bytes() + b"\0")
+    # the DB is read before the submap, so the submap need not exist
+    assert main(["register", "--submap", str(tmp_path / "none.submap"), "--model", str(plan),
+                 "--db", str(db)]) == 2
+    assert "%s: descriptor database has trailing or missing bytes" % db in capsys.readouterr().err
+
+
+def test_config_line_without_value_exit_code(tmp_path, capsys):
+    plan = tmp_path / "sq.txt"
+    plan.write_text(UNIT_SQUARE)
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text("l_max = 20.0\nr_s =\n")
+    assert main(["build-db", "--model", str(plan), "--out", str(tmp_path / "x.db"),
+                 "--config", str(cfgf)]) == 2
+    assert "%s:2: expected key = value" % cfgf in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # fuzzed input files
 # ---------------------------------------------------------------------------

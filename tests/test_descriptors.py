@@ -7,13 +7,12 @@ from scan2plan.descriptors import (
     DescriptorDB,
     build_db,
     build_triplets,
+    canonical_triplets,
     deserialize_db,
-    make_descriptor,
     query_correspondences,
     serialize_db,
 )
 from scan2plan.errors import (
-    DegenerateTriplet,
     ParseError,
     ResolutionMismatch,
     VersionMismatch,
@@ -45,7 +44,7 @@ def _random_corners(rng, n, spread=20.0):
 def test_right_isoceles_descriptor():
     pos = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
     dirs = np.array([XY_DIRS, XY_DIRS, XY_DIRS])
-    t = make_descriptor(pos, dirs)
+    t = canonical_triplets(pos, dirs)
     s = t.sides[0]
     assert s[0] == pytest.approx(3.0, abs=1e-12)
     assert s[1] == pytest.approx(3.0, abs=1e-12)
@@ -64,9 +63,8 @@ def test_side_order_is_canonical():
         pos = rng.uniform(0.0, 15.0, size=(3, 2))
         dirs = rng.standard_normal((3, 2, 2))
         dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
-        try:
-            t = make_descriptor(pos, dirs)
-        except DegenerateTriplet:
+        t = canonical_triplets(pos, dirs)
+        if len(t) == 0:
             continue
         ab, bc, ac = t.sides[0]
         assert ab <= bc + 1e-9 <= ac + 2e-9
@@ -83,25 +81,21 @@ def test_descriptor_rigid_invariance():
         dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
         pose = Se2Pose(*rng.uniform(-30.0, 30.0, size=2), rng.uniform(-np.pi, np.pi))
         r = pose.rotation()
-        try:
-            t0 = make_descriptor(pos, dirs)
-        except DegenerateTriplet:
+        t0 = canonical_triplets(pos, dirs)
+        if len(t0) == 0:
             continue
-        t1 = make_descriptor(pose.apply(pos), dirs @ r.T)
+        t1 = canonical_triplets(pose.apply(pos), dirs @ r.T)
         assert np.allclose(t0.sides[0], t1.sides[0], atol=1e-9)
         assert np.allclose(t0.angles[0], t1.angles[0], atol=1e-7)
         assert tuple(t0.bins[0].tolist()) == tuple(t1.bins[0].tolist())
 
 
-def test_degenerate_triplets_raise():
+def test_degenerate_triplets_dropped():
     dirs = np.array([XY_DIRS, XY_DIRS, XY_DIRS])
-    with pytest.raises(DegenerateTriplet):
-        make_descriptor(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]), dirs)
-    with pytest.raises(DegenerateTriplet):
-        make_descriptor(np.array([[0.0, 0.0], [0.0, 0.0], [2.0, 1.0]]), dirs)
+    assert len(canonical_triplets(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]), dirs)) == 0
+    assert len(canonical_triplets(np.array([[0.0, 0.0], [0.0, 0.0], [2.0, 1.0]]), dirs)) == 0
     # 10 m base with 0.5 m rise: apex angle fine, base angles ~5.7 deg
-    with pytest.raises(DegenerateTriplet):
-        make_descriptor(np.array([[0.0, 0.0], [10.0, 0.0], [5.0, 0.5]]), dirs)
+    assert len(canonical_triplets(np.array([[0.0, 0.0], [10.0, 0.0], [5.0, 0.5]]), dirs)) == 0
 
 
 # --- triplet enumeration ---

@@ -123,7 +123,7 @@ def segment_sets(draw):
             # continue a previous segment's line; axis-aligned ones on quarter
             # coordinates put the endpoint gap exactly at the tolerance
             prev = segs[draw(st.integers(0, len(segs) - 1))]
-            d = prev.direction
+            d = ref.unit_direction(prev)
             a = prev.p1 + draw(st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.5])) * d
         elif draw(st.booleans()):
             d = np.array(draw(st.sampled_from([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)])))

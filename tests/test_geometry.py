@@ -6,12 +6,10 @@ import scalar_backend as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scan2plan.errors import DegenerateInput
 from scan2plan.geometry import (
     Se2Pose,
     normalize_angle,
     registration_success,
-    solve_se2,
     solve_se2_batch,
 )
 
@@ -25,7 +23,7 @@ def random_pose(rng) -> Se2Pose:
 # ---------------------------------------------------------------------------
 
 def test_apply_identity():
-    p = Se2Pose.identity().apply(np.array([3.0, 4.0]))
+    p = Se2Pose(0.0, 0.0, 0.0).apply(np.array([3.0, 4.0]))
     assert np.allclose(p, [3.0, 4.0])
 
 
@@ -40,7 +38,10 @@ def test_apply_matches_homogeneous_matrix_oracle():
     for _ in range(200):
         pose = random_pose(rng)
         p = rng.uniform(-20, 20, size=2)
-        expected = (pose.matrix() @ np.array([p[0], p[1], 1.0]))[:2]
+        m = np.eye(3)
+        m[:2, :2] = pose.rotation()
+        m[:2, 2] = (pose.x, pose.y)
+        expected = (m @ np.array([p[0], p[1], 1.0]))[:2]
         assert np.allclose(pose.apply(p), expected, atol=1e-12)
 
 
@@ -54,6 +55,15 @@ def test_compose_apply_consistency():
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "xyyaw", [(0.0, 0.0, np.inf), (np.nan, 0.0, 0.0), (0.0, -np.inf, 1.0)], ids=["inf_yaw", "nan_x", "minus_inf_y"]
+)
+def test_non_finite_pose_rejected(xyyaw):
+    # np.mod would take an infinite yaw to NaN with only a RuntimeWarning
+    with pytest.raises(ValueError, match="pose must be finite"):
+        Se2Pose(*xyyaw)
+
+
 def test_inverse_and_yaw_normalization():
     rng = np.random.default_rng(2)
     for _ in range(100):
@@ -65,16 +75,16 @@ def test_inverse_and_yaw_normalization():
 
 
 # ---------------------------------------------------------------------------
-# solve_se2
+# solve_se2_batch
 # ---------------------------------------------------------------------------
 
 TRIANGLE = np.array([[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]])
 
 
 def test_solve_identity_on_equal_sets():
-    pose, rms = solve_se2(TRIANGLE, TRIANGLE)
-    assert abs(pose.x) < 1e-12 and abs(pose.y) < 1e-12 and abs(pose.yaw) < 1e-12
-    assert rms < 1e-12
+    x, y, yaw, rms = solve_se2_batch(TRIANGLE[None], TRIANGLE[None])
+    assert abs(x[0]) < 1e-12 and abs(y[0]) < 1e-12 and abs(yaw[0]) < 1e-12
+    assert rms[0] < 1e-12
 
 
 def test_solve_recovers_known_pose():
@@ -82,11 +92,11 @@ def test_solve_recovers_known_pose():
     for _ in range(200):
         pose = random_pose(rng)
         src = rng.uniform(-10, 10, size=(rng.integers(2, 8), 2))
-        est, rms = solve_se2(src, pose.apply(src))
-        assert abs(est.x - pose.x) < 1e-9
-        assert abs(est.y - pose.y) < 1e-9
-        assert abs(normalize_angle(est.yaw - pose.yaw)) < 1e-9
-        assert rms < 1e-9
+        x, y, yaw, rms = solve_se2_batch(src[None], pose.apply(src)[None])
+        assert abs(x[0] - pose.x) < 1e-9
+        assert abs(y[0] - pose.y) < 1e-9
+        assert abs(normalize_angle(yaw[0] - pose.yaw)) < 1e-9
+        assert rms[0] < 1e-9
 
 
 def _best_proper_rotation_rms(src, dst):
@@ -104,11 +114,11 @@ def _best_proper_rotation_rms(src, dst):
 def test_solve_rejects_reflection_via_residual():
     mirrored = TRIANGLE * np.array([-1.0, 1.0])
     scale = np.max(np.linalg.norm(TRIANGLE - TRIANGLE.mean(axis=0), axis=1))
-    pose, rms = solve_se2(TRIANGLE, mirrored)
+    _, _, yaw, rms = solve_se2_batch(TRIANGLE[None], mirrored[None])
     oracle = _best_proper_rotation_rms(TRIANGLE, mirrored)
-    assert rms > 0.1 * scale
-    assert abs(rms - oracle) < 1e-4
-    assert np.isclose(np.linalg.det(pose.rotation()), 1.0)
+    assert rms[0] > 0.1 * scale
+    assert abs(rms[0] - oracle) < 1e-4
+    assert np.isclose(np.linalg.det(Se2Pose(0.0, 0.0, yaw[0]).rotation()), 1.0)
 
 
 def test_solve_determinant_always_positive():
@@ -120,16 +130,25 @@ def test_solve_determinant_always_positive():
             # near-degenerate: almost collinear / almost coincident
             src[1:] = src[0] + rng.normal(scale=1e-6, size=(n - 1, 2))
         dst = rng.uniform(-5, 5, size=(n, 2))
-        pose, _ = solve_se2(src, dst)
-        assert np.linalg.det(pose.rotation()) > 0.0
+        _, _, yaw, _ = solve_se2_batch(src[None], dst[None])
+        assert np.linalg.det(Se2Pose(0.0, 0.0, yaw[0]).rotation()) > 0.0
 
 
-def test_solve_degenerate_raises():
-    pts = np.zeros((3, 2)) + 7.25
-    with pytest.raises(DegenerateInput):
-        solve_se2(pts, pts)
-    with pytest.raises(DegenerateInput):
-        solve_se2(TRIANGLE[:1], TRIANGLE[:1])
+def test_solve_batch_degenerate_rows():
+    # coincident sources: yaw 0, the centroids fix the translation and
+    # the residual is the spread of dst, which the vote gate then reads
+    src = np.stack([np.full((3, 2), 7.25), TRIANGLE[:1].repeat(3, axis=0)])
+    dst = TRIANGLE + np.array([2.0, -1.0])
+    x, y, yaw, rms = solve_se2_batch(src, np.stack([dst, dst]))
+    centre = dst.mean(axis=0)
+    assert np.array_equal(yaw, [0.0, 0.0])
+    assert np.allclose(np.column_stack([x, y]), centre - src[:, 0], rtol=0.0, atol=1e-12)
+    spread = np.sqrt(np.mean(np.sum((dst - centre) ** 2, axis=1)))
+    assert np.allclose(rms, spread, rtol=1e-12, atol=0.0)
+    # a one-point row: the translation takes the point onto its match exactly
+    x, y, yaw, rms = solve_se2_batch(TRIANGLE[None, 1:2], dst[None, 2:3])
+    assert (yaw[0], rms[0]) == (0.0, 0.0)
+    assert np.allclose([x[0], y[0]], dst[2] - TRIANGLE[1], rtol=0.0, atol=1e-12)
 
 
 def test_solve_batch_matches_scalar():
@@ -239,7 +258,7 @@ def _close(a: Se2Pose, b: Se2Pose) -> bool:
 @GROUP_SETTINGS
 @given(poses, point_sets)
 def test_group_identity(a, pts):
-    e = Se2Pose.identity()
+    e = Se2Pose(0.0, 0.0, 0.0)
     assert _close(e.compose(a), a)
     assert _close(a.compose(e), a)
     assert np.array_equal(e.apply(pts), pts)
@@ -248,7 +267,7 @@ def test_group_identity(a, pts):
 @GROUP_SETTINGS
 @given(poses, point_sets)
 def test_group_inverse(a, pts):
-    e = Se2Pose.identity()
+    e = Se2Pose(0.0, 0.0, 0.0)
     assert _close(a.compose(a.inverse()), e)
     assert _close(a.inverse().compose(a), e)
     assert np.allclose(a.inverse().apply(a.apply(pts)), pts, rtol=0.0, atol=TOL)

@@ -7,6 +7,7 @@ from scan2plan.errors import EmptyGrid
 from scan2plan.geometry import Se2Pose
 from scan2plan.lines import (
     MAX_POINT_RASTER_CELLS,
+    BevRaster,
     _bounds,
     detect_segments,
     extract_corners,
@@ -43,7 +44,7 @@ def test_raster_marks_point_cells():
     pts = np.array([[0.0, 0.0], [1.0, 2.0], [1.005, 2.005]])
     r = rasterize_points(pts, scale=10.0)
     assert r.grid.sum() == 2
-    ij = np.floor(r.px_of(np.array([[1.0, 2.0]]))).astype(int)[0]
+    ij = np.floor((np.array([1.0, 2.0]) - r.origin) * r.scale).astype(int)
     assert r.grid[ij[0], ij[1]]
 
 
@@ -59,7 +60,7 @@ def test_segment_raster_is_connected():
     # every sampled point of the segment lands on a marked cell
     t = np.linspace(0.0, 1.0, 5000)
     pts = seg[0] + t[:, None] * (seg[1] - seg[0])
-    ij = np.floor(r.px_of(pts)).astype(int)
+    ij = np.floor((pts - r.origin) * r.scale).astype(int)
     assert np.all(r.grid[ij[:, 0], ij[:, 1]])
 
 
@@ -78,6 +79,19 @@ def test_empty_raster_raises():
 
 
 # --- Hough detection ---
+
+
+def test_hough_accumulator_cap(monkeypatch):
+    r = BevRaster(np.ones((5, 5), dtype=bool), np.zeros(2), 1.0)
+    # counted in Python ints: 2**62 bins never reach np.arange
+    with pytest.raises(ValueError, match="theta_bins = %d" % 2**62):
+        detect_segments(r, theta_bins=2**62)
+    # 180 theta bins x 2 * (ceil(hypot(5, 5)) + 2) rho bins = 3600 cells
+    monkeypatch.setattr("scan2plan.lines.MAX_HOUGH_CELLS", 3600)
+    detect_segments(r, l_min_px=3)
+    monkeypatch.setattr("scan2plan.lines.MAX_HOUGH_CELLS", 3599)
+    with pytest.raises(ValueError, match="theta_bins = 180 over a 5 x 5 raster"):
+        detect_segments(r, l_min_px=3)
 
 
 def test_detects_single_wall_endpoints():

@@ -146,7 +146,7 @@ def test_ground_on_walls_is_penalized():
 def test_empty_submap_raises():
     field = build_score_field([_seg(0.0, 0.0, 2.0, 0.0)])
     with pytest.raises(EmptySubmap):
-        score_candidate(field, Se2Pose.identity(), np.zeros((0, 2)), np.zeros((0, 2)))
+        score_candidate(field, Se2Pose(0.0, 0.0, 0.0), np.zeros((0, 2)), np.zeros((0, 2)))
 
 
 # --- selection ---
@@ -193,11 +193,11 @@ def test_bad_lam_raises(lam):
     # select_best's confidence bound needs lam * s_p >= 0
     field = build_score_field([_seg(0.0, 0.0, 2.0, 0.0)])
     pts = np.array([[1.0, 0.0]])
-    cand = Candidate(Se2Pose.identity(), votes=1, merged_score=1, n_cells=1)
+    cand = Candidate(Se2Pose(0.0, 0.0, 0.0), votes=1, merged_score=1, n_cells=1)
     with pytest.raises(ValueError, match="lam"):
         select_best(field, [cand], pts, pts, lam=lam)
     with pytest.raises(ValueError, match="lam"):
-        score_candidate(field, Se2Pose.identity(), pts, pts, lam=lam)
+        score_candidate(field, Se2Pose(0.0, 0.0, 0.0), pts, pts, lam=lam)
 
 
 @pytest.mark.parametrize("bad", [1.5, -0.25, math.nan])
