@@ -25,7 +25,7 @@ print("%d raw patches from %d points (%d left unassigned)" % (
     len(result.patches), result.n_points, result.n_unassigned))
 
 # one physical wall often arrives as several voxel-sized pieces
-patches = merge_patches(result.patches, sub.points, normal_tol_deg=10.0, dist_tol_m=0.1)
+patches = merge_patches(result.patches, normal_tol_deg=10.0, dist_tol_m=0.1)
 print("%d patches after coplanar merge" % len(patches))
 
 walls, ground, other = classify_patches(patches, sub.gravity, angle_tol_deg=15.0)

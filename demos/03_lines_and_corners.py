@@ -20,7 +20,7 @@ scene = synthesize_submap(layout.wall_model, pose, radius_m=12.0,
 sub = scene.submap
 
 result = segment_planes(sub.points)
-patches = merge_patches(result.patches, sub.points)
+patches = merge_patches(result.patches)
 walls, _, _ = classify_patches(patches, sub.gravity)
 wall_xy = sub.points[patches.mask(walls), :2]
 print("%d wall points from %d patches" % (wall_xy.shape[0], len(walls)))

@@ -60,24 +60,38 @@ def _echo(cfg: PipelineConfig, out) -> None:
 
 def _load_floors(model_path, db_paths, cfg):
     models = load_wall_models(model_path)
-    if db_paths:
-        if len(db_paths) != len(models):
-            raise ParseError(
-                "%d --db files for %d floors; pass one per floor in file order"
-                % (len(db_paths), len(models))
+    if not db_paths:
+        return [build_floor_index(m, cfg) for m in models]
+    if len(db_paths) != len(models):
+        raise ParseError(
+            "%d --db files for %d floors; pass one per floor in file order"
+            % (len(db_paths), len(models))
+        )
+    dbs = []
+    for p in db_paths:
+        db = deserialize_db(p)
+        if db.r_s != cfg.r_s or db.r_a != cfg.r_a:
+            raise ResolutionMismatch(
+                "%s was built at r_s=%g r_a=%g, config wants r_s=%g r_a=%g"
+                % (p, db.r_s, db.r_a, cfg.r_s, cfg.r_a)
             )
-        dbs = []
-        for p in db_paths:
-            db = deserialize_db(p)
-            if db.r_s != cfg.r_s or db.r_a != cfg.r_a:
-                raise ResolutionMismatch(
-                    "%s was built at r_s=%g r_a=%g, config wants r_s=%g r_a=%g"
-                    % (p, db.r_s, db.r_a, cfg.r_s, cfg.r_a)
-                )
-            dbs.append(db)
-    else:
-        dbs = [None] * len(models)
-    return [build_floor_index(m, cfg, db) for m, db in zip(models, dbs)]
+        dbs.append(db)
+    floors = [build_floor_index(m, cfg, db) for m, db in zip(models, dbs)]
+    for p, floor in zip(db_paths, floors):
+        # build-db stores each vertex as a copy of one of the floor's corners
+        verts = floor.db.verts.reshape(-1, 2)
+        stray = ~np.isin(_row_bits(verts), _row_bits(floor.corners.pos))
+        if np.any(stray):
+            raise ResolutionMismatch(
+                "%s does not belong to floor %s: stored vertex %r is none of its corners"
+                % (p, floor.model.floor_id, tuple(verts[np.argmax(stray)].tolist()))
+            )
+    return floors
+
+
+def _row_bits(xy: np.ndarray) -> np.ndarray:
+    """(n, 2) float rows as one 16-byte value each, for bitwise set tests."""
+    return np.ascontiguousarray(xy, dtype=np.float64).reshape(-1, 2).view("V16").ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,8 @@ class NoCandidates(Scan2PlanError):
 
 
 class ResolutionMismatch(Scan2PlanError):
-    """Two descriptor databases were built with different quantization."""
+    """A descriptor database does not fit its use: it was built with other
+    quantization, or its vertices are not the corners of its floor."""
 
 
 class VersionMismatch(Scan2PlanError):

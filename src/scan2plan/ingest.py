@@ -73,8 +73,14 @@ def _format_float(v: float) -> str:
 
 
 def load_wall_models(path) -> List[WallModel]:
-    """Parse a wall-model file into one WallModel per floor section."""
+    """Parse a wall-model file into one WallModel per floor section.
+
+    EmptyModel when the file holds no wall or a floor section holds none;
+    ParseError on a malformed line or a floor id that opens a second
+    section.
+    """
     models: List[WallModel] = []
+    opened: List[int] = []  # line of each section's header (its first wall if implicit)
     current: Optional[WallModel] = None
     with open(path, "r") as f:
         for lineno, raw in enumerate(f, start=1):
@@ -87,6 +93,7 @@ def load_wall_models(path) -> List[WallModel]:
                     raise ParseError(f"{path}:{lineno}: malformed floor header")
                 current = WallModel(tokens[1], [])
                 models.append(current)
+                opened.append(lineno)
                 continue
             if len(tokens) != 4:
                 raise ParseError(f"{path}:{lineno}: expected 'x1 y1 x2 y2', got {line!r}")
@@ -97,12 +104,21 @@ def load_wall_models(path) -> List[WallModel]:
             if current is None:
                 current = WallModel("0", [])
                 models.append(current)
+                opened.append(lineno)
             try:
                 current.walls.append(LineSegment2(np.array([x1, y1]), np.array([x2, y2])))
             except Exception:
                 raise ParseError(f"{path}:{lineno}: zero-length or invalid wall")
-    if not models or all(not m.walls for m in models):
+    if not any(m.walls for m in models):
         raise EmptyModel(f"{path}: no walls found")
+    first = {}
+    for m, lineno in zip(models, opened):
+        where = f"{path}:{lineno}: floor {m.floor_id!r}"
+        if m.floor_id in first:
+            raise ParseError(f"{where} repeats the section opened at line {first[m.floor_id]}")
+        if not m.walls:
+            raise EmptyModel(f"{where} has no walls")
+        first[m.floor_id] = lineno
     return models
 
 

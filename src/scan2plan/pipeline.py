@@ -119,7 +119,7 @@ def extract_submap_features(submap: Submap, cfg: PipelineConfig) -> SubmapFeatur
     except ValueError as exc:  # s_v > 0 is validated, so only the extent is left
         raise InvalidSubmap("submap too large for its octree: %s" % (exc,)) from None
     # rebinding frees the unmerged set before the line stage
-    patches = merge_patches(patches, points, cfg.normal_tol_deg, cfg.dist_tol_m)
+    patches = merge_patches(patches, cfg.normal_tol_deg, cfg.dist_tol_m)
     walls, ground, _ = classify_patches(patches, submap.gravity, cfg.gravity_tol_deg)
     g_mask = patches.mask(ground)
     q_g_xy = points[g_mask][:, :2]

@@ -4,11 +4,12 @@ Points are binned into voxels of size s_v. A voxel whose covariance
 eigenvalues (l1 >= l2 >= l3, l3 floored at 1e-12) satisfy l2/l3 >
 sigma_lambda is kept as a planar patch; otherwise it splits into eight
 children. Cells with fewer than four points are discarded. `Patches`
-holds a patch label per point row (-1 for none), the labelled rows
-grouped by patch, and one row of plane and cell-box arrays per patch.
-Adjacent coplanar patches are merged as connected components of the
-compatible pairs, relabelled, and refit from their pooled rows.
-Classification returns patch index arrays.
+holds a patch label per point row (-1 for none) and, per patch, its
+raw moments (point count, coordinate sums, coordinate-product sums),
+its plane and its cell box. A plane is fitted from moments alone, so
+adjacent coplanar patches merge as connected components of the
+compatible pairs by summing their members' moments: no point is read
+twice. Classification returns patch index arrays.
 """
 
 import math
@@ -39,23 +40,25 @@ class Patches:
     """Planar patches of a point array, one row each, plus a label per point."""
 
     label: np.ndarray  # (N,) int64 patch of each point row, -1 for none
-    rows: np.ndarray  # (M,) the labelled rows, patch 0's first, then patch 1's, ...
-    centroid: np.ndarray  # (P, 3)
+    count: np.ndarray  # (P,) int64 points of each patch
+    sums: np.ndarray  # (P, 3) coordinate sums
+    prods: np.ndarray  # (P, 3, 3) coordinate-product sums
     normal: np.ndarray  # (P, 3), unit
     eigenvalues: np.ndarray  # (P, 3), descending
     cell_lo: np.ndarray  # (P, 3) octree cell AABB
     cell_hi: np.ndarray
 
     def __len__(self) -> int:
-        return self.centroid.shape[0]
+        return self.count.shape[0]
+
+    @property
+    def centroid(self) -> np.ndarray:
+        """(P, 3) mean of each patch's points."""
+        return self.sums / self.count[:, None]
 
     def mask(self, patch_idx) -> np.ndarray:
         """True for the point rows that one of the given patches holds."""
         return np.isin(self.label, patch_idx)
-
-    def starts(self) -> np.ndarray:
-        """(P + 1,) offsets: patch k holds rows[starts[k]:starts[k + 1]]."""
-        return np.searchsorted(self.label[self.rows], np.arange(len(self) + 1))
 
 
 @dataclass
@@ -71,14 +74,16 @@ def _canonical_sign(normals: np.ndarray) -> np.ndarray:
     return np.where(np.take_along_axis(normals, i, axis=-1) < 0, -normals, normals)
 
 
-def _fit_plane(points: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(centroid, unit normal, eigenvalues descending) of a point set."""
-    centroid = points.mean(axis=0)
-    d = points - centroid
-    cov = d.T @ d / points.shape[0]
+def _fit_planes(count, sums, prods) -> Tuple[np.ndarray, np.ndarray]:
+    """(unit normals, eigenvalues descending) of rows of raw moments.
+
+    The covariance is the second moment less the mean's outer product;
+    each row's fit depends on that row alone.
+    """
+    mean = sums / count[:, None]
+    cov = prods / count[:, None, None] - mean[:, :, None] * mean[:, None, :]
     w, v = np.linalg.eigh(cov)  # ascending
-    normal = _canonical_sign(v[:, 0])
-    return centroid, normal, w[::-1].copy()
+    return _canonical_sign(v[:, :, 0]), w[:, ::-1]
 
 
 def _cell_keys(keys: np.ndarray) -> np.ndarray:
@@ -100,14 +105,14 @@ def segment_planes(
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n_total = pts.shape[0]
     if n_total == 0:
-        none, rows = np.zeros((0, 3)), np.zeros(0, dtype=np.int64)
-        return SegmentationResult(Patches(rows, rows, none, none, none, none, none), 0, 0)
+        none, z = np.zeros(0, dtype=np.int64), np.zeros((0, 3))
+        return SegmentationResult(Patches(none, none, z, np.zeros((0, 3, 3)), z, z, z, z), 0, 0)
     if s_v <= 0.0:
         raise ValueError("s_v must be positive")
 
     origin = pts.min(axis=0)
     label = np.full(n_total, -1, dtype=np.int64)
-    levels = []  # (rows, centroid, normal, eigenvalues, cell_lo, cell_hi) per level
+    levels = []  # (count, sums, prods, normal, eigenvalues, cell_lo, cell_hi) per level
     active_idx = np.arange(n_total)
     active = pts
     size = float(s_v)
@@ -122,8 +127,7 @@ def segment_planes(
             raise ValueError("octree cells up to %s exceed int64; raise s_v" % (top,))
         keys = np.floor((active - origin) / size).astype(np.int64)
         packed = _cell_keys(keys)
-        # one stable sort gives the cells ascending and each cell's rows in
-        # input order
+        # one stable sort gives the cells ascending
         order = np.argsort(packed, kind="stable")
         starts = np.concatenate([[0], np.flatnonzero(np.diff(packed[order])) + 1])
         counts = np.diff(np.append(starts, order.shape[0]))
@@ -140,27 +144,22 @@ def segment_planes(
                     inv, weights=active[:, i] * active[:, j], minlength=n_groups
                 )
                 prods[:, j, i] = prods[:, i, j]
-        means = sums / counts[:, None]
-        cov = prods / counts[:, None, None] - means[:, :, None] * means[:, None, :]
 
-        big = counts >= MIN_CELL_POINTS
-        w = np.zeros((n_groups, 3))
-        v = np.zeros((n_groups, 3, 3))
-        if np.any(big):
-            w[big], v[big] = np.linalg.eigh(cov[big])
-        l3 = np.maximum(w[:, 0], EIGENVALUE_FLOOR)
-        planar = big & (w[:, 1] / l3 > sigma_lambda)
+        big = np.flatnonzero(counts >= MIN_CELL_POINTS)
+        normal, eig = _fit_planes(counts[big], sums[big], prods[big])
+        flat = eig[:, 1] / np.maximum(eig[:, 2], EIGENVALUE_FLOOR) > sigma_lambda
+        planar = big[flat]
 
         patch_of = np.full(n_groups, -1, dtype=np.int64)
-        patch_of[planar] = n_patches + np.arange(np.count_nonzero(planar))
-        n_patches += np.count_nonzero(planar)
+        patch_of[planar] = n_patches + np.arange(planar.shape[0])
+        n_patches += planar.shape[0]
         label[active_idx] = patch_of[inv]  # active rows are all still unassigned
         lo = origin + keys[order[starts[planar]]] * size
-        # the cells ascend, so this level's patches do, each rows ascending
-        rows = active_idx[order[np.repeat(planar, counts)]]
-        levels.append((rows, means[planar], _canonical_sign(v[planar, :, 0]), w[planar, ::-1], lo, lo + size))
+        levels.append((counts[planar], sums[planar], prods[planar], normal[flat], eig[flat], lo, lo + size))
 
-        keep = big[inv] & ~planar[inv]
+        split = np.zeros(n_groups, dtype=bool)
+        split[big[~flat]] = True
+        keep = split[inv]
         active_idx = active_idx[keep]
         active = active[keep]
         size *= 0.5
@@ -169,27 +168,19 @@ def segment_planes(
     return SegmentationResult(patches, n_total, int(np.count_nonzero(label < 0)))
 
 
-def merge_patches(
-    patches: Patches,
-    points: np.ndarray,
-    normal_tol_deg: float = 10.0,
-    dist_tol_m: float = 0.1,
-) -> Patches:
-    """Join cell-adjacent coplanar patches and refit each group from `points`.
+def merge_patches(patches: Patches, normal_tol_deg: float = 10.0, dist_tol_m: float = 0.1) -> Patches:
+    """Join cell-adjacent coplanar patches and fit each group from its pooled moments.
 
     A group is a connected component of the pairs that touch (cell boxes
     within 1e-9 m) and are coplanar (normals within the angle, each
-    centroid within dist_tol_m of the other's plane). A group of several
-    patches is refit from its rows in member order, each member's rows
-    as `patches.rows` lists them (ascending from `segment_planes`); a
-    singleton keeps its plane. Groups are relabelled in order of their
-    rounded centroids, and the output lists each group's rows in the
-    same member order.
+    centroid within dist_tol_m of the other's plane). Its moments are
+    its members' summed in ascending patch order, so a single-patch
+    group keeps its plane bit for bit, and its cell box spans theirs.
+    Groups are relabelled in order of their rounded centroids.
     """
     n = len(patches)
     if n == 0:
         return patches
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     cos_tol = float(np.cos(np.radians(normal_tol_deg)))
     lo, hi = patches.cell_lo, patches.cell_hi
     normals, centroids = patches.normal, patches.centroid
@@ -209,25 +200,22 @@ def merge_patches(
     groups = connected_groups(n, i[coplanar], j[coplanar])
     group_of = np.empty(n, dtype=np.int64)
     group_of[np.concatenate(groups)] = np.repeat(np.arange(len(groups)), [g.shape[0] for g in groups])
-    starts = patches.starts()
 
-    first = [g[0] for g in groups]
-    centroid, normal, eig = centroids[first], normals[first], patches.eigenvalues[first]
-    cell_lo, cell_hi = lo[first], hi[first]
-    for g, members in enumerate(groups):
-        if members.shape[0] > 1:
-            rows = np.concatenate([patches.rows[starts[m] : starts[m + 1]] for m in members])
-            centroid[g], normal[g], eig[g] = _fit_plane(pts[rows])
-            cell_lo[g], cell_hi[g] = lo[members].min(axis=0), hi[members].max(axis=0)
+    def pool(ufunc, a, start):
+        # ufunc.at applies the patches in index order
+        out = np.full((len(groups),) + a.shape[1:], start, dtype=a.dtype)
+        ufunc.at(out, group_of, a)
+        return out
 
-    r = np.round(centroid, 9)
+    count, sums, prods = (pool(np.add, a, 0) for a in (patches.count, patches.sums, patches.prods))
+    cell_lo, cell_hi = pool(np.minimum, lo, np.inf), pool(np.maximum, hi, -np.inf)
+    normal, eig = _fit_planes(count, sums, prods)
+
+    r = np.round(sums / count[:, None], 9)
     order = np.lexsort((r[:, 2], r[:, 1], r[:, 0]))
     new_of = np.argsort(order)[group_of]
     label = np.where(patches.label >= 0, new_of[patches.label], -1)
-    # the input patches by new label, members ascending, each block as listed
-    seq = np.argsort(new_of, kind="stable")
-    rows = np.concatenate([patches.rows[starts[k] : starts[k + 1]] for k in seq])
-    return Patches(label, rows, centroid[order], normal[order], eig[order], cell_lo[order], cell_hi[order])
+    return Patches(label, *(f[order] for f in (count, sums, prods, normal, eig, cell_lo, cell_hi)))
 
 
 def classify_patches(

@@ -8,8 +8,11 @@ loop over segment pairs that builds one `Corner` per intersection, and
 the ground mask that hashes every point's bytes. Segments here are
 `LineSegment2` lists.
 The package's array front end must reproduce these bit for bit;
-`test_frontend_oracle.py` checks that. Patches here carry `points`, the
-package's `Patches` label each row of the segmented array.
+`test_frontend_oracle.py` checks that. Patches here carry `points` and
+their cell's raw moments, the package's `Patches` label each row of the
+segmented array. A merged patch pools its members' moments in member
+order and fits its plane from them with the formula `segment_planes`
+applies to a cell.
 """
 
 from dataclasses import dataclass
@@ -33,6 +36,9 @@ class PlanarPatch:
     """A planar cluster of points with its fitted plane and cell bounds."""
 
     points: np.ndarray  # (N, 3)
+    count: int
+    sums: np.ndarray  # (3,) coordinate sums
+    prods: np.ndarray  # (3, 3) coordinate-product sums
     centroid: np.ndarray  # (3,)
     normal: np.ndarray  # (3,), unit
     eigenvalues: np.ndarray  # (3,), descending
@@ -54,13 +60,21 @@ def _canonical_sign(normal: np.ndarray) -> np.ndarray:
 
 
 def _fit_plane(points: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(centroid, unit normal, eigenvalues descending) of a point set."""
+    """(centroid, unit normal, eigenvalues descending) of a point set, from centred coordinates."""
     centroid = points.mean(axis=0)
     d = points - centroid
     cov = d.T @ d / points.shape[0]
     w, v = np.linalg.eigh(cov)  # ascending
     normal = _canonical_sign(v[:, 0])
     return centroid, normal, w[::-1].copy()
+
+
+def _fit_moments(count: int, sums: np.ndarray, prods: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(centroid, unit normal, eigenvalues descending) of one patch's raw moments."""
+    centroid = sums / count
+    cov = prods / count - centroid[:, None] * centroid[None, :]
+    w, v = np.linalg.eigh(cov)  # ascending
+    return centroid, _canonical_sign(v[:, 0]), w[::-1].copy()
 
 
 def segment_planes(
@@ -119,6 +133,9 @@ def segment_planes(
             patches.append(
                 PlanarPatch(
                     points=grp,
+                    count=int(counts[g]),
+                    sums=sums[g],
+                    prods=prods[g],
                     centroid=means[g],
                     normal=normal,
                     eigenvalues=w[g][::-1].copy(),
@@ -147,7 +164,7 @@ def merge_patches(
     normal_tol_deg: float = 10.0,
     dist_tol_m: float = 0.1,
 ) -> List[PlanarPatch]:
-    """Union-find over cell-adjacent coplanar patches, refitting each group."""
+    """Union-find over cell-adjacent coplanar patches, fitting each group from pooled moments."""
     n = len(patches)
     if n == 0:
         return []
@@ -179,11 +196,16 @@ def merge_patches(
         if len(members) == 1:
             merged.append(patches[members[0]])
             continue
-        pooled = np.vstack([patches[i].points for i in members])
-        centroid, normal, eig = _fit_plane(pooled)
+        count, sums, prods = 0, np.zeros(3), np.zeros((3, 3))
+        for i in members:
+            count, sums, prods = count + patches[i].count, sums + patches[i].sums, prods + patches[i].prods
+        centroid, normal, eig = _fit_moments(count, sums, prods)
         merged.append(
             PlanarPatch(
-                points=pooled,
+                points=np.vstack([patches[i].points for i in members]),
+                count=count,
+                sums=sums,
+                prods=prods,
                 centroid=centroid,
                 normal=normal,
                 eigenvalues=eig,

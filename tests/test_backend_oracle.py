@@ -35,7 +35,7 @@ from scan2plan.verify import (
 )
 from scan2plan.voting import Candidate, VoteGrid, hierarchical_vote, vanilla_vote
 
-SETTINGS = settings(max_examples=80, deadline=None, database=None, derandomize=True)
+SETTINGS = settings(max_examples=80)
 FAR = [1e6, 1e20, 1e300, math.inf]  # 1e20 / s_r and up overflow an int64 cell index
 
 

@@ -500,6 +500,45 @@ def test_build_db_unknown_floor_exit_code(tmp_path, capsys):
     assert "%s: no floor 'zz'" % plan in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, floor, line, message",
+    [
+        ("floor a\n" + UNIT_SQUARE + "floor empty\n", "empty", 6, "floor 'empty' has no walls"),
+        ("floor a\n" + UNIT_SQUARE + "floor a\n" + UNIT_SQUARE, "a", 6, "floor 'a' repeats the section opened at line 1"),
+    ],
+    ids=["empty", "repeated"],
+)
+def test_wall_model_bad_floor_section_exit_code(tmp_path, capsys, text, floor, line, message):
+    plan = tmp_path / "plan.txt"
+    plan.write_text(text)
+    out = tmp_path / "x.db"
+    assert main(["build-db", "--model", str(plan), "--floor", floor, "--out", str(out)]) == 2
+    assert "%s:%d: %s" % (plan, line, message) in capsys.readouterr().err
+    assert not out.exists()
+    # the model is read before the submap, so the submap need not exist
+    assert main(["register", "--submap", str(tmp_path / "none.submap"), "--model", str(plan)]) == 2
+    assert "%s:%d: %s" % (plan, line, message) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["register", "evaluate", "pr-curve"])
+def test_db_of_another_floor_exit_code(tmp_path, capsys, command):
+    plan = tmp_path / "plan.txt"
+    assert main(["gen-floorplan", "--seed", "3", "--n-rooms", "4", "--floors", "2", "--out", str(plan)]) == 0
+    dbs = [tmp_path / "3.db", tmp_path / "4.db"]
+    for floor, db in zip(("3", "4"), dbs):
+        assert main(["build-db", "--model", str(plan), "--floor", floor, "--out", str(db)]) == 0
+    capsys.readouterr()
+    # the floors are loaded before any scene is read, so none need exist
+    inputs = {
+        "register": ["--submap", str(tmp_path / "none.submap")],
+        "evaluate": ["--scenes", str(tmp_path / "none")],
+        "pr-curve": ["--pos", str(tmp_path / "none"), "--neg", str(tmp_path / "none")],
+    }[command]
+    code = main([command, *inputs, "--model", str(plan), "--db", str(dbs[1]), "--db", str(dbs[0])])
+    assert code == 2
+    assert "%s does not belong to floor 3" % dbs[1] in capsys.readouterr().err
+
+
 def test_missing_model_file_exit_code(tmp_path, capsys):
     missing = tmp_path / "none.txt"
     assert main(["build-db", "--model", str(missing), "--out", str(tmp_path / "x.db")]) == 2
@@ -541,7 +580,7 @@ def test_config_line_without_value_exit_code(tmp_path, capsys):
 # fuzzed input files
 # ---------------------------------------------------------------------------
 
-FUZZ_SETTINGS = settings(max_examples=40, deadline=None, database=None, derandomize=True)
+FUZZ_SETTINGS = settings(max_examples=40)
 
 # (offset, replacement bytes); offsets wrap modulo the file size. Both
 # formats keep every field 4-byte aligned, so a multiple-of-4 offset puts

@@ -26,7 +26,7 @@ from scan2plan.descriptors import (
 )
 from scan2plan.lines import Corners
 
-SETTINGS = settings(max_examples=60, deadline=None, database=None, derandomize=True)
+SETTINGS = settings(max_examples=60)
 
 SHAPES = {
     "square": [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],

@@ -4,8 +4,9 @@
 points, union-find merging and chaining, the per-patch gravity test, a
 Hough detector with the full rho table, the per-pair corner loop, and
 the byte-hash ground mask. Every comparison here is bitwise: patch rows,
-planes and cell boxes; merged groups; patch classes; segment endpoints;
-corner positions, wall directions, support and order; the ground mask.
+moments, planes and cell boxes; merged groups; patch classes; segment
+endpoints; corner positions, wall directions, support and order; the
+ground mask.
 Patch normals sit within a few ulp of the classification thresholds.
 Rasters mix random pixels with
 lines, vote ties (mirror-symmetric shapes), runs exactly l_min_px long
@@ -27,7 +28,7 @@ from scan2plan.pipeline import extract_submap_features
 from scan2plan.planes import Patches, classify_patches, merge_patches, segment_planes
 from scan2plan.synthetic import generate_layout, synthesize_submap
 
-SETTINGS = settings(max_examples=60, deadline=None, database=None, derandomize=True)
+SETTINGS = settings(max_examples=60)
 GRAVITY = np.array([0.0, 0.0, -1.0])
 
 
@@ -274,22 +275,17 @@ def _rows(block):
 
 
 def _assert_patches_match(got, want, pts):
-    """`Patches` rows equal the oracle's patch list bitwise, in order.
+    """`Patches` equal the oracle's patch list bitwise, in order.
 
-    Each patch's labelled rows compare as a multiset; its block of
-    `Patches.rows` lists them in the oracle's order (member order for a
-    merged patch), bitwise, as do the refit planes.
+    Each patch's labelled rows compare as a multiset; its moments,
+    plane and cell box compare bitwise.
     """
     assert len(got) == len(want)
     assert got.label.shape == (pts.shape[0],)
-    starts = got.starts()
-    assert starts[-1] == got.rows.shape[0] == np.count_nonzero(got.label >= 0)
     for k, w in enumerate(want):
-        block = got.rows[starts[k] : starts[k + 1]]
-        assert np.all(got.label[block] == k)
         assert _rows(pts[got.label == k]) == _rows(w.points)
-        assert _bits(pts[block]) == _bits(w.points)
-        for name in ("centroid", "normal", "eigenvalues", "cell_lo", "cell_hi"):
+        assert got.count[k] == w.count
+        for name in ("sums", "prods", "centroid", "normal", "eigenvalues", "cell_lo", "cell_hi"):
             assert _bits(getattr(got, name)[k]) == _bits(getattr(w, name)), name
 
 
@@ -307,7 +303,7 @@ def test_planes_and_ground_mask_match_oracle(pts, s_v, sigma):
     assert (seg.n_points, seg.n_unassigned) == (want.n_points, want.n_unassigned)
     _assert_patches_match(seg.patches, want.patches, pts)
 
-    merged = merge_patches(seg.patches, pts, 10.0, 0.1)
+    merged = merge_patches(seg.patches, 10.0, 0.1)
     want_merged = ref.merge_patches(want.patches, 10.0, 0.1)
     _assert_patches_match(merged, want_merged, pts)
     kinds = classify_patches(merged, GRAVITY)
@@ -315,6 +311,30 @@ def test_planes_and_ground_mask_match_oracle(pts, s_v, sigma):
     assert [k.tolist() for k in kinds] == _positions(want_kinds, want_merged)
     mask = merged.mask(kinds[1])
     assert np.array_equal(mask, ref._ground_mask(pts, want_kinds[1]))
+
+
+@settings(SETTINGS, max_examples=200)
+@given(point_sets(), st.sampled_from([2.0, 1.0, 0.5]), st.sampled_from([10.0, 3.0]))
+def test_merged_planes_from_pooled_moments(pts, s_v, sigma):
+    """A merged patch counts its rows; a single-patch group keeps its cell's
+    fit bit for bit; a pooled plane lies within 1e-9 of a centred refit."""
+    seg = segment_planes(pts, s_v, sigma).patches
+    merged = merge_patches(seg, 10.0, 0.1)
+    labelled = merged.label >= 0
+    assert np.array_equal(seg.label >= 0, labelled)
+    assert np.array_equal(merged.count, np.bincount(merged.label[labelled], minlength=len(merged)))
+    for k in range(len(merged)):
+        rows = merged.label == k
+        members = np.unique(seg.label[rows])
+        if members.shape[0] == 1:
+            for name in ("count", "sums", "prods", "centroid", "normal", "eigenvalues", "cell_lo", "cell_hi"):
+                assert _bits(getattr(merged, name)[k]) == _bits(getattr(seg, name)[members[0]]), name
+            continue
+        centroid, normal, eig = ref._fit_plane(pts[rows])
+        n = merged.normal[k]
+        assert np.arctan2(np.linalg.norm(np.cross(n, normal)), abs(n @ normal)) <= 1e-9
+        assert np.max(np.abs(merged.centroid[k] - centroid)) <= 1e-9
+        assert np.max(np.abs(merged.eigenvalues[k] - eig)) <= 1e-9
 
 
 @st.composite
@@ -345,10 +365,11 @@ def classify_cases(draw):
 @given(classify_cases())
 def test_classify_patches_matches_oracle(case):
     normals, gravity, tol = case
-    none = np.zeros_like(normals)
-    rows = np.zeros(0, dtype=np.int64)
-    got = classify_patches(Patches(rows, rows, none, normals, none, none, none), gravity, tol)
-    patches = [ref.PlanarPatch(None, None, nrm, None, None, None) for nrm in normals]
+    n = normals.shape[0]
+    none, rows = np.zeros_like(normals), np.zeros(0, dtype=np.int64)
+    one = np.ones(n, dtype=np.int64)
+    got = classify_patches(Patches(rows, one, none, np.zeros((n, 3, 3)), normals, none, none, none), gravity, tol)
+    patches = [ref.PlanarPatch(None, 1, None, None, None, nrm, None, None, None) for nrm in normals]
     want = ref.classify_patches(patches, gravity, tol)
     assert [k.tolist() for k in got] == _positions(want, patches)
 

@@ -185,7 +185,7 @@ def matched_sets(draw):
     return src, dst
 
 
-@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@settings(max_examples=300)
 @given(matched_sets())
 def test_solve_batch_matches_svd_oracle_on_rigid_and_mirrored_sets(sets):
     src, dst = sets
@@ -239,7 +239,7 @@ def test_success_left_composition_invariance():
 # SE(2) group laws (property tests)
 # ---------------------------------------------------------------------------
 
-GROUP_SETTINGS = settings(max_examples=200, deadline=None, database=None, derandomize=True)
+GROUP_SETTINGS = settings(max_examples=200)
 coords = st.floats(-1e3, 1e3, allow_nan=False)
 yaws = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, np.pi, -np.pi, np.pi / 2, -np.pi / 2]))
 poses = st.builds(Se2Pose, coords, coords, yaws)

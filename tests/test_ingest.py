@@ -1,5 +1,7 @@
 """Submap validation and file round trips."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from scan2plan.ingest import (
     load_pose,
     load_submap,
     load_wall_model,
+    load_wall_models,
     save_pose,
     save_submap,
     save_wall_models,
@@ -75,6 +78,25 @@ def test_wall_model_comments_and_floor_sections(tmp_path):
     assert len(g.walls) == 1 and len(one.walls) == 1
     with pytest.raises(ParseError):
         load_wall_model(p)  # ambiguous without floor_id
+
+
+def test_wall_model_empty_floor_section_names_header(tmp_path):
+    p = tmp_path / "m.walls"
+    p.write_text("floor a\n0 0 4 0\n# last floor\nfloor empty\n")
+    with pytest.raises(EmptyModel, match=re.escape("%s:4: floor 'empty' has no walls" % p)):
+        load_wall_models(p)
+
+
+@pytest.mark.parametrize(
+    "text, line, floor",
+    [("floor a\n0 0 4 0\nfloor a\n0 0 0 4\n", 3, "a"), ("0 0 4 0\nfloor 0\n0 0 0 4\n", 2, "0")],
+    ids=["header", "implicit"],
+)
+def test_wall_model_repeated_floor_names_header(tmp_path, text, line, floor):
+    p = tmp_path / "m.walls"
+    p.write_text(text)
+    with pytest.raises(ParseError, match=re.escape("%s:%d: floor '%s' repeats the section opened at line 1" % (p, line, floor))):
+        load_wall_models(p)
 
 
 # ---------------------------------------------------------------------------

@@ -176,7 +176,7 @@ def test_ground_mask_labels_rows_not_coordinates():
     z = np.zeros((2, 3))
     # patch 0 (rows 0, 1) lies flat, patch 1 (row 2) stands upright
     normals = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-    patches = Patches(np.array([0, 0, 1, -1]), np.array([0, 1, 2]), z, normals, z, z, z)
+    patches = Patches(np.array([0, 0, 1, -1]), np.array([2, 1]), z, np.zeros((2, 3, 3)), normals, z, z, z)
     walls, ground, _ = classify_patches(patches, DOWN)
     mask = patches.mask(ground)
     assert mask.tolist() == [True, True, False, False]

@@ -24,7 +24,7 @@ def test_horizontal_plane_single_patch():
     pts = _grid_plane(0.0, 6.0, 0.0, 6.0, 0.0)
     res = segment_planes(pts)
     assert res.n_unassigned == 0
-    merged = merge_patches(res.patches, pts)
+    merged = merge_patches(res.patches)
     assert len(merged) == 1
     n = merged.normal[0]
     assert np.allclose(np.abs(n), [0.0, 0.0, 1.0], atol=1e-9)
@@ -50,7 +50,7 @@ def test_split_wall_merges_to_one():
     pts = np.column_stack([gx.ravel(), np.full(gx.size, 1.0), gz.ravel()])
     res = segment_planes(pts)
     assert len(res.patches) >= 2
-    merged = merge_patches(res.patches, pts)
+    merged = merge_patches(res.patches)
     assert len(merged) == 1
     assert np.allclose(np.abs(merged.normal[0]), [0.0, 1.0, 0.0], atol=1e-9)
 
@@ -59,7 +59,7 @@ def test_parallel_walls_stay_separate():
     a = _grid_plane(0.0, 3.0, 0.0, 2.4, 0.0)[:, [0, 2, 1]]  # y=0 wall
     b = a + np.array([0.0, 3.0, 0.0])  # y=3 wall
     pts = np.vstack([a, b])
-    merged = merge_patches(segment_planes(pts).patches, pts)
+    merged = merge_patches(segment_planes(pts).patches)
     assert len(merged) == 2
 
 
@@ -69,7 +69,7 @@ def test_noisy_wall_recovered():
     zs = rng.uniform(0.0, 2.5, 4000)
     pts = np.column_stack([xs, np.zeros(4000), zs])
     pts = pts + rng.normal(scale=0.03, size=pts.shape)
-    merged = merge_patches(segment_planes(pts).patches, pts)
+    merged = merge_patches(segment_planes(pts).patches)
     # grid-edge slivers can survive as tiny patches; the wall itself
     # must come out as a single dominant one
     sizes = np.bincount(merged.label[merged.label >= 0], minlength=len(merged))
@@ -115,7 +115,7 @@ def test_segmentation_is_permutation_invariant():
     shuffled = pts[rng.permutation(pts.shape[0])]
 
     def signature(points):
-        merged = merge_patches(segment_planes(points).patches, points)
+        merged = merge_patches(segment_planes(points).patches)
         sizes = np.bincount(merged.label[merged.label >= 0], minlength=len(merged))
         return sorted(
             (int(n), tuple(np.round(c, 6))) for n, c in zip(sizes, merged.centroid)
@@ -145,7 +145,7 @@ def test_cell_key_overflow_raises():
 def test_empty_input():
     res = segment_planes(np.zeros((0, 3)))
     assert len(res.patches) == 0 and res.n_points == 0
-    assert len(merge_patches(res.patches, np.zeros((0, 3)))) == 0
+    assert len(merge_patches(res.patches)) == 0
 
 
 # --- classification ---
@@ -158,7 +158,7 @@ def test_classify_wall_ground_other():
     t = _grid_plane(0.0, 3.0, 0.0, 3.0, 0.0)
     ramp = np.column_stack([t[:, 0] + 12.0, t[:, 1], t[:, 1]])
     pts = np.vstack([ground, wall, ramp])
-    merged = merge_patches(segment_planes(pts).patches, pts)
+    merged = merge_patches(segment_planes(pts).patches)
     walls, grounds, other = classify_patches(merged, GRAVITY)
     assert len(walls) == len(grounds) == len(other) == 1
     assert sorted(np.concatenate([walls, grounds, other]).tolist()) == [0, 1, 2]
@@ -169,7 +169,7 @@ def test_classify_wall_ground_other():
 def test_classify_tracks_gravity_direction():
     # tilt gravity 20 degrees: a z-normal plane is no longer ground
     wallish = _grid_plane(0.0, 3.0, 0.0, 3.0, 0.0)
-    merged = merge_patches(segment_planes(wallish).patches, wallish)
+    merged = merge_patches(segment_planes(wallish).patches)
     g = np.array([np.sin(np.radians(20.0)), 0.0, -np.cos(np.radians(20.0))])
     walls, grounds, other = classify_patches(merged, g)
     assert len(grounds) == 0 and len(other) == 1

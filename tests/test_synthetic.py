@@ -248,7 +248,7 @@ def test_box_cull_matches_full_distances(layout_seed):
     assert want.any() and not want.all()
 
 
-@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@settings(max_examples=80)
 @given(
     st.integers(1, 64) | st.sampled_from([1000, 5000, 70686]),
     st.floats(-3.0, 6.0),
