@@ -2,13 +2,14 @@
 From wall points to line segments and corners
 =============================================
 
-Projects wall patches to a bird's-eye raster, pulls line segments out of
-it, and intersects them into the corner set that drives matching.
+Turns each wall patch's plane into a line in the bird's-eye view, cuts
+the patch's points along it into wall runs, and intersects the runs into
+the corner set that drives matching.
 """
 
 import numpy as np
 
-from scan2plan.lines import detect_segments, extract_corners, merge_refit, rasterize_points
+from scan2plan.lines import MIN_RUN_M, RUN_GAP_M, extract_corners, merge_refit, patch_segments
 from scan2plan.planes import classify_patches, merge_patches, segment_planes
 from scan2plan.synthetic import generate_layout, random_interior_pose, synthesize_submap
 
@@ -22,15 +23,19 @@ sub = scene.submap
 result = segment_planes(sub.points)
 patches = merge_patches(result.patches)
 walls, _, _ = classify_patches(patches, sub.gravity)
-wall_xy = sub.points[patches.mask(walls), :2]
-print("%d wall points from %d patches" % (wall_xy.shape[0], len(walls)))
+rows = patches.mask(walls)
+print("%d wall points from %d patches" % (int(rows.sum()), len(walls)))
 
-# 60 px per meter keeps a 1 cm noise floor below one pixel
-raster = rasterize_points(wall_xy, scale=60.0)
-print("raster %dx%d px, %d occupied" % (
-    raster.grid.shape[0], raster.grid.shape[1], int(raster.grid.sum())))
+# a wall patch's line runs through its centroid, across its normal; its
+# points split into runs at gaps over RUN_GAP_M, and runs of MIN_RUN_M
+# or more become segments. walls is ascending, so searchsorted numbers
+# each point's wall 0..W-1.
+segments = patch_segments(
+    sub.points[rows, :2], np.searchsorted(walls, patches.label[rows]),
+    patches.centroid[walls, :2], patches.normal[walls, :2],
+)
+print("%d wall runs (gap %.1f m, min %.1f m)" % (len(segments), RUN_GAP_M, MIN_RUN_M))
 
-segments = detect_segments(raster, l_min_px=30, gap_px=5.0, band_px=5.0)
 segments = merge_refit(segments, endpoint_tol_m=0.3, angle_tol_deg=5.0)
 # one [p0, p1] endpoint row per segment
 print("%d line segments after merge" % len(segments))

@@ -45,10 +45,9 @@ from .ingest import (
 from .lines import (
     BevRaster,
     Corners,
-    detect_segments,
     extract_corners,
     merge_refit,
-    rasterize_points,
+    patch_segments,
     rasterize_segments,
 )
 from .pipeline import (

@@ -22,12 +22,7 @@ class PipelineConfig:
     normal_tol_deg: float = 10.0
     dist_tol_m: float = 0.1
     gravity_tol_deg: float = 15.0
-    # wall raster and line detection
-    s_i: float = 60.0
-    l_min_px: int = 30
-    gap_px: float = 5.0
-    band_px: float = 5.0
-    theta_bins: int = 180
+    # wall segments and corners
     endpoint_tol_m: float = 0.3
     angle_tol_deg: float = 5.0
     extend_m: float = 1.0

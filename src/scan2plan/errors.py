@@ -31,8 +31,8 @@ class EmptySubmap(Scan2PlanError):
 
 class InvalidSubmap(Scan2PlanError):
     """Submap has a non-finite point, a zero or non-finite gravity vector,
-    points too far apart for the octree's int64 cell keys, or too large a
-    wall raster or Hough accumulator."""
+    gravity too far from the z axis, or points too far apart for the
+    octree's int64 cell keys."""
 
 
 class EmptyGrid(Scan2PlanError):

@@ -1,21 +1,22 @@
-"""BEV rasterization, Hough segment detection and corner extraction.
+"""Wall segments from wall patches, segment rasters and corner extraction.
 
-Wall points are projected to a binary bird's-eye raster. Segments come
-from a vote-threshold Hough transform with greedy pixel claiming (after
-the progressive probabilistic Hough of Matas, Galambos & Kittler), gap
-splitting and total-least-squares refits. The accumulator is filled one
-theta row at a time, peaks are visited strongest first, and each claimed
-run's votes are taken back out, so a peak its claims exhaust is skipped
-without a band test. Near-collinear segments with close endpoints are
-chained by connected components and refit. Corners are intersections of
-extended non-parallel segments, all pairs tested at once as arrays, then
-deduplicated by greedy non-maximum suppression on combined support
-length; they match the per-pair loop of `tests/scalar_frontend.py` bit for bit.
+A wall patch's plane is a 2-D line in the bird's-eye view: through its
+centroid's xy, along the xy part of its normal turned 90 degrees. Its
+points are projected onto that line, and the sorted projections split
+into runs at gaps over RUN_GAP_M; every run at least MIN_RUN_M long is a
+segment. All patches are handled at once by one sort on (patch, along),
+and the per-patch loop of `tests/scalar_frontend.py` gives the same
+endpoints bit for bit. Near-collinear segments with close endpoints are
+chained by connected components and refit by total least squares.
+Corners are intersections of extended non-parallel segments, all pairs
+tested at once as arrays, then deduplicated by greedy non-maximum
+suppression on combined support length; they match the per-pair loop of
+`tests/scalar_frontend.py` bit for bit.
 
 Segments are (S, 2, 2) arrays of [p0, p1] rows in meters throughout;
 `sqrt(vecdot(d, d))` rounds lengths and directions as `np.linalg.norm`
-does. Both rasterizers check their cell count in floats before
-allocating, and the Hough transform its accumulator's in ints.
+does. The segment rasterizer, which the score field uses, checks its
+cell count in floats before allocating.
 """
 
 from dataclasses import dataclass
@@ -28,18 +29,16 @@ from .graph import connected_groups
 
 # largest segment raster; the biggest generated floor needs 131,835 cells
 MAX_RASTER_CELLS = 2**26
-# largest point raster; admits a 200 m x 200 m submap at 60 px/m
-MAX_POINT_RASTER_CELLS = 2**28
-# largest Hough accumulator (int64, 512 MiB); admits the default 180
-# theta bins on any raster up to about 3 km across at 60 px/m
-MAX_HOUGH_CELLS = 2**26
+# a wall run breaks where consecutive points along it lie further apart
+RUN_GAP_M = 0.5
+# shortest wall run kept as a segment
+MIN_RUN_M = 1.0
 
 __all__ = [
     "BevRaster",
     "Corners",
-    "rasterize_points",
+    "patch_segments",
     "rasterize_segments",
-    "detect_segments",
     "merge_refit",
     "extract_corners",
 ]
@@ -52,9 +51,6 @@ class BevRaster:
     grid: np.ndarray  # (nx, ny) bool
     origin: np.ndarray  # (2,) meters, lower corner of cell (0, 0)
     scale: float  # px per meter
-
-    def m_of(self, points_px: np.ndarray) -> np.ndarray:
-        return np.asarray(points_px, dtype=np.float64) / self.scale + self.origin
 
 
 @dataclass
@@ -82,18 +78,6 @@ def _bounds(points_m: np.ndarray, pad_px: int, scale: float, max_cells: int):
             "a %g x %g raster at %g px/m exceeds %d cells" % (shape[0], shape[1], scale, max_cells)
         )
     return lo.astype(np.int64) - pad_px, hi.astype(np.int64) + pad_px + 1
-
-
-def rasterize_points(points_xy: np.ndarray, scale: float, pad_px: int = 2) -> BevRaster:
-    """Raster marking every cell that holds a point; ValueError past MAX_POINT_RASTER_CELLS."""
-    pts = np.asarray(points_xy, dtype=np.float64).reshape(-1, 2)
-    if pts.shape[0] == 0:
-        raise EmptyGrid("no points to rasterize")
-    lo, hi = _bounds(pts, pad_px, scale, MAX_POINT_RASTER_CELLS)
-    grid = np.zeros((int(hi[0] - lo[0]), int(hi[1] - lo[1])), dtype=bool)
-    ij = np.floor(pts * scale).astype(np.int64) - lo
-    grid[ij[:, 0], ij[:, 1]] = True
-    return BevRaster(grid, lo / scale, scale)
 
 
 def _traverse_cells(p0: np.ndarray, p1: np.ndarray) -> List[Tuple[int, int]]:
@@ -146,100 +130,32 @@ def rasterize_segments(segments: np.ndarray, scale: float, pad_px: int = 2) -> B
     return BevRaster(grid, lo / scale, scale)
 
 
-def detect_segments(
-    raster: BevRaster,
-    l_min_px: int = 30,
-    gap_px: float = 5.0,
-    band_px: float = 5.0,
-    theta_bins: int = 180,
+def patch_segments(
+    points_xy: np.ndarray, label: np.ndarray, centroid_xy: np.ndarray, normal_xy: np.ndarray
 ) -> np.ndarray:
-    """Hough peaks -> greedy pixel claiming -> gap-split runs -> TLS refit.
+    """Runs of points along each patch's line, as (S, 2, 2) segments in meters.
 
-    Returns (S, 2, 2) endpoints in meters. Peaks need l_min_px votes in a
-    1 px rho bin and are visited by votes, then theta, then rho. A peak
-    claims the unclaimed pixels within band_px of its line, split into
-    runs at gaps over gap_px along it; runs shorter than l_min_px are
-    dropped. A claimed run's votes leave the accumulator, so a peak it
-    drops below l_min_px is skipped.
-
-    Raises ValueError when the accumulator would exceed MAX_HOUGH_CELLS.
+    Point i belongs to patch label[i]; patch k's line runs through
+    centroid_xy[k] along normal_xy[k] turned 90 degrees, and every
+    normal_xy row must be non-zero. Each point is projected onto its
+    patch's line; a patch's projections split into runs at gaps over
+    RUN_GAP_M, and a run spanning at least MIN_RUN_M becomes the segment
+    between its extreme projections. Segments come out by patch, then
+    along the line.
     """
-    diag = int(np.ceil(np.hypot(*raster.grid.shape))) + 2
-    n_rho = 2 * diag
-    # checked in Python ints, before np.arange(theta_bins) and the allocation
-    if int(theta_bins) * n_rho > MAX_HOUGH_CELLS:
-        raise ValueError(
-            "theta_bins = %d over a %d x %d raster exceeds %d accumulator cells"
-            % (theta_bins, raster.grid.shape[0], raster.grid.shape[1], MAX_HOUGH_CELLS)
-        )
-    occupied = np.flatnonzero(raster.grid)
-    if occupied.shape[0] == 0:
-        raise EmptyGrid("empty raster")
-    px = np.empty((occupied.shape[0], 2))
-    px[:, 0], px[:, 1] = divmod(occupied, raster.grid.shape[1])
-    px += 0.5  # pixel centers
-    x, y = px[:, 0].copy(), px[:, 1].copy()
-
-    thetas = np.arange(theta_bins) * np.pi / theta_bins
-    cos_t, sin_t = np.cos(thetas), np.sin(thetas)
-
-    # accumulator rows of rint(x cos + y sin) + diag, theta-major, filled
-    # one theta at a time through reused buffers
-    acc = np.empty(theta_bins * n_rho, dtype=np.int64)
-    rows = acc.reshape(theta_bins, n_rho)
-    rho, tmp = np.empty_like(x), np.empty_like(x)
-    bins = np.empty(x.shape[0], dtype=np.intp)
-    for t in range(theta_bins):
-        np.multiply(x, cos_t[t], out=rho)
-        np.multiply(y, sin_t[t], out=tmp)
-        np.add(rho, tmp, out=rho)
-        np.rint(rho, out=rho)
-        rho += diag
-        bins[:] = rho
-        rows[t] = np.bincount(bins, minlength=n_rho)
-    cell_base = (np.arange(theta_bins) * n_rho + diag)[:, None]
-
-    def cells(run):
-        """Flat accumulator cells of the run's pixels, (theta_bins, len(run))."""
-        c = cos_t[:, None] * x[run]
-        c += sin_t[:, None] * y[run]
-        np.rint(c, out=c)
-        c += cell_base
-        return c.astype(np.intp)
-
-    # strongest first; flat-ascending peaks break vote ties by (theta, rho)
-    peaks = np.flatnonzero(acc >= l_min_px)
-    peaks = peaks[np.argsort(-acc[peaks], kind="stable")]
-
-    claimed = np.zeros(x.shape[0], dtype=bool)
-    n_unclaimed = x.shape[0]
-    ends_px = []
-    while peaks.shape[0] and n_unclaimed >= l_min_px:
-        t, r = divmod(int(peaks[0]), n_rho)
-        peaks = peaks[1:]
-        band = np.abs(x * cos_t[t] + y * sin_t[t] - (r - diag)) <= band_px
-        idx = np.flatnonzero(band & ~claimed)
-        if idx.shape[0] < l_min_px:
-            continue
-        # split claimed pixels into runs along the line direction
-        along = -x[idx] * sin_t[t] + y[idx] * cos_t[t]
-        srt = np.argsort(along)
-        idx, along = idx[srt], along[srt]
-        run_starts = np.concatenate([[0], np.nonzero(np.diff(along) > gap_px)[0] + 1])
-        run_ends = np.concatenate([run_starts[1:], [along.shape[0]]])
-        for a, b in zip(run_starts, run_ends):
-            run = idx[a:b]
-            if along[b - 1] - along[a] < l_min_px:
-                continue
-            claimed[run] = True
-            n_unclaimed -= run.shape[0]
-            np.subtract.at(acc, cells(run).reshape(-1), 1)
-            seg = _tls_segment(px[run])
-            if seg is not None:
-                ends_px.append(seg)
-        # drop the pending peaks that claimed runs took below l_min_px
-        peaks = peaks[acc[peaks] >= l_min_px]
-    return raster.m_of(np.reshape(ends_px, (-1, 2, 2)))
+    n = np.asarray(normal_xy, dtype=np.float64)
+    u = np.stack([-n[:, 1], n[:, 0]], axis=1) / np.hypot(n[:, 0], n[:, 1])[:, None]
+    c = np.asarray(centroid_xy, dtype=np.float64)
+    d = np.asarray(points_xy, dtype=np.float64) - c[label]
+    t = d[:, 0] * u[label, 0] + d[:, 1] * u[label, 1]
+    order = np.lexsort((t, label))
+    k, t = label[order], t[order]
+    first = np.ones(t.shape[0], dtype=bool)
+    first[1:] = (k[1:] != k[:-1]) | (t[1:] - t[:-1] > RUN_GAP_M)
+    start, end = np.flatnonzero(first), np.flatnonzero(np.roll(first, -1))
+    keep = t[end] - t[start] >= MIN_RUN_M
+    k, ts = k[start[keep]], np.stack([t[start[keep]], t[end[keep]]], axis=1)
+    return c[k][:, None, :] + ts[:, :, None] * u[k][:, None, :]
 
 
 def _tls_segment(points: np.ndarray):

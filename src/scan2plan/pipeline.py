@@ -19,7 +19,7 @@ from .descriptors import DescriptorDB, Triplets, build_db, build_triplets, query
 from .errors import EmptyGrid, EmptyModel, EmptyScene, EmptySubmap, InvalidModel, InvalidSubmap, NoCandidates
 from .geometry import Se2Pose, pose_errors, registration_success
 from .ingest import Submap, WallModel, load_pose, load_submap
-from .lines import Corners, detect_segments, extract_corners, merge_refit, rasterize_points
+from .lines import Corners, extract_corners, merge_refit, patch_segments
 from .planes import classify_patches, merge_patches, segment_planes
 from .verify import ScoreField, build_score_field, reliability_curve, select_best
 from .voting import cast_votes, hierarchical_vote
@@ -106,11 +106,20 @@ def build_floor_index(model: WallModel, cfg: PipelineConfig, db: Optional[Descri
 def extract_submap_features(submap: Submap, cfg: PipelineConfig) -> SubmapFeatures:
     """Submap -> wall corners, descriptor DB, and scoring point sets.
 
-    Raises EmptyGrid when no wall surface survives segmentation and
-    InvalidSubmap when the points span too many octree cells for int64,
-    too large a wall raster or too large a Hough accumulator.
+    Wall segments are the point runs along each wall patch's line
+    (`lines.patch_segments`). Raises EmptyGrid when no wall surface
+    survives segmentation, and InvalidSubmap when gravity lies more than
+    gravity_tol_deg from the z axis (the bird's-eye view looks down z)
+    or when the points span too many octree cells for int64.
     """
     timings: Dict[str, float] = {}
+    # normalized as classify_patches does, so a vertical normal is ground
+    g = submap.gravity / np.linalg.norm(submap.gravity)
+    if abs(g[2]) < np.cos(np.radians(cfg.gravity_tol_deg)):
+        raise InvalidSubmap(
+            "gravity %s lies more than gravity_tol_deg = %g degrees from the z axis"
+            % (np.array2string(submap.gravity, precision=6), cfg.gravity_tol_deg)
+        )
 
     t0 = time.perf_counter()
     points = submap.points
@@ -129,14 +138,12 @@ def extract_submap_features(submap: Submap, cfg: PipelineConfig) -> SubmapFeatur
     t0 = time.perf_counter()
     if walls.shape[0] == 0:
         raise EmptyGrid("no wall patches in submap")
-    try:
-        raster = rasterize_points(points[patches.mask(walls), :2], cfg.s_i)
-    except ValueError as exc:  # s_i > 0 is validated, so only the extent is left
-        raise InvalidSubmap("submap too large for its wall raster: %s" % (exc,)) from None
-    try:
-        segments = detect_segments(raster, cfg.l_min_px, cfg.gap_px, cfg.band_px, cfg.theta_bins)
-    except ValueError as exc:  # theta_bins > 0 is validated, so only the size is left
-        raise InvalidSubmap("Hough accumulator too large: %s" % (exc,)) from None
+    rows = patches.mask(walls)
+    # walls is ascending, so searchsorted numbers each row's wall 0..W-1
+    segments = patch_segments(
+        points[rows, :2], np.searchsorted(walls, patches.label[rows]),
+        patches.centroid[walls, :2], patches.normal[walls, :2],
+    )
     segments = merge_refit(segments, cfg.endpoint_tol_m, cfg.angle_tol_deg)
     corners = extract_corners(segments, cfg.extend_m, cfg.nms_radius_m, cfg.min_angle_deg)
     timings["lines"] = (time.perf_counter() - t0) * 1e3

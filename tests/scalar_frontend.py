@@ -2,11 +2,10 @@
 
 The octree segmentation that copies point blocks into each patch object,
 the union-find patch merge and segment chaining, the per-patch gravity
-classification, the Hough detector with a full `(P, theta_bins)` rho
-table and one accumulator-sized `bincount` per claimed run, the corner
-loop over segment pairs that builds one `Corner` per intersection, and
-the ground mask that hashes every point's bytes. Segments here are
-`LineSegment2` lists.
+classification, the wall runs cut one patch at a time from that patch's
+own copied points, the corner loop over segment pairs that builds one
+`Corner` per intersection, and the ground mask that hashes every
+point's bytes. Segments here are `LineSegment2` lists.
 The package's array front end must reproduce these bit for bit;
 `test_frontend_oracle.py` checks that. Patches here carry `points` and
 their cell's raw moments, the package's `Patches` label each row of the
@@ -20,9 +19,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from scan2plan.errors import EmptyGrid
 from scan2plan.geometry import LineSegment2
-from scan2plan.lines import BevRaster
+from scan2plan.lines import MIN_RUN_M, RUN_GAP_M
 
 EIGENVALUE_FLOOR = 1e-12
 MIN_CELL_POINTS = 4
@@ -245,73 +243,25 @@ def classify_patches(
     return walls, ground, other
 
 
-def detect_segments(
-    raster: BevRaster,
-    l_min_px: int = 30,
-    gap_px: float = 5.0,
-    band_px: float = 5.0,
-    theta_bins: int = 180,
+def patch_segments(
+    walls: Sequence[PlanarPatch], gap_m: float = RUN_GAP_M, min_run_m: float = MIN_RUN_M
 ) -> List[LineSegment2]:
-    """Hough peaks -> greedy pixel claiming -> gap-split runs -> TLS refit.
+    """Point runs along each wall patch's line, one patch at a time.
 
-    Returns segments in meters. Peaks need l_min_px votes in a 1 px rho
-    bin; runs shorter than l_min_px are dropped.
+    A patch's line runs through its centroid's xy along its normal's xy
+    part turned 90 degrees. Its points' projections are sorted, split at
+    gaps over gap_m, and every run spanning at least min_run_m is emitted.
     """
-    if not np.any(raster.grid):
-        raise EmptyGrid("empty raster")
-    px = np.argwhere(raster.grid).astype(np.float64) + 0.5  # pixel centers
-
-    thetas = np.arange(theta_bins) * np.pi / theta_bins
-    cos_t, sin_t = np.cos(thetas), np.sin(thetas)
-    diag = int(np.ceil(np.hypot(*raster.grid.shape))) + 2
-
-    rho_all = px[:, 0][:, None] * cos_t[None, :] + px[:, 1][:, None] * sin_t[None, :]
-    acc = np.empty((theta_bins, 2 * diag), dtype=np.int64)
-    rho_idx = np.round(rho_all).astype(np.int64) + diag
-    for t in range(theta_bins):
-        acc[t] = np.bincount(rho_idx[:, t], minlength=2 * diag)
-
-    t_bin, r_bin = np.nonzero(acc >= l_min_px)
-    votes = acc[t_bin, r_bin]
-    order = np.lexsort((r_bin, t_bin, -votes))
-
-    # claims decrement the accumulator so exhausted peaks drop out in O(1)
-    acc_flat = acc.reshape(-1)
-    theta_base = np.arange(theta_bins) * (2 * diag)
-
-    claimed = np.zeros(px.shape[0], dtype=bool)
-    n_unclaimed = px.shape[0]
     segments: List[LineSegment2] = []
-    for k in order:
-        if n_unclaimed < l_min_px:
-            break
-        t, r = t_bin[k], r_bin[k]
-        if acc[t, r] < l_min_px:
-            continue
-        dist = np.abs(rho_all[:, t] - (r - diag))
-        band = (dist <= band_px) & ~claimed
-        if int(np.sum(band)) < l_min_px:
-            continue
-        idx = np.nonzero(band)[0]
-        # split claimed pixels into runs along the line direction
-        along = -px[idx, 0] * sin_t[t] + px[idx, 1] * cos_t[t]
-        srt = np.argsort(along)
-        idx, along = idx[srt], along[srt]
-        run_starts = np.concatenate([[0], np.nonzero(np.diff(along) > gap_px)[0] + 1])
-        run_ends = np.concatenate([run_starts[1:], [along.shape[0]]])
-        for a, b in zip(run_starts, run_ends):
-            run = idx[a:b]
-            if along[b - 1] - along[a] < l_min_px:
-                continue
-            claimed[run] = True
-            n_unclaimed -= run.shape[0]
-            lin = (theta_base[None, :] + rho_idx[run]).reshape(-1)
-            acc_flat -= np.bincount(lin, minlength=acc_flat.shape[0])
-            seg = _tls_segment(px[run])
-            if seg is not None:
-                segments.append(
-                    LineSegment2(raster.m_of(seg[0]), raster.m_of(seg[1]))
-                )
+    for p in walls:
+        c = p.centroid[:2]
+        u = np.array([-p.normal[1], p.normal[0]]) / np.hypot(p.normal[0], p.normal[1])
+        d = p.points[:, :2] - c
+        t = d[:, 0] * u[0] + d[:, 1] * u[1]
+        t = t[np.argsort(t)]
+        for run in np.split(t, np.flatnonzero(np.diff(t) > gap_m) + 1):
+            if run[-1] - run[0] >= min_run_m:
+                segments.append(LineSegment2(c + run[0] * u, c + run[-1] * u))
     return segments
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,8 +13,9 @@ from scan2plan.cli import main
 from scan2plan.config import PipelineConfig, make_config
 from scan2plan.descriptors import build_triplets
 from scan2plan.geometry import Se2Pose, registration_success
-from scan2plan.ingest import load_pose, load_wall_models
+from scan2plan.ingest import Submap, load_pose, load_wall_models
 from scan2plan.lines import extract_corners
+from scan2plan.pipeline import extract_submap_features
 
 UNIT_SQUARE = "0 0 1 0\n1 0 1 1\n1 1 0 1\n0 1 0 0\n"
 
@@ -348,7 +350,9 @@ def test_config_file_with_removed_key_exit_code(tmp_path, capsys):
     plan = tmp_path / "sq.txt"
     plan.write_text(UNIT_SQUARE)
     cfgf = tmp_path / "run.cfg"
-    for line in ("threads = 1", "variant = osc"):
+    removed = ("threads = 1", "variant = osc", "s_i = 60.0", "l_min_px = 30", "gap_px = 5.0", "band_px = 5.0",
+               "theta_bins = 180")
+    for line in removed:
         cfgf.write_text(line + "\n")
         code = main(["register", "--submap", str(tmp_path / "none.submap"), "--model", str(plan),
                      "--config", str(cfgf)])
@@ -430,17 +434,45 @@ def test_register_far_point_exit_code(tmp_path, capsys):
 
 
 def test_register_far_copy_exit_code(tmp_path, capsys):
-    # a copy of the scan shifted by (1e5, 1e5) m: the octree fits, but the
-    # wall raster would be ~7e13 cells
+    # a copy of the scan shifted by (1e5, 1e5) m: no stage allocates by
+    # the points' extent, so it registers like any scan
     plan, scenes, db = _gen(tmp_path, capsys)
     raw = (scenes / "scene_0000.submap").read_bytes()
+    gravity = np.frombuffer(raw, dtype="<f4", count=3, offset=4)
     pts = np.frombuffer(raw, dtype="<f4", offset=20).reshape(-1, 3)
-    far = np.vstack([pts, pts + np.array([1e5, 1e5, 0.0], dtype="<f4")])
     bad = tmp_path / "far_copy.submap"
-    _write_submap(bad, np.frombuffer(raw, dtype="<f4", count=3, offset=4), far)
+    _write_submap(bad, gravity, np.vstack([pts, pts + np.array([1e5, 1e5, 0.0], dtype="<f4")]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["register", "--submap", str(bad), "--model", str(plan), "--db", str(db)])
+    assert code in (0, 3)
+    assert "best " in capsys.readouterr().out
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    # the front end's memory does not grow with the distance between the copies
+    peaks = []
+    for shift in (1e3, 1e5):
+        far = np.vstack([pts, pts + np.array([shift, shift, 0.0], dtype="<f4")]).astype(float)
+        tracemalloc.start()
+        extract_submap_features(Submap(far, gravity.astype(float)), PipelineConfig())
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
+@pytest.mark.parametrize("tilt_deg, codes", [(20.0, (2,)), (10.0, (0, 3))], ids=["20deg", "10deg"])
+def test_register_tilted_gravity_exit_code(tmp_path, capsys, tilt_deg, codes):
+    # the bird's-eye front end looks down z: gravity past gravity_tol_deg
+    # (15 degrees) from it is rejected, a smaller tilt still registers
+    plan, scenes, db = _gen(tmp_path, capsys)
+    raw = (scenes / "scene_0000.submap").read_bytes()
+    a = np.radians(tilt_deg)
+    bad = tmp_path / "tilted.submap"
+    bad.write_bytes(raw[:4] + np.array([np.sin(a), 0.0, -np.cos(a)], dtype="<f4").tobytes() + raw[16:])
     code = main(["register", "--submap", str(bad), "--model", str(plan), "--db", str(db)])
-    assert code == 2
-    assert "raster" in capsys.readouterr().err
+    assert code in codes
+    if code == 2:
+        err = capsys.readouterr().err
+        assert "gravity [" in err and "gravity_tol_deg = 15 degrees" in err
 
 
 @pytest.mark.parametrize(
@@ -464,15 +496,6 @@ def test_register_far_model_exit_code(tmp_path, capsys, walls):
     err = capsys.readouterr().err
     assert "floor far" in err and "raster" in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-
-
-def test_register_huge_theta_bins_exit_code(tmp_path, capsys):
-    # the Hough accumulator is counted before numpy sees 2**62 bins
-    plan, scenes, db = _gen(tmp_path, capsys)
-    code = main(["register", "--submap", str(scenes / "scene_0000.submap"), "--model", str(plan),
-                 "--db", str(db), "--theta_bins", "4611686018427387904"])
-    assert code == 2
-    assert "theta_bins = 4611686018427387904" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

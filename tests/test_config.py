@@ -18,8 +18,6 @@ from scan2plan.errors import ParseError
 def test_default_parameter_values():
     cfg = PipelineConfig()
     assert cfg.sigma_lambda == 10.0
-    assert cfg.s_i == 60.0
-    assert cfg.l_min_px == 30
     assert cfg.r_s == 0.5
     assert cfg.r_a == 3.0
     assert cfg.l_max == 30.0
@@ -57,7 +55,7 @@ def test_flag_overrides_beat_file(tmp_path):
 def test_unknown_key_rejected(tmp_path):
     # removed knobs are unknown too, not silently ignored
     p = tmp_path / "run.cfg"
-    for key in ("r_xz", "threads", "r_v", "d_s", "variant"):
+    for key in ("r_xz", "threads", "r_v", "d_s", "variant", "s_i", "l_min_px", "gap_px", "band_px", "theta_bins"):
         p.write_text("%s = 1\n" % (key,))
         with pytest.raises(ParseError, match="unknown config key"):
             make_config(file_path=p)
@@ -107,7 +105,7 @@ def test_positive_required():
 @pytest.mark.parametrize(
     "key, text",
     [("s_v", "nan"), ("lam", "nan"), ("min_confidence", "nan"), ("min_confidence", "-inf"),
-     ("s_i", "inf"), ("s_r", "nan"), ("residual_max_m", "inf")],
+     ("dist_tol_m", "inf"), ("s_r", "nan"), ("residual_max_m", "inf")],
 )
 def test_non_finite_rejected(tmp_path, key, text):
     with pytest.raises(ValueError, match=key):

@@ -1,16 +1,15 @@
 """Property tests: the array front end against the scalar oracle.
 
 `scalar_frontend` keeps the original front end: patches that copy their
-points, union-find merging and chaining, the per-patch gravity test, a
-Hough detector with the full rho table, the per-pair corner loop, and
-the byte-hash ground mask. Every comparison here is bitwise: patch rows,
+points, union-find merging and chaining, the per-patch gravity test,
+wall runs cut one patch at a time, the per-pair corner loop, and the
+byte-hash ground mask. Every comparison here is bitwise: patch rows,
 moments, planes and cell boxes; merged groups; patch classes; segment
 endpoints; corner positions, wall directions, support and order; the
 ground mask.
 Patch normals sit within a few ulp of the classification thresholds.
-Rasters mix random pixels with
-lines, vote ties (mirror-symmetric shapes), runs exactly l_min_px long
-and pixel centers exactly band_px from a peak's rho. Corner inputs put
+Wall runs hold gaps exactly RUN_GAP_M and one ulp over it, and runs
+exactly MIN_RUN_M long. Corner inputs put
 candidates exactly nms_radius_m apart, crossings exactly at the
 min_angle_deg sine, and intersections exactly extend_m past a wall end.
 """
@@ -23,7 +22,7 @@ from hypothesis import strategies as st
 from scan2plan.config import PipelineConfig
 from scan2plan.geometry import LineSegment2, Se2Pose
 from scan2plan.graph import connected_groups
-from scan2plan.lines import BevRaster, detect_segments, extract_corners, merge_refit, rasterize_points
+from scan2plan.lines import MIN_RUN_M, RUN_GAP_M, extract_corners, merge_refit, patch_segments
 from scan2plan.pipeline import extract_submap_features
 from scan2plan.planes import Patches, classify_patches, merge_patches, segment_planes
 from scan2plan.synthetic import generate_layout, synthesize_submap
@@ -47,67 +46,68 @@ def _assert_segments_match(got, want):
     assert _bits(got) == _bits(_ends(want))
 
 
-# --- rasters ---
+# --- wall runs ---
 
 
 @st.composite
-def rasters(draw):
-    nx, ny = draw(st.integers(8, 90)), draw(st.integers(8, 90))
-    grid = np.zeros((nx, ny), dtype=bool)
-    l_min = draw(st.sampled_from([4, 6, 10, 30]))
-    kind = draw(st.sampled_from(["lines", "exact_run", "ties", "single_line", "noise"]))
-    if kind == "exact_run":
-        # runs of exactly l_min and l_min - 1 px along x and y
-        i0, j0 = draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1))
-        grid[i0 : i0 + l_min + 1, j0] = True
-        grid[i0, j0 : j0 + l_min] = True
-    elif kind == "ties":
-        # a mirror-symmetric square outline: its sides tie in votes
-        c = draw(st.integers(3, min(nx, ny) // 2))
-        grid[c : nx - c, c] = grid[c : nx - c, ny - c - 1] = True
-        grid[c, c : ny - c] = grid[nx - c - 1, c : ny - c] = True
-    elif kind == "single_line":
-        # one straight run that claims every pixel
-        i0 = draw(st.integers(0, nx - 1))
-        grid[i0, :] = True
-    n_lines = draw(st.integers(0, 4)) if kind in ("lines", "noise") else draw(st.integers(0, 1))
-    for _ in range(n_lines):
-        a = np.array([draw(st.floats(0, nx - 1)), draw(st.floats(0, ny - 1))])
-        b = np.array([draw(st.floats(0, nx - 1)), draw(st.floats(0, ny - 1))])
-        t = np.linspace(0.0, 1.0, 4 * (nx + ny))
-        ij = np.floor(a + t[:, None] * (b - a)).astype(int)
-        grid[ij[:, 0], ij[:, 1]] = True
-    if kind == "noise":
-        seed = draw(st.integers(0, 2**16))
-        grid |= np.random.default_rng(seed).random((nx, ny)) < draw(st.sampled_from([0.02, 0.1, 0.3]))
-    if not grid.any():
-        grid[0, 0] = True
-    origin = np.array([draw(st.sampled_from([0.0, -1.5, 2.25])), draw(st.sampled_from([0.0, 3.75]))])
-    raster = BevRaster(grid, origin, draw(st.sampled_from([60.0, 20.0])))
-    params = dict(
-        l_min_px=l_min,
-        gap_px=draw(st.sampled_from([5.0, 2.0, 1.0])),
-        # a pixel center sits k + 0.5 px from an integer rho at theta 0
-        band_px=draw(st.sampled_from([5.0, 4.5, 2.5, 1.5, 0.5])),
-        theta_bins=draw(st.sampled_from([180, 90, 36, 7])),
+def wall_patches(draw):
+    """Oracle wall patches whose point runs sit at the gap and length limits.
+
+    A patch's points lie along its line at offsets built from steps of
+    exactly RUN_GAP_M, RUN_GAP_M + 2**-20 and multiples of 1/8 m, with
+    runs exactly MIN_RUN_M long cut off on both sides. Axis-aligned
+    normals and quarter-metre centroids keep those offsets exact in the
+    projections (for dyadic limits such as the defaults); angled normals,
+    random steps and off-line scatter exercise general rounding.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    over = RUN_GAP_M + 2.0**-20
+    k = int(np.ceil(MIN_RUN_M / RUN_GAP_M))
+    patches = []
+    for _ in range(draw(st.integers(0, 6))):
+        axis = draw(st.booleans())
+        if axis:
+            normal = np.array(draw(st.sampled_from([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])) + (0.0,))
+        else:
+            ang = draw(st.floats(0.0, 2 * np.pi))
+            normal = np.array([np.cos(ang), np.sin(ang), draw(st.sampled_from([0.0, 0.1]))])
+        centroid = np.array([draw(st.integers(-40, 40)) * 0.25, draw(st.integers(-40, 40)) * 0.25, 1.0])
+        steps = [draw(st.integers(-8, 8)) * 0.25]
+        for _ in range(draw(st.integers(0, 30))):
+            step = draw(st.sampled_from(["gap", "over", "run", "eighths", "random"]))
+            if step == "gap":
+                steps.append(RUN_GAP_M)
+            elif step == "over":
+                steps.append(over)
+            elif step == "run":
+                steps += [over] + [MIN_RUN_M / k] * k + [over]
+            elif step == "eighths" or axis:
+                steps.append(draw(st.integers(0, 12)) * 0.125)
+            else:
+                steps.append(draw(st.floats(0.0, 1.5)))
+        t = np.cumsum(steps)
+        u = np.array([-normal[1], normal[0]]) / np.hypot(normal[0], normal[1])
+        off = 0.0 if axis else rng.normal(scale=0.02, size=t.shape)
+        xy = centroid[:2] + t[:, None] * u + np.multiply.outer(off, normal[:2])
+        points = np.column_stack([xy, rng.uniform(0.0, 2.5, t.shape)])
+        patches.append(ref.PlanarPatch(points, t.shape[0], None, None, centroid, normal, None, None, None))
+    return patches, draw(st.integers(0, 2**16))
+
+
+@settings(SETTINGS, max_examples=200)
+@given(wall_patches())
+def test_patch_segments_matches_oracle(case):
+    patches, seed = case
+    label = np.repeat(np.arange(len(patches)), [p.points.shape[0] for p in patches])
+    pts = np.vstack([p.points for p in patches] + [np.zeros((0, 3))])
+    # rows in any order: the package sorts them by patch, then along the line
+    perm = np.random.default_rng(seed).permutation(label.shape[0])
+    got = patch_segments(
+        pts[perm, :2], label[perm],
+        np.array([p.centroid[:2] for p in patches]).reshape(-1, 2),
+        np.array([p.normal[:2] for p in patches]).reshape(-1, 2),
     )
-    return raster, params
-
-
-@SETTINGS
-@given(rasters())
-def test_detect_segments_matches_oracle(case):
-    raster, params = case
-    _assert_segments_match(detect_segments(raster, **params), ref.detect_segments(raster, **params))
-
-
-def test_all_claimed_raster_matches_oracle():
-    grid = np.zeros((40, 40), dtype=bool)
-    grid[5:35, 7] = True
-    raster = BevRaster(grid, np.zeros(2), 60.0)
-    got = detect_segments(raster, l_min_px=10)
-    assert len(got) == 1
-    _assert_segments_match(got, ref.detect_segments(raster, l_min_px=10))
+    _assert_segments_match(got, ref.patch_segments(patches))
 
 
 # --- segment chaining ---
@@ -391,8 +391,7 @@ def test_front_end_matches_oracle_on_scene():
     patches = ref.merge_patches(seg.patches, cfg.normal_tol_deg, cfg.dist_tol_m)
     walls, ground, _ = ref.classify_patches(patches, scene.submap.gravity, cfg.gravity_tol_deg)
     mask = ref._ground_mask(pts, ground)
-    raster = rasterize_points(np.concatenate([p.points[:, :2] for p in walls]), cfg.s_i)
-    segments = ref.detect_segments(raster, cfg.l_min_px, cfg.gap_px, cfg.band_px, cfg.theta_bins)
+    segments = ref.patch_segments(walls)
     segments = ref.merge_refit(segments, cfg.endpoint_tol_m, cfg.angle_tol_deg)
     corners = ref.extract_corners(segments, cfg.extend_m, cfg.nms_radius_m, cfg.min_angle_deg)
 

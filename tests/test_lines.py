@@ -1,4 +1,4 @@
-"""Raster, Hough segment and corner extraction tests."""
+"""Segment raster, wall runs from patches, and corner extraction tests."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,11 @@ import pytest
 from scan2plan.errors import EmptyGrid
 from scan2plan.geometry import Se2Pose
 from scan2plan.lines import (
-    MAX_POINT_RASTER_CELLS,
-    BevRaster,
-    _bounds,
-    detect_segments,
+    MIN_RUN_M,
+    RUN_GAP_M,
     extract_corners,
     merge_refit,
-    rasterize_points,
+    patch_segments,
     rasterize_segments,
 )
 
@@ -37,15 +35,27 @@ def _nearest_line_dist(p, seg):
     return abs(float((p - seg[0]) @ np.array([-d[1], d[0]])))
 
 
-# --- raster ---
+def _runs(walls_pts):
+    """patch_segments of point blocks, one patch each, fitted by PCA."""
+    label = np.repeat(np.arange(len(walls_pts)), [p.shape[0] for p in walls_pts])
+    centroid = np.array([p.mean(axis=0) for p in walls_pts])
+    normal = np.array([np.linalg.eigh(np.cov(p.T))[1][:, 0] for p in walls_pts])
+    return patch_segments(np.vstack(walls_pts), label, centroid, normal)
 
 
-def test_raster_marks_point_cells():
-    pts = np.array([[0.0, 0.0], [1.0, 2.0], [1.005, 2.005]])
-    r = rasterize_points(pts, scale=10.0)
-    assert r.grid.sum() == 2
-    ij = np.floor((np.array([1.0, 2.0]) - r.origin) * r.scale).astype(int)
-    assert r.grid[ij[0], ij[1]]
+def _sampled(segs, step=0.01):
+    """Points every `step` m along each wall, endpoints included."""
+    return [s[0] + np.linspace(0.0, 1.0, int(_length(s) / step) + 1)[:, None] * (s[1] - s[0]) for s in segs]
+
+
+def _along_y(ts, x=2.0):
+    """One patch of points at x, at offsets ts along y, with normal +x."""
+    ts = np.asarray(ts, dtype=float)
+    pts = np.column_stack([np.full(ts.shape, x), ts])
+    return patch_segments(pts, np.zeros(ts.shape[0], dtype=np.int64), np.array([[x, 0.0]]), np.array([[1.0, 0.0]]))
+
+
+# --- segment raster ---
 
 
 def test_segment_raster_is_connected():
@@ -64,68 +74,42 @@ def test_segment_raster_is_connected():
     assert np.all(r.grid[ij[:, 0], ij[:, 1]])
 
 
-def test_point_raster_cap_admits_200_m_submap():
-    # checked through the bounds alone: the raster would be 1.44e8 cells
-    pts = np.array([[0.0, 0.0], [200.0, 200.0]])
-    lo, hi = _bounds(pts, 2, S_I, MAX_POINT_RASTER_CELLS)
-    assert np.prod(hi - lo) == 12005**2
-    with pytest.raises(ValueError, match="raster"):
-        rasterize_points(pts * 10.0, scale=S_I)
-
-
 def test_empty_raster_raises():
     with pytest.raises(EmptyGrid):
-        rasterize_points(np.zeros((0, 2)), scale=S_I)
+        rasterize_segments(np.zeros((0, 2, 2)), scale=S_I)
 
 
-# --- Hough detection ---
-
-
-def test_hough_accumulator_cap(monkeypatch):
-    r = BevRaster(np.ones((5, 5), dtype=bool), np.zeros(2), 1.0)
-    # counted in Python ints: 2**62 bins never reach np.arange
-    with pytest.raises(ValueError, match="theta_bins = %d" % 2**62):
-        detect_segments(r, theta_bins=2**62)
-    # 180 theta bins x 2 * (ceil(hypot(5, 5)) + 2) rho bins = 3600 cells
-    monkeypatch.setattr("scan2plan.lines.MAX_HOUGH_CELLS", 3600)
-    detect_segments(r, l_min_px=3)
-    monkeypatch.setattr("scan2plan.lines.MAX_HOUGH_CELLS", 3599)
-    with pytest.raises(ValueError, match="theta_bins = 180 over a 5 x 5 raster"):
-        detect_segments(r, l_min_px=3)
+# --- wall runs from patches ---
 
 
 def test_detects_single_wall_endpoints():
     seg = _seg(1.0, 2.0, 7.0, 5.0)
-    r = rasterize_segments([seg], scale=S_I)
-    found = detect_segments(r)
+    found = _runs(_sampled([seg]))
     assert found.shape == (1, 2, 2)
     ends = sorted(found[0], key=lambda p: p[0])
     true = sorted(seg, key=lambda p: p[0])
     for got, want in zip(ends, true):
-        assert np.linalg.norm(got - want) < 3.0 / S_I
+        assert np.linalg.norm(got - want) < 1e-9
 
 
 def test_perpendicular_walls_give_two_segments():
     segs = [_seg(0.0, 0.0, 5.0, 0.0), _seg(0.0, 0.0, 0.0, 4.0)]
-    r = rasterize_segments(segs, scale=S_I)
-    found = detect_segments(r)
+    found = _runs(_sampled(segs))
     assert len(found) == 2
     angles = sorted(abs(float(_direction(f) @ np.array([1.0, 0.0]))) for f in found)
     assert angles[0] < 0.05 and angles[1] > 0.95
 
 
 def test_short_wall_dropped():
-    segs = [_seg(0.0, 0.0, 5.0, 0.0), _seg(2.0, 1.0, 2.3, 1.0)]  # 18 px < 30
-    r = rasterize_segments(segs, scale=S_I)
-    found = detect_segments(r)
+    segs = [_seg(0.0, 0.0, 5.0, 0.0), _seg(2.0, 1.0, 2.3, 1.0)]  # 0.3 m < MIN_RUN_M
+    found = _runs(_sampled(segs))
     assert len(found) == 1
     assert _length(found[0]) > 4.5
 
 
 def test_parallel_walls_stay_apart():
     segs = [_seg(0.0, 0.0, 6.0, 0.0), _seg(0.0, 3.0, 6.0, 3.0)]
-    r = rasterize_segments(segs, scale=S_I)
-    found = detect_segments(r)
+    found = _runs(_sampled(segs))
     assert len(found) == 2
     ys = sorted(0.5 * (f[0, 1] + f[1, 1]) for f in found)
     assert abs(ys[0] - 0.0) < 0.05 and abs(ys[1] - 3.0) < 0.05
@@ -137,16 +121,39 @@ def test_detection_from_noisy_points():
     pts = []
     for w in walls:
         t = rng.uniform(0.0, 1.0, int(_length(w) * 250))
-        pts.append(w[0] + t[:, None] * (w[1] - w[0]))
-    pts = np.vstack(pts) + rng.normal(scale=0.03, size=(sum(p.shape[0] for p in pts), 2))
-    r = rasterize_points(pts, scale=S_I)
-    found = merge_refit(detect_segments(r))
+        pts.append(w[0] + t[:, None] * (w[1] - w[0]) + rng.normal(scale=0.03, size=(t.shape[0], 2)))
+    found = merge_refit(_runs(pts))
     assert len(found) == 3
     for f in found:
         d = min(
             max(_nearest_line_dist(f[0], w), _nearest_line_dist(f[1], w)) for w in walls
         )
         assert d < 0.08
+
+
+def test_gap_over_the_limit_splits_a_run():
+    # offsets are exact binary fractions: each gap is exactly what it reads
+    under = RUN_GAP_M - 2.0**-20
+    for gap, n in ((under, 1), (RUN_GAP_M, 1), (RUN_GAP_M + 2.0**-20, 2)):
+        ts = np.concatenate([np.linspace(0.0, 2.0, 17), 2.0 + gap + np.linspace(0.0, 2.0, 17)])
+        found = _along_y(ts)
+        assert len(found) == n, gap
+        assert found[0, 0, 1] == 0.0 and found[-1, 1, 1] == 4.0 + gap
+
+
+def test_run_exactly_min_run_is_kept():
+    k = int(np.ceil(MIN_RUN_M / RUN_GAP_M))
+    ts = np.arange(k + 1) * (MIN_RUN_M / k)
+    found = _along_y(ts)
+    assert found.shape == (1, 2, 2)
+    assert found[0, 1, 1] - found[0, 0, 1] == MIN_RUN_M
+    assert np.array_equal(found[0, :, 0], [2.0, 2.0])
+    assert len(_along_y(ts * (1.0 - 2.0**-20))) == 0
+
+
+def test_patch_segments_of_no_points_is_empty():
+    none = np.zeros((0, 2))
+    assert patch_segments(none, np.zeros(0, dtype=np.int64), none, none).shape == (0, 2, 2)
 
 
 # --- merge ---
