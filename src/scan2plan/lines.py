@@ -4,9 +4,9 @@ A wall patch's plane is a 2-D line in the bird's-eye view: through its
 centroid's xy, along the xy part of its normal turned 90 degrees. Its
 points are projected onto that line, and the sorted projections split
 into runs at gaps over RUN_GAP_M; every run at least MIN_RUN_M long is a
-segment. All patches are handled at once by one sort on (patch, along),
-and the per-patch loop of `tests/scalar_frontend.py` gives the same
-endpoints bit for bit. Near-collinear segments with close endpoints are
+segment. All patches are handled at once by two stable sorts, along the
+line and then by patch, and the per-patch loop of
+`tests/scalar_frontend.py` gives the same endpoints bit for bit. Near-collinear segments with close endpoints are
 chained by connected components and refit by total least squares.
 Corners are intersections of extended non-parallel segments, all pairs
 tested at once as arrays, then deduplicated by greedy non-maximum
@@ -148,7 +148,10 @@ def patch_segments(
     c = np.asarray(centroid_xy, dtype=np.float64)
     d = np.asarray(points_xy, dtype=np.float64) - c[label]
     t = d[:, 0] * u[label, 0] + d[:, 1] * u[label, 1]
-    order = np.lexsort((t, label))
+    # by patch, then along the line: two stable sorts, the second on the
+    # narrowest patch type, which numpy radix-sorts up to 16 bits
+    order = np.argsort(t, kind="stable")
+    order = order[np.argsort(label[order].astype(np.min_scalar_type(c.shape[0])), kind="stable")]
     k, t = label[order], t[order]
     first = np.ones(t.shape[0], dtype=bool)
     first[1:] = (k[1:] != k[:-1]) | (t[1:] - t[:-1] > RUN_GAP_M)

@@ -131,18 +131,20 @@ def extract_submap_features(submap: Submap, cfg: PipelineConfig) -> SubmapFeatur
     patches = merge_patches(patches, cfg.normal_tol_deg, cfg.dist_tol_m)
     walls, ground, _ = classify_patches(patches, submap.gravity, cfg.gravity_tol_deg)
     g_mask = patches.mask(ground)
-    q_g_xy = points[g_mask][:, :2]
-    q_ng_xy = points[~g_mask][:, :2]
+    q_g_xy = points[g_mask, :2]
+    q_ng_xy = points[~g_mask, :2]
     timings["planes"] = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()
     if walls.shape[0] == 0:
         raise EmptyGrid("no wall patches in submap")
-    rows = patches.mask(walls)
-    # walls is ascending, so searchsorted numbers each row's wall 0..W-1
+    # each row's wall 0..W-1, -1 off the walls; label -1 reads the last slot
+    wall_of = np.full(len(patches) + 1, -1, dtype=np.int64)
+    wall_of[walls] = np.arange(walls.shape[0])
+    row_wall = wall_of[patches.label]
+    rows = row_wall >= 0
     segments = patch_segments(
-        points[rows, :2], np.searchsorted(walls, patches.label[rows]),
-        patches.centroid[walls, :2], patches.normal[walls, :2],
+        points[rows, :2], row_wall[rows], patches.centroid[walls, :2], patches.normal[walls, :2],
     )
     segments = merge_refit(segments, cfg.endpoint_tol_m, cfg.angle_tol_deg)
     corners = extract_corners(segments, cfg.extend_m, cfg.nms_radius_m, cfg.min_angle_deg)

@@ -240,8 +240,15 @@ def test_extract_corners_matches_oracle(case):
 # --- planes and the ground mask ---
 
 
+# at every sampled s_v, a block this far off gives level 0 over 2**16
+# cells, so the octree sorts wide keys by timsort rather than radix sort
+FAR_M = 600.0
+
+
 @st.composite
-def point_sets(draw):
+def point_sets(draw, far=False):
+    """Planar and blob blocks in shuffled row order; with `far`, the last
+    of several blocks sometimes lies FAR_M off along x and y."""
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     blocks = []
     for _ in range(draw(st.integers(1, 5))):
@@ -263,6 +270,8 @@ def point_sets(draw):
             p = rng.normal(scale=0.5, size=(n, 3))
         p = p + off + rng.normal(scale=draw(st.sampled_from([0.0, 0.005, 0.03])), size=p.shape)
         blocks.append(p)
+    if far and len(blocks) > 1 and draw(st.booleans()):
+        blocks[-1] = blocks[-1] + np.array([FAR_M, FAR_M, 0.0])
     pts = np.vstack(blocks)
     if draw(st.booleans()):  # bit-identical duplicates of some rows
         pts = np.vstack([pts, pts[rng.integers(0, pts.shape[0], 20)]])
@@ -295,8 +304,17 @@ def _positions(groups, patches):
     return [[at[id(p)] for p in group] for group in groups]
 
 
+def _far_floors():
+    """Two noisy 3 m floors FAR_M apart along x and y."""
+    rng = np.random.default_rng(7)
+    a = np.column_stack([rng.uniform(0.0, 3.0, (200, 2)), rng.normal(scale=0.005, size=200)])
+    return np.vstack([a, a[::-1] + np.array([FAR_M, FAR_M, 0.0])])
+
+
 @SETTINGS
-@given(point_sets(), st.sampled_from([2.0, 1.0, 0.5]), st.sampled_from([10.0, 3.0]))
+@given(point_sets(far=True), st.sampled_from([2.0, 1.0, 0.5]), st.sampled_from([10.0, 3.0]))
+@example(_far_floors(), 2.0, 10.0)
+@example(_far_floors(), 0.5, 3.0)
 def test_planes_and_ground_mask_match_oracle(pts, s_v, sigma):
     seg = segment_planes(pts, s_v, sigma)
     want = ref.segment_planes(pts, s_v, sigma)

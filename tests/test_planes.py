@@ -1,11 +1,13 @@
 """Plane segmentation tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from scan2plan.geometry import Se2Pose
 from scan2plan.planes import classify_patches, merge_patches, segment_planes
-from scan2plan.synthetic import generate_layout, synthesize_submap
+from scan2plan.synthetic import generate_layout, random_interior_pose, synthesize_submap
 
 GRAVITY = np.array([0.0, 0.0, -1.0])
 
@@ -140,6 +142,24 @@ def test_cell_key_overflow_raises():
     pts = np.vstack([_grid_plane(0.0, 1.0, 0.0, 1.0, 0.0, step=0.25), [[1e6, 1e6, 1e6]]])
     with pytest.raises(ValueError):
         segment_planes(pts, s_v=1e-3)
+
+
+def test_segmentation_peak_memory_on_a4_scene():
+    # the octree works column by column: no (N, 3) float temporaries and
+    # no (N, 3) int key array, so its peak stays near two point arrays
+    layout = generate_layout(seed=21, n_rooms=12, corridor=True, extent_m=48.0)
+    gt = random_interior_pose(layout, np.random.default_rng(9000))
+    points = synthesize_submap(
+        layout.wall_model, gt, radius_m=15.0, noise_sigma_m=0.03,
+        drop_wall_frac=0.2, clutter_frac=0.1, seed=9000,
+    ).submap.points
+    tracemalloc.start()
+    try:
+        segment_planes(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * points.nbytes, (peak, points.nbytes)
 
 
 def test_empty_input():
