@@ -25,7 +25,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import EmptyGrid
-from .graph import connected_groups
+from .graph import connected_labels
 
 # largest segment raster; the biggest generated floor needs 131,835 cells
 MAX_RASTER_CELLS = 2**26
@@ -46,11 +46,10 @@ __all__ = [
 
 @dataclass
 class BevRaster:
-    """Binary occupancy raster; cell (ix, iy) covers origin + [ix, ix+1) / scale."""
+    """Binary occupancy raster; cell (ix, iy) covers origin + [ix, ix+1) / scale, at the scale it was drawn at."""
 
     grid: np.ndarray  # (nx, ny) bool
     origin: np.ndarray  # (2,) meters, lower corner of cell (0, 0)
-    scale: float  # px per meter
 
 
 @dataclass
@@ -65,17 +64,17 @@ class Corners:
         return self.pos.shape[0]
 
 
-def _bounds(points_m: np.ndarray, pad_px: int, scale: float, max_cells: int):
-    """Cell range [lo, hi) covering the points; ValueError past max_cells cells."""
+def _bounds(points_m: np.ndarray, pad_px: int, scale: float):
+    """Cell range [lo, hi) covering the points; ValueError past MAX_RASTER_CELLS cells."""
     # checked in floats, before the int cast and the allocation
     with np.errstate(over="ignore", invalid="ignore"):
         lo = np.floor(points_m.min(axis=0) * scale)
         hi = np.floor(points_m.max(axis=0) * scale)
         shape = hi - lo + 2 * pad_px + 1
-        fits = np.prod(shape) <= max_cells
+        fits = np.prod(shape) <= MAX_RASTER_CELLS
     if not fits:
         raise ValueError(
-            "a %g x %g raster at %g px/m exceeds %d cells" % (shape[0], shape[1], scale, max_cells)
+            "a %g x %g raster at %g px/m exceeds %d cells" % (shape[0], shape[1], scale, MAX_RASTER_CELLS)
         )
     return lo.astype(np.int64) - pad_px, hi.astype(np.int64) + pad_px + 1
 
@@ -115,7 +114,7 @@ def rasterize_segments(segments: np.ndarray, scale: float, pad_px: int = 2) -> B
     ends = np.asarray(segments, dtype=np.float64).reshape(-1, 2, 2)
     if ends.shape[0] == 0:
         raise EmptyGrid("no segments to rasterize")
-    lo, hi = _bounds(ends.reshape(-1, 2), pad_px, scale, MAX_RASTER_CELLS)
+    lo, hi = _bounds(ends.reshape(-1, 2), pad_px, scale)
     grid = np.zeros((int(hi[0] - lo[0]), int(hi[1] - lo[1])), dtype=bool)
     d = ends[:, 1] - ends[:, 0]
     dirs = d / np.sqrt(np.vecdot(d, d))[:, None]
@@ -127,7 +126,7 @@ def rasterize_segments(segments: np.ndarray, scale: float, pad_px: int = 2) -> B
         for off in (n, -n):
             for cx, cy in _traverse_cells(p0 * scale + off, p1 * scale + off):
                 grid[cx - lo[0], cy - lo[1]] = True
-    return BevRaster(grid, lo / scale, scale)
+    return BevRaster(grid, lo / scale)
 
 
 def patch_segments(
@@ -202,8 +201,10 @@ def merge_refit(
     gaps = np.sqrt(np.vecdot(diff, diff)).reshape(-1, 4)
     linked = (np.abs(np.vecdot(dirs[i], dirs[j])) >= cos_tol) & np.any(gaps <= endpoint_tol_m, axis=1)
 
+    labels = connected_labels(n, i[linked], j[linked])
     out = []
-    for members in connected_groups(n, i[linked], j[linked]):
+    for g in range(int(labels.max()) + 1):
+        members = np.flatnonzero(labels == g)
         if members.shape[0] == 1:
             out.append(ends[members[0]])
             continue

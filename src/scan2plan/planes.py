@@ -22,7 +22,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .graph import connected_groups
+from .graph import connected_labels
 
 EIGENVALUE_FLOOR = 1e-12
 MIN_CELL_POINTS = 4
@@ -203,13 +203,12 @@ def merge_patches(patches: Patches, normal_tol_deg: float = 10.0, dist_tol_m: fl
         & (np.abs(np.vecdot(normals[j], gap)) <= dist_tol_m)
     )
 
-    groups = connected_groups(n, i[coplanar], j[coplanar])
-    group_of = np.empty(n, dtype=np.int64)
-    group_of[np.concatenate(groups)] = np.repeat(np.arange(len(groups)), [g.shape[0] for g in groups])
+    group_of = connected_labels(n, i[coplanar], j[coplanar])
+    n_groups = int(group_of.max()) + 1
 
     def pool(ufunc, a, start):
         # ufunc.at applies the patches in index order
-        out = np.full((len(groups),) + a.shape[1:], start, dtype=a.dtype)
+        out = np.full((n_groups,) + a.shape[1:], start, dtype=a.dtype)
         ufunc.at(out, group_of, a)
         return out
 

@@ -4,8 +4,10 @@ Each surviving triplet correspondence casts one vote: the closed-form
 alignment of its three vertex pairs, gated by the fit residual to reject
 mirrored and false congruences. Candidates come out of a three-step
 reduction: top cells by own count, re-ranking by 3x3x3 neighborhood sums
-(yaw wraps), then region growing over the kept cells with vote-weighted
-pose averaging. All ties break lexicographically on the cell index.
+(yaw wraps), then region growing over the kept cells by group labels
+(`graph.connected_labels`). Each group's vote-weighted mean pose comes
+from `np.bincount` over the labels, which sums in ascending cell order.
+All ties break lexicographically on the cell index.
 """
 
 from dataclasses import dataclass
@@ -15,7 +17,7 @@ import numpy as np
 
 from .errors import EmptyGrid
 from .geometry import Se2Pose, normalize_angle, solve_se2_batch
-from .graph import connected_groups
+from .graph import connected_labels
 
 __all__ = [
     "VoteGrid",
@@ -72,6 +74,11 @@ class Candidate:
     n_cells: int
 
 
+def yaw_bins(r_yaw_deg: float) -> int:
+    """Number of yaw cells of r_yaw_deg degrees covering the full turn."""
+    return int(np.ceil(360.0 / r_yaw_deg - 1e-9))
+
+
 def _cell_indices(grid_r_xy: float, r_yaw_deg: float, n_yaw: int, x, y, yaw):
     ix = np.floor(x / grid_r_xy).astype(np.int64)
     iy = np.floor(y / grid_r_xy).astype(np.int64)
@@ -99,7 +106,7 @@ def cast_votes(
         x, y, yaw = x[ok], y[ok], yaw[ok]
     n_rejected = len(src) - x.shape[0]
 
-    n_yaw = int(np.ceil(360.0 / r_yaw_deg - 1e-9))
+    n_yaw = yaw_bins(r_yaw_deg)
     ix, iy, iyaw = _cell_indices(r_xy, r_yaw_deg, n_yaw, x, y, yaw)
     if x.shape[0]:
         origin = (int(ix.min()) - 1, int(iy.min()) - 1)
@@ -122,47 +129,33 @@ def cast_votes(
     )
 
 
-def _cell_arrays(grid: VoteGrid, idx) -> Tuple[np.ndarray, ...]:
-    """counts, sum_x, sum_y, sum_sin, sum_cos of the cells at idx."""
-    return tuple(a[idx] for a in (grid.counts, grid.sum_x, grid.sum_y, grid.sum_sin, grid.sum_cos))
-
-
-def _group_pose(counts, sum_x, sum_y, sum_sin, sum_cos) -> Tuple[Se2Pose, int]:
-    """Vote-weighted mean pose and vote total of one group of cells."""
-    c = counts.sum()
-    pose = Se2Pose(
-        float(sum_x.sum()) / float(c),
-        float(sum_y.sum()) / float(c),
-        float(np.arctan2(sum_sin.sum(), sum_cos.sum())),
-    )
-    return pose, int(c)
-
-
 def vanilla_vote(grid: VoteGrid) -> Tuple[Se2Pose, int]:
     """Single best cell by raw count; ties go to the smallest cell index."""
     if grid.packed.shape[0] == 0:
         raise EmptyGrid("no votes were cast")
     best = int(np.lexsort((grid.packed, -grid.counts))[0])
-    return _group_pose(*_cell_arrays(grid, slice(best, best + 1)))
+    c = int(grid.counts[best])
+    # 0.0 + s turns a -0.0 sum into +0.0, as the zero-started group sums do
+    sx, sy, s_sin, s_cos = (0.0 + a[best] for a in (grid.sum_x, grid.sum_y, grid.sum_sin, grid.sum_cos))
+    return Se2Pose(float(sx) / c, float(sy) / c, float(np.arctan2(s_sin, s_cos))), c
 
 
 def _neighbor_table(grid: VoteGrid) -> np.ndarray:
-    """(N, 27) indices into the cell arrays, -1 where absent; column 13 is self."""
-    ix, iy, iyaw = grid.unpack(grid.packed)
-    n_yaw = grid.n_yaw_bins
+    """(N, 27) indices into the cell arrays, -1 where absent; column 13 is self.
+
+    Column 9 (dx + 1) + 3 (dy + 1) + dyaw + 1 is the cell's own packed key
+    plus a fixed x/y offset and a yaw step that wraps at the end bins, so
+    one searchsorted finds all 27."""
+    ny, n_yaw = grid.dims[1], grid.dims[2]
     n = grid.packed.shape[0]
-    table = np.full((n, 27), -1, dtype=np.int64)
-    col = 0
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            for dyaw in (-1, 0, 1):
-                nb = grid.pack(ix + dx, iy + dy, (iyaw + dyaw) % n_yaw)
-                pos = np.searchsorted(grid.packed, nb)
-                pos = np.clip(pos, 0, n - 1)
-                hit = grid.packed[pos] == nb
-                table[hit, col] = pos[hit]
-                col += 1
-    return table
+    step = np.array([-1, 0, 1])
+    xy = ((step[:, None] * ny + step[None, :]) * n_yaw).ravel()
+    iyaw = grid.packed % n_yaw
+    first, last = iyaw == 0, iyaw == n_yaw - 1
+    dyaw = np.stack([np.where(first, n_yaw - 1, -1), np.zeros(n, np.int64), np.where(last, 1 - n_yaw, 1)], axis=1)
+    nb = (grid.packed[:, None, None] + xy[None, :, None] + dyaw[:, None, :]).reshape(n, 27)
+    pos = np.minimum(np.searchsorted(grid.packed, nb), n - 1)
+    return np.where(grid.packed[pos] == nb, pos, -1)
 
 
 def hierarchical_vote(
@@ -195,14 +188,16 @@ def hierarchical_vote(
     local[kept] = np.arange(kept.shape[0])
     nb = local[table[kept]]
     rows, cols = np.nonzero(nb >= 0)
-    grouped = _cell_arrays(grid, kept)
-    merged = merged_all[kept]
-    cands: List[Candidate] = []
-    anchor: List[int] = []
-    for g in connected_groups(kept.shape[0], rows, nb[rows, cols]):
-        pose, votes = _group_pose(*(a[g] for a in grouped))
-        cands.append(Candidate(pose, votes, merged_score=int(merged[g].max()), n_cells=g.shape[0]))
-        anchor.append(int(grid.packed[kept[g[0]]]))
-    # (-merged_score, anchor) is unique, so the order of the groups does not matter
-    rank = sorted(range(len(cands)), key=lambda i: (-cands[i].merged_score, anchor[i]))
-    return [cands[i] for i in rank[:j_candidates]]
+    labels = connected_labels(kept.shape[0], rows, nb[rows, cols])
+    n_groups = int(labels.max()) + 1
+    merged = np.zeros(n_groups, dtype=np.int64)
+    np.maximum.at(merged, labels, merged_all[kept])
+    # groups are numbered by their smallest kept cell, so a stable sort
+    # on -merged breaks ties on that cell's packed index
+    top = np.argsort(-merged, kind="stable")[:j_candidates]
+    votes, sx, sy, s_sin, s_cos = (
+        np.bincount(labels, weights=a[kept])[top]
+        for a in (grid.counts, grid.sum_x, grid.sum_y, grid.sum_sin, grid.sum_cos)
+    )
+    groups = zip(sx / votes, sy / votes, np.arctan2(s_sin, s_cos), votes, merged[top], np.bincount(labels)[top])
+    return [Candidate(Se2Pose(x, y, yaw), int(v), int(m), int(c)) for x, y, yaw, v, m, c in groups]

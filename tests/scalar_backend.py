@@ -3,9 +3,12 @@
 The score field looked up through a bounds mask and a masked 2-D fancy
 index, one `pose.apply` + `value_at` pair per scored point set, and the
 region-growing step that scans `labels == comp` for every component and
-sums member cells through `np.sum`. The package's bordered-field scoring
+sums member cells one by one. The package's bordered-field scoring
 and grouped clustering must reproduce these bit for bit;
-`test_backend_oracle.py` checks that. Scoring is the one rule
+`test_backend_oracle.py` checks that. The clustering oracle builds its
+own neighbour table, one pack and search per offset, and sums each
+component's pose sequentially in ascending cell order, the order the
+package's `np.bincount` adds in. Scoring is the one rule
 (s_a - lam * s_p) / n_ng; `select_award_only` ranks on s_a / n_ng with
 no ground points at all, which `select_best` at lam = 0 must match.
 
@@ -23,7 +26,7 @@ from scipy.sparse.csgraph import connected_components
 from scan2plan.errors import DegenerateInput, EmptyGrid, EmptySubmap, NoCandidates
 from scan2plan.geometry import Se2Pose
 from scan2plan.verify import ScoreResult
-from scan2plan.voting import Candidate, VoteGrid, _neighbor_table
+from scan2plan.voting import Candidate, VoteGrid
 
 
 def solve_se2(src: Sequence, dst: Sequence) -> Tuple[Se2Pose, float]:
@@ -153,12 +156,43 @@ def select_award_only(
     return _pick(candidates, confidences), confidences
 
 
+def _neighbor_table(grid: VoteGrid) -> np.ndarray:
+    """(N, 27) indices into the cell arrays, -1 where absent; column 13 is
+    self. One unpack, wrap, pack and search per neighbour offset."""
+    ix, iy, iyaw = grid.unpack(grid.packed)
+    n_yaw = grid.n_yaw_bins
+    n = grid.packed.shape[0]
+    table = np.full((n, 27), -1, dtype=np.int64)
+    col = 0
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            for dyaw in (-1, 0, 1):
+                nb = grid.pack(ix + dx, iy + dy, (iyaw + dyaw) % n_yaw)
+                pos = np.searchsorted(grid.packed, nb)
+                pos = np.clip(pos, 0, n - 1)
+                hit = grid.packed[pos] == nb
+                table[hit, col] = pos[hit]
+                col += 1
+    return table
+
+
+def _running_sum(values: np.ndarray) -> float:
+    """Sequential sum from +0.0, in the order given."""
+    total = 0.0
+    for v in values.tolist():
+        total += v
+    return total
+
+
 def _cell_pose(grid: VoteGrid, idx: np.ndarray) -> Se2Pose:
+    """Vote-weighted mean pose of the cells idx, every sum sequential in
+    ascending cell order."""
+    idx = np.sort(idx)
     c = float(np.sum(grid.counts[idx]))
     return Se2Pose(
-        float(np.sum(grid.sum_x[idx])) / c,
-        float(np.sum(grid.sum_y[idx])) / c,
-        float(np.arctan2(np.sum(grid.sum_sin[idx]), np.sum(grid.sum_cos[idx]))),
+        _running_sum(grid.sum_x[idx]) / c,
+        _running_sum(grid.sum_y[idx]) / c,
+        float(np.arctan2(_running_sum(grid.sum_sin[idx]), _running_sum(grid.sum_cos[idx]))),
     )
 
 

@@ -10,8 +10,10 @@ confidence; at lam = 0 also against the award-only oracle), and every
 candidate's pose, votes, merged score and cell count. Point sets put
 coordinates exactly on cell edges, one ulp either side of the grid's
 bounds, far outside it, NaN, and beyond the int64 range of cell indices.
-Vote grids grow components of more than 8 cells (where pairwise
-summation departs from a running sum) across the yaw wrap.
+Vote grids grow components of more than 8 cells (where numpy's pairwise
+`.sum()` departs from the running sum both sides use) across the yaw
+wrap, and the package's one-search neighbour table must equal the
+oracle's one-search-per-offset table.
 """
 
 import math
@@ -33,7 +35,7 @@ from scan2plan.verify import (
     score_candidate,
     select_best,
 )
-from scan2plan.voting import Candidate, VoteGrid, hierarchical_vote, vanilla_vote
+from scan2plan.voting import Candidate, VoteGrid, _neighbor_table, hierarchical_vote, vanilla_vote
 
 SETTINGS = settings(max_examples=80)
 FAR = [1e6, 1e20, 1e300, math.inf]  # 1e20 / s_r and up overflow an int64 cell index
@@ -389,6 +391,14 @@ def _cand_key(c):
 
 
 limits = st.one_of(st.none(), st.integers(1, 60))
+
+
+@SETTINGS
+@given(vote_grids())
+def test_neighbor_table_matches_oracle(grid):
+    got = _neighbor_table(grid)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, ref._neighbor_table(grid))
 
 
 @SETTINGS

@@ -336,6 +336,15 @@ def test_non_finite_parameter_exit_code(tmp_path, capsys):
     assert "s_v" in capsys.readouterr().err
 
 
+def test_too_coarse_yaw_bins_exit_code(tmp_path, capsys):
+    plan = tmp_path / "sq.txt"
+    plan.write_text(UNIT_SQUARE)
+    code = main(["build-db", "--model", str(plan), "--out", str(tmp_path / "x.db"), "--r_yaw_deg", "180"])
+    assert code == 1
+    assert "r_yaw_deg" in capsys.readouterr().err
+    assert not (tmp_path / "x.db").exists()
+
+
 def test_config_file_flag(tmp_path, capsys):
     plan = tmp_path / "sq.txt"
     plan.write_text(UNIT_SQUARE)

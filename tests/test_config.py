@@ -116,6 +116,19 @@ def test_non_finite_rejected(tmp_path, key, text):
         make_config(cfgf)
 
 
+@pytest.mark.parametrize("r_yaw_deg", ["180", "200", "360", "1000"])
+def test_fewer_than_three_yaw_bins_rejected(r_yaw_deg):
+    # with one or two yaw bins the -1 and +1 yaw neighbours are one cell,
+    # which the 3x3x3 neighbourhood sum would count more than once
+    with pytest.raises(ValueError, match="r_yaw_deg"):
+        make_config(overrides={"r_yaw_deg": r_yaw_deg})
+
+
+def test_three_yaw_bins_allowed():
+    assert make_config(overrides={"r_yaw_deg": "120"}).r_yaw_deg == 120.0
+    assert make_config(overrides={"r_yaw_deg": "179.9"}).r_yaw_deg == 179.9
+
+
 def test_zero_scoring_cap_and_negative_threshold_allowed():
     # lam = 0 is award-only scoring, which select_best takes as well
     cfg = make_config(

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from scan2plan.config import PipelineConfig
 from scan2plan.geometry import LineSegment2, Se2Pose
-from scan2plan.graph import connected_groups
+from scan2plan.graph import connected_labels
 from scan2plan.lines import MIN_RUN_M, RUN_GAP_M, extract_corners, merge_refit, patch_segments
 from scan2plan.pipeline import extract_submap_features
 from scan2plan.planes import Patches, classify_patches, merge_patches, segment_planes
@@ -155,12 +155,14 @@ def test_connected_groups_match_union_find(n, edges):
 
     for a, b in edges:
         parent[find(b)] = find(a)
-    want = {}
-    for i in range(n):
-        want.setdefault(find(i), []).append(i)
+    # groups numbered 0, 1, ... in the order node 0..n-1 first meets them
+    number = {}
+    want = [number.setdefault(find(i), len(number)) for i in range(n)]
     i = np.array([a for a, _ in edges], dtype=np.int64)
     j = np.array([b for _, b in edges], dtype=np.int64)
-    assert [g.tolist() for g in connected_groups(n, i, j)] == list(want.values())
+    got = connected_labels(n, i, j)
+    assert got.dtype == np.int64
+    assert got.tolist() == want
 
 
 # --- corners ---

@@ -70,7 +70,7 @@ def test_segment_raster_is_connected():
     # every sampled point of the segment lands on a marked cell
     t = np.linspace(0.0, 1.0, 5000)
     pts = seg[0] + t[:, None] * (seg[1] - seg[0])
-    ij = np.floor((pts - r.origin) * r.scale).astype(int)
+    ij = np.floor((pts - r.origin) * S_I).astype(int)
     assert np.all(r.grid[ij[:, 0], ij[:, 1]])
 
 

@@ -266,7 +266,7 @@ def test_far_translation_unpacks_exactly():
 
 
 def test_only_graph_imports_csgraph():
-    # one connected-components helper: grouping goes through graph.connected_groups
+    # one connected-components helper: grouping goes through graph.connected_labels
     importers = set()
     for path in Path(scan2plan.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
