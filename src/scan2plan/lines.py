@@ -4,10 +4,12 @@ A wall patch's plane is a 2-D line in the bird's-eye view: through its
 centroid's xy, along the xy part of its normal turned 90 degrees. Its
 points are projected onto that line, and the sorted projections split
 into runs at gaps over RUN_GAP_M; every run at least MIN_RUN_M long is a
-segment. All patches are handled at once by two stable sorts, along the
-line and then by patch, and the per-patch loop of
-`tests/scalar_frontend.py` gives the same endpoints bit for bit. Near-collinear segments with close endpoints are
-chained by connected components and refit by total least squares.
+segment. All patches are handled at once by two sorts: one along the
+line, in which tied projections may take any order since runs read only
+the projections, then a stable one by patch. The per-patch loop of
+`tests/scalar_frontend.py` gives the same endpoints bit for bit.
+Near-collinear segments with close endpoints are chained by connected
+components and refit by total least squares.
 Corners are intersections of extended non-parallel segments, all pairs
 tested at once as arrays, then deduplicated by greedy non-maximum
 suppression on combined support length; they match the per-pair loop of
@@ -147,9 +149,10 @@ def patch_segments(
     c = np.asarray(centroid_xy, dtype=np.float64)
     d = np.asarray(points_xy, dtype=np.float64) - c[label]
     t = d[:, 0] * u[label, 0] + d[:, 1] * u[label, 1]
-    # by patch, then along the line: two stable sorts, the second on the
-    # narrowest patch type, which numpy radix-sorts up to 16 bits
-    order = np.argsort(t, kind="stable")
+    # by patch, then along the line: any sort along the line, as tied
+    # projections give the same runs in either order, then a stable sort
+    # on the narrowest patch type, which numpy radix-sorts up to 16 bits
+    order = np.argsort(t)
     order = order[np.argsort(label[order].astype(np.min_scalar_type(c.shape[0])), kind="stable")]
     k, t = label[order], t[order]
     first = np.ones(t.shape[0], dtype=bool)

@@ -13,7 +13,10 @@ raw moments (point count, coordinate sums, coordinate-product sums),
 its plane and its cell box. A plane is fitted from moments alone, so
 adjacent coplanar patches merge as connected components of the
 compatible pairs by summing their members' moments: no point is read
-twice. Classification returns patch index arrays.
+twice. Touching pairs come from a sweep over the cell boxes sorted by
+their lower x, so the pair search grows with the pairs that overlap in
+x, not with the square of the patch count. Classification returns patch
+index arrays.
 """
 
 import math
@@ -165,7 +168,7 @@ def segment_planes(
 
         split = np.zeros(n_groups, dtype=bool)
         split[big[~flat]] = True
-        keep = split[inv]
+        keep = np.flatnonzero(split[inv])
         active_idx = active_idx[keep]
         active = active[keep]
         size *= 0.5
@@ -174,11 +177,35 @@ def segment_planes(
     return SegmentationResult(patches, n_total, int(np.count_nonzero(label < 0)))
 
 
+def _touching_pairs(lo: np.ndarray, hi: np.ndarray, eps: float = 1e-9) -> Tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), i < j, of the (n, 3) boxes [lo, hi] that touch.
+
+    Two boxes touch when on every axis each one's lo is at most the
+    other's hi + eps. A sweep over the boxes sorted by lo x: a box can
+    touch only the later ones whose lo x is at most its hi x + eps, and
+    one searchsorted finds where those end. Pairs come out in sweep order.
+    """
+    order = np.argsort(lo[:, 0], kind="stable")
+    lo, hi = lo[order], hi[order]
+    n = order.shape[0]
+    after = np.arange(1, n + 1)
+    n_cand = np.maximum(np.searchsorted(lo[:, 0], hi[:, 0] + eps, side="right") - after, 0)
+    # candidate k of box p is the box at sorted position p + 1 + k
+    p = np.repeat(np.arange(n), n_cand)
+    q = np.arange(p.shape[0]) - np.repeat(np.cumsum(n_cand) - n_cand - after, n_cand)
+    touch = np.ones(p.shape[0], dtype=bool)
+    for a in range(3):
+        touch &= (lo[q, a] <= hi[p, a] + eps) & (lo[p, a] <= hi[q, a] + eps)
+    i, j = order[p[touch]], order[q[touch]]
+    return np.minimum(i, j), np.maximum(i, j)
+
+
 def merge_patches(patches: Patches, normal_tol_deg: float = 10.0, dist_tol_m: float = 0.1) -> Patches:
     """Join cell-adjacent coplanar patches and fit each group from its pooled moments.
 
     A group is a connected component of the pairs that touch (cell boxes
-    within 1e-9 m) and are coplanar (normals within the angle, each
+    within 1e-9 m, found by a sweep over the boxes sorted by lower x)
+    and are coplanar (normals within the angle, each
     centroid within dist_tol_m of the other's plane). Its moments are
     its members' summed in ascending patch order, so a single-patch
     group keeps its plane bit for bit, and its cell box spans theirs.
@@ -191,11 +218,7 @@ def merge_patches(patches: Patches, normal_tol_deg: float = 10.0, dist_tol_m: fl
     lo, hi = patches.cell_lo, patches.cell_hi
     normals, centroids = patches.normal, patches.centroid
 
-    eps = 1e-9
-    touch = np.ones((n, n), dtype=bool)
-    for a in range(3):
-        touch &= (lo[None, :, a] <= hi[:, None, a] + eps) & (lo[:, None, a] <= hi[None, :, a] + eps)
-    i, j = np.nonzero(np.triu(touch, 1))
+    i, j = _touching_pairs(lo, hi)
     gap = centroids[j] - centroids[i]
     coplanar = (
         (np.abs(np.vecdot(normals[i], normals[j])) >= cos_tol)

@@ -19,6 +19,10 @@ from .errors import EmptyGrid
 from .geometry import Se2Pose, normalize_angle, solve_se2_batch
 from .graph import connected_labels
 
+# fewer bins make the -1 and +1 yaw neighbours of a cell one cell, so a
+# 3x3x3 neighbourhood sum would count its votes more than once
+MIN_YAW_BINS = 3
+
 __all__ = [
     "VoteGrid",
     "Candidate",
@@ -96,8 +100,12 @@ def cast_votes(
 ) -> VoteGrid:
     """Solve every (src, dst) vertex-array pair and bin the accepted poses.
 
-    Raises ValueError when the votes span more cells than an int64 indexes.
+    Raises ValueError when r_yaw_deg gives fewer than MIN_YAW_BINS yaw
+    bins, or when the votes span more cells than an int64 indexes.
     """
+    n_yaw = yaw_bins(r_yaw_deg)
+    if n_yaw < MIN_YAW_BINS:
+        raise ValueError("r_yaw_deg must give at least %d yaw bins, got %r" % (MIN_YAW_BINS, r_yaw_deg))
     src, dst = correspondences
     x = y = yaw = np.zeros(0)
     if len(src):
@@ -106,7 +114,6 @@ def cast_votes(
         x, y, yaw = x[ok], y[ok], yaw[ok]
     n_rejected = len(src) - x.shape[0]
 
-    n_yaw = yaw_bins(r_yaw_deg)
     ix, iy, iyaw = _cell_indices(r_xy, r_yaw_deg, n_yaw, x, y, yaw)
     if x.shape[0]:
         origin = (int(ix.min()) - 1, int(iy.min()) - 1)
@@ -164,7 +171,12 @@ def hierarchical_vote(
     k_cells: Optional[int] = 5000,
     j_candidates: Optional[int] = 1500,
 ) -> List[Candidate]:
-    """Three-step candidate extraction; None limits mean keep everything."""
+    """Three-step candidate extraction; None limits mean keep everything.
+
+    Raises ValueError for a grid of fewer than MIN_YAW_BINS yaw bins.
+    """
+    if grid.n_yaw_bins < MIN_YAW_BINS:
+        raise ValueError("a vote grid needs at least %d yaw bins, got %d" % (MIN_YAW_BINS, grid.n_yaw_bins))
     n = grid.packed.shape[0]
     if n == 0:
         raise EmptyGrid("no votes were cast")

@@ -157,6 +157,15 @@ def _compatible(a: PlanarPatch, b: PlanarPatch, cos_tol: float, dist_tol: float)
     return abs(float(a.normal @ gap)) <= dist_tol and abs(float(b.normal @ gap)) <= dist_tol
 
 
+def touching_pairs(lo: np.ndarray, hi: np.ndarray, eps: float = 1e-9) -> List[Tuple[int, int]]:
+    """(i, j), i < j, of the boxes within eps of each other on every axis, i then j ascending."""
+    pairs = []
+    for i in range(lo.shape[0]):
+        touch = np.all((lo[i + 1 :] <= hi[i] + eps) & (lo[i] <= hi[i + 1 :] + eps), axis=1)
+        pairs += [(i, int(j)) for j in np.nonzero(touch)[0] + i + 1]
+    return pairs
+
+
 def merge_patches(
     patches: List[PlanarPatch],
     normal_tol_deg: float = 10.0,
@@ -178,12 +187,9 @@ def merge_patches(
             i = parent[i]
         return i
 
-    eps = 1e-9
-    for i in range(n):
-        touch = np.all((lo[i + 1 :] <= hi[i] + eps) & (lo[i] <= hi[i + 1 :] + eps), axis=1)
-        for j in np.nonzero(touch)[0] + i + 1:
-            if find(i) != find(j) and _compatible(patches[i], patches[j], cos_tol, dist_tol_m):
-                parent[find(j)] = find(i)
+    for i, j in touching_pairs(lo, hi):
+        if find(i) != find(j) and _compatible(patches[i], patches[j], cos_tol, dist_tol_m):
+            parent[find(j)] = find(i)
 
     groups = {}
     for i in range(n):

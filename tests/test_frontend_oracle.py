@@ -4,7 +4,7 @@
 points, union-find merging and chaining, the per-patch gravity test,
 wall runs cut one patch at a time, the per-pair corner loop, and the
 byte-hash ground mask. Every comparison here is bitwise: patch rows,
-moments, planes and cell boxes; merged groups; patch classes; segment
+moments, planes and cell boxes; touching box pairs; merged groups; patch classes; segment
 endpoints; corner positions, wall directions, support and order; the
 ground mask.
 Patch normals sit within a few ulp of the classification thresholds.
@@ -24,7 +24,7 @@ from scan2plan.geometry import LineSegment2, Se2Pose
 from scan2plan.graph import connected_labels
 from scan2plan.lines import MIN_RUN_M, RUN_GAP_M, extract_corners, merge_refit, patch_segments
 from scan2plan.pipeline import extract_submap_features
-from scan2plan.planes import Patches, classify_patches, merge_patches, segment_planes
+from scan2plan.planes import Patches, _touching_pairs, classify_patches, merge_patches, segment_planes
 from scan2plan.synthetic import generate_layout, synthesize_submap
 
 SETTINGS = settings(max_examples=60)
@@ -94,8 +94,17 @@ def wall_patches(draw):
     return patches, draw(st.integers(0, 2**16))
 
 
+def _one_point_patch(t0):
+    """A wall patch of zero steps: one point, t0 along its line through (1, 2)."""
+    centroid, normal = np.array([1.0, 2.0, 1.0]), np.array([1.0, 0.0, 0.0])
+    points = np.array([[1.0, 2.0 + t0, 0.5]])
+    return ref.PlanarPatch(points, 1, None, None, centroid, normal, None, None, None)
+
+
 @settings(SETTINGS, max_examples=200)
 @given(wall_patches())
+@example(([_one_point_patch(0.25)], 0))
+@example(([_one_point_patch(-1.0), _one_point_patch(-1.0)], 3))
 def test_patch_segments_matches_oracle(case):
     patches, seed = case
     label = np.repeat(np.arange(len(patches)), [p.points.shape[0] for p in patches])
@@ -237,6 +246,69 @@ def test_extract_corners_matches_oracle(case):
     segs, extend, radius, min_angle = case
     got = extract_corners(_ends(segs), extend, radius, min_angle)
     _assert_corners_match(got, ref.extract_corners(segs, extend, radius, min_angle))
+
+
+# --- touching cell boxes ---
+
+EPS = 1e-9
+
+
+@st.composite
+def box_sets(draw):
+    """(lo, hi) boxes in shuffled order, many touching at the limit.
+
+    Lattice boxes share lo x values; a box may nest inside an earlier
+    one, or start exactly EPS or EPS plus one ulp past an earlier box's
+    hi on one axis while overlapping it on the others; a row of unit
+    cells runs along x.
+    """
+    lo, hi = [], []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["lattice", "nested", "eps", "ulp", "row"])) if lo else "lattice"
+        if kind == "row":
+            start = np.array([draw(st.integers(-4, 4)), draw(st.integers(-2, 2)), 0.0])
+            for k in range(draw(st.integers(1, 60))):
+                lo.append(start + [k, 0.0, 0.0])
+                hi.append(lo[-1] + 1.0)
+            continue
+        if kind == "lattice":
+            a = np.array(draw(st.lists(st.integers(-4, 4), min_size=3, max_size=3)), float) * 0.5
+            b = a + np.array(draw(st.lists(st.integers(0, 4), min_size=3, max_size=3))) * 0.5
+        else:
+            o = draw(st.integers(0, len(lo) - 1))
+            if kind == "nested":
+                f0, f1 = draw(st.sampled_from([0.0, 0.25, 0.5])), draw(st.sampled_from([0.0, 0.25, 0.5]))
+                a, b = lo[o] + f0 * (hi[o] - lo[o]), hi[o] - f1 * (hi[o] - lo[o])
+            else:
+                axis = draw(st.integers(0, 2))
+                a = lo[o].copy()
+                a[axis] = hi[o][axis] + EPS
+                if kind == "ulp":
+                    a[axis] = np.nextafter(a[axis], np.inf)
+                b = a + draw(st.sampled_from([0.0, 0.5, 2.0]))
+        lo.append(a)
+        hi.append(b)
+    perm = draw(st.permutations(range(len(lo))))
+    return np.array(lo).reshape(-1, 3)[perm], np.array(hi).reshape(-1, 3)[perm]
+
+
+def _unit(x):
+    return np.array([[x, 0.0, 0.0]]), np.array([[x + 1.0, 1.0, 1.0]])
+
+
+@settings(SETTINGS, max_examples=300)
+@given(box_sets())
+@example((np.zeros((0, 3)), np.zeros((0, 3))))
+@example(_unit(0.0))
+@example(tuple(np.vstack(b) for b in zip(_unit(0.0), _unit(1.0 + EPS))))  # exactly EPS apart
+@example(tuple(np.vstack(b) for b in zip(_unit(np.nextafter(1.0 + EPS, 2.0)), _unit(0.0))))  # one ulp more
+def test_touching_pairs_match_oracle(boxes):
+    lo, hi = boxes
+    i, j = _touching_pairs(lo, hi, EPS)
+    assert i.dtype == j.dtype == np.int64
+    assert np.all(i < j)
+    got = list(zip(i.tolist(), j.tolist()))
+    assert sorted(got) == ref.touching_pairs(lo, hi, EPS)  # also: no pair twice
 
 
 # --- planes and the ground mask ---

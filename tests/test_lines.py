@@ -151,6 +151,24 @@ def test_run_exactly_min_run_is_kept():
     assert len(_along_y(ts * (1.0 - 2.0**-20))) == 0
 
 
+def test_patch_segments_ignore_row_order_among_ties():
+    # patch 0 along y at x = 2: offsets on a 1/8 m lattice, each repeated,
+    # some rows off the line at the same offset (equal projections) and
+    # some rows duplicated; patch 1 on a slanted line, duplicated rows
+    rng = np.random.default_rng(5)
+    ts = np.repeat(np.concatenate([np.arange(0, 20), np.arange(26, 40)]) * 0.125, 3)
+    xs = 2.0 + rng.choice([-0.25, 0.0, 0.25], ts.shape[0])
+    line = np.column_stack([xs, ts])
+    slant = np.array([1.0, 1.0]) + rng.uniform(0.0, 3.0, (30, 1)) * np.array([0.6, 0.8])
+    pts = np.vstack([line, line[::4], slant, slant[::3]])
+    label = np.repeat([0, 1], [line.shape[0] + line[::4].shape[0], slant.shape[0] + slant[::3].shape[0]])
+    centroid, normal = np.array([[2.0, 0.0], [1.0, 1.0]]), np.array([[1.0, 0.0], [0.8, -0.6]])
+    want = patch_segments(pts, label, centroid, normal)
+    assert want.shape == (3, 2, 2)
+    for perm in [np.arange(pts.shape[0])[::-1]] + [rng.permutation(pts.shape[0]) for _ in range(6)]:
+        assert patch_segments(pts[perm], label[perm], centroid, normal).tobytes() == want.tobytes()
+
+
 def test_patch_segments_of_no_points_is_empty():
     none = np.zeros((0, 2))
     assert patch_segments(none, np.zeros(0, dtype=np.int64), none, none).shape == (0, 2, 2)

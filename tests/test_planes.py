@@ -162,6 +162,24 @@ def test_segmentation_peak_memory_on_a4_scene():
     assert peak <= 2.5 * points.nbytes, (peak, points.nbytes)
 
 
+def test_merge_memory_grows_linearly_along_a_corridor():
+    # 4,000 unit floor cells in a 2 x 2,000 strip: a dense (n, n) box-touch
+    # matrix alone would take n**2 bytes (16 MB), while a cell touches at
+    # most eight others
+    x, y = np.meshgrid(np.arange(0.25, 2000.0, 0.5), np.arange(0.25, 2.0, 0.5), indexing="ij")
+    patches = segment_planes(np.column_stack([x.ravel(), y.ravel(), np.zeros(x.size)]), s_v=1.0).patches
+    n = len(patches)
+    assert n == 4000
+    tracemalloc.start()
+    try:
+        merged = merge_patches(patches)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(merged) == 1
+    assert peak <= n * n / 8, (peak, n * n)
+
+
 def test_empty_input():
     res = segment_planes(np.zeros((0, 3)))
     assert len(res.patches) == 0 and res.n_points == 0

@@ -11,7 +11,7 @@ import pytest
 import scan2plan
 from scan2plan.errors import EmptyGrid
 from scan2plan.geometry import Se2Pose, normalize_angle
-from scan2plan.voting import cast_votes, hierarchical_vote, vanilla_vote
+from scan2plan.voting import VoteGrid, cast_votes, hierarchical_vote, vanilla_vote
 
 TRIANGLE = np.array([[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]])
 
@@ -239,6 +239,34 @@ def test_limits_trim_but_keep_strongest():
     assert len(cands) <= 5
     assert cands[0].votes >= 25
     assert np.hypot(cands[0].pose.x - truth.x, cands[0].pose.y - truth.y) < 0.15
+
+
+def _five_votes(r_yaw_deg):
+    # 5 votes in one x/y cell: 3 at yaw 0.1, 2 at -0.1
+    corrs = _corrs_at(Se2Pose(1.0, 2.0, 0.1), 3) + _corrs_at(Se2Pose(1.0, 2.0, -0.1), 2)
+    return cast_votes(_stack(corrs), r_yaw_deg=r_yaw_deg)
+
+
+@pytest.mark.parametrize("r_yaw_deg", [90.0, 120.0])
+def test_every_vote_counts_once_with_three_yaw_bins_or_more(r_yaw_deg):
+    (cand,) = hierarchical_vote(_five_votes(r_yaw_deg))
+    assert cand.votes == 5 and cand.merged_score == 5
+
+
+@pytest.mark.parametrize("r_yaw_deg", [180.0, 200.0, 360.0])
+def test_fewer_than_three_yaw_bins_rejected(r_yaw_deg):
+    # the -1 and +1 yaw neighbours of a 1- or 2-bin grid are one cell, so
+    # a neighbourhood sum would count its votes twice or more
+    with pytest.raises(ValueError, match="yaw bins"):
+        _five_votes(r_yaw_deg)
+
+
+@pytest.mark.parametrize("n_yaw", [1, 2])
+def test_hierarchical_vote_rejects_grid_of_fewer_than_three_yaw_bins(n_yaw):
+    one = np.ones(1)
+    grid = VoteGrid((0, 0), (3, 3, n_yaw), np.array([4 * n_yaw]), np.array([5]), one, one, one, one)
+    with pytest.raises(ValueError, match="yaw bins"):
+        hierarchical_vote(grid)
 
 
 # --- cell packing ---
