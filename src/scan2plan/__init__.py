@@ -83,6 +83,6 @@ from .verify import (
     score_candidate,
     select_best,
 )
-from .voting import Candidate, VoteGrid, cast_votes, hierarchical_vote, vanilla_vote
+from .voting import Candidate, Candidates, VoteGrid, cast_votes, hierarchical_vote, vanilla_vote
 
 __version__ = "0.1.0"

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .errors import ParseError
-from .voting import MIN_YAW_BINS, yaw_bins
+from .voting import yaw_bins
 
 # fields exempt from the positive check: lam and scoring_max_points may
 # be 0, min_confidence any finite value
@@ -60,8 +60,7 @@ class PipelineConfig:
         for name in ("lam", "scoring_max_points"):
             if getattr(self, name) < 0:
                 raise ValueError("%s must be >= 0, got %r" % (name, getattr(self, name)))
-        if yaw_bins(self.r_yaw_deg) < MIN_YAW_BINS:
-            raise ValueError("r_yaw_deg must give at least %d yaw bins, got %r" % (MIN_YAW_BINS, self.r_yaw_deg))
+        yaw_bins(self.r_yaw_deg)  # raises for fewer than MIN_YAW_BINS bins
         if not self.l_cells >= self.k_cells >= self.j_candidates:
             raise ValueError(
                 "need l_cells >= k_cells >= j_candidates, got %d/%d/%d"

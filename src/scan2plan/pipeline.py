@@ -2,7 +2,8 @@
 
 A floor is prepared once (corners, descriptor DB, score field); each
 submap is reduced once to corners, a descriptor DB, and ground /
-non-ground scoring sets, then matched against every prepared floor. The
+non-ground scoring sets (thinned to `scoring_max_points` rows each as
+they are gathered), then matched against every prepared floor. The
 report with the highest verification confidence wins.
 """
 
@@ -21,7 +22,7 @@ from .geometry import Se2Pose, pose_errors, registration_success
 from .ingest import Submap, WallModel, load_pose, load_submap
 from .lines import Corners, extract_corners, merge_refit, patch_segments
 from .planes import classify_patches, merge_patches, segment_planes
-from .verify import ScoreField, build_score_field, reliability_curve, select_best
+from .verify import ScoreField, build_score_field, reliability_curve, select_best, thin_rows
 from .voting import cast_votes, hierarchical_vote
 
 FAILURE_CONFIDENCE = float("-inf")
@@ -41,7 +42,10 @@ class FloorIndex:
 
 @dataclass
 class SubmapFeatures:
-    """Everything extracted from one submap, reusable across floors."""
+    """Everything extracted from one submap, reusable across floors.
+
+    The scoring sets hold the xy of at most `scoring_max_points` rows
+    each, picked by `verify.thin_rows`."""
 
     corners: Corners
     triplets: Triplets
@@ -131,8 +135,9 @@ def extract_submap_features(submap: Submap, cfg: PipelineConfig) -> SubmapFeatur
     patches = merge_patches(patches, cfg.normal_tol_deg, cfg.dist_tol_m)
     walls, ground, _ = classify_patches(patches, submap.gravity, cfg.gravity_tol_deg)
     g_mask = patches.mask(ground)
-    q_g_xy = points[g_mask, :2]
-    q_ng_xy = points[~g_mask, :2]
+    # only the rows scoring keeps are gathered
+    q_g_xy = points[thin_rows(np.flatnonzero(g_mask), cfg.scoring_max_points), :2]
+    q_ng_xy = points[thin_rows(np.flatnonzero(~g_mask), cfg.scoring_max_points), :2]
     timings["planes"] = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()
@@ -188,7 +193,7 @@ def register_features(feats: SubmapFeatures, floor: FloorIndex, cfg: PipelineCon
             feats.q_ng_xy,
             feats.q_g_xy,
             lam=cfg.lam,
-            max_points=cfg.scoring_max_points or None,
+            max_points=cfg.scoring_max_points,
         )
     except (EmptySubmap, NoCandidates):
         timings["verify"] = (time.perf_counter() - t0) * 1e3
@@ -196,11 +201,12 @@ def register_features(feats: SubmapFeatures, floor: FloorIndex, cfg: PipelineCon
     timings["verify"] = (time.perf_counter() - t0) * 1e3
     timings["total"] = sum(timings[k] for k in STAGES)
 
+    winner = candidates[best_idx]
     return RegistrationReport(
         floor_id=floor.model.floor_id,
-        pose=candidates[best_idx].pose,
+        pose=winner.pose,
         confidence=best.confidence,
-        votes=candidates[best_idx].votes,
+        votes=winner.votes,
         n_correspondences=corr[0].shape[0],
         n_candidates=len(candidates),
         accepted=best.confidence >= cfg.min_confidence,

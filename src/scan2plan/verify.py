@@ -17,8 +17,11 @@ translation, subtract origin, divide by s_r and floor, clipping the
 cell index to [-1, n] and reading the bordered copy with one flat
 gather, so a point off the grid reads 0.0. Per element these are the
 operations of the plain broadcasts, so every sum is bit-identical to a
-masked 2-D lookup. `select_best` thins the points once and runs every
-candidate through the same two scratch buffers.
+masked 2-D lookup. Point sets are thinned to at most a cap of rows by
+one even stride, `thin_rows`; the pipeline thins its scoring sets once
+per submap, when it extracts them, so `select_best`'s own thinning
+leaves them as they are. Every candidate runs through the same two
+scratch buffers.
 
 Selection is exact branch and bound in three phases.
 
@@ -41,6 +44,10 @@ needed, covers the rounding of the weighted sums against the exact ones.
 The pass runs in chunks of rows // cells candidates through the scratch
 buffers, about five candidates per lookup at the default cap.
 
+Candidates arrive as `voting.Candidates` arrays: the coarse pass reads
+their (C, 3) poses at once, and an exact phase builds one rotation from
+a row's yaw with scalar `np.cos` / `np.sin`, as `Se2Pose.rotation` does.
+
 Phase 1, lazily: the exact award s_a (one lookup, one sum) and the
 confidence with no ground penalty, s_a / n_ng. Phase 2: the penalty
 s_p. Candidates are visited in descending coarse order; the visit stops
@@ -60,7 +67,7 @@ score.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.ndimage import distance_transform_cdt, maximum_filter
@@ -68,7 +75,7 @@ from scipy.ndimage import distance_transform_cdt, maximum_filter
 from .errors import EmptyModel, EmptySubmap, NoCandidates
 from .geometry import Se2Pose
 from .lines import rasterize_segments
-from .voting import Candidate
+from .voting import Candidate, Candidates
 
 # coordinates (in cells) up to which the coarse bound's cell argument is
 # shown to hold; it also keeps a packed cell key below 2^53
@@ -82,6 +89,7 @@ __all__ = [
     "score_candidate",
     "select_best",
     "reliability_curve",
+    "thin_rows",
 ]
 
 
@@ -202,16 +210,18 @@ def _mass(field: ScoreField, q: np.ndarray, rot_t, shift, buf, idx) -> float:
     return float(field._lookup(xy, shift, buf, idx).sum())
 
 
+def thin_rows(a: np.ndarray, cap: Optional[int]) -> np.ndarray:
+    """The rows of `a` at an even stride, `cap` of them when it has more;
+    a cap of None or 0 keeps every row."""
+    if cap and a.shape[0] > cap:
+        return a[np.linspace(0, a.shape[0] - 1, cap).astype(np.int64)]
+    return a
+
+
 def _prepare(q_ng_xy, q_g_xy, cap: Optional[int]):
     """(q_ng, q_g, buf, idx): (N, 2) float64 point sets, each thinned to
-    `cap` rows by an even stride, and scratch sized to the larger."""
-    sets = []
-    for q_xy in (q_ng_xy, q_g_xy):
-        q = np.asarray(q_xy, dtype=np.float64).reshape(-1, 2)
-        if cap is not None and q.shape[0] > cap:
-            q = q[np.linspace(0, q.shape[0] - 1, cap).astype(np.int64)]
-        sets.append(q)
-    q_ng, q_g = sets
+    `cap` rows by `thin_rows`, and scratch sized to the larger."""
+    q_ng, q_g = (thin_rows(np.asarray(q, dtype=np.float64).reshape(-1, 2), cap) for q in (q_ng_xy, q_g_xy))
     if q_ng.shape[0] == 0:
         raise EmptySubmap("no non-ground points to score")
     return (q_ng, q_g) + _scratch(max(q_ng.shape[0], q_g.shape[0]))
@@ -250,8 +260,9 @@ def _collapse(q: np.ndarray, s_r: float, buf: np.ndarray):
     return centres, weights, n_loose
 
 
-def _coarse_bounds(field: ScoreField, poses: Sequence[Se2Pose], q_ng: np.ndarray, buf, idx) -> np.ndarray:
-    """An upper bound on every pose's confidence from the collapsed cells.
+def _coarse_bounds(field: ScoreField, xyt: np.ndarray, q_ng: np.ndarray, buf, idx) -> np.ndarray:
+    """An upper bound on the confidence of every (x, y, yaw) row of xyt
+    from the collapsed cells.
 
     See the module docstring for why it is never below the exact phase-1
     bound. Poses go through the scratch buffers in chunks of rows // cells,
@@ -260,7 +271,7 @@ def _coarse_bounds(field: ScoreField, poses: Sequence[Se2Pose], q_ng: np.ndarray
     n_ng = q_ng.shape[0]
     centres, weights, n_loose = _collapse(q_ng, field.s_r, buf)
     m = centres.shape[0]
-    xyt = np.array([(p.x, p.y, p.yaw) for p in poses], dtype=np.float64).reshape(-1, 3)
+    xyt = np.array(xyt, dtype=np.float64).reshape(-1, 3)  # a copy, changed below
     lim = COARSE_LIMIT * field.s_r
     ok = np.isfinite(xyt[:, 2]) & np.all(np.abs(xyt[:, :2]) <= lim, axis=1)
     ok &= bool(np.all(np.abs(field.origin) <= lim))
@@ -297,19 +308,21 @@ def score_candidate(
 
 def select_best(
     field: ScoreField,
-    candidates: Sequence[Candidate],
+    candidates: Union[Candidates, Sequence[Candidate]],
     q_ng_xy: np.ndarray,
     q_g_xy: np.ndarray,
     lam: float = 0.5,
     max_points: Optional[int] = None,
 ) -> Tuple[int, ScoreResult]:
-    """Return (best index, its exact ScoreResult) over the candidates.
+    """Return (best index, its exact ScoreResult) over the candidates,
+    `Candidates` arrays or a `Candidate` sequence.
 
     Ties on confidence fall back to vote count, then to the
     lexicographically smallest pose. max_points caps the scored points
-    with a deterministic even stride; confidence is a normalized mean,
-    so the cap trades a little variance for time. The points are thinned
-    once and every candidate reuses the same two scratch buffers.
+    with the even stride of `thin_rows` (None or 0 keeps them all);
+    confidence is a normalized mean, so the cap trades a little variance
+    for time. The points are thinned once and every candidate reuses the
+    same two scratch buffers.
 
     Branch and bound, exact: every candidate gets a coarse upper bound
     on its confidence (`_coarse_bounds`), and candidates are visited in
@@ -320,22 +333,25 @@ def select_best(
     scored candidates in input order, so it is the candidate an
     exhaustive pass picks.
     """
-    if not candidates:
+    cands = Candidates.of(candidates)
+    if len(cands) == 0:
         raise NoCandidates("no pose candidates to score")
     # the bounds rest on lam * s_p >= 0
     if not (lam >= 0.0 and np.isfinite(lam)):
         raise ValueError("lam must be finite and >= 0, got %r" % (lam,))
     q_ng, q_g, buf, idx = _prepare(q_ng_xy, q_g_xy, max_points)
     n_ng, n_g = q_ng.shape[0], q_g.shape[0]
-    coarse = _coarse_bounds(field, [c.pose for c in candidates], q_ng, buf, idx)
+    coarse = _coarse_bounds(field, cands.xyt, q_ng, buf, idx)
 
     results = {}
     best_conf = -np.inf
     for i in np.argsort(-coarse, kind="stable").tolist():
         if coarse[i] < best_conf:
             break
-        p = candidates[i].pose
-        rot_t, shift = p.rotation().T, (p.x, p.y)
+        x, y, yaw = cands.xyt[i].tolist()
+        # Se2Pose.rotation(): scalar cos and sin of the Python float yaw
+        c, s = np.cos(yaw), np.sin(yaw)
+        rot_t, shift = np.array([[c, -s], [s, c]]).T, (x, y)
         s_a = _mass(field, q_ng, rot_t, shift, buf, idx)
         if s_a / n_ng < best_conf:
             continue
@@ -345,13 +361,7 @@ def select_best(
         best_conf = max(best_conf, conf)
     best = min(
         sorted(results),
-        key=lambda i: (
-            -results[i].confidence,
-            -candidates[i].votes,
-            candidates[i].pose.x,
-            candidates[i].pose.y,
-            candidates[i].pose.yaw,
-        ),
+        key=lambda i: (-results[i].confidence, -int(cands.votes[i]), *cands.xyt[i].tolist()),
     )
     return best, results[best]
 

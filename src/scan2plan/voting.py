@@ -7,11 +7,13 @@ reduction: top cells by own count, re-ranking by 3x3x3 neighborhood sums
 (yaw wraps), then region growing over the kept cells by group labels
 (`graph.connected_labels`). Each group's vote-weighted mean pose comes
 from `np.bincount` over the labels, which sums in ascending cell order.
-All ties break lexicographically on the cell index.
+All ties break lexicographically on the cell index. The ranked groups
+come out as one `Candidates` array set; a `Candidate` object is built
+only for a row that is read as one.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -26,6 +28,7 @@ MIN_YAW_BINS = 3
 __all__ = [
     "VoteGrid",
     "Candidate",
+    "Candidates",
     "cast_votes",
     "vanilla_vote",
     "hierarchical_vote",
@@ -78,9 +81,51 @@ class Candidate:
     n_cells: int
 
 
+@dataclass(frozen=True)
+class Candidates:
+    """Ranked pose hypotheses, one row per vote cluster.
+
+    `xyt` holds x, y and yaw, with yaw wrapped to [-pi, pi) as `Se2Pose`
+    wraps it; wrapping a wrapped yaw again changes no bit, so `cands[k]`
+    is the k-th `Candidate` exactly. A slice gives a `Candidates`, and
+    iteration yields `Candidate`s.
+    """
+
+    xyt: np.ndarray  # (C, 3) float64
+    votes: np.ndarray  # (C,) int64
+    merged_score: np.ndarray  # (C,) int64
+    n_cells: np.ndarray  # (C,) int64
+
+    @classmethod
+    def of(cls, items: Union["Candidates", Sequence[Candidate]]) -> "Candidates":
+        """The rows of a `Candidate` sequence; `Candidates` come back as they are."""
+        if isinstance(items, cls):
+            return items
+        xyt = np.array([(c.pose.x, c.pose.y, c.pose.yaw) for c in items], dtype=np.float64).reshape(-1, 3)
+        ints = (np.array([getattr(c, f) for c in items], dtype=np.int64) for f in ("votes", "merged_score", "n_cells"))
+        return cls(xyt, *ints)
+
+    def __len__(self) -> int:
+        return self.xyt.shape[0]
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return Candidates(self.xyt[k], self.votes[k], self.merged_score[k], self.n_cells[k])
+        x, y, yaw = self.xyt[k].tolist()
+        return Candidate(Se2Pose(x, y, yaw), int(self.votes[k]), int(self.merged_score[k]), int(self.n_cells[k]))
+
+
 def yaw_bins(r_yaw_deg: float) -> int:
-    """Number of yaw cells of r_yaw_deg degrees covering the full turn."""
-    return int(np.ceil(360.0 / r_yaw_deg - 1e-9))
+    """Number of yaw cells of r_yaw_deg degrees covering the full turn.
+
+    Raises ValueError unless r_yaw_deg is finite and positive and gives
+    at least MIN_YAW_BINS cells.
+    """
+    # NaN fails the range test too
+    n = np.ceil(360.0 / r_yaw_deg - 1e-9) if 0.0 < r_yaw_deg < np.inf else 0
+    if n < MIN_YAW_BINS:
+        raise ValueError("r_yaw_deg must give at least %d yaw bins, got %r" % (MIN_YAW_BINS, r_yaw_deg))
+    return int(n)
 
 
 def _cell_indices(grid_r_xy: float, r_yaw_deg: float, n_yaw: int, x, y, yaw):
@@ -100,12 +145,11 @@ def cast_votes(
 ) -> VoteGrid:
     """Solve every (src, dst) vertex-array pair and bin the accepted poses.
 
-    Raises ValueError when r_yaw_deg gives fewer than MIN_YAW_BINS yaw
-    bins, or when the votes span more cells than an int64 indexes.
+    Raises ValueError when r_yaw_deg is not finite and positive or gives
+    fewer than MIN_YAW_BINS yaw bins, or when the votes span more cells
+    than an int64 indexes.
     """
     n_yaw = yaw_bins(r_yaw_deg)
-    if n_yaw < MIN_YAW_BINS:
-        raise ValueError("r_yaw_deg must give at least %d yaw bins, got %r" % (MIN_YAW_BINS, r_yaw_deg))
     src, dst = correspondences
     x = y = yaw = np.zeros(0)
     if len(src):
@@ -170,8 +214,11 @@ def hierarchical_vote(
     l_cells: Optional[int] = 10000,
     k_cells: Optional[int] = 5000,
     j_candidates: Optional[int] = 1500,
-) -> List[Candidate]:
+) -> Candidates:
     """Three-step candidate extraction; None limits mean keep everything.
+
+    Returns the top groups ranked by merged score, ties on the smallest
+    cell's packed index.
 
     Raises ValueError for a grid of fewer than MIN_YAW_BINS yaw bins.
     """
@@ -211,5 +258,5 @@ def hierarchical_vote(
         np.bincount(labels, weights=a[kept])[top]
         for a in (grid.counts, grid.sum_x, grid.sum_y, grid.sum_sin, grid.sum_cos)
     )
-    groups = zip(sx / votes, sy / votes, np.arctan2(s_sin, s_cos), votes, merged[top], np.bincount(labels)[top])
-    return [Candidate(Se2Pose(x, y, yaw), int(v), int(m), int(c)) for x, y, yaw, v, m, c in groups]
+    xyt = np.column_stack([sx / votes, sy / votes, normalize_angle(np.arctan2(s_sin, s_cos))])
+    return Candidates(xyt, votes.astype(np.int64), merged[top], np.bincount(labels)[top])

@@ -35,7 +35,7 @@ from scan2plan.verify import (
     score_candidate,
     select_best,
 )
-from scan2plan.voting import Candidate, VoteGrid, _neighbor_table, hierarchical_vote, vanilla_vote
+from scan2plan.voting import Candidate, Candidates, VoteGrid, _neighbor_table, hierarchical_vote, vanilla_vote
 
 SETTINGS = settings(max_examples=80)
 FAR = [1e6, 1e20, 1e300, math.inf]  # 1e20 / s_r and up overflow an int64 cell index
@@ -134,7 +134,7 @@ def test_value_at_matches_oracle(data):
 def _bounds(field, cands, q_ng, q_g, cap):
     """(coarse, exact phase-1) bounds of every candidate."""
     q_ng, _, buf, idx = _prepare(q_ng, q_g, cap)
-    coarse = _coarse_bounds(field, [c.pose for c in cands], q_ng, buf, idx)
+    coarse = _coarse_bounds(field, Candidates.of(cands).xyt, q_ng, buf, idx)
     return coarse.tolist(), [ref.award_only(field, c.pose, q_ng) for c in cands]
 
 
@@ -408,7 +408,9 @@ def test_hierarchical_vote_matches_oracle(grid, l_cells, k_cells, j_candidates):
         k_cells = l_cells
     want = ref.hierarchical_vote(grid, l_cells, k_cells, j_candidates)
     got = hierarchical_vote(grid, l_cells, k_cells, j_candidates)
-    assert [_cand_key(c) for c in got] == [_cand_key(c) for c in want]
+    assert isinstance(got, Candidates) and len(got) == len(want)
+    assert got.xyt.dtype == np.float64 and got.xyt.shape == (len(want), 3)
+    assert [_cand_key(got[k]) for k in range(len(got))] == [_cand_key(c) for c in want]
     best = int(np.lexsort((grid.packed, -grid.counts))[0])
     pose, votes = vanilla_vote(grid)
     want_pose = ref._cell_pose(grid, np.array([best]))
@@ -427,3 +429,52 @@ def test_component_across_the_yaw_wrap():
     got = hierarchical_vote(grid, None, None, None)
     assert max(c.n_cells for c in got) > 8
     assert [_cand_key(c) for c in got] == [_cand_key(c) for c in ref.hierarchical_vote(grid, None, None, None)]
+
+
+@SETTINGS
+@given(st.data())
+def test_selection_over_candidate_arrays_matches_oracle(data):
+    # select_best over hierarchical_vote's arrays picks the oracle's index
+    # over the oracle's Candidate list, with the same result bits; the
+    # grids' poses lie mostly off the field, so ties and the vote and
+    # pose tie-break are common
+    grid = data.draw(vote_grids())
+    field = data.draw(fields())
+    q_ng = data.draw(probes(field))
+    q_g = data.draw(probes(field)) if data.draw(st.booleans()) else np.zeros((0, 2))
+    lam, cap = data.draw(st.sampled_from([0.0, 0.5, 2.5])), data.draw(caps)
+    j_candidates = data.draw(limits)
+    cands = hierarchical_vote(grid, None, None, j_candidates)
+    want_cands = ref.hierarchical_vote(grid, None, None, j_candidates)
+    with np.errstate(invalid="ignore", over="ignore"):
+        want_best, want = ref.select_best(field, want_cands, q_ng, q_g, lam=lam, max_points=cap)
+        got_best, got = select_best(field, cands, q_ng, q_g, lam=lam, max_points=cap)
+    assert got_best == want_best
+    assert _result_key(got) == _result_key(want[want_best])
+
+
+def test_selection_over_candidate_arrays_matches_oracle_on_a_scene():
+    # the package's vote arrays against the oracle's Candidate list, from
+    # the correspondences of a real scan against its floor
+    from scan2plan.config import PipelineConfig
+    from scan2plan.descriptors import query_correspondences
+    from scan2plan.pipeline import build_floor_index, extract_submap_features
+    from scan2plan.synthetic import generate_layout, synthesize_submap
+    from scan2plan.voting import cast_votes
+
+    cfg = PipelineConfig()
+    layout = generate_layout(seed=21, n_rooms=12, corridor=True, extent_m=48.0)
+    x0, y0, x1, y1 = layout.rooms[3]
+    gt = Se2Pose((x0 + x1) / 2, (y0 + y1) / 2, 0.4)
+    scene = synthesize_submap(layout.wall_model, gt, radius_m=15.0, noise_sigma_m=0.03, seed=4)
+    feats = extract_submap_features(scene.submap, cfg)
+    floor = build_floor_index(layout.wall_model, cfg)
+    grid = cast_votes(query_correspondences(floor.db, feats.triplets), cfg.r_xy, cfg.r_yaw_deg, cfg.residual_max_m)
+    cands = hierarchical_vote(grid, cfg.l_cells, cfg.k_cells, cfg.j_candidates)
+    want_cands = ref.hierarchical_vote(grid, cfg.l_cells, cfg.k_cells, cfg.j_candidates)
+    assert len(cands) == len(want_cands) > 1
+    for lam in (0.0, 0.5):
+        want_best, want = ref.select_best(floor.field, want_cands, feats.q_ng_xy, feats.q_g_xy, lam=lam)
+        got_best, got = select_best(floor.field, cands, feats.q_ng_xy, feats.q_g_xy, lam=lam)
+        assert got_best == want_best
+        assert _result_key(got) == _result_key(want[want_best])

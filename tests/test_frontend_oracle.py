@@ -6,7 +6,8 @@ wall runs cut one patch at a time, the per-pair corner loop, and the
 byte-hash ground mask. Every comparison here is bitwise: patch rows,
 moments, planes and cell boxes; touching box pairs; merged groups; patch classes; segment
 endpoints; corner positions, wall directions, support and order; the
-ground mask.
+ground mask, through the scoring sets thinned as the back-end oracle's
+`_subsample` thins the masked rows.
 Patch normals sit within a few ulp of the classification thresholds.
 Wall runs hold gaps exactly RUN_GAP_M and one ulp over it, and runs
 exactly MIN_RUN_M long. Corner inputs put
@@ -16,6 +17,7 @@ min_angle_deg sine, and intersections exactly extend_m past a wall end.
 
 import numpy as np
 import scalar_frontend as ref
+from scalar_backend import _subsample
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -470,7 +472,17 @@ def test_classify_patches_matches_oracle(case):
 
 
 def test_front_end_matches_oracle_on_scene():
-    cfg = PipelineConfig()
+    _assert_front_end_matches_oracle(PipelineConfig())
+
+
+def test_front_end_keeps_every_scoring_row_at_cap_zero():
+    _assert_front_end_matches_oracle(PipelineConfig(scoring_max_points=0))
+
+
+def _assert_front_end_matches_oracle(cfg):
+    """Corners bit for bit, and each scoring set equal to the oracle's
+    `_subsample` of the masked rows: thinned to the cap when it has more
+    rows, every row at a cap of 0."""
     layout = generate_layout(seed=2, n_rooms=4, corridor=True, extent_m=24.0)
     scene = synthesize_submap(
         layout.wall_model, Se2Pose(6.0, 5.0, 0.3), radius_m=10.0, seed=11,
@@ -489,5 +501,9 @@ def test_front_end_matches_oracle_on_scene():
 
     assert len(corners) >= 4
     _assert_corners_match(feats.corners, corners)
-    assert _bits(feats.q_g_xy) == _bits(pts[mask][:, :2])
-    assert _bits(feats.q_ng_xy) == _bits(pts[~mask][:, :2])
+    cap = cfg.scoring_max_points or None
+    for got, rows in ((feats.q_g_xy, mask), (feats.q_ng_xy, ~mask)):
+        assert _bits(got) == _bits(_subsample(pts[rows][:, :2], cap))
+        assert got.shape[0] == min(int(rows.sum()), cap or pts.shape[0])
+    # the scene is large enough that the default cap thins
+    assert max(int(mask.sum()), int((~mask).sum())) > PipelineConfig().scoring_max_points

@@ -278,3 +278,13 @@ def test_tied_infinite_scores_collapse():
     assert thresholds.shape == (2,)
     assert precision[0] == 1.0
     assert auc == pytest.approx(1.0)
+
+
+def test_select_best_cap_zero_keeps_every_point():
+    # 0 is the config's "no cap", and select_best reads it so too
+    layout, scene, q_ng, q_g = _scene()
+    field = build_score_field(layout.wall_model.endpoints())
+    cand = Candidate(scene.gt_pose, votes=1, merged_score=1, n_cells=1)
+    best, result = select_best(field, [cand], q_ng, q_g, max_points=0)
+    assert (best, result.n_ng, result.n_g) == (0, q_ng.shape[0], q_g.shape[0])
+    assert result == select_best(field, [cand], q_ng, q_g)[1]

@@ -11,7 +11,7 @@ import pytest
 import scan2plan
 from scan2plan.errors import EmptyGrid
 from scan2plan.geometry import Se2Pose, normalize_angle
-from scan2plan.voting import VoteGrid, cast_votes, hierarchical_vote, vanilla_vote
+from scan2plan.voting import VoteGrid, cast_votes, hierarchical_vote, vanilla_vote, yaw_bins
 
 TRIANGLE = np.array([[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]])
 
@@ -261,6 +261,15 @@ def test_fewer_than_three_yaw_bins_rejected(r_yaw_deg):
         _five_votes(r_yaw_deg)
 
 
+@pytest.mark.parametrize("r_yaw_deg", [0.0, math.nan, -1.0, math.inf])
+def test_non_finite_or_non_positive_yaw_step_rejected(r_yaw_deg):
+    # 0 used to divide by zero and NaN to fail numpy's int conversion
+    with pytest.raises(ValueError, match="yaw bins"):
+        yaw_bins(r_yaw_deg)
+    with pytest.raises(ValueError, match="yaw bins"):
+        _five_votes(r_yaw_deg)
+
+
 @pytest.mark.parametrize("n_yaw", [1, 2])
 def test_hierarchical_vote_rejects_grid_of_fewer_than_three_yaw_bins(n_yaw):
     one = np.ones(1)
@@ -293,17 +302,24 @@ def test_far_translation_unpacks_exactly():
     assert cand.votes == 2 and cand.n_cells == 2
 
 
-def test_only_graph_imports_csgraph():
-    # one connected-components helper: grouping goes through graph.connected_labels
-    importers = set()
-    for path in Path(scan2plan.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                names = [node.module] + ["%s.%s" % (node.module, a.name) for a in node.names]
-            else:
-                continue
-            if any(n.startswith("scipy.sparse.csgraph") for n in names):
-                importers.add(path.name)
-    assert importers == {"graph.py"}
+def _imports(path):
+    """Every module and module.name a file imports; relative ones as `.x`."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            names.add(module)
+            names.update("%s.%s" % (module, a.name) for a in node.names)
+    return names
+
+
+def test_no_module_imports_scipy_sparse():
+    # one connected-components helper, graph.connected_labels, in numpy;
+    # patch merging, segment chaining and vote clustering group through it
+    paths = sorted(Path(scan2plan.__file__).parent.glob("*.py"))
+    sparse = [p.name for p in paths if any(n.split(".")[:2] == ["scipy", "sparse"] for n in _imports(p))]
+    assert sparse == []
+    users = {p.name for p in paths if ".graph.connected_labels" in _imports(p)}
+    assert users == {"planes.py", "lines.py", "voting.py"}
