@@ -7,7 +7,6 @@ from .descriptors import (
     build_db,
     build_triplets,
     canonical_triplets,
-    deserialize_db,
     query_correspondences,
     serialize_db,
 )

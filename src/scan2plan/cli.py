@@ -13,8 +13,8 @@ from typing import List, Optional
 import numpy as np
 
 from .config import PipelineConfig, echo_config, make_config
-from .descriptors import DescriptorDB, canonical_triplets, clique_triplets, deserialize_db, serialize_db
-from .errors import EmptyScene, ParseError, ResolutionMismatch, Scan2PlanError
+from .descriptors import DescriptorDB, canonical_triplets, clique_triplets, serialize_db
+from .errors import EmptyScene, Scan2PlanError
 from .ingest import load_submap, load_wall_model, load_wall_models, save_pose, save_submap, save_wall_models
 from .lines import extract_corners
 from .pipeline import (
@@ -58,40 +58,8 @@ def _echo(cfg: PipelineConfig, out) -> None:
         out.write("# %s\n" % (line,))
 
 
-def _load_floors(model_path, db_paths, cfg):
-    models = load_wall_models(model_path)
-    if not db_paths:
-        return [build_floor_index(m, cfg) for m in models]
-    if len(db_paths) != len(models):
-        raise ParseError(
-            "%d --db files for %d floors; pass one per floor in file order"
-            % (len(db_paths), len(models))
-        )
-    dbs = []
-    for p in db_paths:
-        db = deserialize_db(p)
-        if db.r_s != cfg.r_s or db.r_a != cfg.r_a:
-            raise ResolutionMismatch(
-                "%s was built at r_s=%g r_a=%g, config wants r_s=%g r_a=%g"
-                % (p, db.r_s, db.r_a, cfg.r_s, cfg.r_a)
-            )
-        dbs.append(db)
-    floors = [build_floor_index(m, cfg, db) for m, db in zip(models, dbs)]
-    for p, floor in zip(db_paths, floors):
-        # build-db stores each vertex as a copy of one of the floor's corners
-        verts = floor.db.verts.reshape(-1, 2)
-        stray = ~np.isin(_row_bits(verts), _row_bits(floor.corners.pos))
-        if np.any(stray):
-            raise ResolutionMismatch(
-                "%s does not belong to floor %s: stored vertex %r is none of its corners"
-                % (p, floor.model.floor_id, tuple(verts[np.argmax(stray)].tolist()))
-            )
-    return floors
-
-
-def _row_bits(xy: np.ndarray) -> np.ndarray:
-    """(n, 2) float rows as one 16-byte value each, for bitwise set tests."""
-    return np.ascontiguousarray(xy, dtype=np.float64).reshape(-1, 2).view("V16").ravel()
+def _load_floors(model_path, cfg):
+    return [build_floor_index(m, cfg) for m in load_wall_models(model_path)]
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +133,7 @@ def cmd_build_db(args) -> int:
 
 def cmd_register(args) -> int:
     cfg = _config_of(args)
-    floors = _load_floors(args.model, args.db, cfg)
+    floors = _load_floors(args.model, cfg)
     submap = load_submap(args.submap)
     best, reports = register_submap(submap, floors, cfg)
     _echo(cfg, sys.stdout)
@@ -191,7 +159,7 @@ def cmd_register(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _config_of(args)
-    floors = _load_floors(args.model, args.db, cfg)
+    floors = _load_floors(args.model, cfg)
     summary = evaluate_scenes(args.scenes, floors, cfg)
     if args.csv:
         write_eval_csv(summary.outcomes, args.csv)
@@ -208,7 +176,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_pr_curve(args) -> int:
     cfg = _config_of(args)
-    floors = _load_floors(args.model, args.db, cfg)
+    floors = _load_floors(args.model, cfg)
     precision, recall, thresholds, auc = pr_from_directories(
         args.pos, args.neg, floors, cfg
     )
@@ -261,15 +229,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("register", help="register one submap against floor model(s)")
     p.add_argument("--submap", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--db", action="append", default=[], metavar="FILE",
-                   help="per-floor DB in model file order; omit to build in-process")
     _add_config_flags(p)
     p.set_defaults(func=cmd_register)
 
     p = sub.add_parser("evaluate", help="registration recall over a scene directory")
     p.add_argument("--scenes", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--db", action="append", default=[], metavar="FILE")
     p.add_argument("--csv", default=None)
     _add_config_flags(p)
     p.set_defaults(func=cmd_evaluate)
@@ -278,7 +243,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--pos", required=True)
     p.add_argument("--neg", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--db", action="append", default=[], metavar="FILE")
     p.add_argument("--csv", default=None)
     _add_config_flags(p)
     p.set_defaults(func=cmd_pr_curve)

@@ -11,9 +11,13 @@ Triplets stay arrays from enumeration to voting. The database holds one
 row per stored vertex order, sorted by its bins packed into one int64
 (mixed radix, each field sized by the largest bin stored); the sort is
 stable, so rows sharing a key keep insertion order. Lookups are binary
-searches, and a query bin outside the stored range matches nothing. The
-v1 file groups rows by key: magic, version, r_s r_a, key count, then per
-key six i32 bins, a u32 row count and 18 f64 per row.
+searches, and a query bin outside the stored range matches nothing.
+
+`serialize_db` exports a database as a v1 file, which the package never
+reads back: every floor index is built from its wall model. The file
+groups rows by key: magic, version, r_s r_a, key count, then per key six
+i32 bins, a u32 row count and 18 f64 per row. It does not store l_max
+or min_angle_deg.
 """
 
 import math
@@ -24,7 +28,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import ParseError, ResolutionMismatch, VersionMismatch
+from .errors import ResolutionMismatch
 from .lines import Corners
 
 DB_MAGIC = b"L2BD"
@@ -39,7 +43,6 @@ __all__ = [
     "build_db",
     "query_correspondences",
     "serialize_db",
-    "deserialize_db",
 ]
 
 # The six vertex orders, lexicographic. Edge e joins the vertex pair with
@@ -233,44 +236,3 @@ def serialize_db(db: DescriptorDB, path) -> None:
         parts.append(rows[start : start + count].tobytes())
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
-
-
-def deserialize_db(path) -> DescriptorDB:
-    """Read a v1 file; every row must hash to the key it is stored under."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != DB_MAGIC:
-        raise VersionMismatch("%s: not a descriptor database file" % (path,))
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != DB_VERSION:
-        raise VersionMismatch("%s: unsupported database version %d" % (path, version))
-    try:
-        r_s, r_a = struct.unpack_from("<dd", raw, 8)
-        (n_keys,) = struct.unpack_from("<I", raw, 24)
-        off = 28
-        heads, blocks = [(0,) * 7], [np.zeros(0)]
-        for _ in range(n_keys):
-            heads.append(struct.unpack_from("<6iI", raw, off))  # bins, row count
-            blocks.append(np.frombuffer(raw, dtype="<f8", count=heads[-1][6] * 18, offset=off + 28))
-            off += 28 + heads[-1][6] * 18 * 8
-    except (struct.error, ValueError) as exc:
-        raise ParseError("%s: truncated descriptor database: %s" % (path, exc)) from exc
-    if off != len(raw):
-        raise ParseError("%s: descriptor database has trailing or missing bytes" % (path,))
-    rows = np.concatenate(blocks).reshape(-1, 18).astype(np.float64)
-    verts, dirs = rows[:, :6].reshape(-1, 3, 2), rows[:, 6:].reshape(-1, 3, 2, 2)
-    with np.errstate(all="ignore"):
-        bins = _describe(verts, dirs, r_s, r_a)[2]
-    heads = np.array(heads, dtype=np.int64)
-    stored = np.repeat(heads[:, :6], heads[:, 6], axis=0)
-    bad = np.flatnonzero(np.any(bins != stored, axis=1))
-    if bad.shape[0]:
-        r = bad[0]
-        raise ParseError(
-            "%s: descriptor database row %d is stored under key %s but hashes to %s"
-            % (path, r, tuple(stored[r].tolist()), tuple(bins[r].tolist()))
-        )
-    try:
-        return DescriptorDB.from_entries(bins, verts, dirs, r_s, r_a)
-    except ValueError as exc:
-        raise ParseError("%s: descriptor database keys out of range: %s" % (path, exc)) from exc

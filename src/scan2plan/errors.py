@@ -44,9 +44,9 @@ class NoCandidates(Scan2PlanError):
 
 
 class ResolutionMismatch(Scan2PlanError):
-    """A descriptor database does not fit its use: it was built with other
-    quantization, or its vertices are not the corners of its floor."""
+    """Query triplets and a descriptor database were quantized with
+    different r_s or r_a."""
 
 
 class VersionMismatch(Scan2PlanError):
-    """Serialized file has an unknown magic or version."""
+    """A submap file does not start with the submap magic."""

@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyModel, InvalidSubmap, ParseError, VersionMismatch
+from .errors import DegenerateInput, EmptyModel, InvalidSubmap, ParseError, VersionMismatch
 from .geometry import LineSegment2, Se2Pose
 
 SUBMAP_MAGIC = b"L2B1"
@@ -107,7 +107,7 @@ def load_wall_models(path) -> List[WallModel]:
                 opened.append(lineno)
             try:
                 current.walls.append(LineSegment2(np.array([x1, y1]), np.array([x2, y2])))
-            except Exception:
+            except DegenerateInput:
                 raise ParseError(f"{path}:{lineno}: zero-length or invalid wall")
     if not any(m.walls for m in models):
         raise EmptyModel(f"{path}: no walls found")

@@ -91,15 +91,14 @@ class EvalSummary:
     outcomes: List[SceneOutcome]
 
 
-def build_floor_index(model: WallModel, cfg: PipelineConfig, db: Optional[DescriptorDB] = None) -> FloorIndex:
-    """Prepare one floor; pass a deserialized db to skip rebuilding it.
+def build_floor_index(model: WallModel, cfg: PipelineConfig) -> FloorIndex:
+    """Prepare one floor from its walls: corners, descriptor DB, score field.
 
     Raises InvalidModel when the walls span too large a score field.
     """
     walls = model.endpoints()
     corners = extract_corners(walls, cfg.extend_m, cfg.nms_radius_m, cfg.min_angle_deg)
-    if db is None:
-        db = build_db(corners, cfg.l_max, cfg.r_s, cfg.r_a, cfg.min_angle_deg)
+    db = build_db(corners, cfg.l_max, cfg.r_s, cfg.r_a, cfg.min_angle_deg)
     try:
         field = build_score_field(walls, cfg.s_r, cfg.k_d)
     except ValueError as exc:  # k_d >= 1 is validated, so only the extent is left

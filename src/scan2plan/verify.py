@@ -116,6 +116,8 @@ class ScoreField:
         values = np.asarray(self.values, dtype=np.float64)
         if not np.all((values >= 0.0) & (values <= 1.0)):  # also rejects NaN
             raise ValueError("score field values must lie in [0, 1]")
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "values", values)
         bordered = np.pad(values, 1)
         object.__setattr__(self, "_bordered", bordered.ravel())
         # values are >= 0, so padding past the edge with 0 changes no max

@@ -20,9 +20,7 @@ from scan2plan.descriptors import (
     build_db,
     build_triplets,
     canonical_triplets,
-    deserialize_db,
     query_correspondences,
-    serialize_db,
 )
 from scan2plan.lines import Corners
 
@@ -130,17 +128,6 @@ def test_make_descriptor_matches_oracle(corners, min_angle_deg):
     assert _bits(got.sides[0]) == _bits(sides)
     assert _bits(got.angles[0]) == _bits(angles)
     assert tuple(got.bins[0].tolist()) == key
-
-
-@SETTINGS
-@given(corner_sets(), r_s_values, r_a_values)
-def test_db_file_round_trip(tmp_path_factory, corners, r_s, r_a):
-    db = build_db(corners, r_s=r_s, r_a=r_a)
-    path = tmp_path_factory.mktemp("db") / "model.db"
-    serialize_db(db, path)
-    back = deserialize_db(path)
-    assert back.dims == db.dims and np.array_equal(back.keys, db.keys)
-    assert _bits(back.verts) == _bits(db.verts) and _bits(back.dirs) == _bits(db.dirs)
 
 
 @st.composite

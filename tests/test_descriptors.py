@@ -1,22 +1,23 @@
 """Triangle descriptor and database tests."""
 
+import hashlib
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from scan2plan.descriptors import (
+    DB_MAGIC,
+    DB_VERSION,
     DescriptorDB,
     build_db,
     build_triplets,
     canonical_triplets,
-    deserialize_db,
     query_correspondences,
     serialize_db,
 )
-from scan2plan.errors import (
-    ParseError,
-    ResolutionMismatch,
-    VersionMismatch,
-)
+from scan2plan.errors import ResolutionMismatch
 from scan2plan.geometry import Se2Pose
 from scan2plan.lines import Corners
 
@@ -161,74 +162,57 @@ def test_resolution_mismatch_raises():
         query_correspondences(db, qts)
 
 
-# --- serialization ---
+# --- v1 export ---
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 
-def test_db_round_trip(tmp_path):
-    rng = np.random.default_rng(4)
-    corners = _random_corners(rng, 12, spread=15.0)
-    db = build_db(corners)
-    path = tmp_path / "model.db"
+def _grid_db():
+    """A DB whose keys hold one to several rows: corners on a 4 x 3 grid of 2 m."""
+    xy = [(2.0 * i, 2.0 * j) for i in range(4) for j in range(3)]
+    db = build_db(_corners(*xy), l_max=7.0)
+    assert np.diff(np.append(db.key_starts(), db.n_triplets)).max() > 1
+    return db
+
+
+def test_serialize_db_v1_layout(tmp_path):
+    db = _grid_db()
+    path = tmp_path / "grid.db"
     serialize_db(db, path)
-    back = deserialize_db(path)
-    assert back.r_s == db.r_s and back.r_a == db.r_a
-    assert back.n_keys == db.n_keys
-    assert back.n_triplets == db.n_triplets
-    assert np.array_equal(back.bins(), db.bins())
-    assert np.array_equal(back.verts, db.verts)
-    assert np.array_equal(back.dirs, db.dirs)
-
-
-def test_db_round_trip_large(tmp_path):
-    rng = np.random.default_rng(5)
-    corners = _random_corners(rng, 40, spread=25.0)
-    db = build_db(corners, l_max=40.0)
-    assert db.n_triplets > 5000
-    path = tmp_path / "big.db"
-    serialize_db(db, path)
-    back = deserialize_db(path)
-    assert back.n_triplets == db.n_triplets
-    assert np.array_equal(back.bins(back.key_starts()), db.bins(db.key_starts()))
-
-
-def test_bad_magic_raises(tmp_path):
-    path = tmp_path / "bad.db"
-    path.write_bytes(b"NOPE" + b"\x00" * 40)
-    with pytest.raises(VersionMismatch):
-        deserialize_db(path)
-
-
-def test_bad_version_raises(tmp_path):
-    corners = _corners((0.0, 0.0), (4.0, 0.0), (0.0, 3.0))
-    path = tmp_path / "v9.db"
-    serialize_db(build_db(corners), path)
-    raw = bytearray(path.read_bytes())
-    raw[4:8] = (9).to_bytes(4, "little")
-    path.write_bytes(bytes(raw))
-    with pytest.raises(VersionMismatch):
-        deserialize_db(path)
-
-
-def test_truncated_db_raises(tmp_path):
-    corners = _corners((0.0, 0.0), (4.0, 0.0), (0.0, 3.0))
-    path = tmp_path / "cut.db"
-    serialize_db(build_db(corners), path)
     raw = path.read_bytes()
-    path.write_bytes(raw[: len(raw) - 16])
-    with pytest.raises(ParseError):
-        deserialize_db(path)
+    assert raw[:4] == DB_MAGIC == b"L2BD"
+    assert struct.unpack_from("<IddI", raw, 4) == (DB_VERSION, db.r_s, db.r_a, db.n_keys) == (1, 0.5, 3.0, db.n_keys)
+    off, keys, counts, blocks = 28, [], [], []
+    for _ in range(db.n_keys):
+        *key, count = struct.unpack_from("<6iI", raw, off)
+        blocks.append(np.frombuffer(raw, dtype="<f8", count=18 * count, offset=off + 28).reshape(count, 18))
+        keys.append(key)
+        counts.append(count)
+        off += 28 + 144 * count
+    assert off == len(raw)
+    starts = db.key_starts()
+    assert keys == db.bins(starts).tolist()
+    assert counts == np.diff(np.append(starts, db.n_triplets)).tolist()
+    rows = np.concatenate(blocks)
+    assert np.array_equal(rows[:, :6].view(np.uint64), db.verts.reshape(-1, 6).view(np.uint64))
+    assert np.array_equal(rows[:, 6:].view(np.uint64), db.dirs.reshape(-1, 12).view(np.uint64))
 
 
-def test_altered_key_raises(tmp_path):
-    rng = np.random.default_rng(6)
-    path = tmp_path / "model.db"
-    serialize_db(build_db(_random_corners(rng, 8, spread=12.0)), path)
-    raw = bytearray(path.read_bytes())
-    # the first key's |AC| bin, one too high: its rows no longer hash there
-    raw[36:40] = (int.from_bytes(raw[36:40], "little") + 1).to_bytes(4, "little")
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ParseError, match="stored under key"):
-        deserialize_db(path)
+def test_bench_db_digest_matches_in_memory_arrays(tmp_path, monkeypatch):
+    # bench/workloads.py hashes the v1 file; the same sha256 over the
+    # in-memory key bins, row counts and sorted rows must come out
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    import workloads
+
+    db = _grid_db()
+    starts = db.key_starts()
+    ends = np.append(starts[1:], db.n_triplets)
+    rows = np.concatenate([db.verts.reshape(-1, 6), db.dirs.reshape(-1, 12)], axis=1).astype("<f8")
+    h = hashlib.sha256()
+    for key, lo, hi in zip(db.bins(starts), starts.tolist(), ends.tolist()):
+        h.update(key.astype("<i4").tobytes() + struct.pack("<I", hi - lo))
+        h.update(b"".join(sorted(r.tobytes() for r in rows[lo:hi])))
+    assert workloads.db_digest(db, tmp_path) == h.hexdigest()
 
 
 # --- key packing ---

@@ -222,6 +222,17 @@ def test_score_field_rejects_non_finite_origin(origin):
         ScoreField(np.ones((3, 3)), np.array(origin), 0.2)
 
 
+def test_score_field_from_lists_reads_like_arrays():
+    # the field keeps float64 copies, so list inputs read like array inputs
+    values, origin = [[0.0, 1.0], [0.5, 0.25]], (0.0, 0.0)
+    pts = [[0.5, 0.5], [0.5, 1.5], [1.5, 0.5], [1.5, 1.5], [-0.5, 0.5], [2.5, 2.5]]
+    from_lists = ScoreField(values, origin, 1.0)
+    from_arrays = ScoreField(np.array(values), np.array(origin), 1.0)
+    assert from_lists.values.dtype == np.float64 and from_lists.origin.dtype == np.float64
+    assert np.array_equal(from_lists.value_at(pts), from_arrays.value_at(pts))
+    assert from_lists.value_at(pts).tolist() == [0.0, 1.0, 0.5, 0.25, 0.0, 0.0]
+
+
 def test_negative_cell_size_cannot_mirror_the_grid():
     # with s_r = -0.5 the point (-0.6, -0.6) used to land in cell (1, 1)
     with pytest.raises(ValueError, match="s_r"):
