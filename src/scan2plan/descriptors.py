@@ -4,8 +4,13 @@ A triplet of corners is canonicalized so its side lengths satisfy
 |AB| <= |BC| <= |AC|, described by the three sides plus the acute angles
 between each side and the wall directions at its vertices, and quantized
 into six integer bins: the sorted-side triangle hash of STD (Yuan et al.,
-ICRA 2023). Congruent triangles collide; the pose voting stage sorts out
-which correspondences are real.
+ICRA 2023). Congruent triangles collide, and so do their mirror images,
+since sides and acute wall angles ignore orientation. Each row also
+carries its hand, the sign of (B - A) x (C - A) for its vertex order;
+a rotation keeps it and a mirror flips it, so a query pairs only with
+rows of its own hand. The pose voting stage sorts out which of the rest
+are real. The hand is not a key field: the keys, and so the exported
+file, are those of the six bins alone.
 
 Triplets stay arrays from enumeration to voting. The database holds one
 row per stored vertex order, sorted by its bins packed into one int64
@@ -63,6 +68,7 @@ class Triplets:
     r_s: float
     r_a: float
     src: np.ndarray  # (M,) int64 input triplet each row orders, ascending
+    hand: np.ndarray  # (M,) int8 sign of (B - A) x (C - A)
 
     def __len__(self) -> int:
         return self.verts.shape[0]
@@ -78,17 +84,21 @@ class DescriptorDB:
     dims: Tuple[int, ...]  # radix of each of the six bins in a key
     r_s: float
     r_a: float
+    hand: np.ndarray  # (N,) int8 sign of (B - A) x (C - A)
 
     @classmethod
     def from_entries(cls, bins, verts, dirs, r_s: float, r_a: float) -> "DescriptorDB":
-        """Pack (N, 6) bins and stable-sort the rows; ValueError if keys overflow int64."""
+        """Pack (N, 6) bins and stable-sort the rows; ValueError if keys overflow int64.
+
+        Each row's hand is taken from its vertices."""
         bins = np.asarray(bins, dtype=np.int64).reshape(-1, 6)
         dims = tuple(int(b) + 1 for b in bins.max(axis=0)) if bins.shape[0] else (1,) * 6
         if math.prod(dims) > np.iinfo(np.int64).max:
             raise ValueError("descriptor bins up to %s do not pack into an int64; raise r_s or r_a" % (dims,))
         keys = np.ravel_multi_index(tuple(bins.T), dims)
         order = np.argsort(keys, kind="stable")
-        return cls(keys[order], verts[order], dirs[order], dims, r_s, r_a)
+        verts = verts[order]
+        return cls(keys[order], verts, dirs[order], dims, r_s, r_a, _hand(verts))
 
     @property
     def n_triplets(self) -> int:
@@ -114,6 +124,13 @@ class DescriptorDB:
         packed = np.full(bins.shape[0], -1, dtype=np.int64)  # below every key
         packed[inside] = np.ravel_multi_index(tuple(bins[inside].T), self.dims)
         return np.searchsorted(self.keys, packed), np.searchsorted(self.keys, packed, "right")
+
+
+def _hand(verts: np.ndarray) -> np.ndarray:
+    """Sign of (B - A) x (C - A) of each (M, 3, 2) row, as int8: +1
+    counter-clockwise, -1 clockwise, 0 for collinear vertices."""
+    u, v = verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]
+    return np.sign(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]).astype(np.int8)
 
 
 def _describe(verts: np.ndarray, dirs: np.ndarray, r_s: float, r_a: float):
@@ -166,7 +183,7 @@ def canonical_triplets(
         perm = np.lexsort((rounded[src, :, 1], rounded[src, :, 0]), axis=-1)[:, 0]
     order = _PERMS[perm]
     q, qd = p[src[:, None], order], d[src[:, None], order]
-    return Triplets(q, qd, *_describe(q, qd, r_s, r_a), r_s, r_a, src)
+    return Triplets(q, qd, *_describe(q, qd, r_s, r_a), r_s, r_a, src, _hand(q))
 
 
 def clique_triplets(corners: Corners, l_max: float):
@@ -211,15 +228,18 @@ def build_db(
 def query_correspondences(db: DescriptorDB, triplets: Triplets) -> Tuple[np.ndarray, np.ndarray]:
     """(src, dst) vertex arrays, (M, 3, 2) each, for `solve_se2_batch`.
 
-    Each query triplet pairs with every row under its key: query order
-    first, then row order.
+    Each query triplet pairs with every row under its key that has its
+    hand: query order first, then row order. A mirrored row never pairs,
+    since no rotation maps a triangle onto its mirror image.
     """
     if triplets.r_s != db.r_s or triplets.r_a != db.r_a:
         raise ResolutionMismatch("query triplet quantization does not match the database")
     lo, hi = db.find(triplets.bins)
     n = hi - lo
-    rows = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
-    return np.repeat(triplets.verts, n, axis=0), db.verts[rows]
+    query = np.repeat(np.arange(n.shape[0]), n)
+    rows = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(query.shape[0])
+    same = db.hand[rows] == triplets.hand[query]
+    return triplets.verts[query[same]], db.verts[rows[same]]
 
 
 # --- serialization ---

@@ -2,11 +2,12 @@
 
 Each surviving triplet correspondence casts one vote: the closed-form
 alignment of its three vertex pairs, gated by the fit residual to reject
-mirrored and false congruences. Candidates come out of a three-step
-reduction: top cells by own count, re-ranking by 3x3x3 neighborhood sums
-(yaw wraps), then region growing over the kept cells by group labels
-(`graph.connected_labels`). Each group's vote-weighted mean pose comes
-from `np.bincount` over the labels, which sums in ascending cell order.
+false congruences (the descriptor query pairs no mirror images).
+Candidates come out of a three-step reduction: top cells by own count,
+re-ranking by 3x3x3 neighborhood sums (yaw wraps), then region growing
+over the kept cells by group labels (`graph.connected_labels`). Each
+group's vote-weighted mean pose comes from `np.bincount` over the
+labels, which sums in ascending cell order.
 All ties break lexicographically on the cell index. The ranked groups
 come out as one `Candidates` array set; a `Candidate` object is built
 only for a row that is read as one.

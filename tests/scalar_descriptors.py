@@ -5,7 +5,9 @@ one `np.linalg.norm` per side per vertex order. The package's batched
 layer must reproduce it bit for bit; `test_descriptor_oracle.py` checks
 that. Triplets come back as (vertices, wall_dirs, key) tuples, the DB as
 a dict of key -> [(vertices, wall_dirs)] in insertion order, and
-correspondences as (src, dst) vertex pairs in query-then-bucket order.
+correspondences as (src, dst) vertex pairs in query-then-bucket order,
+kept only where both triangles have the same hand (the sign of
+(B - A) x (C - A)), so a mirror image never pairs.
 Corner sets arrive as the package's `Corners` arrays and are walked as
 the per-corner objects of `scalar_frontend`.
 """
@@ -149,10 +151,18 @@ def build_db(corners, l_max=30.0, r_s=0.5, r_a=3.0, min_angle_deg=10.0):
     return buckets
 
 
+def hand(p):
+    """Sign of (B - A) x (C - A): 1 counter-clockwise, -1 clockwise, 0 collinear."""
+    u, v = p[1] - p[0], p[2] - p[0]
+    return int(np.sign(u[0] * v[1] - u[1] * v[0]))
+
+
 def query_correspondences(buckets, triplets):
-    """[(src, dst)]: each query triplet, then its bucket in insertion order."""
+    """[(src, dst)]: each query triplet, then the entries of its bucket
+    with its hand, in insertion order."""
     out = []
     for verts, _, key in triplets:
         for entry, _ in buckets.get(key, ()):
-            out.append((verts, entry))
+            if hand(entry) == hand(verts):
+                out.append((verts, entry))
     return out

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from scan2plan.config import PipelineConfig
 from scan2plan.descriptors import (
     DB_MAGIC,
     DB_VERSION,
@@ -18,8 +19,9 @@ from scan2plan.descriptors import (
     serialize_db,
 )
 from scan2plan.errors import ResolutionMismatch
-from scan2plan.geometry import Se2Pose
+from scan2plan.geometry import Se2Pose, solve_se2_batch
 from scan2plan.lines import Corners
+from scan2plan.voting import cast_votes
 
 XY_DIRS = np.array([[1.0, 0.0], [0.0, 1.0]])
 
@@ -152,6 +154,33 @@ def test_query_finds_transformed_triplets():
             np.allclose(pose.apply(s), d, atol=1e-6)
             for s, d in zip(src[partners], dst[partners])
         )
+
+
+def test_mirrored_triangle_never_pairs():
+    # a thin triangle (sides 1.1 m and 2.1 m at 10.5 degrees) is so close to
+    # its mirror image that the mirror's best rotation fits it within
+    # the residual gate; only the hand keeps the pair from voting
+    a = np.radians(10.5)
+    pos = np.array([[0.0, 0.0], [1.1, 0.0], [2.1 * np.cos(a), 2.1 * np.sin(a)]])
+    th = np.array([0.3, 1.1, 2.0])
+    dirs = np.stack([np.column_stack([np.cos(th), np.sin(th)]), np.column_stack([-np.sin(th), np.cos(th)])], axis=1)
+    flip = np.array([1.0, -1.0])
+    query = canonical_triplets(pos, dirs)
+    mirror = canonical_triplets(pos * flip, dirs * flip, tied_orders=True)
+    row = mirror.bins.tolist().index(query.bins[0].tolist())
+    rms = solve_se2_batch(query.verts, mirror.verts[row : row + 1])[3]
+    assert 0.1 < rms[0] < PipelineConfig().residual_max_m
+
+    db = DescriptorDB.from_entries(mirror.bins, mirror.verts, mirror.dirs, 0.5, 3.0)
+    src, dst = query_correspondences(db, query)
+    assert src.shape == dst.shape == (0, 3, 2)
+    assert cast_votes((src, dst)).total_votes == 0
+
+    # the same triangle turned and moved keeps its hand and pairs once
+    pose = Se2Pose(3.0, -2.0, 2.5)
+    turned = canonical_triplets(pose.apply(pos), dirs @ pose.rotation().T, tied_orders=True)
+    db = DescriptorDB.from_entries(turned.bins, turned.verts, turned.dirs, 0.5, 3.0)
+    assert cast_votes(query_correspondences(db, query)).total_votes == 1
 
 
 def test_resolution_mismatch_raises():

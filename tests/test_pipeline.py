@@ -5,7 +5,7 @@ import pytest
 
 from scan2plan.config import PipelineConfig
 from scan2plan.errors import EmptyModel, EmptyScene
-from scan2plan.geometry import registration_success
+from scan2plan.geometry import Se2Pose, registration_success
 from scan2plan.ingest import Submap, save_pose, save_submap
 from scan2plan.planes import Patches, classify_patches
 from scan2plan.pipeline import (
@@ -124,6 +124,50 @@ def test_multi_floor_picks_home_floor():
     assert best.floor_id == layout.wall_model.floor_id
     assert registration_success(best.pose, scene.gt_pose)
     assert best.confidence == max(r.confidence for r in reports)
+
+
+# ---------------------------------------------------------------------------
+# Submap frames far from the points
+# ---------------------------------------------------------------------------
+
+def _shifted(submap, shift):
+    points = submap.points.copy()
+    points[:, :2] += shift
+    return Submap(points, submap.gravity)
+
+
+@pytest.mark.parametrize("offset", [1e3, 1e4])
+def test_far_frame_registers_as_unshifted(offset):
+    # registration_success would judge translation at the far frame's
+    # origin, where a 0.01 deg rotation error alone moves it by 2.5 m at
+    # 10 km; the unshifted run and the points' centroid are compared
+    layout, floor = _home()
+    cfg = PipelineConfig()
+    shift = np.array([offset, offset])
+    for seed in (11, 12, 16):
+        scene = _scene(layout, seed, noise=0.03, drop=0.2, clutter=0.1)
+        base, _ = register_submap(scene.submap, [floor], cfg)
+        far, _ = register_submap(_shifted(scene.submap, shift), [floor], cfg)
+        assert registration_success(base.pose, scene.gt_pose)
+        rot = np.degrees(abs(np.angle(np.exp(1j * (far.pose.yaw - base.pose.yaw)))))
+        assert rot < 0.01
+        centroid = scene.submap.points[:, :2].mean(axis=0)
+        assert np.linalg.norm(far.pose.apply(centroid + shift) - base.pose.apply(centroid)) < 0.05
+        assert far.accepted == base.accepted
+
+
+def test_report_pose_is_in_the_submap_frame():
+    # registration runs about the walls, wherever the submap's frame lies;
+    # moving that frame by whole metres moves the reported pose with it
+    layout, floor = _home()
+    cfg = PipelineConfig()
+    scene = _scene(layout, 13, noise=0.03, drop=0.2, clutter=0.1)
+    shift = np.array([3000.0, -2000.0])
+    base, _ = register_submap(scene.submap, [floor], cfg)
+    moved, _ = register_submap(_shifted(scene.submap, shift), [floor], cfg)
+    want = base.pose.compose(Se2Pose(-shift[0], -shift[1], 0.0))
+    assert moved.pose.yaw == pytest.approx(want.yaw, abs=1e-9)
+    assert moved.pose.translation == pytest.approx(want.translation, abs=1e-5)
 
 
 def test_no_floors_rejected():
