@@ -262,9 +262,14 @@ def _corridor_suite(n_seeds=100):
         corr = query_correspondences(floor.db, feats.triplets)
         grid = cast_votes(corr, cfg.r_xy, cfg.r_yaw_deg, cfg.residual_max_m)
         cands = hierarchical_vote(grid, cfg.l_cells, cfg.k_cells, cfg.j_candidates)
-        vote_pose, _ = vanilla_vote(grid)
-        truth_votes = max((c.votes for c in cands if _near(c.pose, gt, 0.5, 5.0)), default=0)
-        alias = [(c.votes, i) for i, c in enumerate(cands) if not _near(c.pose, gt, 2.0, 30.0)]
+        # votes, candidates and scoring live in the features' centred
+        # frame; judge poses in the submap's frame, as register_features
+        # reports them
+        uncentre = Se2Pose(-feats.centre[0], -feats.centre[1], 0.0)
+        poses = [c.pose.compose(uncentre) for c in cands]
+        vote_pose = vanilla_vote(grid)[0].compose(uncentre)
+        truth_votes = max((c.votes for c, p in zip(cands, poses) if _near(p, gt, 0.5, 5.0)), default=0)
+        alias = [(c.votes, i) for i, (c, p) in enumerate(zip(cands, poses)) if not _near(p, gt, 2.0, 30.0)]
         alias_votes, ai = max(alias, default=(0, -1))
         best, _ = select_best(
             floor.field, cands, feats.q_ng_xy, feats.q_g_xy,
@@ -282,8 +287,8 @@ def _corridor_suite(n_seeds=100):
         rows.append(
             dict(
                 vanilla_ok=registration_success(vote_pose, gt),
-                plain_ok=registration_success(cands[best].pose, gt),
-                boosted_ok=registration_success(boosted[best_b].pose, gt),
+                plain_ok=registration_success(poses[best], gt),
+                boosted_ok=registration_success(poses[best_b], gt),
                 outvoted=boosted[ai].votes > truth_votes,
                 alias_found=ai >= 0 and alias_votes > 0,
             )
