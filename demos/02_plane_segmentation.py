@@ -28,7 +28,7 @@ print("%d raw patches from %d points (%d left unassigned)" % (
 patches = merge_patches(result.patches, normal_tol_deg=10.0, dist_tol_m=0.1)
 print("%d patches after coplanar merge" % len(patches))
 
-walls, ground, other = classify_patches(patches, sub.gravity, angle_tol_deg=15.0)
+walls, ground, other = classify_patches(patches, sub.gravity, gravity_tol_deg=15.0)
 print("%d wall patches, %d ground patches, %d other" % (len(walls), len(ground), len(other)))
 
 # patches are array rows and every point carries its patch's label;

@@ -4,16 +4,13 @@ Triangle descriptors, hashing, and pose voting
 
 Indexes the model's corner triplets in a hash table, queries it with the
 submap's triplets, and lets every correspondence vote for the pose its
-closed-form alignment implies. The votes are cast in the features' frame,
-centred on the walls; the printed candidates are mapped back to the
-submap's frame, where the truth pose lives.
+closed-form alignment implies.
 """
 
 import numpy as np
 
 from scan2plan.config import PipelineConfig
 from scan2plan.descriptors import build_db, build_triplets, query_correspondences
-from scan2plan.geometry import Se2Pose
 from scan2plan.lines import extract_corners
 from scan2plan.pipeline import extract_submap_features
 from scan2plan.synthetic import generate_layout, random_interior_pose, synthesize_submap
@@ -46,15 +43,8 @@ grid = cast_votes(corr, r_xy=cfg.r_xy, r_yaw_deg=cfg.r_yaw_deg,
 print("%d votes in %d cells (%d rejected by residual)" % (
     grid.total_votes, grid.packed.shape[0], grid.n_rejected))
 
-# votes are cast in the features' centred frame (submap points minus
-# feats.centre); composing with T(-centre) puts a candidate back in the
-# submap's frame, as register_features reports its pose
 cands = hierarchical_vote(grid, cfg.l_cells, cfg.k_cells, cfg.j_candidates)
-cx, cy = feats.centre + 0.0  # + 0.0 prints a rounded -0.0 as 0
-uncentre = Se2Pose(-cx, -cy, 0.0)
-print("centre %.0f %.0f m; top candidates in the submap frame (truth at %.2f %.2f %.1f deg):" % (
-    cx, cy, gt.x, gt.y, np.degrees(gt.yaw)))
+print("top candidates (truth at %.2f %.2f %.1f deg):" % (gt.x, gt.y, np.degrees(gt.yaw)))
 for c in cands[:5]:
-    pose = c.pose.compose(uncentre)
     print("  votes %4d  merged %4d  pose %7.2f %7.2f %7.1f deg" % (
-        c.votes, c.merged_score, pose.x, pose.y, np.degrees(pose.yaw)))
+        c.votes, c.merged_score, c.pose.x, c.pose.y, np.degrees(c.pose.yaw)))

@@ -6,14 +6,9 @@ non-ground scoring sets (thinned to `scoring_max_points` rows each as
 they are gathered), then matched against every prepared floor. The
 report with the highest verification confidence wins.
 
-Plane segmentation runs in the submap's own frame. Everything after it
-(corners, triplets, votes, candidates and scoring) runs in a frame
-centred on the walls: p - c, with c the midpoint of the wall patches'
-centroid xy box, rounded to a whole metre. A vote's translation then
-moves by |s| * e for a yaw error e, with |s| the triplet's distance from
-c, not from the submap frame's origin, so clusters stay tight however far
-that origin lies from the points. A report's pose is the centred pose
-composed with the shift, pose o T(-c), in the submap's own frame.
+Every stage works in the submap's own frame, and every pose maps that
+frame onto the floor's; `voting` keeps its vote clusters tight however
+far the frame's origin lies from the points.
 """
 
 import csv
@@ -53,16 +48,13 @@ class FloorIndex:
 class SubmapFeatures:
     """Everything extracted from one submap, reusable across floors.
 
-    Corners, triplets and the scoring sets are in the submap frame shifted
-    by -centre (see the module docstring). The scoring sets hold the xy
-    of at most `scoring_max_points` rows each, picked by
-    `verify.thin_rows`."""
+    The scoring sets hold the xy of at most `scoring_max_points` rows
+    each, picked by `verify.thin_rows`."""
 
     corners: Corners
     triplets: Triplets
     q_ng_xy: np.ndarray
     q_g_xy: np.ndarray
-    centre: np.ndarray  # (2,) whole metres, the submap-frame xy of the centred frame's origin
     timings_ms: Dict[str, float]
 
 
@@ -119,7 +111,7 @@ def build_floor_index(model: WallModel, cfg: PipelineConfig) -> FloorIndex:
 
 
 def extract_submap_features(submap: Submap, cfg: PipelineConfig) -> SubmapFeatures:
-    """Submap -> wall corners, descriptor DB, and scoring point sets, centred.
+    """Submap -> wall corners, descriptor DB, and scoring point sets.
 
     Wall segments are the point runs along each wall patch's line
     (`lines.patch_segments`). Raises EmptyGrid when no wall surface
@@ -145,29 +137,23 @@ def extract_submap_features(submap: Submap, cfg: PipelineConfig) -> SubmapFeatur
     # rebinding frees the unmerged set before the line stage
     patches = merge_patches(patches, cfg.normal_tol_deg, cfg.dist_tol_m)
     walls, ground, _ = classify_patches(patches, submap.gravity, cfg.gravity_tol_deg)
-    if walls.shape[0] == 0:
-        raise EmptyGrid("no wall patches in submap")
-    wall_xy = patches.centroid[walls, :2]
-    centre = np.round((wall_xy.min(axis=0) + wall_xy.max(axis=0)) / 2.0)
-    wall_xy -= centre
     g_mask = patches.mask(ground)
-    # only the rows scoring keeps are gathered, and only gathered copies
-    # are centred: the points themselves are never copied
+    # only the rows scoring keeps are gathered
     q_g_xy = points[thin_rows(np.flatnonzero(g_mask), cfg.scoring_max_points), :2]
     q_ng_xy = points[thin_rows(np.flatnonzero(~g_mask), cfg.scoring_max_points), :2]
-    q_g_xy -= centre
-    q_ng_xy -= centre
     timings["planes"] = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()
+    if walls.shape[0] == 0:
+        raise EmptyGrid("no wall patches in submap")
     # each row's wall 0..W-1, -1 off the walls; label -1 reads the last slot
     wall_of = np.full(len(patches) + 1, -1, dtype=np.int64)
     wall_of[walls] = np.arange(walls.shape[0])
     row_wall = wall_of[patches.label]
     rows = row_wall >= 0
-    wall_pts = points[rows, :2]
-    wall_pts -= centre
-    segments = patch_segments(wall_pts, row_wall[rows], wall_xy, patches.normal[walls, :2])
+    segments = patch_segments(
+        points[rows, :2], row_wall[rows], patches.centroid[walls, :2], patches.normal[walls, :2],
+    )
     segments = merge_refit(segments, cfg.endpoint_tol_m, cfg.angle_tol_deg)
     corners = extract_corners(segments, cfg.extend_m, cfg.nms_radius_m, cfg.min_angle_deg)
     timings["lines"] = (time.perf_counter() - t0) * 1e3
@@ -176,7 +162,7 @@ def extract_submap_features(submap: Submap, cfg: PipelineConfig) -> SubmapFeatur
     triplets = build_triplets(corners, cfg.l_max, cfg.r_s, cfg.r_a, cfg.min_angle_deg)
     timings["descriptors"] = (time.perf_counter() - t0) * 1e3
 
-    return SubmapFeatures(corners, triplets, q_ng_xy, q_g_xy, centre, timings)
+    return SubmapFeatures(corners, triplets, q_ng_xy, q_g_xy, timings)
 
 
 def _failed_report(floor_id: str, timings: Dict[str, float]) -> RegistrationReport:
@@ -186,10 +172,7 @@ def _failed_report(floor_id: str, timings: Dict[str, float]) -> RegistrationRepo
 
 
 def register_features(feats: SubmapFeatures, floor: FloorIndex, cfg: PipelineConfig) -> RegistrationReport:
-    """Match prepared submap features against one prepared floor.
-
-    Votes and scoring run in the features' centred frame; the report's
-    pose maps the submap's own frame onto the floor."""
+    """Match prepared submap features against one prepared floor."""
     timings = dict(feats.timings_ms)
 
     t0 = time.perf_counter()
@@ -207,14 +190,7 @@ def register_features(feats: SubmapFeatures, floor: FloorIndex, cfg: PipelineCon
 
     t0 = time.perf_counter()
     try:
-        best_idx, best = select_best(
-            floor.field,
-            candidates,
-            feats.q_ng_xy,
-            feats.q_g_xy,
-            lam=cfg.lam,
-            max_points=cfg.scoring_max_points,
-        )
+        best_idx, best = select_best(floor.field, candidates, feats.q_ng_xy, feats.q_g_xy, lam=cfg.lam)
     except (EmptySubmap, NoCandidates):
         timings["verify"] = (time.perf_counter() - t0) * 1e3
         return _failed_report(floor.model.floor_id, timings)
@@ -224,7 +200,7 @@ def register_features(feats: SubmapFeatures, floor: FloorIndex, cfg: PipelineCon
     winner = candidates[best_idx]
     return RegistrationReport(
         floor_id=floor.model.floor_id,
-        pose=winner.pose.compose(Se2Pose(-feats.centre[0], -feats.centre[1], 0.0)),
+        pose=winner.pose,
         confidence=best.confidence,
         votes=winner.votes,
         n_correspondences=corr[0].shape[0],

@@ -247,7 +247,7 @@ def merge_patches(patches: Patches, normal_tol_deg: float = 10.0, dist_tol_m: fl
 
 
 def classify_patches(
-    patches: Patches, gravity: np.ndarray, angle_tol_deg: float = 15.0
+    patches: Patches, gravity: np.ndarray, gravity_tol_deg: float = 15.0
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split patch indices into (walls, ground, other) by angle to gravity.
 
@@ -256,8 +256,8 @@ def classify_patches(
     """
     g = np.asarray(gravity, dtype=np.float64)
     g = g / np.linalg.norm(g)
-    cos_par = float(np.cos(np.radians(angle_tol_deg)))
-    sin_perp = float(np.sin(np.radians(angle_tol_deg)))
+    cos_par = float(np.cos(np.radians(gravity_tol_deg)))
+    sin_perp = float(np.sin(np.radians(gravity_tol_deg)))
     # vecdot, not `normal @ g`: it rounds each row as the one-patch dot does
     c = np.abs(np.vecdot(patches.normal, g))
     ground = c >= cos_par

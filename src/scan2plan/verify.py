@@ -17,11 +17,10 @@ translation, subtract origin, divide by s_r and floor, clipping the
 cell index to [-1, n] and reading the bordered copy with one flat
 gather, so a point off the grid reads 0.0. Per element these are the
 operations of the plain broadcasts, so every sum is bit-identical to a
-masked 2-D lookup. Point sets are thinned to at most a cap of rows by
-one even stride, `thin_rows`; the pipeline thins its scoring sets once
-per submap, when it extracts them, so `select_best`'s own thinning
-leaves them as they are. Every candidate runs through the same two
-scratch buffers.
+masked 2-D lookup. The pipeline thins its scoring sets once per submap,
+when it extracts them, to at most a cap of rows by one even stride
+(`thin_rows`); `select_best` scores every point it is given. Every
+candidate runs through the same two scratch buffers.
 
 Selection is exact branch and bound in three phases.
 
@@ -220,10 +219,10 @@ def thin_rows(a: np.ndarray, cap: Optional[int]) -> np.ndarray:
     return a
 
 
-def _prepare(q_ng_xy, q_g_xy, cap: Optional[int]):
-    """(q_ng, q_g, buf, idx): (N, 2) float64 point sets, each thinned to
-    `cap` rows by `thin_rows`, and scratch sized to the larger."""
-    q_ng, q_g = (thin_rows(np.asarray(q, dtype=np.float64).reshape(-1, 2), cap) for q in (q_ng_xy, q_g_xy))
+def _prepare(q_ng_xy, q_g_xy):
+    """(q_ng, q_g, buf, idx): (N, 2) float64 point sets and scratch sized
+    to the larger."""
+    q_ng, q_g = (np.asarray(q, dtype=np.float64).reshape(-1, 2) for q in (q_ng_xy, q_g_xy))
     if q_ng.shape[0] == 0:
         raise EmptySubmap("no non-ground points to score")
     return (q_ng, q_g) + _scratch(max(q_ng.shape[0], q_g.shape[0]))
@@ -314,17 +313,13 @@ def select_best(
     q_ng_xy: np.ndarray,
     q_g_xy: np.ndarray,
     lam: float = 0.5,
-    max_points: Optional[int] = None,
 ) -> Tuple[int, ScoreResult]:
     """Return (best index, its exact ScoreResult) over the candidates,
     `Candidates` arrays or a `Candidate` sequence.
 
     Ties on confidence fall back to vote count, then to the
-    lexicographically smallest pose. max_points caps the scored points
-    with the even stride of `thin_rows` (None or 0 keeps them all);
-    confidence is a normalized mean, so the cap trades a little variance
-    for time. The points are thinned once and every candidate reuses the
-    same two scratch buffers.
+    lexicographically smallest pose. Every candidate reuses the same two
+    scratch buffers; a caller caps the scored points with `thin_rows`.
 
     Branch and bound, exact: every candidate gets a coarse upper bound
     on its confidence (`_coarse_bounds`), and candidates are visited in
@@ -341,7 +336,7 @@ def select_best(
     # the bounds rest on lam * s_p >= 0
     if not (lam >= 0.0 and np.isfinite(lam)):
         raise ValueError("lam must be finite and >= 0, got %r" % (lam,))
-    q_ng, q_g, buf, idx = _prepare(q_ng_xy, q_g_xy, max_points)
+    q_ng, q_g, buf, idx = _prepare(q_ng_xy, q_g_xy)
     n_ng, n_g = q_ng.shape[0], q_g.shape[0]
     coarse = _coarse_bounds(field, cands.xyt, q_ng, buf, idx)
 

@@ -3,6 +3,14 @@
 Each surviving triplet correspondence casts one vote: the closed-form
 alignment of its three vertex pairs, gated by the fit residual to reject
 false congruences (the descriptor query pairs no mirror images).
+
+Votes are binned about a pivot p, the midpoint of the xy box of the
+source vertices rounded to whole metres: a vote (t, yaw) goes to the
+cell of its pose about p, t + R(yaw) p, which a yaw error e moves by
+about |s - p| e (s the triplet's centroid), not |s| e, however far the
+source frame's origin lies. Every pose that leaves this module is
+composed with T(-p), so it maps the caller's source frame.
+
 Candidates come out of a three-step reduction: top cells by own count,
 re-ranking by 3x3x3 neighborhood sums (yaw wraps), then region growing
 over the kept cells by group labels (`graph.connected_labels`). Each
@@ -43,7 +51,8 @@ class VoteGrid:
     A packed index is the row-major index of (ix - x0, iy - y0, iyaw) in a
     box of shape `dims`, sized from the votes with one spare cell on each
     side in x and y, so every cell and its neighbours pack without
-    overflow and packed order is (ix, iy, iyaw) order.
+    overflow and packed order is (ix, iy, iyaw) order. Cells and sums
+    hold the votes' poses about `pivot` (see the module docstring).
     """
 
     origin: Tuple[int, int]  # (x0, y0)
@@ -55,6 +64,7 @@ class VoteGrid:
     sum_cos: np.ndarray
     sum_sin: np.ndarray
     n_rejected: int = 0
+    pivot: Tuple[float, float] = (0.0, 0.0)  # whole metres, in the source frame
 
     @property
     def n_yaw_bins(self) -> int:
@@ -86,10 +96,11 @@ class Candidate:
 class Candidates:
     """Ranked pose hypotheses, one row per vote cluster.
 
-    `xyt` holds x, y and yaw, with yaw wrapped to [-pi, pi) as `Se2Pose`
-    wraps it; wrapping a wrapped yaw again changes no bit, so `cands[k]`
-    is the k-th `Candidate` exactly. A slice gives a `Candidates`, and
-    iteration yields `Candidate`s.
+    Each pose maps the source frame of the voting correspondences onto
+    their destination frame. `xyt` holds x, y and yaw, with yaw wrapped
+    to [-pi, pi) as `Se2Pose` wraps it; wrapping a wrapped yaw again
+    changes no bit, so `cands[k]` is the k-th `Candidate` exactly. A
+    slice gives a `Candidates`, and iteration yields `Candidate`s.
     """
 
     xyt: np.ndarray  # (C, 3) float64
@@ -138,13 +149,20 @@ def _cell_indices(grid_r_xy: float, r_yaw_deg: float, n_yaw: int, x, y, yaw):
     return ix, iy, iyaw
 
 
+def _unpivot(x, y, yaw, pivot):
+    """t - R(yaw) pivot: the (x, y) of poses (x, y, yaw) about `pivot`, composed with T(-pivot)."""
+    c, s = np.cos(yaw), np.sin(yaw)
+    return x - (c * pivot[0] - s * pivot[1]), y - (s * pivot[0] + c * pivot[1])
+
+
 def cast_votes(
     correspondences: Tuple[np.ndarray, np.ndarray],
     r_xy: float = 0.15,
     r_yaw_deg: float = 1.0,
     residual_max_m: float = 0.3,
 ) -> VoteGrid:
-    """Solve every (src, dst) vertex-array pair and bin the accepted poses.
+    """Solve every (src, dst) vertex-array pair and bin the accepted poses
+    about the pivot of the src vertices.
 
     Raises ValueError when r_yaw_deg is not finite and positive or gives
     fewer than MIN_YAW_BINS yaw bins, or when the votes span more cells
@@ -153,11 +171,16 @@ def cast_votes(
     n_yaw = yaw_bins(r_yaw_deg)
     src, dst = correspondences
     x = y = yaw = np.zeros(0)
+    pivot = (0.0, 0.0)
     if len(src):
+        # column by column: numpy reduces an (N, 2) array over axis 0 slowly
+        pivot = tuple(float(np.round((v.min() + v.max()) / 2.0)) for v in src.reshape(-1, 2).T)
         x, y, yaw, rms = solve_se2_batch(src, dst)
         ok = rms <= residual_max_m
         x, y, yaw = x[ok], y[ok], yaw[ok]
     n_rejected = len(src) - x.shape[0]
+    c, s = np.cos(yaw), np.sin(yaw)
+    x, y = x + (c * pivot[0] - s * pivot[1]), y + (s * pivot[0] + c * pivot[1])  # t + R(yaw) pivot
 
     ix, iy, iyaw = _cell_indices(r_xy, r_yaw_deg, n_yaw, x, y, yaw)
     if x.shape[0]:
@@ -175,21 +198,24 @@ def cast_votes(
         counts.astype(np.int64),
         np.bincount(inv, weights=x, minlength=n),
         np.bincount(inv, weights=y, minlength=n),
-        np.bincount(inv, weights=np.cos(yaw), minlength=n),
-        np.bincount(inv, weights=np.sin(yaw), minlength=n),
-        n_rejected=n_rejected,
+        np.bincount(inv, weights=c, minlength=n),
+        np.bincount(inv, weights=s, minlength=n),
+        n_rejected,
+        pivot,
     )
 
 
 def vanilla_vote(grid: VoteGrid) -> Tuple[Se2Pose, int]:
-    """Single best cell by raw count; ties go to the smallest cell index."""
+    """(Mean pose, count) of the single best cell by raw count; ties go to
+    the smallest cell index."""
     if grid.packed.shape[0] == 0:
         raise EmptyGrid("no votes were cast")
     best = int(np.lexsort((grid.packed, -grid.counts))[0])
     c = int(grid.counts[best])
     # 0.0 + s turns a -0.0 sum into +0.0, as the zero-started group sums do
     sx, sy, s_sin, s_cos = (0.0 + a[best] for a in (grid.sum_x, grid.sum_y, grid.sum_sin, grid.sum_cos))
-    return Se2Pose(float(sx) / c, float(sy) / c, float(np.arctan2(s_sin, s_cos))), c
+    yaw = float(normalize_angle(np.arctan2(s_sin, s_cos)))
+    return Se2Pose(*_unpivot(float(sx) / c, float(sy) / c, yaw, grid.pivot), yaw), c
 
 
 def _neighbor_table(grid: VoteGrid) -> np.ndarray:
@@ -219,7 +245,8 @@ def hierarchical_vote(
     """Three-step candidate extraction; None limits mean keep everything.
 
     Returns the top groups ranked by merged score, ties on the smallest
-    cell's packed index.
+    cell's packed index; each group's mean pose is composed with
+    T(-grid.pivot), so it is in the caller's frame.
 
     Raises ValueError for a grid of fewer than MIN_YAW_BINS yaw bins.
     """
@@ -259,5 +286,6 @@ def hierarchical_vote(
         np.bincount(labels, weights=a[kept])[top]
         for a in (grid.counts, grid.sum_x, grid.sum_y, grid.sum_sin, grid.sum_cos)
     )
-    xyt = np.column_stack([sx / votes, sy / votes, normalize_angle(np.arctan2(s_sin, s_cos))])
+    yaw = normalize_angle(np.arctan2(s_sin, s_cos))
+    xyt = np.column_stack([*_unpivot(sx / votes, sy / votes, yaw, grid.pivot), yaw])
     return Candidates(xyt, votes.astype(np.int64), merged[top], np.bincount(labels)[top])

@@ -8,7 +8,8 @@ and grouped clustering must reproduce these bit for bit;
 `test_backend_oracle.py` checks that. The clustering oracle builds its
 own neighbour table, one pack and search per offset, and sums each
 component's pose sequentially in ascending cell order, the order the
-package's `np.bincount` adds in. Scoring is the one rule
+package's `np.bincount` adds in, and then composes it with T(-pivot),
+scalar by scalar, into the caller's frame. Scoring is the one rule
 (s_a - lam * s_p) / n_ng; `select_award_only` ranks on s_a / n_ng with
 no ground points at all, which `select_best` at lam = 0 must match.
 
@@ -186,14 +187,17 @@ def _running_sum(values: np.ndarray) -> float:
 
 def _cell_pose(grid: VoteGrid, idx: np.ndarray) -> Se2Pose:
     """Vote-weighted mean pose of the cells idx, every sum sequential in
-    ascending cell order."""
+    ascending cell order, composed with T(-grid.pivot)."""
     idx = np.sort(idx)
     c = float(np.sum(grid.counts[idx]))
-    return Se2Pose(
+    mean = Se2Pose(
         _running_sum(grid.sum_x[idx]) / c,
         _running_sum(grid.sum_y[idx]) / c,
         float(np.arctan2(_running_sum(grid.sum_sin[idx]), _running_sum(grid.sum_cos[idx]))),
     )
+    px, py = grid.pivot
+    cos, sin = np.cos(mean.yaw), np.sin(mean.yaw)
+    return Se2Pose(mean.x - (cos * px - sin * py), mean.y - (sin * px + cos * py), mean.yaw)
 
 
 def hierarchical_vote(

@@ -223,7 +223,7 @@ def merge_patches(
 
 
 def classify_patches(
-    patches: List[PlanarPatch], gravity: np.ndarray, angle_tol_deg: float = 15.0
+    patches: List[PlanarPatch], gravity: np.ndarray, gravity_tol_deg: float = 15.0
 ) -> Tuple[List[PlanarPatch], List[PlanarPatch], List[PlanarPatch]]:
     """Split patches into (walls, ground, other) by angle to gravity.
 
@@ -232,8 +232,8 @@ def classify_patches(
     """
     g = np.asarray(gravity, dtype=np.float64)
     g = g / np.linalg.norm(g)
-    cos_par = float(np.cos(np.radians(angle_tol_deg)))
-    sin_perp = float(np.sin(np.radians(angle_tol_deg)))
+    cos_par = float(np.cos(np.radians(gravity_tol_deg)))
+    sin_perp = float(np.sin(np.radians(gravity_tol_deg)))
     walls, ground, other = [], [], []
     for p in patches:
         c = abs(float(p.normal @ g))

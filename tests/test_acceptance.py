@@ -262,33 +262,22 @@ def _corridor_suite(n_seeds=100):
         corr = query_correspondences(floor.db, feats.triplets)
         grid = cast_votes(corr, cfg.r_xy, cfg.r_yaw_deg, cfg.residual_max_m)
         cands = hierarchical_vote(grid, cfg.l_cells, cfg.k_cells, cfg.j_candidates)
-        # votes, candidates and scoring live in the features' centred
-        # frame; judge poses in the submap's frame, as register_features
-        # reports them
-        uncentre = Se2Pose(-feats.centre[0], -feats.centre[1], 0.0)
-        poses = [c.pose.compose(uncentre) for c in cands]
-        vote_pose = vanilla_vote(grid)[0].compose(uncentre)
-        truth_votes = max((c.votes for c, p in zip(cands, poses) if _near(p, gt, 0.5, 5.0)), default=0)
-        alias = [(c.votes, i) for i, (c, p) in enumerate(zip(cands, poses)) if not _near(p, gt, 2.0, 30.0)]
+        vote_pose, _ = vanilla_vote(grid)
+        truth_votes = max((c.votes for c in cands if _near(c.pose, gt, 0.5, 5.0)), default=0)
+        alias = [(c.votes, i) for i, c in enumerate(cands) if not _near(c.pose, gt, 2.0, 30.0)]
         alias_votes, ai = max(alias, default=(0, -1))
-        best, _ = select_best(
-            floor.field, cands, feats.q_ng_xy, feats.q_g_xy,
-            cfg.lam, max_points=cfg.scoring_max_points,
-        )
+        best, _ = select_best(floor.field, cands, feats.q_ng_xy, feats.q_g_xy, cfg.lam)
         # hand the alias strictly more votes than truth; selection must
         # still pick the true pose on confidence alone
         a = cands[ai]
         boosted = list(cands)
         boosted[ai] = Candidate(a.pose, truth_votes + 10, a.merged_score, a.n_cells)
-        best_b, _ = select_best(
-            floor.field, boosted, feats.q_ng_xy, feats.q_g_xy,
-            cfg.lam, max_points=cfg.scoring_max_points,
-        )
+        best_b, _ = select_best(floor.field, boosted, feats.q_ng_xy, feats.q_g_xy, cfg.lam)
         rows.append(
             dict(
                 vanilla_ok=registration_success(vote_pose, gt),
-                plain_ok=registration_success(poses[best], gt),
-                boosted_ok=registration_success(poses[best_b], gt),
+                plain_ok=registration_success(cands[best].pose, gt),
+                boosted_ok=registration_success(boosted[best_b].pose, gt),
                 outvoted=boosted[ai].votes > truth_votes,
                 alias_found=ai >= 0 and alias_votes > 0,
             )
@@ -320,8 +309,8 @@ def _confidence_pair(floor, scene, cfg):
         grid = cast_votes(corr, cfg.r_xy, cfg.r_yaw_deg, cfg.residual_max_m)
         cands = hierarchical_vote(grid, cfg.l_cells, cfg.k_cells, cfg.j_candidates)
         pts = (floor.field, cands, feats.q_ng_xy, feats.q_g_xy)
-        _, osc = select_best(*pts, cfg.lam, max_points=cfg.scoring_max_points)
-        i, award = select_best(*pts, 0.0, max_points=cfg.scoring_max_points)
+        _, osc = select_best(*pts, cfg.lam)
+        i, award = select_best(*pts, 0.0)
         # award-only is lam = 0: the exhaustive s_a / n_ng ranking agrees
         want, want_conf = ref.select_award_only(floor.field, cands, feats.q_ng_xy, cfg.scoring_max_points)
         assert (i, np.float64(award.confidence).tobytes()) == (want, np.float64(want_conf[want]).tobytes())
@@ -375,13 +364,17 @@ def test_a8_hierarchical_beats_vanilla():
 # --- A9: unlimited extraction equals a full-grid clustering oracle ---
 
 
-def _grid_oracle(poses, r_xy=0.15, r_yaw_deg=1.0):
-    """Dict-and-BFS reimplementation of merge, cluster, and ranking."""
+def _grid_oracle(poses, pivot, r_xy=0.15, r_yaw_deg=1.0):
+    """Dict-and-BFS reimplementation of merge, cluster, and ranking, with
+    cells keyed by each pose about `pivot` and each cluster's mean pose
+    composed with T(-pivot)."""
     import collections
 
     n_yaw = 360
+    px, py = pivot
     cells = collections.defaultdict(lambda: [0, 0.0, 0.0, 0.0, 0.0])
     for x, y, yaw in poses:
+        x, y = x + (math.cos(yaw) * px - math.sin(yaw) * py), y + (math.sin(yaw) * px + math.cos(yaw) * py)
         yaw = normalize_angle(yaw)
         key = (
             math.floor(x / r_xy),
@@ -420,13 +413,14 @@ def _grid_oracle(poses, r_xy=0.15, r_yaw_deg=1.0):
         votes = sum(cells[k][0] for k in comp)
         sx, sy = (sum(cells[k][i] for k in comp) for i in (1, 2))
         sc, ss = (sum(cells[k][i] for k in comp) for i in (3, 4))
+        pose = Se2Pose(sx / votes, sy / votes, math.atan2(ss, sc)).compose(Se2Pose(-px, -py, 0.0))
         out.append(
             dict(
                 votes=votes,
                 n_cells=len(comp),
                 merged=max(merged[k] for k in comp),
                 anchor=min(comp),
-                pose=(sx / votes, sy / votes, math.atan2(ss, sc)),
+                pose=(pose.x, pose.y, pose.yaw),
             )
         )
     out.sort(key=lambda d: (-d["merged"], d["anchor"]))
@@ -461,7 +455,9 @@ def test_a9_oracle_equivalence():
         n_cells_max = max(n_cells_max, n_cells)
         got = hierarchical_vote(grid, l_cells=None, k_cells=None, j_candidates=None)
         capped = hierarchical_vote(grid, l_cells=n_cells, k_cells=n_cells, j_candidates=n_cells)
-        want = _grid_oracle(poses)
+        # tri's xy box has its midpoint at (2, 1.5), which rounds to (2, 2)
+        assert grid.pivot == (2.0, 2.0)
+        want = _grid_oracle(poses, grid.pivot)
         assert len(got) == len(want) == len(capped)
         for g, e, w in zip(got, capped, want):
             assert g.votes == e.votes == w["votes"]

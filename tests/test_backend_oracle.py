@@ -34,6 +34,7 @@ from scan2plan.verify import (
     build_score_field,
     score_candidate,
     select_best,
+    thin_rows,
 )
 from scan2plan.voting import Candidate, Candidates, VoteGrid, _neighbor_table, hierarchical_vote, vanilla_vote
 
@@ -133,7 +134,7 @@ def test_value_at_matches_oracle(data):
 
 def _bounds(field, cands, q_ng, q_g, cap):
     """(coarse, exact phase-1) bounds of every candidate."""
-    q_ng, _, buf, idx = _prepare(q_ng, q_g, cap)
+    q_ng, _, buf, idx = _prepare(thin_rows(q_ng, cap), thin_rows(q_g, cap))
     coarse = _coarse_bounds(field, Candidates.of(cands).xyt, q_ng, buf, idx)
     return coarse.tolist(), [ref.award_only(field, c.pose, q_ng) for c in cands]
 
@@ -143,7 +144,7 @@ def _assert_selection_matches_oracle(field, cands, q_ng, q_g, lam, cap) -> int:
     same result bits, and for every candidate coarse bound >= phase-1
     bound >= exact confidence."""
     want_best, want = ref.select_best(field, cands, q_ng, q_g, lam=lam, max_points=cap)
-    got_best, got = select_best(field, cands, q_ng, q_g, lam=lam, max_points=cap)
+    got_best, got = select_best(field, cands, thin_rows(q_ng, cap), thin_rows(q_g, cap), lam=lam)
     assert got_best == want_best
     assert _result_key(got) == _result_key(want[want_best])
     coarse, exact = _bounds(field, cands, q_ng, q_g, cap)
@@ -200,7 +201,7 @@ def test_lam_zero_is_award_only(selection, cap):
     field, q_ng, q_g, cands = selection
     with np.errstate(invalid="ignore", over="ignore"):
         want_best, want = ref.select_award_only(field, cands, q_ng, cap)
-        got_best, got = select_best(field, cands, q_ng, q_g, lam=0.0, max_points=cap)
+        got_best, got = select_best(field, cands, thin_rows(q_ng, cap), thin_rows(q_g, cap), lam=0.0)
     assert got_best == want_best
     assert _bits(got.confidence) == _bits(want[want_best])
 
@@ -335,7 +336,7 @@ def test_coarse_chunk_edges_match_oracle_on_a_scene():
     ]
     chunks = []
     for cap, lam in ((None, 0.5), (5000, 2.5), (333, 0.0)):
-        _, _, buf, _ = prepared = _prepare(q_ng, q_g, cap)
+        _, _, buf, _ = prepared = _prepare(thin_rows(q_ng, cap), thin_rows(q_g, cap))
         chunks.append(buf.shape[0] // _collapse(prepared[0], field.s_r, buf)[0].shape[0])
         assert _assert_selection_matches_oracle(field, cands, q_ng, q_g, lam, cap) == 0
     assert chunks[2] == 1
@@ -347,7 +348,8 @@ def test_coarse_chunk_edges_match_oracle_on_a_scene():
 
 @st.composite
 def vote_grids(draw):
-    """Blobs of occupied cells, some straddling the yaw wrap, with random sums."""
+    """Blobs of occupied cells, some straddling the yaw wrap, with random
+    sums, about a pivot of whole metres."""
     n_yaw = draw(st.sampled_from([360, 12, 4]))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     cells = []
@@ -366,7 +368,8 @@ def vote_grids(draw):
     sums = _mixed_sums(rng, counts)
     for s in sums:  # signed zeros, which a one-cell sum turns into +0.0
         s[rng.uniform(size=n) < 0.1] = draw(st.sampled_from([0.0, -0.0]))
-    return _grid(cells, n_yaw, counts, sums)
+    pivot = tuple(float(draw(st.integers(-10**4, 10**4))) for _ in "xy")
+    return _grid(cells, n_yaw, counts, sums, pivot)
 
 
 def _mixed_sums(rng, counts):
@@ -376,14 +379,14 @@ def _mixed_sums(rng, counts):
     return [rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, size=n) * counts for _ in range(4)]
 
 
-def _grid(cells, n_yaw, counts, sums) -> VoteGrid:
+def _grid(cells, n_yaw, counts, sums, pivot=(0.0, 0.0)) -> VoteGrid:
     """A VoteGrid over unique (ix, iy, iyaw) rows, packed as cast_votes does."""
     ix, iy, iyaw = cells.T
     origin = (int(ix.min()) - 1, int(iy.min()) - 1)
     dims = (int(ix.max()) - origin[0] + 2, int(iy.max()) - origin[1] + 2, n_yaw)
     packed = np.ravel_multi_index((ix - origin[0], iy - origin[1], iyaw), dims)
     order = np.argsort(packed)
-    return VoteGrid(origin, dims, packed[order], counts[order], *(s[order] for s in sums))
+    return VoteGrid(origin, dims, packed[order], counts[order], *(s[order] for s in sums), pivot=pivot)
 
 
 def _cand_key(c):
@@ -448,7 +451,7 @@ def test_selection_over_candidate_arrays_matches_oracle(data):
     want_cands = ref.hierarchical_vote(grid, None, None, j_candidates)
     with np.errstate(invalid="ignore", over="ignore"):
         want_best, want = ref.select_best(field, want_cands, q_ng, q_g, lam=lam, max_points=cap)
-        got_best, got = select_best(field, cands, q_ng, q_g, lam=lam, max_points=cap)
+        got_best, got = select_best(field, cands, thin_rows(q_ng, cap), thin_rows(q_g, cap), lam=lam)
     assert got_best == want_best
     assert _result_key(got) == _result_key(want[want_best])
 

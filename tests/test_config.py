@@ -171,12 +171,9 @@ def test_every_field_is_read_by_the_package():
     assert unread == []
 
 
-# a stage parameter named unlike the field it takes
-_ALIASES = {("classify_patches", "angle_tol_deg"): "gravity_tol_deg"}
-
-
 def test_stage_defaults_equal_config_defaults():
-    # a direct call of a stage function must run at the config's defaults
+    # a direct call of a stage function must run at the config's defaults,
+    # and a stage parameter that shares a field's name means that field
     from scan2plan import descriptors, lines, planes, verify, voting
 
     defaults = {f.name: f.default for f in dataclasses.fields(PipelineConfig)}
@@ -186,11 +183,47 @@ def test_stage_defaults_equal_config_defaults():
             if fn.__module__ != mod.__name__:
                 continue
             for p in inspect.signature(fn).parameters.values():
-                field = _ALIASES.get((name, p.name), p.name)
-                if p.default is inspect.Parameter.empty or field not in defaults:
+                if p.default is inspect.Parameter.empty or p.name not in defaults:
                     continue
                 checked.append((name, p.name))
-                if p.default != defaults[field]:
-                    wrong.append((mod.__name__, name, p.name, p.default, defaults[field]))
+                if p.default != defaults[p.name]:
+                    wrong.append((mod.__name__, name, p.name, p.default, defaults[p.name]))
     assert wrong == []
-    assert set(_ALIASES) <= set(checked)
+    assert ("classify_patches", "gravity_tol_deg") in checked
+
+
+def _callee(mod, func):
+    """The object a call's `f` or `a.f` names in `mod`, else None."""
+    if isinstance(func, ast.Name):
+        return getattr(mod, func.id, None)
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        return getattr(getattr(mod, func.value.id, None), func.attr, None)
+    return None
+
+
+def test_each_field_reaches_the_stage_parameter_of_its_name():
+    # a field handed to a tunable (defaulted) stage parameter of another
+    # name is an alias that hides which knob the stage reads
+    from scan2plan import cli, pipeline
+
+    fields = {f.name for f in dataclasses.fields(PipelineConfig)}
+    checked, wrong = 0, []
+    for mod in (pipeline, cli):
+        for node in ast.walk(ast.parse(Path(mod.__file__).read_text())):
+            fn = _callee(mod, node.func) if isinstance(node, ast.Call) else None
+            if not (inspect.isfunction(fn) or inspect.ismethod(fn)):
+                continue
+            if not fn.__module__.startswith("scan2plan.") or fn.__module__ == mod.__name__:
+                continue
+            params = inspect.signature(fn).parameters
+            passed = list(zip(params.values(), node.args)) + [(params[k.arg], k.value) for k in node.keywords]
+            for p, arg in passed:
+                if not (isinstance(arg, ast.Attribute) and arg.attr in fields):
+                    continue
+                if p.default is inspect.Parameter.empty:
+                    continue
+                checked += 1
+                if p.name != arg.attr:
+                    wrong.append((mod.__name__, fn.__name__, p.name, arg.attr))
+    assert wrong == []
+    assert checked >= 20

@@ -15,8 +15,6 @@ candidates exactly nms_radius_m apart, crossings exactly at the
 min_angle_deg sine, and intersections exactly extend_m past a wall end.
 """
 
-import dataclasses
-
 import numpy as np
 import scalar_frontend as ref
 from scalar_backend import _subsample
@@ -482,12 +480,9 @@ def test_front_end_keeps_every_scoring_row_at_cap_zero():
 
 
 def _assert_front_end_matches_oracle(cfg):
-    """Centre, corners bit for bit, and each scoring set equal to the
-    oracle's `_subsample` of the masked rows: thinned to the cap when it
-    has more rows, every row at a cap of 0. The oracle centres its own
-    wall patches: c is the midpoint of their centroids' xy box, rounded
-    to a whole metre, and is subtracted from their points, their
-    centroids and the scoring rows."""
+    """Corners bit for bit, and each scoring set equal to the oracle's
+    `_subsample` of the masked rows: thinned to the cap when it has more
+    rows, every row at a cap of 0."""
     layout = generate_layout(seed=2, n_rooms=4, corridor=True, extent_m=24.0)
     scene = synthesize_submap(
         layout.wall_model, Se2Pose(6.0, 5.0, 0.3), radius_m=10.0, seed=11,
@@ -500,21 +495,15 @@ def _assert_front_end_matches_oracle(cfg):
     patches = ref.merge_patches(seg.patches, cfg.normal_tol_deg, cfg.dist_tol_m)
     walls, ground, _ = ref.classify_patches(patches, scene.submap.gravity, cfg.gravity_tol_deg)
     mask = ref._ground_mask(pts, ground)
-    xy = np.array([p.centroid[:2] for p in walls])
-    centre = np.round((xy.min(axis=0) + xy.max(axis=0)) / 2.0)
-    shift = np.append(centre, 0.0)
-    walls = [dataclasses.replace(p, points=p.points - shift, centroid=p.centroid - shift) for p in walls]
     segments = ref.patch_segments(walls)
     segments = ref.merge_refit(segments, cfg.endpoint_tol_m, cfg.angle_tol_deg)
     corners = ref.extract_corners(segments, cfg.extend_m, cfg.nms_radius_m, cfg.min_angle_deg)
 
     assert len(corners) >= 4
-    # the walls lie off the scan frame's origin, so centring moves them
-    assert _bits(feats.centre) == _bits(centre) and np.abs(centre).max() >= 1.0
     _assert_corners_match(feats.corners, corners)
     cap = cfg.scoring_max_points or None
     for got, rows in ((feats.q_g_xy, mask), (feats.q_ng_xy, ~mask)):
-        assert _bits(got) == _bits(_subsample(pts[rows][:, :2], cap) - centre)
+        assert _bits(got) == _bits(_subsample(pts[rows][:, :2], cap))
         assert got.shape[0] == min(int(rows.sum()), cap or pts.shape[0])
     # the scene is large enough that the default cap thins
     assert max(int(mask.sum()), int((~mask).sum())) > PipelineConfig().scoring_max_points

@@ -14,6 +14,7 @@ from scan2plan.verify import (
     reliability_curve,
     score_candidate,
     select_best,
+    thin_rows,
 )
 from scan2plan.voting import Candidate
 
@@ -182,7 +183,7 @@ def test_select_best_subsample_keeps_exact_score():
     layout, scene, q_ng, q_g = _scene()
     field = build_score_field(layout.wall_model.endpoints())
     cand = Candidate(scene.gt_pose, votes=1, merged_score=1, n_cells=1)
-    best, result = select_best(field, [cand], q_ng, q_g, max_points=500)
+    best, result = select_best(field, [cand], thin_rows(q_ng, 500), thin_rows(q_g, 500))
     assert best == 0
     assert result.n_ng == 500
     assert result.confidence == 1.0
@@ -292,10 +293,11 @@ def test_tied_infinite_scores_collapse():
 
 
 def test_select_best_cap_zero_keeps_every_point():
-    # 0 is the config's "no cap", and select_best reads it so too
+    # 0 is the config's "no cap", and thin_rows reads it so too
     layout, scene, q_ng, q_g = _scene()
     field = build_score_field(layout.wall_model.endpoints())
     cand = Candidate(scene.gt_pose, votes=1, merged_score=1, n_cells=1)
-    best, result = select_best(field, [cand], q_ng, q_g, max_points=0)
+    assert thin_rows(q_ng, 0) is q_ng and thin_rows(q_g, 0) is q_g
+    best, result = select_best(field, [cand], thin_rows(q_ng, 0), thin_rows(q_g, 0))
     assert (best, result.n_ng, result.n_g) == (0, q_ng.shape[0], q_g.shape[0])
     assert result == select_best(field, [cand], q_ng, q_g)[1]

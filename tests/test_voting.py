@@ -7,13 +7,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scan2plan
+from scan2plan.config import PipelineConfig
+from scan2plan.descriptors import query_correspondences
 from scan2plan.errors import EmptyGrid
-from scan2plan.geometry import Se2Pose, normalize_angle
+from scan2plan.geometry import Se2Pose, normalize_angle, pose_errors
+from scan2plan.pipeline import build_floor_index, extract_submap_features
+from scan2plan.synthetic import generate_layout, random_interior_pose, synthesize_submap
 from scan2plan.voting import VoteGrid, cast_votes, hierarchical_vote, vanilla_vote, yaw_bins
 
 TRIANGLE = np.array([[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]])
+PIVOT = (2.0, 2.0)  # TRIANGLE's xy box has its midpoint at (2, 1.5)
 
 
 def _corr(pose, src=TRIANGLE, jitter=None, rng=None):
@@ -34,6 +41,11 @@ def _corrs_at(pose, n, jitter=0.0, rng=None):
     return [_corr(pose, jitter=jitter if jitter else None, rng=rng) for _ in range(n)]
 
 
+def _about(pose, pivot):
+    """The pose about `pivot` of a pose of the caller's frame: pose o T(pivot)."""
+    return pose.compose(Se2Pose(pivot[0], pivot[1], 0.0))
+
+
 # --- casting ---
 
 
@@ -41,6 +53,7 @@ def test_single_vote_recovers_pose():
     pose = Se2Pose(3.2, -1.1, 0.6)
     grid = cast_votes(_stack([_corr(pose)]))
     assert grid.total_votes == 1 and grid.n_rejected == 0
+    assert grid.pivot == PIVOT
     got, votes = vanilla_vote(grid)
     assert votes == 1
     assert abs(got.x - pose.x) < 1e-9
@@ -130,11 +143,15 @@ def test_yaw_wraps_across_pi():
 # --- oracle comparison ---
 
 
-def _oracle(poses, r_xy=0.15, r_yaw_deg=1.0):
+def _oracle(poses, pivot, r_xy=0.15, r_yaw_deg=1.0):
+    """Cells keyed by each pose about `pivot`; each cluster's mean pose
+    composed with T(-pivot)."""
     n_yaw = 360
     r_yaw = math.radians(r_yaw_deg)
+    px, py = pivot
     cells = collections.defaultdict(lambda: [0, 0.0, 0.0, 0.0, 0.0])
     for x, y, yaw in poses:
+        x, y = x + (math.cos(yaw) * px - math.sin(yaw) * py), y + (math.sin(yaw) * px + math.cos(yaw) * py)
         yaw = normalize_angle(yaw)
         key = (
             math.floor(x / r_xy),
@@ -179,13 +196,15 @@ def _oracle(poses, r_xy=0.15, r_yaw_deg=1.0):
         sy = sum(cells[k][2] for k in comp)
         sc = sum(cells[k][3] for k in comp)
         ss = sum(cells[k][4] for k in comp)
+        mean = Se2Pose(sx / votes, sy / votes, math.atan2(ss, sc))
+        pose = mean.compose(Se2Pose(-px, -py, 0.0))
         out.append(
             {
                 "votes": votes,
                 "n_cells": len(comp),
                 "merged": max(merged[k] for k in comp),
                 "anchor": min(comp),
-                "pose": (sx / votes, sy / votes, math.atan2(ss, sc)),
+                "pose": (pose.x, pose.y, pose.yaw),
             }
         )
     out.sort(key=lambda d: (-d["merged"], d["anchor"]))
@@ -215,7 +234,8 @@ def test_unlimited_extraction_matches_oracle():
         corrs.append(_corr(Se2Pose(x, y, yaw)))
     grid = cast_votes(_stack(corrs), residual_max_m=1e9)
     got = hierarchical_vote(grid, l_cells=None, k_cells=None, j_candidates=None)
-    want = _oracle(poses)
+    assert grid.pivot == PIVOT
+    want = _oracle(poses, grid.pivot)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.votes == w["votes"]
@@ -242,8 +262,12 @@ def test_limits_trim_but_keep_strongest():
 
 
 def _five_votes(r_yaw_deg):
-    # 5 votes in one x/y cell: 3 at yaw 0.1, 2 at -0.1
-    corrs = _corrs_at(Se2Pose(1.0, 2.0, 0.1), 3) + _corrs_at(Se2Pose(1.0, 2.0, -0.1), 2)
+    # 5 votes in one x/y cell about the pivot: 3 at yaw 0.1, 2 at -0.1;
+    # P o T(-pivot) is the caller-frame pose whose pose about the pivot is P
+    def at(yaw):
+        return Se2Pose(1.0, 2.0, yaw).compose(Se2Pose(-PIVOT[0], -PIVOT[1], 0.0))
+
+    corrs = _corrs_at(at(0.1), 3) + _corrs_at(at(-0.1), 2)
     return cast_votes(_stack(corrs), r_yaw_deg=r_yaw_deg)
 
 
@@ -283,10 +307,12 @@ def test_hierarchical_vote_rejects_grid_of_fewer_than_three_yaw_bins(n_yaw):
 
 def test_fine_yaw_bins_unpack_exactly():
     # 0.5 deg bins give 720 yaw cells; yaw 3.0 rad lands in cell 703
-    grid = cast_votes(_stack([_corr(Se2Pose(1.0, 2.0, 3.0))]), r_yaw_deg=0.5)
+    pose = Se2Pose(1.0, 2.0, 3.0)
+    grid = cast_votes(_stack([_corr(pose)]), r_yaw_deg=0.5)
     ix, iy, iyaw = grid.unpack(grid.packed)
+    about = _about(pose, grid.pivot)
     assert grid.n_yaw_bins == 720
-    assert (int(ix[0]), int(iy[0]), int(iyaw[0])) == (6, 13, 703)
+    assert (int(ix[0]), int(iy[0]), int(iyaw[0])) == (math.floor(about.x / 0.15), math.floor(about.y / 0.15), 703)
 
 
 def test_far_translation_unpacks_exactly():
@@ -294,12 +320,72 @@ def test_far_translation_unpacks_exactly():
     pose = Se2Pose(-149999.93, 200e3, 0.3)
     grid = cast_votes(_stack([_corr(pose), _corr(Se2Pose(pose.x, pose.y + 0.15, pose.yaw))]))
     ix, iy, _ = grid.unpack(grid.packed)
-    assert ix.tolist() == [-1_000_000] * 2
-    assert iy.tolist() == [1_333_333, 1_333_334]
+    about = _about(pose, grid.pivot)
+    cx, cy = math.floor(about.x / 0.15), math.floor(about.y / 0.15)
+    assert abs(cx) > 999_990 and cy > 1_333_340
+    assert ix.tolist() == [cx] * 2
+    assert iy.tolist() == [cy, cy + 1]
     assert np.array_equal(grid.pack(*grid.unpack(grid.packed)), grid.packed)
     # neighbouring cells still merge into one candidate
     (cand,) = hierarchical_vote(grid)
     assert cand.votes == 2 and cand.n_cells == 2
+
+
+# --- frames ---
+
+
+def _cluster_corrs(rng):
+    """(src, dst) of a few dense vote clusters and scattered singles, each
+    over its own random triangle within 15 m of the origin."""
+    poses = []
+    for _ in range(3):
+        centre = (rng.uniform(-20, 20), rng.uniform(-20, 20), rng.uniform(-np.pi, np.pi))
+        for _ in range(rng.integers(5, 15)):
+            poses.append(np.array(centre) + rng.uniform(-0.03, 0.03, size=3))
+    poses += [(rng.uniform(-30, 30), rng.uniform(-30, 30), rng.uniform(-np.pi, np.pi)) for _ in range(40)]
+    src = rng.uniform(-15, 15, size=(len(poses), 3, 2))
+    dst = np.array([Se2Pose(*p).apply(tri) for p, tri in zip(poses, src)])
+    return src, dst
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2**16), st.integers(-10**4, 10**4), st.integers(-10**4, 10**4))
+def test_shifting_the_source_frame_moves_only_the_poses(seed, dx, dy):
+    # whole metres move the pivot with the points, so every vote keeps its
+    # cell; each candidate comes back in the shifted frame
+    src, dst = _cluster_corrs(np.random.default_rng(seed))
+    shift = np.array([float(dx), float(dy)])
+    base = hierarchical_vote(cast_votes((src, dst)), None, None, None)
+    moved = hierarchical_vote(cast_votes((src + shift, dst)), None, None, None)
+    assert len(moved) == len(base)
+    assert np.array_equal(moved.votes, base.votes)
+    assert np.array_equal(moved.merged_score, base.merged_score)
+    assert np.array_equal(moved.n_cells, base.n_cells)
+    for got, want in zip(moved, base):
+        want = want.pose.compose(Se2Pose(-dx, -dy, 0.0))
+        assert abs(normalize_angle(got.pose.yaw - want.yaw)) < 1e-9
+        assert np.abs(got.pose.translation - want.translation).max() < 1e-6
+
+
+def test_a4_candidates_hold_the_truth_in_the_submap_frame():
+    # the A4 floor and its first scenes: candidates leave voting in the
+    # submap's frame, so one of them is the truth itself, not the truth
+    # moved by the pivot
+    cfg = PipelineConfig()
+    layout = generate_layout(seed=21, n_rooms=12, corridor=True, extent_m=48.0)
+    floor = build_floor_index(layout.wall_model, cfg)
+    for k in range(8):
+        gt = random_interior_pose(layout, np.random.default_rng(9000 + k))
+        scene = synthesize_submap(
+            layout.wall_model, gt, radius_m=15.0, noise_sigma_m=0.03,
+            drop_wall_frac=0.2, clutter_frac=0.1, seed=9000 + k,
+        )
+        feats = extract_submap_features(scene.submap, cfg)
+        corr = query_correspondences(floor.db, feats.triplets)
+        grid = cast_votes(corr, cfg.r_xy, cfg.r_yaw_deg, cfg.residual_max_m)
+        cands = hierarchical_vote(grid, cfg.l_cells, cfg.k_cells, cfg.j_candidates)
+        errors = [pose_errors(c.pose, gt) for c in cands]
+        assert any(rot < 1.0 and trans < 0.5 for rot, trans in errors), k
 
 
 def _imports(path):
