@@ -41,14 +41,7 @@ from .ingest import (
     save_submap,
     save_wall_models,
 )
-from .lines import (
-    BevRaster,
-    Corners,
-    extract_corners,
-    merge_refit,
-    patch_segments,
-    rasterize_segments,
-)
+from .lines import Corners, extract_corners, merge_refit, patch_segments
 from .pipeline import (
     FAILURE_CONFIDENCE,
     EvalSummary,

@@ -1,4 +1,4 @@
-"""Wall segments from wall patches, segment rasters and corner extraction.
+"""Wall segments from wall patches, segment merging and corner extraction.
 
 A wall patch's plane is a 2-D line in the bird's-eye view: through its
 centroid's xy, along the xy part of its normal turned 90 degrees. Its
@@ -17,41 +17,26 @@ suppression on combined support length; they match the per-pair loop of
 
 Segments are (S, 2, 2) arrays of [p0, p1] rows in meters throughout;
 `sqrt(vecdot(d, d))` rounds lengths and directions as `np.linalg.norm`
-does. The segment rasterizer, which the score field uses, checks its
-cell count in floats before allocating.
+does.
 """
 
 from dataclasses import dataclass
-from typing import List, Tuple
 
 import numpy as np
 
-from .errors import EmptyGrid
 from .graph import connected_labels
 
-# largest segment raster; the biggest generated floor needs 131,835 cells
-MAX_RASTER_CELLS = 2**26
 # a wall run breaks where consecutive points along it lie further apart
 RUN_GAP_M = 0.5
 # shortest wall run kept as a segment
 MIN_RUN_M = 1.0
 
 __all__ = [
-    "BevRaster",
     "Corners",
     "patch_segments",
-    "rasterize_segments",
     "merge_refit",
     "extract_corners",
 ]
-
-
-@dataclass
-class BevRaster:
-    """Binary occupancy raster; cell (ix, iy) covers origin + [ix, ix+1) / scale, at the scale it was drawn at."""
-
-    grid: np.ndarray  # (nx, ny) bool
-    origin: np.ndarray  # (2,) meters, lower corner of cell (0, 0)
 
 
 @dataclass
@@ -64,71 +49,6 @@ class Corners:
 
     def __len__(self) -> int:
         return self.pos.shape[0]
-
-
-def _bounds(points_m: np.ndarray, pad_px: int, scale: float):
-    """Cell range [lo, hi) covering the points; ValueError past MAX_RASTER_CELLS cells."""
-    # checked in floats, before the int cast and the allocation
-    with np.errstate(over="ignore", invalid="ignore"):
-        lo = np.floor(points_m.min(axis=0) * scale)
-        hi = np.floor(points_m.max(axis=0) * scale)
-        shape = hi - lo + 2 * pad_px + 1
-        fits = np.prod(shape) <= MAX_RASTER_CELLS
-    if not fits:
-        raise ValueError(
-            "a %g x %g raster at %g px/m exceeds %d cells" % (shape[0], shape[1], scale, MAX_RASTER_CELLS)
-        )
-    return lo.astype(np.int64) - pad_px, hi.astype(np.int64) + pad_px + 1
-
-
-def _traverse_cells(p0: np.ndarray, p1: np.ndarray) -> List[Tuple[int, int]]:
-    """All integer cells a segment passes through (grid-walk DDA)."""
-    cells = []
-    x, y = int(np.floor(p0[0])), int(np.floor(p0[1]))
-    xe, ye = int(np.floor(p1[0])), int(np.floor(p1[1]))
-    d = p1 - p0
-    step_x = 1 if d[0] > 0 else -1
-    step_y = 1 if d[1] > 0 else -1
-    # t to next vertical / horizontal cell boundary
-    tx = np.inf if d[0] == 0 else ((x + (step_x > 0)) - p0[0]) / d[0]
-    ty = np.inf if d[1] == 0 else ((y + (step_y > 0)) - p0[1]) / d[1]
-    dtx = np.inf if d[0] == 0 else abs(1.0 / d[0])
-    dty = np.inf if d[1] == 0 else abs(1.0 / d[1])
-    cells.append((x, y))
-    guard = 0
-    while (x, y) != (xe, ye) and guard < 10_000_000:
-        if tx <= ty:
-            x += step_x
-            tx += dtx
-        else:
-            y += step_y
-            ty += dty
-        cells.append((x, y))
-        guard += 1
-    return cells
-
-
-def rasterize_segments(segments: np.ndarray, scale: float, pad_px: int = 2) -> BevRaster:
-    """Raster marking every cell touched by any (S, 2, 2) segment.
-
-    Raises ValueError when the raster would exceed MAX_RASTER_CELLS.
-    """
-    ends = np.asarray(segments, dtype=np.float64).reshape(-1, 2, 2)
-    if ends.shape[0] == 0:
-        raise EmptyGrid("no segments to rasterize")
-    lo, hi = _bounds(ends.reshape(-1, 2), pad_px, scale)
-    grid = np.zeros((int(hi[0] - lo[0]), int(hi[1] - lo[1])), dtype=bool)
-    d = ends[:, 1] - ends[:, 0]
-    dirs = d / np.sqrt(np.vecdot(d, d))[:, None]
-    # cells are closed squares: a segment running exactly along a cell
-    # boundary touches both sides, so traverse a hairline off each side
-    eps = 1e-7
-    for (p0, p1), u in zip(ends, dirs):
-        n = np.array([-u[1], u[0]]) * eps
-        for off in (n, -n):
-            for cx, cy in _traverse_cells(p0 * scale + off, p1 * scale + off):
-                grid[cx - lo[0], cy - lo[1]] = True
-    return BevRaster(grid, lo / scale)
 
 
 def patch_segments(
@@ -172,8 +92,6 @@ def _tls_segment(points: np.ndarray):
     direction = v[:, 1]
     t = d @ direction
     t0, t1 = float(t.min()), float(t.max())
-    if t1 - t0 < 1e-9:
-        return None
     return mean + t0 * direction, mean + t1 * direction
 
 

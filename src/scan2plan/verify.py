@@ -2,12 +2,14 @@
 
 The wall model is rasterized at s_r and dilated with a linear falloff:
 value 1 on occupied cells down to 1/k_d at Chebyshev distance k_d, zero
-beyond. Non-ground submap points collect award s_a where they land on
-wall mass; ground points landing there collect a penalty s_p, since real
-ground is free space. Confidence is the one rule
-(s_a - lam * s_p) / n_ng, so a pose that drapes scanned walls over
-modeled walls while keeping scanned floor off them scores near 1;
-lam = 0 is award-only scoring.
+beyond. The raster is this module's own: a grid walk marks every cell
+each wall touches, and the cell count is checked in floats against
+MAX_RASTER_CELLS before the grid is allocated. Non-ground submap points
+collect award s_a where they land on wall mass; ground points landing
+there collect a penalty s_p, since real ground is free space.
+Confidence is the one rule (s_a - lam * s_p) / n_ng, so a pose that
+drapes scanned walls over modeled walls while keeping scanned floor off
+them scores near 1; lam = 0 is award-only scoring.
 
 Scoring path: `ScoreField` keeps, next to `values`, one flattened copy
 bordered by a zero cell on every side, built once per field. A pose is
@@ -66,16 +68,17 @@ score.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.ndimage import distance_transform_cdt, maximum_filter
 
 from .errors import EmptyModel, EmptySubmap, NoCandidates
 from .geometry import Se2Pose
-from .lines import rasterize_segments
 from .voting import Candidate, Candidates
 
+# largest wall raster; the biggest generated floor needs 131,835 cells
+MAX_RASTER_CELLS = 2**26
 # coordinates (in cells) up to which the coarse bound's cell argument is
 # shown to hold; it also keeps a packed cell key below 2^53
 COARSE_LIMIT = 2.0**25
@@ -186,6 +189,64 @@ def _check_cell_size(s_r: float) -> None:
         raise ValueError("score field s_r must be finite and positive, got %r" % (s_r,))
 
 
+def _traverse_cells(p0: np.ndarray, p1: np.ndarray) -> List[Tuple[int, int]]:
+    """All integer cells a segment passes through (grid-walk DDA)."""
+    cells = []
+    x, y = int(np.floor(p0[0])), int(np.floor(p0[1]))
+    xe, ye = int(np.floor(p1[0])), int(np.floor(p1[1]))
+    d = p1 - p0
+    step_x = 1 if d[0] > 0 else -1
+    step_y = 1 if d[1] > 0 else -1
+    # t to next vertical / horizontal cell boundary
+    tx = np.inf if d[0] == 0 else ((x + (step_x > 0)) - p0[0]) / d[0]
+    ty = np.inf if d[1] == 0 else ((y + (step_y > 0)) - p0[1]) / d[1]
+    dtx = np.inf if d[0] == 0 else abs(1.0 / d[0])
+    dty = np.inf if d[1] == 0 else abs(1.0 / d[1])
+    cells.append((x, y))
+    guard = 0
+    while (x, y) != (xe, ye) and guard < 10_000_000:
+        if tx <= ty:
+            x += step_x
+            tx += dtx
+        else:
+            y += step_y
+            ty += dty
+        cells.append((x, y))
+        guard += 1
+    return cells
+
+
+def _rasterize(walls: np.ndarray, scale: float, pad_px: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(grid, origin): a bool grid marking every cell touched by a (W, 2, 2)
+    wall row, W >= 1; cell (ix, iy) covers origin + [ix, ix+1) / scale.
+
+    Raises ValueError when the grid would exceed MAX_RASTER_CELLS.
+    """
+    # the cell count is checked in floats, before the int cast and the allocation
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo = np.floor(walls.min(axis=(0, 1)) * scale)
+        hi = np.floor(walls.max(axis=(0, 1)) * scale)
+        shape = hi - lo + 2 * pad_px + 1
+        fits = np.prod(shape) <= MAX_RASTER_CELLS
+    if not fits:
+        raise ValueError(
+            "a %g x %g raster at %g px/m exceeds %d cells" % (shape[0], shape[1], scale, MAX_RASTER_CELLS)
+        )
+    lo, hi = lo.astype(np.int64) - pad_px, hi.astype(np.int64) + pad_px + 1
+    grid = np.zeros((int(hi[0] - lo[0]), int(hi[1] - lo[1])), dtype=bool)
+    d = walls[:, 1] - walls[:, 0]
+    dirs = d / np.sqrt(np.vecdot(d, d))[:, None]
+    # cells are closed squares: a segment running exactly along a cell
+    # boundary touches both sides, so traverse a hairline off each side
+    eps = 1e-7
+    for (p0, p1), u in zip(walls, dirs):
+        n = np.array([-u[1], u[0]]) * eps
+        for off in (n, -n):
+            for cx, cy in _traverse_cells(p0 * scale + off, p1 * scale + off):
+                grid[cx - lo[0], cy - lo[1]] = True
+    return grid, lo / scale
+
+
 def build_score_field(walls: np.ndarray, s_r: float = 0.2, k_d: int = 5) -> ScoreField:
     """Rasterize (W, 2, 2) wall endpoints at s_r and dilate with the linear k_d falloff."""
     walls = np.asarray(walls, dtype=np.float64).reshape(-1, 2, 2)
@@ -194,10 +255,10 @@ def build_score_field(walls: np.ndarray, s_r: float = 0.2, k_d: int = 5) -> Scor
     _check_cell_size(s_r)
     if k_d < 1:
         raise ValueError("k_d must be >= 1")
-    raster = rasterize_segments(walls, scale=1.0 / s_r, pad_px=k_d + 2)
-    dist = distance_transform_cdt(~raster.grid, metric="chessboard").astype(np.float64)
+    grid, origin = _rasterize(walls, 1.0 / s_r, k_d + 2)
+    dist = distance_transform_cdt(~grid, metric="chessboard").astype(np.float64)
     values = np.where(dist <= k_d, 1.0 - (dist / k_d) * (1.0 - 1.0 / k_d), 0.0)
-    return ScoreField(values, raster.origin, s_r)
+    return ScoreField(values, origin, s_r)
 
 
 def _mass(field: ScoreField, q: np.ndarray, rot_t, shift, buf, idx) -> float:

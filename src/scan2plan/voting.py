@@ -248,8 +248,12 @@ def hierarchical_vote(
     cell's packed index; each group's mean pose is composed with
     T(-grid.pivot), so it is in the caller's frame.
 
-    Raises ValueError for a grid of fewer than MIN_YAW_BINS yaw bins.
+    Raises ValueError for a limit below 1, or a grid of fewer than
+    MIN_YAW_BINS yaw bins.
     """
+    for name, limit in (("l_cells", l_cells), ("k_cells", k_cells), ("j_candidates", j_candidates)):
+        if limit is not None and limit < 1:
+            raise ValueError("%s must be None or at least 1, got %r" % (name, limit))
     if grid.n_yaw_bins < MIN_YAW_BINS:
         raise ValueError("a vote grid needs at least %d yaw bins, got %d" % (MIN_YAW_BINS, grid.n_yaw_bins))
     n = grid.packed.shape[0]

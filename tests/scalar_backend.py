@@ -9,7 +9,9 @@ and grouped clustering must reproduce these bit for bit;
 own neighbour table, one pack and search per offset, and sums each
 component's pose sequentially in ascending cell order, the order the
 package's `np.bincount` adds in, and then composes it with T(-pivot),
-scalar by scalar, into the caller's frame. Scoring is the one rule
+scalar by scalar, into the caller's frame. `pose_clusters` is a second,
+independent clustering oracle: dicts and a breadth-first search over the
+vote poses themselves, with no vote grid at all. Scoring is the one rule
 (s_a - lam * s_p) / n_ng; `select_award_only` ranks on s_a / n_ng with
 no ground points at all, which `select_best` at lam = 0 must match.
 
@@ -18,6 +20,8 @@ sign so det(R) = +1. The package's closed form is not bit-exact with
 them; `test_geometry.py` bounds the difference.
 """
 
+import collections
+import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,7 +29,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from scan2plan.errors import DegenerateInput, EmptyGrid, EmptySubmap, NoCandidates
-from scan2plan.geometry import Se2Pose
+from scan2plan.geometry import Se2Pose, normalize_angle
 from scan2plan.verify import ScoreResult
 from scan2plan.voting import Candidate, VoteGrid
 
@@ -112,7 +116,8 @@ def award_only(field, pose: Se2Pose, q_ng: np.ndarray) -> float:
 
 
 def _subsample(points: np.ndarray, cap: Optional[int]) -> np.ndarray:
-    if cap is None or points.shape[0] <= cap:
+    """At most `cap` rows at an even stride; a cap of None or 0 keeps every row."""
+    if not cap or points.shape[0] <= cap:
         return points
     idx = np.linspace(0, points.shape[0] - 1, cap).astype(np.int64)
     return points[idx]
@@ -254,3 +259,72 @@ def hierarchical_vote(
     )
     keep = rank[: j_candidates if j_candidates is not None else n_comp]
     return [cands[i] for i in keep]
+
+
+def pose_clusters(poses, pivot, r_xy=0.15, r_yaw_deg=1.0):
+    """Merge, cluster and rank (x, y, yaw) vote poses with dicts and a
+    search: cells keyed by each pose about `pivot`, each cluster's mean
+    pose composed with T(-pivot). One dict per cluster, strongest first."""
+    n_yaw = 360
+    r_yaw = math.radians(r_yaw_deg)
+    px, py = pivot
+    cells = collections.defaultdict(lambda: [0, 0.0, 0.0, 0.0, 0.0])
+    for x, y, yaw in poses:
+        x, y = x + (math.cos(yaw) * px - math.sin(yaw) * py), y + (math.sin(yaw) * px + math.cos(yaw) * py)
+        yaw = normalize_angle(yaw)
+        key = (
+            math.floor(x / r_xy),
+            math.floor(y / r_xy),
+            min(math.floor((yaw + math.pi) / r_yaw), n_yaw - 1),
+        )
+        c = cells[key]
+        c[0] += 1
+        c[1] += x
+        c[2] += y
+        c[3] += math.cos(yaw)
+        c[4] += math.sin(yaw)
+
+    def neighbors(key):
+        ix, iy, iyaw = key
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for dyaw in (-1, 0, 1):
+                    yield (ix + dx, iy + dy, (iyaw + dyaw) % n_yaw)
+
+    merged = {k: sum(cells[n][0] for n in neighbors(k) if n in cells) for k in cells}
+
+    unvisited = set(cells)
+    clusters = []
+    while unvisited:
+        seed = unvisited.pop()
+        comp = {seed}
+        stack = [seed]
+        while stack:
+            cur = stack.pop()
+            for n in neighbors(cur):
+                if n in unvisited:
+                    unvisited.remove(n)
+                    comp.add(n)
+                    stack.append(n)
+        clusters.append(comp)
+
+    out = []
+    for comp in clusters:
+        votes = sum(cells[k][0] for k in comp)
+        sx = sum(cells[k][1] for k in comp)
+        sy = sum(cells[k][2] for k in comp)
+        sc = sum(cells[k][3] for k in comp)
+        ss = sum(cells[k][4] for k in comp)
+        mean = Se2Pose(sx / votes, sy / votes, math.atan2(ss, sc))
+        pose = mean.compose(Se2Pose(-px, -py, 0.0))
+        out.append(
+            {
+                "votes": votes,
+                "n_cells": len(comp),
+                "merged": max(merged[k] for k in comp),
+                "anchor": min(comp),
+                "pose": (pose.x, pose.y, pose.yaw),
+            }
+        )
+    out.sort(key=lambda d: (-d["merged"], d["anchor"]))
+    return out

@@ -364,69 +364,6 @@ def test_a8_hierarchical_beats_vanilla():
 # --- A9: unlimited extraction equals a full-grid clustering oracle ---
 
 
-def _grid_oracle(poses, pivot, r_xy=0.15, r_yaw_deg=1.0):
-    """Dict-and-BFS reimplementation of merge, cluster, and ranking, with
-    cells keyed by each pose about `pivot` and each cluster's mean pose
-    composed with T(-pivot)."""
-    import collections
-
-    n_yaw = 360
-    px, py = pivot
-    cells = collections.defaultdict(lambda: [0, 0.0, 0.0, 0.0, 0.0])
-    for x, y, yaw in poses:
-        x, y = x + (math.cos(yaw) * px - math.sin(yaw) * py), y + (math.sin(yaw) * px + math.cos(yaw) * py)
-        yaw = normalize_angle(yaw)
-        key = (
-            math.floor(x / r_xy),
-            math.floor(y / r_xy),
-            min(math.floor((yaw + math.pi) / math.radians(r_yaw_deg)), n_yaw - 1),
-        )
-        c = cells[key]
-        c[0] += 1
-        c[1] += x
-        c[2] += y
-        c[3] += math.cos(yaw)
-        c[4] += math.sin(yaw)
-
-    def neighbors(key):
-        ix, iy, iyaw = key
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dyaw in (-1, 0, 1):
-                    yield (ix + dx, iy + dy, (iyaw + dyaw) % n_yaw)
-
-    merged = {k: sum(cells[n][0] for n in neighbors(k) if n in cells) for k in cells}
-    unvisited = set(cells)
-    clusters = []
-    while unvisited:
-        comp, stack = {next(iter(unvisited))}, [next(iter(unvisited))]
-        unvisited.discard(stack[0])
-        while stack:
-            for n in neighbors(stack.pop()):
-                if n in unvisited:
-                    unvisited.remove(n)
-                    comp.add(n)
-                    stack.append(n)
-        clusters.append(comp)
-    out = []
-    for comp in clusters:
-        votes = sum(cells[k][0] for k in comp)
-        sx, sy = (sum(cells[k][i] for k in comp) for i in (1, 2))
-        sc, ss = (sum(cells[k][i] for k in comp) for i in (3, 4))
-        pose = Se2Pose(sx / votes, sy / votes, math.atan2(ss, sc)).compose(Se2Pose(-px, -py, 0.0))
-        out.append(
-            dict(
-                votes=votes,
-                n_cells=len(comp),
-                merged=max(merged[k] for k in comp),
-                anchor=min(comp),
-                pose=(pose.x, pose.y, pose.yaw),
-            )
-        )
-    out.sort(key=lambda d: (-d["merged"], d["anchor"]))
-    return out
-
-
 def test_a9_oracle_equivalence():
     tri = np.array([[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]])
     n_checked, n_cells_max = 0, 0
@@ -457,7 +394,7 @@ def test_a9_oracle_equivalence():
         capped = hierarchical_vote(grid, l_cells=n_cells, k_cells=n_cells, j_candidates=n_cells)
         # tri's xy box has its midpoint at (2, 1.5), which rounds to (2, 2)
         assert grid.pivot == (2.0, 2.0)
-        want = _grid_oracle(poses, grid.pivot)
+        want = ref.pose_clusters(poses, grid.pivot)
         assert len(got) == len(want) == len(capped)
         for g, e, w in zip(got, capped, want):
             assert g.votes == e.votes == w["votes"]

@@ -1,9 +1,8 @@
-"""Segment raster, wall runs from patches, and corner extraction tests."""
+"""Wall runs from patches, segment merging and corner extraction tests."""
 
 import numpy as np
 import pytest
 
-from scan2plan.errors import EmptyGrid
 from scan2plan.geometry import Se2Pose
 from scan2plan.lines import (
     MIN_RUN_M,
@@ -11,10 +10,7 @@ from scan2plan.lines import (
     extract_corners,
     merge_refit,
     patch_segments,
-    rasterize_segments,
 )
-
-S_I = 60.0
 
 
 def _seg(ax, ay, bx, by):
@@ -53,30 +49,6 @@ def _along_y(ts, x=2.0):
     ts = np.asarray(ts, dtype=float)
     pts = np.column_stack([np.full(ts.shape, x), ts])
     return patch_segments(pts, np.zeros(ts.shape[0], dtype=np.int64), np.array([[x, 0.0]]), np.array([[1.0, 0.0]]))
-
-
-# --- segment raster ---
-
-
-def test_segment_raster_is_connected():
-    seg = _seg(0.2, 0.1, 3.6, 2.9)
-    r = rasterize_segments([seg], scale=S_I)
-    on = np.argwhere(r.grid)
-    # a grid walk visits 8-connected neighbours only
-    order = np.lexsort((on[:, 1], on[:, 0]))
-    n_px = on.shape[0]
-    expect = abs(int(3.6 * S_I) - int(0.2 * S_I)) + abs(int(2.9 * S_I) - int(0.1 * S_I)) + 1
-    assert n_px >= expect
-    # every sampled point of the segment lands on a marked cell
-    t = np.linspace(0.0, 1.0, 5000)
-    pts = seg[0] + t[:, None] * (seg[1] - seg[0])
-    ij = np.floor((pts - r.origin) * S_I).astype(int)
-    assert np.all(r.grid[ij[:, 0], ij[:, 1]])
-
-
-def test_empty_raster_raises():
-    with pytest.raises(EmptyGrid):
-        rasterize_segments(np.zeros((0, 2, 2)), scale=S_I)
 
 
 # --- wall runs from patches ---
@@ -190,6 +162,15 @@ def test_merge_preserves_door_gaps():
     pieces = [_seg(0.0, 0.0, 3.0, 0.0), _seg(4.0, 0.0, 7.0, 0.0)]  # 1 m gap
     merged = merge_refit(pieces)
     assert len(merged) == 2
+
+
+def test_merge_of_a_chain_shorter_than_a_nanometre():
+    # the refit used to drop a chain spanning under 1e-9 m, and the
+    # output array then failed on its None
+    pieces = [_seg(0.0, 0.0, 1e-10, 0.0), _seg(2e-10, 0.0, 3e-10, 0.0)]
+    merged = merge_refit(pieces)
+    assert merged.shape == (1, 2, 2)
+    assert np.allclose(merged[0], [[0.0, 0.0], [3e-10, 0.0]], rtol=0.0, atol=1e-24)
 
 
 def test_merge_is_idempotent_on_disjoint_input():

@@ -10,6 +10,7 @@ from scan2plan.geometry import Se2Pose
 from scan2plan.synthetic import generate_layout, synthesize_submap
 from scan2plan.verify import (
     ScoreField,
+    _rasterize,
     build_score_field,
     reliability_curve,
     score_candidate,
@@ -33,6 +34,25 @@ def _scene(seed=3, pose=None, **kw):
     q_ng = scene.submap.points[:n_wall, :2]
     q_g = scene.submap.points[n_wall:, :2]
     return layout, scene, q_ng, q_g
+
+
+# --- wall raster ---
+
+
+def test_segment_raster_is_connected():
+    s_i = 60.0
+    seg = _seg(0.2, 0.1, 3.6, 2.9)
+    grid, origin = _rasterize(seg[None], s_i, 2)
+    on = np.argwhere(grid)
+    # a grid walk visits 8-connected neighbours only
+    n_px = on.shape[0]
+    expect = abs(int(3.6 * s_i) - int(0.2 * s_i)) + abs(int(2.9 * s_i) - int(0.1 * s_i)) + 1
+    assert n_px >= expect
+    # every sampled point of the segment lands on a marked cell
+    t = np.linspace(0.0, 1.0, 5000)
+    pts = seg[0] + t[:, None] * (seg[1] - seg[0])
+    ij = np.floor((pts - origin) * s_i).astype(int)
+    assert np.all(grid[ij[:, 0], ij[:, 1]])
 
 
 # --- field values ---

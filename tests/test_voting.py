@@ -1,12 +1,12 @@
 """Pose voting tests."""
 
 import ast
-import collections
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scalar_backend as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -143,74 +143,6 @@ def test_yaw_wraps_across_pi():
 # --- oracle comparison ---
 
 
-def _oracle(poses, pivot, r_xy=0.15, r_yaw_deg=1.0):
-    """Cells keyed by each pose about `pivot`; each cluster's mean pose
-    composed with T(-pivot)."""
-    n_yaw = 360
-    r_yaw = math.radians(r_yaw_deg)
-    px, py = pivot
-    cells = collections.defaultdict(lambda: [0, 0.0, 0.0, 0.0, 0.0])
-    for x, y, yaw in poses:
-        x, y = x + (math.cos(yaw) * px - math.sin(yaw) * py), y + (math.sin(yaw) * px + math.cos(yaw) * py)
-        yaw = normalize_angle(yaw)
-        key = (
-            math.floor(x / r_xy),
-            math.floor(y / r_xy),
-            min(math.floor((yaw + math.pi) / r_yaw), n_yaw - 1),
-        )
-        c = cells[key]
-        c[0] += 1
-        c[1] += x
-        c[2] += y
-        c[3] += math.cos(yaw)
-        c[4] += math.sin(yaw)
-
-    def neighbors(key):
-        ix, iy, iyaw = key
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dyaw in (-1, 0, 1):
-                    yield (ix + dx, iy + dy, (iyaw + dyaw) % n_yaw)
-
-    merged = {k: sum(cells[n][0] for n in neighbors(k) if n in cells) for k in cells}
-
-    unvisited = set(cells)
-    clusters = []
-    while unvisited:
-        seed = unvisited.pop()
-        comp = {seed}
-        stack = [seed]
-        while stack:
-            cur = stack.pop()
-            for n in neighbors(cur):
-                if n in unvisited:
-                    unvisited.remove(n)
-                    comp.add(n)
-                    stack.append(n)
-        clusters.append(comp)
-
-    out = []
-    for comp in clusters:
-        votes = sum(cells[k][0] for k in comp)
-        sx = sum(cells[k][1] for k in comp)
-        sy = sum(cells[k][2] for k in comp)
-        sc = sum(cells[k][3] for k in comp)
-        ss = sum(cells[k][4] for k in comp)
-        mean = Se2Pose(sx / votes, sy / votes, math.atan2(ss, sc))
-        pose = mean.compose(Se2Pose(-px, -py, 0.0))
-        out.append(
-            {
-                "votes": votes,
-                "n_cells": len(comp),
-                "merged": max(merged[k] for k in comp),
-                "anchor": min(comp),
-                "pose": (pose.x, pose.y, pose.yaw),
-            }
-        )
-    out.sort(key=lambda d: (-d["merged"], d["anchor"]))
-    return out
-
-
 def test_unlimited_extraction_matches_oracle():
     rng = np.random.default_rng(3)
     poses = []
@@ -235,7 +167,7 @@ def test_unlimited_extraction_matches_oracle():
     grid = cast_votes(_stack(corrs), residual_max_m=1e9)
     got = hierarchical_vote(grid, l_cells=None, k_cells=None, j_candidates=None)
     assert grid.pivot == PIVOT
-    want = _oracle(poses, grid.pivot)
+    want = ref.pose_clusters(poses, grid.pivot)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.votes == w["votes"]
@@ -259,6 +191,19 @@ def test_limits_trim_but_keep_strongest():
     assert len(cands) <= 5
     assert cands[0].votes >= 25
     assert np.hypot(cands[0].pose.x - truth.x, cands[0].pose.y - truth.y) < 0.15
+
+
+@pytest.mark.parametrize("value", [0, -1, -2])
+@pytest.mark.parametrize("limit", ["l_cells", "k_cells", "j_candidates"])
+def test_limits_below_one_rejected(limit, value):
+    # a negative limit used to drop the weakest cells or groups silently,
+    # and 0 cells died in numpy's max of an empty array
+    grid = cast_votes(_stack([_corr(Se2Pose(5.0 * k, 0.0, 0.0)) for k in range(3)]))
+    assert grid.packed.shape[0] == 3
+    assert len(hierarchical_vote(grid, None, None, None)) == 3
+    assert len(hierarchical_vote(grid, 1, 1, 1)) == 1
+    with pytest.raises(ValueError, match=limit):
+        hierarchical_vote(grid, **{limit: value})
 
 
 def _five_votes(r_yaw_deg):
@@ -409,3 +354,12 @@ def test_no_module_imports_scipy_sparse():
     assert sparse == []
     users = {p.name for p in paths if ".graph.connected_labels" in _imports(p)}
     assert users == {"planes.py", "lines.py", "voting.py"}
+
+
+def test_the_score_field_owns_its_raster():
+    # verify draws and dilates the wall grid itself: it reads nothing of
+    # lines, and no other module imports scipy.ndimage
+    imports = {p.name: _imports(p) for p in Path(scan2plan.__file__).parent.glob("*.py")}
+    assert "lines" not in {n.lstrip(".").split(".")[0] for n in imports["verify.py"] if n.startswith(".")}
+    ndimage = {p for p, names in imports.items() if any(n.split(".")[:2] == ["scipy", "ndimage"] for n in names)}
+    assert ndimage == {"verify.py"}
