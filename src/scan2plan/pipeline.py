@@ -105,7 +105,7 @@ def build_floor_index(model: WallModel, cfg: PipelineConfig) -> FloorIndex:
     db = build_db(corners, cfg.l_max, cfg.r_s, cfg.r_a, cfg.min_angle_deg)
     try:
         field = build_score_field(walls, cfg.s_r, cfg.k_d)
-    except ValueError as exc:  # k_d >= 1 is validated, so only the extent is left
+    except ValueError as exc:  # k_d and every LineSegment2 are validated, so only the extent is left
         raise InvalidModel("floor %s: %s" % (model.floor_id, exc)) from None
     return FloorIndex(model, corners, db, field)
 

@@ -2,9 +2,9 @@
 
 The wall model is rasterized at s_r and dilated with a linear falloff:
 value 1 on occupied cells down to 1/k_d at Chebyshev distance k_d, zero
-beyond. The raster is this module's own: a grid walk marks every cell
-each wall touches, and the cell count is checked in floats against
-MAX_RASTER_CELLS before the grid is allocated. Non-ground submap points
+beyond. The raster is this module's own: one array pass marks, column
+by column, the rows each wall's two hairlines cross, after a float check
+of the cell count against MAX_RASTER_CELLS. Non-ground submap points
 collect award s_a where they land on wall mass; ground points landing
 there collect a penalty s_p, since real ground is free space.
 Confidence is the one rule (s_a - lam * s_p) / n_ng, so a pose that
@@ -68,7 +68,7 @@ score.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.ndimage import distance_transform_cdt, maximum_filter
@@ -79,6 +79,8 @@ from .voting import Candidate, Candidates
 
 # largest wall raster; the biggest generated floor needs 131,835 cells
 MAX_RASTER_CELLS = 2**26
+# cells one chunk of the raster's column pass may walk (see _rasterize)
+RASTER_CHUNK_CELLS = 2**16
 # coordinates (in cells) up to which the coarse bound's cell argument is
 # shown to hold; it also keeps a packed cell key below 2^53
 COARSE_LIMIT = 2.0**25
@@ -189,61 +191,57 @@ def _check_cell_size(s_r: float) -> None:
         raise ValueError("score field s_r must be finite and positive, got %r" % (s_r,))
 
 
-def _traverse_cells(p0: np.ndarray, p1: np.ndarray) -> List[Tuple[int, int]]:
-    """All integer cells a segment passes through (grid-walk DDA)."""
-    cells = []
-    x, y = int(np.floor(p0[0])), int(np.floor(p0[1]))
-    xe, ye = int(np.floor(p1[0])), int(np.floor(p1[1]))
-    d = p1 - p0
-    step_x = 1 if d[0] > 0 else -1
-    step_y = 1 if d[1] > 0 else -1
-    # t to next vertical / horizontal cell boundary
-    tx = np.inf if d[0] == 0 else ((x + (step_x > 0)) - p0[0]) / d[0]
-    ty = np.inf if d[1] == 0 else ((y + (step_y > 0)) - p0[1]) / d[1]
-    dtx = np.inf if d[0] == 0 else abs(1.0 / d[0])
-    dty = np.inf if d[1] == 0 else abs(1.0 / d[1])
-    cells.append((x, y))
-    guard = 0
-    while (x, y) != (xe, ye) and guard < 10_000_000:
-        if tx <= ty:
-            x += step_x
-            tx += dtx
-        else:
-            y += step_y
-            ty += dty
-        cells.append((x, y))
-        guard += 1
-    return cells
+def _runs(first: np.ndarray, count: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(owner, value): for each row i, count[i] values counting up from first[i]."""
+    owner = np.repeat(np.arange(count.shape[0]), count)
+    return owner, first[owner] + (np.arange(owner.shape[0]) - (np.cumsum(count) - count)[owner])
 
 
 def _rasterize(walls: np.ndarray, scale: float, pad_px: int) -> Tuple[np.ndarray, np.ndarray]:
     """(grid, origin): a bool grid marking every cell touched by a (W, 2, 2)
     wall row, W >= 1; cell (ix, iy) covers origin + [ix, ix+1) / scale.
 
-    Raises ValueError when the grid would exceed MAX_RASTER_CELLS.
+    Raises ValueError, before any raster work, on a wall row that is not
+    finite or has zero length, and when the grid would exceed MAX_RASTER_CELLS.
     """
-    # the cell count is checked in floats, before the int cast and the allocation
+    # rows and cell count are checked in floats, before the int cast and the allocation
     with np.errstate(over="ignore", invalid="ignore"):
+        d = walls[:, 1] - walls[:, 0]
+        bad = np.flatnonzero(~(np.all(np.isfinite(walls), axis=(1, 2)) & (np.vecdot(d, d) > 0.0)))
         lo = np.floor(walls.min(axis=(0, 1)) * scale)
         hi = np.floor(walls.max(axis=(0, 1)) * scale)
         shape = hi - lo + 2 * pad_px + 1
         fits = np.prod(shape) <= MAX_RASTER_CELLS
+    if bad.size:
+        raise ValueError("wall row %d must be finite and of nonzero length, got %s" % (bad[0], walls[bad[0]].tolist()))
     if not fits:
         raise ValueError(
             "a %g x %g raster at %g px/m exceeds %d cells" % (shape[0], shape[1], scale, MAX_RASTER_CELLS)
         )
     lo, hi = lo.astype(np.int64) - pad_px, hi.astype(np.int64) + pad_px + 1
     grid = np.zeros((int(hi[0] - lo[0]), int(hi[1] - lo[1])), dtype=bool)
-    d = walls[:, 1] - walls[:, 0]
-    dirs = d / np.sqrt(np.vecdot(d, d))[:, None]
     # cells are closed squares: a segment running exactly along a cell
-    # boundary touches both sides, so traverse a hairline off each side
-    eps = 1e-7
-    for (p0, p1), u in zip(walls, dirs):
-        n = np.array([-u[1], u[0]]) * eps
-        for off in (n, -n):
-            for cx, cy in _traverse_cells(p0 * scale + off, p1 * scale + off):
-                grid[cx - lo[0], cy - lo[1]] = True
+    # boundary touches both sides, so mark a hairline off each side
+    off = np.stack([-d[:, 1], d[:, 0]], axis=1)[:, None] / np.sqrt(np.vecdot(d, d))[:, None, None] * 1e-7
+    ends = np.concatenate([walls * scale + off, walls * scale - off])
+    ends = np.where(ends[:, :1, :1] > ends[:, 1:, :1], ends[:, ::-1], ends)  # ordered by x
+    # chunks of at most RASTER_CHUNK_CELLS cells, |dx| + |dy| + 3 per hairline, cap the scratch
+    reach = np.cumsum(np.append(0.0, np.abs(ends[:, 1] - ends[:, 0]).sum(axis=1) + 3.0))
+    a = 0
+    while a < ends.shape[0]:
+        b = max(int(np.searchsorted(reach, reach[a] + RASTER_CHUNK_CELLS, "right")) - 1, a + 1)
+        x0, y0, x1, y1 = ends[a:b].reshape(-1, 4).T
+        # columns floor(x0)..floor(x1), each with the rows of the hairline's
+        # y span clipped to it; the hairline's own ends keep their y as given
+        c0, c1 = np.floor(x0), np.floor(x1)
+        h, col = _runs(c0, (c1 - c0).astype(np.int64) + 1)
+        slope = np.divide(y1 - y0, x1 - x0, out=np.zeros_like(x0), where=x1 != x0)[h]
+        ya = np.where(col == c0[h], y0[h], y0[h] + (col - x0[h]) * slope)
+        yb = np.where(col == c1[h], y1[h], y0[h] + (col + 1.0 - x0[h]) * slope)
+        r0 = np.floor(np.minimum(ya, yb))
+        k, row = _runs(r0, (np.floor(np.maximum(ya, yb)) - r0).astype(np.int64) + 1)
+        grid[col[k].astype(np.int64) - lo[0], row.astype(np.int64) - lo[1]] = True
+        a = b
     return grid, lo / scale
 
 

@@ -1,5 +1,10 @@
 """Reference oracle: the back end as first written.
 
+The wall raster was a grid walk (a DDA in the style of Amanatides & Woo)
+from cell to cell along a hairline to each side of every wall, one
+Python step per cell; `verify._rasterize`'s column pass must mark the
+same cells and give the same origin.
+
 The score field looked up through a bounds mask and a masked 2-D fancy
 index, one `pose.apply` + `value_at` pair per scored point set, and the
 region-growing step that scans `labels == comp` for every component and
@@ -30,7 +35,7 @@ from scipy.sparse.csgraph import connected_components
 
 from scan2plan.errors import DegenerateInput, EmptyGrid, EmptySubmap, NoCandidates
 from scan2plan.geometry import Se2Pose, normalize_angle
-from scan2plan.verify import ScoreResult
+from scan2plan.verify import MAX_RASTER_CELLS, ScoreResult
 from scan2plan.voting import Candidate, VoteGrid
 
 
@@ -80,6 +85,64 @@ def solve_se2_batch(src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np.nd
     res = np.einsum("mij,mkj->mki", r, s) + t[:, None, :] - d
     rms = np.sqrt(np.mean(np.sum(res**2, axis=2), axis=1))
     return t[:, 0], t[:, 1], yaw, rms
+
+
+def _traverse_cells(p0: np.ndarray, p1: np.ndarray) -> List[Tuple[int, int]]:
+    """All integer cells a segment passes through (grid-walk DDA)."""
+    cells = []
+    x, y = int(np.floor(p0[0])), int(np.floor(p0[1]))
+    xe, ye = int(np.floor(p1[0])), int(np.floor(p1[1]))
+    d = p1 - p0
+    step_x = 1 if d[0] > 0 else -1
+    step_y = 1 if d[1] > 0 else -1
+    # t to next vertical / horizontal cell boundary
+    tx = np.inf if d[0] == 0 else ((x + (step_x > 0)) - p0[0]) / d[0]
+    ty = np.inf if d[1] == 0 else ((y + (step_y > 0)) - p0[1]) / d[1]
+    dtx = np.inf if d[0] == 0 else abs(1.0 / d[0])
+    dty = np.inf if d[1] == 0 else abs(1.0 / d[1])
+    cells.append((x, y))
+    guard = 0
+    while (x, y) != (xe, ye) and guard < 10_000_000:
+        if tx <= ty:
+            x += step_x
+            tx += dtx
+        else:
+            y += step_y
+            ty += dty
+        cells.append((x, y))
+        guard += 1
+    return cells
+
+
+def rasterize(walls: np.ndarray, scale: float, pad_px: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(grid, origin): a bool grid marking every cell touched by a (W, 2, 2)
+    wall row, W >= 1; cell (ix, iy) covers origin + [ix, ix+1) / scale.
+
+    Raises ValueError when the grid would exceed MAX_RASTER_CELLS.
+    """
+    # the cell count is checked in floats, before the int cast and the allocation
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo = np.floor(walls.min(axis=(0, 1)) * scale)
+        hi = np.floor(walls.max(axis=(0, 1)) * scale)
+        shape = hi - lo + 2 * pad_px + 1
+        fits = np.prod(shape) <= MAX_RASTER_CELLS
+    if not fits:
+        raise ValueError(
+            "a %g x %g raster at %g px/m exceeds %d cells" % (shape[0], shape[1], scale, MAX_RASTER_CELLS)
+        )
+    lo, hi = lo.astype(np.int64) - pad_px, hi.astype(np.int64) + pad_px + 1
+    grid = np.zeros((int(hi[0] - lo[0]), int(hi[1] - lo[1])), dtype=bool)
+    d = walls[:, 1] - walls[:, 0]
+    dirs = d / np.sqrt(np.vecdot(d, d))[:, None]
+    # cells are closed squares: a segment running exactly along a cell
+    # boundary touches both sides, so traverse a hairline off each side
+    eps = 1e-7
+    for (p0, p1), u in zip(walls, dirs):
+        n = np.array([-u[1], u[0]]) * eps
+        for off in (n, -n):
+            for cx, cy in _traverse_cells(p0 * scale + off, p1 * scale + off):
+                grid[cx - lo[0], cy - lo[1]] = True
+    return grid, lo / scale
 
 
 def value_at(field, points_m: np.ndarray) -> np.ndarray:

@@ -13,7 +13,10 @@ bounds, far outside it, NaN, and beyond the int64 range of cell indices.
 Vote grids grow components of more than 8 cells (where numpy's pairwise
 `.sum()` departs from the running sum both sides use) across the yaw
 wrap, and the package's one-search neighbour table must equal the
-oracle's one-search-per-offset table.
+oracle's one-search-per-offset table. The wall raster's column pass must
+mark the cells of the oracle's per-cell grid walk, with the same origin,
+for walls on cell corners, along axes and diagonals, on the bench
+layouts, and with the hairlines split into chunks of any size.
 """
 
 import math
@@ -21,9 +24,10 @@ import math
 import numpy as np
 import pytest
 import scalar_backend as ref
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from scan2plan import verify
 from scan2plan.geometry import Se2Pose
 from scan2plan.verify import (
     COARSE_LIMIT,
@@ -31,6 +35,7 @@ from scan2plan.verify import (
     _coarse_bounds,
     _collapse,
     _prepare,
+    _rasterize,
     build_score_field,
     score_candidate,
     select_best,
@@ -130,6 +135,76 @@ def test_value_at_matches_oracle(data):
     with np.errstate(invalid="ignore"):  # the oracle casts inf and 1e300 to int64
         want = ref.value_at(field, pts)
     assert _bits(field.value_at(pts)) == _bits(want)
+
+
+# --- wall raster ---
+
+# the floors of the bench specs: a4 (21) and building (101-103, 104 absent)
+BENCH_LAYOUTS = [(21, 12), (101, 12), (102, 24), (103, 48), (104, 24)]
+
+
+def _assert_raster_matches_oracle(walls, s_r, pad_px=7):
+    walls = np.asarray(walls, dtype=np.float64).reshape(-1, 2, 2)
+    grid, origin = _rasterize(walls, 1.0 / s_r, pad_px)
+    want_grid, want_origin = ref.rasterize(walls, 1.0 / s_r, pad_px)
+    assert grid.shape == want_grid.shape
+    assert np.array_equal(grid, want_grid)
+    assert _bits(origin) == _bits(want_origin)
+
+
+@st.composite
+def raster_walls(draw):
+    """(walls, s_r): 1-6 walls with ends on cell corners or anywhere,
+    running along an axis, at 45 degrees or in any direction."""
+    s_r = draw(st.sampled_from([0.1, 0.2, 0.25, 0.3]))
+
+    def point(corner):
+        if corner:
+            return np.array([draw(st.integers(-40, 40)), draw(st.integers(-40, 40))]) * s_r
+        return np.array([draw(st.floats(-8, 8)), draw(st.floats(-8, 8))])
+
+    walls = []
+    for _ in range(draw(st.integers(1, 6))):
+        corner, kind = draw(st.booleans()), draw(st.sampled_from(["axis", "diagonal", "any"]))
+        p0 = point(corner)
+        if kind == "any":
+            p1 = point(corner)
+        else:
+            steps = [(1, 0), (0, 1), (-1, 0), (0, -1)] if kind == "axis" else [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+            n = draw(st.integers(1, 60)) * s_r if corner else draw(st.floats(0.01, 12))
+            p1 = p0 + n * np.array(draw(st.sampled_from(steps)), dtype=np.float64)
+        if np.any(p1 != p0):
+            walls.append((p0, p1))
+    assume(walls)
+    return np.array(walls), s_r
+
+
+@settings(max_examples=300)
+@given(raster_walls())
+def test_raster_matches_oracle(case):
+    _assert_raster_matches_oracle(*case)
+
+
+@pytest.mark.parametrize("s_r", [0.1, 0.2, 0.25, 0.3])
+def test_raster_matches_oracle_on_the_bench_layouts(s_r):
+    from scan2plan.synthetic import generate_layout
+
+    for seed, n_rooms in BENCH_LAYOUTS:
+        walls = generate_layout(seed=seed, n_rooms=n_rooms, corridor=True, extent_m=48.0).wall_model.endpoints()
+        _assert_raster_matches_oracle(walls, s_r)
+
+
+@pytest.mark.parametrize("chunk", [1, 20, 300])
+def test_raster_chunks_match_oracle(monkeypatch, chunk):
+    # a chunk of 1 holds one hairline each; at 20 the longest hairlines
+    # exceed the chunk and go alone, and at 300 most chunks hold several
+    from scan2plan.synthetic import generate_layout
+
+    walls = generate_layout(seed=21, n_rooms=12, corridor=True, extent_m=48.0).wall_model.endpoints()
+    bound = np.abs(walls[:, 1] - walls[:, 0]).sum(axis=1) / 0.2 + 3.0  # cells, per hairline
+    assert bound.max() > 20 and 2 * bound.sum() > 5 * 300
+    monkeypatch.setattr(verify, "RASTER_CHUNK_CELLS", chunk)
+    _assert_raster_matches_oracle(walls, 0.2)
 
 
 def _bounds(field, cands, q_ng, q_g, cap):

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from scan2plan.cli import main
 from scan2plan.config import PipelineConfig, make_config
-from scan2plan.descriptors import build_triplets
+from scan2plan.descriptors import build_triplets, canonical_triplets, clique_triplets
 from scan2plan.geometry import Se2Pose, registration_success
 from scan2plan.ingest import Submap, load_pose, load_wall_models
 from scan2plan.lines import extract_corners
@@ -47,8 +47,8 @@ def test_build_db_unit_square_counts(tmp_path, capsys):
 
 
 def test_build_db_triplet_count_with_tied_bins(tmp_path, capsys):
-    # the count comes from the tied-order rows; it must equal the number
-    # of canonical triplets, which build-db no longer enumerates
+    # the count is build_triplets' (one order per triplet); it must equal
+    # the number of distinct triplets among build_db's tied-order rows
     plan = tmp_path / "plan.txt"
     assert main(["gen-floorplan", "--seed", "7", "--n-rooms", "6", "--extent", "30", "--out", str(plan)]) == 0
     capsys.readouterr()
@@ -61,6 +61,9 @@ def test_build_db_triplet_count_with_tied_bins(tmp_path, capsys):
     corners = extract_corners(model.endpoints(), cfg.extend_m, cfg.nms_radius_m, cfg.min_angle_deg)
     assert n_orders > n_triplets  # premise: some triplets' side bins tie
     assert n_triplets == len(build_triplets(corners, cfg.l_max, cfg.r_s, cfg.r_a, cfg.min_angle_deg))
+    verts, dirs = clique_triplets(corners, cfg.l_max)
+    tied = canonical_triplets(verts, dirs, cfg.r_s, cfg.r_a, cfg.min_angle_deg, tied_orders=True)
+    assert (np.unique(tied.src).shape[0], tied.src.shape[0]) == (n_triplets, n_orders)
 
 
 def test_build_db_empty_model_fails(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Score field and confidence tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,43 @@ def test_segment_raster_is_connected():
     pts = seg[0] + t[:, None] * (seg[1] - seg[0])
     ij = np.floor((pts - origin) * s_i).astype(int)
     assert np.all(grid[ij[:, 0], ij[:, 1]])
+
+
+def test_raster_scratch_is_bounded_by_chunks():
+    # 2,000 diagonal 80 m walls walk about 2.3 million cells; a pass over
+    # every hairline at once allocates about 146 MB here, the chunked one
+    # under 6 MB next to the 0.24 MB grid
+    x = np.arange(2000) * 0.05
+    side = 80.0 / math.sqrt(2.0)
+    walls = np.stack([np.column_stack([x, np.zeros_like(x)]), np.column_stack([x + side, np.full_like(x, side)])], 1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        grid, _ = _rasterize(walls, 1.0 / 0.2, 7)
+        peak_mb = (tracemalloc.get_traced_memory()[1] - base) / 1e6
+    finally:
+        tracemalloc.stop()
+    assert grid.sum() > 100_000
+    assert peak_mb < 16.0
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        (0.0, 0.0, 0.0, 0.0),
+        (1.0, 2.0, 1.0, 2.0),
+        (0.0, 0.0, math.nan, 1.0),
+        (math.inf, 0.0, math.inf, 1.0),
+        (0.0, -math.inf, 0.0, 0.0),
+        (0.0, 0.0, 1e-170, 0.0),  # its squared length underflows to 0
+    ],
+)
+def test_bad_wall_row_is_named(bad):
+    # a NaN row used to report the cap ("a nan x 20 raster ... exceeds")
+    # and a zero-length one to divide by zero; both now name the row
+    walls = [_seg(0.0, 0.0, 2.0, 0.0), _seg(*bad), _seg(0.0, 0.0, 0.0, 2.0)]
+    with pytest.raises(ValueError, match=r"wall row 1 must be finite and of nonzero length"):
+        build_score_field(walls)
 
 
 # --- field values ---
