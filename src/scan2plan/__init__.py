@@ -72,7 +72,6 @@ from .verify import (
     ScoreResult,
     build_score_field,
     reliability_curve,
-    score_candidate,
     select_best,
 )
 from .voting import Candidate, Candidates, VoteGrid, cast_votes, hierarchical_vote, vanilla_vote

@@ -13,7 +13,7 @@ from typing import List, Optional
 import numpy as np
 
 from .config import PipelineConfig, echo_config, make_config
-from .descriptors import build_db, build_triplets, serialize_db
+from .descriptors import DescriptorDB, canonical_triplets, clique_triplets, serialize_db
 from .errors import EmptyScene, Scan2PlanError
 from .ingest import load_submap, load_wall_model, load_wall_models, save_pose, save_submap, save_wall_models
 from .lines import extract_corners
@@ -119,9 +119,13 @@ def cmd_build_db(args) -> int:
     cfg = _config_of(args)
     model = load_wall_model(args.model, args.floor)
     corners = extract_corners(model.endpoints(), cfg.extend_m, cfg.nms_radius_m, cfg.min_angle_deg)
-    db = build_db(corners, cfg.l_max, cfg.r_s, cfg.r_a, cfg.min_angle_deg)
-    # a kept triplet's length-sorted order has non-decreasing side bins, so build_db stores it
-    n_triplets = len(build_triplets(corners, cfg.l_max, cfg.r_s, cfg.r_a, cfg.min_angle_deg))
+    # build_db's steps, so the cliques are enumerated once: a kept triplet's
+    # length-sorted order has non-decreasing side bins, so every triplet
+    # stores at least one order and the distinct sources count them
+    verts, dirs = clique_triplets(corners, cfg.l_max)
+    t = canonical_triplets(verts, dirs, cfg.r_s, cfg.r_a, cfg.min_angle_deg, tied_orders=True)
+    db = DescriptorDB.from_entries(t.bins, t.verts, t.dirs, cfg.r_s, cfg.r_a)
+    n_triplets = np.unique(t.src).shape[0]
     serialize_db(db, args.out)
     print(
         "floor %s: %d corners, %d triplets, %d stored orders, %d keys -> %s"

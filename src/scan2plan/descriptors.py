@@ -15,8 +15,12 @@ file, are those of the six bins alone.
 Triplets stay arrays from enumeration to voting. The database holds one
 row per stored vertex order, sorted by its bins packed into one int64
 (mixed radix, each field sized by the largest bin stored); the sort is
-stable, so rows sharing a key keep insertion order. Lookups are binary
-searches, and a query bin outside the stored range matches nothing.
+stable, so rows sharing a key keep insertion order. The database also
+keeps its distinct keys and the row bounds of each, built once. A lookup
+packs the query bins column by column, sorts them and finds each with
+one binary search among the distinct keys, so its cost follows the key
+count, not the row count; a query bin outside the stored range matches
+nothing.
 
 `serialize_db` exports a database as a v1 file, which the package never
 reads back: every floor index is built from its wall model. The file
@@ -76,7 +80,11 @@ class Triplets:
 
 @dataclass
 class DescriptorDB:
-    """Stored triplet orders, sorted by packed key."""
+    """Stored triplet orders, sorted by packed key.
+
+    Construction also keeps, for `find`, the distinct keys and each
+    one's first row, with the row count appended as the last bound.
+    """
 
     keys: np.ndarray  # (N,) int64, ascending; one key's rows in insertion order
     verts: np.ndarray  # (N, 3, 2)
@@ -85,6 +93,12 @@ class DescriptorDB:
     r_s: float
     r_a: float
     hand: np.ndarray  # (N,) int8 sign of (B - A) x (C - A)
+
+    def __post_init__(self):
+        starts = np.flatnonzero(np.diff(self.keys, prepend=-1))
+        # the distinct keys, then -2, which no packed query equals
+        self._distinct = np.append(self.keys[starts], -2)
+        self._bounds = np.append(starts, self.keys.shape[0])
 
     @classmethod
     def from_entries(cls, bins, verts, dirs, r_s: float, r_a: float) -> "DescriptorDB":
@@ -107,23 +121,42 @@ class DescriptorDB:
 
     @property
     def n_keys(self) -> int:
-        return self.key_starts().shape[0]
+        return self._bounds.shape[0] - 1
 
     def key_starts(self) -> np.ndarray:
         """First row of each distinct key."""
-        return np.flatnonzero(np.diff(self.keys, prepend=-1))
+        return self._bounds[:-1]
 
     def bins(self, rows=slice(None)) -> np.ndarray:
         """(n, 6) bins of the keys of the given rows."""
         return np.stack(np.unravel_index(self.keys[rows], self.dims), axis=1)
 
     def find(self, bins) -> Tuple[np.ndarray, np.ndarray]:
-        """Row ranges [lo, hi) whose key equals each (n, 6) bin row."""
+        """Row ranges [lo, hi) whose key equals each (n, 6) bin row; a row
+        whose key is not stored gets [0, 0).
+
+        The rows are packed column by column, a row with a bin outside
+        the stored range to -1, below every key; they are then sorted
+        and found with one search among the distinct keys.
+        """
         bins = np.asarray(bins, dtype=np.int64).reshape(-1, 6)
-        inside = np.all((bins >= 0) & (bins < self.dims), axis=1)
-        packed = np.full(bins.shape[0], -1, dtype=np.int64)  # below every key
-        packed[inside] = np.ravel_multi_index(tuple(bins[inside].T), self.dims)
-        return np.searchsorted(self.keys, packed), np.searchsorted(self.keys, packed, "right")
+        packed = np.zeros(bins.shape[0], dtype=np.int64)
+        inside = np.ones(bins.shape[0], dtype=bool)
+        for col, dim in zip(bins.T, self.dims):
+            inside &= (col >= 0) & (col < dim)
+            packed *= dim
+            packed += col  # may wrap on a row outside, which is dropped next
+        packed[~inside] = -1
+        order = np.argsort(packed)
+        packed = packed[order]
+        pos = np.searchsorted(self._distinct[:-1], packed)
+        hit = self._distinct[pos] == packed
+        rows, key = order[hit], pos[hit]
+        lo = np.zeros(bins.shape[0], dtype=np.int64)
+        hi = np.zeros(bins.shape[0], dtype=np.int64)
+        lo[rows] = self._bounds[key]
+        hi[rows] = self._bounds[key + 1]
+        return lo, hi
 
 
 def _hand(verts: np.ndarray) -> np.ndarray:
@@ -238,8 +271,8 @@ def query_correspondences(db: DescriptorDB, triplets: Triplets) -> Tuple[np.ndar
     n = hi - lo
     query = np.repeat(np.arange(n.shape[0]), n)
     rows = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(query.shape[0])
-    same = db.hand[rows] == triplets.hand[query]
-    return triplets.verts[query[same]], db.verts[rows[same]]
+    same = np.take(db.hand, rows) == np.take(triplets.hand, query)
+    return np.take(triplets.verts, query[same], axis=0), np.take(db.verts, rows[same], axis=0)
 
 
 # --- serialization ---

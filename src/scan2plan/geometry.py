@@ -100,27 +100,54 @@ def solve_se2_batch(src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np.nd
     atan2(sum(sx*dy - sy*dx), sum(sx*dx + sy*dy)), and the translation
     maps the source centroid onto the destination centroid. Returns
     arrays (x, y, yaw, rms) of length M, rms over the K point residuals.
+    Raises ValueError unless src and dst share one (M, K, 2) shape with
+    K >= 1.
 
     Degenerate rows are not rejected here: when all source points
     coincide both sums are zero, so yaw is 0, the centroids still fix the
     translation and the residual (the spread of dst) does the gating
     downstream. A mirrored row gets its best proper rotation and a large
     residual.
+
+    The work runs on contiguous component-major copies, (2, K, M), one
+    point j at a time: each step is an element-wise pass over M values,
+    and each sum over the K points starts at +0.0 and adds them in
+    order. numpy's `mean(axis=1)` and `sum(axis=1)` over (M, K, 2) and
+    (M, K) arrays add in that order for K < 8, so every result keeps
+    their bits (checked at K = 3 against the strided formulation); for
+    K >= 8 numpy sums a contiguous axis pairwise, and the last bit may
+    differ from that.
     """
     s = np.asarray(src, dtype=float)
     d = np.asarray(dst, dtype=float)
-    s_mean = s.mean(axis=1)
-    d_mean = d.mean(axis=1)
-    sx, sy = (s - s_mean[:, None]).transpose(2, 0, 1)
-    dx, dy = (d - d_mean[:, None]).transpose(2, 0, 1)
-    yaw = np.arctan2(np.sum(sx * dy - sy * dx, axis=1), np.sum(sx * dx + sy * dy, axis=1))
+    if s.ndim != 3 or s.shape[2] != 2 or d.shape != s.shape:
+        raise ValueError("src and dst must share one (M, K, 2) shape, got %s and %s" % (s.shape, d.shape))
+    m, k = s.shape[:2]
+    if k == 0:
+        raise ValueError("solve_se2_batch needs K >= 1 points per correspondence, got K = 0")
+    s, d = (np.ascontiguousarray(a.transpose(2, 1, 0)) for a in (s, d))
+    s_mean, d_mean = np.zeros((2, m)), np.zeros((2, m))
+    for j in range(k):
+        s_mean += s[:, j]
+        d_mean += d[:, j]
+    s_mean /= k
+    d_mean /= k
+    cross, dot = np.zeros(m), np.zeros(m)
+    for j in range(k):
+        sx, sy = s[:, j] - s_mean
+        dx, dy = d[:, j] - d_mean
+        cross += sx * dy - sy * dx
+        dot += sx * dx + sy * dy
+    yaw = np.arctan2(cross, dot)
     c, sn = np.cos(yaw), np.sin(yaw)
-    tx = d_mean[:, 0] - (c * s_mean[:, 0] - sn * s_mean[:, 1])
-    ty = d_mean[:, 1] - (sn * s_mean[:, 0] + c * s_mean[:, 1])
-    rx = c[:, None] * s[..., 0] - sn[:, None] * s[..., 1] + tx[:, None] - d[..., 0]
-    ry = sn[:, None] * s[..., 0] + c[:, None] * s[..., 1] + ty[:, None] - d[..., 1]
-    rms = np.sqrt(np.mean(rx**2 + ry**2, axis=1))
-    return tx, ty, yaw, rms
+    tx = d_mean[0] - (c * s_mean[0] - sn * s_mean[1])
+    ty = d_mean[1] - (sn * s_mean[0] + c * s_mean[1])
+    sq = np.zeros(m)
+    for j in range(k):
+        rx = c * s[0, j] - sn * s[1, j] + tx - d[0, j]
+        ry = sn * s[0, j] + c * s[1, j] + ty - d[1, j]
+        sq += rx * rx + ry * ry
+    return tx, ty, yaw, np.sqrt(sq / k)
 
 
 def _lift_to_3d(pose: Se2Pose) -> Tuple[np.ndarray, np.ndarray]:

@@ -22,7 +22,7 @@ only for a row that is read as one.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -107,15 +107,6 @@ class Candidates:
     votes: np.ndarray  # (C,) int64
     merged_score: np.ndarray  # (C,) int64
     n_cells: np.ndarray  # (C,) int64
-
-    @classmethod
-    def of(cls, items: Union["Candidates", Sequence[Candidate]]) -> "Candidates":
-        """The rows of a `Candidate` sequence; `Candidates` come back as they are."""
-        if isinstance(items, cls):
-            return items
-        xyt = np.array([(c.pose.x, c.pose.y, c.pose.yaw) for c in items], dtype=np.float64).reshape(-1, 3)
-        ints = (np.array([getattr(c, f) for c in items], dtype=np.int64) for f in ("votes", "merged_score", "n_cells"))
-        return cls(xyt, *ints)
 
     def __len__(self) -> int:
         return self.xyt.shape[0]

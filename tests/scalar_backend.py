@@ -22,7 +22,15 @@ no ground points at all, which `select_best` at lam = 0 must match.
 
 The SE(2) solvers took the SVD of the 2x2 cross-covariance and fixed the
 sign so det(R) = +1. The package's closed form is not bit-exact with
-them; `test_geometry.py` bounds the difference.
+them; `test_geometry.py` bounds the difference. `closed_form_se2_batch`
+is that closed form as first written, on (M, K, 2) strided views with
+`mean(axis=1)` and `sum(axis=1)`; the package's component-major solver
+must match it bit for bit at K = 3.
+
+Two test helpers that call the package live here too, since no package
+code needs them: `candidates_of` packs a `Candidate` list into the
+`Candidates` arrays `select_best` takes, and `score_pose` is the
+package's exact score of one pose, `select_best` over it alone.
 """
 
 import collections
@@ -36,7 +44,8 @@ from scipy.sparse.csgraph import connected_components
 from scan2plan.errors import DegenerateInput, EmptyGrid, EmptySubmap, NoCandidates
 from scan2plan.geometry import Se2Pose, normalize_angle
 from scan2plan.verify import MAX_RASTER_CELLS, ScoreResult
-from scan2plan.voting import Candidate, VoteGrid
+from scan2plan.verify import select_best as package_select_best
+from scan2plan.voting import Candidate, Candidates, VoteGrid
 
 
 def solve_se2(src: Sequence, dst: Sequence) -> Tuple[Se2Pose, float]:
@@ -85,6 +94,35 @@ def solve_se2_batch(src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np.nd
     res = np.einsum("mij,mkj->mki", r, s) + t[:, None, :] - d
     rms = np.sqrt(np.mean(np.sum(res**2, axis=2), axis=1))
     return t[:, 0], t[:, 1], yaw, rms
+
+
+def closed_form_se2_batch(src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    s = np.asarray(src, dtype=float)
+    d = np.asarray(dst, dtype=float)
+    s_mean = s.mean(axis=1)
+    d_mean = d.mean(axis=1)
+    sx, sy = (s - s_mean[:, None]).transpose(2, 0, 1)
+    dx, dy = (d - d_mean[:, None]).transpose(2, 0, 1)
+    yaw = np.arctan2(np.sum(sx * dy - sy * dx, axis=1), np.sum(sx * dx + sy * dy, axis=1))
+    c, sn = np.cos(yaw), np.sin(yaw)
+    tx = d_mean[:, 0] - (c * s_mean[:, 0] - sn * s_mean[:, 1])
+    ty = d_mean[:, 1] - (sn * s_mean[:, 0] + c * s_mean[:, 1])
+    rx = c[:, None] * s[..., 0] - sn[:, None] * s[..., 1] + tx[:, None] - d[..., 0]
+    ry = sn[:, None] * s[..., 0] + c[:, None] * s[..., 1] + ty[:, None] - d[..., 1]
+    rms = np.sqrt(np.mean(rx**2 + ry**2, axis=1))
+    return tx, ty, yaw, rms
+
+
+def candidates_of(items: Sequence[Candidate]) -> Candidates:
+    """The rows of a `Candidate` sequence as `Candidates` arrays."""
+    xyt = np.array([(c.pose.x, c.pose.y, c.pose.yaw) for c in items], dtype=np.float64).reshape(-1, 3)
+    ints = (np.array([getattr(c, f) for c in items], dtype=np.int64) for f in ("votes", "merged_score", "n_cells"))
+    return Candidates(xyt, *ints)
+
+
+def score_pose(field, pose: Se2Pose, q_ng_xy, q_g_xy, lam=0.5) -> ScoreResult:
+    """The package's exact score of one pose, submap-frame xy points."""
+    return package_select_best(field, candidates_of([Candidate(pose, 0, 0, 1)]), q_ng_xy, q_g_xy, lam)[1]
 
 
 def _traverse_cells(p0: np.ndarray, p1: np.ndarray) -> List[Tuple[int, int]]:

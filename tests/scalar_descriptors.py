@@ -9,7 +9,8 @@ correspondences as (src, dst) vertex pairs in query-then-bucket order,
 kept only where both triangles have the same hand (the sign of
 (B - A) x (C - A)), so a mirror image never pairs.
 Corner sets arrive as the package's `Corners` arrays and are walked as
-the per-corner objects of `scalar_frontend`.
+the per-corner objects of `scalar_frontend`. `find` is the DB lookup as
+first written: two searches over every stored key, unsorted queries.
 """
 
 from itertools import combinations, permutations
@@ -166,3 +167,13 @@ def query_correspondences(buckets, triplets):
             if hand(entry) == hand(verts):
                 out.append((verts, entry))
     return out
+
+
+def find(db, bins):
+    """Row ranges [lo, hi) of a `DescriptorDB` whose key equals each (n, 6)
+    bin row; a row with a bin outside the stored range packs below every key."""
+    bins = np.asarray(bins, dtype=np.int64).reshape(-1, 6)
+    inside = np.all((bins >= 0) & (bins < db.dims), axis=1)
+    packed = np.full(bins.shape[0], -1, dtype=np.int64)
+    packed[inside] = np.ravel_multi_index(tuple(bins[inside].T), db.dims)
+    return np.searchsorted(db.keys, packed), np.searchsorted(db.keys, packed, "right")

@@ -25,7 +25,7 @@ from scan2plan.geometry import (
 from scan2plan.ingest import WallModel
 from scan2plan.pipeline import build_floor_index, extract_submap_features, register_submap
 from scan2plan.synthetic import generate_layout, random_interior_pose, synthesize_submap
-from scan2plan.verify import build_score_field, reliability_curve, score_candidate, select_best
+from scan2plan.verify import build_score_field, reliability_curve, select_best
 from scan2plan.voting import Candidate, cast_votes, hierarchical_vote, vanilla_vote
 
 
@@ -204,10 +204,10 @@ def test_a5_confidence_extremes():
     q_ng = scene.submap.points[:n_wall, :2]
     q_g = scene.submap.points[n_wall:, :2]
     field = build_score_field(layout.wall_model.endpoints())
-    at_gt = score_candidate(field, gt, q_ng, q_g).confidence
+    at_gt = ref.score_pose(field, gt, q_ng, q_g).confidence
     # offset larger than the building, so scanned walls land on open floor
     misplaced = Se2Pose(gt.x + 8.0, gt.y, gt.yaw + 0.2)
-    off = score_candidate(field, misplaced, q_ng, q_g).confidence
+    off = ref.score_pose(field, misplaced, q_ng, q_g).confidence
     ok = abs(at_gt - 1.0) <= 0.02 and off <= 0.0
     assert _verdict(
         "A5 perfect-alignment confidence",
@@ -272,7 +272,7 @@ def _corridor_suite(n_seeds=100):
         a = cands[ai]
         boosted = list(cands)
         boosted[ai] = Candidate(a.pose, truth_votes + 10, a.merged_score, a.n_cells)
-        best_b, _ = select_best(floor.field, boosted, feats.q_ng_xy, feats.q_g_xy, cfg.lam)
+        best_b, _ = select_best(floor.field, ref.candidates_of(boosted), feats.q_ng_xy, feats.q_g_xy, cfg.lam)
         rows.append(
             dict(
                 vanilla_ok=registration_success(vote_pose, gt),

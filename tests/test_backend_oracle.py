@@ -37,7 +37,6 @@ from scan2plan.verify import (
     _prepare,
     _rasterize,
     build_score_field,
-    score_candidate,
     select_best,
     thin_rows,
 )
@@ -210,7 +209,7 @@ def test_raster_chunks_match_oracle(monkeypatch, chunk):
 def _bounds(field, cands, q_ng, q_g, cap):
     """(coarse, exact phase-1) bounds of every candidate."""
     q_ng, _, buf, idx = _prepare(thin_rows(q_ng, cap), thin_rows(q_g, cap))
-    coarse = _coarse_bounds(field, Candidates.of(cands).xyt, q_ng, buf, idx)
+    coarse = _coarse_bounds(field, ref.candidates_of(cands).xyt, q_ng, buf, idx)
     return coarse.tolist(), [ref.award_only(field, c.pose, q_ng) for c in cands]
 
 
@@ -219,7 +218,7 @@ def _assert_selection_matches_oracle(field, cands, q_ng, q_g, lam, cap) -> int:
     same result bits, and for every candidate coarse bound >= phase-1
     bound >= exact confidence."""
     want_best, want = ref.select_best(field, cands, q_ng, q_g, lam=lam, max_points=cap)
-    got_best, got = select_best(field, cands, thin_rows(q_ng, cap), thin_rows(q_g, cap), lam=lam)
+    got_best, got = select_best(field, ref.candidates_of(cands), thin_rows(q_ng, cap), thin_rows(q_g, cap), lam=lam)
     assert got_best == want_best
     assert _result_key(got) == _result_key(want[want_best])
     coarse, exact = _bounds(field, cands, q_ng, q_g, cap)
@@ -263,7 +262,7 @@ def test_scoring_matches_oracle(selection, lam, cap):
     with np.errstate(invalid="ignore", over="ignore"):
         _assert_selection_matches_oracle(field, cands, q_ng, q_g, lam, cap)
         for c in cands[:2]:
-            a = score_candidate(field, c.pose, q_ng, q_g, lam=lam)
+            a = ref.score_pose(field, c.pose, q_ng, q_g, lam=lam)
             b = ref.score_candidate(field, c.pose, q_ng, q_g, lam=lam)
             assert _result_key(a) == _result_key(b)
 
@@ -276,7 +275,7 @@ def test_lam_zero_is_award_only(selection, cap):
     field, q_ng, q_g, cands = selection
     with np.errstate(invalid="ignore", over="ignore"):
         want_best, want = ref.select_award_only(field, cands, q_ng, cap)
-        got_best, got = select_best(field, cands, thin_rows(q_ng, cap), thin_rows(q_g, cap), lam=0.0)
+        got_best, got = select_best(field, ref.candidates_of(cands), thin_rows(q_ng, cap), thin_rows(q_g, cap), lam=0.0)
     assert got_best == want_best
     assert _bits(got.confidence) == _bits(want[want_best])
 
@@ -336,6 +335,14 @@ COARSE_CASES = {
     # a point at the far corner of its cell, turned 45 deg, lands 1.41
     # cells from its cell's corner but 0.71 from the centre
     "far_cell_corner": (_hot((9, 9), (4, 6), 0.2), Se2Pose(0.9, 0.98, math.pi / 4), [[0.1998, 0.1998]]),
+    # the far corner of a 2 * s_r cell lies 1.41 cells from the centre;
+    # turned 45 deg it reaches the last cell of the 4x4 window, which a
+    # 3x3 window about the centre's own cell misses
+    "far_double_cell_corner": (_hot((9, 9), (4, 6), 0.2), Se2Pose(0.86, 0.6772, math.pi / 4), [[0.3998, 0.3998]]),
+    # a posed centre exactly 1.5 cells past a cell edge: the window starts
+    # at that edge, and a point near the cell's near corner lands in the
+    # window's first cell
+    "centre_on_window_edge": (_hot((9, 9), (3, 3), 0.25), Se2Pose(0.875, 0.875, 0.0), [[0.0002, 0.0002]]),
     # past the limit the rounding of a lookup is no longer small: a pose
     # onto a field 1e15 m out gets the trivial bound
     "far_origin": (_hot((5, 5), (2, 2), 0.2, (1e15, 1e15)), Se2Pose(1e15 + 0.5, 1e15 + 0.5, 0.0), [[0.0, 0.0]]),
@@ -366,7 +373,7 @@ def test_cell_edges_under_rotation_match_oracle():
     for _ in range(20):
         pose = Se2Pose(rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-math.pi, math.pi))
         q = pose.inverse().apply(edges)
-        got = score_candidate(field, pose, q, q[:100])
+        got = ref.score_pose(field, pose, q, q[:100])
         want = ref.score_candidate(field, pose, q, q[:100])
         assert _result_key(got) == _result_key(want)
 
@@ -392,8 +399,9 @@ def test_scoring_matches_oracle_on_a_scene():
 
 
 def test_coarse_chunk_edges_match_oracle_on_a_scene():
-    # the coarse pass runs rows // cells candidates at a time: check a
-    # last chunk that is partial, chunks of one, and the uncapped rows
+    # the coarse pass runs rows // cells candidates at a time, cells of
+    # 2 * s_r: check a last chunk that is partial, chunks of one, and the
+    # uncapped rows (65 candidates a chunk here, so 69 candidates)
     from scan2plan.synthetic import generate_layout, synthesize_submap
 
     layout = generate_layout(seed=21, n_rooms=12, corridor=True, extent_m=48.0)
@@ -407,7 +415,7 @@ def test_coarse_chunk_edges_match_oracle_on_a_scene():
     rng = np.random.default_rng(5)
     cands = [Candidate(gt, 5, 5, 1)] + [
         Candidate(Se2Pose(gt.x + rng.normal(0, 1), gt.y + rng.normal(0, 1), gt.yaw + rng.normal(0, 0.2)), 3, 3, 1)
-        for _ in range(29)
+        for _ in range(68)
     ]
     chunks = []
     for cap, lam in ((None, 0.5), (5000, 2.5), (333, 0.0)):

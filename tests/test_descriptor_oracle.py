@@ -5,7 +5,9 @@ comparison here is bitwise: triplet vertices, wall directions and keys,
 DB key order and row order within a key, and the correspondence list.
 Inputs mix random corner sets with squares, isosceles, equilateral and
 3-4-5 triangles whose sides sit exactly on bin boundaries, optionally
-under a rigid motion that turns exact ties into near-ties.
+under a rigid motion that turns exact ties into near-ties. The DB's
+one-search `find` must give the original two-search lookup's non-empty
+ranges, and an empty range wherever that one is empty.
 """
 
 import math
@@ -155,3 +157,33 @@ def test_key_pack_round_trip(space):
     for r, l, h in zip(rows, lo, hi):
         assert h - l == rows.count(r)
         assert (db.bins(slice(l, h)) == r).all()
+
+
+@st.composite
+def lookups(draw):
+    """(db, bins): a DB of 0-40 rows over small bins, and query rows that
+    repeat stored keys, lie one past or far past the stored range, hold a
+    negative or an int64-extreme bin, repeat each other and come unsorted."""
+    hi = [draw(st.integers(0, 4)) for _ in range(6)]
+    stored = draw(st.lists(st.tuples(*[st.integers(0, h) for h in hi]), max_size=40))
+    n = len(stored)
+    db = DescriptorDB.from_entries(
+        np.array(stored, dtype=np.int64).reshape(-1, 6), np.arange(n * 6.0).reshape(n, 3, 2), np.zeros((n, 3, 2, 2)), 0.5, 3.0
+    )
+    extreme = st.sampled_from([-1, -(2**63), 2**63 - 1, 2**40])
+    bin_ = st.one_of(st.integers(0, 5), st.integers(-3, -1), extreme)
+    rows = draw(st.lists(st.one_of(st.sampled_from(stored or [(0,) * 6]), st.tuples(*[bin_] * 6)), max_size=30))
+    rows = rows + draw(st.lists(st.sampled_from(rows or [(0,) * 6]), max_size=5))  # duplicates
+    return db, np.array(draw(st.permutations(rows)), dtype=np.int64).reshape(-1, 6)
+
+
+@settings(max_examples=300)
+@given(lookups())
+def test_find_matches_two_search_oracle(case):
+    db, bins = case
+    lo, hi = db.find(bins)
+    want_lo, want_hi = ref.find(db, bins)
+    full = want_hi > want_lo
+    assert lo.dtype == hi.dtype == np.int64 and lo.shape == hi.shape == (bins.shape[0],)
+    assert np.array_equal(lo[full], want_lo[full]) and np.array_equal(hi[full], want_hi[full])
+    assert np.all(hi[~full] == lo[~full])

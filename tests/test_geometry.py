@@ -205,6 +205,61 @@ def test_solve_batch_matches_svd_oracle_on_rigid_and_mirrored_sets(sets):
     assert np.array_equal((got[3] <= GATE_M)[clear], (want[3] <= GATE_M)[clear])
 
 
+@st.composite
+def triangle_rows(draw):
+    """(M, 3, 2) source rows and their rigid, mirrored or unrelated
+    partners, up to 1e6 m out, with coincident vertices and signed zeros."""
+    m = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = draw(st.sampled_from([0.0, 1.0, 1e3, 1e6]))
+    src = rng.uniform(-10.0, 10.0, (m, 3, 2)) * 10.0 ** rng.uniform(-3, 1, (m, 1, 1))
+    src += rng.uniform(-offset, offset, (m, 1, 2))
+    kind = draw(st.sampled_from(["rigid", "mirrored", "unrelated"]))
+    if kind == "unrelated":
+        dst = rng.uniform(-offset - 10.0, offset + 10.0, (m, 3, 2))
+    else:
+        yaw = rng.uniform(-np.pi, np.pi, m)
+        c, s = np.cos(yaw)[:, None], np.sin(yaw)[:, None]
+        mx, my = (src * ([-1.0, 1.0] if kind == "mirrored" else 1.0)).transpose(2, 0, 1)
+        dst = np.stack([c * mx - s * my, s * mx + c * my], axis=2) + rng.uniform(-offset, offset, (m, 1, 2))
+    for a in (src, dst):
+        same = rng.uniform(size=m) < 0.15
+        a[same, 1:] = a[same, :1]  # every vertex on the first
+        pair = rng.uniform(size=m) < 0.15
+        a[pair, 2] = a[pair, 0]  # C on A
+        a[rng.uniform(size=a.shape) < 0.1] = draw(st.sampled_from([0.0, -0.0]))
+    return src, dst
+
+
+@settings(max_examples=300)
+@given(triangle_rows())
+def test_solve_batch_matches_strided_solver_bit_for_bit(rows):
+    # the component-major solver against the (M, K, 2) strided-view one
+    # it replaced: for K = 3 both add the vertices first to last
+    src, dst = rows
+    got = solve_se2_batch(src, dst)
+    want = ref.closed_form_se2_batch(src, dst)
+    for g, w in zip(got, want):
+        assert g.dtype == np.float64 and g.shape == (src.shape[0],)
+        assert np.ascontiguousarray(g).tobytes() == np.ascontiguousarray(w).tobytes()
+
+
+@pytest.mark.parametrize(
+    "src, dst, match",
+    [
+        (np.zeros((4, 0, 2)), np.zeros((4, 0, 2)), "K = 0"),
+        (np.zeros((4, 3)), np.zeros((4, 3)), r"\(M, K, 2\)"),
+        (np.zeros((4, 3, 3)), np.zeros((4, 3, 3)), r"\(M, K, 2\)"),
+        (np.zeros((3, 2)), np.zeros((3, 2)), r"\(M, K, 2\)"),
+        (np.zeros((4, 3, 2)), np.zeros((4, 2, 2)), r"\(M, K, 2\)"),
+        (np.zeros((4, 3, 2)), np.zeros((1, 3, 2)), r"\(M, K, 2\)"),
+    ],
+)
+def test_solve_batch_rejects_bad_shapes(src, dst, match):
+    with pytest.raises(ValueError, match=match):
+        solve_se2_batch(src, dst)
+
+
 # ---------------------------------------------------------------------------
 # registration_success
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scalar_backend as ref
 
 from scan2plan.errors import EmptyModel, EmptySubmap, NoCandidates
 from scan2plan.geometry import Se2Pose
@@ -14,7 +15,6 @@ from scan2plan.verify import (
     _rasterize,
     build_score_field,
     reliability_curve,
-    score_candidate,
     select_best,
     thin_rows,
 )
@@ -143,7 +143,7 @@ def test_chebyshev_metric_on_diagonal():
 def test_true_pose_scores_exactly_one():
     layout, scene, q_ng, q_g = _scene()
     field = build_score_field(layout.wall_model.endpoints())
-    r = score_candidate(field, scene.gt_pose, q_ng, q_g)
+    r = ref.score_pose(field, scene.gt_pose, q_ng, q_g)
     assert r.s_a == float(q_ng.shape[0])
     assert r.s_p == 0.0
     assert r.confidence == 1.0
@@ -155,22 +155,22 @@ def test_misplaced_pose_scores_at_most_zero():
     # offset larger than the building, so scanned walls land on open floor
     # and scanned floor drapes over the modeled walls
     wrong = Se2Pose(scene.gt_pose.x + 8.0, scene.gt_pose.y, scene.gt_pose.yaw + 0.2)
-    r = score_candidate(field, wrong, q_ng, q_g)
+    r = ref.score_pose(field, wrong, q_ng, q_g)
     assert r.s_a == 0.0
     assert r.confidence <= 0.0
     far = Se2Pose(500.0, 500.0, 0.0)
-    assert score_candidate(field, far, q_ng, q_g).confidence == 0.0
+    assert ref.score_pose(field, far, q_ng, q_g).confidence == 0.0
     for lam in (0.0, 0.5):
         for pose in (scene.gt_pose, wrong, far):
-            conf = score_candidate(field, pose, q_ng, q_g, lam=lam).confidence
+            conf = ref.score_pose(field, pose, q_ng, q_g, lam=lam).confidence
             assert np.isfinite(conf) and conf <= 1.0
 
 
 def test_duplicated_points_leave_confidence_unchanged():
     layout, scene, q_ng, q_g = _scene()
     field = build_score_field(layout.wall_model.endpoints())
-    a = score_candidate(field, scene.gt_pose, q_ng, q_g)
-    b = score_candidate(
+    a = ref.score_pose(field, scene.gt_pose, q_ng, q_g)
+    b = ref.score_pose(
         field, scene.gt_pose, np.vstack([q_ng, q_ng]), np.vstack([q_g, q_g])
     )
     assert abs(a.confidence - b.confidence) < 1e-12
@@ -179,11 +179,11 @@ def test_duplicated_points_leave_confidence_unchanged():
 def test_extra_free_space_ground_is_free():
     layout, scene, q_ng, q_g = _scene()
     field = build_score_field(layout.wall_model.endpoints())
-    base = score_candidate(field, scene.gt_pose, q_ng, q_g)
+    base = ref.score_pose(field, scene.gt_pose, q_ng, q_g)
     # ground points far outside the building, still free space
     inv = scene.gt_pose.inverse()
     extra = inv.apply(np.array([[50.0, 50.0], [60.0, -20.0], [-30.0, 40.0]]))
-    more = score_candidate(field, scene.gt_pose, q_ng, np.vstack([q_g, extra]))
+    more = ref.score_pose(field, scene.gt_pose, q_ng, np.vstack([q_g, extra]))
     assert more.confidence == base.confidence
 
 
@@ -194,18 +194,18 @@ def test_ground_on_walls_is_penalized():
     wall = layout.wall_model.walls[0]
     mid = 0.5 * (wall.p0 + wall.p1)
     bad_ground = inv.apply(np.tile(mid, (q_ng.shape[0], 1)))
-    r = score_candidate(field, scene.gt_pose, q_ng, bad_ground)
+    r = ref.score_pose(field, scene.gt_pose, q_ng, bad_ground)
     assert r.s_p == pytest.approx(q_ng.shape[0])
     assert r.confidence == pytest.approx(1.0 - 0.5, abs=1e-9)
     # award-only scoring is lam = 0
-    r1 = score_candidate(field, scene.gt_pose, q_ng, bad_ground, lam=0.0)
+    r1 = ref.score_pose(field, scene.gt_pose, q_ng, bad_ground, lam=0.0)
     assert r1.confidence == 1.0
 
 
 def test_empty_submap_raises():
     field = build_score_field([_seg(0.0, 0.0, 2.0, 0.0)])
     with pytest.raises(EmptySubmap):
-        score_candidate(field, Se2Pose(0.0, 0.0, 0.0), np.zeros((0, 2)), np.zeros((0, 2)))
+        ref.score_pose(field, Se2Pose(0.0, 0.0, 0.0), np.zeros((0, 2)), np.zeros((0, 2)))
 
 
 # --- selection ---
@@ -221,10 +221,10 @@ def test_select_best_prefers_true_pose():
         merged_score=50,
         n_cells=1,
     )
-    best, result = select_best(field, [bad, good], q_ng, q_g)
+    best, result = select_best(field, ref.candidates_of([bad, good]), q_ng, q_g)
     assert best == 1
-    assert result == score_candidate(field, good.pose, q_ng, q_g)
-    assert result.confidence > score_candidate(field, bad.pose, q_ng, q_g).confidence
+    assert result == ref.score_pose(field, good.pose, q_ng, q_g)
+    assert result.confidence > ref.score_pose(field, bad.pose, q_ng, q_g).confidence
 
 
 def test_select_best_tie_breaks_on_votes():
@@ -233,7 +233,7 @@ def test_select_best_tie_breaks_on_votes():
     a = Candidate(pose, votes=3, merged_score=3, n_cells=1)
     b = Candidate(pose, votes=9, merged_score=9, n_cells=1)
     pts = np.array([[1.0, 0.05], [2.0, 0.05]])
-    best, _ = select_best(field, [a, b], pts, np.zeros((0, 2)))
+    best, _ = select_best(field, ref.candidates_of([a, b]), pts, np.zeros((0, 2)))
     assert best == 1
 
 
@@ -241,7 +241,7 @@ def test_select_best_subsample_keeps_exact_score():
     layout, scene, q_ng, q_g = _scene()
     field = build_score_field(layout.wall_model.endpoints())
     cand = Candidate(scene.gt_pose, votes=1, merged_score=1, n_cells=1)
-    best, result = select_best(field, [cand], thin_rows(q_ng, 500), thin_rows(q_g, 500))
+    best, result = select_best(field, ref.candidates_of([cand]), thin_rows(q_ng, 500), thin_rows(q_g, 500))
     assert best == 0
     assert result.n_ng == 500
     assert result.confidence == 1.0
@@ -254,9 +254,9 @@ def test_bad_lam_raises(lam):
     pts = np.array([[1.0, 0.0]])
     cand = Candidate(Se2Pose(0.0, 0.0, 0.0), votes=1, merged_score=1, n_cells=1)
     with pytest.raises(ValueError, match="lam"):
-        select_best(field, [cand], pts, pts, lam=lam)
+        select_best(field, ref.candidates_of([cand]), pts, pts, lam=lam)
     with pytest.raises(ValueError, match="lam"):
-        score_candidate(field, Se2Pose(0.0, 0.0, 0.0), pts, pts, lam=lam)
+        ref.score_pose(field, Se2Pose(0.0, 0.0, 0.0), pts, pts, lam=lam)
 
 
 @pytest.mark.parametrize("bad", [1.5, -0.25, math.nan])
@@ -356,6 +356,6 @@ def test_select_best_cap_zero_keeps_every_point():
     field = build_score_field(layout.wall_model.endpoints())
     cand = Candidate(scene.gt_pose, votes=1, merged_score=1, n_cells=1)
     assert thin_rows(q_ng, 0) is q_ng and thin_rows(q_g, 0) is q_g
-    best, result = select_best(field, [cand], thin_rows(q_ng, 0), thin_rows(q_g, 0))
+    best, result = select_best(field, ref.candidates_of([cand]), thin_rows(q_ng, 0), thin_rows(q_g, 0))
     assert (best, result.n_ng, result.n_g) == (0, q_ng.shape[0], q_g.shape[0])
-    assert result == select_best(field, [cand], q_ng, q_g)[1]
+    assert result == select_best(field, ref.candidates_of([cand]), q_ng, q_g)[1]
