@@ -17,6 +17,14 @@ twice. Touching pairs come from a sweep over the cell boxes sorted by
 their lower x, so the pair search grows with the pairs that overlap in
 x, not with the square of the patch count. Classification returns patch
 index arrays.
+
+Every plane, of an octree cell or of a merged group, comes from one
+closed-form 3x3 symmetric eigensolver, `_eig_sym3`, run on whole columns
+of covariance entries: no LAPACK call per cell. Its eigenvalues are
+within a few eps * |A| of the exact ones (|A| the largest eigenvalue
+magnitude) and its normal within a few eps * |A| / (l2 - l3) rad of the
+exact eigenvector, the accuracy LAPACK reaches (the argument is in its
+docstring).
 """
 
 import math
@@ -77,35 +85,124 @@ class SegmentationResult:
     n_unassigned: int
 
 
-def _canonical_sign(normals: np.ndarray) -> np.ndarray:
-    """Flip each normal (last axis) so its largest-magnitude component is positive."""
-    i = np.argmax(np.abs(normals), axis=-1)[..., None]
-    return np.where(np.take_along_axis(normals, i, axis=-1) < 0, -normals, normals)
+def _eig_sym3(cov: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(unit normals, eigenvalues descending) of an (n, 3, 3) stack of
+    symmetric matrices A, of which it reads the upper entries only.
+
+    The normal is the eigenvector of the smallest eigenvalue, its
+    largest-magnitude component made positive (the first such on a tie).
+
+    Method. A is scaled to B = (A - qI) / p, with q = tr(A) / 3 and
+    p^2 = |A - qI|_F^2 / 6, whose eigenvalues are 2 cos((t + 2 pi k) / 3)
+    for t = arccos(det(B) / 2) (Smith, CACM 1961). One of them, beta, is
+    at least sqrt(3) from both others: the largest when det(B) > 0, else
+    the smallest. beta = +-2 cos(arccos(|det(B)| / 2) / 3) has a slope of
+    at most 1/6 in det(B), so it is exact to a few eps; its eigenvector is
+    the largest-norm column of adj(B - beta I), which is at least sqrt(3)
+    long where the rounding is a few eps. The other two eigenpairs are
+    those of the 2x2 matrix B makes on the plane orthogonal to that
+    eigenvector (an orthonormal basis after Duff et al., JCGT 2017),
+    solved with atan2. Errors there are a few eps in B's scale, so the
+    eigenvalues q + p x come within a few eps * |A| of the exact ones
+    and the normal within a few eps * |A| / (l2 - l3), which is how
+    sure any backward-stable solver, LAPACK's included, can be.
+
+    The plain trigonometric method, which takes l3 from the formula and
+    the normal from adj(A - l3 I), has no such bound: when l2 and l3 are
+    both small beside l1 (a thin, elongated cell), arccos near +-1 turns
+    the eps error of det(B) into a sqrt(eps) one, and the normal of such
+    a cell can be off by up to 90 degrees.
+
+    Degenerate rows are defined: zero covariance (p = 0) gives B = 0,
+    eigenvalues q and the normal (1, 0, 0); rank 1 gives a unit normal
+    orthogonal to the line. Eigenvalues come out sorted by min/max, so
+    l1 >= l2 >= l3 holds on every row.
+    """
+    # one 1-D array per entry: at the few hundred rows of a call, (k, n)
+    # stacks of them measured no faster
+    a00, a01, a02, a11, a12, a22 = (cov[:, i, j] for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)))
+    q = (a00 + a11 + a22) / 3.0
+    d0, d1, d2 = a00 - q, a11 - q, a22 - q
+    off = a01 * a01 + a02 * a02 + a12 * a12
+    p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + off + off) / 6.0)
+    s = np.divide(1.0, p, out=np.zeros_like(p), where=p > 0.0)
+    b00, b11, b22, b01, b02, b12 = d0 * s, d1 * s, d2 * s, a01 * s, a02 * s, a12 * s
+    det = b00 * (b11 * b22 - b12 * b12) + b01 * (b12 * b02 - b01 * b22) + b02 * (b01 * b12 - b11 * b02)
+    beta = np.copysign(2.0 * np.cos(np.arccos(np.minimum(np.abs(det) * 0.5, 1.0)) / 3.0), det)
+    top = beta > 0.0  # beta is the largest eigenvalue, so the normal lies in the 2x2 plane
+
+    # beta's eigenvector: the longest column of the adjugate of B - beta I
+    m00, m11, m22 = b00 - beta, b11 - beta, b22 - beta
+    c00, c11, c22 = m11 * m22 - b12 * b12, m00 * m22 - b02 * b02, m00 * m11 - b01 * b01
+    c01, c02, c12 = b02 * b12 - b01 * m22, b01 * b12 - b02 * m11, b01 * b02 - m00 * b12
+    s01, s02, s12 = c01 * c01, c02 * c02, c12 * c12
+    len0, len1, len2 = c00 * c00 + s01 + s02, s01 + c11 * c11 + s12, s02 + s12 + c22 * c22
+    k = len1 > len0
+    x, y, z, longest = np.where(k, c01, c00), np.where(k, c11, c01), np.where(k, c12, c02), np.maximum(len0, len1)
+    k = len2 > longest
+    t = 1.0 / np.sqrt(np.maximum(longest, len2))
+    x, y, z = np.where(k, c02, x) * t, np.where(k, c12, y) * t, np.where(k, c22, z) * t
+
+    # (u, w): an orthonormal basis of the plane orthogonal to (x, y, z)
+    sg = np.copysign(1.0, z)
+    f = -1.0 / (sg + z)
+    xf = x * f
+    g = xf * y
+    u0, u1, u2 = 1.0 + sg * xf * x, sg * g, -sg * x
+    w0, w1, w2 = g, sg + f * y * y, -y
+    bu0 = b00 * u0 + b01 * u1 + b02 * u2
+    bu1 = b01 * u0 + b11 * u1 + b12 * u2
+    bu2 = b02 * u0 + b12 * u1 + b22 * u2
+    buu, buw = u0 * bu0 + u1 * bu1 + u2 * bu2, w0 * bu0 + w1 * bu1 + w2 * bu2
+    # the 2x2 is [[buu, buw], [buw, bww]] with bww = tr(B) - beta - buu = -beta - buu
+    mid = beta * -0.5
+    half = buu - mid  # (buu - bww) / 2
+    h = np.sqrt(half * half + buw * buw)
+    psi = np.arctan2(buw, half) * 0.5  # the upper eigenvector is cos(psi) u + sin(psi) w
+    cs, sn = np.cos(psi), np.sin(psi)
+    n0 = np.where(top, cs * w0 - sn * u0, x)
+    n1 = np.where(top, cs * w1 - sn * u1, y)
+    n2 = np.where(top, cs * w2 - sn * u2, z)
+
+    a0, a1, a2 = np.abs(n0), np.abs(n1), np.abs(n2)
+    lead = np.where((a0 >= a1) & (a0 >= a2), n0, np.where(a1 >= a2, n1, n2))
+    flip = np.where(lead < 0.0, -1.0, 1.0)
+    normal = np.empty((q.shape[0], 3))
+    normal[:, 0], normal[:, 1], normal[:, 2] = n0 * flip, n1 * flip, n2 * flip
+    upper, lower = mid + h, mid - h
+    eig = np.empty((q.shape[0], 3))
+    eig[:, 0] = q + p * np.maximum(beta, upper)
+    eig[:, 1] = q + p * np.maximum(lower, np.minimum(beta, upper))
+    eig[:, 2] = q + p * np.minimum(beta, lower)
+    return normal, eig
 
 
 def _fit_planes(count, sums, prods) -> Tuple[np.ndarray, np.ndarray]:
     """(unit normals, eigenvalues descending) of rows of raw moments.
 
     The covariance is the second moment less the mean's outer product;
-    each row's fit depends on that row alone.
+    `_eig_sym3` solves it in closed form, within a few eps * |A| of the
+    exact eigenvalues and a few eps * |A| / (l2 - l3) rad of the exact
+    normal. Each row's fit depends on that row alone, so a group of one
+    patch refits to its cell's plane bit for bit.
     """
     mean = sums / count[:, None]
-    cov = prods / count[:, None, None] - mean[:, :, None] * mean[:, None, :]
-    w, v = np.linalg.eigh(cov)  # ascending
-    return _canonical_sign(v[:, :, 0]), w[:, ::-1]
+    return _eig_sym3(prods / count[:, None, None] - mean[:, :, None] * mean[:, None, :])
 
 
 def segment_planes(
     points: np.ndarray, s_v: float = 2.0, sigma_lambda: float = 10.0
 ) -> SegmentationResult:
     """Octree split of `points` into planar patches numbered by level, then cell."""
+    if not 0.0 < s_v < np.inf:  # also rejects NaN
+        raise ValueError("s_v must be finite and positive, got %r" % (s_v,))
+    if not np.isfinite(sigma_lambda):
+        raise ValueError("sigma_lambda must be finite, got %r" % (sigma_lambda,))
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n_total = pts.shape[0]
     if n_total == 0:
         none, z = np.zeros(0, dtype=np.int64), np.zeros((0, 3))
         return SegmentationResult(Patches(none, none, z, np.zeros((0, 3, 3)), z, z, z, z), 0, 0)
-    if s_v <= 0.0:
-        raise ValueError("s_v must be positive")
 
     # column by column throughout: an axis-0 reduction of an (N, 3) array
     # is ten times slower than three column ones
@@ -255,7 +352,7 @@ def classify_patches(
     normals perpendicular to it.
     """
     g = np.asarray(gravity, dtype=np.float64)
-    g = g / np.linalg.norm(g)
+    g = g / np.sqrt(g.dot(g))  # the 2-norm as numpy's vector norm rounds it
     cos_par = float(np.cos(np.radians(gravity_tol_deg)))
     sin_perp = float(np.sin(np.radians(gravity_tol_deg)))
     # vecdot, not `normal @ g`: it rounds each row as the one-patch dot does

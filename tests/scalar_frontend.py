@@ -11,7 +11,10 @@ The package's array front end must reproduce these bit for bit;
 their cell's raw moments, the package's `Patches` label each row of the
 segmented array. A merged patch pools its members' moments in member
 order and fits its plane from them with the formula `segment_planes`
-applies to a cell.
+applies to a cell. A cell's or a group's covariance is solved by the
+package's closed-form `planes._eig_sym3`, so planes compare bit for bit;
+`_fit_plane`, a centred refit, keeps LAPACK's `eigh` as the independent
+reference the pooled-moment bounds are measured against.
 """
 
 from dataclasses import dataclass
@@ -21,6 +24,7 @@ import numpy as np
 
 from scan2plan.geometry import LineSegment2
 from scan2plan.lines import MIN_RUN_M, RUN_GAP_M
+from scan2plan.planes import _eig_sym3
 
 EIGENVALUE_FLOOR = 1e-12
 MIN_CELL_POINTS = 4
@@ -71,8 +75,8 @@ def _fit_moments(count: int, sums: np.ndarray, prods: np.ndarray) -> Tuple[np.nd
     """(centroid, unit normal, eigenvalues descending) of one patch's raw moments."""
     centroid = sums / count
     cov = prods / count - centroid[:, None] * centroid[None, :]
-    w, v = np.linalg.eigh(cov)  # ascending
-    return centroid, _canonical_sign(v[:, 0]), w[::-1].copy()
+    normal, eig = _eig_sym3(cov[None])
+    return centroid, normal[0], eig[0]
 
 
 def segment_planes(
@@ -112,11 +116,11 @@ def segment_planes(
         cov = prods / counts[:, None, None] - means[:, :, None] * means[:, None, :]
 
         big = counts >= MIN_CELL_POINTS
-        w = np.zeros((n_groups, 3))
-        v = np.zeros((n_groups, 3, 3))
+        normals = np.zeros((n_groups, 3))
+        w = np.zeros((n_groups, 3))  # descending
         if np.any(big):
-            w[big], v[big] = np.linalg.eigh(cov[big])
-        l3 = np.maximum(w[:, 0], EIGENVALUE_FLOOR)
+            normals[big], w[big] = _eig_sym3(cov[big])
+        l3 = np.maximum(w[:, 2], EIGENVALUE_FLOOR)
         planar = big & (w[:, 1] / l3 > sigma_lambda)
 
         first = np.unique(inv, return_index=True)[1]
@@ -126,7 +130,6 @@ def segment_planes(
 
         for g in np.nonzero(planar)[0]:
             grp = active[order[bounds[g] : bounds[g + 1]]]
-            normal = _canonical_sign(v[g][:, 0])
             lo = origin + cell_keys[g] * size
             patches.append(
                 PlanarPatch(
@@ -135,8 +138,8 @@ def segment_planes(
                     sums=sums[g],
                     prods=prods[g],
                     centroid=means[g],
-                    normal=normal,
-                    eigenvalues=w[g][::-1].copy(),
+                    normal=normals[g],
+                    eigenvalues=w[g],
                     cell_lo=lo,
                     cell_hi=lo + size,
                 )

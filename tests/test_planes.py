@@ -1,12 +1,17 @@
 """Plane segmentation tests."""
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import scan2plan
 from scan2plan.geometry import Se2Pose
-from scan2plan.planes import classify_patches, merge_patches, segment_planes
+from scan2plan.planes import _eig_sym3, classify_patches, merge_patches, segment_planes
 from scan2plan.synthetic import generate_layout, random_interior_pose, synthesize_submap
 
 GRAVITY = np.array([0.0, 0.0, -1.0])
@@ -138,6 +143,26 @@ def test_far_apart_cells_stay_apart():
     assert got == [list(range(a.shape[0])), list(range(a.shape[0], pts.shape[0]))]
 
 
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        (dict(s_v=np.inf), "s_v"),
+        (dict(s_v=np.nan), "s_v"),
+        (dict(s_v=0.0), "s_v"),
+        (dict(sigma_lambda=np.nan), "sigma_lambda"),
+        (dict(sigma_lambda=np.inf), "sigma_lambda"),
+    ],
+)
+def test_invalid_parameters_raise(kwargs, name):
+    # s_v = inf gave a NaN cell box, s_v = nan a cast error and
+    # sigma_lambda = nan no patch at all
+    pts = _grid_plane(0.0, 3.0, 0.0, 3.0, 0.0)
+    with pytest.raises(ValueError, match=name):
+        segment_planes(pts, **kwargs)
+    with pytest.raises(ValueError, match=name):
+        segment_planes(np.zeros((0, 3)), **kwargs)
+
+
 def test_cell_key_overflow_raises():
     pts = np.vstack([_grid_plane(0.0, 1.0, 0.0, 1.0, 0.0, step=0.25), [[1e6, 1e6, 1e6]]])
     with pytest.raises(ValueError):
@@ -184,6 +209,115 @@ def test_empty_input():
     res = segment_planes(np.zeros((0, 3)))
     assert len(res.patches) == 0 and res.n_points == 0
     assert len(merge_patches(res.patches)) == 0
+
+
+# --- the closed-form 3x3 solver ---
+
+EPS = np.finfo(np.float64).eps
+# `_eig_sym3` and LAPACK each land within a few eps * |A| of the exact
+# eigenvalues and a few eps * |A| / (l2 - l3) rad of the exact normal
+# (the argument is in `_eig_sym3`'s docstring); the two together may
+# differ by the sum, which these factors cover with room
+EIG_TOL = 16.0
+NORMAL_TOL = 16.0
+
+
+@st.composite
+def clouds(draw):
+    """Point sets as the octree meets them: planar, linear and isotropic
+    clouds, coincident points, noise-free planes and 4-point cells, along
+    the axes or turned, up to 1e5 m from the origin."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["planar", "linear", "isotropic", "coincident", "exact", "four"]))
+    n = 4 if kind == "four" else draw(st.integers(4, 300))
+    size = draw(st.sampled_from([0.01, 0.5, 2.0]))
+    noise = draw(st.sampled_from([0.0, 1e-9, 1e-6, 1e-3, 0.03]))
+    if kind == "planar":
+        p = np.column_stack([rng.uniform(0.0, size, (n, 2)), rng.normal(scale=noise, size=n)])
+    elif kind == "linear":
+        width = draw(st.sampled_from([1.0, 0.1, 1e-3]))
+        p = np.column_stack([rng.uniform(0.0, size, n), rng.normal(scale=noise, size=n), rng.normal(scale=noise * width, size=n)])
+    elif kind == "isotropic":
+        p = rng.normal(scale=size, size=(n, 3))
+    elif kind == "coincident":
+        p = np.repeat(rng.uniform(0.0, size, (1, 3)), n, axis=0)
+    elif kind == "exact":
+        p = np.column_stack([rng.uniform(0.0, size, (n, 2)), np.zeros(n)])
+    else:
+        p = rng.uniform(0.0, size, (4, 3)) * [1.0, 1.0, draw(st.sampled_from([1.0, 1e-3, 1e-6, 0.0]))]
+    turn = draw(st.sampled_from(["none", "axes", "any"]))
+    if turn == "axes":
+        p = p[:, rng.permutation(3)]
+    elif turn == "any":
+        p = p @ np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    return p + draw(st.sampled_from([0.0, 1.0, 1e3, 1e5])) * rng.uniform(-1.0, 1.0, 3)
+
+
+def _covariance(p):
+    """A point set's covariance from its raw moments, as the plane stage
+    takes it, mirrored from its upper entries: LAPACK reads the lower
+    ones, `_eig_sym3` the upper, and both must see one matrix."""
+    mean = p.sum(axis=0) / p.shape[0]
+    c = p.T @ p / p.shape[0] - mean[:, None] * mean[None, :]
+    return np.triu(c) + np.triu(c, 1).T
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(clouds(), min_size=1, max_size=6))
+# a noise-free floor cell along the axes: two of the adjugate's three
+# columns are zero, so only the longest one gives the normal
+@example([np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [2.0, 1.0, 0.0]])])
+def test_closed_form_matches_lapack(point_sets):
+    """Eigenvalues finite, descending and within EIG_TOL eps |A| of
+    LAPACK's; where the plane is resolved (l2 > 10 |l3|), a unit normal,
+    its largest component positive, within NORMAL_TOL eps |A| / (l2 - l3)
+    rad of LAPACK's."""
+    a = np.array([_covariance(p) for p in point_sets])
+    normal, eig = _eig_sym3(a)
+    w, v = np.linalg.eigh(a)
+    w, v = w[:, ::-1], v[:, :, 0]  # descending, and the normal
+    scale = np.max(np.abs(w), axis=1)
+
+    assert np.all(np.isfinite(normal)) and np.all(np.isfinite(eig))
+    assert np.all(eig[:, 0] >= eig[:, 1]) and np.all(eig[:, 1] >= eig[:, 2])
+    assert np.all(np.abs(eig - w) <= EIG_TOL * EPS * scale[:, None])
+    assert np.all(np.abs(np.linalg.norm(normal, axis=1) - 1.0) <= 4.0 * EPS)
+    resolved = w[:, 1] > 10.0 * np.abs(w[:, 2])
+    for n, ref, s, (_, l2, l3) in zip(normal[resolved], v[resolved], scale[resolved], w[resolved]):
+        assert n[np.argmax(np.abs(n))] > 0.0
+        angle = np.arctan2(np.linalg.norm(np.cross(n, ref)), abs(n @ ref))
+        assert angle <= NORMAL_TOL * EPS * s / (l2 - l3), (angle, n, ref)
+
+
+def test_closed_form_degenerate_rows():
+    # zero covariance; rank 1; det(B) = +0 with l3 = 0 the smallest (the
+    # eigenvalue picked as beta must decide which vector is the normal)
+    rows = [
+        (np.zeros((3, 3)), [0.0, 0.0, 0.0]),
+        (np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]), [14.0, 0.0, 0.0]),
+        (np.diag([2.0, 1.0, 0.0]), [2.0, 1.0, 0.0]),
+        (np.diag([0.0, 1.0, 2.0]), [2.0, 1.0, 0.0]),
+    ]
+    normal, eig = _eig_sym3(np.array([a for a, _ in rows]))
+    assert np.all(np.isfinite(normal)) and np.all(np.isfinite(eig))
+    assert np.allclose(eig, [w for _, w in rows], rtol=0.0, atol=16.0 * EPS * 14.0)
+    assert np.allclose(np.linalg.norm(normal, axis=1), 1.0, rtol=0.0, atol=4.0 * EPS)
+    assert abs(normal[1] @ [1.0, 2.0, 3.0]) <= 16.0 * EPS * 14.0
+    assert np.allclose(normal[2], [0.0, 0.0, 1.0], atol=4.0 * EPS)
+    assert np.allclose(normal[3], [1.0, 0.0, 0.0], atol=4.0 * EPS)
+
+
+def test_planes_make_no_lapack_call():
+    # every plane comes from the closed-form solver; a per-cell np.linalg
+    # call costs more than the whole fit
+    tree = ast.parse((Path(scan2plan.__file__).parent / "planes.py").read_text())
+    linalg = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "linalg")
+        or (isinstance(node, (ast.Import, ast.ImportFrom)) and "linalg" in ast.dump(node))
+    ]
+    assert linalg == []
 
 
 # --- classification ---
