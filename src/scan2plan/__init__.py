@@ -74,6 +74,6 @@ from .verify import (
     reliability_curve,
     select_best,
 )
-from .voting import Candidate, Candidates, VoteGrid, cast_votes, hierarchical_vote, vanilla_vote
+from .voting import Candidate, Candidates, VoteGrid, cast_votes, hierarchical_vote
 
 __version__ = "0.1.0"

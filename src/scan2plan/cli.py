@@ -37,6 +37,16 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+class _Once(argparse.Action):
+    """Stores a flag's value, and rejects the flag given a second time
+    (argparse would keep only the last)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            parser.error("argument %s: given more than once" % (option_string,))
+        setattr(namespace, self.dest, values)
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("pipeline parameters")
     g.add_argument("--config", metavar="FILE", help="flat key = value parameter file")
@@ -223,7 +233,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_gen_scene)
 
     p = sub.add_parser("build-db", help="corner + triangle-descriptor DB for one floor")
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", required=True, action=_Once)
     p.add_argument("--floor", default=None)
     p.add_argument("--out", required=True)
     _add_config_flags(p)
@@ -231,13 +241,13 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("register", help="register one submap against floor model(s)")
     p.add_argument("--submap", required=True)
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", required=True, action=_Once)
     _add_config_flags(p)
     p.set_defaults(func=cmd_register)
 
     p = sub.add_parser("evaluate", help="registration recall over a scene directory")
     p.add_argument("--scenes", required=True)
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", required=True, action=_Once)
     p.add_argument("--csv", default=None)
     _add_config_flags(p)
     p.set_defaults(func=cmd_evaluate)
@@ -245,7 +255,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("pr-curve", help="confidence precision/recall sweep")
     p.add_argument("--pos", required=True)
     p.add_argument("--neg", required=True)
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", required=True, action=_Once)
     p.add_argument("--csv", default=None)
     _add_config_flags(p)
     p.set_defaults(func=cmd_pr_curve)

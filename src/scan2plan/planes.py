@@ -3,15 +3,32 @@
 Points are binned into voxels of size s_v. A voxel whose covariance
 eigenvalues (l1 >= l2 >= l3, l3 floored at 1e-12) satisfy l2/l3 >
 sigma_lambda is kept as a planar patch; otherwise it splits into eight
-children. Cells with fewer than four points are discarded. Each level
-keys a point by its cell's three indices packed mixed radix over the
-extent present, built one coordinate column at a time, and orders the
-cells by a stable sort of that key in the narrowest integer type that
-holds it (a radix sort when it fits 16 bits). `Patches`
-holds a patch label per point row (-1 for none) and, per patch, its
-raw moments (point count, coordinate sums, coordinate-product sums),
-its plane and its cell box. A plane is fitted from moments alone, so
-adjacent coplanar patches merge as connected components of the
+children (octree segmentation after Vo et al., ISPRS J. 2015). Cells
+with fewer than four points are discarded.
+
+The octree sorts the points once. Level 0 keys a row by its cell's three
+integer coordinates packed mixed radix over the extent present, built
+one coordinate column at a time, and orders the rows by a stable sort of
+that key in the narrowest integer type that holds it (a radix sort when
+it fits 16 bits). The three coordinate columns and the row indices are
+gathered once in that order and carried down: each level compresses
+them to the rows of the cells it splits and permutes them by the child
+order. A child is keyed inside its parent, as the split parent's rank
+times 8 plus its octant (the low bit of floor((x - origin) / size) on
+each axis), a key below 8 times the split cells that is never packed
+against the extent. Since both sorts are stable, a cell's rows are
+contiguous in the carried columns and in ascending row order, and its
+count, coordinate sums and coordinate-product sums are segment sums
+(`np.add.reduceat`): the first row plus numpy's pairwise sum of the
+rest. A level's planar cells are numbered in the C order of their
+integer coordinates. Those coordinates double at each level, so level 0
+rejects, with a ValueError that names s_v, an extent whose deepest
+cells would not fit an int64.
+
+`Patches` holds a patch label per point row (-1 for none) and, per
+patch, its raw moments (point count, coordinate sums, coordinate-product
+sums), its plane and its cell box. A plane is fitted from moments alone,
+so adjacent coplanar patches merge as connected components of the
 compatible pairs by summing their members' moments: no point is read
 twice. Touching pairs come from a sweep over the cell boxes sorted by
 their lower x, so the pair search grows with the pairs that overlap in
@@ -190,6 +207,13 @@ def _fit_planes(count, sums, prods) -> Tuple[np.ndarray, np.ndarray]:
     return _eig_sym3(prods / count[:, None, None] - mean[:, :, None] * mean[:, None, :])
 
 
+def _cell_coords(col: np.ndarray, lo: float, size: float, out: np.ndarray) -> np.ndarray:
+    """floor((col - lo) / size), each row's integer cell coordinate, into `out`."""
+    np.subtract(col, lo, out=out)
+    out /= size
+    return np.floor(out, out=out)
+
+
 def segment_planes(
     points: np.ndarray, s_v: float = 2.0, sigma_lambda: float = 10.0
 ) -> SegmentationResult:
@@ -204,71 +228,108 @@ def segment_planes(
         none, z = np.zeros(0, dtype=np.int64), np.zeros((0, 3))
         return SegmentationResult(Patches(none, none, z, np.zeros((0, 3, 3)), z, z, z, z), 0, 0)
 
-    # column by column throughout: an axis-0 reduction of an (N, 3) array
-    # is ten times slower than three column ones
-    origin = np.array([pts[:, a].min() for a in range(3)])
-    label = np.full(n_total, -1, dtype=np.int64)
-    levels = []  # (count, sums, prods, normal, eigenvalues, cell_lo, cell_hi) per level
-    active_idx = np.arange(n_total)
-    active = pts
+    # Level 0 keys a row by the C-order ravel_multi_index of its cell's
+    # integer coordinates, one axis at a time from a contiguous copy of the
+    # column (strided passes, and axis-0 reductions of an (N, 3) array, cost
+    # several times more). One float buffer a level holds its per-row
+    # temporaries: fresh arrays of this size cost more in page faults than
+    # the arithmetic.
     size = float(s_v)
-    n_patches = 0
-
-    for _ in range(MAX_OCTREE_DEPTH + 1):
-        if active.shape[0] == 0:
-            break
-        # checked as floats: a cast past int64 gives garbage keys, not an error
-        top = np.floor((np.array([active[:, a].max() for a in range(3)]) - origin) / size)
-        if np.any(top >= 2.0**63):
-            raise ValueError("octree cells up to %s exceed int64; raise s_v" % (top,))
-        # floor is monotone, so the top cell is the largest key on each axis
-        dims = tuple(int(k) + 1 for k in top)
-        n_cells = math.prod(dims)
-        if n_cells > np.iinfo(np.int64).max:
+    buf = np.empty(n_total)
+    origin = np.empty(3)
+    key = np.zeros(n_total, dtype=np.int64)
+    dims = ()
+    for a in range(3):
+        np.copyto(buf, pts[:, a])
+        origin[a] = buf.min()
+        extent = buf.max() - origin[a]
+        # checked as floats: a cast past int64 gives garbage keys, not an
+        # error. A cell coordinate doubles at each level, so the deepest
+        # level bounds them all.
+        deepest = np.floor(extent / (s_v * 0.5**MAX_OCTREE_DEPTH))
+        if not deepest < 2.0**63:  # also catches inf and NaN
+            raise ValueError(
+                "octree cells up to %s at depth %d exceed int64; raise s_v" % (float(deepest), MAX_OCTREE_DEPTH)
+            )
+        # floor is monotone, so the top cell is the largest coordinate
+        dims += (int(np.floor(extent / size)) + 1,)
+        if math.prod(dims) > np.iinfo(np.int64).max:
             raise ValueError("octree cells up to %s do not pack into an int64; raise s_v" % (dims,))
-        # the C-order ravel_multi_index of the cell indices, one axis at a time
-        packed = np.zeros(active.shape[0], dtype=np.int64)
-        for a in range(3):
-            packed *= dims[a]
-            packed += np.floor((active[:, a] - origin[a]) / size).astype(np.int64)
-        # a stable sort of the narrowest key type: numpy radix-sorts keys of
-        # 16 bits or fewer, and ties keep their order under either sort
-        order = np.argsort(packed.astype(np.min_scalar_type(n_cells - 1)), kind="stable")
-        packed = packed[order]
-        starts = np.concatenate([[0], np.flatnonzero(np.diff(packed)) + 1])
-        counts = np.diff(np.append(starts, order.shape[0]))
-        n_groups = starts.shape[0]
-        inv = np.empty_like(order)
-        inv[order] = np.repeat(np.arange(n_groups), counts)
+        key *= dims[a]
+        key += _cell_coords(buf, origin[a], size, buf).astype(np.int64)
+    n_keys = math.prod(dims)
 
+    levels = []  # (count, sums, prods, normal, eigenvalues, cell_lo, cell_hi) per level
+    n_patches = 0
+    for depth in range(MAX_OCTREE_DEPTH + 1):
+        # a stable sort of the key in the narrowest integer type that holds
+        # it: numpy radix-sorts keys of 16 bits or fewer, and ties keep their
+        # order under either sort
+        key = key.astype(np.min_scalar_type(n_keys - 1))
+        order = key.argsort(kind="stable")
+        key = key[order]
+        starts = np.concatenate([[0], np.flatnonzero(key[1:] != key[:-1]) + 1])
+        del key
+        if depth == 0:  # the only gather from the point array
+            rows, cols = order, [pts[:, a][order] for a in range(3)]
+        else:
+            rows, cols = rows[order], [c[order] for c in cols]
+        del order
+        m = rows.shape[0]
+        counts = np.diff(np.append(starts, m))
+        n_groups = starts.shape[0]
+
+        # segment sums over the sorted columns: a cell's rows are contiguous,
+        # in ascending row order
         sums = np.empty((n_groups, 3))
         prods = np.empty((n_groups, 3, 3))
         for i in range(3):
-            sums[:, i] = np.bincount(inv, weights=active[:, i], minlength=n_groups)
+            sums[:, i] = np.add.reduceat(cols[i], starts)
             for j in range(i, 3):
-                prods[:, i, j] = np.bincount(
-                    inv, weights=active[:, i] * active[:, j], minlength=n_groups
-                )
+                prods[:, i, j] = np.add.reduceat(np.multiply(cols[i], cols[j], out=buf), starts)
                 prods[:, j, i] = prods[:, i, j]
+        del buf
 
         big = np.flatnonzero(counts >= MIN_CELL_POINTS)
         normal, eig = _fit_planes(counts[big], sums[big], prods[big])
         flat = eig[:, 1] / np.maximum(eig[:, 2], EIGENVALUE_FLOOR) > sigma_lambda
-        planar = big[flat]
-
-        patch_of = np.full(n_groups, -1, dtype=np.int64)
-        patch_of[planar] = n_patches + np.arange(planar.shape[0])
-        n_patches += planar.shape[0]
-        label[active_idx] = patch_of[inv]  # active rows are all still unassigned
-        lo = origin + np.stack(np.unravel_index(packed[starts[planar]], dims), axis=1) * size
-        levels.append((counts[planar], sums[planar], prods[planar], normal[flat], eig[flat], lo, lo + size))
+        planar, normal, eig = big[flat], normal[flat], eig[flat]
+        # patches in the C order of their cells' integer coordinates
+        cell = np.empty((planar.shape[0], 3))
+        for a in range(3):
+            _cell_coords(cols[a][starts[planar]], origin[a], size, cell[:, a])
+        c_order = np.lexsort((cell[:, 2], cell[:, 1], cell[:, 0]))
+        planar, normal, eig, cell = planar[c_order], normal[c_order], eig[c_order], cell[c_order]
+        lo = origin + cell * size
+        levels.append((counts[planar], sums[planar], prods[planar], normal, eig, lo, lo + size))
 
         split = np.zeros(n_groups, dtype=bool)
         split[big[~flat]] = True
-        keep = np.flatnonzero(split[inv])
-        active_idx = active_idx[keep]
-        active = active[keep]
+        last = depth == MAX_OCTREE_DEPTH or not split.any()
+        if not last:
+            keep = split.repeat(counts)
+            for a in range(3):  # one column at a time, so one is held twice at most
+                cols[a] = cols[a][keep]
+        if depth == 0:  # allocated once the columns have shrunk to the split rows
+            label = np.full(n_total, -1, dtype=np.int64)
+        if planar.shape[0]:  # every row a level holds is still -1
+            patch_of = np.full(n_groups, -1, dtype=np.int64)
+            patch_of[planar] = n_patches + np.arange(planar.shape[0])
+            n_patches += planar.shape[0]
+            label[rows] = patch_of.repeat(counts)
+        if last:
+            break
+        rows = rows[keep]
+
+        # a child is keyed inside its parent: the parent's rank x 8 plus
+        # the low bit of the child's coordinate on each axis
         size *= 0.5
+        n_split = int(np.count_nonzero(split))
+        key = np.arange(0, 8 * n_split, 8).repeat(counts[split])
+        buf = np.empty(key.shape[0])
+        for a in range(3):
+            key += (_cell_coords(cols[a], origin[a], size, buf).astype(np.int64) & 1) << (2 - a)
+        n_keys = 8 * n_split
 
     patches = Patches(label, *(np.concatenate(f) for f in zip(*levels)))
     return SegmentationResult(patches, n_total, int(np.count_nonzero(label < 0)))

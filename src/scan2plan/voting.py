@@ -39,7 +39,6 @@ __all__ = [
     "Candidate",
     "Candidates",
     "cast_votes",
-    "vanilla_vote",
     "hierarchical_vote",
 ]
 
@@ -194,19 +193,6 @@ def cast_votes(
         n_rejected,
         pivot,
     )
-
-
-def vanilla_vote(grid: VoteGrid) -> Tuple[Se2Pose, int]:
-    """(Mean pose, count) of the single best cell by raw count; ties go to
-    the smallest cell index."""
-    if grid.packed.shape[0] == 0:
-        raise EmptyGrid("no votes were cast")
-    best = int(np.lexsort((grid.packed, -grid.counts))[0])
-    c = int(grid.counts[best])
-    # 0.0 + s turns a -0.0 sum into +0.0, as the zero-started group sums do
-    sx, sy, s_sin, s_cos = (0.0 + a[best] for a in (grid.sum_x, grid.sum_y, grid.sum_sin, grid.sum_cos))
-    yaw = float(normalize_angle(np.arctan2(s_sin, s_cos)))
-    return Se2Pose(*_unpivot(float(sx) / c, float(sy) / c, yaw, grid.pivot), yaw), c
 
 
 def _neighbor_table(grid: VoteGrid) -> np.ndarray:

@@ -27,10 +27,12 @@ is that closed form as first written, on (M, K, 2) strided views with
 `mean(axis=1)` and `sum(axis=1)`; the package's component-major solver
 must match it bit for bit at K = 3.
 
-Two test helpers that call the package live here too, since no package
-code needs them: `candidates_of` packs a `Candidate` list into the
-`Candidates` arrays `select_best` takes, and `score_pose` is the
-package's exact score of one pose, `select_best` over it alone.
+Three test helpers that call the package live here too, since no
+package code needs them: `candidates_of` packs a `Candidate` list into
+the `Candidates` arrays `select_best` takes, `score_pose` is the
+package's exact score of one pose, `select_best` over it alone, and
+`vanilla_vote` is the mean pose of the single cell with the most votes,
+the baseline that acceptance check A8 holds `hierarchical_vote` against.
 """
 
 import collections
@@ -45,7 +47,7 @@ from scan2plan.errors import DegenerateInput, EmptyGrid, EmptySubmap, NoCandidat
 from scan2plan.geometry import Se2Pose, normalize_angle
 from scan2plan.verify import MAX_RASTER_CELLS, ScoreResult
 from scan2plan.verify import select_best as package_select_best
-from scan2plan.voting import Candidate, Candidates, VoteGrid
+from scan2plan.voting import Candidate, Candidates, VoteGrid, _unpivot
 
 
 def solve_se2(src: Sequence, dst: Sequence) -> Tuple[Se2Pose, float]:
@@ -123,6 +125,19 @@ def candidates_of(items: Sequence[Candidate]) -> Candidates:
 def score_pose(field, pose: Se2Pose, q_ng_xy, q_g_xy, lam=0.5) -> ScoreResult:
     """The package's exact score of one pose, submap-frame xy points."""
     return package_select_best(field, candidates_of([Candidate(pose, 0, 0, 1)]), q_ng_xy, q_g_xy, lam)[1]
+
+
+def vanilla_vote(grid: VoteGrid) -> Tuple[Se2Pose, int]:
+    """(Mean pose, count) of the single best cell by raw count; ties go to
+    the smallest cell index."""
+    if grid.packed.shape[0] == 0:
+        raise EmptyGrid("no votes were cast")
+    best = int(np.lexsort((grid.packed, -grid.counts))[0])
+    c = int(grid.counts[best])
+    # 0.0 + s turns a -0.0 sum into +0.0, as the zero-started group sums do
+    sx, sy, s_sin, s_cos = (0.0 + a[best] for a in (grid.sum_x, grid.sum_y, grid.sum_sin, grid.sum_cos))
+    yaw = float(normalize_angle(np.arctan2(s_sin, s_cos)))
+    return Se2Pose(*_unpivot(float(sx) / c, float(sy) / c, yaw, grid.pivot), yaw), c
 
 
 def _traverse_cells(p0: np.ndarray, p1: np.ndarray) -> List[Tuple[int, int]]:

@@ -9,7 +9,9 @@ point's bytes. Segments here are `LineSegment2` lists.
 The package's array front end must reproduce these bit for bit;
 `test_frontend_oracle.py` checks that. Patches here carry `points` and
 their cell's raw moments, the package's `Patches` label each row of the
-segmented array. A merged patch pools its members' moments in member
+segmented array. A cell's moments are sums over its rows in ascending
+row order, each the first row plus numpy's pairwise sum of the rest (the
+rule of an `np.add.reduceat` segment). A merged patch pools its members' moments in member
 order and fits its plane from them with the formula `segment_planes`
 applies to a cell. A cell's or a group's covariance is solved by the
 package's closed-form `planes._eig_sym3`, so planes compare bit for bit;
@@ -79,6 +81,14 @@ def _fit_moments(count: int, sums: np.ndarray, prods: np.ndarray) -> Tuple[np.nd
     return centroid, normal[0], eig[0]
 
 
+def _cell_sum(col: np.ndarray) -> float:
+    """A cell's sum over its rows in ascending row order: the first row
+    plus numpy's pairwise sum of the rest, as a segment of `np.add.reduceat`
+    sums."""
+    col = np.ascontiguousarray(col)
+    return col[0] + np.add.reduce(col[1:]) if col.shape[0] > 1 else col[0]
+
+
 def segment_planes(
     points: np.ndarray, s_v: float = 2.0, sigma_lambda: float = 10.0
 ) -> SegmentationResult:
@@ -103,15 +113,16 @@ def segment_planes(
         uniq, inv, counts = np.unique(packed, return_inverse=True, return_counts=True)
         n_groups = uniq.shape[0]
 
+        order = np.argsort(inv, kind="stable")  # each cell's rows in ascending row order
+        bounds = np.concatenate([[0], np.cumsum(counts)])
         sums = np.empty((n_groups, 3))
         prods = np.empty((n_groups, 3, 3))
-        for i in range(3):
-            sums[:, i] = np.bincount(inv, weights=active[:, i], minlength=n_groups)
-            for j in range(i, 3):
-                prods[:, i, j] = np.bincount(
-                    inv, weights=active[:, i] * active[:, j], minlength=n_groups
-                )
-                prods[:, j, i] = prods[:, i, j]
+        for g in range(n_groups):
+            grp = active[order[bounds[g] : bounds[g + 1]]]
+            for i in range(3):
+                sums[g, i] = _cell_sum(grp[:, i])
+                for j in range(i, 3):
+                    prods[g, i, j] = prods[g, j, i] = _cell_sum(grp[:, i] * grp[:, j])
         means = sums / counts[:, None]
         cov = prods / counts[:, None, None] - means[:, :, None] * means[:, None, :]
 
@@ -125,8 +136,6 @@ def segment_planes(
 
         first = np.unique(inv, return_index=True)[1]
         cell_keys = keys[first]
-        order = np.argsort(inv, kind="stable")
-        bounds = np.concatenate([[0], np.cumsum(counts)])
 
         for g in np.nonzero(planar)[0]:
             grp = active[order[bounds[g] : bounds[g + 1]]]

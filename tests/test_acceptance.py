@@ -26,7 +26,7 @@ from scan2plan.ingest import WallModel
 from scan2plan.pipeline import build_floor_index, extract_submap_features, register_submap
 from scan2plan.synthetic import generate_layout, random_interior_pose, synthesize_submap
 from scan2plan.verify import build_score_field, reliability_curve, select_best
-from scan2plan.voting import Candidate, cast_votes, hierarchical_vote, vanilla_vote
+from scan2plan.voting import Candidate, cast_votes, hierarchical_vote
 
 
 def _verdict(label, ok, detail):
@@ -262,7 +262,7 @@ def _corridor_suite(n_seeds=100):
         corr = query_correspondences(floor.db, feats.triplets)
         grid = cast_votes(corr, cfg.r_xy, cfg.r_yaw_deg, cfg.residual_max_m)
         cands = hierarchical_vote(grid, cfg.l_cells, cfg.k_cells, cfg.j_candidates)
-        vote_pose, _ = vanilla_vote(grid)
+        vote_pose, _ = ref.vanilla_vote(grid)
         truth_votes = max((c.votes for c in cands if _near(c.pose, gt, 0.5, 5.0)), default=0)
         alias = [(c.votes, i) for i, c in enumerate(cands) if not _near(c.pose, gt, 2.0, 30.0)]
         alias_votes, ai = max(alias, default=(0, -1))

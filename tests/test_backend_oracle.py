@@ -40,7 +40,7 @@ from scan2plan.verify import (
     select_best,
     thin_rows,
 )
-from scan2plan.voting import Candidate, Candidates, VoteGrid, _neighbor_table, hierarchical_vote, vanilla_vote
+from scan2plan.voting import Candidate, Candidates, VoteGrid, _neighbor_table, hierarchical_vote
 
 SETTINGS = settings(max_examples=80)
 FAR = [1e6, 1e20, 1e300, math.inf]  # 1e20 / s_r and up overflow an int64 cell index
@@ -498,7 +498,7 @@ def test_hierarchical_vote_matches_oracle(grid, l_cells, k_cells, j_candidates):
     assert got.xyt.dtype == np.float64 and got.xyt.shape == (len(want), 3)
     assert [_cand_key(got[k]) for k in range(len(got))] == [_cand_key(c) for c in want]
     best = int(np.lexsort((grid.packed, -grid.counts))[0])
-    pose, votes = vanilla_vote(grid)
+    pose, votes = ref.vanilla_vote(grid)
     want_pose = ref._cell_pose(grid, np.array([best]))
     assert _bits([pose.x, pose.y, pose.yaw]) == _bits([want_pose.x, want_pose.y, want_pose.yaw])
     assert votes == int(grid.counts[best])

@@ -294,6 +294,26 @@ def test_usage_errors_exit_one(capsys):
     assert "unrecognized arguments: --db f.db" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["register", "--submap", "s.submap"],
+        ["evaluate", "--scenes", "scenes"],
+        ["pr-curve", "--pos", "pos", "--neg", "neg"],
+        ["build-db", "--out", "f.db"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_repeated_model_exits_one(tmp_path, capsys, argv):
+    # a second --model used to replace the first silently; a model file
+    # holds every floor, so two are an error
+    plan, _ = _gen(tmp_path, capsys)
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["--model", str(plan), "--model", str(plan)])
+    assert e.value.code == 1
+    assert "argument --model: given more than once" in capsys.readouterr().err
+
+
 def test_bad_parameter_value(tmp_path, capsys):
     plan = tmp_path / "sq.txt"
     plan.write_text(UNIT_SQUARE)

@@ -387,10 +387,64 @@ def _far_floors():
     return np.vstack([a, a[::-1] + np.array([FAR_M, FAR_M, 0.0])])
 
 
+def _coincident_blob():
+    """40 coincident points and 20 within 1e-7 m of them, which no cell
+    can call planar, so they split down to MAX_OCTREE_DEPTH; beside them a
+    0.3 m blob and a noisy floor."""
+    rng = np.random.default_rng(11)
+    c = np.array([0.3, 0.7, 1.1])
+    floor = np.column_stack([rng.uniform(0.0, 3.0, (150, 2)), rng.normal(scale=0.005, size=150)])
+    pts = np.vstack([
+        np.tile(c, (40, 1)),
+        c + rng.normal(scale=1e-7, size=(20, 3)),
+        c + [1.2, 1.2, 0.0] + rng.normal(scale=0.3, size=(60, 3)),
+        floor,
+    ])
+    return pts[rng.permutation(pts.shape[0])]
+
+
+def _on_cell_faces():
+    """At s_v = 2 every coordinate is a multiple of 2 / 2**6 from the
+    origin, so points lie exactly on the cell faces of every level: repeated
+    lattice sites that split down to the last level, a floor, and sites
+    lifted by half a level-6 cell."""
+    rng = np.random.default_rng(12)
+    sites = rng.integers(0, 64, size=(60, 3)) / 32.0
+    blob = np.repeat(sites, rng.integers(1, 7, 60), axis=0)
+    g = np.arange(96) / 32.0
+    floor = np.column_stack([np.repeat(g, 96), np.tile(g, 96), np.zeros(96 * 96)])[::7]
+    pts = np.vstack([blob, floor, blob[:20] + [0.0, 0.0, 1.0 / 64.0]])
+    return pts[rng.permutation(pts.shape[0])]
+
+
+def _stacked_parents():
+    """Two level-0 cells stacked in z at s_v = 2, each split by a blob
+    beside a floor patch. The upper floor's child cell (0, 0, 2) precedes
+    the lower one's (1, 0, 0) in C order but not in parent-then-octant
+    order, which pins the level-1 patch numbering."""
+    rng = np.random.default_rng(13)
+
+    def floor(x0, z):
+        return np.column_stack([rng.uniform(x0 + 0.1, x0 + 0.9, 30), rng.uniform(0.1, 0.9, 30), np.full(30, z)])
+
+    pts = np.vstack([
+        [[0.0, 0.0, 0.0]],  # the origin
+        floor(1.0, 0.5),
+        rng.uniform(0.1, 0.9, (30, 3)) + [0.0, 1.0, 1.0],
+        floor(0.0, 2.5),
+        rng.uniform(0.1, 0.9, (30, 3)) + [1.0, 1.0, 3.0],
+    ])
+    return pts[rng.permutation(pts.shape[0])]
+
+
 @SETTINGS
 @given(point_sets(far=True), st.sampled_from([2.0, 1.0, 0.5]), st.sampled_from([10.0, 3.0]))
 @example(_far_floors(), 2.0, 10.0)
 @example(_far_floors(), 0.5, 3.0)
+@example(_coincident_blob(), 2.0, 10.0)
+@example(_on_cell_faces(), 2.0, 10.0)
+@example(_on_cell_faces(), 2.0, 3.0)
+@example(_stacked_parents(), 2.0, 10.0)
 def test_planes_and_ground_mask_match_oracle(pts, s_v, sigma):
     seg = segment_planes(pts, s_v, sigma)
     want = ref.segment_planes(pts, s_v, sigma)

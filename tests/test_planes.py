@@ -10,7 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scan2plan
+from scan2plan.config import PipelineConfig
+from scan2plan.errors import InvalidSubmap
 from scan2plan.geometry import Se2Pose
+from scan2plan.ingest import Submap
+from scan2plan.pipeline import extract_submap_features
 from scan2plan.planes import _eig_sym3, classify_patches, merge_patches, segment_planes
 from scan2plan.synthetic import generate_layout, random_interior_pose, synthesize_submap
 
@@ -169,6 +173,28 @@ def test_cell_key_overflow_raises():
         segment_planes(pts, s_v=1e-3)
 
 
+def test_deepest_cell_coordinates_checked_at_level_0():
+    # a floor, a blob that splits down to MAX_OCTREE_DEPTH (coincident
+    # points no cell calls planar) and one point 2**58 m out along -x.
+    # Level 0 packs about 2**57 x 2 x 2 cells into an int64, but a cell
+    # coordinate doubles at each level: at depth 6 the blob sits 2**63
+    # cells from the origin, past int64, so no level may cast it
+    rng = np.random.default_rng(5)
+    c = np.array([0.5, 0.5, 1.0])
+    near = np.vstack([
+        _grid_plane(0.0, 1.0, 0.0, 1.0, 0.0, step=0.1),
+        np.tile(c, (40, 1)),
+        c + rng.normal(scale=1e-7, size=(20, 3)),
+    ])
+    assert len(segment_planes(near).patches) > 0
+    pts = np.vstack([near, [[-(2.0**58), 0.5, 0.5]]])
+    with pytest.raises(ValueError, match="s_v"):
+        segment_planes(pts)
+    # the pipeline reports it as an invalid submap (exit 2 at the CLI)
+    with pytest.raises(InvalidSubmap, match="s_v"):
+        extract_submap_features(Submap(pts, GRAVITY), PipelineConfig())
+
+
 def test_segmentation_peak_memory_on_a4_scene():
     # the octree works column by column: no (N, 3) float temporaries and
     # no (N, 3) int key array, so its peak stays near two point arrays
@@ -318,6 +344,14 @@ def test_planes_make_no_lapack_call():
         or (isinstance(node, (ast.Import, ast.ImportFrom)) and "linalg" in ast.dump(node))
     ]
     assert linalg == []
+
+
+def test_planes_make_no_bincount_call():
+    # cell moments are segment sums over the sorted columns; a weighted
+    # bincount takes several times as long per column
+    tree = ast.parse((Path(scan2plan.__file__).parent / "planes.py").read_text())
+    bincount = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "bincount"]
+    assert bincount == []
 
 
 # --- classification ---

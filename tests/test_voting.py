@@ -17,7 +17,7 @@ from scan2plan.errors import EmptyGrid
 from scan2plan.geometry import Se2Pose, normalize_angle, pose_errors
 from scan2plan.pipeline import build_floor_index, extract_submap_features
 from scan2plan.synthetic import generate_layout, random_interior_pose, synthesize_submap
-from scan2plan.voting import VoteGrid, cast_votes, hierarchical_vote, vanilla_vote, yaw_bins
+from scan2plan.voting import VoteGrid, cast_votes, hierarchical_vote, yaw_bins
 
 TRIANGLE = np.array([[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]])
 PIVOT = (2.0, 2.0)  # TRIANGLE's xy box has its midpoint at (2, 1.5)
@@ -54,7 +54,7 @@ def test_single_vote_recovers_pose():
     grid = cast_votes(_stack([_corr(pose)]))
     assert grid.total_votes == 1 and grid.n_rejected == 0
     assert grid.pivot == PIVOT
-    got, votes = vanilla_vote(grid)
+    got, votes = ref.vanilla_vote(grid)
     assert votes == 1
     assert abs(got.x - pose.x) < 1e-9
     assert abs(got.y - pose.y) < 1e-9
@@ -66,7 +66,7 @@ def test_mirrored_correspondence_is_rejected():
     grid = cast_votes(_stack([(TRIANGLE, mirrored)]))
     assert grid.total_votes == 0 and grid.n_rejected == 1
     with pytest.raises(EmptyGrid):
-        vanilla_vote(grid)
+        ref.vanilla_vote(grid)
 
 
 def test_vote_conservation():
