@@ -8,7 +8,6 @@ from .descriptors import (
     build_triplets,
     canonical_triplets,
     query_correspondences,
-    serialize_db,
 )
 from .errors import (
     EmptyGrid,
@@ -35,7 +34,6 @@ from .ingest import (
     WallModel,
     load_pose,
     load_submap,
-    load_wall_model,
     load_wall_models,
     save_pose,
     save_submap,

@@ -1,4 +1,4 @@
-"""Command-line surface: scene generation, DB builds, registration, evaluation.
+"""Command-line surface: scene generation, registration, evaluation.
 
 Exit codes: 0 success, 1 usage or bad parameter, 2 data error,
 3 registration finished but below the confidence threshold.
@@ -13,10 +13,8 @@ from typing import List, Optional
 import numpy as np
 
 from .config import PipelineConfig, echo_config, make_config
-from .descriptors import DescriptorDB, canonical_triplets, clique_triplets, serialize_db
 from .errors import EmptyScene, Scan2PlanError
-from .ingest import load_submap, load_wall_model, load_wall_models, save_pose, save_submap, save_wall_models
-from .lines import extract_corners
+from .ingest import load_submap, load_wall_models, save_pose, save_submap, save_wall_models
 from .pipeline import (
     build_floor_index,
     evaluate_scenes,
@@ -125,25 +123,6 @@ def cmd_gen_scene(args) -> int:
     return 0
 
 
-def cmd_build_db(args) -> int:
-    cfg = _config_of(args)
-    model = load_wall_model(args.model, args.floor)
-    corners = extract_corners(model.endpoints(), cfg.extend_m, cfg.nms_radius_m, cfg.min_angle_deg)
-    # build_db's steps, so the cliques are enumerated once: a kept triplet's
-    # length-sorted order has non-decreasing side bins, so every triplet
-    # stores at least one order and the distinct sources count them
-    verts, dirs = clique_triplets(corners, cfg.l_max)
-    t = canonical_triplets(verts, dirs, cfg.r_s, cfg.r_a, cfg.min_angle_deg, tied_orders=True)
-    db = DescriptorDB.from_entries(t.bins, t.verts, t.dirs, cfg.r_s, cfg.r_a)
-    n_triplets = np.unique(t.src).shape[0]
-    serialize_db(db, args.out)
-    print(
-        "floor %s: %d corners, %d triplets, %d stored orders, %d keys -> %s"
-        % (model.floor_id, len(corners), n_triplets, db.n_triplets, db.n_keys, args.out)
-    )
-    return 0
-
-
 def cmd_register(args) -> int:
     cfg = _config_of(args)
     floors = _load_floors(args.model, cfg)
@@ -231,13 +210,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--clutter-frac", type=float, default=0.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_scene)
-
-    p = sub.add_parser("build-db", help="corner + triangle-descriptor DB for one floor")
-    p.add_argument("--model", required=True, action=_Once)
-    p.add_argument("--floor", default=None)
-    p.add_argument("--out", required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_build_db)
 
     p = sub.add_parser("register", help="register one submap against floor model(s)")
     p.add_argument("--submap", required=True)

@@ -22,11 +22,12 @@ one binary search among the distinct keys, so its cost follows the key
 count, not the row count; a query bin outside the stored range matches
 nothing.
 
-`serialize_db` exports a database as a v1 file, which the package never
-reads back: every floor index is built from its wall model. The file
-groups rows by key: magic, version, r_s r_a, key count, then per key six
-i32 bins, a u32 row count and 18 f64 per row. It does not store l_max
-or min_angle_deg.
+`serialize_db` writes a database as a v1 file for the benchmark's
+`bench/workloads.db_digest` alone, and goes with ROADMAP item 4's
+benchmark change; the package never calls it. The file groups rows by
+key: magic, version, r_s r_a, key count, then per key six i32 bins, a
+u32 row count and 18 f64 per row. It does not store l_max or
+min_angle_deg.
 """
 
 import math
@@ -71,7 +72,6 @@ class Triplets:
     bins: np.ndarray  # (M, 6) int64: sides // r_s, then angles // r_a
     r_s: float
     r_a: float
-    src: np.ndarray  # (M,) int64 input triplet each row orders, ascending
     hand: np.ndarray  # (M,) int8 sign of (B - A) x (C - A)
 
     def __len__(self) -> int:
@@ -190,8 +190,7 @@ def canonical_triplets(
     rounded to 12 decimals, then the first order. With tied_orders each
     keeps every order whose side bins are non-decreasing, so a query
     canonicalized either way across a tied bin still finds an aligned
-    row. Rows come out in input order, then lexicographic vertex order;
-    `src` names each row's input triplet.
+    row. Rows come out in input order, then lexicographic vertex order.
     """
     p = np.asarray(verts, dtype=np.float64).reshape(-1, 3, 2)
     d = np.asarray(dirs, dtype=np.float64).reshape(-1, 3, 2, 2)
@@ -216,7 +215,7 @@ def canonical_triplets(
         perm = np.lexsort((rounded[src, :, 1], rounded[src, :, 0]), axis=-1)[:, 0]
     order = _PERMS[perm]
     q, qd = p[src[:, None], order], d[src[:, None], order]
-    return Triplets(q, qd, *_describe(q, qd, r_s, r_a), r_s, r_a, src, _hand(q))
+    return Triplets(q, qd, *_describe(q, qd, r_s, r_a), r_s, r_a, _hand(q))
 
 
 def clique_triplets(corners: Corners, l_max: float):

@@ -1,7 +1,7 @@
 """Planar rigid transforms and the closed-form 2D alignment primitive.
 
-Points are plain float64 ndarrays: shape (2,) / (N, 2) in 2D and (3,) /
-(N, 3) in 3D. Yaw angles are radians, always normalized to [-pi, pi).
+Points are plain float64 ndarrays of shape (2,) or (N, 2). Yaw angles
+are radians, always normalized to [-pi, pi).
 """
 
 import math
@@ -150,26 +150,16 @@ def solve_se2_batch(src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np.nd
     return tx, ty, yaw, np.sqrt(sq / k)
 
 
-def _lift_to_3d(pose: Se2Pose) -> Tuple[np.ndarray, np.ndarray]:
-    """3D rotation/translation with zero roll, pitch and z."""
-    r = np.eye(3)
-    r[:2, :2] = pose.rotation()
-    t = np.array([pose.x, pose.y, 0.0])
-    return r, t
-
-
 def pose_errors(est: Se2Pose, gt: Se2Pose) -> Tuple[float, float]:
-    """(geodesic rotation error in degrees, body-frame translation error in m).
+    """(rotation error in degrees, translation error in m).
 
-    Poses are lifted to 3D with zero roll/pitch/z; the arccos argument is
-    clamped to [-1, 1] so exact matches do not trip on rounding.
+    The rotation error is the wrapped yaw difference, the geodesic angle
+    between the two rotations; the translation error is the distance
+    between the translations, which a rotation into either body frame
+    keeps. A pose compared with itself reads (0.0, 0.0) exactly.
     """
-    r_est, t_est = _lift_to_3d(est)
-    r_gt, t_gt = _lift_to_3d(gt)
-    cos_arg = np.clip((np.trace(r_est.T @ r_gt) - 1.0) / 2.0, -1.0, 1.0)
-    rot_err = float(np.degrees(np.arccos(cos_arg)))
-    trans_err = float(np.linalg.norm(r_est.T @ (t_gt - t_est)))
-    return rot_err, trans_err
+    rot_err = math.degrees(abs(float(normalize_angle(gt.yaw - est.yaw))))
+    return rot_err, math.hypot(gt.x - est.x, gt.y - est.y)
 
 
 def registration_success(est: Se2Pose, gt: Se2Pose, rot_tol_deg: float = 5.0, trans_tol_m: float = 3.0) -> bool:

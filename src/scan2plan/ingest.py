@@ -20,7 +20,6 @@ SUBMAP_MAGIC = b"L2B1"
 __all__ = [
     "Submap",
     "WallModel",
-    "load_wall_model",
     "load_wall_models",
     "save_wall_models",
     "load_submap",
@@ -120,19 +119,6 @@ def load_wall_models(path) -> List[WallModel]:
             raise EmptyModel(f"{where} has no walls")
         first[m.floor_id] = lineno
     return models
-
-
-def load_wall_model(path, floor_id: Optional[str] = None) -> WallModel:
-    """Load a single floor; `floor_id` selects one from a multi-floor file."""
-    models = load_wall_models(path)
-    if floor_id is not None:
-        for m in models:
-            if m.floor_id == floor_id:
-                return m
-        raise ParseError(f"{path}: no floor {floor_id!r}")
-    if len(models) != 1:
-        raise ParseError(f"{path}: file holds {len(models)} floors; pick one by floor id")
-    return models[0]
 
 
 def save_wall_models(models: Sequence[WallModel], path) -> None:

@@ -12,11 +12,11 @@ drapes scanned walls over modeled walls while keeping scanned floor off
 them scores near 1; lam = 0 is award-only scoring.
 
 Scoring path: `ScoreField` keeps, next to `values`, one flattened copy
-bordered by a zero cell on every side, built once per field. A pose is
-scored by rotating the points with the same `q @ R.T` matmul as
+bordered by four zero cells on every side, built once per field. A pose
+is scored by rotating the points with the same `q @ R.T` matmul as
 `Se2Pose.apply`, then taking each coordinate column through add
 translation, subtract origin, divide by s_r and floor, clipping the
-cell index to [-1, n] and reading the bordered copy with one flat
+cell index to [-4, n + 3] and reading the bordered copy with one flat
 gather, so a point off the grid reads 0.0. Per element these are the
 operations of the plain broadcasts, so every sum is bit-identical to a
 masked 2-D lookup. The pipeline thins its scoring sets once per submap,
@@ -91,9 +91,9 @@ RASTER_CHUNK_CELLS = 2**16
 # shown to hold; it also keeps a packed cell key below 2^53
 COARSE_LIMIT = 2.0**25
 _KEY_BASE = 2.0**26 + 1
-# zero cells on each side of the coarse bound's window grid: a window
-# starting at -4 or below, or at n or above, holds no cell of the grid
-_WINDOW_PAD = 4
+# zero cells on each side of the bordered field and the window-max grid:
+# a window starting at -4 or below, or at n or above, holds no grid cell
+_PAD = 4
 
 __all__ = [
     "ScoreField",
@@ -109,13 +109,13 @@ __all__ = [
 class ScoreField:
     """Dilated wall-occupancy values on a regular grid.
 
-    Construction also stores `values` once more, flattened with one zero
-    cell on every side. A lookup clips each cell index to [-1, n] and
-    shifts it by one, so any point off the grid reads 0.0 without a mask.
-    For the coarse bound of `select_best`, `_window_max` holds at cell
-    (i, j) the max of the 4x4 window of cells from (i, j), for i and j
-    from -4 to n + 3, stored flat the same way with four cells on every
-    side; a window start clipped to that range reads exactly its window.
+    Construction also stores `values` once more, flattened with four zero
+    cells on every side. A lookup clips each cell index to [-4, n + 3]
+    and shifts it by four, so any point off the grid reads 0.0 without a
+    mask. For the coarse bound of `select_best`, `_window_max` holds at
+    cell (i, j) the max of the 4x4 window of cells from (i, j), for i and
+    j over the same range, stored flat the same way; a window start
+    clipped to that range reads exactly its window.
     """
 
     values: np.ndarray  # (nx, ny) float64 in [0, 1]
@@ -132,10 +132,11 @@ class ScoreField:
             raise ValueError("score field values must lie in [0, 1]")
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_bordered", np.pad(values, 1).ravel())
+        bordered = np.pad(values, _PAD)
+        object.__setattr__(self, "_bordered", bordered.ravel())
         # origin -2 puts each 4-cell window at offsets 0..3; cells past
         # the grid hold 0, below every value
-        peaks = maximum_filter(np.pad(values, _WINDOW_PAD), size=4, origin=-2, mode="constant", cval=0.0)
+        peaks = maximum_filter(bordered, size=4, origin=-2, mode="constant", cval=0.0)
         object.__setattr__(self, "_window_max", peaks.ravel())
 
     def value_at(self, points_m: np.ndarray) -> np.ndarray:
@@ -157,24 +158,24 @@ class ScoreField:
             np.add(xy[:, k], shift[k], out=c)
             np.subtract(c, self.origin[k], out=c)
             np.divide(c, self.s_r, out=c)
-        return self._gather(self._bordered, 1, n, buf, idx)
+        return self._gather(self._bordered, n, buf, idx)
 
-    def _gather(self, table: np.ndarray, pad: int, n: int, buf: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """`table`, a flat grid with `pad` cells on every side, at the cells
-        floor(buf[:n]), each index clipped into the padded grid, as a view
-        of `buf`."""
+    def _gather(self, table: np.ndarray, n: int, buf: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """`table`, a flat grid with `_PAD` cells on every side, at the
+        cells floor(buf[:n]), each index clipped into the padded grid, as
+        a view of `buf`."""
         nx, ny = self.values.shape
         for k, hi in ((0, nx), (1, ny)):
             c = buf[:n, k]
             np.floor(c, out=c)
             # clip before the int cast; fmax/fmin send NaN to the border too
-            np.fmax(c, -pad, out=c)
-            np.fmin(c, hi + pad - 1, out=c)
+            np.fmax(c, -_PAD, out=c)
+            np.fmin(c, hi + _PAD - 1, out=c)
         row, col, cells = buf[:n, 0], buf[:n, 1], idx[:n]
-        np.multiply(row, ny + 2 * pad, out=row)
+        np.multiply(row, ny + 2 * _PAD, out=row)
         np.add(row, col, out=row)
         np.copyto(cells, row, casting="unsafe")
-        np.add(cells, (ny + 2 * pad + 1) * pad, out=cells)
+        np.add(cells, (ny + 2 * _PAD + 1) * _PAD, out=cells)
         return np.take(table, cells, out=row)
 
 
@@ -361,7 +362,7 @@ def _coarse_bounds(field: ScoreField, xyt: np.ndarray, q_ng: np.ndarray, buf, id
         b = min(a + step, xyt.shape[0])
         # a view of buf: rows split into (candidate, cell), columns kept
         np.matmul(centres, affine[a:b], out=buf[: (b - a) * m].reshape(b - a, m, 2))
-        peaks = field._gather(field._window_max, _WINDOW_PAD, (b - a) * m, buf, idx)
+        peaks = field._gather(field._window_max, (b - a) * m, buf, idx)
         award[a:b] = peaks.reshape(b - a, m) @ weights
     margin = (n_ng + 8) * 2.0**-48
     s_a = (award + n_loose) * (1.0 + margin)

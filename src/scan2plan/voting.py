@@ -73,12 +73,6 @@ class VoteGrid:
     def total_votes(self) -> int:
         return int(self.counts.sum())
 
-    def unpack(self, packed: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        ix, iy, iyaw = np.unravel_index(packed, self.dims)
-        return ix + self.origin[0], iy + self.origin[1], iyaw
-
-    def pack(self, ix: np.ndarray, iy: np.ndarray, iyaw: np.ndarray) -> np.ndarray:
-        return np.ravel_multi_index((ix - self.origin[0], iy - self.origin[1], iyaw), self.dims)
 
 
 @dataclass

@@ -280,8 +280,10 @@ def select_award_only(
 
 def _neighbor_table(grid: VoteGrid) -> np.ndarray:
     """(N, 27) indices into the cell arrays, -1 where absent; column 13 is
-    self. One unpack, wrap, pack and search per neighbour offset."""
-    ix, iy, iyaw = grid.unpack(grid.packed)
+    self. Each cell decoded to its offsets from the grid's origin, then one
+    wrap, pack and search per neighbour offset; the spare cell on each
+    side keeps every x and y neighbour inside `dims`."""
+    ix, iy, iyaw = np.unravel_index(grid.packed, grid.dims)
     n_yaw = grid.n_yaw_bins
     n = grid.packed.shape[0]
     table = np.full((n, 27), -1, dtype=np.int64)
@@ -289,7 +291,7 @@ def _neighbor_table(grid: VoteGrid) -> np.ndarray:
     for dx in (-1, 0, 1):
         for dy in (-1, 0, 1):
             for dyaw in (-1, 0, 1):
-                nb = grid.pack(ix + dx, iy + dy, (iyaw + dyaw) % n_yaw)
+                nb = np.ravel_multi_index((ix + dx, iy + dy, (iyaw + dyaw) % n_yaw), grid.dims)
                 pos = np.searchsorted(grid.packed, nb)
                 pos = np.clip(pos, 0, n - 1)
                 hit = grid.packed[pos] == nb

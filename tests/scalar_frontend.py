@@ -109,9 +109,9 @@ def segment_planes(
         if active.shape[0] == 0:
             break
         keys = np.floor((active - origin) / size).astype(np.int64)
-        packed = (keys[:, 0] << 40) | (keys[:, 1] << 20) | keys[:, 2]
-        uniq, inv, counts = np.unique(packed, return_inverse=True, return_counts=True)
-        n_groups = uniq.shape[0]
+        # cells numbered in the lexicographic (C) order of their coordinate rows
+        cell_keys, inv, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+        n_groups = cell_keys.shape[0]
 
         order = np.argsort(inv, kind="stable")  # each cell's rows in ascending row order
         bounds = np.concatenate([[0], np.cumsum(counts)])
@@ -133,9 +133,6 @@ def segment_planes(
             normals[big], w[big] = _eig_sym3(cov[big])
         l3 = np.maximum(w[:, 2], EIGENVALUE_FLOOR)
         planar = big & (w[:, 1] / l3 > sigma_lambda)
-
-        first = np.unique(inv, return_index=True)[1]
-        cell_keys = keys[first]
 
         for g in np.nonzero(planar)[0]:
             grp = active[order[bounds[g] : bounds[g + 1]]]

@@ -11,10 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from scan2plan.cli import main
 from scan2plan.config import PipelineConfig, make_config
-from scan2plan.descriptors import build_triplets, canonical_triplets, clique_triplets
 from scan2plan.geometry import Se2Pose, registration_success
 from scan2plan.ingest import Submap, load_pose, load_wall_models
-from scan2plan.lines import extract_corners
 from scan2plan.pipeline import extract_submap_features
 
 UNIT_SQUARE = "0 0 1 0\n1 0 1 1\n1 1 0 1\n0 1 0 0\n"
@@ -32,62 +30,6 @@ def _gen(tmp_path, capsys):
                  "--out", str(scenes)]) == 0
     capsys.readouterr()
     return plan, scenes
-
-
-# ---------------------------------------------------------------------------
-# build-db
-# ---------------------------------------------------------------------------
-
-def test_build_db_unit_square_counts(tmp_path, capsys):
-    plan = tmp_path / "sq.txt"
-    plan.write_text(UNIT_SQUARE)
-    assert main(["build-db", "--model", str(plan), "--out", str(tmp_path / "sq.db")]) == 0
-    out = capsys.readouterr().out
-    assert "4 corners, 4 triplets" in out
-
-
-def test_build_db_triplet_count_with_tied_bins(tmp_path, capsys):
-    # the count is build_triplets' (one order per triplet); it must equal
-    # the number of distinct triplets among build_db's tied-order rows
-    plan = tmp_path / "plan.txt"
-    assert main(["gen-floorplan", "--seed", "7", "--n-rooms", "6", "--extent", "30", "--out", str(plan)]) == 0
-    capsys.readouterr()
-    assert main(["build-db", "--model", str(plan), "--out", str(tmp_path / "f.db")]) == 0
-    words = capsys.readouterr().out.split()
-    n_triplets, n_orders = int(words[4]), int(words[6])
-    assert (words[5], words[7]) == ("triplets,", "stored")
-    cfg = PipelineConfig()
-    model = load_wall_models(plan)[0]
-    corners = extract_corners(model.endpoints(), cfg.extend_m, cfg.nms_radius_m, cfg.min_angle_deg)
-    assert n_orders > n_triplets  # premise: some triplets' side bins tie
-    assert n_triplets == len(build_triplets(corners, cfg.l_max, cfg.r_s, cfg.r_a, cfg.min_angle_deg))
-    verts, dirs = clique_triplets(corners, cfg.l_max)
-    tied = canonical_triplets(verts, dirs, cfg.r_s, cfg.r_a, cfg.min_angle_deg, tied_orders=True)
-    assert (np.unique(tied.src).shape[0], tied.src.shape[0]) == (n_triplets, n_orders)
-
-
-def test_build_db_empty_model_fails(tmp_path, capsys):
-    plan = tmp_path / "empty.txt"
-    plan.write_text("# no walls\n")
-    assert main(["build-db", "--model", str(plan), "--out", str(tmp_path / "x.db")]) == 2
-    assert "no walls" in capsys.readouterr().err
-
-
-def test_build_db_rerun_byte_identical(tmp_path, capsys):
-    plan = tmp_path / "sq.txt"
-    plan.write_text(UNIT_SQUARE)
-    a, b = tmp_path / "a.db", tmp_path / "b.db"
-    assert main(["build-db", "--model", str(plan), "--out", str(a)]) == 0
-    assert main(["build-db", "--model", str(plan), "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_build_db_needs_floor_choice(tmp_path, capsys):
-    plan = tmp_path / "two.txt"
-    plan.write_text("floor a\n" + UNIT_SQUARE + "floor b\n" + UNIT_SQUARE)
-    assert main(["build-db", "--model", str(plan), "--out", str(tmp_path / "x.db")]) == 2
-    assert main(["build-db", "--model", str(plan), "--floor", "b",
-                 "--out", str(tmp_path / "b.db")]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +230,10 @@ def test_usage_errors_exit_one(capsys):
         main(["no-such-command"])
     assert e.value.code == 1
     with pytest.raises(SystemExit) as e:
+        main(["build-db", "--model", "plan.txt", "--out", "f.db"])
+    assert e.value.code == 1
+    assert "invalid choice: 'build-db'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as e:
         # floors are built from the model; no subcommand reads a DB file
         main(["register", "--submap", "x.submap", "--model", "plan.txt", "--db", "f.db"])
     assert e.value.code == 1
@@ -300,7 +246,6 @@ def test_usage_errors_exit_one(capsys):
         ["register", "--submap", "s.submap"],
         ["evaluate", "--scenes", "scenes"],
         ["pr-curve", "--pos", "pos", "--neg", "neg"],
-        ["build-db", "--out", "f.db"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -314,19 +259,20 @@ def test_repeated_model_exits_one(tmp_path, capsys, argv):
     assert "argument --model: given more than once" in capsys.readouterr().err
 
 
+def _register_unread(tmp_path, plan, *flags):
+    """`register` on a submap path that is never read: the config and the
+    model are checked first, so their errors decide the exit code."""
+    return main(["register", "--submap", str(tmp_path / "none.submap"), "--model", str(plan), *flags])
+
+
 def test_bad_parameter_value(tmp_path, capsys):
     plan = tmp_path / "sq.txt"
     plan.write_text(UNIT_SQUARE)
-    code = main(["build-db", "--model", str(plan), "--out", str(tmp_path / "x.db"),
-                 "--r_s", "banana"])
-    assert code == 1  # unparseable flag value is a usage error
-    code = main(["build-db", "--model", str(plan), "--out", str(tmp_path / "x.db"),
-                 "--k_cells", "20000"])
-    assert code == 1  # violates l >= k >= j
+    assert _register_unread(tmp_path, plan, "--r_s", "banana") == 1  # unparseable flag value is a usage error
+    assert _register_unread(tmp_path, plan, "--k_cells", "20000") == 1  # violates l >= k >= j
     cfgf = tmp_path / "run.cfg"
     cfgf.write_text("r_s = banana\n")
-    code = main(["build-db", "--model", str(plan), "--out", str(tmp_path / "x.db"),
-                 "--config", str(cfgf)])
+    code = _register_unread(tmp_path, plan, "--config", str(cfgf))
     assert code == 2  # the same mistake inside a config file is bad data
 
 
@@ -341,19 +287,17 @@ def test_non_finite_parameter_exit_code(tmp_path, capsys):
 def test_too_coarse_yaw_bins_exit_code(tmp_path, capsys):
     plan = tmp_path / "sq.txt"
     plan.write_text(UNIT_SQUARE)
-    code = main(["build-db", "--model", str(plan), "--out", str(tmp_path / "x.db"), "--r_yaw_deg", "180"])
-    assert code == 1
+    assert _register_unread(tmp_path, plan, "--r_yaw_deg", "180") == 1
     assert "r_yaw_deg" in capsys.readouterr().err
-    assert not (tmp_path / "x.db").exists()
 
 
 def test_config_file_flag(tmp_path, capsys):
-    plan = tmp_path / "sq.txt"
-    plan.write_text(UNIT_SQUARE)
+    plan, scenes = _gen(tmp_path, capsys)
     cfgf = tmp_path / "run.cfg"
     cfgf.write_text("l_max = 20.0\n")
-    assert main(["build-db", "--model", str(plan), "--out", str(tmp_path / "x.db"),
+    assert main(["register", "--submap", str(scenes / "scene_0000.submap"), "--model", str(plan),
                  "--config", str(cfgf)]) == 0
+    assert "# l_max = 20.0\n" in capsys.readouterr().out
 
 
 def test_config_file_with_removed_key_exit_code(tmp_path, capsys):
@@ -365,9 +309,7 @@ def test_config_file_with_removed_key_exit_code(tmp_path, capsys):
                "theta_bins = 180")
     for line in removed:
         cfgf.write_text(line + "\n")
-        code = main(["register", "--submap", str(tmp_path / "none.submap"), "--model", str(plan),
-                     "--config", str(cfgf)])
-        assert code == 2
+        assert _register_unread(tmp_path, plan, "--config", str(cfgf)) == 2
         assert "unknown config key '%s'" % line.split()[0] in capsys.readouterr().err
 
 
@@ -509,42 +451,35 @@ def test_register_far_model_exit_code(tmp_path, capsys, walls):
 def test_wall_model_bad_line_exit_code(tmp_path, capsys, line):
     plan = tmp_path / "bad.txt"
     plan.write_text("floor a\n0 0 1 0\n%s\n0 1 0 0\n" % line)
-    out = tmp_path / "x.db"
-    assert main(["build-db", "--model", str(plan), "--out", str(out)]) == 2
+    assert _register_unread(tmp_path, plan) == 2
     assert "%s:3:" % plan in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_build_db_unknown_floor_exit_code(tmp_path, capsys):
-    plan = tmp_path / "two.txt"
-    plan.write_text("floor a\n" + UNIT_SQUARE + "floor b\n" + UNIT_SQUARE)
-    assert main(["build-db", "--model", str(plan), "--floor", "zz", "--out", str(tmp_path / "x.db")]) == 2
-    assert "%s: no floor 'zz'" % plan in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
-    "text, floor, line, message",
+    "text, line, message",
     [
-        ("floor a\n" + UNIT_SQUARE + "floor empty\n", "empty", 6, "floor 'empty' has no walls"),
-        ("floor a\n" + UNIT_SQUARE + "floor a\n" + UNIT_SQUARE, "a", 6, "floor 'a' repeats the section opened at line 1"),
+        ("floor a\n" + UNIT_SQUARE + "floor empty\n", 6, "floor 'empty' has no walls"),
+        ("floor a\n" + UNIT_SQUARE + "floor a\n" + UNIT_SQUARE, 6, "floor 'a' repeats the section opened at line 1"),
     ],
     ids=["empty", "repeated"],
 )
-def test_wall_model_bad_floor_section_exit_code(tmp_path, capsys, text, floor, line, message):
+def test_wall_model_bad_floor_section_exit_code(tmp_path, capsys, text, line, message):
     plan = tmp_path / "plan.txt"
     plan.write_text(text)
-    out = tmp_path / "x.db"
-    assert main(["build-db", "--model", str(plan), "--floor", floor, "--out", str(out)]) == 2
+    assert _register_unread(tmp_path, plan) == 2
     assert "%s:%d: %s" % (plan, line, message) in capsys.readouterr().err
-    assert not out.exists()
-    # the model is read before the submap, so the submap need not exist
-    assert main(["register", "--submap", str(tmp_path / "none.submap"), "--model", str(plan)]) == 2
-    assert "%s:%d: %s" % (plan, line, message) in capsys.readouterr().err
+
+
+def test_build_db_empty_model_fails(tmp_path, capsys):
+    plan = tmp_path / "empty.txt"
+    plan.write_text("# no walls\n")
+    assert _register_unread(tmp_path, plan) == 2
+    assert "no walls" in capsys.readouterr().err
 
 
 def test_missing_model_file_exit_code(tmp_path, capsys):
     missing = tmp_path / "none.txt"
-    assert main(["build-db", "--model", str(missing), "--out", str(tmp_path / "x.db")]) == 2
+    assert _register_unread(tmp_path, missing) == 2
     assert str(missing) in capsys.readouterr().err
 
 
@@ -562,8 +497,7 @@ def test_config_line_without_value_exit_code(tmp_path, capsys):
     plan.write_text(UNIT_SQUARE)
     cfgf = tmp_path / "run.cfg"
     cfgf.write_text("l_max = 20.0\nr_s =\n")
-    assert main(["build-db", "--model", str(plan), "--out", str(tmp_path / "x.db"),
-                 "--config", str(cfgf)]) == 2
+    assert _register_unread(tmp_path, plan, "--config", str(cfgf)) == 2
     assert "%s:2: expected key = value" % cfgf in capsys.readouterr().err
 
 

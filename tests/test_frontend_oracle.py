@@ -437,6 +437,26 @@ def _stacked_parents():
     return pts[rng.permutation(pts.shape[0])]
 
 
+def _far_level6_cells():
+    """At s_v = 0.5 a level-6 cell is h = 1/128 m, so 8,192 m up is cell
+    2**20 in z. A 4x4 floor grid there, with coincident points a cell
+    above it, splits down to level 6, where the grid's cell (0, 0, 2**20)
+    is planar; coincident points near the origin reach the cell
+    (0, 1, 0) of that level, which a key of three 20-bit fields packs
+    onto the grid's."""
+    h = 0.5 / 64
+    rng = np.random.default_rng(14)
+    g = (np.arange(4) + 0.5) / 4.0 * h
+    grid = np.column_stack([np.repeat(g, 4), np.tile(g, 4), np.full(16, 8192.0 + 0.5 * h)])
+    pts = np.vstack([
+        [[0.0, 0.0, 0.0]],  # the origin
+        np.tile([0.5 * h, 1.5 * h, 0.5 * h], (6, 1)),
+        grid,
+        np.tile([0.5 * h, 0.5 * h, 8192.0 + 1.5 * h], (8, 1)),
+    ])
+    return pts[rng.permutation(pts.shape[0])]
+
+
 @SETTINGS
 @given(point_sets(far=True), st.sampled_from([2.0, 1.0, 0.5]), st.sampled_from([10.0, 3.0]))
 @example(_far_floors(), 2.0, 10.0)
@@ -445,6 +465,7 @@ def _stacked_parents():
 @example(_on_cell_faces(), 2.0, 10.0)
 @example(_on_cell_faces(), 2.0, 3.0)
 @example(_stacked_parents(), 2.0, 10.0)
+@example(_far_level6_cells(), 0.5, 10.0)
 def test_planes_and_ground_mask_match_oracle(pts, s_v, sigma):
     seg = segment_planes(pts, s_v, sigma)
     want = ref.segment_planes(pts, s_v, sigma)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scan2plan.geometry import (
     Se2Pose,
     normalize_angle,
+    pose_errors,
     registration_success,
     solve_se2_batch,
 )
@@ -261,8 +262,39 @@ def test_solve_batch_rejects_bad_shapes(src, dst, match):
 
 
 # ---------------------------------------------------------------------------
-# registration_success
+# pose_errors / registration_success
 # ---------------------------------------------------------------------------
+
+def test_pose_errors_of_a_pose_with_itself_are_zero():
+    # the 3-D trace formula read 1.2074e-06 deg here: arccos near 1
+    # loses half the digits
+    p = Se2Pose(72.24565656844365, 52.04443128097466, -0.9571946764186721)
+    assert pose_errors(p, p) == (0.0, 0.0)
+    rng = np.random.default_rng(8)
+    for _ in range(2000):
+        q = random_pose(rng)
+        assert pose_errors(q, q) == (0.0, 0.0)
+
+
+def _lifted_errors(est: Se2Pose, gt: Se2Pose):
+    """The errors of both poses lifted to 3-D with zero roll, pitch and z:
+    the geodesic angle from arccos((trace(R_est^T R_gt) - 1) / 2) and the
+    translation error in the estimate's body frame."""
+    r_est, r_gt = np.eye(3), np.eye(3)
+    r_est[:2, :2], r_gt[:2, :2] = est.rotation(), gt.rotation()
+    cos_arg = np.clip((np.trace(r_est.T @ r_gt) - 1.0) / 2.0, -1.0, 1.0)
+    dt = np.array([gt.x - est.x, gt.y - est.y, 0.0])
+    return float(np.degrees(np.arccos(cos_arg))), float(np.linalg.norm(r_est.T @ dt))
+
+
+def test_pose_errors_match_the_lifted_formula():
+    rng = np.random.default_rng(9)
+    for _ in range(20000):
+        est, gt = random_pose(rng), random_pose(rng)
+        rot, trans = pose_errors(est, gt)
+        want_rot, want_trans = _lifted_errors(est, gt)
+        assert abs(rot - want_rot) <= 2e-9
+        assert abs(trans - want_trans) <= 1e-14 * max(1.0, want_trans)
 
 def test_success_exact_match():
     pose = Se2Pose(2.0, -3.0, 0.7)

@@ -12,7 +12,6 @@ from scan2plan.ingest import (
     WallModel,
     load_pose,
     load_submap,
-    load_wall_model,
     load_wall_models,
     save_pose,
     save_submap,
@@ -29,7 +28,7 @@ DOWN = np.array([0.0, 0.0, -1.0])
 def test_wall_model_single_line(tmp_path):
     p = tmp_path / "m.walls"
     p.write_text("0 0 5 0\n")
-    model = load_wall_model(p)
+    (model,) = load_wall_models(p)
     assert len(model.walls) == 1
     assert np.allclose(model.walls[0].p0, [0, 0])
     assert np.allclose(model.walls[0].p1, [5, 0])
@@ -39,14 +38,14 @@ def test_wall_model_malformed_row_names_line(tmp_path):
     p = tmp_path / "m.walls"
     p.write_text("0 0 5 0\n1 2 three 4\n")
     with pytest.raises(ParseError, match=":2"):
-        load_wall_model(p)
+        load_wall_models(p)
 
 
 def test_wall_model_empty_raises(tmp_path):
     p = tmp_path / "m.walls"
     p.write_text("# nothing here\n")
     with pytest.raises(EmptyModel):
-        load_wall_model(p)
+        load_wall_models(p)
 
 
 def test_wall_model_roundtrip_500_walls(tmp_path):
@@ -62,9 +61,9 @@ def test_wall_model_roundtrip_500_walls(tmp_path):
     f1 = tmp_path / "a.walls"
     f2 = tmp_path / "b.walls"
     save_wall_models([model], f1)
-    save_wall_models([load_wall_model(f1)], f2)
+    save_wall_models(load_wall_models(f1), f2)
     assert f1.read_bytes() == f2.read_bytes()
-    loaded = load_wall_model(f1)
+    (loaded,) = load_wall_models(f1)
     assert loaded.floor_id == "f2"
     for w0, w1 in zip(walls, loaded.walls):
         assert np.array_equal(w0.p0, w1.p0) and np.array_equal(w0.p1, w1.p1)
@@ -73,11 +72,9 @@ def test_wall_model_roundtrip_500_walls(tmp_path):
 def test_wall_model_comments_and_floor_sections(tmp_path):
     p = tmp_path / "m.walls"
     p.write_text("# building\nfloor g\n0 0 4 0  # south\nfloor 1\n0 0 0 4\n")
-    g = load_wall_model(p, floor_id="g")
-    one = load_wall_model(p, floor_id="1")
+    g, one = load_wall_models(p)
+    assert (g.floor_id, one.floor_id) == ("g", "1")
     assert len(g.walls) == 1 and len(one.walls) == 1
-    with pytest.raises(ParseError):
-        load_wall_model(p)  # ambiguous without floor_id
 
 
 def test_wall_model_empty_floor_section_names_header(tmp_path):
