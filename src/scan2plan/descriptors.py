@@ -38,7 +38,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import ResolutionMismatch
+from .errors import ResolutionMismatch, check_positive
 from .lines import Corners
 
 DB_MAGIC = b"L2BD"
@@ -191,7 +191,9 @@ def canonical_triplets(
     keeps every order whose side bins are non-decreasing, so a query
     canonicalized either way across a tied bin still finds an aligned
     row. Rows come out in input order, then lexicographic vertex order.
+    Raises ValueError unless r_s and r_a are finite and positive.
     """
+    check_positive(r_s=r_s, r_a=r_a)
     p = np.asarray(verts, dtype=np.float64).reshape(-1, 3, 2)
     d = np.asarray(dirs, dtype=np.float64).reshape(-1, 3, 2, 2)
     u = p[:, [1, 2, 0]] - p
@@ -219,7 +221,10 @@ def canonical_triplets(
 
 
 def clique_triplets(corners: Corners, l_max: float):
-    """Vertices and wall directions of the l_max graph's 3-cliques, (i < j < k) ascending."""
+    """Vertices and wall directions of the l_max graph's 3-cliques, (i < j < k) ascending.
+
+    Raises ValueError unless l_max is finite and positive."""
+    check_positive(l_max=l_max)
     upper = np.triu(np.linalg.norm(corners.pos[:, None, :] - corners.pos[None, :, :], axis=2) <= l_max, 1)
     i, j = np.nonzero(upper)
     edge, k = np.nonzero(upper[i] & upper[j])  # k > j adjacent to both i and j

@@ -1,4 +1,14 @@
-"""Exception types raised across the toolkit."""
+"""Exception types raised across the toolkit, and the one check of a
+positive parameter."""
+
+import math
+
+
+def check_positive(**values) -> None:
+    """Raise ValueError naming the first value that is not finite and positive."""
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:  # also rejects NaN
+            raise ValueError("%s must be finite and positive, got %r" % (name, value))
 
 
 class Scan2PlanError(Exception):
@@ -36,7 +46,8 @@ class InvalidSubmap(Scan2PlanError):
 
 
 class EmptyGrid(Scan2PlanError):
-    """Vote grid holds no votes."""
+    """Vote grid holds no votes. Only `voting.hierarchical_vote` raises
+    it: a submap without walls reaches voting with no triplets."""
 
 
 class NoCandidates(Scan2PlanError):

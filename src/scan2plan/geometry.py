@@ -10,7 +10,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DegenerateInput
+from .errors import DegenerateInput, check_positive
 
 __all__ = [
     "Se2Pose",
@@ -163,8 +163,7 @@ def pose_errors(est: Se2Pose, gt: Se2Pose) -> Tuple[float, float]:
 
 
 def registration_success(est: Se2Pose, gt: Se2Pose, rot_tol_deg: float = 5.0, trans_tol_m: float = 3.0) -> bool:
-    """Success test: both pose errors under their tolerances."""
-    if rot_tol_deg <= 0.0 or trans_tol_m <= 0.0:
-        raise ValueError("tolerances must be positive")
+    """Success test: both pose errors under their tolerances, which must be finite and positive."""
+    check_positive(rot_tol_deg=rot_tol_deg, trans_tol_m=trans_tol_m)
     rot_err, trans_err = pose_errors(est, gt)
     return bool(rot_err < rot_tol_deg and trans_err < trans_tol_m)

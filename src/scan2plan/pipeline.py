@@ -6,6 +6,10 @@ non-ground scoring sets (thinned to `scoring_max_points` rows each as
 they are gathered), then matched against every prepared floor. The
 report with the highest verification confidence wins.
 
+Every submap runs every stage (one without walls casts no votes), and
+a floor fails at one exit, in voting or verification, with the counts
+and stage times measured up to there.
+
 Every stage works in the submap's own frame, and every pose maps that
 frame onto the floor's; `voting` keeps its vote clusters tight however
 far the frame's origin lies from the points.
@@ -13,9 +17,10 @@ far the frame's origin lies from the points.
 
 import csv
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,7 +65,12 @@ class SubmapFeatures:
 
 @dataclass
 class RegistrationReport:
-    """Outcome of registering one submap against one floor."""
+    """Outcome of registering one submap against one floor.
+
+    A failure has no pose, no votes and FAILURE_CONFIDENCE, but keeps
+    its counts. `timings_ms` holds the ms of each stage that ran, a
+    failing one too, and `total`, their sum.
+    """
 
     floor_id: str
     pose: Optional[Se2Pose]
@@ -110,14 +120,25 @@ def build_floor_index(model: WallModel, cfg: PipelineConfig) -> FloorIndex:
     return FloorIndex(model, corners, db, field)
 
 
+@contextmanager
+def _stage(timings: Dict[str, float], name: str) -> Iterator[None]:
+    """Time the block into timings[name], in ms, also when it raises."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[name] = (time.perf_counter() - t0) * 1e3
+
+
 def extract_submap_features(submap: Submap, cfg: PipelineConfig) -> SubmapFeatures:
     """Submap -> wall corners, descriptor DB, and scoring point sets.
 
     Wall segments are the point runs along each wall patch's line
-    (`lines.patch_segments`). Raises EmptyGrid when no wall surface
-    survives segmentation, and InvalidSubmap when gravity lies more than
-    gravity_tol_deg from the z axis (the bird's-eye view looks down z)
-    or when the points span too many octree cells for int64.
+    (`lines.patch_segments`); a submap without wall patches gets no
+    segments, corners or triplets. Raises InvalidSubmap when gravity
+    lies more than gravity_tol_deg from the z axis (the bird's-eye view
+    looks down z) or when the points span too many octree cells for
+    int64.
     """
     timings: Dict[str, float] = {}
     # normalized as classify_patches does, so a vertical normal is ground
@@ -128,86 +149,65 @@ def extract_submap_features(submap: Submap, cfg: PipelineConfig) -> SubmapFeatur
             % (np.array2string(submap.gravity, precision=6), cfg.gravity_tol_deg)
         )
 
-    t0 = time.perf_counter()
     points = submap.points
-    try:
-        patches = segment_planes(points, cfg.s_v, cfg.sigma_lambda).patches
-    except ValueError as exc:  # s_v > 0 is validated, so only the extent is left
-        raise InvalidSubmap("submap too large for its octree: %s" % (exc,)) from None
-    # rebinding frees the unmerged set before the line stage
-    patches = merge_patches(patches, cfg.normal_tol_deg, cfg.dist_tol_m)
-    walls, ground, _ = classify_patches(patches, submap.gravity, cfg.gravity_tol_deg)
-    g_mask = patches.mask(ground)
-    # only the rows scoring keeps are gathered
-    q_g_xy = points[thin_rows(np.flatnonzero(g_mask), cfg.scoring_max_points), :2]
-    q_ng_xy = points[thin_rows(np.flatnonzero(~g_mask), cfg.scoring_max_points), :2]
-    timings["planes"] = (time.perf_counter() - t0) * 1e3
+    with _stage(timings, "planes"):
+        try:
+            patches = segment_planes(points, cfg.s_v, cfg.sigma_lambda).patches
+        except ValueError as exc:  # s_v > 0 and finite points are validated, so only the extent is left
+            raise InvalidSubmap("submap too large for its octree: %s" % (exc,)) from None
+        # rebinding frees the unmerged set before the line stage
+        patches = merge_patches(patches, cfg.normal_tol_deg, cfg.dist_tol_m)
+        walls, ground, _ = classify_patches(patches, submap.gravity, cfg.gravity_tol_deg)
+        g_mask = patches.mask(ground)
+        # only the rows scoring keeps are gathered
+        q_g_xy = points[thin_rows(np.flatnonzero(g_mask), cfg.scoring_max_points), :2]
+        q_ng_xy = points[thin_rows(np.flatnonzero(~g_mask), cfg.scoring_max_points), :2]
 
-    t0 = time.perf_counter()
-    if walls.shape[0] == 0:
-        raise EmptyGrid("no wall patches in submap")
-    # each row's wall 0..W-1, -1 off the walls; label -1 reads the last slot
-    wall_of = np.full(len(patches) + 1, -1, dtype=np.int64)
-    wall_of[walls] = np.arange(walls.shape[0])
-    row_wall = wall_of[patches.label]
-    rows = row_wall >= 0
-    segments = patch_segments(
-        points[rows, :2], row_wall[rows], patches.centroid[walls, :2], patches.normal[walls, :2],
-    )
-    segments = merge_refit(segments, cfg.endpoint_tol_m, cfg.angle_tol_deg)
-    corners = extract_corners(segments, cfg.extend_m, cfg.nms_radius_m, cfg.min_angle_deg)
-    timings["lines"] = (time.perf_counter() - t0) * 1e3
+    with _stage(timings, "lines"):
+        # each row's wall 0..W-1, -1 off the walls; label -1 reads the last slot
+        wall_of = np.full(len(patches) + 1, -1, dtype=np.int64)
+        wall_of[walls] = np.arange(walls.shape[0])
+        row_wall = wall_of[patches.label]
+        rows = row_wall >= 0
+        segments = patch_segments(
+            points[rows, :2], row_wall[rows], patches.centroid[walls, :2], patches.normal[walls, :2],
+        )
+        segments = merge_refit(segments, cfg.endpoint_tol_m, cfg.angle_tol_deg)
+        corners = extract_corners(segments, cfg.extend_m, cfg.nms_radius_m, cfg.min_angle_deg)
 
-    t0 = time.perf_counter()
-    triplets = build_triplets(corners, cfg.l_max, cfg.r_s, cfg.r_a, cfg.min_angle_deg)
-    timings["descriptors"] = (time.perf_counter() - t0) * 1e3
+    with _stage(timings, "descriptors"):
+        triplets = build_triplets(corners, cfg.l_max, cfg.r_s, cfg.r_a, cfg.min_angle_deg)
 
     return SubmapFeatures(corners, triplets, q_ng_xy, q_g_xy, timings)
 
 
-def _failed_report(floor_id: str, timings: Dict[str, float]) -> RegistrationReport:
-    out = dict(timings)
-    out["total"] = sum(out.get(k, 0.0) for k in STAGES)
-    return RegistrationReport(floor_id, None, FAILURE_CONFIDENCE, 0, 0, 0, False, out)
-
-
 def register_features(feats: SubmapFeatures, floor: FloorIndex, cfg: PipelineConfig) -> RegistrationReport:
-    """Match prepared submap features against one prepared floor."""
+    """Match prepared submap features against one prepared floor.
+
+    The report is a failure when no vote survives the residual gate
+    (EmptyGrid), or when verification has no candidate or no non-ground
+    point to score (NoCandidates, EmptySubmap).
+    """
     timings = dict(feats.timings_ms)
-
-    t0 = time.perf_counter()
-    corr = query_correspondences(floor.db, feats.triplets)
-    timings["query"] = (time.perf_counter() - t0) * 1e3
-
-    t0 = time.perf_counter()
+    report = RegistrationReport(floor.model.floor_id, None, FAILURE_CONFIDENCE, 0, 0, 0, False, timings)
+    with _stage(timings, "query"):
+        corr = query_correspondences(floor.db, feats.triplets)
+    report.n_correspondences = corr[0].shape[0]
     try:
-        grid = cast_votes(corr, cfg.r_xy, cfg.r_yaw_deg, cfg.residual_max_m)
-        candidates = hierarchical_vote(grid, cfg.l_cells, cfg.k_cells, cfg.j_candidates)
-    except EmptyGrid:
-        timings["vote"] = (time.perf_counter() - t0) * 1e3
-        return _failed_report(floor.model.floor_id, timings)
-    timings["vote"] = (time.perf_counter() - t0) * 1e3
-
-    t0 = time.perf_counter()
-    try:
-        best_idx, best = select_best(floor.field, candidates, feats.q_ng_xy, feats.q_g_xy, lam=cfg.lam)
-    except (EmptySubmap, NoCandidates):
-        timings["verify"] = (time.perf_counter() - t0) * 1e3
-        return _failed_report(floor.model.floor_id, timings)
-    timings["verify"] = (time.perf_counter() - t0) * 1e3
-    timings["total"] = sum(timings[k] for k in STAGES)
-
-    winner = candidates[best_idx]
-    return RegistrationReport(
-        floor_id=floor.model.floor_id,
-        pose=winner.pose,
-        confidence=best.confidence,
-        votes=winner.votes,
-        n_correspondences=corr[0].shape[0],
-        n_candidates=len(candidates),
-        accepted=best.confidence >= cfg.min_confidence,
-        timings_ms=timings,
-    )
+        with _stage(timings, "vote"):
+            grid = cast_votes(corr, cfg.r_xy, cfg.r_yaw_deg, cfg.residual_max_m)
+            candidates = hierarchical_vote(grid, cfg.l_cells, cfg.k_cells, cfg.j_candidates)
+        report.n_candidates = len(candidates)
+        with _stage(timings, "verify"):
+            best_idx, best = select_best(floor.field, candidates, feats.q_ng_xy, feats.q_g_xy, lam=cfg.lam)
+    except (EmptyGrid, EmptySubmap, NoCandidates):
+        pass  # the report stays a failure
+    else:
+        winner = candidates[best_idx]
+        report.pose, report.confidence, report.votes = winner.pose, best.confidence, winner.votes
+        report.accepted = best.confidence >= cfg.min_confidence
+    timings["total"] = sum(timings.get(k, 0.0) for k in STAGES)
+    return report
 
 
 def register_submap(
@@ -216,11 +216,7 @@ def register_submap(
     """Register against every floor; returns (best report, all reports)."""
     if not floors:
         raise EmptyModel("no floors to register against")
-    try:
-        feats = extract_submap_features(submap, cfg)
-    except EmptyGrid:
-        reports = [_failed_report(f.model.floor_id, {}) for f in floors]
-        return reports[0], reports
+    feats = extract_submap_features(submap, cfg)
     reports = [register_features(feats, f, cfg) for f in floors]
     best = max(range(len(reports)), key=lambda i: (reports[i].confidence, -i))
     return reports[best], reports

@@ -50,6 +50,7 @@ from typing import Tuple
 
 import numpy as np
 
+from .errors import check_positive
 from .graph import connected_labels
 
 EIGENVALUE_FLOOR = 1e-12
@@ -217,9 +218,13 @@ def _cell_coords(col: np.ndarray, lo: float, size: float, out: np.ndarray) -> np
 def segment_planes(
     points: np.ndarray, s_v: float = 2.0, sigma_lambda: float = 10.0
 ) -> SegmentationResult:
-    """Octree split of `points` into planar patches numbered by level, then cell."""
-    if not 0.0 < s_v < np.inf:  # also rejects NaN
-        raise ValueError("s_v must be finite and positive, got %r" % (s_v,))
+    """Octree split of `points` into planar patches numbered by level, then cell.
+
+    Raises ValueError for a NaN or inf point, an s_v that is not finite
+    and positive, a non-finite sigma_lambda, or an extent whose deepest
+    cells overflow int64.
+    """
+    check_positive(s_v=s_v)
     if not np.isfinite(sigma_lambda):
         raise ValueError("sigma_lambda must be finite, got %r" % (sigma_lambda,))
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
@@ -241,13 +246,16 @@ def segment_planes(
     dims = ()
     for a in range(3):
         np.copyto(buf, pts[:, a])
-        origin[a] = buf.min()
-        extent = buf.max() - origin[a]
+        lo, hi = buf.min(), buf.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):  # min and max pass a NaN on
+            raise ValueError("points must be finite, got a NaN or inf %s coordinate" % ("xyz"[a],))
+        origin[a] = lo
+        extent = hi - lo
         # checked as floats: a cast past int64 gives garbage keys, not an
         # error. A cell coordinate doubles at each level, so the deepest
         # level bounds them all.
         deepest = np.floor(extent / (s_v * 0.5**MAX_OCTREE_DEPTH))
-        if not deepest < 2.0**63:  # also catches inf and NaN
+        if not deepest < 2.0**63:  # also catches an extent / s_v past the float range
             raise ValueError(
                 "octree cells up to %s at depth %d exceed int64; raise s_v" % (float(deepest), MAX_OCTREE_DEPTH)
             )

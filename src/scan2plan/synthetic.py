@@ -12,7 +12,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import EmptyScene
+from .errors import EmptyScene, check_positive
 from .geometry import LineSegment2, Se2Pose
 from .ingest import Submap, WallModel
 
@@ -113,8 +113,7 @@ def generate_layout(seed: int, n_rooms: int, corridor: bool, extent_m: float) ->
     """Deterministic floorplan; same seed and arguments give the same model."""
     if n_rooms < 1:
         raise ValueError("n_rooms must be >= 1")
-    if not 0.0 < extent_m < np.inf:
-        raise ValueError("extent_m must be finite and positive, got %r" % (extent_m,))
+    check_positive(extent_m=extent_m)
     rng = np.random.default_rng(seed)
     raw: List[Tuple[np.ndarray, np.ndarray]] = []
     rooms: List[Tuple[float, float, float, float]] = []
@@ -246,8 +245,7 @@ def synthesize_submap(
     pose(0, 0). Visibility is radius-only. Raises EmptyScene when no wall
     lies within the radius, and ValueError naming any parameter out of range.
     """
-    if not 0.0 < radius_m < np.inf:
-        raise ValueError("radius_m must be finite and positive, got %r" % (radius_m,))
+    check_positive(radius_m=radius_m)
     if not 0.0 <= noise_sigma_m < np.inf:
         raise ValueError("noise_sigma_m must be finite and >= 0, got %r" % (noise_sigma_m,))
     for name, frac in (("drop_wall_frac", drop_wall_frac), ("clutter_frac", clutter_frac)):

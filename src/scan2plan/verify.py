@@ -80,7 +80,7 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.ndimage import distance_transform_cdt, maximum_filter
 
-from .errors import EmptyModel, EmptySubmap, NoCandidates
+from .errors import EmptyModel, EmptySubmap, NoCandidates, check_positive
 from .voting import Candidates
 
 # largest wall raster; the biggest generated floor needs 131,835 cells
@@ -123,7 +123,7 @@ class ScoreField:
     s_r: float  # meters per cell
 
     def __post_init__(self):
-        _check_cell_size(self.s_r)
+        check_positive(s_r=self.s_r)
         origin = np.asarray(self.origin, dtype=np.float64)
         if not np.all(np.isfinite(origin)):
             raise ValueError("score field origin must be finite, got %r" % (self.origin,))
@@ -199,11 +199,6 @@ class ScoreResult:
     confidence: float
 
 
-def _check_cell_size(s_r: float) -> None:
-    if not 0.0 < s_r < np.inf:  # also rejects NaN
-        raise ValueError("score field s_r must be finite and positive, got %r" % (s_r,))
-
-
 def _runs(first: np.ndarray, count: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(owner, value): for each row i, count[i] values counting up from first[i]."""
     owner = np.repeat(np.arange(count.shape[0]), count)
@@ -263,9 +258,9 @@ def build_score_field(walls: np.ndarray, s_r: float = 0.2, k_d: int = 5) -> Scor
     walls = np.asarray(walls, dtype=np.float64).reshape(-1, 2, 2)
     if walls.shape[0] == 0:
         raise EmptyModel("no walls to build a score field from")
-    _check_cell_size(s_r)
-    if k_d < 1:
-        raise ValueError("k_d must be >= 1")
+    check_positive(s_r=s_r)
+    if not k_d >= 1:  # also rejects NaN
+        raise ValueError("k_d must be >= 1, got %r" % (k_d,))
     grid, origin = _rasterize(walls, 1.0 / s_r, k_d + 2)
     dist = distance_transform_cdt(~grid, metric="chessboard").astype(np.float64)
     values = np.where(dist <= k_d, 1.0 - (dist / k_d) * (1.0 - 1.0 / k_d), 0.0)

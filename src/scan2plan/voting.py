@@ -26,7 +26,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import EmptyGrid
+from .errors import EmptyGrid, check_positive
 from .geometry import Se2Pose, normalize_angle, solve_se2_batch
 from .graph import connected_labels
 
@@ -148,10 +148,11 @@ def cast_votes(
     """Solve every (src, dst) vertex-array pair and bin the accepted poses
     about the pivot of the src vertices.
 
-    Raises ValueError when r_yaw_deg is not finite and positive or gives
-    fewer than MIN_YAW_BINS yaw bins, or when the votes span more cells
-    than an int64 indexes.
+    Raises ValueError when r_xy, residual_max_m or r_yaw_deg is not
+    finite and positive, when r_yaw_deg gives fewer than MIN_YAW_BINS
+    yaw bins, or when the votes span more cells than an int64 indexes.
     """
+    check_positive(r_xy=r_xy, residual_max_m=residual_max_m)
     n_yaw = yaw_bins(r_yaw_deg)
     src, dst = correspondences
     x = y = yaw = np.zeros(0)
@@ -219,11 +220,11 @@ def hierarchical_vote(
     cell's packed index; each group's mean pose is composed with
     T(-grid.pivot), so it is in the caller's frame.
 
-    Raises ValueError for a limit below 1, or a grid of fewer than
-    MIN_YAW_BINS yaw bins.
+    Raises ValueError for a limit that is not at least 1 (NaN included),
+    or a grid of fewer than MIN_YAW_BINS yaw bins.
     """
     for name, limit in (("l_cells", l_cells), ("k_cells", k_cells), ("j_candidates", j_candidates)):
-        if limit is not None and limit < 1:
+        if limit is not None and not limit >= 1:
             raise ValueError("%s must be None or at least 1, got %r" % (name, limit))
     if grid.n_yaw_bins < MIN_YAW_BINS:
         raise ValueError("a vote grid needs at least %d yaw bins, got %d" % (MIN_YAW_BINS, grid.n_yaw_bins))

@@ -5,6 +5,7 @@ import dataclasses
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import scan2plan
@@ -227,3 +228,70 @@ def test_each_field_reaches_the_stage_parameter_of_its_name():
                     wrong.append((mod.__name__, fn.__name__, p.name, arg.attr))
     assert wrong == []
     assert checked >= 20
+
+
+# --- stage guards -------------------------------------------------------------
+
+# (module, function, numeric parameter): each stage function rejects NaN
+# in that parameter with a ValueError that names it, as the config does
+STAGE_GUARDS = [
+    ("planes", "segment_planes", "s_v"),
+    ("planes", "segment_planes", "sigma_lambda"),
+    ("descriptors", "clique_triplets", "l_max"),
+    ("descriptors", "canonical_triplets", "r_s"),
+    ("descriptors", "canonical_triplets", "r_a"),
+    ("descriptors", "build_triplets", "l_max"),
+    ("descriptors", "build_triplets", "r_s"),
+    ("descriptors", "build_triplets", "r_a"),
+    ("descriptors", "build_db", "l_max"),
+    ("descriptors", "build_db", "r_s"),
+    ("descriptors", "build_db", "r_a"),
+    ("voting", "cast_votes", "r_xy"),
+    ("voting", "cast_votes", "r_yaw_deg"),
+    ("voting", "cast_votes", "residual_max_m"),
+    ("voting", "hierarchical_vote", "l_cells"),
+    ("voting", "hierarchical_vote", "k_cells"),
+    ("voting", "hierarchical_vote", "j_candidates"),
+    ("verify", "build_score_field", "s_r"),
+    ("verify", "build_score_field", "k_d"),
+    ("verify", "select_best", "lam"),
+    ("geometry", "registration_success", "rot_tol_deg"),
+    ("geometry", "registration_success", "trans_tol_m"),
+]
+
+
+def _stage_inputs():
+    """Valid leading arguments of each function in STAGE_GUARDS."""
+    from scan2plan import geometry, lines, verify, voting
+
+    xy = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]])
+    corners = lines.Corners(xy, np.tile(np.eye(2), (3, 1, 1)), np.ones(3))
+    verts, dirs = xy[None], np.tile(np.eye(2), (1, 3, 1, 1))
+    grid = voting.cast_votes((verts, verts))
+    walls = np.array([[[0.0, 0.0], [4.0, 0.0]]])
+    one = voting.Candidates(np.zeros((1, 3)), *(np.ones(1, dtype=np.int64) for _ in range(3)))
+    pose = geometry.Se2Pose(0.0, 0.0, 0.0)
+    return {
+        "segment_planes": (np.random.default_rng(0).uniform(0.0, 4.0, (64, 3)),),
+        "clique_triplets": (corners,),
+        "canonical_triplets": (verts, dirs),
+        "build_triplets": (corners,),
+        "build_db": (corners,),
+        "cast_votes": ((verts, verts),),
+        "hierarchical_vote": (grid,),
+        "build_score_field": (walls,),
+        "select_best": (verify.build_score_field(walls), one, xy, xy),
+        "registration_success": (pose, pose),
+    }
+
+
+@pytest.mark.parametrize("module, function, name", STAGE_GUARDS)
+def test_stage_functions_reject_nan_parameters(module, function, name):
+    # a stage called directly must guard its knobs as validate() does:
+    # NaN passes every `<` test, so a check written as `value < 1` lets
+    # it through to a cast error, an empty result or a silent miss
+    fn = getattr(getattr(scan2plan, module), function)
+    args = _stage_inputs()[function]
+    fn(*args, **{name: getattr(PipelineConfig(), name, 1.0)})  # valid at the config's value
+    with pytest.raises(ValueError, match=name):
+        fn(*args, **{name: float("nan")})

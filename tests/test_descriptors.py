@@ -1,6 +1,7 @@
 """Triangle descriptor and database tests."""
 
 import hashlib
+import math
 import struct
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from scan2plan.descriptors import (
     build_db,
     build_triplets,
     canonical_triplets,
+    clique_triplets,
     query_correspondences,
     serialize_db,
 )
@@ -260,3 +262,20 @@ def test_key_space_overflow_raises():
     corners = _corners((0.0, 0.0), (4.0, 0.0), (0.0, 3.0))
     with pytest.raises(ValueError, match="int64"):
         build_db(corners, r_s=1e-6)
+
+
+@pytest.mark.parametrize(
+    "name, value", [("r_s", math.nan), ("r_s", 0.0), ("r_s", -0.5), ("r_a", math.nan), ("r_a", 0.0),
+                    ("l_max", math.nan), ("l_max", -1.0), ("l_max", math.inf)],
+)
+def test_resolutions_and_l_max_must_be_finite_and_positive(name, value):
+    # a NaN r_s or l_max used to give an empty DB or no triplets, a zero
+    # or negative r_s numpy's own errors about dims or coordinates
+    corners = _corners((0, 0), (4, 0), (0, 3), (5, 5))
+    for build in (build_db, build_triplets):
+        with pytest.raises(ValueError, match=name):
+            build(corners, **{name: value})
+    if name != "l_max":
+        verts, dirs = clique_triplets(corners, 30.0)
+        with pytest.raises(ValueError, match=name):
+            canonical_triplets(verts, dirs, **{name: value})

@@ -313,6 +313,17 @@ def test_success_rotation_bound_exceeded():
     assert not registration_success(est, gt, 5.0, 3.0)
 
 
+@pytest.mark.parametrize(
+    "name, value", [("rot_tol_deg", np.nan), ("rot_tol_deg", 0.0), ("trans_tol_m", np.nan),
+                    ("trans_tol_m", np.inf), ("trans_tol_m", -3.0)],
+)
+def test_success_tolerances_must_be_finite_and_positive(name, value):
+    # a NaN tolerance used to read every pose as a miss
+    pose = Se2Pose(2.0, -3.0, 0.7)
+    with pytest.raises(ValueError, match=name):
+        registration_success(pose, pose, **{name: value})
+
+
 def test_success_left_composition_invariance():
     rng = np.random.default_rng(6)
     for _ in range(300):

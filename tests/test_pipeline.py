@@ -1,5 +1,7 @@
 """End-to-end registration, evaluation, and PR harness tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,35 @@ def test_ground_only_submap_fails_gracefully():
     best, _ = register_submap(Submap(pts, DOWN), [floor], PipelineConfig())
     assert best.pose is None
     assert not best.accepted
+
+
+def test_wall_free_submap_reports_the_stages_it_ran():
+    # no wall patch means no triplets, so the floor fails at the vote
+    # stage; its report keeps every time measured up to there
+    _, floor = _home()
+    xy = np.random.default_rng(3).uniform(-8, 8, size=(4000, 2))
+    best, _ = register_submap(Submap(np.column_stack([xy, np.zeros(4000)]), DOWN), [floor], PipelineConfig())
+    assert best.pose is None
+    assert (best.n_correspondences, best.n_candidates, best.votes) == (0, 0, 0)
+    assert list(best.timings_ms) == ["planes", "lines", "descriptors", "query", "vote", "total"]
+    assert best.timings_ms["total"] == sum(best.timings_ms[k] for k in STAGES[:5])
+
+
+def test_failed_vote_keeps_the_correspondence_count():
+    # an A4 scene whose every vote the residual gate rejects: the query
+    # still found correspondences, and the report says how many
+    layout = generate_layout(seed=21, n_rooms=12, corridor=True, extent_m=48.0)
+    cfg = dataclasses.replace(PipelineConfig(), residual_max_m=1e-12)
+    floor = build_floor_index(layout.wall_model, cfg)
+    gt = random_interior_pose(layout, np.random.default_rng(9000))
+    scene = synthesize_submap(
+        layout.wall_model, gt, radius_m=15.0, noise_sigma_m=0.03,
+        drop_wall_frac=0.2, clutter_frac=0.1, seed=9000,
+    )
+    best, _ = register_submap(scene.submap, [floor], cfg)
+    assert best.pose is None and best.confidence == FAILURE_CONFIDENCE
+    assert best.n_correspondences > 0
+    assert "vote" in best.timings_ms and "verify" not in best.timings_ms
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,19 @@ def test_invalid_parameters_raise(kwargs, name):
         segment_planes(np.zeros((0, 3)), **kwargs)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("axis", [0, 2])
+def test_non_finite_points_named(bad, axis):
+    # a NaN or inf point read "octree cells up to nan ... raise s_v"
+    pts = _grid_plane(0.0, 3.0, 0.0, 3.0, 0.0)
+    pts[7, axis] = bad
+    with pytest.raises(ValueError, match="finite, got a NaN or inf %s coordinate" % "xyz"[axis]):
+        segment_planes(pts)
+    pts[:, axis] = bad  # all rows alike: the extent is inf - inf or nan - nan
+    with pytest.raises(ValueError, match="finite"):
+        segment_planes(pts)
+
+
 def test_cell_key_overflow_raises():
     pts = np.vstack([_grid_plane(0.0, 1.0, 0.0, 1.0, 0.0, step=0.25), [[1e6, 1e6, 1e6]]])
     with pytest.raises(ValueError):

@@ -88,6 +88,18 @@ def test_empty_correspondences():
         hierarchical_vote(grid)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("r_xy", 0.0), ("r_xy", math.nan), ("r_xy", math.inf), ("r_xy", -0.15),
+     ("residual_max_m", math.nan), ("residual_max_m", 0.0), ("residual_max_m", -0.3)],
+)
+def test_cell_size_and_residual_gate_must_be_finite_and_positive(name, value):
+    # zero or NaN overflowed the cell index, inf binned every vote into
+    # one cell, a negative size was accepted, a NaN gate dropped every vote
+    with pytest.raises(ValueError, match=name):
+        cast_votes(_corr(Se2Pose(1.0, 2.0, 0.3)), **{name: value})
+
+
 # --- extraction ---
 
 
