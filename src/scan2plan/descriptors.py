@@ -23,8 +23,8 @@ count, not the row count; a query bin outside the stored range matches
 nothing.
 
 `serialize_db` writes a database as a v1 file for the benchmark's
-`bench/workloads.db_digest` alone, and goes with ROADMAP item 4's
-benchmark change; the package never calls it. The file groups rows by
+`bench/workloads.db_digest` alone, and goes with ROADMAP items 2 and
+7's benchmark change; the package never calls it. The file groups rows by
 key: magic, version, r_s r_a, key count, then per key six i32 bins, a
 u32 row count and 18 f64 per row. It does not store l_max or
 min_angle_deg.
@@ -191,9 +191,10 @@ def canonical_triplets(
     keeps every order whose side bins are non-decreasing, so a query
     canonicalized either way across a tied bin still finds an aligned
     row. Rows come out in input order, then lexicographic vertex order.
-    Raises ValueError unless r_s and r_a are finite and positive.
+    Raises ValueError unless r_s, r_a and min_angle_deg are finite and
+    positive.
     """
-    check_positive(r_s=r_s, r_a=r_a)
+    check_positive(r_s=r_s, r_a=r_a, min_angle_deg=min_angle_deg)
     p = np.asarray(verts, dtype=np.float64).reshape(-1, 3, 2)
     d = np.asarray(dirs, dtype=np.float64).reshape(-1, 3, 2, 2)
     u = p[:, [1, 2, 0]] - p

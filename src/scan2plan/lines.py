@@ -9,11 +9,16 @@ line, in which tied projections may take any order since runs read only
 the projections, then a stable one by patch. The per-patch loop of
 `tests/scalar_frontend.py` gives the same endpoints bit for bit.
 Near-collinear segments with close endpoints are chained by connected
-components and refit by total least squares.
+components. A chain of two or more is refit from pooled moments: a
+member of length L, midpoint c and vector d weighs L at c and adds
+L d d^T / 12 about c (its points spread evenly), and the chain runs
+along the closed-form 2x2 principal axis through the length-weighted
+mean, spanning the extreme projections of the members' endpoints. A
+singleton keeps its row bit for bit, as a refit would round it afresh.
 Corners are intersections of extended non-parallel segments, all pairs
 tested at once as arrays, then deduplicated by greedy non-maximum
-suppression on combined support length; they match the per-pair loop of
-`tests/scalar_frontend.py` bit for bit.
+suppression on combined support length. Chains and corners match the
+scalar loops of `tests/scalar_frontend.py` bit for bit.
 
 Segments are (S, 2, 2) arrays of [p0, p1] rows in meters throughout;
 `sqrt(vecdot(d, d))` rounds lengths and directions as `np.linalg.norm`
@@ -24,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_positive
 from .graph import connected_labels
 
 # a wall run breaks where consecutive points along it lie further apart
@@ -83,18 +89,6 @@ def patch_segments(
     return c[k][:, None, :] + ts[:, :, None] * u[k][:, None, :]
 
 
-def _tls_segment(points: np.ndarray):
-    """Total-least-squares line fit; endpoints from the projection extent."""
-    mean = points.mean(axis=0)
-    d = points - mean
-    cov = d.T @ d
-    w, v = np.linalg.eigh(cov)
-    direction = v[:, 1]
-    t = d @ direction
-    t0, t1 = float(t.min()), float(t.max())
-    return mean + t0 * direction, mean + t1 * direction
-
-
 def merge_refit(
     segments: np.ndarray,
     endpoint_tol_m: float = 0.3,
@@ -105,8 +99,10 @@ def merge_refit(
     A chain is a connected component of the segment pairs within the
     angle whose nearest endpoints lie within endpoint_tol_m. Singleton
     chains pass through unchanged. Chains come out ordered by their
-    endpoints rounded to 1e-9 m.
+    endpoints rounded to 1e-9 m. Raises ValueError unless both
+    tolerances are finite and positive.
     """
+    check_positive(endpoint_tol_m=endpoint_tol_m, angle_tol_deg=angle_tol_deg)
     ends = np.asarray(segments, dtype=np.float64).reshape(-1, 2, 2)
     n = ends.shape[0]
     if n == 0:
@@ -123,19 +119,25 @@ def merge_refit(
     linked = (np.abs(np.vecdot(dirs[i], dirs[j])) >= cos_tol) & np.any(gaps <= endpoint_tol_m, axis=1)
 
     labels = connected_labels(n, i[linked], j[linked])
-    out = []
-    for g in range(int(labels.max()) + 1):
-        members = np.flatnonzero(labels == g)
-        if members.shape[0] == 1:
-            out.append(ends[members[0]])
-            continue
-        samples = []
-        for m in members:
-            k = max(2, int(np.ceil(length[m] / 0.05)) + 1)
-            t = np.linspace(0.0, 1.0, k)
-            samples.append(ends[m, 0] + t[:, None] * d[m])
-        out.append(_tls_segment(np.vstack(samples)))
-    out = np.array(out)
+    # a member weighs its length L at its midpoint c and adds L d d^T / 12
+    # about c; bincount sums each chain's members in ascending index order
+    c = 0.5 * (ends[:, 0] + ends[:, 1])
+    mass = np.bincount(labels, length)
+    mean = np.stack([np.bincount(labels, length * c[:, k]) for k in (0, 1)], axis=1) / mass[:, None]
+    e = c - mean[labels]
+    a, b = [0, 0, 1], [0, 1, 1]  # the xx, xy and yy entries
+    scatter = length[:, None] * (e[:, a] * e[:, b] + d[:, a] * d[:, b] / 12.0)
+    sxx, sxy, syy = (np.bincount(labels, scatter[:, k]) for k in range(3))
+    theta = 0.5 * np.arctan2(2.0 * sxy, sxx - syy)
+    u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    p, along = ends - mean[labels][:, None, :], u[labels][:, None, :]
+    t = p[..., 0] * along[..., 0] + p[..., 1] * along[..., 1]
+    t0, t1 = np.full_like(mass, np.inf), np.full_like(mass, -np.inf)
+    np.minimum.at(t0, labels, t.min(axis=1))
+    np.maximum.at(t1, labels, t.max(axis=1))
+    out = mean[:, None, :] + np.stack([t0, t1], axis=1)[:, :, None] * u[:, None, :]
+    single = np.flatnonzero(np.bincount(labels)[labels] == 1)
+    out[labels[single]] = ends[single]
     r = np.round(out, 9)
     return out[np.lexsort((r[:, 1, 1], r[:, 1, 0], r[:, 0, 1], r[:, 0, 0]))]
 
@@ -146,7 +148,13 @@ def extract_corners(
     nms_radius_m: float = 0.5,
     min_angle_deg: float = 10.0,
 ) -> Corners:
-    """Intersect extended non-parallel pairs of (S, 2, 2) segments, then NMS by support, position, pair order."""
+    """Intersect extended non-parallel pairs of (S, 2, 2) segments, then NMS by support, position, pair order.
+
+    Raises ValueError unless extend_m is finite and >= 0 and nms_radius_m
+    and min_angle_deg are finite and positive."""
+    check_positive(nms_radius_m=nms_radius_m, min_angle_deg=min_angle_deg)
+    if not 0.0 <= extend_m < np.inf:  # 0 keeps each corner on both segments
+        raise ValueError("extend_m must be finite and >= 0, got %r" % (extend_m,))
     ends = np.asarray(segments, dtype=np.float64).reshape(-1, 2, 2)
     p0, d = ends[:, 0], ends[:, 1] - ends[:, 0]
     length = np.sqrt(np.vecdot(d, d))

@@ -375,8 +375,10 @@ def merge_patches(patches: Patches, normal_tol_deg: float = 10.0, dist_tol_m: fl
     centroid within dist_tol_m of the other's plane). Its moments are
     its members' summed in ascending patch order, so a single-patch
     group keeps its plane bit for bit, and its cell box spans theirs.
-    Groups are relabelled in order of their rounded centroids.
+    Groups are relabelled in order of their rounded centroids. Raises
+    ValueError unless both tolerances are finite and positive.
     """
+    check_positive(normal_tol_deg=normal_tol_deg, dist_tol_m=dist_tol_m)
     n = len(patches)
     if n == 0:
         return patches
@@ -418,8 +420,10 @@ def classify_patches(
     """Split patch indices into (walls, ground, other) by angle to gravity.
 
     Ground normals are parallel to gravity within the tolerance, wall
-    normals perpendicular to it.
+    normals perpendicular to it. Raises ValueError unless gravity_tol_deg
+    is finite and positive.
     """
+    check_positive(gravity_tol_deg=gravity_tol_deg)
     g = np.asarray(gravity, dtype=np.float64)
     g = g / np.sqrt(g.dot(g))  # the 2-norm as numpy's vector norm rounds it
     cos_par = float(np.cos(np.radians(gravity_tol_deg)))

@@ -1,9 +1,10 @@
 """Reference oracle: the front end as first written.
 
 The octree segmentation that copies point blocks into each patch object,
-the union-find patch merge and segment chaining, the per-patch gravity
-classification, the wall runs cut one patch at a time from that patch's
-own copied points, the corner loop over segment pairs that builds one
+the union-find patch merge and segment chaining (each chain's moments
+summed one member at a time, in ascending member order), the per-patch
+gravity classification, the wall runs cut one patch at a time from that
+patch's own copied points, the corner loop over segment pairs that builds one
 `Corner` per intersection, and the ground mask that hashes every
 point's bytes. Segments here are `LineSegment2` lists.
 The package's array front end must reproduce these bit for bit;
@@ -280,38 +281,17 @@ def patch_segments(
     return segments
 
 
-def _tls_segment(points: np.ndarray):
-    """Total-least-squares line fit; endpoints from the projection extent."""
-    mean = points.mean(axis=0)
-    d = points - mean
-    cov = d.T @ d
-    w, v = np.linalg.eigh(cov)
-    direction = v[:, 1]
-    t = d @ direction
-    t0, t1 = float(t.min()), float(t.max())
-    if t1 - t0 < 1e-9:
-        return None
-    return mean + t0 * direction, mean + t1 * direction
-
-
 def unit_direction(seg: LineSegment2) -> np.ndarray:
     """The segment's p0 -> p1 unit vector."""
     d = seg.p1 - seg.p0
     return d / np.linalg.norm(d)
 
 
-def merge_refit(
-    segments: Sequence[LineSegment2],
-    endpoint_tol_m: float = 0.3,
-    angle_tol_deg: float = 5.0,
-) -> List[LineSegment2]:
-    """Chain near-collinear segments with close endpoints, refit each chain.
-
-    Singleton chains pass through unchanged.
-    """
+def chains(segments: Sequence[LineSegment2], endpoint_tol_m: float, angle_tol_deg: float) -> List[List[int]]:
+    """Member indices of each chain, by union-find over the segment pairs
+    within the angle whose nearest endpoints lie within endpoint_tol_m;
+    chains in order of their first member, members ascending."""
     n = len(segments)
-    if n == 0:
-        return []
     cos_tol = np.cos(np.radians(angle_tol_deg))
     parent = list(range(n))
 
@@ -334,23 +314,51 @@ def merge_refit(
             if min(gaps) <= endpoint_tol_m and find(i) != find(j):
                 parent[find(j)] = find(i)
 
-    chains = {}
+    groups = {}
     for i in range(n):
-        chains.setdefault(find(i), []).append(i)
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
 
+
+def merge_refit(
+    segments: Sequence[LineSegment2],
+    endpoint_tol_m: float = 0.3,
+    angle_tol_deg: float = 5.0,
+) -> List[LineSegment2]:
+    """Chain near-collinear segments with close endpoints, refit each chain.
+
+    A chain of two or more takes the principal axis of its members'
+    length-weighted moments through their weighted mean, and spans their
+    endpoints' extreme projections. Singleton chains pass through unchanged.
+    """
     out: List[LineSegment2] = []
-    for members in chains.values():
+    for members in chains(segments, endpoint_tol_m, angle_tol_deg):
         if len(members) == 1:
             out.append(segments[members[0]])
             continue
-        samples = []
+        # a member is its midpoint with weight L and scatter L d d^T / 12
+        # about it, added in ascending member order
+        w, sx, sy = 0.0, 0.0, 0.0
         for i in members:
             s = segments[i]
-            k = max(2, int(np.ceil(s.length / 0.05)) + 1)
-            t = np.linspace(0.0, 1.0, k)
-            samples.append(s.p0 + t[:, None] * (s.p1 - s.p0))
-        fit = _tls_segment(np.vstack(samples))
-        out.append(LineSegment2(fit[0], fit[1]))
+            length, c = s.length, 0.5 * (s.p0 + s.p1)
+            w, sx, sy = w + length, sx + length * c[0], sy + length * c[1]
+        m = np.array([sx, sy]) / w
+        sxx, sxy, syy = 0.0, 0.0, 0.0
+        for i in members:
+            s = segments[i]
+            length, e, d = s.length, 0.5 * (s.p0 + s.p1) - m, s.p1 - s.p0
+            sxx += length * (e[0] * e[0] + d[0] * d[0] / 12.0)
+            sxy += length * (e[0] * e[1] + d[0] * d[1] / 12.0)
+            syy += length * (e[1] * e[1] + d[1] * d[1] / 12.0)
+        theta = 0.5 * np.arctan2(2.0 * sxy, sxx - syy)
+        u = np.array([np.cos(theta), np.sin(theta)])
+        t = [
+            (p[0] - m[0]) * u[0] + (p[1] - m[1]) * u[1]
+            for i in members
+            for p in (segments[i].p0, segments[i].p1)
+        ]
+        out.append(LineSegment2(m + min(t) * u, m + max(t) * u))
     out.sort(key=lambda s: (tuple(np.round(s.p0, 9)), tuple(np.round(s.p1, 9))))
     return out
 

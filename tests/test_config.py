@@ -237,9 +237,18 @@ def test_each_field_reaches_the_stage_parameter_of_its_name():
 STAGE_GUARDS = [
     ("planes", "segment_planes", "s_v"),
     ("planes", "segment_planes", "sigma_lambda"),
+    ("planes", "merge_patches", "normal_tol_deg"),
+    ("planes", "merge_patches", "dist_tol_m"),
+    ("planes", "classify_patches", "gravity_tol_deg"),
+    ("lines", "merge_refit", "endpoint_tol_m"),
+    ("lines", "merge_refit", "angle_tol_deg"),
+    ("lines", "extract_corners", "extend_m"),
+    ("lines", "extract_corners", "nms_radius_m"),
+    ("lines", "extract_corners", "min_angle_deg"),
     ("descriptors", "clique_triplets", "l_max"),
     ("descriptors", "canonical_triplets", "r_s"),
     ("descriptors", "canonical_triplets", "r_a"),
+    ("descriptors", "canonical_triplets", "min_angle_deg"),
     ("descriptors", "build_triplets", "l_max"),
     ("descriptors", "build_triplets", "r_s"),
     ("descriptors", "build_triplets", "r_a"),
@@ -262,8 +271,12 @@ STAGE_GUARDS = [
 
 def _stage_inputs():
     """Valid leading arguments of each function in STAGE_GUARDS."""
-    from scan2plan import geometry, lines, verify, voting
+    from scan2plan import geometry, lines, planes, verify, voting
 
+    rng = np.random.default_rng(1)
+    # a wall in the plane y = 0 that the octree cuts into two patches
+    wall = np.column_stack([rng.uniform(0.0, 4.0, 64), np.zeros(64), rng.uniform(0.0, 2.0, 64)])
+    patches = planes.segment_planes(wall).patches
     xy = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]])
     corners = lines.Corners(xy, np.tile(np.eye(2), (3, 1, 1)), np.ones(3))
     verts, dirs = xy[None], np.tile(np.eye(2), (1, 3, 1, 1))
@@ -273,6 +286,10 @@ def _stage_inputs():
     pose = geometry.Se2Pose(0.0, 0.0, 0.0)
     return {
         "segment_planes": (np.random.default_rng(0).uniform(0.0, 4.0, (64, 3)),),
+        "merge_patches": (patches,),
+        "classify_patches": (patches, np.array([0.0, 0.0, -1.0])),
+        "merge_refit": (walls,),
+        "extract_corners": (walls,),
         "clique_triplets": (corners,),
         "canonical_triplets": (verts, dirs),
         "build_triplets": (corners,),
@@ -295,3 +312,16 @@ def test_stage_functions_reject_nan_parameters(module, function, name):
     fn(*args, **{name: getattr(PipelineConfig(), name, 1.0)})  # valid at the config's value
     with pytest.raises(ValueError, match=name):
         fn(*args, **{name: float("nan")})
+
+
+@pytest.mark.parametrize(
+    "module, function, name", [("planes", "merge_patches", "dist_tol_m"), ("lines", "merge_refit", "endpoint_tol_m")]
+)
+def test_stage_guards_come_before_the_empty_input_return(module, function, name):
+    # an empty input returns early, only after the knobs are checked
+    no_patches = scan2plan.planes.segment_planes(np.zeros((0, 3))).patches
+    empty = no_patches if function == "merge_patches" else np.zeros((0, 2, 2))
+    fn = getattr(getattr(scan2plan, module), function)
+    assert len(fn(empty)) == 0
+    with pytest.raises(ValueError, match=name):
+        fn(empty, **{name: float("nan")})

@@ -1,9 +1,15 @@
 """Wall runs from patches, segment merging and corner extraction tests."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scalar_frontend as ref
 
-from scan2plan.geometry import Se2Pose
+import scan2plan.lines
+from scan2plan.config import PipelineConfig
+from scan2plan.geometry import LineSegment2, Se2Pose
 from scan2plan.lines import (
     MIN_RUN_M,
     RUN_GAP_M,
@@ -11,6 +17,9 @@ from scan2plan.lines import (
     merge_refit,
     patch_segments,
 )
+from scan2plan.pipeline import extract_submap_features
+from scan2plan.planes import classify_patches, merge_patches, segment_planes
+from scan2plan.synthetic import generate_layout, random_interior_pose, synthesize_submap
 
 
 def _seg(ax, ay, bx, by):
@@ -173,12 +182,83 @@ def test_merge_of_a_chain_shorter_than_a_nanometre():
     assert np.allclose(merged[0], [[0.0, 0.0], [3e-10, 0.0]], rtol=0.0, atol=1e-24)
 
 
+def test_merged_line_runs_through_the_length_weighted_centroid():
+    # weights 1 and 3 at midpoints (0.5, 0) and (2.6, 0.1); a refit that
+    # weighs each piece by its 5 cm sample count misses this by 2.5e-4 m
+    merged = merge_refit([_seg(0.0, 0.0, 1.0, 0.0), _seg(1.1, 0.1, 4.1, 0.1)])
+    assert merged.shape == (1, 2, 2)
+    assert _nearest_line_dist(np.array([2.075, 0.075]), merged[0]) < 1e-12
+
+
 def test_merge_is_idempotent_on_disjoint_input():
     pieces = [_seg(0.0, 0.0, 3.0, 0.0), _seg(0.0, 2.0, 0.0, 5.0)]
     merged = merge_refit(pieces)
     two = merge_refit(merged)
     assert len(merged) == len(two) == 2
     assert np.allclose(merged, two)
+
+
+def test_lines_makes_no_linalg_call():
+    # chains refit from closed-form moments: the line stage calls no LAPACK
+    tree = ast.parse(Path(scan2plan.lines.__file__).read_text())
+    calls = {ast.unparse(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    imports = {n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    imports |= {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    assert [name for name in calls | imports if "linalg" in name.split(".")] == []
+
+
+def _sampled_refit(segs, endpoint_tol_m, angle_tol_deg):
+    """The refit merge_refit replaced: a chain of two or more sampled every
+    5 cm, endpoints included, and fit by total least squares."""
+    out = []
+    for members in ref.chains([LineSegment2(*s) for s in segs], endpoint_tol_m, angle_tol_deg):
+        if len(members) == 1:
+            out.append(segs[members[0]])
+            continue
+        pts = np.vstack([
+            s[0] + np.linspace(0.0, 1.0, max(2, int(np.ceil(_length(s) / 0.05)) + 1))[:, None] * (s[1] - s[0])
+            for s in segs[members]
+        ])
+        mean = pts.mean(axis=0)
+        axis = np.linalg.eigh((pts - mean).T @ (pts - mean))[1][:, 1]
+        t = (pts - mean) @ axis
+        out.append([mean + t.min() * axis, mean + t.max() * axis])
+    return np.array(out)
+
+
+# the first A4 scenes; over 100 of them the largest corner move is 2.2 mm
+A4_CORNER_SCENES = 5
+# over twice that worst case, and a sixth of the 3 cm scan noise
+CORNER_MOVE_M = 5e-3
+
+
+def test_corners_stay_where_the_sampled_refit_put_them():
+    # the tier-1 A4 scenes: the pooled refit keeps every corner of the
+    # 5 cm sampled one, and moves none by more than CORNER_MOVE_M
+    cfg = PipelineConfig()
+    layout = generate_layout(seed=21, n_rooms=12, corridor=True, extent_m=48.0)
+    for k in range(A4_CORNER_SCENES):
+        gt = random_interior_pose(layout, np.random.default_rng(9000 + k))
+        submap = synthesize_submap(
+            layout.wall_model, gt, radius_m=15.0, noise_sigma_m=0.03,
+            drop_wall_frac=0.2, clutter_frac=0.1, seed=9000 + k,
+        ).submap
+        patches = segment_planes(submap.points, cfg.s_v, cfg.sigma_lambda).patches
+        patches = merge_patches(patches, cfg.normal_tol_deg, cfg.dist_tol_m)
+        walls = classify_patches(patches, submap.gravity, cfg.gravity_tol_deg)[0]
+        wall_of = np.full(len(patches) + 1, -1)
+        wall_of[walls] = np.arange(walls.shape[0])
+        row_wall = wall_of[patches.label]
+        rows = row_wall >= 0
+        segs = patch_segments(
+            submap.points[rows, :2], row_wall[rows], patches.centroid[walls, :2], patches.normal[walls, :2]
+        )
+        got = extract_submap_features(submap, cfg).corners
+        merged = _sampled_refit(segs, cfg.endpoint_tol_m, cfg.angle_tol_deg)
+        want = extract_corners(merged, cfg.extend_m, cfg.nms_radius_m, cfg.min_angle_deg)
+        assert len(got) == len(want) > 0, k
+        gap = np.linalg.norm(got.pos[:, None] - want.pos[None], axis=2)
+        assert gap.min(axis=1).max() <= CORNER_MOVE_M and gap.min(axis=0).max() <= CORNER_MOVE_M, k
 
 
 # --- corners ---
