@@ -73,8 +73,14 @@ def patch_segments(
     n = np.asarray(normal_xy, dtype=np.float64)
     u = np.stack([-n[:, 1], n[:, 0]], axis=1) / np.hypot(n[:, 0], n[:, 1])[:, None]
     c = np.asarray(centroid_xy, dtype=np.float64)
-    d = np.asarray(points_xy, dtype=np.float64) - c[label]
-    t = d[:, 0] * u[label, 0] + d[:, 1] * u[label, 1]
+    xy = np.asarray(points_xy, dtype=np.float64)
+    # one column at a time, the operations of (xy - c) . u on whole rows
+    t = xy[:, 0] - c[:, 0][label]
+    t *= u[:, 0][label]
+    ty = xy[:, 1] - c[:, 1][label]
+    ty *= u[:, 1][label]
+    t += ty
+    del ty
     # by patch, then along the line: any sort along the line, as tied
     # projections give the same runs in either order, then a stable sort
     # on the narrowest patch type, which numpy radix-sorts up to 16 bits

@@ -1,10 +1,10 @@
 """End-to-end registration, evaluation, and reliability harnesses.
 
 A floor is prepared once (corners, descriptor DB, score field); each
-submap is reduced once to corners, a descriptor DB, and ground /
-non-ground scoring sets (thinned to `scoring_max_points` rows each as
-they are gathered), then matched against every prepared floor. The
-report with the highest verification confidence wins.
+submap is reduced once to corners, their descriptor triplets, and
+ground / non-ground scoring sets (thinned to `scoring_max_points` rows
+each as they are gathered), then matched against every prepared floor.
+The report with the highest verification confidence wins.
 
 Every submap runs every stage (one without walls casts no votes), and
 a floor fails at one exit, in voting or verification, with the counts
@@ -131,7 +131,7 @@ def _stage(timings: Dict[str, float], name: str) -> Iterator[None]:
 
 
 def extract_submap_features(submap: Submap, cfg: PipelineConfig) -> SubmapFeatures:
-    """Submap -> wall corners, descriptor DB, and scoring point sets.
+    """Submap -> wall corners, descriptor triplets, and scoring point sets.
 
     Wall segments are the point runs along each wall patch's line
     (`lines.patch_segments`); a submap without wall patches gets no
@@ -164,13 +164,16 @@ def extract_submap_features(submap: Submap, cfg: PipelineConfig) -> SubmapFeatur
         q_ng_xy = points[thin_rows(np.flatnonzero(~g_mask), cfg.scoring_max_points), :2]
 
     with _stage(timings, "lines"):
-        # each row's wall 0..W-1, -1 off the walls; label -1 reads the last slot
-        wall_of = np.full(len(patches) + 1, -1, dtype=np.int64)
+        # the wall rows as indices, each labelled with its wall 0..W-1
+        rows = np.flatnonzero(patches.mask(walls))
+        wall_of = np.full(len(patches), -1, dtype=np.int64)
         wall_of[walls] = np.arange(walls.shape[0])
-        row_wall = wall_of[patches.label]
-        rows = row_wall >= 0
+        # a take of whole rows copies several times faster than the fancy
+        # index points[rows, :2]; patch_segments reads the view's x and y
+        # one column at a time
         segments = patch_segments(
-            points[rows, :2], row_wall[rows], patches.centroid[walls, :2], patches.normal[walls, :2],
+            np.take(points, rows, axis=0)[:, :2], wall_of[patches.label[rows]],
+            patches.centroid[walls, :2], patches.normal[walls, :2],
         )
         segments = merge_refit(segments, cfg.endpoint_tol_m, cfg.angle_tol_deg)
         corners = extract_corners(segments, cfg.extend_m, cfg.nms_radius_m, cfg.min_angle_deg)

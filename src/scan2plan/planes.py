@@ -4,7 +4,8 @@ Points are binned into voxels of size s_v. A voxel whose covariance
 eigenvalues (l1 >= l2 >= l3, l3 floored at 1e-12) satisfy l2/l3 >
 sigma_lambda is kept as a planar patch; otherwise it splits into eight
 children (octree segmentation after Vo et al., ISPRS J. 2015). Cells
-with fewer than four points are discarded.
+with fewer than four points are discarded, and the split stops at a
+level where no cell has four.
 
 The octree sorts the points once. Level 0 keys a row by its cell's three
 integer coordinates packed mixed radix over the extent present, built
@@ -286,6 +287,9 @@ def segment_planes(
         m = rows.shape[0]
         counts = np.diff(np.append(starts, m))
         n_groups = starts.shape[0]
+        big = np.flatnonzero(counts >= MIN_CELL_POINTS)
+        if depth and not big.shape[0]:  # no cell left to fit or split
+            break
 
         # segment sums over the sorted columns: a cell's rows are contiguous,
         # in ascending row order
@@ -298,7 +302,6 @@ def segment_planes(
                 prods[:, j, i] = prods[:, i, j]
         del buf
 
-        big = np.flatnonzero(counts >= MIN_CELL_POINTS)
         normal, eig = _fit_planes(counts[big], sums[big], prods[big])
         flat = eig[:, 1] / np.maximum(eig[:, 2], EIGENVALUE_FLOOR) > sigma_lambda
         planar, normal, eig = big[flat], normal[flat], eig[flat]
@@ -347,22 +350,26 @@ def _touching_pairs(lo: np.ndarray, hi: np.ndarray, eps: float = 1e-9) -> Tuple[
     """Index pairs (i, j), i < j, of the (n, 3) boxes [lo, hi] that touch.
 
     Two boxes touch when on every axis each one's lo is at most the
-    other's hi + eps. A sweep over the boxes sorted by lo x: a box can
-    touch only the later ones whose lo x is at most its hi x + eps, and
-    one searchsorted finds where those end. Pairs come out in sweep order.
+    other's hi + eps. Every box must have lo <= hi. A sweep over the
+    boxes sorted by lo x: a box p can touch only the later ones q whose
+    lo x is at most its hi x + eps, and one searchsorted finds where
+    those end. That bound is the x test of q against p, made with the
+    same float sum, and lo x of p <= lo x of q <= hi x of q is the x test
+    of p against q, so only y and z are tested, y first to thin the
+    candidates. Pairs come out in sweep order.
     """
     order = np.argsort(lo[:, 0], kind="stable")
-    lo, hi = lo[order], hi[order]
     n = order.shape[0]
     after = np.arange(1, n + 1)
-    n_cand = np.maximum(np.searchsorted(lo[:, 0], hi[:, 0] + eps, side="right") - after, 0)
+    n_cand = np.maximum(np.searchsorted(lo[order, 0], hi[order, 0] + eps, side="right") - after, 0)
     # candidate k of box p is the box at sorted position p + 1 + k
     p = np.repeat(np.arange(n), n_cand)
     q = np.arange(p.shape[0]) - np.repeat(np.cumsum(n_cand) - n_cand - after, n_cand)
-    touch = np.ones(p.shape[0], dtype=bool)
-    for a in range(3):
-        touch &= (lo[q, a] <= hi[p, a] + eps) & (lo[p, a] <= hi[q, a] + eps)
-    i, j = order[p[touch]], order[q[touch]]
+    for a in (1, 2):
+        la, ha = lo[order, a], hi[order, a]
+        touch = (la[q] <= ha[p] + eps) & (la[p] <= ha[q] + eps)
+        p, q = p[touch], q[touch]
+    i, j = order[p], order[q]
     return np.minimum(i, j), np.maximum(i, j)
 
 
@@ -373,8 +380,9 @@ def merge_patches(patches: Patches, normal_tol_deg: float = 10.0, dist_tol_m: fl
     within 1e-9 m, found by a sweep over the boxes sorted by lower x)
     and are coplanar (normals within the angle, each
     centroid within dist_tol_m of the other's plane). Its moments are
-    its members' summed in ascending patch order, so a single-patch
-    group keeps its plane bit for bit, and its cell box spans theirs.
+    its members' summed in ascending patch order, and its cell box spans
+    theirs; a single-patch group takes its member's moments as they are,
+    -0.0 entries included, so it keeps its plane bit for bit.
     Groups are relabelled in order of their rounded centroids. Raises
     ValueError unless both tolerances are finite and positive.
     """
@@ -394,7 +402,8 @@ def merge_patches(patches: Patches, normal_tol_deg: float = 10.0, dist_tol_m: fl
         & (np.abs(np.vecdot(normals[j], gap)) <= dist_tol_m)
     )
 
-    group_of = connected_labels(n, i[coplanar], j[coplanar])
+    i, j = i[coplanar], j[coplanar]
+    group_of = connected_labels(n, i, j)
     n_groups = int(group_of.max()) + 1
 
     def pool(ufunc, a, start):
@@ -404,13 +413,19 @@ def merge_patches(patches: Patches, normal_tol_deg: float = 10.0, dist_tol_m: fl
         return out
 
     count, sums, prods = (pool(np.add, a, 0) for a in (patches.count, patches.sums, patches.prods))
+    # a single-patch group takes its member's moments as they are: pooling
+    # from +0.0 would turn a -0.0 entry into +0.0
+    multi = np.zeros(n_groups, dtype=bool)
+    multi[group_of[i]] = True  # every merged pair lies in one group
+    single = np.flatnonzero(~multi[group_of])
+    sums[group_of[single]], prods[group_of[single]] = patches.sums[single], patches.prods[single]
     cell_lo, cell_hi = pool(np.minimum, lo, np.inf), pool(np.maximum, hi, -np.inf)
     normal, eig = _fit_planes(count, sums, prods)
 
     r = np.round(sums / count[:, None], 9)
     order = np.lexsort((r[:, 2], r[:, 1], r[:, 0]))
-    new_of = np.argsort(order)[group_of]
-    label = np.where(patches.label >= 0, new_of[patches.label], -1)
+    # label -1 reads the appended last slot
+    label = np.append(np.argsort(order)[group_of], -1)[patches.label]
     return Patches(label, *(f[order] for f in (count, sums, prods, normal, eig, cell_lo, cell_hi)))
 
 

@@ -482,8 +482,17 @@ def test_planes_and_ground_mask_match_oracle(pts, s_v, sigma):
     assert np.array_equal(mask, ref._ground_mask(pts, want_kinds[1]))
 
 
+# a single-patch group with a -0.0 product sum (x * 0.0 for x < 0): pooled
+# from +0.0 it came back +0.0
 @settings(SETTINGS, max_examples=200)
 @given(point_sets(), st.sampled_from([2.0, 1.0, 0.5]), st.sampled_from([10.0, 3.0]))
+@example(
+    np.array([
+        [0.81327024, -0.08724442, 0.0], [0.60663578, -0.27050344, 0.0],
+        [0.04097352, -0.98347236, 0.0], [0.63696169, -0.73021329, 0.0],
+    ]),
+    2.0, 10.0,
+)
 def test_merged_planes_from_pooled_moments(pts, s_v, sigma):
     """A merged patch counts its rows; a single-patch group keeps its cell's
     fit bit for bit; a pooled plane lies within 1e-9 of a centred refit."""
@@ -554,14 +563,20 @@ def test_front_end_keeps_every_scoring_row_at_cap_zero():
     _assert_front_end_matches_oracle(PipelineConfig(scoring_max_points=0))
 
 
-def _assert_front_end_matches_oracle(cfg):
+def test_front_end_matches_oracle_on_noisy_scene():
+    # 3 cm sensor noise, as in the benchmark's scans: no coordinate is exact,
+    # so every projection and moment rounds
+    _assert_front_end_matches_oracle(PipelineConfig(), noise_sigma_m=0.03)
+
+
+def _assert_front_end_matches_oracle(cfg, noise_sigma_m=0.0):
     """Corners bit for bit, and each scoring set equal to the oracle's
     `_subsample` of the masked rows: thinned to the cap when it has more
     rows, every row at a cap of 0."""
     layout = generate_layout(seed=2, n_rooms=4, corridor=True, extent_m=24.0)
     scene = synthesize_submap(
         layout.wall_model, Se2Pose(6.0, 5.0, 0.3), radius_m=10.0, seed=11,
-        drop_wall_frac=0.2, clutter_frac=0.1,
+        noise_sigma_m=noise_sigma_m, drop_wall_frac=0.2, clutter_frac=0.1,
     )
     pts = scene.submap.points
     feats = extract_submap_features(scene.submap, cfg)
