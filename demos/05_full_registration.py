@@ -21,8 +21,7 @@ floors = []
 for seed in (7, 31):
     layout = generate_layout(seed=seed, n_rooms=8, corridor=True, extent_m=40.0)
     floors.append((layout, build_floor_index(layout.wall_model, cfg)))
-    print("indexed floor %s: %d corners, %d triplets" % (
-        layout.wall_model.floor_id, len(floors[-1][1].corners), floors[-1][1].db.n_triplets))
+    print("indexed floor %s: %d triplets" % (layout.wall_model.floor_id, floors[-1][1].db.n_triplets))
 
 # scan somewhere on the first floor
 home = floors[0][0]

@@ -49,7 +49,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("pipeline parameters")
     g.add_argument("--config", metavar="FILE", help="flat key = value parameter file")
     for f in dataclasses.fields(PipelineConfig):
-        g.add_argument("--%s" % f.name, metavar="V", dest="cfg_%s" % f.name)
+        g.add_argument("--%s" % f.name, metavar="V", dest="cfg_%s" % f.name, action=_Once)
 
 
 def _config_of(args) -> PipelineConfig:

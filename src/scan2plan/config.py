@@ -2,15 +2,16 @@
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .errors import ParseError
 from .voting import yaw_bins
 
-# fields exempt from the positive check: lam and scoring_max_points may
-# be 0, min_confidence any finite value
-_UNSIGNED = ("lam", "scoring_max_points", "min_confidence")
+# fields exempt from the positive check: lam may be 0, min_confidence
+# any finite value
+_UNSIGNED = ("lam", "min_confidence")
 
 
 @dataclass
@@ -44,22 +45,23 @@ class PipelineConfig:
     s_r: float = 0.2
     k_d: int = 5
     lam: float = 0.5
-    scoring_max_points: int = 5000  # 0 disables subsampling
     min_confidence: float = 0.8
 
     def validate(self) -> None:
-        """Raise ValueError on any out-of-range or non-finite parameter."""
+        """Raise ValueError on any out-of-range or non-finite parameter,
+        or an integer field that holds a non-integer."""
         for f in dataclasses.fields(self):
             v = getattr(self, f.name)
+            if type(f.default) is int and not isinstance(v, numbers.Integral):
+                raise ValueError("%s must be an integer, got %r" % (f.name, v))
             if isinstance(v, float) and not math.isfinite(v):
                 raise ValueError("%s must be finite, got %r" % (f.name, v))
             if f.name in _UNSIGNED:
                 continue
             if v <= 0:
                 raise ValueError("%s must be positive, got %r" % (f.name, v))
-        for name in ("lam", "scoring_max_points"):
-            if getattr(self, name) < 0:
-                raise ValueError("%s must be >= 0, got %r" % (name, getattr(self, name)))
+        if self.lam < 0:
+            raise ValueError("lam must be >= 0, got %r" % (self.lam,))
         yaw_bins(self.r_yaw_deg)  # raises for fewer than MIN_YAW_BINS bins
         if not self.l_cells >= self.k_cells >= self.j_candidates:
             raise ValueError(
@@ -69,8 +71,10 @@ class PipelineConfig:
 
 
 def parse_config_file(path) -> Dict[str, str]:
-    """Read flat `key = value` lines; '#' starts a comment."""
+    """Read flat `key = value` lines; '#' starts a comment. A key given
+    twice raises ParseError naming both lines."""
     out: Dict[str, str] = {}
+    first_line: Dict[str, int] = {}
     with open(path, "r") as fh:
         for ln, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -81,20 +85,13 @@ def parse_config_file(path) -> Dict[str, str]:
             key, value = (part.strip() for part in line.split("=", 1))
             if not key or not value:
                 raise ParseError("%s:%d: expected key = value" % (path, ln))
-            out[key] = value
+            if key in out:
+                raise ParseError("%s:%d: %s is already set at line %d" % (path, ln, key, first_line[key]))
+            out[key], first_line[key] = value, ln
     return out
 
 
-def _coerce(key: str, text: str, kind: type):
-    try:
-        return kind(text)
-    except ValueError:
-        raise ParseError("bad value for %s: %r" % (key, text))
-
-
-def make_config(
-    file_path=None, overrides: Optional[Dict[str, str]] = None
-) -> PipelineConfig:
+def make_config(file_path=None, overrides: Optional[Dict[str, str]] = None) -> PipelineConfig:
     """Defaults, then config file, then explicit overrides; validated.
 
     Bad file content raises ParseError; bad override keys or values are
@@ -102,25 +99,16 @@ def make_config(
     """
     cfg = PipelineConfig()
     kinds = {f.name: type(f.default) for f in dataclasses.fields(PipelineConfig)}
-    merged: Dict[str, str] = {}
-    from_file = set()
-    if file_path is not None:
-        merged.update(parse_config_file(file_path))
-        from_file.update(merged)
-    if overrides:
-        for k, v in overrides.items():
-            merged[k] = str(v)
-            from_file.discard(k)
-    for key, text in merged.items():
+    from_file = parse_config_file(file_path) if file_path is not None else {}
+    overrides = {k: str(v) for k, v in (overrides or {}).items()}
+    for key, text in {**from_file, **overrides}.items():
+        error = ValueError if key in overrides else ParseError
         if key not in kinds:
-            msg = "unknown config key %r" % (key,)
-            raise ParseError(msg) if key in from_file else ValueError(msg)
+            raise error("unknown config key %r" % (key,))
         try:
-            setattr(cfg, key, _coerce(key, text, kinds[key]))
-        except ParseError:
-            if key in from_file:
-                raise
-            raise ValueError("bad value for %s: %r" % (key, text))
+            setattr(cfg, key, kinds[key](text))
+        except ValueError:
+            raise error("bad value for %s: %r" % (key, text)) from None
     cfg.validate()
     return cfg
 

@@ -10,7 +10,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DegenerateInput, check_positive
+from .errors import DegenerateInput
 
 __all__ = [
     "Se2Pose",
@@ -21,10 +21,16 @@ __all__ = [
     "registration_success",
 ]
 
+# a registration succeeds within these rotation (deg) and translation (m) errors
+SUCCESS_ROT_DEG = 5.0
+SUCCESS_TRANS_M = 3.0
+
 
 def normalize_angle(angle):
-    """Wrap an angle (scalar or array, radians) to [-pi, pi)."""
-    return np.mod(angle + np.pi, 2.0 * np.pi) - np.pi
+    """Wrap an angle (scalar or array, radians) to [-pi, pi), keeping its
+    type; the modulo rounds some angles just below -pi up to +pi."""
+    r = np.mod(angle + np.pi, 2.0 * np.pi) - np.pi
+    return np.where(r >= np.pi, -np.pi, r)[()]
 
 
 @dataclass(frozen=True)
@@ -162,8 +168,8 @@ def pose_errors(est: Se2Pose, gt: Se2Pose) -> Tuple[float, float]:
     return rot_err, math.hypot(gt.x - est.x, gt.y - est.y)
 
 
-def registration_success(est: Se2Pose, gt: Se2Pose, rot_tol_deg: float = 5.0, trans_tol_m: float = 3.0) -> bool:
-    """Success test: both pose errors under their tolerances, which must be finite and positive."""
-    check_positive(rot_tol_deg=rot_tol_deg, trans_tol_m=trans_tol_m)
+def registration_success(est: Se2Pose, gt: Se2Pose) -> bool:
+    """Success test: rotation error under SUCCESS_ROT_DEG and translation
+    error under SUCCESS_TRANS_M."""
     rot_err, trans_err = pose_errors(est, gt)
-    return bool(rot_err < rot_tol_deg and trans_err < trans_tol_m)
+    return bool(rot_err < SUCCESS_ROT_DEG and trans_err < SUCCESS_TRANS_M)

@@ -31,20 +31,24 @@ __all__ = [
 
 @dataclass
 class Submap:
-    """World-frame point cloud with its gravity vector, normalized.
+    """World-frame (N, 3) point cloud with its gravity vector, normalized.
 
-    InvalidSubmap when a point is not finite or gravity is zero or not
-    finite.
+    InvalidSubmap when the points are not (N, 3) or a point is not
+    finite, or when gravity has not 3 elements or is zero or not finite.
     """
 
     points: np.ndarray
     gravity: np.ndarray
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
+        self.points = np.asarray(self.points, dtype=float)
+        if self.points.ndim != 2 or self.points.shape[1] != 3:
+            raise InvalidSubmap("submap points must be (N, 3), got shape %s" % (self.points.shape,))
         if not np.all(np.isfinite(self.points)):
             raise InvalidSubmap("submap has non-finite points")
         g = np.asarray(self.gravity, dtype=float)
+        if g.shape != (3,):
+            raise InvalidSubmap("gravity must have 3 elements, got shape %s" % (g.shape,))
         norm = np.linalg.norm(g)
         if not (np.isfinite(norm) and norm > 0.0):
             raise InvalidSubmap("gravity must be finite and non-zero, got %s" % (g,))

@@ -2,8 +2,8 @@
 
 A floor is prepared once (corners, descriptor DB, score field); each
 submap is reduced once to corners, their descriptor triplets, and
-ground / non-ground scoring sets (thinned to `scoring_max_points` rows
-each as they are gathered), then matched against every prepared floor.
+ground / non-ground scoring sets (thinned by `verify.thin_rows` as
+they are gathered), then matched against every prepared floor.
 The report with the highest verification confidence wins.
 
 Every submap runs every stage (one without walls casts no votes), and
@@ -41,10 +41,9 @@ STAGES = ("planes", "lines", "descriptors", "query", "vote", "verify")
 
 @dataclass
 class FloorIndex:
-    """Per-floor assets prepared offline: corners, DB, score field."""
+    """Per-floor assets prepared offline: the corners' DB, the score field."""
 
     model: WallModel
-    corners: Corners
     db: DescriptorDB
     field: ScoreField
 
@@ -53,7 +52,7 @@ class FloorIndex:
 class SubmapFeatures:
     """Everything extracted from one submap, reusable across floors.
 
-    The scoring sets hold the xy of at most `scoring_max_points` rows
+    The scoring sets hold the xy of at most `SCORING_MAX_POINTS` rows
     each, picked by `verify.thin_rows`."""
 
     corners: Corners
@@ -117,7 +116,7 @@ def build_floor_index(model: WallModel, cfg: PipelineConfig) -> FloorIndex:
         field = build_score_field(walls, cfg.s_r, cfg.k_d)
     except ValueError as exc:  # k_d and every LineSegment2 are validated, so only the extent is left
         raise InvalidModel("floor %s: %s" % (model.floor_id, exc)) from None
-    return FloorIndex(model, corners, db, field)
+    return FloorIndex(model, db, field)
 
 
 @contextmanager
@@ -160,8 +159,8 @@ def extract_submap_features(submap: Submap, cfg: PipelineConfig) -> SubmapFeatur
         walls, ground, _ = classify_patches(patches, submap.gravity, cfg.gravity_tol_deg)
         g_mask = patches.mask(ground)
         # only the rows scoring keeps are gathered
-        q_g_xy = points[thin_rows(np.flatnonzero(g_mask), cfg.scoring_max_points), :2]
-        q_ng_xy = points[thin_rows(np.flatnonzero(~g_mask), cfg.scoring_max_points), :2]
+        q_g_xy = points[thin_rows(np.flatnonzero(g_mask)), :2]
+        q_ng_xy = points[thin_rows(np.flatnonzero(~g_mask)), :2]
 
     with _stage(timings, "lines"):
         # the wall rows as indices, each labelled with its wall 0..W-1

@@ -20,8 +20,8 @@ cell index to [-4, n + 3] and reading the bordered copy with one flat
 gather, so a point off the grid reads 0.0. Per element these are the
 operations of the plain broadcasts, so every sum is bit-identical to a
 masked 2-D lookup. The pipeline thins its scoring sets once per submap,
-when it extracts them, to at most a cap of rows by one even stride
-(`thin_rows`); `select_best` scores every point it is given. Every
+when it extracts them, to at most SCORING_MAX_POINTS rows by one even
+stride (`thin_rows`); `select_best` scores every point it is given. Every
 candidate runs through the same two scratch buffers.
 
 Selection is exact branch and bound in three phases.
@@ -48,7 +48,7 @@ gets the trivial s_a <= n_ng. A relative margin of (n_ng + 8) * 2^-48,
 more than ten times what is needed, covers the rounding of the weighted
 sums against the exact ones. The pass runs in chunks of rows // cells
 candidates through the scratch buffers, about nine candidates per
-lookup at the default cap. Against cells of s_r and a 3x3 window, this
+lookup at 5000 rows. Against cells of s_r and a 3x3 window, this
 halves the lookups (on `building`, 37,000 against 76,000 a call) for a
 slightly looser bound.
 
@@ -75,7 +75,7 @@ candidates have no exact score.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy.ndimage import distance_transform_cdt, maximum_filter
@@ -83,6 +83,8 @@ from scipy.ndimage import distance_transform_cdt, maximum_filter
 from .errors import EmptyModel, EmptySubmap, NoCandidates, check_positive
 from .voting import Candidates
 
+# rows kept of each scoring set (`thin_rows`)
+SCORING_MAX_POINTS = 5000
 # largest wall raster; the biggest generated floor needs 131,835 cells
 MAX_RASTER_CELLS = 2**26
 # cells one chunk of the raster's column pass may walk (see _rasterize)
@@ -259,8 +261,8 @@ def build_score_field(walls: np.ndarray, s_r: float = 0.2, k_d: int = 5) -> Scor
     if walls.shape[0] == 0:
         raise EmptyModel("no walls to build a score field from")
     check_positive(s_r=s_r)
-    if not k_d >= 1:  # also rejects NaN
-        raise ValueError("k_d must be >= 1, got %r" % (k_d,))
+    if not (isinstance(k_d, (int, np.integer)) and k_d >= 1):
+        raise ValueError("k_d must be an integer >= 1, got %r" % (k_d,))
     grid, origin = _rasterize(walls, 1.0 / s_r, k_d + 2)
     dist = distance_transform_cdt(~grid, metric="chessboard").astype(np.float64)
     values = np.where(dist <= k_d, 1.0 - (dist / k_d) * (1.0 - 1.0 / k_d), 0.0)
@@ -278,11 +280,11 @@ def _mass(field: ScoreField, q: np.ndarray, rot_t, shift, buf, idx) -> float:
     return float(field._lookup(xy, shift, buf, idx).sum())
 
 
-def thin_rows(a: np.ndarray, cap: Optional[int]) -> np.ndarray:
-    """The rows of `a` at an even stride, `cap` of them when it has more;
-    a cap of None or 0 keeps every row."""
-    if cap and a.shape[0] > cap:
-        return a[np.linspace(0, a.shape[0] - 1, cap).astype(np.int64)]
+def thin_rows(a: np.ndarray) -> np.ndarray:
+    """The rows of `a` at an even stride, SCORING_MAX_POINTS of them when
+    it has more."""
+    if a.shape[0] > SCORING_MAX_POINTS:
+        return a[np.linspace(0, a.shape[0] - 1, SCORING_MAX_POINTS).astype(np.int64)]
     return a
 
 
@@ -376,7 +378,7 @@ def select_best(
 
     Ties on confidence fall back to vote count, then to the
     lexicographically smallest pose. Every candidate reuses the same two
-    scratch buffers; a caller caps the scored points with `thin_rows`.
+    scratch buffers; the pipeline caps the scored points with `thin_rows`.
 
     Branch and bound, exact: every candidate gets a coarse upper bound
     on its confidence (`_coarse_bounds`), and candidates are visited in

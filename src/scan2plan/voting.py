@@ -22,7 +22,7 @@ only for a row that is read as one.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -210,22 +210,22 @@ def _neighbor_table(grid: VoteGrid) -> np.ndarray:
 
 def hierarchical_vote(
     grid: VoteGrid,
-    l_cells: Optional[int] = 10000,
-    k_cells: Optional[int] = 5000,
-    j_candidates: Optional[int] = 1500,
+    l_cells: int = 10000,
+    k_cells: int = 5000,
+    j_candidates: int = 1500,
 ) -> Candidates:
-    """Three-step candidate extraction; None limits mean keep everything.
+    """Three-step candidate extraction under three integer limits.
 
     Returns the top groups ranked by merged score, ties on the smallest
     cell's packed index; each group's mean pose is composed with
     T(-grid.pivot), so it is in the caller's frame.
 
-    Raises ValueError for a limit that is not at least 1 (NaN included),
+    Raises ValueError for a limit that is not an integer of at least 1,
     or a grid of fewer than MIN_YAW_BINS yaw bins.
     """
     for name, limit in (("l_cells", l_cells), ("k_cells", k_cells), ("j_candidates", j_candidates)):
-        if limit is not None and not limit >= 1:
-            raise ValueError("%s must be None or at least 1, got %r" % (name, limit))
+        if not (isinstance(limit, (int, np.integer)) and limit >= 1):
+            raise ValueError("%s must be an integer of at least 1, got %r" % (name, limit))
     if grid.n_yaw_bins < MIN_YAW_BINS:
         raise ValueError("a vote grid needs at least %d yaw bins, got %d" % (MIN_YAW_BINS, grid.n_yaw_bins))
     n = grid.packed.shape[0]

@@ -38,7 +38,6 @@ from scan2plan.verify import (
     _rasterize,
     build_score_field,
     select_best,
-    thin_rows,
 )
 from scan2plan.voting import Candidate, Candidates, VoteGrid, _neighbor_table, hierarchical_vote
 
@@ -208,7 +207,7 @@ def test_raster_chunks_match_oracle(monkeypatch, chunk):
 
 def _bounds(field, cands, q_ng, q_g, cap):
     """(coarse, exact phase-1) bounds of every candidate."""
-    q_ng, _, buf, idx = _prepare(thin_rows(q_ng, cap), thin_rows(q_g, cap))
+    q_ng, _, buf, idx = _prepare(ref._subsample(q_ng, cap), ref._subsample(q_g, cap))
     coarse = _coarse_bounds(field, ref.candidates_of(cands).xyt, q_ng, buf, idx)
     return coarse.tolist(), [ref.award_only(field, c.pose, q_ng) for c in cands]
 
@@ -218,7 +217,8 @@ def _assert_selection_matches_oracle(field, cands, q_ng, q_g, lam, cap) -> int:
     same result bits, and for every candidate coarse bound >= phase-1
     bound >= exact confidence."""
     want_best, want = ref.select_best(field, cands, q_ng, q_g, lam=lam, max_points=cap)
-    got_best, got = select_best(field, ref.candidates_of(cands), thin_rows(q_ng, cap), thin_rows(q_g, cap), lam=lam)
+    thinned = ref._subsample(q_ng, cap), ref._subsample(q_g, cap)
+    got_best, got = select_best(field, ref.candidates_of(cands), *thinned, lam=lam)
     assert got_best == want_best
     assert _result_key(got) == _result_key(want[want_best])
     coarse, exact = _bounds(field, cands, q_ng, q_g, cap)
@@ -275,7 +275,8 @@ def test_lam_zero_is_award_only(selection, cap):
     field, q_ng, q_g, cands = selection
     with np.errstate(invalid="ignore", over="ignore"):
         want_best, want = ref.select_award_only(field, cands, q_ng, cap)
-        got_best, got = select_best(field, ref.candidates_of(cands), thin_rows(q_ng, cap), thin_rows(q_g, cap), lam=0.0)
+        thinned = ref._subsample(q_ng, cap), ref._subsample(q_g, cap)
+        got_best, got = select_best(field, ref.candidates_of(cands), *thinned, lam=0.0)
     assert got_best == want_best
     assert _bits(got.confidence) == _bits(want[want_best])
 
@@ -419,7 +420,7 @@ def test_coarse_chunk_edges_match_oracle_on_a_scene():
     ]
     chunks = []
     for cap, lam in ((None, 0.5), (5000, 2.5), (333, 0.0)):
-        _, _, buf, _ = prepared = _prepare(thin_rows(q_ng, cap), thin_rows(q_g, cap))
+        _, _, buf, _ = prepared = _prepare(ref._subsample(q_ng, cap), ref._subsample(q_g, cap))
         chunks.append(buf.shape[0] // _collapse(prepared[0], field.s_r, buf)[0].shape[0])
         assert _assert_selection_matches_oracle(field, cands, q_ng, q_g, lam, cap) == 0
     assert chunks[2] == 1
@@ -476,7 +477,13 @@ def _cand_key(c):
     return (_bits([c.pose.x, c.pose.y, c.pose.yaw]), c.votes, c.merged_score, c.n_cells)
 
 
+# None is the oracle's "keep everything"; the package takes the grid's
+# cell count in its place
 limits = st.one_of(st.none(), st.integers(1, 60))
+
+
+def _or_every_cell(grid, *limits):
+    return [grid.packed.shape[0] if limit is None else limit for limit in limits]
 
 
 @SETTINGS
@@ -493,7 +500,7 @@ def test_hierarchical_vote_matches_oracle(grid, l_cells, k_cells, j_candidates):
     if l_cells is not None and k_cells is not None and k_cells > l_cells:
         k_cells = l_cells
     want = ref.hierarchical_vote(grid, l_cells, k_cells, j_candidates)
-    got = hierarchical_vote(grid, l_cells, k_cells, j_candidates)
+    got = hierarchical_vote(grid, *_or_every_cell(grid, l_cells, k_cells, j_candidates))
     assert isinstance(got, Candidates) and len(got) == len(want)
     assert got.xyt.dtype == np.float64 and got.xyt.shape == (len(want), 3)
     assert [_cand_key(got[k]) for k in range(len(got))] == [_cand_key(c) for c in want]
@@ -512,7 +519,7 @@ def test_component_across_the_yaw_wrap():
     cells = np.unique(cells, axis=0)
     counts = np.ones(cells.shape[0], np.int64)
     grid = _grid(cells, 360, counts, _mixed_sums(rng, counts))
-    got = hierarchical_vote(grid, None, None, None)
+    got = hierarchical_vote(grid, *_or_every_cell(grid, None, None, None))
     assert max(c.n_cells for c in got) > 8
     assert [_cand_key(c) for c in got] == [_cand_key(c) for c in ref.hierarchical_vote(grid, None, None, None)]
 
@@ -530,11 +537,12 @@ def test_selection_over_candidate_arrays_matches_oracle(data):
     q_g = data.draw(probes(field)) if data.draw(st.booleans()) else np.zeros((0, 2))
     lam, cap = data.draw(st.sampled_from([0.0, 0.5, 2.5])), data.draw(caps)
     j_candidates = data.draw(limits)
-    cands = hierarchical_vote(grid, None, None, j_candidates)
+    cands = hierarchical_vote(grid, *_or_every_cell(grid, None, None, j_candidates))
     want_cands = ref.hierarchical_vote(grid, None, None, j_candidates)
     with np.errstate(invalid="ignore", over="ignore"):
         want_best, want = ref.select_best(field, want_cands, q_ng, q_g, lam=lam, max_points=cap)
-        got_best, got = select_best(field, cands, thin_rows(q_ng, cap), thin_rows(q_g, cap), lam=lam)
+        thinned = ref._subsample(q_ng, cap), ref._subsample(q_g, cap)
+        got_best, got = select_best(field, cands, *thinned, lam=lam)
     assert got_best == want_best
     assert _result_key(got) == _result_key(want[want_best])
 

@@ -276,6 +276,25 @@ def test_bad_parameter_value(tmp_path, capsys):
     assert code == 2  # the same mistake inside a config file is bad data
 
 
+def test_repeated_config_flag_exits_one(tmp_path, capsys):
+    # a second --s_v used to replace the first silently, as --model did
+    plan = tmp_path / "sq.txt"
+    plan.write_text(UNIT_SQUARE)
+    with pytest.raises(SystemExit) as e:
+        _register_unread(tmp_path, plan, "--s_v", "1.5", "--s_v", "3.0")
+    assert e.value.code == 1
+    assert "argument --s_v: given more than once" in capsys.readouterr().err
+
+
+def test_config_key_given_twice_exits_two(tmp_path, capsys):
+    plan = tmp_path / "sq.txt"
+    plan.write_text(UNIT_SQUARE)
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text("s_v = 1.5\ns_v = 3.0\n")
+    assert _register_unread(tmp_path, plan, "--config", str(cfgf)) == 2
+    assert "run.cfg:2: s_v is already set at line 1" in capsys.readouterr().err
+
+
 def test_non_finite_parameter_exit_code(tmp_path, capsys):
     plan, scenes = _gen(tmp_path, capsys)
     scene = sorted(scenes.glob("*.submap"))[0]

@@ -25,6 +25,7 @@ def test_default_parameter_values():
     assert cfg.r_xy == 0.15
     assert cfg.r_yaw_deg == 1.0
     assert (cfg.l_cells, cfg.k_cells, cfg.j_candidates) == (10000, 5000, 1500)
+    assert len(dataclasses.fields(PipelineConfig)) == 23
     cfg.validate()
 
 
@@ -62,6 +63,14 @@ def test_unknown_key_rejected(tmp_path):
             make_config(file_path=p)
         with pytest.raises(ValueError, match="unknown config key"):
             make_config(overrides={key: "1"})
+
+
+def test_key_given_twice_in_a_file_rejected(tmp_path):
+    # the second value used to win silently
+    p = tmp_path / "run.cfg"
+    p.write_text("s_v = 1.5\n# comment\ns_v = 3.0\n")
+    with pytest.raises(ParseError, match=r"run.cfg:3: s_v is already set at line 1"):
+        make_config(file_path=p)
 
 
 def test_malformed_line_rejected(tmp_path):
@@ -130,14 +139,21 @@ def test_three_yaw_bins_allowed():
     assert make_config(overrides={"r_yaw_deg": "179.9"}).r_yaw_deg == 179.9
 
 
-def test_zero_scoring_cap_and_negative_threshold_allowed():
+def test_zero_lam_and_negative_threshold_allowed():
     # lam = 0 is award-only scoring, which select_best takes as well
-    cfg = make_config(
-        overrides={"scoring_max_points": "0", "min_confidence": "-1.0", "lam": "0"}
-    )
+    cfg = make_config(overrides={"min_confidence": "-1.0", "lam": "0"})
     assert cfg.lam == 0.0
-    assert cfg.scoring_max_points == 0
     assert cfg.min_confidence == -1.0
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(PipelineConfig) if type(f.default) is int])
+def test_integer_fields_reject_floats(name):
+    # a float limit used to pass, then die in a slice with TypeError, and
+    # a float k_d reached the raster as a float pad
+    default = getattr(PipelineConfig(), name)
+    with pytest.raises(ValueError, match="%s must be an integer" % (name,)):
+        PipelineConfig(**{name: float(default)}).validate()
+    PipelineConfig(**{name: np.int64(default)}).validate()  # a numpy integer is one
 
 
 # --- echo -------------------------------------------------------------------
@@ -264,14 +280,12 @@ STAGE_GUARDS = [
     ("verify", "build_score_field", "s_r"),
     ("verify", "build_score_field", "k_d"),
     ("verify", "select_best", "lam"),
-    ("geometry", "registration_success", "rot_tol_deg"),
-    ("geometry", "registration_success", "trans_tol_m"),
 ]
 
 
 def _stage_inputs():
     """Valid leading arguments of each function in STAGE_GUARDS."""
-    from scan2plan import geometry, lines, planes, verify, voting
+    from scan2plan import lines, planes, verify, voting
 
     rng = np.random.default_rng(1)
     # a wall in the plane y = 0 that the octree cuts into two patches
@@ -283,7 +297,6 @@ def _stage_inputs():
     grid = voting.cast_votes((verts, verts))
     walls = np.array([[[0.0, 0.0], [4.0, 0.0]]])
     one = voting.Candidates(np.zeros((1, 3)), *(np.ones(1, dtype=np.int64) for _ in range(3)))
-    pose = geometry.Se2Pose(0.0, 0.0, 0.0)
     return {
         "segment_planes": (np.random.default_rng(0).uniform(0.0, 4.0, (64, 3)),),
         "merge_patches": (patches,),
@@ -298,7 +311,6 @@ def _stage_inputs():
         "hierarchical_vote": (grid,),
         "build_score_field": (walls,),
         "select_best": (verify.build_score_field(walls), one, xy, xy),
-        "registration_success": (pose, pose),
     }
 
 

@@ -28,6 +28,7 @@ from scan2plan.lines import MIN_RUN_M, RUN_GAP_M, extract_corners, merge_refit, 
 from scan2plan.pipeline import extract_submap_features
 from scan2plan.planes import Patches, _touching_pairs, classify_patches, merge_patches, segment_planes
 from scan2plan.synthetic import generate_layout, synthesize_submap
+from scan2plan.verify import SCORING_MAX_POINTS
 
 SETTINGS = settings(max_examples=60)
 GRAVITY = np.array([0.0, 0.0, -1.0])
@@ -559,10 +560,6 @@ def test_front_end_matches_oracle_on_scene():
     _assert_front_end_matches_oracle(PipelineConfig())
 
 
-def test_front_end_keeps_every_scoring_row_at_cap_zero():
-    _assert_front_end_matches_oracle(PipelineConfig(scoring_max_points=0))
-
-
 def test_front_end_matches_oracle_on_noisy_scene():
     # 3 cm sensor noise, as in the benchmark's scans: no coordinate is exact,
     # so every projection and moment rounds
@@ -571,8 +568,8 @@ def test_front_end_matches_oracle_on_noisy_scene():
 
 def _assert_front_end_matches_oracle(cfg, noise_sigma_m=0.0):
     """Corners bit for bit, and each scoring set equal to the oracle's
-    `_subsample` of the masked rows: thinned to the cap when it has more
-    rows, every row at a cap of 0."""
+    `_subsample` of the masked rows: thinned to SCORING_MAX_POINTS when it
+    has more rows."""
     layout = generate_layout(seed=2, n_rooms=4, corridor=True, extent_m=24.0)
     scene = synthesize_submap(
         layout.wall_model, Se2Pose(6.0, 5.0, 0.3), radius_m=10.0, seed=11,
@@ -591,9 +588,8 @@ def _assert_front_end_matches_oracle(cfg, noise_sigma_m=0.0):
 
     assert len(corners) >= 4
     _assert_corners_match(feats.corners, corners)
-    cap = cfg.scoring_max_points or None
     for got, rows in ((feats.q_g_xy, mask), (feats.q_ng_xy, ~mask)):
-        assert _bits(got) == _bits(_subsample(pts[rows][:, :2], cap))
-        assert got.shape[0] == min(int(rows.sum()), cap or pts.shape[0])
-    # the scene is large enough that the default cap thins
-    assert max(int(mask.sum()), int((~mask).sum())) > PipelineConfig().scoring_max_points
+        assert _bits(got) == _bits(_subsample(pts[rows][:, :2], SCORING_MAX_POINTS))
+        assert got.shape[0] == min(int(rows.sum()), SCORING_MAX_POINTS)
+    # the scene is large enough that the cap thins
+    assert max(int(mask.sum()), int((~mask).sum())) > SCORING_MAX_POINTS

@@ -188,3 +188,18 @@ def test_submap_rejects_bad_gravity(tmp_path):
     _raw_submap(f, [0.0, 0.0, 0.0], np.zeros((4, 3)))
     with pytest.raises(InvalidSubmap):
         load_submap(f)
+
+
+@pytest.mark.parametrize("shape", [(6, 2), (12,), (2, 2, 3), (4, 4)])
+def test_submap_rejects_points_that_are_not_n_by_3(shape):
+    # (6, 2) used to be reshaped silently into (4, 3)
+    with pytest.raises(InvalidSubmap, match=r"\(N, 3\)"):
+        Submap(np.arange(float(np.prod(shape))).reshape(shape), DOWN)
+    assert Submap(np.zeros((0, 3)), DOWN).points.shape == (0, 3)
+
+
+@pytest.mark.parametrize("g", [[0.0, 0.0, -1.0, 0.0], [0.0, -1.0], [[0.0, 0.0, -1.0]]])
+def test_submap_rejects_gravity_without_3_elements(g):
+    # a 4-element gravity used to be accepted and normalized
+    with pytest.raises(InvalidSubmap, match="3 elements"):
+        Submap(np.zeros((4, 3)), np.array(g))

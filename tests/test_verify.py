@@ -11,6 +11,7 @@ from scan2plan.errors import EmptyModel, EmptySubmap, NoCandidates
 from scan2plan.geometry import Se2Pose
 from scan2plan.synthetic import generate_layout, synthesize_submap
 from scan2plan.verify import (
+    SCORING_MAX_POINTS,
     ScoreField,
     _rasterize,
     build_score_field,
@@ -128,6 +129,15 @@ def test_empty_model_raises():
         build_score_field([])
 
 
+@pytest.mark.parametrize("k_d", [2.5, 5.0, 0, math.nan])
+def test_k_d_must_be_an_integer_of_at_least_one(k_d):
+    # a float k_d used to reach the raster as a float pad and fail there
+    # with an IndexError
+    with pytest.raises(ValueError, match="k_d must be an integer"):
+        build_score_field([_seg(0.0, 0.0, 4.0, 0.0)], k_d=k_d)
+    assert build_score_field([_seg(0.0, 0.0, 4.0, 0.0)], k_d=np.int64(2)).values.size > 0
+
+
 def test_chebyshev_metric_on_diagonal():
     # one occupied cell; the diagonal neighbor is at chessboard distance 1
     field = build_score_field([_seg(1.01, 1.01, 1.05, 1.05)], s_r=0.2, k_d=5)
@@ -241,10 +251,23 @@ def test_select_best_subsample_keeps_exact_score():
     layout, scene, q_ng, q_g = _scene()
     field = build_score_field(layout.wall_model.endpoints())
     cand = Candidate(scene.gt_pose, votes=1, merged_score=1, n_cells=1)
-    best, result = select_best(field, ref.candidates_of([cand]), thin_rows(q_ng, 500), thin_rows(q_g, 500))
+    best, result = select_best(field, ref.candidates_of([cand]), ref._subsample(q_ng, 500), ref._subsample(q_g, 500))
     assert best == 0
     assert result.n_ng == 500
     assert result.confidence == 1.0
+
+
+def test_thin_rows_keeps_the_cap_at_an_even_stride():
+    rows = np.arange(3.0 * (SCORING_MAX_POINTS + 1234)).reshape(-1, 3)
+    got = thin_rows(rows)
+    assert SCORING_MAX_POINTS == 5000 and got.shape == (SCORING_MAX_POINTS, 3)
+    assert np.array_equal(got, ref._subsample(rows, SCORING_MAX_POINTS))
+    assert np.array_equal(got[[0, -1]], rows[[0, -1]])
+    # the pipeline thins row indices; a set at the cap comes back as is
+    idx = np.arange(SCORING_MAX_POINTS + 1)
+    assert np.array_equal(thin_rows(idx), np.linspace(0, SCORING_MAX_POINTS, SCORING_MAX_POINTS).astype(np.int64))
+    at_cap = idx[:-1]
+    assert thin_rows(at_cap) is at_cap
 
 
 @pytest.mark.parametrize("lam", [-0.5, -1e-300, math.nan, math.inf, -math.inf])
@@ -350,12 +373,12 @@ def test_tied_infinite_scores_collapse():
     assert auc == pytest.approx(1.0)
 
 
-def test_select_best_cap_zero_keeps_every_point():
-    # 0 is the config's "no cap", and thin_rows reads it so too
+def test_select_best_scores_every_point_given():
+    # thinning is the pipeline's, at extraction; select_best keeps every row
     layout, scene, q_ng, q_g = _scene()
+    q_ng = np.concatenate([q_ng, q_ng])
     field = build_score_field(layout.wall_model.endpoints())
     cand = Candidate(scene.gt_pose, votes=1, merged_score=1, n_cells=1)
-    assert thin_rows(q_ng, 0) is q_ng and thin_rows(q_g, 0) is q_g
-    best, result = select_best(field, ref.candidates_of([cand]), thin_rows(q_ng, 0), thin_rows(q_g, 0))
+    assert q_ng.shape[0] > SCORING_MAX_POINTS
+    best, result = select_best(field, ref.candidates_of([cand]), q_ng, q_g)
     assert (best, result.n_ng, result.n_g) == (0, q_ng.shape[0], q_g.shape[0])
-    assert result == select_best(field, ref.candidates_of([cand]), q_ng, q_g)[1]

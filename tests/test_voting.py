@@ -177,7 +177,8 @@ def test_unlimited_extraction_matches_oracle():
     for x, y, yaw in poses:
         corrs.append(_corr(Se2Pose(x, y, yaw)))
     grid = cast_votes(_stack(corrs), residual_max_m=1e9)
-    got = hierarchical_vote(grid, l_cells=None, k_cells=None, j_candidates=None)
+    n = grid.packed.shape[0]  # limits that keep every cell and group
+    got = hierarchical_vote(grid, l_cells=n, k_cells=n, j_candidates=n)
     assert grid.pivot == PIVOT
     want = ref.pose_clusters(poses, grid.pivot)
     assert len(got) == len(want)
@@ -205,16 +206,18 @@ def test_limits_trim_but_keep_strongest():
     assert np.hypot(cands[0].pose.x - truth.x, cands[0].pose.y - truth.y) < 0.15
 
 
-@pytest.mark.parametrize("value", [0, -1, -2])
+@pytest.mark.parametrize("value", [0, -1, -2, None, math.nan, 1500.0])
 @pytest.mark.parametrize("limit", ["l_cells", "k_cells", "j_candidates"])
 def test_limits_below_one_rejected(limit, value):
     # a negative limit used to drop the weakest cells or groups silently,
-    # and 0 cells died in numpy's max of an empty array
+    # and 0 cells died in numpy's max of an empty array; a limit must be
+    # an integer, so None (once "keep everything") and NaN fail too, and
+    # 1500.0, which passed the >= 1 test and raised TypeError in a slice
     grid = cast_votes(_stack([_corr(Se2Pose(5.0 * k, 0.0, 0.0)) for k in range(3)]))
     assert grid.packed.shape[0] == 3
-    assert len(hierarchical_vote(grid, None, None, None)) == 3
+    assert len(hierarchical_vote(grid, 3, 3, 3)) == 3
     assert len(hierarchical_vote(grid, 1, 1, 1)) == 1
-    with pytest.raises(ValueError, match=limit):
+    with pytest.raises(ValueError, match="%s must be an integer of at least 1" % (limit,)):
         hierarchical_vote(grid, **{limit: value})
 
 
@@ -317,8 +320,9 @@ def test_shifting_the_source_frame_moves_only_the_poses(seed, dx, dy):
     # cell; each candidate comes back in the shifted frame
     src, dst = _cluster_corrs(np.random.default_rng(seed))
     shift = np.array([float(dx), float(dy)])
-    base = hierarchical_vote(cast_votes((src, dst)), None, None, None)
-    moved = hierarchical_vote(cast_votes((src + shift, dst)), None, None, None)
+    n = src.shape[0]  # at least the cell count: every cell and group is kept
+    base = hierarchical_vote(cast_votes((src, dst)), n, n, n)
+    moved = hierarchical_vote(cast_votes((src + shift, dst)), n, n, n)
     assert len(moved) == len(base)
     assert np.array_equal(moved.votes, base.votes)
     assert np.array_equal(moved.merged_score, base.merged_score)
