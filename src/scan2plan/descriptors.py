@@ -22,6 +22,25 @@ one binary search among the distinct keys, so its cost follows the key
 count, not the row count; a query bin outside the stored range matches
 nothing.
 
+Every value is the one the per-triplet formulas give (kept as the oracle
+`tests/scalar_descriptors.py`), computed once per clique and gathered:
+- u_e = p_{e+1} - p_e runs along edge e. The side from vertex e to e + 2
+  is -u_{e+2} exactly, as IEEE subtraction, products and rounding are
+  symmetric under negation, so its norm is |u_{e+2}| and its dot with
+  u_e is -(u_e . u_{e+2}), fused multiply-add or not.
+- An order's sides are the clique's edges, since |p_j - p_i| and
+  |p_i - p_j| round alike. Sides, side bins and the unit side vectors
+  are gathered per order; a unit vector comes up to its sign, which the
+  absolute wall dot drops, as matmul negates its result exactly.
+- `vecdot` and stacked `matmul` run one BLAS dot or product per row, so a
+  value does not depend on how many triplets share a call.
+- Minima and maxima over two or three values are comparisons of columns,
+  which are exact.
+- The DB's stable sort is one int64 sort of key * N + row where that
+  fits, a stable argsort otherwise; the two give the same order.
+Non-finite corners or triplets raise ValueError naming the first such
+row, before any arithmetic.
+
 `serialize_db` writes a database as a v1 file for the benchmark's
 `bench/workloads.db_digest` alone, and goes with ROADMAP items 2 and
 7's benchmark change; the package never calls it. The file groups rows by
@@ -55,10 +74,11 @@ __all__ = [
     "serialize_db",
 ]
 
-# The six vertex orders, lexicographic. Edge e joins the vertex pair with
-# index sum e + 1 (01, 02, 12), so each order's sides AB, BC, AC are edges:
+# The six vertex orders, lexicographic. Edge e joins vertices e and e + 1
+# mod 3 (01, 12, 20), the pair without vertex e + 2, so vertices a and b
+# share edge (1 - a - b) mod 3; each order's sides AB, BC, AC are edges:
 _PERMS = np.array(list(permutations(range(3))))
-_PERM_EDGES = _PERMS[:, [0, 1, 0]] + _PERMS[:, [1, 2, 2]] - 1
+_PERM_EDGES = (1 - _PERMS[:, [0, 1, 0]] - _PERMS[:, [1, 2, 2]]) % 3
 
 
 @dataclass
@@ -101,18 +121,22 @@ class DescriptorDB:
         self._bounds = np.append(starts, self.keys.shape[0])
 
     @classmethod
-    def from_entries(cls, bins, verts, dirs, r_s: float, r_a: float) -> "DescriptorDB":
-        """Pack (N, 6) bins and stable-sort the rows; ValueError if keys overflow int64.
-
-        Each row's hand is taken from its vertices."""
+    def from_entries(cls, bins, verts, dirs, r_s: float, r_a: float, hand) -> "DescriptorDB":
+        """Pack (N, 6) bins and stable-sort the rows with their hands;
+        ValueError if keys overflow int64."""
         bins = np.asarray(bins, dtype=np.int64).reshape(-1, 6)
-        dims = tuple(int(b) + 1 for b in bins.max(axis=0)) if bins.shape[0] else (1,) * 6
+        n = bins.shape[0]
+        dims = tuple(int(col.max()) + 1 for col in bins.T) if n else (1,) * 6
         if math.prod(dims) > np.iinfo(np.int64).max:
             raise ValueError("descriptor bins up to %s do not pack into an int64; raise r_s or r_a" % (dims,))
         keys = np.ravel_multi_index(tuple(bins.T), dims)
-        order = np.argsort(keys, kind="stable")
-        verts = verts[order]
-        return cls(keys[order], verts, dirs[order], dims, r_s, r_a, _hand(verts))
+        # stable: sort by key, then row, packed into one int64 where that fits
+        if math.prod(dims) * n <= np.iinfo(np.int64).max:
+            order = np.sort(keys * n + np.arange(n)) % n
+        else:
+            order = np.argsort(keys, kind="stable")
+        verts, dirs, hand = (np.take(a, order, axis=0) for a in (verts, dirs, hand))
+        return cls(keys[order], verts, dirs, dims, r_s, r_a, hand)
 
     @property
     def n_triplets(self) -> int:
@@ -166,17 +190,11 @@ def _hand(verts: np.ndarray) -> np.ndarray:
     return np.sign(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]).astype(np.int8)
 
 
-def _describe(verts: np.ndarray, dirs: np.ndarray, r_s: float, r_a: float):
-    """Sides, wall angles and bins of vertices already in (A, B, C) order."""
-    a, b, c = verts[:, 0], verts[:, 1], verts[:, 2]
-    edges = np.stack([b - a, c - b, c - a], axis=1)
-    # vecdot and stacked matmul run the same BLAS dot as scalar code, so
-    # the results do not depend on how many triplets share a call
-    sides = np.sqrt(np.vecdot(edges, edges))
-    dots = np.abs(np.matmul(dirs, (edges / sides[..., None])[..., None])[..., 0])
-    angles = np.degrees(np.arccos(np.clip(dots.max(axis=2), 0.0, 1.0)))
-    bins = np.floor(np.concatenate([sides / r_s, angles / r_a], axis=1)).astype(np.int64)
-    return sides, angles, bins
+def _require_finite(kind: str, *arrays: np.ndarray) -> None:
+    """ValueError naming the first row (leading index) of the arrays that holds a NaN or inf."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        bad = np.logical_or.reduce([~np.isfinite(a.reshape(a.shape[0], -1)).all(axis=1) for a in arrays])
+        raise ValueError("%s %d has a NaN or inf coordinate or wall direction" % (kind, np.flatnonzero(bad)[0]))
 
 
 def canonical_triplets(
@@ -192,45 +210,57 @@ def canonical_triplets(
     canonicalized either way across a tied bin still finds an aligned
     row. Rows come out in input order, then lexicographic vertex order.
     Raises ValueError unless r_s, r_a and min_angle_deg are finite and
-    positive.
+    positive, and naming the first triplet with a NaN or inf input.
     """
     check_positive(r_s=r_s, r_a=r_a, min_angle_deg=min_angle_deg)
     p = np.asarray(verts, dtype=np.float64).reshape(-1, 3, 2)
     d = np.asarray(dirs, dtype=np.float64).reshape(-1, 3, 2, 2)
-    u = p[:, [1, 2, 0]] - p
-    v = p[:, [2, 0, 1]] - p
-    nu = np.sqrt(np.vecdot(u, u))
-    nv = np.sqrt(np.vecdot(v, v))
+    _require_finite("triplet", p, d)
+    # u[:, e] runs along edge e; the side from vertex e to e + 2 is -u[:, e + 2]
+    u = np.take(p, [1, 2, 0], axis=1) - p
+    edge = np.sqrt(np.vecdot(u, u))
     with np.errstate(divide="ignore", invalid="ignore"):
-        cos = np.vecdot(u, v) / (nu * nv)
-    interior = np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
-    edge = np.stack([nu[:, 0], nv[:, 0], nu[:, 1]], axis=1)  # |01|, |02|, |12|
-    keep = (edge.min(axis=1) >= 1e-9) & (interior.min(axis=1) >= min_angle_deg)
-    s = edge[:, _PERM_EDGES]  # (T, 6, 3): AB, BC, AC of every order
+        cos = np.vecdot(u, np.take(u, [2, 0, 1], axis=1)) / -(edge * np.take(edge, [2, 0, 1], axis=1))
+    ok = (edge >= 1e-9) & (np.degrees(np.arccos(np.clip(cos, -1.0, 1.0))) >= min_angle_deg)
+    keep = ok[:, 0] & ok[:, 1] & ok[:, 2]
     if tied_orders:
-        sb = np.floor(s / r_s)
-        fit = keep[:, None] & (sb[..., 0] <= sb[..., 1]) & (sb[..., 1] <= sb[..., 2])
-        src, perm = np.nonzero(fit)
+        sb = np.floor(edge / r_s).T
+        fit = np.stack([keep & (sb[ab] <= sb[bc]) & (sb[bc] <= sb[ac]) for ab, bc, ac in _PERM_EDGES], axis=1)
+        src, perm = np.divmod(np.flatnonzero(fit), 6)
     else:
-        fit = (s[..., 0] <= s[..., 1] + 1e-12) & (s[..., 1] <= s[..., 2] + 1e-12)
-        rounded = np.where(fit[..., None], np.round(s[..., :2], 12), np.inf)
+        # each order that fits in turn, kept where its rounded (AB, BC) is smaller
         src = np.flatnonzero(keep)
-        perm = np.lexsort((rounded[src, :, 1], rounded[src, :, 0]), axis=-1)[:, 0]
-    order = _PERMS[perm]
-    q, qd = p[src[:, None], order], d[src[:, None], order]
-    return Triplets(q, qd, *_describe(q, qd, r_s, r_a), r_s, r_a, _hand(q))
+        s = edge[src].T
+        s_tol, r, best = s + 1e-12, np.round(s, 12), np.full((2, src.shape[0]), np.inf)
+        perm = np.zeros(src.shape[0], dtype=np.intp)
+        for o, (ab, bc, ac) in enumerate(_PERM_EDGES):
+            fit = (s[ab] <= s_tol[bc]) & (s[bc] <= s_tol[ac])
+            better = fit & ((r[ab] < best[0]) | ((r[ab] == best[0]) & (r[bc] < best[1])))
+            perm[better] = o
+            best[:, better] = r[ab][better], r[bc][better]
+    # flat rows of the vertices and of the sides of each kept order
+    vert, side = src[:, None] * 3 + _PERMS[perm], src[:, None] * 3 + _PERM_EDGES[perm]
+    q, qd = np.take(p.reshape(-1, 2), vert, axis=0), np.take(d.reshape(-1, 2, 2), vert, axis=0)
+    sides = np.take(edge, side)
+    # each side's unit vector up to sign, which |dot| ignores
+    dots = np.abs(np.matmul(qd, (np.take(u.reshape(-1, 2), side, axis=0) / sides[..., None])[..., None])[..., 0])
+    angles = np.degrees(np.arccos(np.clip(np.maximum(dots[..., 0], dots[..., 1]), 0.0, 1.0)))
+    bins = np.floor(np.concatenate([sides / r_s, angles / r_a], axis=1)).astype(np.int64)
+    return Triplets(q, qd, sides, angles, bins, r_s, r_a, _hand(q))
 
 
 def clique_triplets(corners: Corners, l_max: float):
     """Vertices and wall directions of the l_max graph's 3-cliques, (i < j < k) ascending.
 
-    Raises ValueError unless l_max is finite and positive."""
+    Raises ValueError unless l_max is finite and positive, and naming the
+    first corner with a NaN or inf coordinate or wall direction."""
     check_positive(l_max=l_max)
+    _require_finite("corner", corners.pos, corners.dirs)
     upper = np.triu(np.linalg.norm(corners.pos[:, None, :] - corners.pos[None, :, :], axis=2) <= l_max, 1)
     i, j = np.nonzero(upper)
     edge, k = np.nonzero(upper[i] & upper[j])  # k > j adjacent to both i and j
     ijk = np.stack([i[edge], j[edge], k], axis=1)
-    return corners.pos[ijk], corners.dirs[ijk]
+    return np.take(corners.pos, ijk, axis=0), np.take(corners.dirs, ijk, axis=0)
 
 
 def build_triplets(
@@ -260,7 +290,7 @@ def build_db(
     """
     verts, dirs = clique_triplets(corners, l_max)
     t = canonical_triplets(verts, dirs, r_s, r_a, min_angle_deg, tied_orders=True)
-    return DescriptorDB.from_entries(t.bins, t.verts, t.dirs, r_s, r_a)
+    return DescriptorDB.from_entries(t.bins, t.verts, t.dirs, r_s, r_a, t.hand)
 
 
 def query_correspondences(db: DescriptorDB, triplets: Triplets) -> Tuple[np.ndarray, np.ndarray]:

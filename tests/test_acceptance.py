@@ -430,6 +430,7 @@ def _padded_db(queries, n_keys):
         np.concatenate([queries.dirs, queries.dirs[first]]),
         0.5,
         3.0,
+        np.concatenate([queries.hand, queries.hand[first]]),
     )
 
 

@@ -149,7 +149,9 @@ def test_key_pack_round_trip(space):
     r_s, r_a, _, top, rows = space
     rows = rows + [tuple(top)]  # the largest bins the settings allow
     n = len(rows)
-    db = DescriptorDB.from_entries(rows, np.arange(n * 6.0).reshape(n, 3, 2), np.zeros((n, 3, 2, 2)), r_s, r_a)
+    db = DescriptorDB.from_entries(
+        rows, np.arange(n * 6.0).reshape(n, 3, 2), np.zeros((n, 3, 2, 2)), r_s, r_a, np.zeros(n, np.int8)
+    )
     order = sorted(range(n), key=lambda i: rows[i])  # stable: lexicographic, then insertion
     assert db.bins().tolist() == [list(rows[i]) for i in order]
     assert db.verts[:, 0, 0].tolist() == [6.0 * i for i in order]
@@ -168,7 +170,12 @@ def lookups(draw):
     stored = draw(st.lists(st.tuples(*[st.integers(0, h) for h in hi]), max_size=40))
     n = len(stored)
     db = DescriptorDB.from_entries(
-        np.array(stored, dtype=np.int64).reshape(-1, 6), np.arange(n * 6.0).reshape(n, 3, 2), np.zeros((n, 3, 2, 2)), 0.5, 3.0
+        np.array(stored, dtype=np.int64).reshape(-1, 6),
+        np.arange(n * 6.0).reshape(n, 3, 2),
+        np.zeros((n, 3, 2, 2)),
+        0.5,
+        3.0,
+        np.zeros(n, np.int8),
     )
     extreme = st.sampled_from([-1, -(2**63), 2**63 - 1, 2**40])
     bin_ = st.one_of(st.integers(0, 5), st.integers(-3, -1), extreme)

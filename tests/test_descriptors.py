@@ -173,7 +173,7 @@ def test_mirrored_triangle_never_pairs():
     rms = solve_se2_batch(query.verts, mirror.verts[row : row + 1])[3]
     assert 0.1 < rms[0] < PipelineConfig().residual_max_m
 
-    db = DescriptorDB.from_entries(mirror.bins, mirror.verts, mirror.dirs, 0.5, 3.0)
+    db = DescriptorDB.from_entries(mirror.bins, mirror.verts, mirror.dirs, 0.5, 3.0, mirror.hand)
     src, dst = query_correspondences(db, query)
     assert src.shape == dst.shape == (0, 3, 2)
     assert cast_votes((src, dst)).total_votes == 0
@@ -181,7 +181,7 @@ def test_mirrored_triangle_never_pairs():
     # the same triangle turned and moved keeps its hand and pairs once
     pose = Se2Pose(3.0, -2.0, 2.5)
     turned = canonical_triplets(pose.apply(pos), dirs @ pose.rotation().T, tied_orders=True)
-    db = DescriptorDB.from_entries(turned.bins, turned.verts, turned.dirs, 0.5, 3.0)
+    db = DescriptorDB.from_entries(turned.bins, turned.verts, turned.dirs, 0.5, 3.0, turned.hand)
     assert cast_votes(query_correspondences(db, query)).total_votes == 1
 
 
@@ -251,7 +251,7 @@ def test_bench_db_digest_matches_in_memory_arrays(tmp_path, monkeypatch):
 
 def test_query_bins_outside_stored_range_match_nothing():
     verts, dirs = np.zeros((2, 3, 2)), np.zeros((2, 3, 2, 2))
-    db = DescriptorDB.from_entries([[0, 1, 2, 0, 1, 0], [0, 1, 2, 0, 0, 5]], verts, dirs, 0.5, 3.0)
+    db = DescriptorDB.from_entries([[0, 1, 2, 0, 1, 0], [0, 1, 2, 0, 0, 5]], verts, dirs, 0.5, 3.0, np.zeros(2, np.int8))
     assert db.dims == (1, 2, 3, 1, 2, 6)
     lo, hi = db.find([[0, 1, 2, 0, 1, 0], [0, 1, 2, 0, 0, 6], [0, 1, 3, 0, 0, 0], [0, 0, 0, 0, 0, 0]])
     # (0, 1, 2, 0, 0, 6) would pack onto (0, 1, 2, 0, 1, 0) if it wrapped
@@ -279,3 +279,41 @@ def test_resolutions_and_l_max_must_be_finite_and_positive(name, value):
         verts, dirs = clique_triplets(corners, 30.0)
         with pytest.raises(ValueError, match=name):
             canonical_triplets(verts, dirs, **{name: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["verts", "dirs"])
+def test_non_finite_triplet_raises_naming_first_row(field, value):
+    # a NaN vertex used to drop its triplet silently, an inf one to warn in
+    # the side subtraction; a NaN wall direction gave angle bin -2**63 (and
+    # build_db numpy's "invalid dims"), an inf one bin 0
+    arrays = dict(zip(("verts", "dirs"), clique_triplets(_corners((0, 0), (4, 0), (0, 3), (5, 5)), 30.0)))
+    arrays[field][3].flat[-1] = value
+    arrays[field][1].flat[0] = value
+    for tied_orders in (False, True):
+        with pytest.raises(ValueError, match="triplet 1 has a NaN or inf"):
+            canonical_triplets(arrays["verts"], arrays["dirs"], tied_orders=tied_orders)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["pos", "dirs"])
+def test_non_finite_corner_raises_naming_first_row(field, value):
+    corners = _corners((0, 0), (4, 0), (0, 3), (5, 5))
+    getattr(corners, field)[3].flat[0] = value
+    getattr(corners, field)[2].flat[-1] = value
+    for build in (build_db, build_triplets):
+        with pytest.raises(ValueError, match="corner 2 has a NaN or inf"):
+            build(corners)
+
+
+@pytest.mark.parametrize("top", [7, 2**53])
+def test_from_entries_sorts_stably_with_hands(top):
+    # top 2**53 leaves no room to pack the row number beside the key
+    bins = np.array([[top, 1, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [top, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 5]] * 300)
+    n = bins.shape[0]
+    hand = np.tile(np.array([1, -1, 0, 1], np.int8), 300)
+    db = DescriptorDB.from_entries(bins, np.arange(n * 6.0).reshape(n, 3, 2), np.zeros((n, 3, 2, 2)), 0.5, 3.0, hand)
+    order = sorted(range(n), key=lambda i: (bins[i].tolist(), i))
+    assert db.verts[:, 0, 0].tolist() == [6.0 * i for i in order]
+    assert db.hand.tolist() == hand[order].tolist()
+    assert (math.prod(db.dims) * n > 2**63 - 1) == (top == 2**53)
