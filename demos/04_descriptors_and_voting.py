@@ -41,7 +41,7 @@ print("%d correspondences retrieved" % corr[0].shape[0])
 grid = cast_votes(corr, r_xy=cfg.r_xy, r_yaw_deg=cfg.r_yaw_deg,
                   residual_max_m=cfg.residual_max_m)
 print("%d votes in %d cells (%d rejected by residual)" % (
-    grid.total_votes, grid.packed.shape[0], grid.n_rejected))
+    int(grid.counts.sum()), grid.packed.shape[0], grid.n_rejected))
 
 cands = hierarchical_vote(grid, cfg.l_cells, cfg.k_cells, cfg.j_candidates)
 print("top candidates (truth at %.2f %.2f %.1f deg):" % (gt.x, gt.y, np.degrees(gt.yaw)))

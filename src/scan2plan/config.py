@@ -40,7 +40,7 @@ class PipelineConfig:
     residual_max_m: float = 0.3
     l_cells: int = 10000
     k_cells: int = 5000
-    j_candidates: int = 1500
+    j_candidates: int = 16
     # verification
     s_r: float = 0.2
     k_d: int = 5

@@ -395,11 +395,15 @@ def merge_patches(patches: Patches, normal_tol_deg: float = 10.0, dist_tol_m: fl
     normals, centroids = patches.normal, patches.centroid
 
     i, j = _touching_pairs(lo, hi)
-    gap = centroids[j] - centroids[i]
+    # dots as column products summed x + y + z, the rounding of the
+    # oracle's scalar test; the columns gather from (3, n) copies
+    normal_t, centroid_t = np.ascontiguousarray(normals.T), np.ascontiguousarray(centroids.T)
+    (ax, ay, az), (bx, by, bz) = normal_t[:, i], normal_t[:, j]
+    gx, gy, gz = centroid_t[:, j] - centroid_t[:, i]
     coplanar = (
-        (np.abs(np.vecdot(normals[i], normals[j])) >= cos_tol)
-        & (np.abs(np.vecdot(normals[i], gap)) <= dist_tol_m)
-        & (np.abs(np.vecdot(normals[j], gap)) <= dist_tol_m)
+        (np.abs(ax * bx + ay * by + az * bz) >= cos_tol)
+        & (np.abs(ax * gx + ay * gy + az * gz) <= dist_tol_m)
+        & (np.abs(bx * gx + by * gy + bz * gz) <= dist_tol_m)
     )
 
     i, j = i[coplanar], j[coplanar]

@@ -68,8 +68,9 @@ rounding is monotone, so coarse bound >= phase-1 bound >= exact
 confidence. Every candidate with the top confidence is therefore
 scored, and the winner is the tie-break minimum over the scored
 candidates taken in input order, which is the exhaustive pass's winner.
-On the `building` benchmark (seed 9000, counted) all 4,054 candidates
-get the coarse bound, 806 (20%) get phase 1 and 242 (6%) phase 2.
+On the `building` benchmark (seed 9000, counted, at most 16 candidates a
+floor) all 780 candidates get the coarse bound, 337 (43%) get phase 1
+and 170 (22%) phase 2.
 `select_best` returns the winner with its exact `ScoreResult`; pruned
 candidates have no exact score.
 """

@@ -27,12 +27,13 @@ is that closed form as first written, on (M, K, 2) strided views with
 `mean(axis=1)` and `sum(axis=1)`; the package's component-major solver
 must match it bit for bit at K = 3.
 
-Three test helpers that call the package live here too, since no
+Four test helpers that call the package live here too, since no
 package code needs them: `candidates_of` packs a `Candidate` list into
 the `Candidates` arrays `select_best` takes, `score_pose` is the
-package's exact score of one pose, `select_best` over it alone, and
-`vanilla_vote` is the mean pose of the single cell with the most votes,
-the baseline that acceptance check A8 holds `hierarchical_vote` against.
+package's exact score of one pose, `select_best` over it alone,
+`total_votes` counts a grid's votes, and `vanilla_vote` is the mean
+pose of the single cell with the most votes, the baseline that
+acceptance check A8 holds `hierarchical_vote` against.
 """
 
 import collections
@@ -125,6 +126,11 @@ def candidates_of(items: Sequence[Candidate]) -> Candidates:
 def score_pose(field, pose: Se2Pose, q_ng_xy, q_g_xy, lam=0.5) -> ScoreResult:
     """The package's exact score of one pose, submap-frame xy points."""
     return package_select_best(field, candidates_of([Candidate(pose, 0, 0, 1)]), q_ng_xy, q_g_xy, lam)[1]
+
+
+def total_votes(grid: VoteGrid) -> int:
+    """The votes that passed the residual gate, over every cell."""
+    return int(grid.counts.sum())
 
 
 def vanilla_vote(grid: VoteGrid) -> Tuple[Se2Pose, int]:
@@ -327,7 +333,7 @@ def hierarchical_vote(
     grid: VoteGrid,
     l_cells: Optional[int] = 10000,
     k_cells: Optional[int] = 5000,
-    j_candidates: Optional[int] = 1500,
+    j_candidates: Optional[int] = 16,
 ) -> List[Candidate]:
     n = grid.packed.shape[0]
     if n == 0:

@@ -85,9 +85,10 @@ def _fit_moments(count: int, sums: np.ndarray, prods: np.ndarray) -> Tuple[np.nd
 def _cell_sum(col: np.ndarray) -> float:
     """A cell's sum over its rows in ascending row order: the first row
     plus numpy's pairwise sum of the rest, as a segment of `np.add.reduceat`
-    sums."""
+    sums. The pairwise sum starts from -0.0, as reduceat's does, not from
+    the +0.0 identity of a plain reduce, so rows of -0.0 sum to -0.0."""
     col = np.ascontiguousarray(col)
-    return col[0] + np.add.reduce(col[1:]) if col.shape[0] > 1 else col[0]
+    return col[0] + np.add.reduce(col[1:], initial=-0.0) if col.shape[0] > 1 else col[0]
 
 
 def segment_planes(
@@ -160,11 +161,17 @@ def segment_planes(
     return SegmentationResult(patches, n_total, n_total - n_assigned)
 
 
+def _dot3(u: np.ndarray, v: np.ndarray) -> float:
+    """u . v summed x + y + z from the rounded products, with no fused multiply-add."""
+    (ux, uy, uz), (vx, vy, vz) = u.tolist(), v.tolist()
+    return ux * vx + uy * vy + uz * vz
+
+
 def _compatible(a: PlanarPatch, b: PlanarPatch, cos_tol: float, dist_tol: float) -> bool:
-    if abs(float(a.normal @ b.normal)) < cos_tol:
+    if abs(_dot3(a.normal, b.normal)) < cos_tol:
         return False
     gap = b.centroid - a.centroid
-    return abs(float(a.normal @ gap)) <= dist_tol and abs(float(b.normal @ gap)) <= dist_tol
+    return abs(_dot3(a.normal, gap)) <= dist_tol and abs(_dot3(b.normal, gap)) <= dist_tol
 
 
 def touching_pairs(lo: np.ndarray, hi: np.ndarray, eps: float = 1e-9) -> List[Tuple[int, int]]:

@@ -263,6 +263,7 @@ def _corridor_suite(n_seeds=100):
         grid = cast_votes(corr, cfg.r_xy, cfg.r_yaw_deg, cfg.residual_max_m)
         cands = hierarchical_vote(grid, cfg.l_cells, cfg.k_cells, cfg.j_candidates)
         vote_pose, _ = ref.vanilla_vote(grid)
+        rank = _winner_rank(floor, feats, grid, cfg)
         truth_votes = max((c.votes for c in cands if _near(c.pose, gt, 0.5, 5.0)), default=0)
         alias = [(c.votes, i) for i, c in enumerate(cands) if not _near(c.pose, gt, 2.0, 30.0)]
         alias_votes, ai = max(alias, default=(0, -1))
@@ -280,9 +281,16 @@ def _corridor_suite(n_seeds=100):
                 boosted_ok=registration_success(boosted[best_b].pose, gt),
                 outvoted=boosted[ai].votes > truth_votes,
                 alias_found=ai >= 0 and alias_votes > 0,
+                winner_rank=rank,
             )
         )
     return rows
+
+
+def _winner_rank(floor, feats, grid, cfg):
+    """The exhaustive winner's index among every group, at the config's L and K."""
+    every = hierarchical_vote(grid, cfg.l_cells, cfg.k_cells, cfg.k_cells)
+    return select_best(floor.field, every, feats.q_ng_xy, feats.q_g_xy, cfg.lam)[0]
 
 
 def test_a6_aliasing_resolved_by_confidence():
@@ -295,6 +303,27 @@ def test_a6_aliasing_resolved_by_confidence():
         n_ok >= 95,
         "true pose chosen over a higher-vote alias in %d/%d seeds" % (n_ok, len(rows)),
     )
+
+
+def test_vote_limit_keeps_its_margin_over_the_winner_rank():
+    # j_candidates is four times the worst exhaustive winner rank plus
+    # one, rounded up to a power of two; the aliased corridor suite and
+    # the first 20 A4 scenes hold the rank to a quarter of J
+    cfg = PipelineConfig()
+    ranks = [r["winner_rank"] for r in _corridor_suite()]
+    layout = generate_layout(seed=21, n_rooms=12, corridor=True, extent_m=48.0)
+    floor = build_floor_index(layout.wall_model, cfg)
+    for k in range(20):
+        gt = random_interior_pose(layout, np.random.default_rng(9000 + k))
+        scene = synthesize_submap(
+            layout.wall_model, gt, radius_m=15.0, noise_sigma_m=0.03,
+            drop_wall_frac=0.2, clutter_frac=0.1, seed=9000 + k,
+        )
+        feats = extract_submap_features(scene.submap, cfg)
+        corr = query_correspondences(floor.db, feats.triplets)
+        grid = cast_votes(corr, cfg.r_xy, cfg.r_yaw_deg, cfg.residual_max_m)
+        ranks.append(_winner_rank(floor, feats, grid, cfg))
+    assert max(ranks) <= cfg.j_candidates // 4 - 1, sorted(ranks)[-5:]
 
 
 # --- A7: confidence separates registrable from cross-floor pairs ---

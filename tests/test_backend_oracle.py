@@ -7,7 +7,11 @@ chosen index and the winner's result (the package's pruned selection
 against the exhaustive oracle, with every candidate's coarse bound at or
 above its exact phase-1 bound, and that at or above its exact
 confidence; at lam = 0 also against the award-only oracle), and every
-candidate's pose, votes, merged score and cell count. Point sets put
+candidate's pose, votes, merged score and cell count. A cut to the top
+j candidates must give the first j rows of the full ranking bit for
+bit, and selection over them the exhaustive winner and its result
+whenever that winner ranks below j, else a confidence no higher than
+the exhaustive one. Point sets put
 coordinates exactly on cell edges, one ulp either side of the grid's
 bounds, far outside it, NaN, and beyond the int64 range of cell indices.
 Vote grids grow components of more than 8 cells (where numpy's pairwise
@@ -509,6 +513,43 @@ def test_hierarchical_vote_matches_oracle(grid, l_cells, k_cells, j_candidates):
     want_pose = ref._cell_pose(grid, np.array([best]))
     assert _bits([pose.x, pose.y, pose.yaw]) == _bits([want_pose.x, want_pose.y, want_pose.yaw])
     assert votes == int(grid.counts[best])
+
+
+@SETTINGS
+@given(vote_grids(), limits, limits, st.integers(1, 60))
+def test_top_j_candidates_are_a_prefix_of_every_group(grid, l_cells, k_cells, j_candidates):
+    # J only cuts the ranking: the top j rows keep every bit of the run
+    # that returns every group
+    l_cells, k_cells = _or_every_cell(grid, l_cells, k_cells)
+    k_cells = min(k_cells, l_cells)
+    every = hierarchical_vote(grid, l_cells, k_cells, grid.packed.shape[0])
+    top = hierarchical_vote(grid, l_cells, k_cells, j_candidates)
+    assert len(top) == min(j_candidates, len(every))
+    for name in ("xyt", "votes", "merged_score", "n_cells"):
+        got, want = getattr(top, name), getattr(every, name)[:j_candidates]
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@SETTINGS
+@given(st.data())
+def test_selection_over_top_j_keeps_the_exhaustive_winner(data):
+    # a winner ranked below j keeps its index and result bits; one ranked
+    # at j or beyond can only leave a lower confidence behind
+    grid = data.draw(vote_grids())
+    field = data.draw(fields())
+    q_ng = data.draw(probes(field))
+    q_g = data.draw(probes(field)) if data.draw(st.booleans()) else np.zeros((0, 2))
+    lam = data.draw(st.sampled_from([0.0, 0.5, 2.5]))
+    cands = hierarchical_vote(grid, *_or_every_cell(grid, None, None, None))
+    j = data.draw(st.integers(1, len(cands)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        want_best, want = select_best(field, cands, q_ng, q_g, lam=lam)
+        got_best, got = select_best(field, cands[:j], q_ng, q_g, lam=lam)
+    if want_best < j:
+        assert got_best == want_best
+        assert _result_key(got) == _result_key(want)
+    else:
+        assert got.confidence <= want.confidence
 
 
 def test_component_across_the_yaw_wrap():

@@ -24,7 +24,7 @@ def test_default_parameter_values():
     assert cfg.l_max == 30.0
     assert cfg.r_xy == 0.15
     assert cfg.r_yaw_deg == 1.0
-    assert (cfg.l_cells, cfg.k_cells, cfg.j_candidates) == (10000, 5000, 1500)
+    assert (cfg.l_cells, cfg.k_cells, cfg.j_candidates) == (10000, 5000, 16)
     assert len(dataclasses.fields(PipelineConfig)) == 23
     cfg.validate()
 

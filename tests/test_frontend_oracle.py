@@ -404,6 +404,12 @@ def _coincident_blob():
     return pts[rng.permutation(pts.shape[0])]
 
 
+def _floor_below_the_x_axis():
+    """Points on z = 0 with y < 0: every y * z product is -0.0, and a cell's
+    sum of them stays -0.0, as `np.add.reduceat` adds it."""
+    return np.array([[0.81, -0.09, 0.0], [0.61, -0.27, 0.0], [0.04, -0.98, 0.0], [0.64, -0.73, 0.0]])
+
+
 def _on_cell_faces():
     """At s_v = 2 every coordinate is a multiple of 2 / 2**6 from the
     origin, so points lie exactly on the cell faces of every level: repeated
@@ -467,6 +473,7 @@ def _far_level6_cells():
 @example(_on_cell_faces(), 2.0, 3.0)
 @example(_stacked_parents(), 2.0, 10.0)
 @example(_far_level6_cells(), 0.5, 10.0)
+@example(_floor_below_the_x_axis(), 2.0, 10.0)
 def test_planes_and_ground_mask_match_oracle(pts, s_v, sigma):
     seg = segment_planes(pts, s_v, sigma)
     want = ref.segment_planes(pts, s_v, sigma)

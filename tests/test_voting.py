@@ -52,7 +52,7 @@ def _about(pose, pivot):
 def test_single_vote_recovers_pose():
     pose = Se2Pose(3.2, -1.1, 0.6)
     grid = cast_votes(_stack([_corr(pose)]))
-    assert grid.total_votes == 1 and grid.n_rejected == 0
+    assert ref.total_votes(grid) == 1 and grid.n_rejected == 0
     assert grid.pivot == PIVOT
     got, votes = ref.vanilla_vote(grid)
     assert votes == 1
@@ -64,7 +64,7 @@ def test_single_vote_recovers_pose():
 def test_mirrored_correspondence_is_rejected():
     mirrored = TRIANGLE * np.array([1.0, -1.0])
     grid = cast_votes(_stack([(TRIANGLE, mirrored)]))
-    assert grid.total_votes == 0 and grid.n_rejected == 1
+    assert ref.total_votes(grid) == 0 and grid.n_rejected == 1
     with pytest.raises(EmptyGrid):
         ref.vanilla_vote(grid)
 
@@ -76,14 +76,13 @@ def test_vote_conservation():
     mirrored = TRIANGLE * np.array([-1.0, 1.0])
     bad = [(TRIANGLE, mirrored) for _ in range(7)]
     grid = cast_votes(_stack(good + bad))
-    assert grid.total_votes == 40
+    assert ref.total_votes(grid) == 40
     assert grid.n_rejected == 7
-    assert grid.counts.sum() == 40
 
 
 def test_empty_correspondences():
     grid = cast_votes(_stack([]))
-    assert grid.total_votes == 0
+    assert ref.total_votes(grid) == 0
     with pytest.raises(EmptyGrid):
         hierarchical_vote(grid)
 
