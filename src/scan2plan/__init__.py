@@ -68,7 +68,9 @@ from .synthetic import (
 from .verify import (
     ScoreField,
     ScoreResult,
+    ScoringSets,
     build_score_field,
+    prepare_scoring,
     reliability_curve,
     select_best,
 )

@@ -4,7 +4,10 @@ A floor is prepared once (corners, descriptor DB, score field); each
 submap is reduced once to corners, their descriptor triplets, and
 ground / non-ground scoring sets (thinned by `verify.thin_rows` as
 they are gathered), then matched against every prepared floor.
-The report with the highest verification confidence wins.
+Verification's per-submap work is done at extraction too: after the
+line stage, `verify.prepare_scoring` collapses the non-ground set into
+its coarse cells at the config's s_r, and every floor's `select_best`
+reads them. The report with the highest verification confidence wins.
 
 Every submap runs every stage (one without walls casts no votes), and
 a floor fails at one exit, in voting or verification, with the counts
@@ -31,7 +34,7 @@ from .geometry import Se2Pose, pose_errors, registration_success
 from .ingest import Submap, WallModel, load_pose, load_submap
 from .lines import Corners, extract_corners, merge_refit, patch_segments
 from .planes import classify_patches, merge_patches, segment_planes
-from .verify import ScoreField, build_score_field, reliability_curve, select_best, thin_rows
+from .verify import ScoreField, ScoringSets, build_score_field, prepare_scoring, reliability_curve, select_best, thin_rows
 from .voting import cast_votes, hierarchical_vote
 
 FAILURE_CONFIDENCE = float("-inf")
@@ -52,14 +55,23 @@ class FloorIndex:
 class SubmapFeatures:
     """Everything extracted from one submap, reusable across floors.
 
-    The scoring sets hold the xy of at most `SCORING_MAX_POINTS` rows
-    each, picked by `verify.thin_rows`."""
+    `scoring` holds the xy of at most `SCORING_MAX_POINTS` non-ground
+    and ground rows each, picked by `verify.thin_rows`, and the
+    non-ground rows' coarse cells at the config's s_r, which every
+    floor's `select_best` reads."""
 
     corners: Corners
     triplets: Triplets
-    q_ng_xy: np.ndarray
-    q_g_xy: np.ndarray
+    scoring: ScoringSets
     timings_ms: Dict[str, float]
+
+    @property
+    def q_ng_xy(self) -> np.ndarray:
+        return self.scoring.q_ng
+
+    @property
+    def q_g_xy(self) -> np.ndarray:
+        return self.scoring.q_g
 
 
 @dataclass
@@ -134,7 +146,10 @@ def extract_submap_features(submap: Submap, cfg: PipelineConfig) -> SubmapFeatur
 
     Wall segments are the point runs along each wall patch's line
     (`lines.patch_segments`); a submap without wall patches gets no
-    segments, corners or triplets. Raises InvalidSubmap when gravity
+    segments, corners or triplets. The descriptor stage also prepares
+    the scoring sets (`verify.prepare_scoring`); a submap without
+    non-ground rows gets empty ones, which each floor's verification
+    reports as EmptySubmap. Raises InvalidSubmap when gravity
     lies more than gravity_tol_deg from the z axis (the bird's-eye view
     looks down z) or when the points span too many octree cells for
     int64.
@@ -179,8 +194,10 @@ def extract_submap_features(submap: Submap, cfg: PipelineConfig) -> SubmapFeatur
 
     with _stage(timings, "descriptors"):
         triplets = build_triplets(corners, cfg.l_max, cfg.r_s, cfg.r_a, cfg.min_angle_deg)
+        # after the line stage's peak; with no non-ground row it scores as EmptySubmap
+        scoring = prepare_scoring(q_ng_xy, q_g_xy, cfg.s_r)
 
-    return SubmapFeatures(corners, triplets, q_ng_xy, q_g_xy, timings)
+    return SubmapFeatures(corners, triplets, scoring, timings)
 
 
 def register_features(feats: SubmapFeatures, floor: FloorIndex, cfg: PipelineConfig) -> RegistrationReport:
@@ -201,7 +218,7 @@ def register_features(feats: SubmapFeatures, floor: FloorIndex, cfg: PipelineCon
             candidates = hierarchical_vote(grid, cfg.l_cells, cfg.k_cells, cfg.j_candidates)
         report.n_candidates = len(candidates)
         with _stage(timings, "verify"):
-            best_idx, best = select_best(floor.field, candidates, feats.q_ng_xy, feats.q_g_xy, lam=cfg.lam)
+            best_idx, best = select_best(floor.field, candidates, feats.scoring, lam=cfg.lam)
     except (EmptyGrid, EmptySubmap, NoCandidates):
         pass  # the report stays a failure
     else:

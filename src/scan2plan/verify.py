@@ -14,23 +14,31 @@ them scores near 1; lam = 0 is award-only scoring.
 Scoring path: `ScoreField` keeps, next to `values`, one flattened copy
 bordered by four zero cells on every side, built once per field. A pose
 is scored by rotating the points with the same `q @ R.T` matmul as
-`Se2Pose.apply`, then taking each coordinate column through add
-translation, subtract origin, divide by s_r and floor, clipping the
-cell index to [-4, n + 3] and reading the bordered copy with one flat
-gather, so a point off the grid reads 0.0. Per element these are the
-operations of the plain broadcasts, so every sum is bit-identical to a
-masked 2-D lookup. The pipeline thins its scoring sets once per submap,
-when it extracts them, to at most SCORING_MAX_POINTS rows by one even
-stride (`thin_rows`); `select_best` scores every point it is given. Every
-candidate runs through the same two scratch buffers.
+`Se2Pose.apply`, then taking the (n, 2) coordinate block through add
+translation, subtract origin, divide by s_r and floor, each one ufunc
+call over both columns, clipping the cell index to [-4, n + 3] with
+fmax / fmin and reading the bordered copy with one flat gather, so a
+point off the grid reads 0.0. The flat index is row * width + column
+plus the border offset, formed in floats (whole numbers below 2^53, so
+exact) and cast once. Per element these are the operations of the plain
+broadcasts, so every sum is bit-identical to a masked 2-D lookup.
+
+What depends only on the submap is prepared once, by `prepare_scoring`,
+and read by every floor: the two point sets as float64 (N, 2) arrays
+and the non-ground set's coarse cells (below). The pipeline thins the
+sets when it extracts them, to at most SCORING_MAX_POINTS rows by one
+even stride (`thin_rows`); `select_best` scores every point it is
+given. Every candidate of one call runs through the same two scratch
+buffers, allocated per call and never kept in the `ScoringSets`.
 
 Selection is exact branch and bound in three phases.
 
-Coarse, every candidate: the thinned non-ground points are collapsed
-into occupied cells of 2 * s_r in their own frame, with point counts as
-weights. A point lies within sqrt(2) field cells (of s_r) of its cell's
-centre, so under any rigid pose it lands within sqrt(2) cells of the
-posed centre C, and in each axis inside [C - 1.5, C + 1.5]: width 3, a
+Coarse, every candidate: the thinned non-ground points are collapsed,
+once per submap, into occupied cells of 2 * s_r in their own frame,
+with point counts as weights; a field of another s_r rejects them. A
+point lies within sqrt(2) field cells (of s_r) of its cell's centre,
+so under any rigid pose it lands within sqrt(2) cells of the posed
+centre C, and in each axis inside [C - 1.5, C + 1.5]: width 3, a
 slack of (3 - 2 sqrt(2)) / 2, about 0.086 cell, on each side. Its field
 cell is thus one of the four from floor(C - 1.5) on in each axis, a 4x4
 window that the posed centre's position within its own cell picks. The
@@ -101,7 +109,9 @@ _PAD = 4
 __all__ = [
     "ScoreField",
     "ScoreResult",
+    "ScoringSets",
     "build_score_field",
+    "prepare_scoring",
     "select_best",
     "reliability_curve",
     "thin_rows",
@@ -128,9 +138,11 @@ class ScoreField:
     def __post_init__(self):
         check_positive(s_r=self.s_r)
         origin = np.asarray(self.origin, dtype=np.float64)
-        if not np.all(np.isfinite(origin)):
-            raise ValueError("score field origin must be finite, got %r" % (self.origin,))
+        if origin.shape != (2,) or not np.all(np.isfinite(origin)):
+            raise ValueError("score field origin must be a finite point of shape (2,), got %r" % (self.origin,))
         values = np.asarray(self.values, dtype=np.float64)
+        if values.ndim != 2:
+            raise ValueError("score field values must be a 2-D grid, got shape %r" % (values.shape,))
         if not np.all((values >= 0.0) & (values <= 1.0)):  # also rejects NaN
             raise ValueError("score field values must lie in [0, 1]")
         object.__setattr__(self, "origin", origin)
@@ -141,45 +153,41 @@ class ScoreField:
         # the grid hold 0, below every value
         peaks = maximum_filter(bordered, size=4, origin=-2, mode="constant", cval=0.0)
         object.__setattr__(self, "_window_max", peaks.ravel())
-
-    def value_at(self, points_m: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points_m, dtype=np.float64).reshape(-1, 2)
-        # a zero shift changes at most the sign of a zero, never a cell
-        return self._lookup(pts, (0.0, 0.0), *_scratch(pts.shape[0]))
+        # the last cell index a lookup keeps, per axis
+        object.__setattr__(self, "_top", np.array(values.shape, dtype=np.float64) + (_PAD - 1))
 
     def _lookup(self, xy: np.ndarray, shift, buf: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Field values at xy + shift, one per row, as a view of `buf`.
 
         `buf` and `idx` come from `_scratch` with at least len(xy) rows;
-        xy may be `buf` itself. Each column gets the element-wise
-        arithmetic of `floor((xy + shift - origin) / s_r)`, so every
-        cell matches the plain broadcast.
+        xy may be `buf` itself. The (n, 2) block gets the element-wise
+        arithmetic of `floor((xy + shift - origin) / s_r)`, one ufunc
+        call a step, so every cell matches the plain broadcast.
         """
-        n = xy.shape[0]
-        for k in (0, 1):
-            c = buf[:n, k]
-            np.add(xy[:, k], shift[k], out=c)
-            np.subtract(c, self.origin[k], out=c)
-            np.divide(c, self.s_r, out=c)
-        return self._gather(self._bordered, n, buf, idx)
+        c = buf[: xy.shape[0]]
+        np.add(xy, shift, out=c)
+        np.subtract(c, self.origin, out=c)
+        np.divide(c, self.s_r, out=c)
+        return self._gather(self._bordered, xy.shape[0], buf, idx)
 
     def _gather(self, table: np.ndarray, n: int, buf: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """`table`, a flat grid with `_PAD` cells on every side, at the
         cells floor(buf[:n]), each index clipped into the padded grid, as
         a view of `buf`."""
-        nx, ny = self.values.shape
-        for k, hi in ((0, nx), (1, ny)):
-            c = buf[:n, k]
-            np.floor(c, out=c)
-            # clip before the int cast; fmax/fmin send NaN to the border too
-            np.fmax(c, -_PAD, out=c)
-            np.fmin(c, hi + _PAD - 1, out=c)
-        row, col, cells = buf[:n, 0], buf[:n, 1], idx[:n]
-        np.multiply(row, ny + 2 * _PAD, out=row)
-        np.add(row, col, out=row)
-        np.copyto(cells, row, casting="unsafe")
-        np.add(cells, (ny + 2 * _PAD + 1) * _PAD, out=cells)
-        return np.take(table, cells, out=row)
+        width = self.values.shape[1] + 2 * _PAD
+        c = buf[:n]
+        np.floor(c, out=c)
+        # clip before the int cast; fmax/fmin send NaN to the border too
+        np.fmax(c, -_PAD, out=c)
+        np.fmin(c, self._top, out=c)
+        # whole numbers below 2^53 from here on, so every step is exact
+        row, cells = buf[:n, 0], idx[:n]
+        np.multiply(row, width, out=row)
+        np.add(row, buf[:n, 1], out=row)
+        np.add(row, (width + 1) * _PAD, out=cells, casting="unsafe")
+        # every index is inside the table already; "clip" only skips the
+        # copy of `out` that the default "raise" makes
+        return np.take(table, cells, out=row, mode="clip")
 
 
 def _scratch(n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -289,29 +297,49 @@ def thin_rows(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _prepare(q_ng_xy, q_g_xy):
-    """(q_ng, q_g, buf, idx): (N, 2) float64 point sets and scratch sized
-    to the larger."""
+@dataclass(frozen=True)
+class ScoringSets:
+    """One submap's scoring sets, prepared once for every floor.
+
+    `q_ng` and `q_g` are the (N, 2) float64 non-ground and ground points
+    that every exact score reads. The non-ground points' occupied cells
+    of 2 * s_r, for the coarse bound, are `centres` (homogeneous rows
+    [cx, cy, 1], in s_r units) with their point counts as `weights`;
+    `n_loose` counts the rows too far out (or non-finite) to collapse.
+    `select_best` reads them only against a field of the same `s_r`.
+    """
+
+    q_ng: np.ndarray
+    q_g: np.ndarray
+    centres: np.ndarray  # (M, 3) float64
+    weights: np.ndarray  # (M,) float64
+    n_loose: int
+    s_r: float
+
+
+def prepare_scoring(q_ng_xy, q_g_xy, s_r: float) -> ScoringSets:
+    """The `ScoringSets` of two xy point sets, cells collapsed at s_r.
+
+    A set with no non-ground point is prepared all the same; scoring it
+    raises EmptySubmap in `select_best`.
+    """
+    check_positive(s_r=s_r)
     q_ng, q_g = (np.asarray(q, dtype=np.float64).reshape(-1, 2) for q in (q_ng_xy, q_g_xy))
-    if q_ng.shape[0] == 0:
-        raise EmptySubmap("no non-ground points to score")
-    return (q_ng, q_g) + _scratch(max(q_ng.shape[0], q_g.shape[0]))
+    centres, weights, n_loose = _collapse(q_ng, s_r)
+    return ScoringSets(q_ng, q_g, centres, weights, n_loose, float(s_r))
 
 
-def _collapse(q: np.ndarray, s_r: float, buf: np.ndarray):
+def _collapse(q: np.ndarray, s_r: float):
     """(centres, weights, n_loose): q's occupied 2 * s_r cells, centres
-    in s_r units.
+    homogeneous and in s_r units.
 
     Rows beyond `COARSE_LIMIT` s_r cells or non-finite are not
     collapsed; `n_loose` counts them. The cell keys are packed, exactly,
-    into the float scratch `buf` and sorted there.
+    into a float column and sorted there.
     """
-    n = q.shape[0]
-    for k in (0, 1):
-        c = buf[:n, k]
-        np.divide(q[:, k], 2.0 * s_r, out=c)
-        np.floor(c, out=c)
-    ix, iy = buf[:n, 0], buf[:n, 1]
+    buf = np.divide(q, 2.0 * s_r, order="F")
+    np.floor(buf, out=buf)
+    ix, iy = buf[:, 0], buf[:, 1]
     # NaN fails the comparison, so it is loose too
     loose = ~((np.abs(ix) <= COARSE_LIMIT / 2) & (np.abs(iy) <= COARSE_LIMIT / 2))
     ix[loose] = iy[loose] = 0.0
@@ -328,11 +356,13 @@ def _collapse(q: np.ndarray, s_r: float, buf: np.ndarray):
     starts = np.flatnonzero(first)
     weights = np.diff(np.append(starts, keys.shape[0])).astype(np.float64)
     kx, ky = np.divmod(keys[starts].astype(np.int64), int(_KEY_BASE))
-    centres = 2.0 * (np.column_stack([kx, ky]) - COARSE_LIMIT) + 1.0
+    centres = np.ones((starts.shape[0], 3))
+    centres[:, 0] = 2.0 * (kx - COARSE_LIMIT) + 1.0
+    centres[:, 1] = 2.0 * (ky - COARSE_LIMIT) + 1.0
     return centres, weights, n_loose
 
 
-def _coarse_bounds(field: ScoreField, xyt: np.ndarray, q_ng: np.ndarray, buf, idx) -> np.ndarray:
+def _coarse_bounds(field: ScoreField, xyt: np.ndarray, sets: ScoringSets, buf, idx) -> np.ndarray:
     """An upper bound on the confidence of every (x, y, yaw) row of xyt
     from the collapsed cells.
 
@@ -340,8 +370,8 @@ def _coarse_bounds(field: ScoreField, xyt: np.ndarray, q_ng: np.ndarray, buf, id
     bound. Poses go through the scratch buffers in chunks of rows // cells,
     so no array grows with the candidate count times the points.
     """
-    n_ng = q_ng.shape[0]
-    centres, weights, n_loose = _collapse(q_ng, field.s_r, buf)
+    n_ng = sets.q_ng.shape[0]
+    centres, weights = sets.centres, sets.weights
     m = centres.shape[0]
     xyt = np.array(xyt, dtype=np.float64).reshape(-1, 3)  # a copy, changed below
     lim = COARSE_LIMIT * field.s_r
@@ -353,7 +383,6 @@ def _coarse_bounds(field: ScoreField, xyt: np.ndarray, q_ng: np.ndarray, buf, id
     c, s = np.cos(xyt[:, 2]), np.sin(xyt[:, 2])
     offset = (xyt[:, :2] - field.origin) / field.s_r - 1.5
     affine = np.stack([np.column_stack([c, s]), np.column_stack([-s, c]), offset], axis=1)
-    centres = np.column_stack([centres, np.ones(m)])
     award = np.zeros(xyt.shape[0])
     step = buf.shape[0] // max(m, 1)
     for a in range(0, xyt.shape[0], step):
@@ -363,7 +392,7 @@ def _coarse_bounds(field: ScoreField, xyt: np.ndarray, q_ng: np.ndarray, buf, id
         peaks = field._gather(field._window_max, (b - a) * m, buf, idx)
         award[a:b] = peaks.reshape(b - a, m) @ weights
     margin = (n_ng + 8) * 2.0**-48
-    s_a = (award + n_loose) * (1.0 + margin)
+    s_a = (award + sets.n_loose) * (1.0 + margin)
     s_a[~ok] = n_ng
     return s_a / n_ng
 
@@ -371,15 +400,15 @@ def _coarse_bounds(field: ScoreField, xyt: np.ndarray, q_ng: np.ndarray, buf, id
 def select_best(
     field: ScoreField,
     candidates: Candidates,
-    q_ng_xy: np.ndarray,
-    q_g_xy: np.ndarray,
+    sets: ScoringSets,
     lam: float = 0.5,
 ) -> Tuple[int, ScoreResult]:
     """Return (best index, its exact ScoreResult) over the `Candidates`.
 
     Ties on confidence fall back to vote count, then to the
-    lexicographically smallest pose. Every candidate reuses the same two
-    scratch buffers; the pipeline caps the scored points with `thin_rows`.
+    lexicographically smallest pose. `sets` comes from `prepare_scoring`
+    at the field's s_r (ValueError otherwise); every candidate reuses
+    the same two scratch buffers, sized here to the larger set.
 
     Branch and bound, exact: every candidate gets a coarse upper bound
     on its confidence (`_coarse_bounds`), and candidates are visited in
@@ -395,9 +424,15 @@ def select_best(
     # the bounds rest on lam * s_p >= 0
     if not (lam >= 0.0 and np.isfinite(lam)):
         raise ValueError("lam must be finite and >= 0, got %r" % (lam,))
-    q_ng, q_g, buf, idx = _prepare(q_ng_xy, q_g_xy)
+    # the cells are collapsed at 2 * s_r; the bound's argument needs the field's s_r
+    if sets.s_r != field.s_r:
+        raise ValueError("scoring sets collapsed at s_r = %r do not fit a field of s_r = %r" % (sets.s_r, field.s_r))
+    q_ng, q_g = sets.q_ng, sets.q_g
     n_ng, n_g = q_ng.shape[0], q_g.shape[0]
-    coarse = _coarse_bounds(field, candidates.xyt, q_ng, buf, idx)
+    if n_ng == 0:
+        raise EmptySubmap("no non-ground points to score")
+    buf, idx = _scratch(max(n_ng, n_g))
+    coarse = _coarse_bounds(field, candidates.xyt, sets, buf, idx)
 
     results = {}
     best_conf = -np.inf

@@ -27,13 +27,14 @@ is that closed form as first written, on (M, K, 2) strided views with
 `mean(axis=1)` and `sum(axis=1)`; the package's component-major solver
 must match it bit for bit at K = 3.
 
-Four test helpers that call the package live here too, since no
-package code needs them: `candidates_of` packs a `Candidate` list into
-the `Candidates` arrays `select_best` takes, `score_pose` is the
-package's exact score of one pose, `select_best` over it alone,
-`total_votes` counts a grid's votes, and `vanilla_vote` is the mean
-pose of the single cell with the most votes, the baseline that
-acceptance check A8 holds `hierarchical_vote` against.
+Five test helpers that call the package live here too, since no
+package code needs them: `lookup` is the package's field lookup of
+model-frame points, `candidates_of` packs a `Candidate` list into the
+`Candidates` arrays `select_best` takes, `score_pose` is the package's
+exact score of one pose, `select_best` over it alone, `total_votes`
+counts a grid's votes, and `vanilla_vote` is the mean pose of the
+single cell with the most votes, the baseline that acceptance check A8
+holds `hierarchical_vote` against.
 """
 
 import collections
@@ -46,7 +47,7 @@ from scipy.sparse.csgraph import connected_components
 
 from scan2plan.errors import DegenerateInput, EmptyGrid, EmptySubmap, NoCandidates
 from scan2plan.geometry import Se2Pose, normalize_angle
-from scan2plan.verify import MAX_RASTER_CELLS, ScoreResult
+from scan2plan.verify import MAX_RASTER_CELLS, ScoreResult, _scratch, prepare_scoring
 from scan2plan.verify import select_best as package_select_best
 from scan2plan.voting import Candidate, Candidates, VoteGrid, _unpivot
 
@@ -123,9 +124,17 @@ def candidates_of(items: Sequence[Candidate]) -> Candidates:
     return Candidates(xyt, *ints)
 
 
+def lookup(field, points_m) -> np.ndarray:
+    """The package's field values at model-frame xy points, one per row."""
+    pts = np.asarray(points_m, dtype=np.float64).reshape(-1, 2)
+    # a zero shift changes at most the sign of a zero, never a cell
+    return field._lookup(pts, (0.0, 0.0), *_scratch(pts.shape[0]))
+
+
 def score_pose(field, pose: Se2Pose, q_ng_xy, q_g_xy, lam=0.5) -> ScoreResult:
     """The package's exact score of one pose, submap-frame xy points."""
-    return package_select_best(field, candidates_of([Candidate(pose, 0, 0, 1)]), q_ng_xy, q_g_xy, lam)[1]
+    sets = prepare_scoring(q_ng_xy, q_g_xy, field.s_r)
+    return package_select_best(field, candidates_of([Candidate(pose, 0, 0, 1)]), sets, lam)[1]
 
 
 def total_votes(grid: VoteGrid) -> int:

@@ -267,13 +267,13 @@ def _corridor_suite(n_seeds=100):
         truth_votes = max((c.votes for c in cands if _near(c.pose, gt, 0.5, 5.0)), default=0)
         alias = [(c.votes, i) for i, c in enumerate(cands) if not _near(c.pose, gt, 2.0, 30.0)]
         alias_votes, ai = max(alias, default=(0, -1))
-        best, _ = select_best(floor.field, cands, feats.q_ng_xy, feats.q_g_xy, cfg.lam)
+        best, _ = select_best(floor.field, cands, feats.scoring, cfg.lam)
         # hand the alias strictly more votes than truth; selection must
         # still pick the true pose on confidence alone
         a = cands[ai]
         boosted = list(cands)
         boosted[ai] = Candidate(a.pose, truth_votes + 10, a.merged_score, a.n_cells)
-        best_b, _ = select_best(floor.field, ref.candidates_of(boosted), feats.q_ng_xy, feats.q_g_xy, cfg.lam)
+        best_b, _ = select_best(floor.field, ref.candidates_of(boosted), feats.scoring, cfg.lam)
         rows.append(
             dict(
                 vanilla_ok=registration_success(vote_pose, gt),
@@ -290,7 +290,7 @@ def _corridor_suite(n_seeds=100):
 def _winner_rank(floor, feats, grid, cfg):
     """The exhaustive winner's index among every group, at the config's L and K."""
     every = hierarchical_vote(grid, cfg.l_cells, cfg.k_cells, cfg.k_cells)
-    return select_best(floor.field, every, feats.q_ng_xy, feats.q_g_xy, cfg.lam)[0]
+    return select_best(floor.field, every, feats.scoring, cfg.lam)[0]
 
 
 def test_a6_aliasing_resolved_by_confidence():
@@ -337,7 +337,7 @@ def _confidence_pair(floor, scene, cfg):
         corr = query_correspondences(floor.db, feats.triplets)
         grid = cast_votes(corr, cfg.r_xy, cfg.r_yaw_deg, cfg.residual_max_m)
         cands = hierarchical_vote(grid, cfg.l_cells, cfg.k_cells, cfg.j_candidates)
-        pts = (floor.field, cands, feats.q_ng_xy, feats.q_g_xy)
+        pts = (floor.field, cands, feats.scoring)
         _, osc = select_best(*pts, cfg.lam)
         i, award = select_best(*pts, 0.0)
         # award-only is lam = 0: the exhaustive s_a / n_ng ranking agrees

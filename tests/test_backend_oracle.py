@@ -37,10 +37,10 @@ from scan2plan.verify import (
     COARSE_LIMIT,
     ScoreField,
     _coarse_bounds,
-    _collapse,
-    _prepare,
     _rasterize,
+    _scratch,
     build_score_field,
+    prepare_scoring,
     select_best,
 )
 from scan2plan.voting import Candidate, Candidates, VoteGrid, _neighbor_table, hierarchical_vote
@@ -136,7 +136,7 @@ def test_value_at_matches_oracle(data):
     pts = data.draw(probes(field))
     with np.errstate(invalid="ignore"):  # the oracle casts inf and 1e300 to int64
         want = ref.value_at(field, pts)
-    assert _bits(field.value_at(pts)) == _bits(want)
+    assert _bits(ref.lookup(field, pts)) == _bits(want)
 
 
 # --- wall raster ---
@@ -209,11 +209,17 @@ def test_raster_chunks_match_oracle(monkeypatch, chunk):
     _assert_raster_matches_oracle(walls, 0.2)
 
 
+def _sets(field, q_ng, q_g):
+    """The scoring sets of two point sets, collapsed at the field's s_r."""
+    return prepare_scoring(q_ng, q_g, field.s_r)
+
+
 def _bounds(field, cands, q_ng, q_g, cap):
     """(coarse, exact phase-1) bounds of every candidate."""
-    q_ng, _, buf, idx = _prepare(ref._subsample(q_ng, cap), ref._subsample(q_g, cap))
-    coarse = _coarse_bounds(field, ref.candidates_of(cands).xyt, q_ng, buf, idx)
-    return coarse.tolist(), [ref.award_only(field, c.pose, q_ng) for c in cands]
+    sets = _sets(field, ref._subsample(q_ng, cap), ref._subsample(q_g, cap))
+    buf, idx = _scratch(max(sets.q_ng.shape[0], sets.q_g.shape[0]))
+    coarse = _coarse_bounds(field, ref.candidates_of(cands).xyt, sets, buf, idx)
+    return coarse.tolist(), [ref.award_only(field, c.pose, sets.q_ng) for c in cands]
 
 
 def _assert_selection_matches_oracle(field, cands, q_ng, q_g, lam, cap) -> int:
@@ -221,8 +227,8 @@ def _assert_selection_matches_oracle(field, cands, q_ng, q_g, lam, cap) -> int:
     same result bits, and for every candidate coarse bound >= phase-1
     bound >= exact confidence."""
     want_best, want = ref.select_best(field, cands, q_ng, q_g, lam=lam, max_points=cap)
-    thinned = ref._subsample(q_ng, cap), ref._subsample(q_g, cap)
-    got_best, got = select_best(field, ref.candidates_of(cands), *thinned, lam=lam)
+    thinned = _sets(field, ref._subsample(q_ng, cap), ref._subsample(q_g, cap))
+    got_best, got = select_best(field, ref.candidates_of(cands), thinned, lam=lam)
     assert got_best == want_best
     assert _result_key(got) == _result_key(want[want_best])
     coarse, exact = _bounds(field, cands, q_ng, q_g, cap)
@@ -279,8 +285,8 @@ def test_lam_zero_is_award_only(selection, cap):
     field, q_ng, q_g, cands = selection
     with np.errstate(invalid="ignore", over="ignore"):
         want_best, want = ref.select_award_only(field, cands, q_ng, cap)
-        thinned = ref._subsample(q_ng, cap), ref._subsample(q_g, cap)
-        got_best, got = select_best(field, ref.candidates_of(cands), *thinned, lam=0.0)
+        thinned = _sets(field, ref._subsample(q_ng, cap), ref._subsample(q_g, cap))
+        got_best, got = select_best(field, ref.candidates_of(cands), thinned, lam=0.0)
     assert got_best == want_best
     assert _bits(got.confidence) == _bits(want[want_best])
 
@@ -424,8 +430,8 @@ def test_coarse_chunk_edges_match_oracle_on_a_scene():
     ]
     chunks = []
     for cap, lam in ((None, 0.5), (5000, 2.5), (333, 0.0)):
-        _, _, buf, _ = prepared = _prepare(ref._subsample(q_ng, cap), ref._subsample(q_g, cap))
-        chunks.append(buf.shape[0] // _collapse(prepared[0], field.s_r, buf)[0].shape[0])
+        sets = _sets(field, ref._subsample(q_ng, cap), ref._subsample(q_g, cap))
+        chunks.append(max(sets.q_ng.shape[0], sets.q_g.shape[0]) // sets.centres.shape[0])
         assert _assert_selection_matches_oracle(field, cands, q_ng, q_g, lam, cap) == 0
     assert chunks[2] == 1
     assert all(1 < c < len(cands) and len(cands) % c for c in chunks[:2])
@@ -543,8 +549,9 @@ def test_selection_over_top_j_keeps_the_exhaustive_winner(data):
     cands = hierarchical_vote(grid, *_or_every_cell(grid, None, None, None))
     j = data.draw(st.integers(1, len(cands)))
     with np.errstate(invalid="ignore", over="ignore"):
-        want_best, want = select_best(field, cands, q_ng, q_g, lam=lam)
-        got_best, got = select_best(field, cands[:j], q_ng, q_g, lam=lam)
+        sets = _sets(field, q_ng, q_g)
+        want_best, want = select_best(field, cands, sets, lam=lam)
+        got_best, got = select_best(field, cands[:j], sets, lam=lam)
     if want_best < j:
         assert got_best == want_best
         assert _result_key(got) == _result_key(want)
@@ -582,8 +589,8 @@ def test_selection_over_candidate_arrays_matches_oracle(data):
     want_cands = ref.hierarchical_vote(grid, None, None, j_candidates)
     with np.errstate(invalid="ignore", over="ignore"):
         want_best, want = ref.select_best(field, want_cands, q_ng, q_g, lam=lam, max_points=cap)
-        thinned = ref._subsample(q_ng, cap), ref._subsample(q_g, cap)
-        got_best, got = select_best(field, cands, *thinned, lam=lam)
+        thinned = _sets(field, ref._subsample(q_ng, cap), ref._subsample(q_g, cap))
+        got_best, got = select_best(field, cands, thinned, lam=lam)
     assert got_best == want_best
     assert _result_key(got) == _result_key(want[want_best])
 
@@ -610,6 +617,6 @@ def test_selection_over_candidate_arrays_matches_oracle_on_a_scene():
     assert len(cands) == len(want_cands) > 1
     for lam in (0.0, 0.5):
         want_best, want = ref.select_best(floor.field, want_cands, feats.q_ng_xy, feats.q_g_xy, lam=lam)
-        got_best, got = select_best(floor.field, cands, feats.q_ng_xy, feats.q_g_xy, lam=lam)
+        got_best, got = select_best(floor.field, cands, feats.scoring, lam=lam)
         assert got_best == want_best
         assert _result_key(got) == _result_key(want[want_best])

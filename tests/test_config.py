@@ -310,7 +310,7 @@ def _stage_inputs():
         "cast_votes": ((verts, verts),),
         "hierarchical_vote": (grid,),
         "build_score_field": (walls,),
-        "select_best": (verify.build_score_field(walls), one, xy, xy),
+        "select_best": (verify.build_score_field(walls), one, verify.prepare_scoring(xy, xy, 0.2)),
     }
 
 

@@ -304,3 +304,53 @@ def test_pr_harness_separates_floors(tmp_path):
     lines = csv.read_text().strip().splitlines()
     assert lines[0] == "threshold,precision,recall"
     assert len(lines) == len(thresholds) + 1
+
+
+# ---------------------------------------------------------------------------
+# Scoring sets, prepared once per submap
+# ---------------------------------------------------------------------------
+
+def test_register_submap_collapses_the_coarse_cells_once(monkeypatch):
+    # three floors read the cells that extraction built; none rebuilds them
+    from scan2plan import verify
+
+    layout, floor = _home()
+    calls = []
+    collapse = verify._collapse
+    monkeypatch.setattr(verify, "_collapse", lambda *a: calls.append(1) or collapse(*a))
+    best, reports = register_submap(_scene(layout, 11).submap, [floor, _away()[1], floor], PipelineConfig())
+    assert len(calls) == 1
+    assert all(r.n_candidates > 0 and "verify" in r.timings_ms for r in reports)
+    assert best.accepted
+
+
+def test_submap_without_non_ground_rows_fails_each_floor_in_verification(monkeypatch):
+    # a ground-only scan extracts, with empty non-ground sets; matched with
+    # a real scan's triplets, every floor's report fails through EmptySubmap
+    from scan2plan import pipeline
+    from scan2plan.errors import EmptySubmap
+
+    cfg = PipelineConfig()
+    layout, floor = _home()
+    xy = np.random.default_rng(3).uniform(-8, 8, size=(4000, 2))
+    ground = pipeline.extract_submap_features(Submap(np.column_stack([xy, np.zeros(4000)]), DOWN), cfg)
+    assert ground.q_ng_xy.shape == (0, 2) and ground.q_g_xy.shape[0] > 0
+    assert ground.scoring.centres.shape == (0, 3)
+    feats = dataclasses.replace(pipeline.extract_submap_features(_scene(layout, 11).submap, cfg), scoring=ground.scoring)
+    raised = []
+    select = pipeline.select_best
+
+    def traced(*args, **kwargs):
+        try:
+            return select(*args, **kwargs)
+        except EmptySubmap as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(pipeline, "select_best", traced)
+    floors = [floor, _away()[1]]
+    reports = [pipeline.register_features(feats, f, cfg) for f in floors]
+    assert len(raised) == len(floors)
+    for r in reports:
+        assert r.pose is None and r.confidence == FAILURE_CONFIDENCE and not r.accepted
+        assert r.n_candidates > 0 and "verify" in r.timings_ms

@@ -14,7 +14,9 @@ from scan2plan.verify import (
     SCORING_MAX_POINTS,
     ScoreField,
     _rasterize,
+    _scratch,
     build_score_field,
+    prepare_scoring,
     reliability_curve,
     select_best,
     thin_rows,
@@ -102,9 +104,9 @@ def test_dilation_profile():
     probe_x = 3.0
     want = {0: 1.0, 1: 0.84, 2: 0.68, 3: 0.52, 4: 0.36, 5: 0.2, 6: 0.0, 7: 0.0}
     for d, expect in want.items():
-        v = field.value_at(np.array([[probe_x, 1.03 + 0.2 * d]]))[0]
+        v = ref.lookup(field, np.array([[probe_x, 1.03 + 0.2 * d]]))[0]
         assert v == pytest.approx(expect, abs=1e-12), d
-        v = field.value_at(np.array([[probe_x, 1.03 - 0.2 * d]]))[0]
+        v = ref.lookup(field, np.array([[probe_x, 1.03 - 0.2 * d]]))[0]
         assert v == pytest.approx(expect, abs=1e-12), -d
 
 
@@ -121,7 +123,7 @@ def test_field_peaks_at_one_and_bounded():
 
 def test_outside_grid_scores_zero():
     field = build_score_field([_seg(0.0, 0.0, 2.0, 0.0)])
-    assert field.value_at(np.array([[500.0, 500.0], [-500.0, 0.0]])).sum() == 0.0
+    assert ref.lookup(field, np.array([[500.0, 500.0], [-500.0, 0.0]])).sum() == 0.0
 
 
 def test_empty_model_raises():
@@ -143,8 +145,8 @@ def test_chebyshev_metric_on_diagonal():
     field = build_score_field([_seg(1.01, 1.01, 1.05, 1.05)], s_r=0.2, k_d=5)
     center = np.array([[1.1, 1.1]])
     diag = np.array([[1.3, 1.3]])
-    assert field.value_at(center)[0] == 1.0
-    assert field.value_at(diag)[0] == pytest.approx(0.84, abs=1e-12)
+    assert ref.lookup(field, center)[0] == 1.0
+    assert ref.lookup(field, diag)[0] == pytest.approx(0.84, abs=1e-12)
 
 
 # --- candidate scoring ---
@@ -231,7 +233,7 @@ def test_select_best_prefers_true_pose():
         merged_score=50,
         n_cells=1,
     )
-    best, result = select_best(field, ref.candidates_of([bad, good]), q_ng, q_g)
+    best, result = select_best(field, ref.candidates_of([bad, good]), prepare_scoring(q_ng, q_g, field.s_r))
     assert best == 1
     assert result == ref.score_pose(field, good.pose, q_ng, q_g)
     assert result.confidence > ref.score_pose(field, bad.pose, q_ng, q_g).confidence
@@ -243,7 +245,7 @@ def test_select_best_tie_breaks_on_votes():
     a = Candidate(pose, votes=3, merged_score=3, n_cells=1)
     b = Candidate(pose, votes=9, merged_score=9, n_cells=1)
     pts = np.array([[1.0, 0.05], [2.0, 0.05]])
-    best, _ = select_best(field, ref.candidates_of([a, b]), pts, np.zeros((0, 2)))
+    best, _ = select_best(field, ref.candidates_of([a, b]), prepare_scoring(pts, np.zeros((0, 2)), field.s_r))
     assert best == 1
 
 
@@ -251,7 +253,8 @@ def test_select_best_subsample_keeps_exact_score():
     layout, scene, q_ng, q_g = _scene()
     field = build_score_field(layout.wall_model.endpoints())
     cand = Candidate(scene.gt_pose, votes=1, merged_score=1, n_cells=1)
-    best, result = select_best(field, ref.candidates_of([cand]), ref._subsample(q_ng, 500), ref._subsample(q_g, 500))
+    sets = prepare_scoring(ref._subsample(q_ng, 500), ref._subsample(q_g, 500), field.s_r)
+    best, result = select_best(field, ref.candidates_of([cand]), sets)
     assert best == 0
     assert result.n_ng == 500
     assert result.confidence == 1.0
@@ -277,7 +280,7 @@ def test_bad_lam_raises(lam):
     pts = np.array([[1.0, 0.0]])
     cand = Candidate(Se2Pose(0.0, 0.0, 0.0), votes=1, merged_score=1, n_cells=1)
     with pytest.raises(ValueError, match="lam"):
-        select_best(field, ref.candidates_of([cand]), pts, pts, lam=lam)
+        select_best(field, ref.candidates_of([cand]), prepare_scoring(pts, pts, field.s_r), lam=lam)
     with pytest.raises(ValueError, match="lam"):
         ref.score_pose(field, Se2Pose(0.0, 0.0, 0.0), pts, pts, lam=lam)
 
@@ -311,20 +314,20 @@ def test_score_field_from_lists_reads_like_arrays():
     from_lists = ScoreField(values, origin, 1.0)
     from_arrays = ScoreField(np.array(values), np.array(origin), 1.0)
     assert from_lists.values.dtype == np.float64 and from_lists.origin.dtype == np.float64
-    assert np.array_equal(from_lists.value_at(pts), from_arrays.value_at(pts))
-    assert from_lists.value_at(pts).tolist() == [0.0, 1.0, 0.5, 0.25, 0.0, 0.0]
+    assert np.array_equal(ref.lookup(from_lists, pts), ref.lookup(from_arrays, pts))
+    assert ref.lookup(from_lists, pts).tolist() == [0.0, 1.0, 0.5, 0.25, 0.0, 0.0]
 
 
 def test_negative_cell_size_cannot_mirror_the_grid():
     # with s_r = -0.5 the point (-0.6, -0.6) used to land in cell (1, 1)
     with pytest.raises(ValueError, match="s_r"):
-        ScoreField(np.ones((3, 3)), np.zeros(2), -0.5).value_at([[-0.6, -0.6]])
+        ref.lookup(ScoreField(np.ones((3, 3)), np.zeros(2), -0.5), [[-0.6, -0.6]])
 
 
 def test_no_candidates_raises():
     field = build_score_field([_seg(0.0, 0.0, 2.0, 0.0)])
     with pytest.raises(NoCandidates):
-        select_best(field, [], np.array([[1.0, 0.0]]), np.zeros((0, 2)))
+        select_best(field, [], prepare_scoring(np.array([[1.0, 0.0]]), np.zeros((0, 2)), field.s_r))
 
 
 # --- reliability curve ---
@@ -380,5 +383,62 @@ def test_select_best_scores_every_point_given():
     field = build_score_field(layout.wall_model.endpoints())
     cand = Candidate(scene.gt_pose, votes=1, merged_score=1, n_cells=1)
     assert q_ng.shape[0] > SCORING_MAX_POINTS
-    best, result = select_best(field, ref.candidates_of([cand]), q_ng, q_g)
+    best, result = select_best(field, ref.candidates_of([cand]), prepare_scoring(q_ng, q_g, field.s_r))
     assert (best, result.n_ng, result.n_g) == (0, q_ng.shape[0], q_g.shape[0])
+
+
+@pytest.mark.parametrize("values", [np.full(5, 0.5), np.full((2, 2, 2), 0.5), 0.5])
+def test_score_field_rejects_values_that_are_not_a_grid(values):
+    # a 1-D field used to construct and fail at its first lookup with
+    # "not enough values to unpack"
+    with pytest.raises(ValueError, match="values must be a 2-D grid"):
+        ScoreField(values, (0.0, 0.0), 0.2)
+
+
+@pytest.mark.parametrize("origin", [[0.0, 0.0, 7.0], [0.0], [[0.0, 0.0]], 0.0])
+def test_score_field_rejects_origin_of_another_shape(origin):
+    # a third entry used to be accepted and silently ignored
+    with pytest.raises(ValueError, match=r"origin must be a finite point of shape \(2,\)"):
+        ScoreField(np.full((3, 3), 0.5), origin, 0.2)
+
+
+def test_select_best_rejects_sets_collapsed_at_another_s_r():
+    # the coarse cells are 2 * s_r of the sets; the bound needs the field's s_r
+    field = build_score_field([_seg(0.0, 0.0, 4.0, 0.0)], s_r=0.2)
+    pts = np.array([[1.0, 0.05], [2.0, 0.05]])
+    cands = ref.candidates_of([Candidate(Se2Pose(0.0, 0.0, 0.0), 1, 1, 1)])
+    with pytest.raises(ValueError, match="s_r"):
+        select_best(field, cands, prepare_scoring(pts, pts, 0.25), lam=0.5)
+    assert select_best(field, cands, prepare_scoring(pts, pts, 0.2), lam=0.0)[1].confidence == 1.0
+
+
+def test_block_lookup_matches_oracle_at_edges_clip_limits_off_grid_and_nan():
+    # one ufunc call over both columns must round and clip each element as
+    # the masked oracle does: exact cell edges and one ulp either side,
+    # the cells at and past the clip limits -4 and n + 3, far off the
+    # grid, infinities and NaN, in either column, through a zero and a
+    # nonzero shift
+    rng = np.random.default_rng(2)
+    field = ScoreField(rng.uniform(0.05, 1.0, size=(7, 4)), np.array([-1.3, 0.6]), 0.25)
+    o, s = field.origin, field.s_r
+    rows = []
+    for k in (-6, -5, -4, -3, -1, 0, 1, 3, 4, 6, 7, 10, 11, 12):
+        for a in (0, 1):
+            edge = o[a] + k * s
+            for v in (edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)):
+                p = [o[0] + 1.1 * s, o[1] + 2.3 * s]
+                p[a] = v
+                rows.append(p)
+    for v in (1e300, -1e300, np.inf, -np.inf, np.nan):
+        rows += [[v, o[1] + s], [o[0] + s, v], [v, v]]
+    pts = np.array(rows)
+    with np.errstate(invalid="ignore"):  # the oracle casts inf and NaN to int64
+        assert ref.lookup(field, pts).tobytes() == ref.value_at(field, pts).tobytes()
+        # points that the shift brings back onto the edges, where the
+        # order of its add and the origin's subtract shows in the cell
+        shift = (0.1, -0.3)
+        back = np.column_stack([pts[:, 0] - shift[0], pts[:, 1] - shift[1]])
+        buf, idx = _scratch(pts.shape[0] + 3)
+        got = field._lookup(back, shift, buf, idx)
+        assert got.tobytes() == ref.value_at(field, np.column_stack([back[:, 0] + shift[0], back[:, 1] + shift[1]])).tobytes()
+    assert 0.0 < ref.lookup(field, pts).sum()
