@@ -17,7 +17,7 @@ row per stored vertex order, sorted by its bins packed into one int64
 (mixed radix, each field sized by the largest bin stored); the sort is
 stable, so rows sharing a key keep insertion order. The database also
 keeps its distinct keys and the row bounds of each, built once. A lookup
-packs the query bins column by column, sorts them and finds each with
+packs the query bins as the keys are, sorts them and finds each with
 one binary search among the distinct keys, so its cost follows the key
 count, not the row count; a query bin outside the stored range matches
 nothing.
@@ -126,10 +126,12 @@ class DescriptorDB:
         ValueError if keys overflow int64."""
         bins = np.asarray(bins, dtype=np.int64).reshape(-1, 6)
         n = bins.shape[0]
+        if n and bins.min() < 0:
+            raise ValueError("descriptor bins must be >= 0")
         dims = tuple(int(col.max()) + 1 for col in bins.T) if n else (1,) * 6
         if math.prod(dims) > np.iinfo(np.int64).max:
             raise ValueError("descriptor bins up to %s do not pack into an int64; raise r_s or r_a" % (dims,))
-        keys = np.ravel_multi_index(tuple(bins.T), dims)
+        keys = _pack(bins, dims)
         # stable: sort by key, then row, packed into one int64 where that fits
         if math.prod(dims) * n <= np.iinfo(np.int64).max:
             order = np.sort(keys * n + np.arange(n)) % n
@@ -159,17 +161,15 @@ class DescriptorDB:
         """Row ranges [lo, hi) whose key equals each (n, 6) bin row; a row
         whose key is not stored gets [0, 0).
 
-        The rows are packed column by column, a row with a bin outside
-        the stored range to -1, below every key; they are then sorted
-        and found with one search among the distinct keys.
+        The rows are packed as the stored keys are, a row with a bin
+        outside the stored range to -1, below every key; they are then
+        sorted and found with one search among the distinct keys.
         """
         bins = np.asarray(bins, dtype=np.int64).reshape(-1, 6)
-        packed = np.zeros(bins.shape[0], dtype=np.int64)
         inside = np.ones(bins.shape[0], dtype=bool)
         for col, dim in zip(bins.T, self.dims):
             inside &= (col >= 0) & (col < dim)
-            packed *= dim
-            packed += col  # may wrap on a row outside, which is dropped next
+        packed = _pack(bins, self.dims)  # may wrap on a row outside, which is dropped next
         packed[~inside] = -1
         order = np.argsort(packed)
         packed = packed[order]
@@ -181,6 +181,16 @@ class DescriptorDB:
         lo[rows] = self._bounds[key]
         hi[rows] = self._bounds[key + 1]
         return lo, hi
+
+
+def _pack(bins: np.ndarray, dims: Tuple[int, ...]) -> np.ndarray:
+    """Mixed-radix int64 key of each (n, 6) bin row, packed column by
+    column; the key of the stored DB and of a lookup alike."""
+    packed = np.zeros(bins.shape[0], dtype=np.int64)
+    for col, dim in zip(bins.T, dims):
+        packed *= dim
+        packed += col
+    return packed
 
 
 def _hand(verts: np.ndarray) -> np.ndarray:

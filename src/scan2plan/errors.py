@@ -32,7 +32,11 @@ class InvalidModel(Scan2PlanError):
 
 
 class EmptyScene(Scan2PlanError):
-    """No wall surface is visible from the requested sensor placement."""
+    """A scene lacks what it needs: no wall is visible from the sensor
+    placement, no free placement for a sensor is found
+    (`synthetic.random_interior_pose`), a scene directory holds no
+    `*.submap` file (`pipeline.register_directory`), or no scene has a
+    gt pose file (`pipeline.evaluate_scenes`)."""
 
 
 class EmptySubmap(Scan2PlanError):
@@ -51,7 +55,8 @@ class EmptyGrid(Scan2PlanError):
 
 
 class NoCandidates(Scan2PlanError):
-    """Candidate list is empty."""
+    """Candidate list is empty. Only `verify.select_best` raises it;
+    `hierarchical_vote` yields a candidate for any grid with a vote."""
 
 
 class ResolutionMismatch(Scan2PlanError):

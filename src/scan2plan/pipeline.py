@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .descriptors import DescriptorDB, Triplets, build_db, build_triplets, query_correspondences
-from .errors import EmptyGrid, EmptyModel, EmptyScene, EmptySubmap, InvalidModel, InvalidSubmap, NoCandidates
+from .errors import EmptyGrid, EmptyModel, EmptyScene, EmptySubmap, InvalidModel, InvalidSubmap
 from .geometry import Se2Pose, pose_errors, registration_success
 from .ingest import Submap, WallModel, load_pose, load_submap
 from .lines import Corners, extract_corners, merge_refit, patch_segments
@@ -204,8 +204,8 @@ def register_features(feats: SubmapFeatures, floor: FloorIndex, cfg: PipelineCon
     """Match prepared submap features against one prepared floor.
 
     The report is a failure when no vote survives the residual gate
-    (EmptyGrid), or when verification has no candidate or no non-ground
-    point to score (NoCandidates, EmptySubmap).
+    (EmptyGrid), or when verification has no non-ground point to score
+    (EmptySubmap). A grid with a vote always yields a candidate.
     """
     timings = dict(feats.timings_ms)
     report = RegistrationReport(floor.model.floor_id, None, FAILURE_CONFIDENCE, 0, 0, 0, False, timings)
@@ -219,7 +219,7 @@ def register_features(feats: SubmapFeatures, floor: FloorIndex, cfg: PipelineCon
         report.n_candidates = len(candidates)
         with _stage(timings, "verify"):
             best_idx, best = select_best(floor.field, candidates, feats.scoring, lam=cfg.lam)
-    except (EmptyGrid, EmptySubmap, NoCandidates):
+    except (EmptyGrid, EmptySubmap):
         pass  # the report stays a failure
     else:
         winner = candidates[best_idx]

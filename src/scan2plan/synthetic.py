@@ -48,16 +48,26 @@ class FloorLayout:
 
 @dataclass
 class SyntheticScene:
-    """A submap, the wall model it came from, and the pose linking them."""
+    """A submap and the ground-truth pose mapping it onto its wall model."""
 
-    wall_model: WallModel
     gt_pose: Se2Pose
     submap: Submap
     deviation_log: Dict = field(default_factory=dict)
 
 
-def _room_widths(rng, n: int, total: float) -> np.ndarray:
-    """n widths in [3, 10] summing to `total` (total must allow it)."""
+def _box(width: float, height: float) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """The outer shell: four walls round [0, width] x [0, height]."""
+    c = [np.array(p) for p in ([0.0, 0.0], [width, 0.0], [width, height], [0.0, height])]
+    return list(zip(c, c[1:] + c[:1]))
+
+
+def _strip_width(rng, n: int, extent_m: float, cap: float = np.inf) -> float:
+    """Width of a strip of n rooms: 4.5-7.5 m a room, 3.2 m at least, at most `cap` and the extent."""
+    return max(min(rng.uniform(4.5, 7.5) * n, cap, max(extent_m, 3.2 * n)), 3.2 * n)
+
+
+def _room_cuts(rng, n: int, total: float) -> np.ndarray:
+    """The n+1 room edges 0..`total` of n widths in [3, 10] (total must allow them)."""
     widths = 3.0 + rng.dirichlet(np.ones(n)) * (total - 3.0 * n)
     for _ in range(16):
         over = widths > 10.0
@@ -67,7 +77,7 @@ def _room_widths(rng, n: int, total: float) -> np.ndarray:
         widths[over] = 10.0
         under = ~over
         widths[under] += excess * rng.dirichlet(np.ones(int(np.sum(under))))
-    return widths
+    return np.concatenate([[0.0], np.cumsum(widths)])
 
 
 def _split_at_junctions(walls: List[Tuple[np.ndarray, np.ndarray]]) -> List[LineSegment2]:
@@ -91,21 +101,13 @@ def _split_at_junctions(walls: List[Tuple[np.ndarray, np.ndarray]]) -> List[Line
 
 def _wall_with_doors(x0: float, x1: float, y: float, doors: List[float], vertical=False):
     """Axis-aligned wall from x0..x1 at offset y, with 1 m gaps at `doors`."""
-    pieces = []
-    cursor = x0
-    for c in sorted(doors):
-        lo, hi = c - DOOR_WIDTH_M / 2, c + DOOR_WIDTH_M / 2
-        if lo - cursor > 1e-9:
-            pieces.append((cursor, lo))
-        cursor = hi
-    if x1 - cursor > 1e-9:
-        pieces.append((cursor, x1))
+    half = DOOR_WIDTH_M / 2
+    edges = [x0, *(e for c in sorted(doors) for e in (c - half, c + half)), x1]
     segs = []
-    for a, b in pieces:
-        if vertical:
-            segs.append((np.array([y, a]), np.array([y, b])))
-        else:
-            segs.append((np.array([a, y]), np.array([b, y])))
+    for a, b in zip(edges[::2], edges[1::2]):
+        if b - a > 1e-9:
+            p, q = ([y, a], [y, b]) if vertical else ([a, y], [b, y])
+            segs.append((np.array(p), np.array(q)))
     return segs
 
 
@@ -115,7 +117,7 @@ def generate_layout(seed: int, n_rooms: int, corridor: bool, extent_m: float) ->
         raise ValueError("n_rooms must be >= 1")
     check_positive(extent_m=extent_m)
     rng = np.random.default_rng(seed)
-    raw: List[Tuple[np.ndarray, np.ndarray]] = []
+    inner: List[Tuple[np.ndarray, np.ndarray]] = []
     rooms: List[Tuple[float, float, float, float]] = []
     corridor_rect = None
 
@@ -125,58 +127,34 @@ def generate_layout(seed: int, n_rooms: int, corridor: bool, extent_m: float) ->
         depth_bot = rng.uniform(4.0, 8.0)
         depth_top = rng.uniform(4.0, 8.0)
         hall = rng.uniform(2.2, 3.0)
-        width = rng.uniform(4.5, 7.5) * n_top
-        width = min(width, 9.8 * n_bot, max(extent_m, 3.2 * n_top))
-        width = max(width, 3.2 * n_top)
-
+        width = _strip_width(rng, n_top, extent_m, cap=9.8 * n_bot)
         y_c0 = depth_bot
         y_c1 = depth_bot + hall
         height = y_c1 + depth_top
         corridor_rect = (0.0, y_c0, width, y_c1)
 
-        # outer shell
-        raw += [
-            (np.array([0.0, 0.0]), np.array([width, 0.0])),
-            (np.array([width, 0.0]), np.array([width, height])),
-            (np.array([width, height]), np.array([0.0, height])),
-            (np.array([0.0, height]), np.array([0.0, 0.0])),
-        ]
-
         for count, y0, y1, door_y in [(n_bot, 0.0, y_c0, y_c0), (n_top, y_c1, height, y_c1)]:
-            widths = _room_widths(rng, count, width)
-            cuts = np.concatenate([[0.0], np.cumsum(widths)])
+            cuts = _room_cuts(rng, count, width)
             doors = []
             for i in range(count):
                 x0, x1 = cuts[i], cuts[i + 1]
                 rooms.append((x0, y0, x1, y1))
                 doors.append(rng.uniform(x0 + 0.8, x1 - 0.8))
                 if 0 < i:
-                    raw.append((np.array([x0, y0]), np.array([x0, y1])))
-            for seg in _wall_with_doors(0.0, width, door_y, doors):
-                raw.append(seg)
+                    inner.append((np.array([x0, y0]), np.array([x0, y1])))
+            inner += _wall_with_doors(0.0, width, door_y, doors)
     else:
-        depth = rng.uniform(4.0, 8.0)
-        width = rng.uniform(4.5, 7.5) * n_rooms
-        width = min(width, max(extent_m, 3.2 * n_rooms))
-        width = max(width, 3.2 * n_rooms)
-        widths = _room_widths(rng, n_rooms, width)
-        cuts = np.concatenate([[0.0], np.cumsum(widths)])
-        raw += [
-            (np.array([0.0, 0.0]), np.array([width, 0.0])),
-            (np.array([width, 0.0]), np.array([width, depth])),
-            (np.array([width, depth]), np.array([0.0, depth])),
-            (np.array([0.0, depth]), np.array([0.0, 0.0])),
-        ]
+        height = rng.uniform(4.0, 8.0)
+        width = _strip_width(rng, n_rooms, extent_m)
+        cuts = _room_cuts(rng, n_rooms, width)
         for i in range(n_rooms):
-            rooms.append((cuts[i], 0.0, cuts[i + 1], depth))
+            rooms.append((cuts[i], 0.0, cuts[i + 1], height))
             if i > 0:
-                door = rng.uniform(1.0, depth - 1.0)
-                for seg in _wall_with_doors(0.0, depth, cuts[i], [door], vertical=True):
-                    raw.append(seg)
+                door = rng.uniform(1.0, height - 1.0)
+                inner += _wall_with_doors(0.0, height, cuts[i], [door], vertical=True)
 
-    walls = _split_at_junctions(raw)
-    model = WallModel(str(seed), walls)
-    return FloorLayout(model, rooms, corridor_rect)
+    walls = _split_at_junctions(_box(width, height) + inner)
+    return FloorLayout(WallModel(str(seed), walls), rooms, corridor_rect)
 
 
 def _sample_wall(rng, wall: np.ndarray, t0: float, t1: float) -> np.ndarray:
@@ -189,26 +167,14 @@ def _sample_wall(rng, wall: np.ndarray, t0: float, t1: float) -> np.ndarray:
     return np.column_stack([wall[0] + t[:, None] * d, z])
 
 
-def _project_rows(points_xy: np.ndarray, rows: np.ndarray, p0: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """`((points_xy - p0) @ d)[rows]`, bit for bit, from the given rows alone.
-
-    BLAS's gemv rounds a row the same in any subset of two or more rows,
-    but a one-row product goes to a dot routine that rounds otherwise, so
-    a lone row of a longer array is projected as a pair.
-    """
-    q = points_xy[rows] - p0
-    if rows.shape[0] == 1 < points_xy.shape[0]:
-        return (q[[0, 0]] @ d)[:1]
-    return q @ d
-
-
 def _clear_of(points_xy: np.ndarray, walls: np.ndarray, clearance: float) -> np.ndarray:
     """True for each 2D point at least `clearance` from every (W, 2, 2) wall row.
 
-    A wall tests, and projects, only the points inside its box grown by
-    the clearance and a margin, so no point outside can come under it.
-    The points are sorted by x once; each wall's x range is a slice of
-    that order, and only the slice meets the y and `keep` tests.
+    A wall tests only the points inside its box grown by the clearance and
+    a margin, so no point outside can come under it. The points are sorted
+    by x once; each wall's x range is a slice of that order, and only the
+    slice meets the y and `keep` tests. A point's distance is element-wise
+    arithmetic on its own row, so it is the same whichever rows a wall tests.
     """
     keep = np.ones(points_xy.shape[0], dtype=bool)
     order = np.argsort(points_xy[:, 0])
@@ -219,13 +185,14 @@ def _clear_of(points_xy: np.ndarray, walls: np.ndarray, clearance: float) -> np.
     last = np.searchsorted(sx, hi[:, 0], side="right")
     for (p0, p1), (_, y0), (_, y1), a, b in zip(walls, lo, hi, first, last):
         rows, y = order[a:b], sy[a:b]
-        # ascending rows, as a mask over all points would give them
-        near = np.sort(rows[keep[rows] & (y >= y0) & (y <= y1)])
+        near = rows[keep[rows] & (y >= y0) & (y <= y1)]
         if near.shape[0] == 0:
             continue
         d = p1 - p0
-        t = np.clip(_project_rows(points_xy, near, p0, d) / float(d @ d), 0.0, 1.0)
-        keep[near] = np.linalg.norm(points_xy[near] - (p0 + t[:, None] * d), axis=1) >= clearance
+        pts = points_xy[near]
+        q = pts - p0
+        t = np.clip((q[:, 0] * d[0] + q[:, 1] * d[1]) / float(d @ d), 0.0, 1.0)
+        keep[near] = np.linalg.norm(pts - (p0 + t[:, None] * d), axis=1) >= clearance
     return keep
 
 
@@ -318,7 +285,7 @@ def synthesize_submap(
         "wall_free": wall_points.shape[0] == 0,
     }
     submap = Submap(points, np.array([0.0, 0.0, -1.0]))
-    return SyntheticScene(model, pose, submap, log)
+    return SyntheticScene(pose, submap, log)
 
 
 def random_interior_pose(layout: FloorLayout, rng, clearance: float = 0.8) -> Se2Pose:

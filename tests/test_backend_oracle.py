@@ -530,6 +530,7 @@ def test_top_j_candidates_are_a_prefix_of_every_group(grid, l_cells, k_cells, j_
     k_cells = min(k_cells, l_cells)
     every = hierarchical_vote(grid, l_cells, k_cells, grid.packed.shape[0])
     top = hierarchical_vote(grid, l_cells, k_cells, j_candidates)
+    assert len(every) >= 1  # a grid with a vote yields a candidate under any limits
     assert len(top) == min(j_candidates, len(every))
     for name in ("xyt", "votes", "merged_score", "n_cells"):
         got, want = getattr(top, name), getattr(every, name)[:j_candidates]

@@ -259,6 +259,12 @@ def test_query_bins_outside_stored_range_match_nothing():
     assert (hi - lo).tolist() == [1, 0, 0, 0]
 
 
+def test_negative_stored_bin_raises():
+    verts, dirs = np.zeros((2, 3, 2)), np.zeros((2, 3, 2, 2))
+    with pytest.raises(ValueError, match=">= 0"):
+        DescriptorDB.from_entries([[0, 1, 2, 0, 1, 0], [0, 1, -1, 0, 0, 5]], verts, dirs, 0.5, 3.0, np.zeros(2, np.int8))
+
+
 def test_key_space_overflow_raises():
     corners = _corners((0.0, 0.0), (4.0, 0.0), (0.0, 3.0))
     with pytest.raises(ValueError, match="int64"):

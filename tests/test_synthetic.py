@@ -1,11 +1,10 @@
 """Floorplan generator and scene synthesizer tests."""
 
 import collections
+import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from scan2plan.errors import EmptyScene
 from scan2plan.geometry import Se2Pose
@@ -248,34 +247,6 @@ def test_box_cull_matches_full_distances(layout_seed):
     assert want.any() and not want.all()
 
 
-@settings(max_examples=80)
-@given(
-    st.integers(1, 64) | st.sampled_from([1000, 5000, 70686]),
-    st.floats(-3.0, 6.0),
-    st.sampled_from(["mask", "block", "stride", "one"]),
-    st.integers(0, 2**16),
-)
-def test_row_subset_projection_rounds_like_full(n, log_scale, kind, seed):
-    # _clear_of projects only the rows in a wall's box; each must round as
-    # the same row of the product over all points, bit for bit
-    rng = np.random.default_rng(seed)
-    scale = 10.0**log_scale
-    pts = rng.uniform(-1.0, 1.0, size=(n, 2)) * scale + rng.normal(size=2) * scale
-    p0 = rng.normal(size=2) * scale
-    d = rng.normal(size=2) * 10.0 ** rng.uniform(-1.0, 2.0)
-    if kind == "mask":
-        rows = np.flatnonzero(rng.uniform(size=n) < rng.uniform())
-    elif kind == "block":
-        lo = int(rng.integers(n))
-        rows = np.arange(lo, int(rng.integers(lo, n + 1)))
-    elif kind == "stride":
-        rows = np.arange(int(rng.integers(n)), n, int(rng.integers(1, 9)))
-    else:
-        rows = rng.integers(n, size=1)
-    got = synthetic._project_rows(pts, rows, p0, d)
-    assert got.tobytes() == ((pts - p0) @ d)[rows].tobytes()
-
-
 def test_sensor_far_from_model_raises():
     layout = _box_layout()
     with pytest.raises(EmptyScene):
@@ -294,6 +265,59 @@ def test_interior_pose_clearance():
             t = np.clip((p - w.p0) @ d / (d @ d), 0.0, 1.0)
             best = min(best, float(np.linalg.norm(p - (w.p0 + t[:, None] * d), axis=1)[0]))
         assert best >= 0.8
+
+
+# --- pinned bytes ---
+
+# sha256 of the generator's output, so a rewrite of it must keep every bit:
+# layout endpoints, rooms and corridor; interior pose draws; and submap
+# points with noise, dropped walls and clutter
+LAYOUT_DIGESTS = {
+    (1, 1, False): "ae527943efd293c10fa8b9c931e662951a0deb4c9544201bd9288f452d70ba09",
+    (4, 5, False): "28251f59642e1210ed3f5e98c5b7b2509841fae7c119c207312631bd4cb38808",
+    (9, 6, True): "99d231a4af3aaebbb29e8a2c79db789dbae082a3010f783b45351b4360093ced",
+    (21, 12, True): "b139e3aadff9369abfdea32468c500bb3f104aa280602f7d4e918b3049a4b5f1",
+    (103, 48, True): "4ba2c66e9a8cc2f3371b3e2bc49e6c51b6b2aa4e207700785034207beda9213a",
+}
+POSE_DIGEST = "d669f8f226b4bafe749a99561a9241bd479265812d59e020590b39bbefb47493"
+SUBMAP_DIGESTS = {
+    (9, 6): "f8224267f87a1c44029ad2ec4d5b3ebc091f31ea4be6a89de441a6d9d7b39ded",
+    (21, 12): "6d5b3be65e3feae38ddae7691f5cbc5a03ac62ff5af3fe9a8d6d6fba8c7835b2",
+}
+
+
+def _sha(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("seed, n_rooms, corridor", sorted(LAYOUT_DIGESTS))
+def test_layout_bytes_pinned(seed, n_rooms, corridor):
+    layout = generate_layout(seed=seed, n_rooms=n_rooms, corridor=corridor, extent_m=48.0)
+    assert (layout.corridor is None) == (not corridor or n_rooms < 2)
+    got = _sha(layout.wall_model.endpoints(), layout.rooms, layout.corridor or ())
+    assert got == LAYOUT_DIGESTS[(seed, n_rooms, corridor)]
+
+
+def test_interior_pose_bytes_pinned():
+    poses = []
+    for seed, n_rooms, corridor in sorted(LAYOUT_DIGESTS):
+        layout = generate_layout(seed=seed, n_rooms=n_rooms, corridor=corridor, extent_m=48.0)
+        rng = np.random.default_rng(seed)
+        poses += [(p.x, p.y, p.yaw) for p in (random_interior_pose(layout, rng) for _ in range(8))]
+    assert _sha(poses) == POSE_DIGEST
+
+
+@pytest.mark.parametrize("seed, n_rooms", sorted(SUBMAP_DIGESTS))
+def test_submap_bytes_pinned(seed, n_rooms):
+    layout = generate_layout(seed=seed, n_rooms=n_rooms, corridor=True, extent_m=48.0)
+    pose = random_interior_pose(layout, np.random.default_rng(seed))
+    kw = dict(radius_m=15.0, noise_sigma_m=0.03, drop_wall_frac=0.2, clutter_frac=0.1, seed=seed)
+    scene = synthesize_submap(layout.wall_model, pose, **kw)
+    assert scene.deviation_log["dropped_walls"] and scene.deviation_log["clutter_segments"]
+    assert _sha(scene.submap.points) == SUBMAP_DIGESTS[(seed, n_rooms)]
 
 
 # --- parameter validation ---
