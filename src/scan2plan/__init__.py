@@ -16,9 +16,7 @@ from .errors import (
     EmptySubmap,
     InvalidModel,
     InvalidSubmap,
-    NoCandidates,
     ParseError,
-    ResolutionMismatch,
     Scan2PlanError,
 )
 from .geometry import (

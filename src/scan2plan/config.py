@@ -9,9 +9,9 @@ from typing import Dict, Optional
 from .errors import ParseError
 from .voting import yaw_bins
 
-# fields exempt from the positive check: lam may be 0, min_confidence
-# any finite value
-_UNSIGNED = ("lam", "min_confidence")
+# fields that may be 0: lam (award-only scoring) and extend_m (corners
+# only on both segments); min_confidence takes any finite value
+_NON_NEGATIVE = ("lam", "extend_m")
 
 
 @dataclass
@@ -56,12 +56,11 @@ class PipelineConfig:
                 raise ValueError("%s must be an integer, got %r" % (f.name, v))
             if isinstance(v, float) and not math.isfinite(v):
                 raise ValueError("%s must be finite, got %r" % (f.name, v))
-            if f.name in _UNSIGNED:
-                continue
-            if v <= 0:
+            if f.name in _NON_NEGATIVE:
+                if v < 0:
+                    raise ValueError("%s must be >= 0, got %r" % (f.name, v))
+            elif v <= 0 and f.name != "min_confidence":
                 raise ValueError("%s must be positive, got %r" % (f.name, v))
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0, got %r" % (self.lam,))
         yaw_bins(self.r_yaw_deg)  # raises for fewer than MIN_YAW_BINS bins
         if not self.l_cells >= self.k_cells >= self.j_candidates:
             raise ValueError(

@@ -57,7 +57,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import ResolutionMismatch, check_positive
+from .errors import check_positive
 from .lines import Corners
 
 DB_MAGIC = b"L2BD"
@@ -220,7 +220,8 @@ def canonical_triplets(
     canonicalized either way across a tied bin still finds an aligned
     row. Rows come out in input order, then lexicographic vertex order.
     Raises ValueError unless r_s, r_a and min_angle_deg are finite and
-    positive, and naming the first triplet with a NaN or inf input.
+    positive, naming the first triplet with a NaN or inf input, and when
+    a side over r_s or an angle over r_a reaches 2^63.
     """
     check_positive(r_s=r_s, r_a=r_a, min_angle_deg=min_angle_deg)
     p = np.asarray(verts, dtype=np.float64).reshape(-1, 3, 2)
@@ -234,7 +235,8 @@ def canonical_triplets(
     ok = (edge >= 1e-9) & (np.degrees(np.arccos(np.clip(cos, -1.0, 1.0))) >= min_angle_deg)
     keep = ok[:, 0] & ok[:, 1] & ok[:, 2]
     if tied_orders:
-        sb = np.floor(edge / r_s).T
+        with np.errstate(over="ignore"):  # an inf bin fails the check at the end
+            sb = np.floor(edge / r_s).T
         fit = np.stack([keep & (sb[ab] <= sb[bc]) & (sb[bc] <= sb[ac]) for ab, bc, ac in _PERM_EDGES], axis=1)
         src, perm = np.divmod(np.flatnonzero(fit), 6)
     else:
@@ -255,7 +257,12 @@ def canonical_triplets(
     # each side's unit vector up to sign, which |dot| ignores
     dots = np.abs(np.matmul(qd, (np.take(u.reshape(-1, 2), side, axis=0) / sides[..., None])[..., None])[..., 0])
     angles = np.degrees(np.arccos(np.clip(np.maximum(dots[..., 0], dots[..., 1]), 0.0, 1.0)))
-    bins = np.floor(np.concatenate([sides / r_s, angles / r_a], axis=1)).astype(np.int64)
+    with np.errstate(over="ignore"):  # an overflow to inf fails the check below
+        bins = np.floor(np.concatenate([sides / r_s, angles / r_a], axis=1))
+    # checked as floats: a cast past int64 gives garbage bins, not an error
+    if bins.size and not bins.max() < 2.0**63:
+        raise ValueError("descriptor bins up to %s exceed int64; raise r_s or r_a" % (float(bins.max()),))
+    bins = bins.astype(np.int64)
     return Triplets(q, qd, sides, angles, bins, r_s, r_a, _hand(q))
 
 
@@ -308,10 +315,12 @@ def query_correspondences(db: DescriptorDB, triplets: Triplets) -> Tuple[np.ndar
 
     Each query triplet pairs with every row under its key that has its
     hand: query order first, then row order. A mirrored row never pairs,
-    since no rotation maps a triangle onto its mirror image.
+    since no rotation maps a triangle onto its mirror image. Raises
+    ValueError when the triplets and the DB differ in r_s or r_a.
     """
     if triplets.r_s != db.r_s or triplets.r_a != db.r_a:
-        raise ResolutionMismatch("query triplet quantization does not match the database")
+        steps = (triplets.r_s, triplets.r_a, db.r_s, db.r_a)
+        raise ValueError("triplets at r_s, r_a = %r, %r do not fit a DB at %r, %r" % steps)
     lo, hi = db.find(triplets.bins)
     n = hi - lo
     query = np.repeat(np.arange(n.shape[0]), n)

@@ -1,5 +1,10 @@
 """Exception types raised across the toolkit, and the one check of a
-positive parameter."""
+positive parameter.
+
+A bad argument or parameter raises ValueError (CLI exit 1); data that
+cannot be used raises a `Scan2PlanError` subclass (exit 2), so a loader
+re-raises a ValueError from a value it read as ParseError.
+"""
 
 import math
 
@@ -13,10 +18,6 @@ def check_positive(**values) -> None:
 
 class Scan2PlanError(Exception):
     """Base class for all toolkit errors."""
-
-
-class DegenerateInput(Scan2PlanError):
-    """Input geometry is degenerate (e.g. all points coincide)."""
 
 
 class ParseError(Scan2PlanError):
@@ -52,17 +53,3 @@ class InvalidSubmap(Scan2PlanError):
 class EmptyGrid(Scan2PlanError):
     """Vote grid holds no votes. Only `voting.hierarchical_vote` raises
     it: a submap without walls reaches voting with no triplets."""
-
-
-class NoCandidates(Scan2PlanError):
-    """Candidate list is empty. Only `verify.select_best` raises it;
-    `hierarchical_vote` yields a candidate for any grid with a vote."""
-
-
-class ResolutionMismatch(Scan2PlanError):
-    """Query triplets and a descriptor database were quantized with
-    different r_s or r_a."""
-
-
-class VersionMismatch(Scan2PlanError):
-    """A submap file does not start with the submap magic."""

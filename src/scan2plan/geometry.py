@@ -10,8 +10,6 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DegenerateInput
-
 __all__ = [
     "Se2Pose",
     "LineSegment2",
@@ -80,7 +78,7 @@ class Se2Pose:
 
 @dataclass(frozen=True)
 class LineSegment2:
-    """2D segment with finite endpoints and positive length."""
+    """2D segment with finite endpoints and positive length; ValueError otherwise."""
 
     p0: np.ndarray
     p1: np.ndarray
@@ -89,9 +87,9 @@ class LineSegment2:
         object.__setattr__(self, "p0", np.asarray(self.p0, dtype=float))
         object.__setattr__(self, "p1", np.asarray(self.p1, dtype=float))
         if not (np.all(np.isfinite(self.p0)) and np.all(np.isfinite(self.p1))):
-            raise DegenerateInput("segment endpoints must be finite")
+            raise ValueError("segment endpoints must be finite")
         if self.length <= 0.0:
-            raise DegenerateInput("segment has zero length")
+            raise ValueError("segment has zero length")
 
     @property
     def length(self) -> float:

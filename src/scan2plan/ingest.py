@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateInput, EmptyModel, InvalidSubmap, ParseError, VersionMismatch
+from .errors import EmptyModel, InvalidSubmap, ParseError
 from .geometry import LineSegment2, Se2Pose
 
 SUBMAP_MAGIC = b"L2B1"
@@ -110,7 +110,7 @@ def load_wall_models(path) -> List[WallModel]:
                 opened.append(lineno)
             try:
                 current.walls.append(LineSegment2(np.array([x1, y1]), np.array([x2, y2])))
-            except DegenerateInput:
+            except ValueError:
                 raise ParseError(f"{path}:{lineno}: zero-length or invalid wall")
     if not any(m.walls for m in models):
         raise EmptyModel(f"{path}: no walls found")
@@ -149,10 +149,12 @@ def save_submap(submap: Submap, path) -> None:
 
 
 def load_submap(path) -> Submap:
+    """ParseError for a bad magic, a truncated header or a size that does
+    not match the point count; InvalidSubmap for what `Submap` rejects."""
     with open(path, "rb") as f:
         data = f.read()
     if data[:4] != SUBMAP_MAGIC:
-        raise VersionMismatch(f"{path}: bad magic {data[:4]!r}")
+        raise ParseError(f"{path}: bad magic {data[:4]!r}")
     header = 4 + 12 + 4
     if len(data) < header:
         raise ParseError(f"{path}: truncated header")

@@ -59,6 +59,8 @@ MIN_CELL_POINTS = 4
 # guards against non-planar clusters that never thin out (e.g. coincident
 # points); s_v/2**6 is far below any useful patch size
 MAX_OCTREE_DEPTH = 6
+# slack on each axis within which two patch boxes touch, in metres
+TOUCH_EPS_M = 1e-9
 
 __all__ = [
     "Patches",
@@ -221,13 +223,11 @@ def segment_planes(
 ) -> SegmentationResult:
     """Octree split of `points` into planar patches numbered by level, then cell.
 
-    Raises ValueError for a NaN or inf point, an s_v that is not finite
-    and positive, a non-finite sigma_lambda, or an extent whose deepest
-    cells overflow int64.
+    Raises ValueError for a NaN or inf point, an s_v or sigma_lambda that
+    is not finite and positive, or an extent whose deepest cells overflow
+    int64.
     """
-    check_positive(s_v=s_v)
-    if not np.isfinite(sigma_lambda):
-        raise ValueError("sigma_lambda must be finite, got %r" % (sigma_lambda,))
+    check_positive(s_v=s_v, sigma_lambda=sigma_lambda)
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n_total = pts.shape[0]
     if n_total == 0:
@@ -346,28 +346,28 @@ def segment_planes(
     return SegmentationResult(patches, n_total, int(np.count_nonzero(label < 0)))
 
 
-def _touching_pairs(lo: np.ndarray, hi: np.ndarray, eps: float = 1e-9) -> Tuple[np.ndarray, np.ndarray]:
+def _touching_pairs(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Index pairs (i, j), i < j, of the (n, 3) boxes [lo, hi] that touch.
 
     Two boxes touch when on every axis each one's lo is at most the
-    other's hi + eps. Every box must have lo <= hi. A sweep over the
-    boxes sorted by lo x: a box p can touch only the later ones q whose
-    lo x is at most its hi x + eps, and one searchsorted finds where
-    those end. That bound is the x test of q against p, made with the
-    same float sum, and lo x of p <= lo x of q <= hi x of q is the x test
-    of p against q, so only y and z are tested, y first to thin the
-    candidates. Pairs come out in sweep order.
+    other's hi + TOUCH_EPS_M. Every box must have lo <= hi. A sweep over
+    the boxes sorted by lo x: a box p can touch only the later ones q
+    whose lo x is at most its hi x + TOUCH_EPS_M, and one searchsorted
+    finds where those end. That bound is the x test of q against p, made
+    with the same float sum, and lo x of p <= lo x of q <= hi x of q is
+    the x test of p against q, so only y and z are tested, y first to
+    thin the candidates. Pairs come out in sweep order.
     """
     order = np.argsort(lo[:, 0], kind="stable")
     n = order.shape[0]
     after = np.arange(1, n + 1)
-    n_cand = np.maximum(np.searchsorted(lo[order, 0], hi[order, 0] + eps, side="right") - after, 0)
+    n_cand = np.maximum(np.searchsorted(lo[order, 0], hi[order, 0] + TOUCH_EPS_M, side="right") - after, 0)
     # candidate k of box p is the box at sorted position p + 1 + k
     p = np.repeat(np.arange(n), n_cand)
     q = np.arange(p.shape[0]) - np.repeat(np.cumsum(n_cand) - n_cand - after, n_cand)
     for a in (1, 2):
         la, ha = lo[order, a], hi[order, a]
-        touch = (la[q] <= ha[p] + eps) & (la[p] <= ha[q] + eps)
+        touch = (la[q] <= ha[p] + TOUCH_EPS_M) & (la[p] <= ha[q] + TOUCH_EPS_M)
         p, q = p[touch], q[touch]
     i, j = order[p], order[q]
     return np.minimum(i, j), np.maximum(i, j)

@@ -27,6 +27,8 @@ GROUND_CLEARANCE_M = 1.75
 # slack on the per-wall box cut of the clearance test, far above any
 # rounding in the distances
 CLEARANCE_CUT_MARGIN_M = 0.5
+# a sensor is never placed this close to a wall
+SENSOR_CLEARANCE_M = 0.8
 
 __all__ = [
     "FloorLayout",
@@ -288,8 +290,8 @@ def synthesize_submap(
     return SyntheticScene(pose, submap, log)
 
 
-def random_interior_pose(layout: FloorLayout, rng, clearance: float = 0.8) -> Se2Pose:
-    """A pose whose sensor position is in free interior space of the layout."""
+def random_interior_pose(layout: FloorLayout, rng) -> Se2Pose:
+    """A pose whose sensor lies in free interior space, SENSOR_CLEARANCE_M clear of every wall."""
     rects = list(layout.rooms)
     if layout.corridor is not None:
         rects.append(layout.corridor)
@@ -297,7 +299,7 @@ def random_interior_pose(layout: FloorLayout, rng, clearance: float = 0.8) -> Se
     for _ in range(1000):
         x0, y0, x1, y1 = rects[int(rng.integers(len(rects)))]
         p = np.array([rng.uniform(x0, x1), rng.uniform(y0, y1)])
-        if _clear_of(p[None, :], walls, clearance)[0]:
+        if _clear_of(p[None, :], walls, SENSOR_CLEARANCE_M)[0]:
             yaw = rng.uniform(-np.pi, np.pi)
             return Se2Pose(p[0], p[1], yaw)
     raise EmptyScene("could not place a sensor in free space")

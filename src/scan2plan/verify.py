@@ -89,7 +89,7 @@ from typing import Tuple
 import numpy as np
 from scipy.ndimage import distance_transform_cdt, maximum_filter
 
-from .errors import EmptyModel, EmptySubmap, NoCandidates, check_positive
+from .errors import EmptyModel, EmptySubmap, check_positive
 from .voting import Candidates
 
 # rows kept of each scoring set (`thin_rows`)
@@ -403,7 +403,9 @@ def select_best(
     sets: ScoringSets,
     lam: float = 0.5,
 ) -> Tuple[int, ScoreResult]:
-    """Return (best index, its exact ScoreResult) over the `Candidates`.
+    """Return (best index, its exact ScoreResult) over the `Candidates`;
+    ValueError for no candidates (`hierarchical_vote` returns at least
+    one).
 
     Ties on confidence fall back to vote count, then to the
     lexicographically smallest pose. `sets` comes from `prepare_scoring`
@@ -420,7 +422,7 @@ def select_best(
     exhaustive pass picks.
     """
     if len(candidates) == 0:
-        raise NoCandidates("no pose candidates to score")
+        raise ValueError("no pose candidates to score")
     # the bounds rest on lam * s_p >= 0
     if not (lam >= 0.0 and np.isfinite(lam)):
         raise ValueError("lam must be finite and >= 0, got %r" % (lam,))

@@ -21,6 +21,7 @@ come out as one `Candidates` array set; a `Candidate` object is built
 only for a row that is read as one.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -48,13 +49,13 @@ class VoteGrid:
     """Occupied vote cells only, sorted by packed (ix, iy, iyaw) index.
 
     A packed index is the row-major index of (ix - x0, iy - y0, iyaw) in a
-    box of shape `dims`, sized from the votes with one spare cell on each
-    side in x and y, so every cell and its neighbours pack without
-    overflow and packed order is (ix, iy, iyaw) order. Cells and sums
-    hold the votes' poses about `pivot` (see the module docstring).
+    box of shape `dims`, where (x0, y0) is one cell below the votes'
+    lowest (ix, iy): a spare cell on each side in x and y lets every cell
+    and its neighbours pack without overflow, and packed order is
+    (ix, iy, iyaw) order. Cells and sums hold the votes' poses about
+    `pivot` (see the module docstring).
     """
 
-    origin: Tuple[int, int]  # (x0, y0)
     dims: Tuple[int, int, int]  # (nx, ny, n_yaw_bins)
     packed: np.ndarray  # (N,) int64, sorted ascending
     counts: np.ndarray  # (N,) int64
@@ -119,15 +120,6 @@ def yaw_bins(r_yaw_deg: float) -> int:
     return int(n)
 
 
-def _cell_indices(grid_r_xy: float, r_yaw_deg: float, n_yaw: int, x, y, yaw):
-    ix = np.floor(x / grid_r_xy).astype(np.int64)
-    iy = np.floor(y / grid_r_xy).astype(np.int64)
-    r_yaw = np.radians(r_yaw_deg)
-    iyaw = np.floor((normalize_angle(yaw) + np.pi) / r_yaw).astype(np.int64)
-    iyaw = np.minimum(iyaw, n_yaw - 1)
-    return ix, iy, iyaw
-
-
 def _unpivot(x, y, yaw, pivot):
     """t - R(yaw) pivot: the (x, y) of poses (x, y, yaw) about `pivot`, composed with T(-pivot)."""
     c, s = np.cos(yaw), np.sin(yaw)
@@ -145,7 +137,8 @@ def cast_votes(
 
     Raises ValueError when r_xy, residual_max_m or r_yaw_deg is not
     finite and positive, when r_yaw_deg gives fewer than MIN_YAW_BINS
-    yaw bins, or when the votes span more cells than an int64 indexes.
+    yaw bins, or, naming r_xy, when the votes' cells or their box do
+    not fit an int64.
     """
     check_positive(r_xy=r_xy, residual_max_m=residual_max_m)
     n_yaw = yaw_bins(r_yaw_deg)
@@ -162,17 +155,29 @@ def cast_votes(
     c, s = np.cos(yaw), np.sin(yaw)
     x, y = x + (c * pivot[0] - s * pivot[1]), y + (s * pivot[0] + c * pivot[1])  # t + R(yaw) pivot
 
-    ix, iy, iyaw = _cell_indices(r_xy, r_yaw_deg, n_yaw, x, y, yaw)
+    with np.errstate(over="ignore"):  # an overflow to inf fails the check below
+        cells = np.floor(x / r_xy), np.floor(y / r_xy)
+    iyaw = np.floor((normalize_angle(yaw) + np.pi) / np.radians(r_yaw_deg)).astype(np.int64)
+    packed = np.minimum(iyaw, n_yaw - 1)
+    dims = (1, 1, n_yaw)
     if x.shape[0]:
-        origin = (int(ix.min()) - 1, int(iy.min()) - 1)
-        dims = (int(ix.max()) - origin[0] + 2, int(iy.max()) - origin[1] + 2, n_yaw)
-    else:
-        origin, dims = (0, 0), (1, 1, n_yaw)
-    packed = np.ravel_multi_index((ix - origin[0], iy - origin[1], iyaw), dims)
+        # checked as floats: a cast past int64 gives garbage cells, not an error
+        lo, hi = [float(col.min()) for col in cells], [float(col.max()) for col in cells]
+        if not (-(2.0**63) < min(lo) and max(hi) < 2.0**63):  # also catches inf and NaN
+            raise ValueError("vote cells from %s to %s exceed int64; raise r_xy" % (min(lo), max(hi)))
+        x0, y0 = int(lo[0]) - 1, int(lo[1]) - 1
+        dims = (int(hi[0]) - x0 + 2, int(hi[1]) - y0 + 2, n_yaw)
+        if math.prod(dims) > np.iinfo(np.int64).max:
+            raise ValueError("vote cells up to %s do not pack into an int64; raise r_xy" % (dims,))
+        # row-major, column by column: ((ix - x0) * ny + iy - y0) * n_yaw + iyaw
+        key = cells[0].astype(np.int64) - x0
+        key *= dims[1]
+        key += cells[1].astype(np.int64) - y0
+        key *= n_yaw
+        packed += key
     uniq, inv, counts = np.unique(packed, return_inverse=True, return_counts=True)
     n = uniq.shape[0]
     return VoteGrid(
-        origin,
         dims,
         uniq,
         counts.astype(np.int64),

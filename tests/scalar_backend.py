@@ -45,7 +45,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from scan2plan.errors import DegenerateInput, EmptyGrid, EmptySubmap, NoCandidates
+from scan2plan.errors import EmptyGrid, EmptySubmap
 from scan2plan.geometry import Se2Pose, normalize_angle
 from scan2plan.verify import MAX_RASTER_CELLS, ScoreResult, _scratch, prepare_scoring
 from scan2plan.verify import select_best as package_select_best
@@ -56,13 +56,13 @@ def solve_se2(src: Sequence, dst: Sequence) -> Tuple[Se2Pose, float]:
     s = np.asarray(src, dtype=float).reshape(-1, 2)
     d = np.asarray(dst, dtype=float).reshape(-1, 2)
     if s.shape[0] < 2 or s.shape != d.shape:
-        raise DegenerateInput("need >= 2 matched point pairs")
+        raise ValueError("need >= 2 matched point pairs")
     s_mean = s.mean(axis=0)
     d_mean = d.mean(axis=0)
     s_c = s - s_mean
     d_c = d - d_mean
     if np.max(np.linalg.norm(s_c, axis=1)) < 1e-9:
-        raise DegenerateInput("all source points coincide")
+        raise ValueError("all source points coincide")
 
     h = s_c.T @ d_c
     u, _, vt = np.linalg.svd(h)
@@ -277,7 +277,7 @@ def select_best(
     max_points: Optional[int] = None,
 ) -> Tuple[int, List[ScoreResult]]:
     if not candidates:
-        raise NoCandidates("no pose candidates to score")
+        raise ValueError("no pose candidates to score")
     q_ng = _subsample(np.asarray(q_ng_xy, dtype=np.float64).reshape(-1, 2), max_points)
     q_g = _subsample(np.asarray(q_g_xy, dtype=np.float64).reshape(-1, 2), max_points)
     results = [score_candidate(field, c.pose, q_ng, q_g, lam=lam) for c in candidates]

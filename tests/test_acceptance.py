@@ -13,7 +13,7 @@ from scan2plan.descriptors import (
     canonical_triplets,
     query_correspondences,
 )
-from scan2plan.errors import EmptyGrid, EmptySubmap, NoCandidates
+from scan2plan.errors import EmptyGrid, EmptySubmap
 from scan2plan.geometry import (
     LineSegment2,
     Se2Pose,
@@ -344,7 +344,7 @@ def _confidence_pair(floor, scene, cfg):
         want, want_conf = ref.select_award_only(floor.field, cands, feats.q_ng_xy)
         assert (i, np.float64(award.confidence).tobytes()) == (want, np.float64(want_conf[want]).tobytes())
         return [osc.confidence, award.confidence]
-    except (EmptyGrid, EmptySubmap, NoCandidates):
+    except (EmptyGrid, EmptySubmap):
         return [float("-inf"), float("-inf")]
 
 

@@ -480,7 +480,7 @@ def _grid(cells, n_yaw, counts, sums, pivot=(0.0, 0.0)) -> VoteGrid:
     dims = (int(ix.max()) - origin[0] + 2, int(iy.max()) - origin[1] + 2, n_yaw)
     packed = np.ravel_multi_index((ix - origin[0], iy - origin[1], iyaw), dims)
     order = np.argsort(packed)
-    return VoteGrid(origin, dims, packed[order], counts[order], *(s[order] for s in sums), pivot=pivot)
+    return VoteGrid(dims, packed[order], counts[order], *(s[order] for s in sums), pivot=pivot)
 
 
 def _cand_key(c):

@@ -303,6 +303,19 @@ def test_non_finite_parameter_exit_code(tmp_path, capsys):
     assert "s_v" in capsys.readouterr().err
 
 
+def test_vote_cells_past_int64_exit_code(tmp_path, capsys):
+    # --r_xy 1e-300 used to die in an OverflowError traceback after a cast
+    # warning (an error under the test filter), --r_xy 1e-9 to print
+    # numpy's "invalid dims" without naming the parameter
+    plan, scenes = _gen(tmp_path, capsys)
+    scene = sorted(scenes.glob("*.submap"))[0]
+    for r_xy in ("1e-300", "1e-9"):
+        code = main(["register", "--submap", str(scene), "--model", str(plan), "--r_xy", r_xy])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "raise r_xy" in err and "Traceback" not in err
+
+
 def test_too_coarse_yaw_bins_exit_code(tmp_path, capsys):
     plan = tmp_path / "sq.txt"
     plan.write_text(UNIT_SQUARE)

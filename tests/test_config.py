@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import inspect
+import math
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +325,26 @@ def test_stage_functions_reject_nan_parameters(module, function, name):
     fn(*args, **{name: getattr(PipelineConfig(), name, 1.0)})  # valid at the config's value
     with pytest.raises(ValueError, match=name):
         fn(*args, **{name: float("nan")})
+
+
+def _accepts(call) -> bool:
+    """False when `call()` raises ValueError, True when it returns."""
+    try:
+        call()
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("value", [0, -1, math.inf, math.nan])
+@pytest.mark.parametrize("module, function, name", STAGE_GUARDS)
+def test_stage_accepts_a_value_exactly_when_the_config_does(module, function, name, value):
+    # --extend_m 0 exited 1 though extract_corners takes 0, and
+    # segment_planes took a sigma_lambda <= 0 that the config rejects
+    fn = getattr(getattr(scan2plan, module), function)
+    args = _stage_inputs()[function]
+    in_config = _accepts(lambda: PipelineConfig(**{name: value}).validate())
+    assert _accepts(lambda: fn(*args, **{name: value})) == in_config
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,6 @@ from scan2plan.descriptors import (
     query_correspondences,
     serialize_db,
 )
-from scan2plan.errors import ResolutionMismatch
 from scan2plan.geometry import Se2Pose, solve_se2_batch
 from scan2plan.lines import Corners
 from scan2plan.voting import cast_votes
@@ -190,7 +189,7 @@ def test_resolution_mismatch_raises():
     corners = _corners((0.0, 0.0), (4.0, 0.0), (0.0, 3.0))
     db = build_db(corners, r_s=0.5)
     qts = build_triplets(corners, r_s=0.25)
-    with pytest.raises(ResolutionMismatch):
+    with pytest.raises(ValueError, match=r"r_s, r_a = 0.25, 3.0 do not fit a DB at 0.5, 3.0"):
         query_correspondences(db, qts)
 
 
@@ -311,6 +310,22 @@ def test_non_finite_corner_raises_naming_first_row(field, value):
     for build in (build_db, build_triplets):
         with pytest.raises(ValueError, match="corner 2 has a NaN or inf"):
             build(corners)
+
+
+@pytest.mark.parametrize("value", [1e-300, 5e-324])
+@pytest.mark.parametrize("step", ["r_s", "r_a"])
+def test_bins_past_int64_raise_naming_the_steps(step, value):
+    # r_s = 1e-300 used to warn in the int64 cast and then report
+    # "descriptor bins must be >= 0", and 5e-324 overflows to inf; AC is
+    # off both wall axes, so its angle bin overflows at a tiny r_a too
+    corners = _corners((0, 0), (4, 0), (1, 3))
+    verts, dirs = clique_triplets(corners, 30.0)
+    for tied_orders in (False, True):
+        with pytest.raises(ValueError, match="exceed int64; raise r_s or r_a"):
+            canonical_triplets(verts, dirs, tied_orders=tied_orders, **{step: value})
+    for build in (build_db, build_triplets):
+        with pytest.raises(ValueError, match="exceed int64; raise r_s or r_a"):
+            build(corners, **{step: value})
 
 
 @pytest.mark.parametrize("top", [7, 2**53])

@@ -26,7 +26,7 @@ from scan2plan.geometry import LineSegment2, Se2Pose
 from scan2plan.graph import connected_labels
 from scan2plan.lines import MIN_RUN_M, RUN_GAP_M, extract_corners, merge_refit, patch_segments
 from scan2plan.pipeline import extract_submap_features
-from scan2plan.planes import Patches, _touching_pairs, classify_patches, merge_patches, segment_planes
+from scan2plan.planes import TOUCH_EPS_M, Patches, _touching_pairs, classify_patches, merge_patches, segment_planes
 from scan2plan.synthetic import generate_layout, synthesize_submap
 from scan2plan.verify import SCORING_MAX_POINTS
 
@@ -253,7 +253,7 @@ def test_extract_corners_matches_oracle(case):
 
 # --- touching cell boxes ---
 
-EPS = 1e-9
+EPS = TOUCH_EPS_M
 
 
 @st.composite
@@ -307,7 +307,7 @@ def _unit(x):
 @example(tuple(np.vstack(b) for b in zip(_unit(np.nextafter(1.0 + EPS, 2.0)), _unit(0.0))))  # one ulp more
 def test_touching_pairs_match_oracle(boxes):
     lo, hi = boxes
-    i, j = _touching_pairs(lo, hi, EPS)
+    i, j = _touching_pairs(lo, hi)
     assert i.dtype == j.dtype == np.int64
     assert np.all(i < j)
     got = list(zip(i.tolist(), j.tolist()))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scan2plan.geometry import (
+    LineSegment2,
     Se2Pose,
     normalize_angle,
     pose_errors,
@@ -63,6 +64,17 @@ def test_non_finite_pose_rejected(xyyaw):
     # np.mod would take an infinite yaw to NaN with only a RuntimeWarning
     with pytest.raises(ValueError, match="pose must be finite"):
         Se2Pose(*xyyaw)
+
+
+@pytest.mark.parametrize(
+    "p1, match",
+    [((0.0, 0.0), "zero length"), ((np.nan, 1.0), "must be finite"), ((1.0, -np.inf), "must be finite")],
+    ids=["zero_length", "nan", "minus_inf"],
+)
+def test_degenerate_segment_rejected(p1, match):
+    # a bad argument is a ValueError, as for a non-finite pose
+    with pytest.raises(ValueError, match=match):
+        LineSegment2(np.zeros(2), np.array(p1))
 
 
 def test_inverse_and_yaw_normalization():

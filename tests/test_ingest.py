@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from scan2plan.errors import EmptyModel, InvalidSubmap, ParseError, VersionMismatch
+from scan2plan.errors import EmptyModel, InvalidSubmap, ParseError
 from scan2plan.geometry import LineSegment2, Se2Pose
 from scan2plan.ingest import (
     Submap,
@@ -114,7 +114,7 @@ def test_submap_roundtrip(tmp_path):
 def test_submap_bad_magic(tmp_path):
     f = tmp_path / "s.submap"
     f.write_bytes(b"NOPE" + b"\x00" * 32)
-    with pytest.raises(VersionMismatch):
+    with pytest.raises(ParseError, match="bad magic"):
         load_submap(f)
 
 

@@ -256,8 +256,9 @@ def test_sensor_far_from_model_raises():
 def test_interior_pose_clearance():
     layout = generate_layout(seed=21, n_rooms=8, corridor=True, extent_m=40.0)
     rng = np.random.default_rng(3)
+    assert synthetic.SENSOR_CLEARANCE_M == 0.8  # the README's figure
     for _ in range(20):
-        pose = random_interior_pose(layout, rng, clearance=0.8)
+        pose = random_interior_pose(layout, rng)
         p = np.array([[pose.x, pose.y]])
         best = np.inf
         for w in layout.wall_model.walls:

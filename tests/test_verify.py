@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scalar_backend as ref
 
-from scan2plan.errors import EmptyModel, EmptySubmap, NoCandidates
+from scan2plan.errors import EmptyModel, EmptySubmap
 from scan2plan.geometry import Se2Pose
 from scan2plan.synthetic import generate_layout, synthesize_submap
 from scan2plan.verify import (
@@ -326,7 +326,7 @@ def test_negative_cell_size_cannot_mirror_the_grid():
 
 def test_no_candidates_raises():
     field = build_score_field([_seg(0.0, 0.0, 2.0, 0.0)])
-    with pytest.raises(NoCandidates):
+    with pytest.raises(ValueError, match="no pose candidates"):
         select_best(field, [], prepare_scoring(np.array([[1.0, 0.0]]), np.zeros((0, 2)), field.s_r))
 
 

@@ -256,7 +256,7 @@ def test_non_finite_or_non_positive_yaw_step_rejected(r_yaw_deg):
 @pytest.mark.parametrize("n_yaw", [1, 2])
 def test_hierarchical_vote_rejects_grid_of_fewer_than_three_yaw_bins(n_yaw):
     one = np.ones(1)
-    grid = VoteGrid((0, 0), (3, 3, n_yaw), np.array([4 * n_yaw]), np.array([5]), one, one, one, one)
+    grid = VoteGrid((3, 3, n_yaw), np.array([4 * n_yaw]), np.array([5]), one, one, one, one)
     with pytest.raises(ValueError, match="yaw bins"):
         hierarchical_vote(grid)
 
@@ -265,9 +265,9 @@ def test_hierarchical_vote_rejects_grid_of_fewer_than_three_yaw_bins(n_yaw):
 
 
 def _cells(grid):
-    """(ix, iy, iyaw) of each occupied cell, decoded from `dims` and `origin`."""
-    ix, iy, iyaw = np.unravel_index(grid.packed, grid.dims)
-    return ix + grid.origin[0], iy + grid.origin[1], iyaw
+    """(ix - x0, iy - y0, iyaw) of each occupied cell, decoded from `dims`;
+    (x0, y0) is one cell below the votes' lowest (ix, iy)."""
+    return np.unravel_index(grid.packed, grid.dims)
 
 
 def test_fine_yaw_bins_unpack_exactly():
@@ -275,9 +275,8 @@ def test_fine_yaw_bins_unpack_exactly():
     pose = Se2Pose(1.0, 2.0, 3.0)
     grid = cast_votes(_stack([_corr(pose)]), r_yaw_deg=0.5)
     ix, iy, iyaw = _cells(grid)
-    about = _about(pose, grid.pivot)
-    assert grid.n_yaw_bins == 720
-    assert (int(ix[0]), int(iy[0]), int(iyaw[0])) == (math.floor(about.x / 0.15), math.floor(about.y / 0.15), 703)
+    assert grid.n_yaw_bins == 720 and grid.dims[:2] == (3, 3)
+    assert (int(ix[0]), int(iy[0]), int(iyaw[0])) == (1, 1, 703)
 
 
 def test_far_translation_unpacks_exactly():
@@ -288,11 +287,23 @@ def test_far_translation_unpacks_exactly():
     about = _about(pose, grid.pivot)
     cx, cy = math.floor(about.x / 0.15), math.floor(about.y / 0.15)
     assert abs(cx) > 999_990 and cy > 1_333_340
-    assert ix.tolist() == [cx] * 2
-    assert iy.tolist() == [cy, cy + 1]
+    assert grid.dims[:2] == (3, 4)
+    assert ix.tolist() == [1] * 2
+    assert iy.tolist() == [1, 2]
     # neighbouring cells still merge into one candidate
     (cand,) = hierarchical_vote(grid)
     assert cand.votes == 2 and cand.n_cells == 2
+
+
+@pytest.mark.parametrize(
+    "r_xy, match", [(1e-300, "exceed int64"), (1e-9, "do not pack into an int64"), (5e-324, "exceed int64")]
+)
+def test_vote_cells_past_int64_raise_naming_r_xy(r_xy, match):
+    # 1e-300 used to warn in the int64 cast and then raise OverflowError,
+    # 1e-9 to raise numpy's "invalid dims" without naming r_xy
+    corr = _stack(_corrs_at(Se2Pose(3.0, -2.0, 0.5), 1) + _corrs_at(Se2Pose(-40.0, 25.0, 0.5), 1))
+    with pytest.raises(ValueError, match="%s; raise r_xy" % (match,)):
+        cast_votes(corr, r_xy=r_xy)
 
 
 # --- frames ---
