@@ -123,6 +123,12 @@ def cmd_gen_scene(args) -> int:
     return 0
 
 
+def _xyt(report) -> tuple:
+    """A report's (x, y, yaw), or three NaNs when its floor failed."""
+    p = report.pose
+    return (p.x, p.y, p.yaw) if p is not None else (float("nan"),) * 3
+
+
 def cmd_register(args) -> int:
     cfg = _config_of(args)
     floors = _load_floors(args.model, cfg)
@@ -130,19 +136,13 @@ def cmd_register(args) -> int:
     best, reports = register_submap(submap, floors, cfg)
     _echo(cfg, sys.stdout)
     for r in reports:
-        pose = (
-            (r.pose.x, r.pose.y, r.pose.yaw)
-            if r.pose is not None
-            else (float("nan"),) * 3
-        )
         print(
             "floor %s confidence %.6f votes %d pose %.6f %.6f %.6f"
-            % ((r.floor_id, r.confidence, r.votes) + pose)
+            % ((r.floor_id, r.confidence, r.votes) + _xyt(r))
         )
-    bp = (best.pose.x, best.pose.y, best.pose.yaw) if best.pose is not None else (float("nan"),) * 3
     print(
         "best %s pose %.6f %.6f %.6f confidence %.6f accepted %d"
-        % ((best.floor_id,) + bp + (best.confidence, int(best.accepted)))
+        % ((best.floor_id,) + _xyt(best) + (best.confidence, int(best.accepted)))
     )
     for stage, ms in best.timings_ms.items():
         sys.stderr.write("time %s %.3f ms\n" % (stage, ms))
@@ -242,10 +242,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as e:
         sys.stderr.write("error: %s\n" % (e,))
         return 1
-    except OSError as e:
-        sys.stderr.write("error: %s\n" % (e,))
-        return 2
-    except Scan2PlanError as e:
+    except (OSError, Scan2PlanError) as e:
         sys.stderr.write("error: %s\n" % (e,))
         return 2
 

@@ -380,9 +380,9 @@ def merge_patches(patches: Patches, normal_tol_deg: float = 10.0, dist_tol_m: fl
     within 1e-9 m, found by a sweep over the boxes sorted by lower x)
     and are coplanar (normals within the angle, each
     centroid within dist_tol_m of the other's plane). Its moments are
-    its members' summed in ascending patch order, and its cell box spans
-    theirs; a single-patch group takes its member's moments as they are,
-    -0.0 entries included, so it keeps its plane bit for bit.
+    its members' summed in ascending patch order from -0.0, the additive
+    identity, and its cell box spans theirs; so a single-patch group keeps
+    its member's moments, -0.0 entries included, and its plane bit for bit.
     Groups are relabelled in order of their rounded centroids. Raises
     ValueError unless both tolerances are finite and positive.
     """
@@ -416,13 +416,9 @@ def merge_patches(patches: Patches, normal_tol_deg: float = 10.0, dist_tol_m: fl
         ufunc.at(out, group_of, a)
         return out
 
-    count, sums, prods = (pool(np.add, a, 0) for a in (patches.count, patches.sums, patches.prods))
-    # a single-patch group takes its member's moments as they are: pooling
-    # from +0.0 would turn a -0.0 entry into +0.0
-    multi = np.zeros(n_groups, dtype=bool)
-    multi[group_of[i]] = True  # every merged pair lies in one group
-    single = np.flatnonzero(~multi[group_of])
-    sums[group_of[single]], prods[group_of[single]] = patches.sums[single], patches.prods[single]
+    # from -0.0: pooling from +0.0 would turn a -0.0 entry into +0.0
+    count = pool(np.add, patches.count, 0)
+    sums, prods = (pool(np.add, a, -0.0) for a in (patches.sums, patches.prods))
     cell_lo, cell_hi = pool(np.minimum, lo, np.inf), pool(np.maximum, hi, -np.inf)
     normal, eig = _fit_planes(count, sums, prods)
 

@@ -66,10 +66,6 @@ class VoteGrid:
     n_rejected: int = 0
     pivot: Tuple[float, float] = (0.0, 0.0)  # whole metres, in the source frame
 
-    @property
-    def n_yaw_bins(self) -> int:
-        return self.dims[2]
-
 
 @dataclass
 class Candidate:
@@ -232,8 +228,8 @@ def hierarchical_vote(
     for name, limit in (("l_cells", l_cells), ("k_cells", k_cells), ("j_candidates", j_candidates)):
         if not (isinstance(limit, (int, np.integer)) and limit >= 1):
             raise ValueError("%s must be an integer of at least 1, got %r" % (name, limit))
-    if grid.n_yaw_bins < MIN_YAW_BINS:
-        raise ValueError("a vote grid needs at least %d yaw bins, got %d" % (MIN_YAW_BINS, grid.n_yaw_bins))
+    if grid.dims[2] < MIN_YAW_BINS:
+        raise ValueError("a vote grid needs at least %d yaw bins, got %d" % (MIN_YAW_BINS, grid.dims[2]))
     n = grid.packed.shape[0]
     if n == 0:
         raise EmptyGrid("no votes were cast")

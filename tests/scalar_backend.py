@@ -299,7 +299,7 @@ def _neighbor_table(grid: VoteGrid) -> np.ndarray:
     wrap, pack and search per neighbour offset; the spare cell on each
     side keeps every x and y neighbour inside `dims`."""
     ix, iy, iyaw = np.unravel_index(grid.packed, grid.dims)
-    n_yaw = grid.n_yaw_bins
+    n_yaw = grid.dims[2]
     n = grid.packed.shape[0]
     table = np.full((n, 27), -1, dtype=np.int64)
     col = 0

@@ -214,10 +214,8 @@ def merge_patches(
 
     merged: List[PlanarPatch] = []
     for members in groups.values():
-        if len(members) == 1:
-            merged.append(patches[members[0]])
-            continue
-        count, sums, prods = 0, np.zeros(3), np.zeros((3, 3))
+        # pooled from -0.0, the additive identity, so a lone member keeps its moments
+        count, sums, prods = 0, np.full(3, -0.0), np.full((3, 3), -0.0)
         for i in members:
             count, sums, prods = count + patches[i].count, sums + patches[i].sums, prods + patches[i].prods
         centroid, normal, eig = _fit_moments(count, sums, prods)

@@ -1,4 +1,5 @@
-"""The floor side of registration is exactly invariant.
+"""The floor side of registration is exactly invariant; the submap side
+within stated tolerances.
 
 A floor's walls carry no order and no direction: reversing the wall
 list, shuffling it, or swapping every wall's endpoints must give a
@@ -8,6 +9,11 @@ against every floor. A floor given twice under two ids ties with
 itself, and `register_submap` keeps the first. The scans are extracted
 once and matched through `register_features`, so each case costs only
 the floor builds and the back end.
+
+A scan's rows carry no order and its frame is arbitrary, but the octree
+cuts cells on the frame's axes and the scoring sets keep rows by their
+order, so permuting the rows or moving the frame may move the pose and
+the confidence a little; each bound is justified where it is stated.
 """
 
 import functools
@@ -16,8 +22,8 @@ import numpy as np
 import pytest
 
 from scan2plan.config import PipelineConfig
-from scan2plan.geometry import LineSegment2
-from scan2plan.ingest import WallModel
+from scan2plan.geometry import LineSegment2, Se2Pose, pose_errors
+from scan2plan.ingest import Submap, WallModel
 from scan2plan.pipeline import build_floor_index, extract_submap_features, register_features, register_submap
 from scan2plan.synthetic import generate_layout, random_interior_pose, synthesize_submap
 
@@ -82,3 +88,49 @@ def test_a_floor_given_twice_registers_to_the_first_id():
         assert _key(reports[1]) == _key(reports[0])
         best, _ = register_submap(submap, [twin, floor], CFG)
         assert best.floor_id == "twin"
+
+
+# --- the submap side ---
+
+# Measured on the A4 scans of seeds 9000-9007, against each scan's own
+# registration: permuting the rows moved the pose by at most 5.1e-14 deg
+# and 9.4e-15 m, which is rounding, and the confidence by -0.0032 to
+# +0.0046, since the thinned scoring sets keep rows by their order. The
+# pose bound admits rounding and no real move; the confidence bound is
+# about twice the worst measured move.
+ROW_ORDER_ROT_DEG, ROW_ORDER_TRANS_M, ROW_ORDER_CONF = 1e-9, 1e-9, 0.01
+
+
+def test_row_order_leaves_the_pose_unchanged():
+    _, floor, scans = _prepared()
+    for k, (submap, feats) in enumerate(scans):
+        want = register_features(feats, floor, CFG)
+        perm = np.random.default_rng(k).permutation(submap.points.shape[0])
+        got, _ = register_submap(Submap(submap.points[perm], submap.gravity), [floor], CFG)
+        rot, trans = pose_errors(got.pose, want.pose)
+        assert rot <= ROW_ORDER_ROT_DEG and trans <= ROW_ORDER_TRANS_M
+        assert abs(got.confidence - want.confidence) <= ROW_ORDER_CONF
+
+
+# On the same eight scans a rigid frame change (the yaws and shifts
+# below) moved the mapped-back pose by at most 0.132 deg and 0.022 m,
+# and the confidence by -0.0107 to +0.0063: the octree's cells, and so
+# the patches, the corners and the scoring sets, follow the frame's
+# axes. Each bound is about twice the worst measured move.
+FRAME_ROT_DEG, FRAME_TRANS_M, FRAME_CONF = 0.25, 0.05, 0.02
+
+
+@pytest.mark.parametrize("shift", [(0.0, 0.0), (7.3, -4.1)])
+@pytest.mark.parametrize("yaw", [0.3, np.pi / 2, 2.0])
+def test_a_rigid_frame_change_maps_back_to_the_pose(yaw, shift):
+    _, floor, scans = _prepared()
+    move = Se2Pose(shift[0], shift[1], yaw)
+    for submap, feats in scans:
+        want = register_features(feats, floor, CFG)
+        pts = np.column_stack([move.apply(submap.points[:, :2]), submap.points[:, 2]])
+        gravity = np.append(move.rotation() @ submap.gravity[:2], submap.gravity[2])
+        got, _ = register_submap(Submap(pts, gravity), [floor], CFG)
+        # got maps the moved frame onto the floor, so got o move maps the original
+        rot, trans = pose_errors(got.pose.compose(move), want.pose)
+        assert rot <= FRAME_ROT_DEG and trans <= FRAME_TRANS_M
+        assert abs(got.confidence - want.confidence) <= FRAME_CONF

@@ -474,6 +474,19 @@ def _far_level6_cells():
 @example(_stacked_parents(), 2.0, 10.0)
 @example(_far_level6_cells(), 0.5, 10.0)
 @example(_floor_below_the_x_axis(), 2.0, 10.0)
+# a merged floor whose z products are all -0.0: pooled from +0.0 they
+# came back +0.0, where np.sum gives -0.0
+@example(
+    np.array([
+        [0.02831967, -1.87571672, 0.0], [0.61538511, -1.61632245, 0.0],
+        [0.57152983, -0.67813061, 0.0], [0.04097352, 0.01652764, 1.0],
+        [0.67062441, -1.35281049, 0.0], [0.99720994, -1.01916466, 0.0],
+        [0.60663578, 0.72949656, 1.0], [0.81327024, 0.91275558, 1.0],
+        [0.63696169, 0.26978671, 1.0], [0.391619, -0.10972565, 0.0],
+        [0.59430003, -0.66208877, 0.0], [0.22715759, -0.37681286, 0.0],
+    ]),
+    2.0, 10.0,
+)
 def test_planes_and_ground_mask_match_oracle(pts, s_v, sigma):
     seg = segment_planes(pts, s_v, sigma)
     want = ref.segment_planes(pts, s_v, sigma)

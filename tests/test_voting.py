@@ -275,7 +275,7 @@ def test_fine_yaw_bins_unpack_exactly():
     pose = Se2Pose(1.0, 2.0, 3.0)
     grid = cast_votes(_stack([_corr(pose)]), r_yaw_deg=0.5)
     ix, iy, iyaw = _cells(grid)
-    assert grid.n_yaw_bins == 720 and grid.dims[:2] == (3, 3)
+    assert grid.dims == (3, 3, 720)
     assert (int(ix[0]), int(iy[0]), int(iyaw[0])) == (1, 1, 703)
 
 
